@@ -19,10 +19,18 @@ func printStageTable(w io.Writer, stages []txtrace.StageLatency) {
 	}
 	fmt.Fprintln(w, "trace: per-stage latency (pipeline order)")
 	fmt.Fprintf(w, "  %-12s %10s %12s %12s\n", "stage", "count", "p50", "p99")
+	wire := false
 	for _, s := range stages {
 		fmt.Fprintf(w, "  %-12s %10d %12v %12v\n", s.Stage, s.Count,
 			time.Duration(s.P50NS).Round(time.Microsecond),
 			time.Duration(s.P99NS).Round(time.Microsecond))
+		wire = wire || s.Stage == txtrace.StageWireBegin
+	}
+	if wire {
+		// siwire pipelines begin and write: without this line the
+		// ≈ 0 µs wire_begin row reads as a measurement error.
+		fmt.Fprintln(w, "  (wire_begin times only the enqueue: begin and write replies are deferred, so begin's"+
+			" round trip rides with the first read in wire_ops and the last write's with wire_commit)")
 	}
 }
 

@@ -109,6 +109,9 @@ func TestTraceTxnsNetworkMerged(t *testing.T) {
 			t.Errorf("stage %s missing from merged table:\n%s", stage, text)
 		}
 	}
+	if !strings.Contains(text, "wire_begin times only the enqueue") {
+		t.Errorf("network stage table lacks the pipelining legend:\n%s", text)
+	}
 
 	// The merged timeline parses and holds both process tracks.
 	raw, err := os.ReadFile(timelinePath)

@@ -195,7 +195,7 @@ func serve(cfg serveConfig, o *cliutil.Obs, stdout, stderr io.Writer, shutdown <
 		}
 		return doc
 	}
-	srv := siwire.NewServer(siwire.ServerConfig{DB: db, Info: info})
+	srv := siwire.NewServer(siwire.ServerConfig{DB: db, Info: info, Metrics: o.Registry})
 	o.Handle("/v1/", srv.HTTPHandler())
 	o.SetHealth(func() map[string]any {
 		h := map[string]any{"durable": durable}

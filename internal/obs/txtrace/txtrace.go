@@ -84,9 +84,11 @@ const (
 	StageAck Stage = "ack"
 
 	// StageWireBegin, StageWireOps and StageWireCommit are the client
-	// side of a traced network run: the begin round-trip, the
-	// read/write op round-trips, and the commit round-trip (which
-	// contains the server pipeline stages above).
+	// side of a traced network run: the begin call, the read/write op
+	// calls, and the commit round-trip (which contains the server
+	// pipeline stages above). siwire pipelines begin and write, so
+	// wire_begin times only the enqueue; begin's round trip is paid by
+	// the first read, inside wire_ops.
 	StageWireBegin  Stage = "wire_begin"
 	StageWireOps    Stage = "wire_ops"
 	StageWireCommit Stage = "wire_commit"

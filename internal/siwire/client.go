@@ -3,6 +3,7 @@ package siwire
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -12,51 +13,178 @@ import (
 )
 
 // Client is a binary-protocol connection to a siwire server: one
-// session, at most one open transaction. Not safe for concurrent use;
-// open one Client per worker goroutine.
+// session, at most one open transaction. Requests are pipelined (see
+// the package doc): Begin and Write only queue their frame, the other
+// calls are sync points that flush once and collect every outstanding
+// reply. Not safe for concurrent use; open one Client per worker
+// goroutine.
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
+
+	req  []byte // request frame under construction, reused across calls
+	rbuf []byte // response read buffer, reused across frames
+
+	// open mirrors the server's "this connection has an open
+	// transaction": set by Begin, cleared by Commit, Abort and any
+	// error or conflict reply (the server finishes the transaction on
+	// each). It is what lets double-begin and op-without-begin fail
+	// locally, with no round trip.
+	open bool
+	// pending lists the opcodes of queued requests whose replies have
+	// not been read yet, in send order.
+	pending []byte
+	// err is the transport failure that broke the connection. Once
+	// requests and replies are out of step every call returns it.
+	err error
 }
 
-// Dial connects to a siwire server and performs the magic handshake.
+// connBuf sizes the bufio buffers on both ends of a connection. On the
+// client it is also the drain cap: a request that does not fit the
+// write buffer while replies are outstanding first flushes and
+// collects them (Client.send), so the client never writes to the
+// socket with replies unread and the two sides cannot wedge each other
+// on full socket buffers. The server reads with the same size, so one
+// client flush is one server read even on an unbuffered transport.
+const connBuf = 1 << 14
+
+// NewClient wraps an established connection. The magic handshake is
+// queued and leaves with the first flush.
+func NewClient(conn net.Conn) *Client {
+	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, connBuf), bw: bufio.NewWriterSize(conn, connBuf)}
+	c.bw.WriteString(Magic) // cannot fail: 8 bytes into an empty buffer
+	return c
+}
+
+// Dial connects to a siwire server over TCP.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("siwire: %w", err)
 	}
-	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, 1<<14), bw: bufio.NewWriterSize(conn, 1<<14)}
-	if _, err := c.bw.WriteString(Magic); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("siwire: %w", err)
-	}
-	return c, nil
+	return NewClient(conn), nil
 }
 
 // Close closes the connection; an open transaction aborts server-side.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends one request and decodes the response status.
-func (c *Client) roundTrip(req []byte) (status byte, body []byte, err error) {
-	if err := writeFrame(c.bw, req); err != nil {
-		return 0, nil, err
+// opNames labels requests in client-side errors.
+var opNames = [...]string{
+	opBegin: "begin", opRead: "read", opWrite: "write",
+	opCommit: "commit", opAbort: "abort", opInfo: "info",
+}
+
+// request starts a request frame in the reused scratch.
+func (c *Client) request(op byte) { c.req = newFrame(c.req, op) }
+
+// needTx is the local half of the protocol's state check.
+func (c *Client) needTx(op byte) error {
+	if c.err != nil {
+		return c.err
 	}
-	payload, err := readFrame(c.br)
+	if !c.open {
+		return fmt.Errorf("siwire: %s: no open transaction", opNames[op])
+	}
+	return nil
+}
+
+// send queues the request frame in c.req. The write buffer is never
+// allowed to overflow onto the socket while replies are outstanding:
+// those are collected first, so every flush is followed by reading all
+// replies to what it sent.
+func (c *Client) send() error {
+	if len(c.pending) > 0 && len(c.req) > c.bw.Available() {
+		if err := c.drain(); err != nil {
+			return err
+		}
+	}
+	return writeFrame(c.bw, c.req)
+}
+
+// enqueue sends c.req as a deferred-reply request: queued, not flushed,
+// its reply left for the next sync point.
+func (c *Client) enqueue() error {
+	if err := c.send(); err != nil {
+		return err
+	}
+	c.pending = append(c.pending, c.req[frameHeader])
+	return nil
+}
+
+// readReply reads one response frame. The body aliases the read buffer
+// and is valid until the next readReply.
+func (c *Client) readReply() (status byte, body []byte, err error) {
+	payload, err := readFrame(c.br, &c.rbuf)
 	if err != nil {
-		return 0, nil, err
+		c.err = fmt.Errorf("siwire: connection broken: %w", err)
+		return 0, nil, c.err
 	}
-	r := &reader{b: payload}
+	r := reader{b: payload}
 	status = r.u8("status")
 	if r.err != nil {
-		return 0, nil, r.err
+		c.err = r.err
+		return 0, nil, c.err
 	}
-	body = r.rest()
-	if status == statusErr {
-		er := &reader{b: body}
+	switch status {
+	case statusErr:
+		c.open = false // the server aborts the transaction on every error reply
+		er := reader{b: r.rest()}
 		return status, nil, fmt.Errorf("siwire: server: %s", er.str("error message"))
+	case statusConflict:
+		c.open = false
+		return status, nil, ErrConflict
 	}
-	return status, body, nil
+	return status, r.rest(), nil
+}
+
+// drain flushes the queued requests and reads the deferred replies in
+// order. It returns the first failed one, tagged with its operation;
+// the later ones failed because of it (the server had no transaction
+// left) and are dropped.
+func (c *Client) drain() error {
+	if err := c.bw.Flush(); err != nil {
+		c.err = fmt.Errorf("siwire: connection broken: %w", err)
+		return c.err
+	}
+	var first error
+	for _, op := range c.pending {
+		status, _, err := c.readReply()
+		if c.err != nil {
+			return c.err
+		}
+		if err == nil && status != statusOK {
+			err = fmt.Errorf("siwire: unexpected status %d", status)
+		}
+		if err != nil && first == nil {
+			first = fmt.Errorf("%w (deferred %s)", err, opNames[op])
+		}
+	}
+	c.pending = c.pending[:0]
+	return first
+}
+
+// roundTrip makes the request in c.req a sync point: it is queued
+// behind the deferred requests, everything leaves in one flush, the
+// deferred replies are read in order and then the request's own. A
+// failed deferred reply takes precedence over the request's own
+// outcome, which it caused.
+func (c *Client) roundTrip() (status byte, body []byte, err error) {
+	if c.err != nil {
+		return 0, nil, c.err
+	}
+	if err := c.send(); err != nil {
+		return 0, nil, err
+	}
+	derr := c.drain()
+	if c.err != nil {
+		return 0, nil, c.err
+	}
+	status, body, err = c.readReply()
+	if derr != nil {
+		return 0, nil, derr
+	}
+	return status, body, err
 }
 
 // Begin starts a transaction on the connection.
@@ -66,31 +194,44 @@ func (c *Client) Begin() error { return c.BeginTraced(0) }
 // trace ID (the version-tolerant begin extension): a tracing server
 // adopts the ID for its pipeline spans, an old or untracing server
 // ignores it. A zero ID sends a plain begin.
+//
+// Begin is a deferred-reply request: it returns once the frame is
+// queued. The server takes the snapshot when the frame reaches it,
+// which is no later than the transaction's first read; a server-side
+// failure is reported by the next sync point.
 func (c *Client) BeginTraced(traceID uint64) error {
-	req := []byte{opBegin}
-	if traceID != 0 {
-		req = appendU64(req, traceID)
+	if c.err != nil {
+		return c.err
 	}
-	status, _, err := c.roundTrip(req)
-	if err != nil {
+	if c.open {
+		return errors.New("siwire: begin: transaction already open")
+	}
+	c.request(opBegin)
+	if traceID != 0 {
+		c.req = appendU64(c.req, traceID)
+	}
+	if err := c.enqueue(); err != nil {
 		return err
 	}
-	if status != statusOK {
-		return fmt.Errorf("siwire: begin: unexpected status %d", status)
-	}
+	c.open = true
 	return nil
 }
 
 // Read reads x at the open transaction's snapshot. ErrUninitialized
 // reports an object with no version (the transaction stays open).
 func (c *Client) Read(x model.Obj) (model.Value, error) {
-	status, body, err := c.roundTrip(appendStr([]byte{opRead}, string(x)))
+	if err := c.needTx(opRead); err != nil {
+		return 0, err
+	}
+	c.request(opRead)
+	c.req = appendStr(c.req, string(x))
+	status, body, err := c.roundTrip()
 	if err != nil {
 		return 0, err
 	}
 	switch status {
 	case statusOK:
-		r := &reader{b: body}
+		r := reader{b: body}
 		v := model.Value(r.u64("read value"))
 		return v, r.err
 	case statusUninitialized:
@@ -100,18 +241,36 @@ func (c *Client) Read(x model.Obj) (model.Value, error) {
 	}
 }
 
-// Write buffers a write into the open transaction.
+// Write buffers a write into the open transaction. It is a
+// deferred-reply request: nobody can observe the write before commit,
+// so the call returns once the frame is queued and a server-side
+// failure is reported by the next sync point.
 func (c *Client) Write(x model.Obj, v model.Value) error {
-	req := appendStr([]byte{opWrite}, string(x))
-	req = appendU64(req, uint64(v))
-	status, _, err := c.roundTrip(req)
-	if err != nil {
+	if err := c.needTx(opWrite); err != nil {
 		return err
 	}
-	if status != statusOK {
-		return fmt.Errorf("siwire: write: unexpected status %d", status)
+	c.request(opWrite)
+	c.req = appendStr(c.req, string(x))
+	c.req = appendU64(c.req, uint64(v))
+	return c.enqueue()
+}
+
+// commit runs the commit round trip shared by Commit and CommitTraced
+// and returns the ok body. The transaction is finished either way.
+func (c *Client) commit() ([]byte, error) {
+	if err := c.needTx(opCommit); err != nil {
+		return nil, err
 	}
-	return nil
+	c.request(opCommit)
+	status, body, err := c.roundTrip()
+	c.open = false
+	if err != nil {
+		return nil, err
+	}
+	if status != statusOK {
+		return nil, fmt.Errorf("siwire: commit: unexpected status %d", status)
+	}
+	return body, nil
 }
 
 // Commit commits the open transaction and returns its durability LSN
@@ -120,20 +279,13 @@ func (c *Client) Write(x model.Obj, v model.Value) error {
 // finished either way. Trailing response bytes (a tracing server's
 // trace blob) are ignored — this is exactly the pre-extension parser.
 func (c *Client) Commit() (uint64, error) {
-	status, body, err := c.roundTrip([]byte{opCommit})
+	body, err := c.commit()
 	if err != nil {
 		return 0, err
 	}
-	switch status {
-	case statusOK:
-		r := &reader{b: body}
-		lsn := r.u64("commit lsn")
-		return lsn, r.err
-	case statusConflict:
-		return 0, ErrConflict
-	default:
-		return 0, fmt.Errorf("siwire: commit: unexpected status %d", status)
-	}
+	r := reader{b: body}
+	lsn := r.u64("commit lsn")
+	return lsn, r.err
 }
 
 // CommitResult is CommitTraced's decoded response: the durability LSN
@@ -154,28 +306,30 @@ type CommitResult struct {
 // server's trace blob when present (absent on old or untracing
 // servers: the result then carries only the LSN).
 func (c *Client) CommitTraced() (CommitResult, error) {
-	status, body, err := c.roundTrip([]byte{opCommit})
+	body, err := c.commit()
 	if err != nil {
 		return CommitResult{}, err
 	}
-	switch status {
-	case statusOK:
-		r := &reader{b: body}
-		res := CommitResult{LSN: r.u64("commit lsn")}
-		if r.err == nil && r.remaining() > 0 {
-			res.TraceID, res.ServerSpans = parseTraceBlob(r)
-		}
-		return res, r.err
-	case statusConflict:
-		return CommitResult{}, ErrConflict
-	default:
-		return CommitResult{}, fmt.Errorf("siwire: commit: unexpected status %d", status)
+	r := reader{b: body}
+	res := CommitResult{LSN: r.u64("commit lsn")}
+	if r.err == nil && r.remaining() > 0 {
+		res.TraceID, res.ServerSpans = parseTraceBlob(&r)
 	}
+	return res, r.err
 }
 
-// Abort abandons the open transaction (a no-op when none is open).
+// Abort abandons the open transaction. With none open it is a local
+// no-op: the server finished it already.
 func (c *Client) Abort() error {
-	status, _, err := c.roundTrip([]byte{opAbort})
+	if c.err != nil {
+		return c.err
+	}
+	if !c.open {
+		return nil
+	}
+	c.request(opAbort)
+	status, _, err := c.roundTrip()
+	c.open = false
 	if err != nil {
 		return err
 	}
@@ -187,7 +341,8 @@ func (c *Client) Abort() error {
 
 // Info fetches the server identity document.
 func (c *Client) Info() (Info, error) {
-	status, body, err := c.roundTrip([]byte{opInfo})
+	c.request(opInfo)
+	status, body, err := c.roundTrip()
 	if err != nil {
 		return Info{}, err
 	}
@@ -224,7 +379,10 @@ func (c *Client) Transact(fn func(tx *ClientTx) error) (uint64, error) {
 		if err == nil {
 			return lsn, nil
 		}
-		if err != ErrConflict {
+		if !errors.Is(err, ErrConflict) {
+			// A begin or write the server rejected surfaces here too;
+			// the server aborted the transaction when it did, exactly
+			// as after the synchronous failure it replaces.
 			return 0, err
 		}
 		if attempt > 3 {

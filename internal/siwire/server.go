@@ -13,6 +13,7 @@ import (
 
 	"sian/internal/engine"
 	"sian/internal/model"
+	"sian/internal/obs"
 )
 
 // ServerConfig parameterises a Server.
@@ -23,6 +24,13 @@ type ServerConfig struct {
 	// Info, when set, supplies the identity document served to info
 	// requests; the zero Info is served otherwise.
 	Info func() Info
+	// Metrics, when set, receives the server's siwire_* counters:
+	// siwire_requests_total and siwire_flushes_total (their ratio is
+	// the flush coalescing factor: requests answered per write to a
+	// socket) and siwire_deferred_errors_total (error replies to begin
+	// and write, the requests whose replies a pipelined client defers).
+	// Nil disables.
+	Metrics *obs.Registry
 }
 
 // Server speaks the siwire binary protocol over a listener: one
@@ -39,6 +47,8 @@ type Server struct {
 	wg     sync.WaitGroup
 	nextID atomic.Uint64
 
+	requests, flushes, deferredErrs *obs.Counter
+
 	// httpSessions pools engine sessions for the HTTP fallback, which
 	// has no connection to pin a session to.
 	httpMu       sync.Mutex
@@ -47,7 +57,13 @@ type Server struct {
 
 // NewServer returns an unstarted server.
 func NewServer(cfg ServerConfig) *Server {
-	return &Server{cfg: cfg, conns: make(map[net.Conn]struct{})}
+	return &Server{
+		cfg:          cfg,
+		conns:        make(map[net.Conn]struct{}),
+		requests:     cfg.Metrics.Counter("siwire_requests_total"),
+		flushes:      cfg.Metrics.Counter("siwire_flushes_total"),
+		deferredErrs: cfg.Metrics.Counter("siwire_deferred_errors_total"),
+	}
 }
 
 // Serve accepts connections on ln until Close. It returns nil after a
@@ -117,149 +133,209 @@ func (s *Server) dropConn(conn net.Conn) {
 	conn.Close()
 }
 
+// wireConn is the protocol state of one accepted connection.
+type wireConn struct {
+	srv *Server
+	br  *bufio.Reader
+	bw  *bufio.Writer
+
+	rbuf []byte // request read buffer, reused across frames
+	out  []byte // response frame under construction, reused across frames
+
+	sess *engine.Session
+	tx   *engine.ManualTx
+
+	// unflushed counts the requests answered since the last flush.
+	unflushed int64
+}
+
 // handleConn runs one connection's request loop. Any transport or
 // protocol failure aborts the connection's open transaction — the
 // client never saw a commit ok, so nothing acknowledged is lost.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.dropConn(conn)
-	br := bufio.NewReaderSize(conn, 1<<14)
-	bw := bufio.NewWriterSize(conn, 1<<14)
+	s.newConn(conn).serve()
+}
 
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != Magic {
+func (s *Server) newConn(conn net.Conn) *wireConn {
+	return &wireConn{srv: s, br: bufio.NewReaderSize(conn, connBuf), bw: bufio.NewWriterSize(conn, connBuf)}
+}
+
+// serve runs the request loop until the transport fails or the peer
+// sends an unreadable frame.
+func (c *wireConn) serve() {
+	magic, err := c.br.Peek(len(Magic))
+	if err != nil || string(magic) != Magic {
 		return
 	}
+	c.br.Discard(len(Magic))
 
-	sess := s.cfg.DB.Session(fmt.Sprintf("wire/%d", s.nextID.Add(1)))
-	var tx *engine.ManualTx
+	c.sess = c.srv.cfg.DB.Session(fmt.Sprintf("wire/%d", c.srv.nextID.Add(1)))
+	// On every exit path: replies still queued behind a coalesced
+	// flush (a pipelined burst that ends in a protocol error, say)
+	// must reach the client before the connection closes, and an open
+	// transaction aborts.
 	defer func() {
-		if tx != nil {
-			tx.Abort()
+		_ = c.flush() // the connection is going away; its error changes nothing
+		if c.tx != nil {
+			c.tx.Abort()
+			c.tx = nil
 		}
 	}()
 
-	respond := func(status byte, body []byte) error {
-		payload := make([]byte, 0, 1+len(body))
-		payload = append(payload, status)
-		payload = append(payload, body...)
-		return writeFrame(bw, payload)
-	}
-	fail := func(msg string) error {
-		if tx != nil {
-			tx.Abort()
-			tx = nil
-		}
-		return respond(statusErr, appendStr(nil, msg))
-	}
-
-	for n := uint64(0); ; n++ {
-		payload, err := readFrame(br)
+	for {
+		payload, err := readFrame(c.br, &c.rbuf)
 		if err != nil {
 			return
 		}
-		r := &reader{b: payload}
-		op := r.u8("op")
-		var werr error
-		switch op {
-		case opBegin:
-			if tx != nil {
-				werr = fail("begin: transaction already open")
-				break
-			}
-			// Version-tolerant trace extension: a tracing client appends
-			// its u64 trace ID; old clients send no body.
-			var traceID uint64
-			if r.remaining() >= 8 {
-				traceID = r.u64("trace id")
-			}
-			tx, err = sess.BeginTraced(fmt.Sprintf("w%d", n), traceID)
-			if err != nil {
-				tx = nil
-				werr = fail(err.Error())
-				break
-			}
-			werr = respond(statusOK, nil)
-		case opRead:
-			x := model.Obj(r.str("read object"))
-			if r.err != nil {
-				werr = fail(r.err.Error())
-				break
-			}
-			if tx == nil {
-				werr = fail("read: no open transaction")
-				break
-			}
-			v, err := tx.Read(x)
-			switch {
-			case errors.Is(err, engine.ErrUninitialized):
-				// The snapshot simply has no version; the transaction
-				// stays usable.
-				werr = respond(statusUninitialized, nil)
-			case err != nil:
-				werr = fail(err.Error())
-			default:
-				werr = respond(statusOK, appendU64(nil, uint64(v)))
-			}
-		case opWrite:
-			x := model.Obj(r.str("write object"))
-			v := model.Value(r.u64("write value"))
-			if r.err != nil {
-				werr = fail(r.err.Error())
-				break
-			}
-			if tx == nil {
-				werr = fail("write: no open transaction")
-				break
-			}
-			if err := tx.Write(x, v); err != nil {
-				werr = fail(err.Error())
-				break
-			}
-			werr = respond(statusOK, nil)
-		case opCommit:
-			if tx == nil {
-				werr = fail("commit: no open transaction")
-				break
-			}
-			err := tx.Commit()
-			lsn := tx.LSN()
-			td := tx.TraceData()
-			tx = nil
-			switch {
-			case errors.Is(err, engine.ErrConflict):
-				werr = respond(statusConflict, nil)
-			case err != nil:
-				werr = fail(err.Error())
-			default:
-				// Over a durable driver this line is reached only after
-				// the commit record is fsynced: ok ⇒ durable. When the
-				// server traces, the pipeline spans ride back after the
-				// LSN (old clients ignore them).
-				werr = respond(statusOK, appendTraceBlob(appendU64(nil, lsn), td))
-			}
-		case opAbort:
-			if tx != nil {
-				tx.Abort()
-				tx = nil
-			}
-			werr = respond(statusOK, nil)
-		case opInfo:
-			var info Info
-			if s.cfg.Info != nil {
-				info = s.cfg.Info()
-			}
-			doc, err := json.Marshal(info)
-			if err != nil {
-				werr = fail(err.Error())
-				break
-			}
-			werr = respond(statusOK, doc)
-		default:
-			werr = fail(fmt.Sprintf("unknown op %d", op))
-		}
-		if werr != nil {
+		if err := c.handle(payload); err != nil {
 			return
 		}
+		// Coalesced flush: with another request already received the
+		// reply waits for that one's, so a pipelined burst costs one
+		// write syscall; a blocking client has nothing buffered here
+		// and gets every reply at once.
+		if c.br.Buffered() == 0 {
+			if err := c.flush(); err != nil {
+				return
+			}
+		}
+	}
+}
+
+func (c *wireConn) flush() error {
+	if c.unflushed == 0 {
+		return nil
+	}
+	c.srv.requests.Add(c.unflushed)
+	c.srv.flushes.Inc()
+	c.unflushed = 0
+	return c.bw.Flush()
+}
+
+// reply starts a response frame in the reused scratch; send queues it.
+func (c *wireConn) reply(status byte) { c.out = newFrame(c.out, status) }
+
+func (c *wireConn) send() error { return writeFrame(c.bw, c.out) }
+
+func (c *wireConn) ok() error {
+	c.reply(statusOK)
+	return c.send()
+}
+
+// fail answers op with an error and aborts the open transaction.
+func (c *wireConn) fail(op byte, msg string) error {
+	if c.tx != nil {
+		c.tx.Abort()
+		c.tx = nil
+	}
+	if op == opBegin || op == opWrite {
+		c.srv.deferredErrs.Inc()
+	}
+	c.reply(statusErr)
+	c.out = appendStr(c.out, msg)
+	return c.send()
+}
+
+// handle executes one request and queues its response. The returned
+// error is a transport failure; protocol errors are responses.
+func (c *wireConn) handle(payload []byte) error {
+	c.unflushed++
+	r := reader{b: payload}
+	op := r.u8("op")
+	switch op {
+	case opBegin:
+		if c.tx != nil {
+			return c.fail(op, "begin: transaction already open")
+		}
+		// Version-tolerant trace extension: a tracing client appends
+		// its u64 trace ID; old clients send no body.
+		var traceID uint64
+		if r.remaining() >= 8 {
+			traceID = r.u64("trace id")
+		}
+		tx, err := c.sess.BeginTraced("", traceID)
+		if err != nil {
+			return c.fail(op, err.Error())
+		}
+		c.tx = tx
+		return c.ok()
+	case opRead:
+		x := model.Obj(r.str("read object"))
+		if r.err != nil {
+			return c.fail(op, r.err.Error())
+		}
+		if c.tx == nil {
+			return c.fail(op, "read: no open transaction")
+		}
+		v, err := c.tx.Read(x)
+		switch {
+		case errors.Is(err, engine.ErrUninitialized):
+			// The snapshot simply has no version; the transaction
+			// stays usable.
+			c.reply(statusUninitialized)
+		case err != nil:
+			return c.fail(op, err.Error())
+		default:
+			c.reply(statusOK)
+			c.out = appendU64(c.out, uint64(v))
+		}
+		return c.send()
+	case opWrite:
+		x := model.Obj(r.str("write object"))
+		v := model.Value(r.u64("write value"))
+		if r.err != nil {
+			return c.fail(op, r.err.Error())
+		}
+		if c.tx == nil {
+			return c.fail(op, "write: no open transaction")
+		}
+		if err := c.tx.Write(x, v); err != nil {
+			return c.fail(op, err.Error())
+		}
+		return c.ok()
+	case opCommit:
+		if c.tx == nil {
+			return c.fail(op, "commit: no open transaction")
+		}
+		tx := c.tx
+		c.tx = nil
+		err := tx.Commit()
+		switch {
+		case errors.Is(err, engine.ErrConflict):
+			c.reply(statusConflict)
+		case err != nil:
+			return c.fail(op, err.Error())
+		default:
+			// Over a durable driver this line is reached only after
+			// the commit record is fsynced: ok ⇒ durable. When the
+			// server traces, the pipeline spans ride back after the
+			// LSN (old clients ignore them).
+			c.reply(statusOK)
+			c.out = appendU64(c.out, tx.LSN())
+			c.out = appendTraceBlob(c.out, tx.TraceData())
+		}
+		return c.send()
+	case opAbort:
+		if c.tx != nil {
+			c.tx.Abort()
+			c.tx = nil
+		}
+		return c.ok()
+	case opInfo:
+		var info Info
+		if c.srv.cfg.Info != nil {
+			info = c.srv.cfg.Info()
+		}
+		doc, err := json.Marshal(info)
+		if err != nil {
+			return c.fail(op, err.Error())
+		}
+		c.reply(statusOK)
+		c.out = append(c.out, doc...)
+		return c.send()
+	default:
+		return c.fail(op, fmt.Sprintf("unknown op %d", op))
 	}
 }
 

@@ -29,6 +29,54 @@
 // stays open), error (3, str message; the connection's transaction, if
 // any, is aborted).
 //
+// # Pipelining
+//
+// The server processes a connection's frames strictly in order and
+// answers each with exactly one response, so a client need not wait
+// for one reply before sending the next request. Client uses that for
+// the two requests whose answer tells it nothing: under SI a write is
+// invisible to everyone until commit, and the snapshot only has to be
+// fixed before the first read.
+//
+//   - Deferred-reply requests: begin and write. Client.Begin and
+//     Client.Write queue their frame in the connection's write buffer
+//     and return; nothing is flushed and no reply is awaited.
+//   - Sync points: read, commit, abort and info. The call queues its
+//     own frame behind the deferred ones, flushes once, reads the
+//     deferred replies in order and then its own. A transaction of 4
+//     reads and 2 writes is 8 calls but 5 blocking round trips.
+//   - Error surfacing: the first deferred reply that failed is what the
+//     sync point returns, tagged "(deferred begin)" or "(deferred
+//     write)", with errors.Is(err, ErrConflict) and the server's
+//     message preserved. The later replies of the burst, the sync
+//     point's own included, failed because of it (the server aborted
+//     the transaction) and are dropped. The connection stays in step
+//     and a fresh Begin works. The client mirrors "a transaction is
+//     open" locally, so a double begin or an operation outside a
+//     transaction still fails at once, without a round trip.
+//   - Drain cap: a request that does not fit the client's 16 KiB write
+//     buffer while replies are outstanding first flushes and collects
+//     them. The client therefore never writes to the socket with
+//     replies unread, and a transaction of any size cannot wedge the
+//     two sides on full socket buffers; a 50 000-write transaction
+//     costs one round trip per buffer-full of writes.
+//   - Server side: a response is flushed only when no further request
+//     has been received already (and on every handler exit), so a
+//     pipelined burst is answered with one write to the socket.
+//   - Compatibility: no frame changed. A blocking client (one frame,
+//     wait, next frame) never has a second request buffered when the
+//     first is answered, so it gets every reply at once, byte for byte
+//     as before; a pipelined client works against an older server,
+//     which merely flushes per reply.
+//
+// In-order processing is the whole soundness argument: the begin frame
+// precedes the transaction's first read on the wire, so the snapshot is
+// taken before it (and after the previous commit's reply, which the
+// client had read before it queued the begin: session order); a write
+// precedes every later read on the same connection, so a transaction
+// reads its own writes; and commit remains a sync point whose ok is
+// sent only after the engine acknowledged, so ok still means durable.
+//
 // # Trace propagation (version-tolerant extension)
 //
 // A tracing client may append a u64 trace ID to the begin request; a
@@ -99,33 +147,62 @@ var (
 	ErrUninitialized = errors.New("siwire: object not initialised")
 )
 
-// writeFrame emits one length-prefixed frame and flushes.
-func writeFrame(w *bufio.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("siwire: frame payload %d exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	return w.Flush()
+// frameHeader is the length prefix's size.
+const frameHeader = 4
+
+// retainFrame bounds the read buffer a connection keeps between
+// frames: larger frames (up to MaxFrame) get a one-off allocation so a
+// single huge request cannot pin a megabyte per connection.
+const retainFrame = 1 << 16
+
+// newFrame starts a frame in the reused scratch buf: four bytes
+// reserved for the length prefix, then the opcode or status. Callers
+// append the body and hand the result to writeFrame.
+func newFrame(buf []byte, code byte) []byte {
+	return append(buf[:0], 0, 0, 0, 0, code)
 }
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// writeFrame fills in the length prefix of a frame built with newFrame
+// and queues header and payload on w in one buffered write. It does
+// not flush: the caller decides when the bytes reach the socket.
+func writeFrame(w *bufio.Writer, frame []byte) error {
+	n := len(frame) - frameHeader
+	if n > MaxFrame {
+		return fmt.Errorf("siwire: frame payload %d exceeds limit", n)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
+	return err
+}
+
+// readFrame reads one length-prefixed frame into the connection's
+// reused buffer *buf (grown on demand, see retainFrame). The returned
+// payload aliases that buffer and is valid until the next readFrame;
+// every reader accessor copies out, so decoded values outlive it.
+func readFrame(r *bufio.Reader, buf *[]byte) ([]byte, error) {
+	hdr, err := r.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("siwire: frame payload %d exceeds limit", n)
+	n32 := binary.BigEndian.Uint32(hdr)
+	if n32 > MaxFrame {
+		return nil, fmt.Errorf("siwire: frame payload %d exceeds limit", n32)
 	}
-	payload := make([]byte, n)
+	n := int(n32)
+	if _, err := r.Discard(frameHeader); err != nil {
+		return nil, err
+	}
+	payload := *buf
+	if n > cap(payload) {
+		payload = make([]byte, max(n, 256))
+		if n <= retainFrame {
+			*buf = payload
+		}
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
@@ -257,7 +334,9 @@ func parseTraceBlob(r *reader) (traceID uint64, spans []txtrace.Span) {
 			v := int64(r.u64("attr value"))
 			if r.err == nil {
 				if sp.Attrs == nil {
-					sp.Attrs = make(map[string]int64, na)
+					// The size hint is the peer's claim: bound it by what
+					// the frame can still hold (an attr is ≥ 12 bytes).
+					sp.Attrs = make(map[string]int64, min(uint64(na), uint64(1+r.remaining()/12)))
 				}
 				sp.Attrs[k] = v
 			}
