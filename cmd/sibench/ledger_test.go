@@ -307,6 +307,15 @@ func TestRunServeLivePlane(t *testing.T) {
 	if sc, body := get("/healthz"); sc != http.StatusOK || !strings.Contains(body, `"ok"`) {
 		t.Errorf("/healthz = %d %q", sc, body)
 	}
+	// The plane announces itself before the run attaches its recorder
+	// and builds the engine; on a loaded host the requests below can
+	// win that race, so wait for the engine's series to appear.
+	for time.Now().Before(deadline) {
+		if _, body := get("/metrics"); strings.Contains(body, "engine_commits_total") {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	if sc, body := get("/metrics"); sc != http.StatusOK || !strings.Contains(body, "engine_commits_total") {
 		t.Errorf("/metrics = %d, body:\n%s", sc, body)
 	}

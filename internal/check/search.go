@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,41 +71,81 @@ type search struct {
 }
 
 func newSearch(h *model.History, m depgraph.Model, budget, parallelism, pinned int) (*search, error) {
-	s := &search{h: h, m: m, budget: budget, parallelism: parallelism, pinned: pinned,
-		writers: make(map[model.Obj][]int)}
+	s := &search{h: h, m: m, budget: budget, parallelism: parallelism, pinned: pinned}
 	s.winner.Store(math.MaxInt64)
 	s.minErr.Store(math.MaxInt64)
-	n := h.NumTransactions()
-	for i := 0; i < n; i++ {
-		t := h.Transaction(i)
-		for _, x := range t.Objects() {
-			v, reads := t.ReadsBeforeWrites(x)
-			if !reads {
-				continue
+	reads, writers, byVal := indexHistory(h)
+	s.reads, s.writers = reads, writers
+	for i := range s.reads {
+		site := &s.reads[i]
+		// Writers are indexed in increasing order; the reader itself is
+		// not a candidate source of its own external read.
+		for _, j := range byVal[version{site.obj, site.val}] {
+			if j != site.reader {
+				site.candidates = append(site.candidates, j)
 			}
-			site := readSite{reader: i, obj: x, val: v}
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				if w, ok := h.Transaction(j).FinalWrite(x); ok && w == v {
-					site.candidates = append(site.candidates, j)
-				}
-			}
-			if len(site.candidates) == 0 {
-				return nil, fmt.Errorf("check: transaction %d reads (%s, %d) never finally written", i, x, v)
-			}
-			s.reads = append(s.reads, site)
+		}
+		if len(site.candidates) == 0 {
+			return nil, fmt.Errorf("check: transaction %d reads (%s, %d) never finally written", site.reader, site.obj, site.val)
 		}
 	}
 	for _, x := range h.Objects() {
-		w := h.WriteTx(x)
-		s.writers[x] = w
-		if len(w) >= 2 {
+		if len(s.writers[x]) >= 2 {
 			s.objs = append(s.objs, x)
 		}
 	}
 	return s, nil
+}
+
+// version names a value an object held: what a read site observed, and
+// what a transaction's final write installed.
+type version struct {
+	obj model.Obj
+	val model.Value
+}
+
+// indexHistory makes one pass over the history's operations and
+// returns the read sites (T ⊢ read(x, v): the first access of T to x is
+// a read), in increasing transaction order and sorted by object within
+// a transaction; WriteTx_x for every object; and, for every version
+// (x, v), the transactions with T ⊢ write(x, v), both in increasing
+// order. Candidate lists are left for the caller to fill from the
+// version index.
+func indexHistory(h *model.History) (reads []readSite, writers map[model.Obj][]int, byVal map[version][]int) {
+	writers = make(map[model.Obj][]int)
+	byVal = make(map[version][]int)
+	// touched[x] is the last transaction seen accessing x: a different
+	// index means the current transaction's first access to x.
+	touched := make(map[model.Obj]int)
+	for i := 0; i < h.NumTransactions(); i++ {
+		ops := h.Transaction(i).Ops
+		first := len(reads)
+		for _, op := range ops {
+			if last, ok := touched[op.Obj]; ok && last == i {
+				continue
+			}
+			touched[op.Obj] = i
+			if op.Kind == model.OpRead {
+				reads = append(reads, readSite{reader: i, obj: op.Obj, val: op.Val})
+			}
+		}
+		site := reads[first:]
+		sort.Slice(site, func(a, b int) bool { return site[a].obj < site[b].obj })
+		// Backwards, the first write met on an object is the final one;
+		// writers[x] already ending in i marks the later ones as seen.
+		for k := len(ops) - 1; k >= 0; k-- {
+			op := ops[k]
+			if op.Kind != model.OpWrite {
+				continue
+			}
+			if w := writers[op.Obj]; len(w) > 0 && w[len(w)-1] == i {
+				continue
+			}
+			writers[op.Obj] = append(writers[op.Obj], i)
+			byVal[version{op.Obj, op.Val}] = append(byVal[version{op.Obj, op.Val}], i)
+		}
+	}
+	return reads, writers, byVal
 }
 
 // planBranches picks the branch decomposition: the shortest read-site

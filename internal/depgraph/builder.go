@@ -42,9 +42,11 @@ type Builder struct {
 	m Model
 	n int
 
-	wr map[model.Obj]*relation.Rel
-	ww map[model.Obj]*relation.Rel
-	// Maintained unions and derived anti-dependencies.
+	// Per-object edge sets, as in Graph.
+	wr map[model.Obj]*relation.Edges
+	ww map[model.Obj]*relation.Edges
+	// Maintained unions and derived anti-dependencies (dense: the
+	// membership test composes them with the closure word-parallel).
 	wrAll, wwAll, rw *relation.Rel
 	// so seeds the closure base: the session order, or empty under GSI
 	// (whose composite ignores sessions).
@@ -89,8 +91,8 @@ func NewBuilder(h *model.History, m Model) *Builder {
 	}
 	return &Builder{
 		h: h, m: m, n: n,
-		wr:    make(map[model.Obj]*relation.Rel),
-		ww:    make(map[model.Obj]*relation.Rel),
+		wr:    make(map[model.Obj]*relation.Edges),
+		ww:    make(map[model.Obj]*relation.Edges),
 		wrAll: relation.New(n), wwAll: relation.New(n), rw: relation.New(n),
 		so: so, cl: relation.ClosureOf(so),
 		s1: relation.New(n), s2: relation.New(n), s3: relation.New(n),
@@ -130,13 +132,13 @@ func (b *Builder) Undo(m BuilderMark) {
 	b.cl.Rollback(m.cl)
 }
 
-func (b *Builder) obj(m map[model.Obj]*relation.Rel, x model.Obj) *relation.Rel {
-	r, ok := m[x]
+func (b *Builder) obj(m map[model.Obj]*relation.Edges, x model.Obj) *relation.Edges {
+	e, ok := m[x]
 	if !ok {
-		r = relation.New(b.n)
-		m[x] = r
+		e = &relation.Edges{}
+		m[x] = e
 	}
-	return r
+	return e
 }
 
 func (b *Builder) addRW(a, c int) {
@@ -161,13 +163,11 @@ func (b *Builder) ApplyWR(x model.Obj, t, s int) {
 		b.wrAll.Add(t, s)
 		b.journal = append(b.journal, builderOp{kind: opWRAll, a: t, b: s})
 	}
-	if ww, ok := b.ww[x]; ok {
-		ww.EachSuccessor(t, func(s2 int) {
-			if s2 != s {
-				b.addRW(s, s2)
-			}
-		})
-	}
+	b.ww[x].EachSuccessor(t, func(s2 int) {
+		if s2 != s {
+			b.addRW(s, s2)
+		}
+	})
 	b.cl.AddEdge(t, s)
 }
 
@@ -185,13 +185,11 @@ func (b *Builder) ApplyWW(x model.Obj, t, s int) {
 		b.wwAll.Add(t, s)
 		b.journal = append(b.journal, builderOp{kind: opWWAll, a: t, b: s})
 	}
-	if wr, ok := b.wr[x]; ok {
-		wr.EachSuccessor(t, func(r int) {
-			if r != s {
-				b.addRW(r, s)
-			}
-		})
-	}
+	b.wr[x].EachSuccessor(t, func(r int) {
+		if r != s {
+			b.addRW(r, s)
+		}
+	})
 	b.cl.AddEdge(t, s)
 }
 
@@ -268,17 +266,18 @@ func (b *Builder) InModel() error {
 }
 
 // Snapshot returns the current edge set as an immutable Graph, for
-// witness reporting once the search finds a member.
+// witness reporting once the search finds a member. It copies edges,
+// not matrices: the cost is the size of the dependency graph.
 func (b *Builder) Snapshot() *Graph {
 	g := New(b.h)
-	for x, r := range b.wr {
-		if !r.IsEmpty() {
-			g.wr[x] = r.Clone()
+	for x, e := range b.wr {
+		if !e.IsEmpty() {
+			g.wr[x] = e.Clone()
 		}
 	}
-	for x, r := range b.ww {
-		if !r.IsEmpty() {
-			g.ww[x] = r.Clone()
+	for x, e := range b.ww {
+		if !e.IsEmpty() {
+			g.ww[x] = e.Clone()
 		}
 	}
 	return g

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sian/internal/model"
+	"sian/internal/relation"
 )
 
 // builderHistory is a small multi-session, multi-object history for
@@ -172,5 +173,117 @@ func TestBuilderStats(t *testing.T) {
 	undo, delta := b.Stats()
 	if undo == 0 || delta == 0 {
 		t.Errorf("stats not recorded: undo=%d delta=%d", undo, delta)
+	}
+}
+
+// denseRef is an independent model of a builder's edge set: one dense
+// matrix per object and kind, as the package stored them before
+// per-object relations became edge sets.
+type denseRef struct {
+	n      int
+	wr, ww map[model.Obj]*relation.Rel
+}
+
+func (d *denseRef) clone() *denseRef {
+	c := &denseRef{n: d.n, wr: map[model.Obj]*relation.Rel{}, ww: map[model.Obj]*relation.Rel{}}
+	for x, r := range d.wr {
+		c.wr[x] = r.Clone()
+	}
+	for x, r := range d.ww {
+		c.ww[x] = r.Clone()
+	}
+	return c
+}
+
+func (d *denseRef) rel(m map[model.Obj]*relation.Rel, x model.Obj) *relation.Rel {
+	if m[x] == nil {
+		m[x] = relation.New(d.n)
+	}
+	return m[x]
+}
+
+// rw derives RW(x) the dense way: WR(x)⁻¹ ; WW(x) minus the diagonal.
+func (d *denseRef) rw(x model.Obj) *relation.Rel {
+	out := d.rel(d.wr, x).Inverse().Compose(d.rel(d.ww, x))
+	for i := 0; i < d.n; i++ {
+		out.Remove(i, i)
+	}
+	return out
+}
+
+// TestBuilderUndoAgainstDense drives random ApplyWR/ApplyWW sequences
+// with nested Mark/Undo and checks every snapshot's per-object WR, WW
+// and derived RW, and the carrier-wide unions, pair for pair against
+// dense matrices kept on the side — so the edge-set journal restores
+// exactly what it should, and the sparse RW derivation is the dense
+// formula's.
+func TestBuilderUndoAgainstDense(t *testing.T) {
+	t.Parallel()
+	h := builderHistory()
+	n := h.NumTransactions()
+	objs := []model.Obj{"x", "y"}
+	rng := rand.New(rand.NewSource(21))
+	samePairs := func(label string, e *relation.Edges, r *relation.Rel) {
+		t.Helper()
+		dense := relation.New(n)
+		e.AddTo(dense)
+		if !dense.Equal(r) || len(e.Pairs()) != r.Size() {
+			t.Fatalf("%s: edge set %v, dense %v", label, e, r)
+		}
+	}
+	for trial := 0; trial < 80; trial++ {
+		b := NewBuilder(h, SI)
+		ref := &denseRef{n: n, wr: map[model.Obj]*relation.Rel{}, ww: map[model.Obj]*relation.Rel{}}
+		type frame struct {
+			mark BuilderMark
+			ref  *denseRef
+		}
+		var stack []frame
+		for step := 0; step < 40; step++ {
+			switch {
+			case len(stack) > 0 && rng.Intn(4) == 0:
+				f := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				b.Undo(f.mark)
+				ref = f.ref
+			case rng.Intn(3) == 0:
+				stack = append(stack, frame{mark: b.Mark(), ref: ref.clone()})
+			default:
+				x := objs[rng.Intn(len(objs))]
+				a, c := rng.Intn(n), rng.Intn(n)
+				if a == c {
+					continue
+				}
+				if rng.Intn(2) == 0 {
+					b.ApplyWR(x, a, c)
+					ref.rel(ref.wr, x).Add(a, c)
+				} else {
+					b.ApplyWW(x, a, c)
+					ref.rel(ref.ww, x).Add(a, c)
+				}
+			}
+			g := b.Snapshot()
+			wrAll, wwAll, rwAll := relation.New(n), relation.New(n), relation.New(n)
+			for _, x := range objs {
+				samePairs("WR("+string(x)+")", g.WRObj(x), ref.rel(ref.wr, x))
+				samePairs("WW("+string(x)+")", g.WWObj(x), ref.rel(ref.ww, x))
+				samePairs("RW("+string(x)+")", g.RWObj(x), ref.rw(x))
+				wrAll.UnionInPlace(ref.rel(ref.wr, x))
+				wwAll.UnionInPlace(ref.rel(ref.ww, x))
+				rwAll.UnionInPlace(ref.rw(x))
+			}
+			if !g.WR().Equal(wrAll) || !g.WW().Equal(wwAll) || !g.RW().Equal(rwAll) {
+				t.Fatalf("trial %d step %d: unions diverged from the dense reference", trial, step)
+			}
+			for a := 0; a < n; a++ {
+				for c := 0; c < n; c++ {
+					for _, x := range objs {
+						if g.hasRW(x, a, c) != ref.rw(x).Has(a, c) {
+							t.Fatalf("trial %d step %d: hasRW(%s,%d,%d) disagrees with the dense derivation", trial, step, x, a, c)
+						}
+					}
+				}
+			}
+		}
 	}
 }

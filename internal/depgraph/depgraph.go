@@ -4,6 +4,17 @@
 // with the dependency-graph characterisations of serializability
 // (Theorem 8), snapshot isolation (Theorem 9) and parallel snapshot
 // isolation (Theorem 21).
+//
+// # Representation
+//
+// A per-object relation is small by Definition 6 — WW(x) totally
+// orders the writers of x, every reader of x has exactly one WR(x)
+// predecessor — so Graph and Builder keep each WR(x) and WW(x) as a
+// relation.Edges, sized by its pairs, and derive RW(x) by walking each
+// writer's readers against its WW(x) successors. What the theorems
+// compose or close stays dense (relation.Rel): the session order, the
+// carrier-wide unions WR, WW and RW, the composites, and the Builder's
+// maintained closure, where word-parallel rows pay for themselves.
 package depgraph
 
 import (
@@ -16,64 +27,91 @@ import (
 )
 
 // Graph is a dependency graph G = (T, SO, WR, WW, RW). WR and WW are
-// stored per object; RW is always derived from them per Definition 5
-// and never set directly.
+// stored per object, as edge sets (see the package comment); RW is
+// always derived from them per Definition 5 and never set directly.
 type Graph struct {
 	History *model.History
-	// wr[x] and ww[x] are relations over the history's transaction
-	// indices.
-	wr map[model.Obj]*relation.Rel
-	ww map[model.Obj]*relation.Rel
+	// wr[x] and ww[x] relate the history's transaction indices.
+	wr map[model.Obj]*relation.Edges
+	ww map[model.Obj]*relation.Edges
 }
 
 // New returns an empty dependency graph over the given history.
 func New(h *model.History) *Graph {
 	return &Graph{
 		History: h,
-		wr:      make(map[model.Obj]*relation.Rel),
-		ww:      make(map[model.Obj]*relation.Rel),
+		wr:      make(map[model.Obj]*relation.Edges),
+		ww:      make(map[model.Obj]*relation.Edges),
 	}
 }
 
 func (g *Graph) n() int { return g.History.NumTransactions() }
 
-func (g *Graph) rel(m map[model.Obj]*relation.Rel, x model.Obj) *relation.Rel {
-	r, ok := m[x]
-	if !ok {
-		r = relation.New(g.n())
-		m[x] = r
+// add inserts (t, s) into m[x], rejecting indices outside the history.
+func (g *Graph) add(m map[model.Obj]*relation.Edges, x model.Obj, t, s int) {
+	if n := g.n(); t < 0 || t >= n || s < 0 || s >= n {
+		panic(fmt.Sprintf("depgraph: edge (%d,%d) out of range [0,%d)", t, s, n))
 	}
-	return r
+	e, ok := m[x]
+	if !ok {
+		e = &relation.Edges{}
+		m[x] = e
+	}
+	e.Add(t, s)
 }
 
 // AddWR records T —WR(x)→ S.
-func (g *Graph) AddWR(x model.Obj, t, s int) { g.rel(g.wr, x).Add(t, s) }
+func (g *Graph) AddWR(x model.Obj, t, s int) { g.add(g.wr, x, t, s) }
 
 // AddWW records T —WW(x)→ S.
-func (g *Graph) AddWW(x model.Obj, t, s int) { g.rel(g.ww, x).Add(t, s) }
+func (g *Graph) AddWW(x model.Obj, t, s int) { g.add(g.ww, x, t, s) }
 
-// WRObj returns WR(x) (a copy-free view; treat as read-only).
-func (g *Graph) WRObj(x model.Obj) *relation.Rel { return g.rel(g.wr, x) }
+// WRObj returns WR(x) (a copy-free view; treat as read-only). It is
+// nil, the empty relation, for an object without read dependencies.
+func (g *Graph) WRObj(x model.Obj) *relation.Edges { return g.wr[x] }
 
-// WWObj returns WW(x) (a copy-free view; treat as read-only).
-func (g *Graph) WWObj(x model.Obj) *relation.Rel { return g.rel(g.ww, x) }
+// WWObj returns WW(x) (a copy-free view; treat as read-only). It is
+// nil, the empty relation, for an object without write dependencies.
+func (g *Graph) WWObj(x model.Obj) *relation.Edges { return g.ww[x] }
+
+// eachRW calls fn for every anti-dependency T —RW(x)→ S of Definition
+// 5: T ≠ S and ∃T'. T' —WR(x)→ T ∧ T' —WW(x)→ S. It walks the readers
+// of each writer against that writer's WW(x) successors, so the cost is
+// the number of anti-dependencies, not a function of the history size.
+// A pair may be reported more than once.
+func (g *Graph) eachRW(x model.Obj, fn func(t, s int)) {
+	wr, ww := g.wr[x], g.ww[x]
+	for _, p := range wr.Pairs() {
+		w, t := p[0], p[1]
+		ww.EachSuccessor(w, func(s int) {
+			if s != t {
+				fn(t, s)
+			}
+		})
+	}
+}
 
 // RWObj computes the derived anti-dependency relation RW(x) of
 // Definition 5: T —RW(x)→ S iff T ≠ S and ∃T'. T' —WR(x)→ T ∧
 // T' —WW(x)→ S.
-func (g *Graph) RWObj(x model.Obj) *relation.Rel {
-	wr, okWR := g.wr[x]
-	ww, okWW := g.ww[x]
-	out := relation.New(g.n())
-	if !okWR || !okWW {
-		return out
-	}
-	// RW(x) = WR(x)⁻¹ ; WW(x), minus the diagonal.
-	out = wr.Inverse().Compose(ww)
-	for i := 0; i < g.n(); i++ {
-		out.Remove(i, i)
-	}
+func (g *Graph) RWObj(x model.Obj) *relation.Edges {
+	out := &relation.Edges{}
+	g.eachRW(x, out.Add)
 	return out
+}
+
+// hasRW reports T —RW(x)→ S without materialising RW(x).
+func (g *Graph) hasRW(x model.Obj, t, s int) bool {
+	if t == s {
+		return false
+	}
+	ww := g.ww[x]
+	for _, w := range g.wr[x].Predecessors(t) {
+		if ww.Has(w, s) {
+			return true
+		}
+	}
+	return false
 }
 
 // WR returns the union ⋃_x WR(x).
@@ -86,15 +124,15 @@ func (g *Graph) WW() *relation.Rel { return unionAll(g.n(), g.ww) }
 func (g *Graph) RW() *relation.Rel {
 	out := relation.New(g.n())
 	for x := range g.wr {
-		out.UnionInPlace(g.RWObj(x))
+		g.eachRW(x, out.Add)
 	}
 	return out
 }
 
-func unionAll(n int, m map[model.Obj]*relation.Rel) *relation.Rel {
+func unionAll(n int, m map[model.Obj]*relation.Edges) *relation.Rel {
 	out := relation.New(n)
-	for _, r := range m {
-		out.UnionInPlace(r)
+	for _, e := range m {
+		e.AddTo(out)
 	}
 	return out
 }
@@ -156,11 +194,7 @@ func (g *Graph) Validate() error {
 			if !t.Reads(x) {
 				continue
 			}
-			count := 0
-			if wr, ok := g.wr[x]; ok {
-				count = len(wr.Predecessors(s))
-			}
-			if count != 1 {
+			if count := len(g.wr[x].Predecessors(s)); count != 1 {
 				return fmt.Errorf("WR(%s): transaction %d has %d sources, want exactly 1", x, s, count)
 			}
 		}
@@ -187,8 +221,7 @@ func (g *Graph) Validate() error {
 		if len(writers) < 2 {
 			continue
 		}
-		ww, ok := g.ww[x]
-		if !ok || !ww.IsTotalOrderOn(writers) {
+		if !g.ww[x].IsTotalOrderOn(writers) {
 			return fmt.Errorf("WW(%s): missing total order over %d writers", x, len(writers))
 		}
 	}

@@ -83,7 +83,9 @@ func TestRWDerivation(t *testing.T) {
 	if rw.Size() != 2 {
 		t.Errorf("RW = %v, want exactly 2 edges", rw)
 	}
-	if !g.RW().Equal(rw) {
+	dense := relation.New(g.History.NumTransactions())
+	rw.AddTo(dense)
+	if !g.RW().Equal(dense) {
 		t.Error("union RW differs from per-object RW")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"sian/internal/model"
+	"sian/internal/relation"
 )
 
 // EdgeKind labels one dependency-graph edge kind.
@@ -78,9 +79,10 @@ func (g *Graph) ExplainWitness(m Model) *WitnessExplanation {
 	if cyc == nil {
 		return nil
 	}
+	x := g.newExpander(m)
 	var edges []Edge
 	for i := 0; i+1 < len(cyc); i++ {
-		step := g.expandStep(m, cyc[i], cyc[i+1])
+		step := x.expandStep(cyc[i], cyc[i+1])
 		if step == nil {
 			// The composite step cannot be decomposed (should not
 			// happen for cycles produced by Witness); fall back to an
@@ -106,11 +108,11 @@ func (g *Graph) ExplainBaseCycle(m Model) *WitnessExplanation {
 	}
 	var edges []Edge
 	for i := 0; i+1 < len(cyc); i++ {
-		e := g.labelDep(cyc[i], cyc[i+1], EdgeWW, EdgeWR, EdgeSO)
-		if e == nil {
-			e = &Edge{From: cyc[i], To: cyc[i+1]}
+		e, ok := g.labelDep(cyc[i], cyc[i+1], EdgeWW, EdgeWR, EdgeSO)
+		if !ok {
+			e = Edge{From: cyc[i], To: cyc[i+1]}
 		}
-		edges = append(edges, *e)
+		edges = append(edges, e)
 	}
 	return &WitnessExplanation{Model: m, Axiom: axiomFor(m, edges), Cycle: edges}
 }
@@ -159,48 +161,78 @@ func depKinds(m Model) []EdgeKind {
 	}
 }
 
-// expandStep decomposes one composite-relation step a→b of model m
-// into the underlying labelled edges, or nil if no decomposition
-// exists.
-func (g *Graph) expandStep(m Model, a, b int) []Edge {
-	switch m {
+// expander decomposes composite-relation steps of one model. It holds
+// the two relations every decomposition searches — the union of the
+// dependency kinds that may start a step, and RW — computed once, so a
+// step costs the edges it inspects; labelling a found edge then only
+// looks at the objects its endpoints access.
+type expander struct {
+	g     *Graph
+	m     Model
+	kinds []EdgeKind
+	deps  *relation.Rel // ⋃ kinds
+	rw    *relation.Rel
+}
+
+func (g *Graph) newExpander(m Model) *expander {
+	x := &expander{g: g, m: m, kinds: depKinds(m), deps: relation.New(g.n()), rw: g.RW()}
+	for _, k := range x.kinds {
+		switch k {
+		case EdgeSO:
+			x.deps.UnionInPlace(g.History.SessionOrder())
+		case EdgeWR:
+			x.deps.UnionInPlace(g.WR())
+		case EdgeWW:
+			x.deps.UnionInPlace(g.WW())
+		}
+	}
+	return x
+}
+
+// expandStep decomposes one composite-relation step a→b into the
+// underlying labelled edges, or nil if no decomposition exists.
+func (x *expander) expandStep(a, b int) []Edge {
+	switch x.m {
 	case SER:
 		// SO ∪ WR ∪ WW ∪ RW: always a direct edge.
-		if e := g.labelDep(a, b, EdgeWW, EdgeWR, EdgeSO, EdgeRW); e != nil {
-			return []Edge{*e}
+		if e, ok := x.g.labelDep(a, b, EdgeWW, EdgeWR, EdgeSO, EdgeRW); ok {
+			return []Edge{e}
 		}
 		return nil
 	case SI, GSI:
 		// (deps) ; RW?
-		return g.expandDepThenRW(depKinds(m), a, b)
+		return x.expandDepThenRW(a, b)
 	case PC:
 		// ((SO ∪ WR) ; RW?) ∪ WW: try the WW disjunct first.
-		if e := g.labelDep(a, b, EdgeWW); e != nil {
-			return []Edge{*e}
+		if e, ok := x.g.labelDep(a, b, EdgeWW); ok {
+			return []Edge{e}
 		}
-		return g.expandDepThenRW(depKinds(m), a, b)
+		return x.expandDepThenRW(a, b)
 	case PSI:
 		// (deps)⁺ ; RW?: BFS over dependency edges.
-		return g.expandPathThenRW(depKinds(m), a, b)
+		return x.expandPathThenRW(a, b)
 	default:
 		return nil
 	}
 }
 
+// dep labels the dependency edge a→b, which x.deps holds.
+func (x *expander) dep(a, b int) Edge {
+	e, _ := x.g.labelDep(a, b, x.kinds...)
+	return e
+}
+
 // expandDepThenRW decomposes a step of the form dep ; RW?: either a
 // single dependency edge a→b, or a dependency edge a→m followed by an
-// anti-dependency m→b.
-func (g *Graph) expandDepThenRW(kinds []EdgeKind, a, b int) []Edge {
-	if e := g.labelDep(a, b, kinds...); e != nil {
-		return []Edge{*e}
+// anti-dependency m→b (the lowest such m).
+func (x *expander) expandDepThenRW(a, b int) []Edge {
+	if x.deps.Has(a, b) {
+		return []Edge{x.dep(a, b)}
 	}
-	for m := 0; m < g.n(); m++ {
-		dep := g.labelDep(a, m, kinds...)
-		if dep == nil {
-			continue
-		}
-		if rw := g.labelRW(m, b); rw != nil {
-			return []Edge{*dep, *rw}
+	for _, m := range x.deps.Successors(a) {
+		if x.rw.Has(m, b) {
+			rw, _ := x.g.labelRW(m, b)
+			return []Edge{x.dep(a, m), rw}
 		}
 	}
 	return nil
@@ -211,8 +243,8 @@ func (g *Graph) expandDepThenRW(kinds []EdgeKind, a, b int) []Edge {
 // anti-dependency m→b. BFS keeps the witness minimal. The start node
 // is never marked visited, so paths may return to a (self-loop
 // witnesses, the shape PSI's irreflexivity check finds).
-func (g *Graph) expandPathThenRW(kinds []EdgeKind, a, b int) []Edge {
-	n := g.n()
+func (x *expander) expandPathThenRW(a, b int) []Edge {
+	n := x.g.n()
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = -1
@@ -227,7 +259,7 @@ func (g *Graph) expandPathThenRW(kinds []EdgeKind, a, b int) []Edge {
 		var edges []Edge
 		prev := a
 		for i := len(nodes) - 1; i >= 0; i-- {
-			edges = append(edges, *g.labelDep(prev, nodes[i], kinds...))
+			edges = append(edges, x.dep(prev, nodes[i]))
 			prev = nodes[i]
 		}
 		return edges
@@ -236,16 +268,13 @@ func (g *Graph) expandPathThenRW(kinds []EdgeKind, a, b int) []Edge {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for v := 0; v < n; v++ {
-			dep := g.labelDep(u, v, kinds...)
-			if dep == nil {
-				continue
-			}
+		for _, v := range x.deps.Successors(u) {
 			if v == b {
-				return append(pathTo(u), *dep)
+				return append(pathTo(u), x.dep(u, v))
 			}
-			if rw := g.labelRW(v, b); rw != nil {
-				return append(append(pathTo(u), *dep), *rw)
+			if x.rw.Has(v, b) {
+				rw, _ := x.g.labelRW(v, b)
+				return append(append(pathTo(u), x.dep(u, v)), rw)
 			}
 			if !visited[v] && v != a {
 				visited[v] = true
@@ -258,47 +287,48 @@ func (g *Graph) expandPathThenRW(kinds []EdgeKind, a, b int) []Edge {
 }
 
 // labelDep finds a dependency edge a→b among the given kinds, trying
-// them in order; for WR/WW/RW it also resolves the object. Returns nil
-// if none exists.
-func (g *Graph) labelDep(a, b int, kinds ...EdgeKind) *Edge {
+// them in order; for WR/WW/RW it also resolves the object, the first in
+// sorted order when the pair is a dependency on several. Only objects
+// both endpoints can be related on are tried: WR(x) and WW(x) end at a
+// transaction accessing x, RW(x) starts at one.
+func (g *Graph) labelDep(a, b int, kinds ...EdgeKind) (Edge, bool) {
+	h := g.History
 	for _, k := range kinds {
 		switch k {
 		case EdgeSO:
-			if g.History.SessionOrder().Has(a, b) {
-				return &Edge{Kind: EdgeSO, From: a, To: b}
+			// Indices are assigned session by session in session order.
+			if a < b && h.SessionIndex(a) == h.SessionIndex(b) {
+				return Edge{Kind: EdgeSO, From: a, To: b}, true
 			}
 		case EdgeWR:
-			// Iterate objects in sorted order, not the map, so the
-			// labeling object is deterministic when a pair is a
-			// dependency on several objects.
-			for _, x := range g.History.Objects() {
-				if g.WRObj(x).Has(a, b) {
-					return &Edge{Kind: EdgeWR, Obj: x, From: a, To: b}
+			for _, x := range h.Transaction(b).Objects() {
+				if g.wr[x].Has(a, b) {
+					return Edge{Kind: EdgeWR, Obj: x, From: a, To: b}, true
 				}
 			}
 		case EdgeWW:
-			for _, x := range g.History.Objects() {
-				if g.WWObj(x).Has(a, b) {
-					return &Edge{Kind: EdgeWW, Obj: x, From: a, To: b}
+			for _, x := range h.Transaction(b).Objects() {
+				if g.ww[x].Has(a, b) {
+					return Edge{Kind: EdgeWW, Obj: x, From: a, To: b}, true
 				}
 			}
 		case EdgeRW:
-			if e := g.labelRW(a, b); e != nil {
-				return e
+			if e, ok := g.labelRW(a, b); ok {
+				return e, true
 			}
 		}
 	}
-	return nil
+	return Edge{}, false
 }
 
 // labelRW finds an anti-dependency edge a→b, resolving its object.
-func (g *Graph) labelRW(a, b int) *Edge {
-	for _, x := range g.History.Objects() {
-		if g.RWObj(x).Has(a, b) {
-			return &Edge{Kind: EdgeRW, Obj: x, From: a, To: b}
+func (g *Graph) labelRW(a, b int) (Edge, bool) {
+	for _, x := range g.History.Transaction(a).Objects() {
+		if g.hasRW(x, a, b) {
+			return Edge{Kind: EdgeRW, Obj: x, From: a, To: b}, true
 		}
 	}
-	return nil
+	return Edge{}, false
 }
 
 // axiomFor attributes a forbidden cycle to an axiom (or axiom group)

@@ -47,10 +47,20 @@
 // conservative rejection. After any collapse the monitor keeps a
 // one-sided guarantee: a "member" verdict still implies the full
 // stream is a member, while rejections are flagged non-definitive.
+//
+// The collapse edits the graph in place. Every window transaction owns
+// a carrier slot for as long as it is live (slot 0 is the frontier), so
+// nothing is renumbered: a collapsed transaction leaves its version
+// chains, its row and column are cleared in the dense relations, its
+// closure row is folded into slot 0, the survivors that read it are
+// re-pointed at the frontier, and the slot goes back on a free list. A
+// commit therefore costs the operations of the transaction it adds and
+// of the one it retires, not a replay of the window.
 package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -180,13 +190,69 @@ type winTx struct {
 	session string
 	tx      model.Transaction
 	seq     int64
-	idx     int // carrier index; 0 is the init/frontier transaction
+	// ord numbers commits in arrival order; the window is sorted by it,
+	// so "t is among the k oldest" is one comparison.
+	ord int64
+	// idx is the carrier slot, stable while the transaction is live;
+	// slot 0 is the init/frontier transaction.
+	idx int
 	// prevSame links the previous committed transaction of the same
 	// session still in the window (nil at the window edge).
 	prevSame *winTx
+	// ext lists the external reads (T ⊢ read(x, v)) and fin the final
+	// writes (T ⊢ write(x, v)), each sorted by object.
+	ext, fin []version
 	// reads records how each external read resolved (nil writer =
 	// init/frontier); rebuilt on every replay.
 	reads []resolvedRead
+}
+
+// version is a value an object held.
+type version struct {
+	obj model.Obj
+	val model.Value
+}
+
+// summarize extracts a transaction's external reads (the first access
+// to the object is a read) and final writes, each sorted by object.
+func summarize(ops []model.Op) (ext, fin []version) {
+	// Group the operations by object, keeping program order within one.
+	order := make([]int, len(ops))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if oa, ob := ops[order[a]].Obj, ops[order[b]].Obj; oa != ob {
+			return oa < ob
+		}
+		return order[a] < order[b]
+	})
+	for i := 0; i < len(order); {
+		first := ops[order[i]]
+		if first.Kind == model.OpRead {
+			ext = append(ext, version{first.Obj, first.Val})
+		}
+		var last *model.Op
+		for ; i < len(order) && ops[order[i]].Obj == first.Obj; i++ {
+			if op := &ops[order[i]]; op.Kind == model.OpWrite {
+				last = op
+			}
+		}
+		if last != nil {
+			fin = append(fin, version{last.Obj, last.Val})
+		}
+	}
+	return ext, fin
+}
+
+// finalWrite returns the value t finally writes to x; t must write x.
+func (t *winTx) finalWrite(x model.Obj) model.Value {
+	for _, w := range t.fin {
+		if w.obj == x {
+			return w.val
+		}
+	}
+	panic(fmt.Sprintf("monitor: %s is in the version chain of %s without writing it", t.id, x))
 }
 
 type resolvedRead struct {
@@ -194,6 +260,9 @@ type resolvedRead struct {
 	val    model.Value
 	writer *winTx
 }
+
+// txKey identifies an in-flight transaction.
+type txKey struct{ session, txid string }
 
 type pendingRead struct {
 	reader *winTx
@@ -208,10 +277,11 @@ type Monitor struct {
 	cfg   Config
 	model depgraph.Model
 
-	open map[string][]model.Op // in-flight transactions by session+NUL+txid
+	open map[txKey][]model.Op // in-flight transactions
 
-	win      []*winTx
-	sessions []string // first-seen order, for deterministic window histories
+	win      []*winTx // live transactions in arrival order
+	nextOrd  int64
+	sessions []string // live sessions in first-seen order, for deterministic window histories
 	sessTxs  map[string][]*winTx
 	sessLast map[string]*winTx
 	frontier map[model.Obj]model.Value
@@ -223,8 +293,10 @@ type Monitor struct {
 	strictInit bool
 	sawCommit  bool
 
-	// Incremental graph state over carrier indices [0, cap).
+	// Incremental graph state over carrier slots [0, cap). free is the
+	// stack of unoccupied slots.
 	cap        int
+	free       []int
 	cl         *relation.Closure
 	so         *relation.Rel
 	wrAll      *relation.Rel
@@ -241,12 +313,16 @@ type Monitor struct {
 	fastOK     bool // the arrival candidate currently satisfies the model
 	err        error
 	report     *Report
+	// collapse retires the k oldest window transactions; always
+	// collapseInPlace outside the tests, which swap in a replaying
+	// oracle.
+	collapse func(m *Monitor, k int)
 
-	nEvents, nCommits, nGCd, nRechecks int64
+	nEvents, nCommits, nGCd, nRechecks, nRebuilds int64
 
-	cEvents, cCommits, cViol, cGC, cRecheck *obs.Counter
-	gWindow, gPending                       *obs.Gauge
-	hLag                                    *obs.Histogram
+	cEvents, cCommits, cViol, cGC, cRecheck, cRebuild *obs.Counter
+	gWindow, gPending                                 *obs.Gauge
+	hLag                                              *obs.Histogram
 }
 
 // New returns a monitor for the given configuration.
@@ -263,12 +339,13 @@ func New(cfg Config) *Monitor {
 	m := &Monitor{
 		cfg:      cfg,
 		model:    cfg.Model,
-		open:     make(map[string][]model.Op),
+		open:     make(map[txKey][]model.Op),
 		sessTxs:  make(map[string][]*winTx),
 		sessLast: make(map[string]*winTx),
 		frontier: make(map[model.Obj]model.Value),
 		objs:     make(map[model.Obj]bool),
 		fastOK:   true,
+		collapse: (*Monitor).collapseInPlace,
 	}
 	lbl := obs.L("model", cfg.Model.String())
 	reg := cfg.Metrics
@@ -277,6 +354,7 @@ func New(cfg Config) *Monitor {
 	m.cViol = reg.Counter("monitor_violations_total", lbl)
 	m.cGC = reg.Counter("monitor_gc_txns_total", lbl)
 	m.cRecheck = reg.Counter("monitor_rechecks_total", lbl)
+	m.cRebuild = reg.Counter("monitor_rebuilds_total", lbl)
 	m.gWindow = reg.Gauge("monitor_window_txns", lbl)
 	m.gPending = reg.Gauge("monitor_pending_reads", lbl)
 	m.hLag = reg.Histogram("monitor_ingest_lag_ns", lbl)
@@ -304,7 +382,7 @@ func (m *Monitor) Ingest(ev eventlog.Event) *Verdict {
 			m.hLag.Observe(0)
 		}
 	}
-	key := ev.Session + "\x00" + ev.TxID
+	key := txKey{ev.Session, ev.TxID}
 	switch ev.Kind {
 	case eventlog.Begin:
 		if _, ok := m.open[key]; !ok {
@@ -348,20 +426,26 @@ func (m *Monitor) processCommit(ev eventlog.Event, ops []model.Op) *Verdict {
 		// The stream carries the history's own init transaction:
 		// absorb its writes as the frontier instead of occupying a
 		// window slot, mirroring how check pins transaction 0.
-		tx := model.NewTransaction(name, ops...)
-		for _, x := range tx.WriteSet() {
-			v, _ := tx.FinalWrite(x)
-			m.frontier[x] = v
-			m.objs[x] = true
+		for _, op := range ops {
+			if op.Kind == model.OpWrite {
+				m.frontier[op.Obj] = op.Val // the last write wins
+				m.objs[op.Obj] = true
+			}
 		}
 		m.strictInit = true
 		return &Verdict{Seq: ev.Seq, Txn: name, Member: true, Window: len(m.win)}
 	}
 
-	if len(m.win)+2 > m.cap {
-		m.grow(len(m.win) + 2)
+	if len(m.free) == 0 {
+		m.grow()
 	}
-	t := &winTx{id: name, session: ev.Session, tx: model.NewTransaction(name, ops...), seq: ev.Seq}
+	// ops left the open map with this commit and is not shared: the
+	// transaction can own it.
+	t := &winTx{id: name, session: ev.Session, tx: model.Transaction{ID: name, Ops: ops}, seq: ev.Seq, ord: m.nextOrd}
+	m.nextOrd++
+	t.ext, t.fin = summarize(ops)
+	t.idx = m.free[len(m.free)-1]
+	m.free = m.free[:len(m.free)-1]
 	t.prevSame = m.sessLast[ev.Session]
 	m.sessLast[ev.Session] = t
 	if _, ok := m.sessTxs[ev.Session]; !ok {
@@ -369,7 +453,6 @@ func (m *Monitor) processCommit(ev eventlog.Event, ops []model.Op) *Verdict {
 	}
 	m.sessTxs[ev.Session] = append(m.sessTxs[ev.Session], t)
 	m.win = append(m.win, t)
-	t.idx = len(m.win)
 	m.applyTx(t)
 
 	v := &Verdict{Seq: ev.Seq, Txn: name}
@@ -427,18 +510,13 @@ func (m *Monitor) applyTx(t *winTx) {
 	if t.prevSame != nil && m.model != depgraph.GSI {
 		m.cl.AddEdge(t.prevSame.idx, t.idx)
 	}
-	for _, x := range t.tx.Objects() {
-		v, ok := t.tx.ReadsBeforeWrites(x)
-		if !ok {
-			continue // internal read, satisfied by t's own write
-		}
-		m.objs[x] = true
-		m.resolveRead(t, x, v)
+	for _, r := range t.ext {
+		m.objs[r.obj] = true
+		m.resolveRead(t, r.obj, r.val)
 	}
-	for _, x := range t.tx.WriteSet() {
-		v, _ := t.tx.FinalWrite(x)
-		m.objs[x] = true
-		m.applyWrite(t, x, v)
+	for _, w := range t.fin {
+		m.objs[w.obj] = true
+		m.applyWrite(t, w.obj, w.val)
 	}
 }
 
@@ -475,52 +553,36 @@ func (m *Monitor) linkRead(t *winTx, x model.Obj, v model.Value, w *winTx) {
 	t.reads = append(t.reads, resolvedRead{obj: x, val: v, writer: w})
 	m.wrAll.Add(wi, t.idx)
 	m.cl.AddEdge(wi, t.idx)
-	ch := m.chain[x]
-	var last *winTx
-	if len(ch) > 0 {
-		last = ch[len(ch)-1]
-	}
-	if w == last {
+	if m.linkSuccessor(t, x, w) {
 		m.curReaders[x] = append(m.curReaders[x], t)
-		return
 	}
-	succ := ch[0]
+}
+
+// linkSuccessor places reader t of w's version of x (nil: the
+// frontier's) against the version chain. If a later version exists, t
+// anti-depends on the writer of the next one and the result is false;
+// otherwise t reads the current version — the caller keeps it in
+// curReaders[x] for the next writer — and the result is true.
+func (m *Monitor) linkSuccessor(t *winTx, x model.Obj, w *winTx) bool {
+	ch := m.chain[x]
+	next := 0
 	if w != nil {
-		for j, c := range ch {
-			if c == w {
-				succ = ch[j+1]
-				break
-			}
-		}
+		next = slices.Index(ch, w) + 1
 	}
-	if succ != t {
+	if next == len(ch) {
+		return true
+	}
+	if succ := ch[next]; succ != t {
 		m.rw.Add(t.idx, succ.idx)
 	}
+	return false
 }
 
 // applyWrite appends t to x's version chain: a WW edge from the
 // previous version, anti-dependencies from its readers, and
 // resolution of any reads waiting for this value.
 func (m *Monitor) applyWrite(t *winTx, x model.Obj, v model.Value) {
-	if byVal, ok := m.valueIdx[x]; ok {
-		if _, dup := byVal[v]; dup {
-			m.dupVals = true
-		} else {
-			byVal[v] = t
-		}
-	} else {
-		m.valueIdx[x] = map[model.Value]*winTx{v: t}
-	}
-	// Value collisions with the frontier or the virtual init make WR
-	// resolution ambiguous: verdicts stay sound (the slow path
-	// searches all attributions) but lose definitiveness.
-	if fv, ok := m.frontier[x]; ok {
-		if fv == v {
-			m.dupVals = true
-		}
-	} else if !m.strictInit && v == m.cfg.InitValue {
-		m.dupVals = true
-	}
+	m.indexValue(t, x, v)
 	ch := m.chain[x]
 	prev := 0
 	if len(ch) > 0 {
@@ -544,6 +606,31 @@ func (m *Monitor) applyWrite(t *winTx, x model.Obj, v model.Value) {
 			}
 		}
 		m.pending = kept
+	}
+}
+
+// indexValue enters t as a writer of version (x, v) in the value index,
+// where the first writer of a version stays the one reads resolve to.
+// A second writer, or a collision with the frontier or the virtual
+// init, makes WR resolution ambiguous: verdicts stay sound (the slow
+// path searches all attributions) but lose definitiveness.
+func (m *Monitor) indexValue(t *winTx, x model.Obj, v model.Value) {
+	byVal, ok := m.valueIdx[x]
+	if !ok {
+		byVal = make(map[model.Value]*winTx)
+		m.valueIdx[x] = byVal
+	}
+	if _, dup := byVal[v]; dup {
+		m.dupVals = true
+	} else {
+		byVal[v] = t
+	}
+	if fv, ok := m.frontier[x]; ok {
+		if fv == v {
+			m.dupVals = true
+		}
+	} else if !m.strictInit && v == m.cfg.InitValue {
+		m.dupVals = true
 	}
 }
 
@@ -715,58 +802,16 @@ func (m *Monitor) adoptWitness(g *depgraph.Graph) {
 		for _, w := range chain {
 			m.cl.AddEdge(prev, w.idx)
 			prev = w.idx
+			m.indexValue(w, x, w.finalWrite(x))
 		}
 		m.chain[x] = chain
-		byVal := make(map[model.Value]*winTx, len(chain))
-		for _, w := range chain {
-			v, _ := w.tx.FinalWrite(x)
-			if _, dup := byVal[v]; dup {
-				m.dupVals = true
-			} else {
-				byVal[v] = w
-			}
-			if fv, ok := m.frontier[x]; ok {
-				if fv == v {
-					m.dupVals = true
-				}
-			} else if !m.strictInit && v == m.cfg.InitValue {
-				m.dupVals = true
-			}
-		}
-		m.valueIdx[x] = byVal
-		var last *winTx
-		if len(chain) > 0 {
-			last = chain[len(chain)-1]
-		}
 		for _, p := range g.WRObj(x).Pairs() {
 			w, r := histTx[p[0]], histTx[p[1]]
 			v, ok := r.tx.ReadsBeforeWrites(x)
 			if !ok {
 				continue
 			}
-			r.reads = append(r.reads, resolvedRead{obj: x, val: v, writer: w})
-			wi := 0
-			if w != nil {
-				wi = w.idx
-			}
-			m.wrAll.Add(wi, r.idx)
-			m.cl.AddEdge(wi, r.idx)
-			if w == last {
-				m.curReaders[x] = append(m.curReaders[x], r)
-				continue
-			}
-			succ := chain[0]
-			if w != nil {
-				for j, c := range chain {
-					if c == w {
-						succ = chain[j+1]
-						break
-					}
-				}
-			}
-			if succ != r {
-				m.rw.Add(r.idx, succ.idx)
-			}
+			m.linkRead(r, x, v, w)
 		}
 	}
 }
@@ -807,38 +852,26 @@ func (m *Monitor) maybeGC() {
 	if k <= 0 {
 		return
 	}
-	collapsed := m.win[:k]
-	inPrefix := make(map[*winTx]bool, k)
-	for _, t := range collapsed {
-		inPrefix[t] = true
-	}
-	for _, t := range collapsed {
-		for _, x := range t.tx.WriteSet() {
-			v, _ := t.tx.FinalWrite(x)
-			m.frontier[x] = v
-		}
-	}
-	for sid, txs := range m.sessTxs {
-		kept := txs[:0]
-		for _, t := range txs {
-			if !inPrefix[t] {
-				kept = append(kept, t)
-			}
-		}
-		m.sessTxs[sid] = kept
-		if len(kept) == 0 {
-			delete(m.sessLast, sid)
-		}
-	}
-	for _, t := range m.win[k:] {
-		if t.prevSame != nil && inPrefix[t.prevSame] {
-			t.prevSame = nil
-		}
-	}
-	m.win = append([]*winTx(nil), m.win[k:]...)
+	m.collapse(m, k)
 	m.nGCd += int64(k)
 	m.cGC.Add(int64(k))
-	m.rebuild(m.cap)
+}
+
+// cut returns the arrival ordinal separating the k oldest window
+// transactions (below it) from the survivors; a collapse always leaves
+// survivors, so k < len(m.win).
+func (m *Monitor) cut(k int) int64 { return m.win[k].ord }
+
+// lastPrefixWriter returns the latest-arrived writer of x below the
+// cut, or nil if no transaction below it writes x.
+func (m *Monitor) lastPrefixWriter(x model.Obj, cut int64) *winTx {
+	var last *winTx
+	for _, w := range m.chain[x] {
+		if w.ord < cut && (last == nil || w.ord > last.ord) {
+			last = w
+		}
+	}
+	return last
 }
 
 // collapseOK reports whether the k oldest window transactions can be
@@ -857,29 +890,19 @@ func (m *Monitor) maybeGC() {
 // the PREFIX/Theorem 9 argument — and the prefix reduces to its final
 // values.
 func (m *Monitor) collapseOK(k int) bool {
-	inPrefix := make(map[*winTx]bool, k)
-	for _, t := range m.win[:k] {
-		inPrefix[t] = true
-	}
+	cut := m.cut(k)
 	for _, t := range m.win[:k] {
 		for _, r := range t.reads {
-			if r.writer != nil && !inPrefix[r.writer] {
+			if r.writer != nil && r.writer.ord >= cut {
 				return false
 			}
-		}
-	}
-	lastW := make(map[model.Obj]*winTx)
-	for _, t := range m.win[:k] {
-		for _, x := range t.tx.WriteSet() {
-			lastW[x] = t
 		}
 	}
 	for _, t := range m.win[k:] {
 		for _, r := range t.reads {
-			if r.writer != nil && inPrefix[r.writer] && lastW[r.obj] != r.writer {
-				return false
-			}
-			if r.writer == nil && lastW[r.obj] != nil {
+			// Conditions 2 and 3 in one: a read of a prefix writer or of
+			// the frontier must be of the version the prefix ends on.
+			if (r.writer == nil || r.writer.ord < cut) && m.lastPrefixWriter(r.obj, cut) != r.writer {
 				return false
 			}
 		}
@@ -887,18 +910,144 @@ func (m *Monitor) collapseOK(k int) bool {
 	return true
 }
 
-// grow enlarges the carrier and replays the window.
-func (m *Monitor) grow(min int) {
-	newCap := m.cap * 2
-	if newCap < min {
-		newCap = min
+// collapseInPlace retires the k oldest window transactions, which
+// collapseOK has cleared, without touching the rest of the graph.
+//
+// The three collapseOK conditions say that no WR, WW or RW edge leads
+// from a survivor into the prefix (session order never does), so the
+// prefix together with slot 0 is a source set of the graph: survivors
+// reach exactly what they reached before, and clearing the prefix's
+// rows and columns leaves their closure rows exact. What the prefix
+// reached now hangs off the frontier, so slot 0 absorbs its closure
+// rows; that may credit slot 0 with more than the frontier's own edges
+// reach, but slot 0 has no in-edges and a node without in-edges is on
+// no cycle of any composite fastCheck tests. Survivors that read a
+// collapsed writer read, by condition 2, the value that becomes the
+// frontier's: their WR edge moves to slot 0 and their anti-dependency
+// on the next version stays where it is.
+//
+// After a witness adoption a chain need not be in arrival order and a
+// survivor may precede a collapsed writer in it. The same edits then
+// leave supersets in survivor rows (and re-derive the affected
+// anti-dependencies), which can only fail the fast check early — the
+// slow path decides, and its adoption rebuilds the state exactly.
+func (m *Monitor) collapseInPlace(k int) {
+	cut := m.cut(k)
+	var reordered []model.Obj // chains where a survivor preceded a prefix writer
+	for _, t := range m.win[:k] {
+		for _, w := range t.fin {
+			ch := m.chain[w.obj]
+			pos := slices.Index(ch, t)
+			if pos > 0 && ch[pos-1].ord >= cut {
+				reordered = append(reordered, w.obj)
+			}
+			m.chain[w.obj] = slices.Delete(ch, pos, pos+1)
+			if byVal := m.valueIdx[w.obj]; byVal[w.val] == t {
+				delete(byVal, w.val)
+			}
+		}
+		for _, r := range t.reads {
+			if cur := m.curReaders[r.obj]; len(cur) > 0 {
+				m.curReaders[r.obj] = without(cur, t)
+			}
+		}
+		m.so.Isolate(t.idx)
+		m.wrAll.Isolate(t.idx)
+		m.rw.Isolate(t.idx)
+		m.cl.Absorb(0, t.idx)
+		m.free = append(m.free, t.idx)
 	}
-	m.rebuild(newCap)
+	m.advanceFrontier(k)
+	if m.dupVals {
+		// A collision may have left with the prefix, and a collapsed
+		// first writer of a duplicated version hands it to the next.
+		m.dupVals = false
+		for x, ch := range m.chain {
+			clear(m.valueIdx[x])
+			for _, w := range ch {
+				m.indexValue(w, x, w.finalWrite(x))
+			}
+		}
+	}
+	for _, x := range reordered {
+		m.curReaders[x] = nil
+	}
+	for _, t := range m.win {
+		for i := range t.reads {
+			r := &t.reads[i]
+			if r.writer != nil && r.writer.ord < cut {
+				// The collapsed writer left r.val in the frontier. The
+				// read resolves as it would on arrival (and as a replay
+				// of the window would resolve it): to an earlier live
+				// writer of a duplicate of that version if there is
+				// one, to the frontier otherwise.
+				r.writer = nil
+				wi := 0
+				if w := m.valueIdx[r.obj][r.val]; w != nil && w.ord < t.ord {
+					r.writer, wi = w, w.idx
+				}
+				m.wrAll.Add(wi, t.idx)
+				m.cl.AddEdge(wi, t.idx)
+			} else if !slices.Contains(reordered, r.obj) {
+				continue
+			}
+			cur := without(m.curReaders[r.obj], t)
+			if m.linkSuccessor(t, r.obj, r.writer) {
+				cur = append(cur, t)
+			}
+			m.curReaders[r.obj] = cur
+		}
+	}
+}
+
+// without removes t from s in place, keeping the order.
+func without(s []*winTx, t *winTx) []*winTx {
+	if i := slices.Index(s, t); i >= 0 {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
+}
+
+// advanceFrontier is the bookkeeping of a collapse outside the graph:
+// the k oldest window transactions leave their final values in the
+// frontier (the latest arrival wins), leave their sessions — a session
+// whose last transaction collapsed is forgotten altogether, the others
+// keep their first-seen order — and leave the window.
+func (m *Monitor) advanceFrontier(k int) {
+	for i, t := range m.win[:k] {
+		for _, w := range t.fin {
+			m.frontier[w.obj] = w.val
+		}
+		// The window is in arrival order, so t heads its session.
+		txs := m.sessTxs[t.session]
+		txs[0] = nil
+		if txs = txs[1:]; len(txs) > 0 {
+			m.sessTxs[t.session] = txs
+			txs[0].prevSame = nil
+		} else {
+			delete(m.sessTxs, t.session)
+			delete(m.sessLast, t.session)
+			j := slices.Index(m.sessions, t.session)
+			m.sessions = slices.Delete(m.sessions, j, j+1)
+		}
+		m.win[i] = nil
+	}
+	m.win = m.win[k:]
+}
+
+// grow doubles the carrier when every slot is taken — a window that
+// outgrew Config.Window+2 because a collapse was refused, or an
+// unbounded one — and replays the window into it.
+func (m *Monitor) grow() {
+	m.nRebuilds++
+	m.cRebuild.Inc()
+	m.rebuild(m.cap * 2)
 }
 
 // rebuild resets the incremental graph state to the given carrier
-// size and replays every window transaction through applyTx. Pending
-// reads re-accumulate naturally during the replay.
+// size, renumbers the window into slots 1, 2, … and replays every
+// window transaction through applyTx. Pending reads re-accumulate
+// naturally during the replay.
 func (m *Monitor) rebuild(newCap int) {
 	m.cap = newCap
 	m.cl = relation.NewClosure(newCap)
@@ -915,6 +1064,10 @@ func (m *Monitor) rebuild(newCap int) {
 	m.dupVals = false
 	for i, t := range m.win {
 		t.idx = i + 1
+	}
+	m.free = m.free[:0]
+	for slot := newCap - 1; slot > len(m.win); slot-- {
+		m.free = append(m.free, slot)
 	}
 	for _, t := range m.win {
 		m.applyTx(t)

@@ -13,17 +13,22 @@ type Mark int
 // incrementally. Where TransitiveClosure recomputes R⁺ from scratch in
 // O(n²·⌈n/64⌉), AddEdge propagates only the delta of one new edge —
 // the rows that reach its source absorb the row of its target,
-// word-parallel — and records every changed word in an undo journal so
-// that Checkpoint/Rollback give the exact closure of any prefix of the
-// edge sequence. This is the reachability substrate of the
-// certification search: the searcher pushes WR/WW edges while
-// descending and pops them on backtrack, so reachability (and hence
-// cycle detection and the forced-precedence masks of the write-order
-// enumeration) is maintained instead of recomputed at every node.
+// word-parallel — and, once a Checkpoint has been taken, records every
+// changed word in an undo journal so that Checkpoint/Rollback give the
+// exact closure of any prefix of the edge sequence. This is the
+// reachability substrate of the certification search: the searcher
+// pushes WR/WW edges while descending and pops them on backtrack, so
+// reachability (and hence cycle detection and the forced-precedence
+// masks of the write-order enumeration) is maintained instead of
+// recomputed at every node. A closure that is never checkpointed (the
+// online monitor's, which only grows and absorbs) keeps no journal.
 type Closure struct {
 	n, words int
 	rows     []uint64 // closure bits, row-major: rows[i*words+j/64]
-	journal  []closureEntry
+	// journal holds the overwritten words since the first Checkpoint;
+	// before one there is no mark to roll back to, so nothing is kept.
+	journal    []closureEntry
+	journaling bool
 	// selfReach counts elements i with (i, i) in the closure: non-zero
 	// exactly when the underlying edge set is cyclic.
 	selfReach int
@@ -96,7 +101,8 @@ func (c *Closure) HasCycle() bool { return c.selfReach > 0 }
 // AddEdge inserts the edge (a, b) and propagates the reachability
 // delta: every element that reaches a (and a itself) absorbs
 // {b} ∪ reach(b), word-parallel. Redundant edges (b already reachable
-// from a) are free. Changed words are journaled for Rollback.
+// from a) are free. Changed words are journaled for Rollback while a
+// checkpoint is outstanding.
 func (c *Closure) AddEdge(a, b int) {
 	c.checkPair(a, b)
 	if c.has(a, b) {
@@ -119,7 +125,9 @@ func (c *Closure) AddEdge(a, b int) {
 			if merged == ri[w] {
 				continue
 			}
-			c.journal = append(c.journal, closureEntry{idx: base + w, old: ri[w]})
+			if c.journaling {
+				c.journal = append(c.journal, closureEntry{idx: base + w, old: ri[w]})
+			}
 			c.deltaEdges += int64(bits.OnesCount64(merged &^ ri[w]))
 			if w == dw && ri[w]&dbit == 0 && merged&dbit != 0 {
 				c.selfReach++
@@ -129,8 +137,44 @@ func (c *Closure) AddEdge(a, b int) {
 	}
 }
 
-// Checkpoint returns a mark capturing the current closure state.
-func (c *Closure) Checkpoint() Mark { return Mark(len(c.journal)) }
+// Checkpoint returns a mark capturing the current closure state, and
+// starts the undo journal if this is the first one.
+func (c *Closure) Checkpoint() Mark {
+	c.journaling = true
+	return Mark(len(c.journal))
+}
+
+// Absorb folds node src into node dst: dst inherits everything src
+// reached (edges between the two vanish), then src's row and column are
+// cleared, leaving src an isolated node that can stand for a new
+// element. The result is the exact closure of the remaining edges (with
+// src's out-edges re-sourced at dst) when every in-edge of src came
+// from dst or from nodes that are absorbed into dst as well; any other
+// node that reached src keeps what it reached through it, a superset of
+// its true reach. Absorb cannot be rolled back: it discards the journal
+// and invalidates every earlier mark.
+func (c *Closure) Absorb(dst, src int) {
+	c.checkPair(dst, src)
+	if dst == src {
+		return
+	}
+	if c.has(src, src) {
+		c.selfReach--
+	}
+	rd, rs := c.row(dst), c.row(src)
+	dw, dbit := dst/64, uint64(1)<<(uint(dst)%64)
+	self := rd[dw] & dbit // src reaching dst does not make dst reach itself
+	for w := range rd {
+		rd[w] |= rs[w]
+		rs[w] = 0
+	}
+	rd[dw] = rd[dw]&^dbit | self
+	sw, sbit := src/64, uint64(1)<<(uint(src)%64)
+	for i := 0; i < c.n; i++ {
+		c.rows[i*c.words+sw] &^= sbit
+	}
+	c.journal, c.journaling = nil, false
+}
 
 // Rollback restores the closure to the state at the given checkpoint,
 // undoing every AddEdge since. Rolling back to a mark older than a

@@ -1,5 +1,7 @@
-// Package relation implements dense binary relations over {0, …, n-1}
-// backed by bitset adjacency matrices.
+// Package relation implements binary relations over {0, …, n-1}: Rel,
+// dense and backed by bitset adjacency matrices; Edges, sparse and
+// backed by sorted adjacency lists; and Closure, a transitive closure
+// maintained under edge insertion.
 //
 // The analyses in this module are dominated by relational algebra over
 // transaction sets: unions, sequential composition (R1 ; R2),
@@ -8,7 +10,10 @@
 // words makes composition and closure word-parallel, which keeps the
 // soundness construction of Theorem 10(i) — which recomputes closures
 // while totalising the commit order — comfortably fast for histories
-// with thousands of transactions.
+// with thousands of transactions. Relations that are only ever built,
+// enumerated and probed, and that hold a handful of pairs by
+// construction (the per-object WR(x) and WW(x) of Definition 6), use
+// Edges instead, whose cost is the number of pairs.
 //
 // All operations treat relations as immutable values unless the method
 // name says otherwise (the mutating methods are the *InPlace variants
@@ -116,6 +121,20 @@ func (r *Rel) Add(a, b int) {
 func (r *Rel) Remove(a, b int) {
 	r.check(a, b)
 	r.row(a)[b/64] &^= 1 << (uint(b) % 64)
+}
+
+// Isolate deletes every pair with i on either side, clearing row i and
+// column i.
+func (r *Rel) Isolate(i int) {
+	r.check(i, i)
+	row := r.row(i)
+	for w := range row {
+		row[w] = 0
+	}
+	iw, ibit := i/64, uint64(1)<<(uint(i)%64)
+	for a := 0; a < r.n; a++ {
+		r.rows[a*r.words+iw] &^= ibit
+	}
 }
 
 // Has reports whether (a, b) is in the relation.
