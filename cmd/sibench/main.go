@@ -156,8 +156,6 @@ type runConfig struct {
 	duration     time.Duration
 	hotkeys      int
 	disjoint     bool
-	groupCommit  bool
-	readCache    bool
 	sweep        string
 	sweepReps    int
 	ledgerPath   string
@@ -201,8 +199,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	duration := fs.Duration("duration", 0, "closedloop: bound the run by wall clock instead of -txs")
 	hotkeys := fs.Int("hotkeys", 0, "closedloop: skew accesses onto the first N objects (contention)")
 	disjoint := fs.Bool("disjoint", false, "closedloop: give every session a private object pool (no conflicts)")
-	groupCommit := fs.Bool("group-commit", true, "SI: batch disjoint concurrent commits through the group-commit sequencer (-group-commit=false for the solo-path A/B)")
-	readCache := fs.Bool("read-cache", true, "SI: memoise committed reads per session while the snapshot stands still (-read-cache=false for the A/B)")
 	sweepFlag := fs.String("sweep", "", "run the closedloop workload once per GOMAXPROCS value (e.g. 1,2,4) and report scaling")
 	sweepReps := fs.Int("sweep-reps", 1, "repetitions per sweep point; the median-throughput rep is recorded")
 	ledgerPath := fs.String("ledger", "", "append the run's report plus provenance to this NDJSON run ledger")
@@ -256,7 +252,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 		certify: *certify, parallel: *parallel, benchJSON: *benchJSON,
 		recordOut: *recordOut, timelineOut: *timelineOut, recordCap: *recordCap,
 		duration: *duration, hotkeys: *hotkeys, disjoint: *disjoint,
-		groupCommit: *groupCommit, readCache: *readCache,
 		sweep: *sweepFlag, sweepReps: *sweepReps,
 		ledgerPath: *ledgerPath, comparePath: *comparePath, compareThr: *compareThr,
 		addr: *addrFlag, traceTxns: *traceTxns, args: args,
@@ -386,11 +381,7 @@ func (cfg runConfig) dumpRecorder(rec *eventlog.Recorder, o *cliutil.Obs, stdout
 func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, stdout io.Writer) (int, benchReport, error) {
 	reg := o.Registry
 	tr := o.Tracer
-	econf := engine.Config{
-		Metrics: reg, Recorder: rec,
-		DisableGroupCommit: !cfg.groupCommit,
-		DisableReadCache:   !cfg.readCache,
-	}
+	econf := engine.Config{Metrics: reg, Recorder: rec}
 	if cfg.workload == "longfork" {
 		econf.ManualPropagation = true
 	}
@@ -515,7 +506,6 @@ func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, stdout io
 	}
 
 	rep := cfg.buildReport(elapsed, certifyDur, certifyExamined, stats, reg)
-	rep.GroupCommit = groupCommitStats(reg, cfg.kind)
 	if txt != nil {
 		stages := txt.StageLatencies()
 		printStageTable(stdout, stages)
@@ -559,27 +549,6 @@ func (cfg runConfig) buildReport(elapsed, certifyDur time.Duration, certifyExami
 		rep.TxsPerSec = float64(stats.Commits) / secs
 	}
 	return rep
-}
-
-// groupCommitStats reads the SI group-commit sequencer's accounting
-// out of the run's metrics registry; nil when the run executed no
-// batches (sequencer disabled or a non-SI engine), keeping the field
-// absent from reports and ledger lines exactly like pre-batching
-// runs.
-func groupCommitStats(reg *obs.Registry, kind engine.Kind) *ledger.GroupCommitStats {
-	lbl := obs.L("engine", kind.String())
-	batches := reg.Counter("engine_commit_batches_total", lbl).Value()
-	if batches == 0 {
-		return nil
-	}
-	size := reg.Histogram("engine_commit_batch_size", lbl)
-	return &ledger.GroupCommitStats{
-		Batches:        batches,
-		BatchedCommits: reg.Counter("engine_commit_batch_members_total", lbl).Value(),
-		SoloCommits:    reg.Counter("engine_commit_solo_total", lbl).Value(),
-		P50BatchSize:   size.Quantile(0.50),
-		P99BatchSize:   size.Quantile(0.99),
-	}
 }
 
 // writeFileWith creates path and streams fn's output into it.

@@ -65,11 +65,7 @@ func runSweep(cfg runConfig, o *cliutil.Obs, rec *eventlog.Recorder, stdout io.W
 		for r := 0; r < cfg.sweepReps; r++ {
 			reg := obs.NewRegistry()
 			o.SetRegistry(reg)
-			db, err := engine.New(cfg.kind, engine.Config{
-				Metrics: reg, Recorder: rec,
-				DisableGroupCommit: !cfg.groupCommit,
-				DisableReadCache:   !cfg.readCache,
-			})
+			db, err := engine.New(cfg.kind, engine.Config{Metrics: reg, Recorder: rec})
 			if err != nil {
 				return 2, ledger.BenchReport{}, err
 			}
@@ -93,7 +89,6 @@ func runSweep(cfg runConfig, o *cliutil.Obs, rec *eventlog.Recorder, stdout io.W
 				P50CommitLatencyNS: commitLat.Quantile(0.50),
 				P99CommitLatencyNS: commitLat.Quantile(0.99),
 			}}
-			oc.pt.GroupCommit = groupCommitStats(reg, cfg.kind)
 			if secs := out.Elapsed.Seconds(); secs > 0 {
 				oc.pt.TxsPerSec = float64(out.Commits) / secs
 			}
@@ -180,6 +175,5 @@ func runSweep(cfg runConfig, o *cliutil.Obs, rec *eventlog.Recorder, stdout io.W
 	rep.TxsPerSec = best.TxsPerSec
 	rep.P50CommitLatencyNS = best.P50CommitLatencyNS
 	rep.P99CommitLatencyNS = best.P99CommitLatencyNS
-	rep.GroupCommit = best.GroupCommit
 	return exit, rep, nil
 }

@@ -132,21 +132,6 @@ type Config struct {
 	// counters grow superlinearly with the session count.
 	RetryBackoffBase time.Duration
 	RetryBackoffMax  time.Duration
-	// DisableGroupCommit turns off the SI group-commit sequencer
-	// (batcher.go); every writing commit then takes the solo path —
-	// one lock window, one WAL record and fsync negotiation, one
-	// publish CAS each. Group commit is on by default; disabling it
-	// exists for A/B benchmarking and batch-vs-solo differential
-	// tests. Ignored by the other engine kinds.
-	DisableGroupCommit bool
-	// DisableReadCache turns off the per-session snapshot read cache
-	// (SI only): with it off, every Tx.Read outside the write buffer
-	// takes the storage shard read-lock. The cache is sound because a
-	// session's reads at one snapshot are pure functions of immutable
-	// versions; it is invalidated whenever a transaction begins at a
-	// newer snapshot. Ignored by the other engine kinds (SSI reads
-	// register SIREAD locks and must reach the protocol every time).
-	DisableReadCache bool
 }
 
 func (c Config) withDefaults() Config {
@@ -278,7 +263,7 @@ func New(kind Kind, cfg Config) (*DB, error) {
 	}
 	switch kind {
 	case SI:
-		db.impl = newSIProtocol(cfg, db.reg)
+		db.impl = newSIProtocol(cfg)
 	case SER:
 		db.impl = newSERProtocol()
 	case PSI:
@@ -404,56 +389,10 @@ type Session struct {
 	// backed-off retry and used only from the session's goroutine.
 	rng *rand.Rand
 
-	// readCache memoises committed reads, keyed implicitly by the
-	// snapshot they were read at (cacheSnap): versions at or below a
-	// published snapshot are immutable and compaction always keeps the
-	// version visible at the GC watermark, so entries stay valid for
-	// as long as the session keeps beginning at the same snapshot, and
-	// are dropped wholesale the moment a transaction begins at a newer
-	// one. Bound to transactions only for protocols whose reads are
-	// side-effect-free snapshot functions (SI). Like rng, it is used
-	// only from the session's goroutine, so it needs no lock.
-	cacheSnap uint64
-	readCache map[model.Obj]cachedRead
-
 	mu       sync.Mutex
 	txs      []model.Transaction
 	seq      int
 	attempts int
-}
-
-// cachedRead is one read-cache entry; ok=false caches the negative
-// result (ErrUninitialized), which is just as stable as a hit — a
-// version at or below the snapshot can never appear later.
-type cachedRead struct {
-	val model.Value
-	ok  bool
-}
-
-// readCacheCap bounds the per-session cache; past it, new entries are
-// simply not inserted (the hot keys a closed loop re-reads are long
-// since cached by then).
-const readCacheCap = 4096
-
-// snapshotted is implemented by protocol transactions whose reads are
-// pure functions of an immutable snapshot — the precondition for the
-// per-session read cache. Only SI qualifies: SSI reads register
-// SIREAD locks (side effects), PSI reads depend on mutable replica
-// state, SER reads take locks.
-type snapshotted interface {
-	snapshot() uint64
-}
-
-// cacheFor returns the session's read cache bound to a transaction at
-// snap, invalidating it when the snapshot moved.
-func (s *Session) cacheFor(snap uint64) map[model.Obj]cachedRead {
-	if s.readCache == nil {
-		s.readCache = make(map[model.Obj]cachedRead)
-	} else if s.cacheSnap != snap {
-		clear(s.readCache)
-	}
-	s.cacheSnap = snap
-	return s.readCache
 }
 
 // ID returns the session identifier.
@@ -539,15 +478,6 @@ func (s *Session) TransactNamed(name string, fn func(tx *Tx) error) error {
 		txid := s.beginAttempt()
 		tr.SetTxID(txid)
 		tx := &Tx{inner: inner, writes: make(map[model.Obj]model.Value), rec: s.db.cfg.Recorder, session: s.id, txid: txid}
-		// Bind the session read cache for snapshot-pure protocols. Only
-		// Transact binds it (one transaction at a time per session);
-		// ManualTx interleavings can hold transactions at different
-		// snapshots open at once, which one shared map cannot serve.
-		if !s.db.cfg.DisableReadCache {
-			if sn, ok := inner.(snapshotted); ok {
-				tx.cache = s.cacheFor(sn.snapshot())
-			}
-		}
 		err = fn(tx)
 		if err != nil {
 			inner.abort()
@@ -799,10 +729,6 @@ type Tx struct {
 	ops        []model.Op
 	writes     map[model.Obj]model.Value
 	writeOrder []model.Obj
-	// cache is the session read cache bound to this transaction's
-	// snapshot (nil when disabled or the protocol's reads are not
-	// snapshot-pure); see Session.readCache.
-	cache map[model.Obj]cachedRead
 
 	// Flight-recorder plumbing; rec is nil when no recorder is
 	// attached, keeping the operation hot path event-free.
@@ -816,23 +742,10 @@ type Tx struct {
 func (t *Tx) Read(x model.Obj) (model.Value, error) {
 	v, ok := t.writes[x]
 	if !ok {
-		if c, hit := t.cache[x]; hit {
-			if !c.ok {
-				return 0, ErrUninitialized
-			}
-			v = c.val
-		} else {
-			var err error
-			v, err = t.inner.read(x)
-			if err != nil {
-				if t.cache != nil && errors.Is(err, ErrUninitialized) && len(t.cache) < readCacheCap {
-					t.cache[x] = cachedRead{}
-				}
-				return 0, err
-			}
-			if t.cache != nil && len(t.cache) < readCacheCap {
-				t.cache[x] = cachedRead{val: v, ok: true}
-			}
+		var err error
+		v, err = t.inner.read(x)
+		if err != nil {
+			return 0, err
 		}
 	}
 	t.ops = append(t.ops, model.Read(x, v))

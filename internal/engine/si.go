@@ -1,11 +1,10 @@
 package engine
 
 import (
-	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"sian/internal/model"
-	"sian/internal/obs"
 	"sian/internal/obs/txtrace"
 	"sian/internal/storage"
 )
@@ -17,7 +16,7 @@ import (
 // snapshot (first-committer-wins).
 //
 // The implementation is built for multicore parallelism — no global
-// mutex anywhere on the transaction path:
+// mutex on the uncontended transaction path:
 //
 //   - begin is lock-free: one atomic load of the published commit
 //     timestamp plus a slot registration in snapRegistry (see
@@ -29,6 +28,9 @@ import (
 //     first-committer-wins per shard and installs under that one
 //     multi-shard critical section, so transactions with disjoint
 //     write sets commit fully in parallel;
+//   - publication is one CAS when the predecessor has published and
+//     a parked wait behind it otherwise (publish, the ordered-publish
+//     gate);
 //   - read-only transactions touch no lock at all: their commit is a
 //     single atomic slot release.
 //
@@ -56,10 +58,6 @@ import (
 // order — so are all its predecessors; see DESIGN.md §12.
 type siProtocol struct {
 	store storage.Driver
-	// batcher is the group-commit sequencer (batcher.go); nil when
-	// Config.DisableGroupCommit is set, in which case every writing
-	// commit takes the solo path below.
-	batcher *commitBatcher
 
 	// nextTS is the commit-timestamp allocation sequence.
 	nextTS atomic.Uint64
@@ -70,30 +68,21 @@ type siProtocol struct {
 	// snaps registers live snapshots for the GC watermark.
 	snaps snapRegistry
 
-	// Group-commit observability, resolved once at construction.
-	hBatchSize    *obs.Histogram // members per executed batch
-	cBatches      *obs.Counter   // batches executed
-	cBatchMembers *obs.Counter   // commit requests decided inside a batch
-	cSoloCommits  *obs.Counter   // commit requests through the solo path
+	// The ordered-publish gate (publish): commits whose predecessor
+	// has not published yet park on pubCond; pubWaiters counts them so
+	// that an uncontended publish never touches pubMu.
+	pubWaiters atomic.Int32
+	pubMu      sync.Mutex
+	pubCond    sync.Cond
 }
 
-func newSIProtocol(cfg Config, reg *obs.Registry) *siProtocol {
+func newSIProtocol(cfg Config) *siProtocol {
 	st := cfg.Driver
 	if st == nil {
 		st = storage.NewMem()
 	}
 	p := &siProtocol{store: st}
-	if !cfg.DisableGroupCommit {
-		p.batcher = newCommitBatcher(p)
-	}
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	lbl := obs.L("engine", SI.String())
-	p.hBatchSize = reg.Histogram("engine_commit_batch_size", lbl)
-	p.cBatches = reg.Counter("engine_commit_batches_total", lbl)
-	p.cBatchMembers = reg.Counter("engine_commit_batch_members_total", lbl)
-	p.cSoloCommits = reg.Counter("engine_commit_solo_total", lbl)
+	p.pubCond.L = &p.pubMu
 	// A driver restored from a log already holds versions; seed the
 	// allocator above them so fresh commits stay monotonic and fresh
 	// snapshots see the recovered state.
@@ -126,11 +115,6 @@ type siTx struct {
 	done   bool
 }
 
-// snapshot implements the engine's snapshotted interface: SI reads
-// are pure functions of the begin snapshot, which is what makes the
-// per-session read cache sound.
-func (t *siTx) snapshot() uint64 { return t.ticket.snap }
-
 func (t *siTx) read(x model.Obj) (model.Value, error) {
 	v, ok := t.p.store.ReadAt(x, t.ticket.snap)
 	if !ok {
@@ -139,38 +123,30 @@ func (t *siTx) read(x model.Obj) (model.Value, error) {
 	return v.Val, nil
 }
 
+// commit is the one SI commit procedure: one lock window over the
+// write set's shards, first-committer-wins validation, one timestamp,
+// install, one staged WAL record, Unlock (append + join the log's
+// group fsync), in-order publish. It is the path of record for the
+// DESIGN.md §10/§12 soundness arguments.
 func (t *siTx) commit(req commitReq) (uint64, error) {
 	p := t.p
 	defer t.finish()
+	tr := req.trace
 	if len(req.writes) == 0 {
 		// Read-only transactions always commit under SI: no lock, no
 		// validation, no publish. Mark the terminal stage anyway so the
 		// commit stays attributable in /trace/{id} span trees.
-		req.trace.Mark(txtrace.StageROCommit)
+		tr.Mark(txtrace.StageROCommit)
 		return 0, nil
 	}
-	if p.batcher != nil {
-		return p.batcher.commit(t, req)
-	}
-	return t.commitSolo(req)
-}
-
-// commitSolo is the single-transaction commit path: one lock window,
-// one WAL record and fsync negotiation, one publish CAS. It is the
-// path of record for the DESIGN.md §10/§12 soundness arguments; the
-// group-commit path (commitBatch) preserves them batch-wise, and
-// requests that overlap a forming batch fall back to this path.
-func (t *siTx) commitSolo(req commitReq) (uint64, error) {
-	p := t.p
-	p.cSoloCommits.Inc()
 	snap := t.ticket.snap
-	tr := req.trace
 	lock := p.store.LockObjs(req.order)
 	tr.Mark(txtrace.StageLockWait)
 	// Write-conflict detection: any object we wrote that gained a
 	// committed version after our snapshot aborts us. Holding every
 	// write-set shard makes validate-then-install atomic against any
-	// commit overlapping our write set.
+	// commit overlapping our write set. A loser allocates no
+	// timestamp, so it never leaves a gap the publish gate waits on.
 	for _, x := range req.order {
 		if lock.LatestTS(x) > snap {
 			tr.Mark(txtrace.StageValidate)
@@ -209,16 +185,10 @@ func (t *siTx) commitSolo(req commitReq) (uint64, error) {
 	// For a durable driver, Unlock appends the staged record inside
 	// the critical section, releases the shards, and returns only once
 	// the record is fsynced — so the publication below never exposes
-	// an un-synced commit.
+	// an un-synced commit. Concurrent commits meet in the log's group
+	// fsync, which is the stack's only commit batching.
 	lock.Unlock()
-	// Publish, strictly in allocation order: timestamp ts becomes
-	// visible to snapshots only when everything at or below it is
-	// installed (and, for durable drivers, synced). The wait is the
-	// short install window of the (at most one) predecessor still
-	// installing.
-	for !p.commitTS.CompareAndSwap(ts-1, ts) {
-		runtime.Gosched()
-	}
+	p.publish(ts)
 	tr.Mark(txtrace.StagePublish)
 	var lsn uint64
 	if dw, ok := lock.(storage.DurableWindow); ok {
@@ -235,131 +205,35 @@ func (t *siTx) commitSolo(req commitReq) (uint64, error) {
 	return lsn, installErr
 }
 
-// batchResult is one member's outcome from commitBatch, indexed like
-// the batch.
-type batchResult struct {
-	lsn uint64
-	err error
-}
-
-// commitBatch commits a batch of pairwise-disjoint commit requests
-// under one union lock window: validate every member against its own
-// snapshot, install the winners at contiguous timestamps, stage one
-// contiguous WAL record group (single fsync), and publish the whole
-// range with one commitTS advance. Members that fail first-committer-
-// wins validation get ErrConflict and fall out (Transact retries
-// them). Disjointness makes per-member validation order irrelevant —
-// no member writes an object another member writes, so no member's
-// install can invalidate another's validation (DESIGN.md §15).
+// publish is the ordered-publish gate: it advances commitTS from ts-1
+// to ts, so timestamp ts becomes visible to snapshots only when
+// everything at or below it is installed (and, for durable drivers,
+// synced). When the predecessor has already published — the common
+// case — that is one successful CAS and no lock. Otherwise the commit
+// parks on pubCond until its turn comes, and every publisher wakes the
+// parked commits when there are any.
 //
-// Pipeline stages are marked on the leader's trace (batch[0]);
-// followers mark their own batch_wait span when they wake.
-func (p *siProtocol) commitBatch(batch []*batchReq) []batchResult {
-	results := make([]batchResult, len(batch))
-	tr := batch[0].req.trace
-	nObjs := 0
-	for _, m := range batch {
-		nObjs += len(m.req.order)
-	}
-	union := make([]model.Obj, 0, nObjs)
-	for _, m := range batch {
-		union = append(union, m.req.order...)
-	}
-	lock := p.store.LockBatch(union)
-	tr.Mark(txtrace.StageLockWait)
-	// First-committer-wins per member: any object a member wrote that
-	// gained a committed version after that member's snapshot aborts
-	// the member (and only it). Holding the whole union makes every
-	// member's validate-then-install atomic against outside commits,
-	// exactly as the solo window does for one transaction.
-	winners := make([]*batchReq, 0, len(batch))
-	widx := make([]int, 0, len(batch))
-	for i, m := range batch {
-		ok := true
-		for _, x := range m.req.order {
-			if lock.LatestTS(x) > m.snap {
-				ok = false
-				break
-			}
+// No wake-up is lost: a waiter increments pubWaiters before re-trying
+// its CAS under pubMu, and a publisher loads pubWaiters after its CAS.
+// If the publisher reads zero, the waiter's increment — and so its
+// re-tried CAS — comes after the publisher's CAS and succeeds; if it
+// reads non-zero it broadcasts under pubMu, which the waiter holds
+// from its failed CAS until it is parked in Wait.
+func (p *siProtocol) publish(ts uint64) {
+	if !p.commitTS.CompareAndSwap(ts-1, ts) {
+		p.pubWaiters.Add(1)
+		p.pubMu.Lock()
+		for !p.commitTS.CompareAndSwap(ts-1, ts) {
+			p.pubCond.Wait()
 		}
-		if !ok {
-			results[i].err = ErrConflict
-			continue
-		}
-		winners = append(winners, m)
-		widx = append(widx, i)
+		p.pubMu.Unlock()
+		p.pubWaiters.Add(-1)
 	}
-	tr.Mark(txtrace.StageValidate)
-	if len(winners) == 0 {
-		// Every member lost; nothing to install, log or publish. The
-		// leader's trace ends at validate, like a solo conflict.
-		lock.Unlock()
-		p.observeBatch(len(batch))
-		return results
+	if p.pubWaiters.Load() != 0 {
+		p.pubMu.Lock()
+		p.pubCond.Broadcast()
+		p.pubMu.Unlock()
 	}
-	// Allocate a contiguous timestamp range for the winners; member k
-	// installs at base+k+1 (arrival order — any order is correct, the
-	// write sets being disjoint).
-	n := uint64(len(winners))
-	base := p.nextTS.Add(n) - n
-	recs := make([]storage.CommitRecord, 0, len(winners))
-	for k, m := range winners {
-		ts := base + uint64(k) + 1
-		for _, x := range m.req.order {
-			if err := lock.Install(x, storage.Version{Val: m.req.writes[x], TS: ts}); err != nil {
-				// Unreachable while the union shards are held (see the
-				// solo path); surface it to the member after publish.
-				if results[widx[k]].err == nil {
-					results[widx[k]].err = err
-				}
-			}
-		}
-		recs = append(recs, storage.CommitRecord{TS: ts, Session: m.req.session, TxID: m.req.txid, Ops: m.req.ops})
-	}
-	tr.Mark(txtrace.StageInstall)
-	// One contiguous record group, staged while the union shards are
-	// held so per-object log order matches timestamp order.
-	lock.LogCommitBatch(recs)
-	if tr != nil {
-		if ta, ok := lock.(storage.TraceAttacher); ok {
-			ta.AttachTrace(tr)
-		}
-	}
-	// Durable drivers append the group and fsync once inside Unlock.
-	lock.Unlock()
-	// Publish the whole batch with one in-order CAS: the range
-	// (base, base+n] becomes visible atomically once every timestamp
-	// at or below base is published.
-	for !p.commitTS.CompareAndSwap(base, base+n) {
-		runtime.Gosched()
-	}
-	tr.MarkAttrs(txtrace.StagePublish, map[string]int64{
-		"batch_size":    int64(len(batch)),
-		"batch_winners": int64(len(winners)),
-	})
-	// One group LSN covers every member: the group's last record is
-	// fsynced, hence so is every record before it.
-	var lsn uint64
-	var syncErr error
-	if dw, ok := lock.(storage.DurableWindow); ok {
-		lsn, syncErr = dw.Durable()
-	}
-	for _, i := range widx {
-		results[i].lsn = lsn
-		if results[i].err == nil {
-			results[i].err = syncErr
-		}
-	}
-	p.observeBatch(len(batch))
-	return results
-}
-
-// observeBatch records group-commit observability for one executed
-// batch of the given size.
-func (p *siProtocol) observeBatch(size int) {
-	p.cBatches.Inc()
-	p.cBatchMembers.Add(int64(size))
-	p.hBatchSize.Observe(int64(size))
 }
 
 func (t *siTx) abort() { t.finish() }

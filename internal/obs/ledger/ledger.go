@@ -86,14 +86,6 @@ type BenchReport struct {
 	// gate never reads it (only the headline throughput metrics gate).
 	Stages []StageLatency `json:"stages,omitempty"`
 
-	// GroupCommit summarises the SI commit sequencer's batch
-	// accounting (see internal/engine/batcher.go). Absent when the run
-	// executed no batches (sequencer disabled, non-SI engine, or a
-	// network run where the accounting lives in the server's metrics),
-	// so pre-batching ledger lines parse unchanged; the -compare gate
-	// never reads it.
-	GroupCommit *GroupCommitStats `json:"group_commit,omitempty"`
-
 	// Note carries free-form provenance for recorded artifacts (for
 	// example the host's core count); sibench round-trips it.
 	Note string `json:"note,omitempty"`
@@ -130,32 +122,6 @@ type SweepPoint struct {
 	Reps         int     `json:"reps,omitempty"`
 	MinTxsPerSec float64 `json:"min_txs_per_sec,omitempty"`
 	MaxTxsPerSec float64 `json:"max_txs_per_sec,omitempty"`
-
-	// GroupCommit is the point's batch accounting (the recorded
-	// repetition's registry); absent when no batches executed.
-	GroupCommit *GroupCommitStats `json:"group_commit,omitempty"`
-}
-
-// GroupCommitStats is the batch-size distribution of the SI
-// group-commit sequencer for one run, read from the
-// engine_commit_batch_* series: how many union lock windows (batches)
-// the run's writing commits collapsed into, how the solo fall-out
-// path was used, and the shape of the batch-size histogram.
-type GroupCommitStats struct {
-	// Batches is the number of executed batches — each one lock
-	// window, one WAL record group with a single fsync, and one
-	// publish advance, however many members it carried.
-	Batches int64 `json:"batches"`
-	// BatchedCommits is the total number of commit requests decided
-	// inside batches (batch members); BatchedCommits/Batches is the
-	// mean batch size.
-	BatchedCommits int64 `json:"batched_commits"`
-	// SoloCommits counts requests that fell out to the solo path
-	// (write set overlapped a forming batch, or the sequencer was
-	// disabled).
-	SoloCommits  int64   `json:"solo_commits"`
-	P50BatchSize float64 `json:"p50_batch_size"`
-	P99BatchSize float64 `json:"p99_batch_size"`
 }
 
 // CheckerBench is a hand-recorded result of

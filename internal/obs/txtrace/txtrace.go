@@ -53,12 +53,6 @@ const (
 	// no validation, no publish) so read-only transactions still carry
 	// an attributable commit span instead of jumping straight to ack.
 	StageROCommit Stage = "ro_commit"
-	// StageBatchWait covers waiting in the SI group-commit sequencer:
-	// the time between enqueueing a commit request and a batch leader
-	// deciding it. Attrs carry the batch size the request was decided
-	// in, and solo=1 when the request overlapped the forming batch and
-	// fell out to the solo commit path.
-	StageBatchWait Stage = "batch_wait"
 	// StageLockWait covers acquiring the write-set's shard locks in
 	// ascending shard order (PSI/SSI: the engine-wide mutex).
 	StageLockWait Stage = "lock_wait"
@@ -106,8 +100,7 @@ const (
 // aggregates; unknown stages sort after these, alphabetically.
 var stageOrder = []Stage{
 	StageWireBegin, StageWireOps, StageWireCommit,
-	StageBeginWait, StageReads, StageROCommit, StageBatchWait,
-	StageLockWait, StageValidate,
+	StageBeginWait, StageReads, StageROCommit, StageLockWait, StageValidate,
 	StageInstall, StageWALAppend, StageFsyncWait, StagePublish, StageAck,
 }
 
