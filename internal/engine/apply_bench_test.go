@@ -49,13 +49,21 @@ func BenchmarkPSIApply(b *testing.B) {
 	db.Flush() // the timed apply: b.N staged commits × objsPerCommit installs
 }
 
-// BenchmarkSICommitDisjoint measures the multicore SI commit path:
-// every worker owns a private object, so commits validate and install
-// under disjoint shard locks and only meet at the publication
-// handoff. Run with -cpu 1,4,8 to see the scaling the global-mutex
-// seed engine could not provide.
+// BenchmarkSICommitDisjoint measures the multicore commit path SI and
+// SSI share: every worker read-modify-writes a private object (so
+// SSI's SIREAD and veto run too), commits validate and install under
+// disjoint shard locks and only meet at the publication handoff — and,
+// under SSI, at the tracker mutex. Run with -cpu 1,2,4 to see the
+// scaling. A bare loop for traffic BENCHMARK.json cannot see (all six
+// workloads there are SI): EXPERIMENTS.md E36 records it.
 func BenchmarkSICommitDisjoint(b *testing.B) {
-	db, err := New(SI, Config{})
+	for _, kind := range []Kind{SI, SSI} {
+		b.Run(kind.String(), func(b *testing.B) { benchCommitDisjoint(b, kind) })
+	}
+}
+
+func benchCommitDisjoint(b *testing.B, kind Kind) {
+	db, err := New(kind, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,10 +82,15 @@ func BenchmarkSICommitDisjoint(b *testing.B) {
 		id := int(next.Add(1)) - 1
 		sess := db.Session(fmt.Sprintf("bench%d", id))
 		obj := model.Obj(fmt.Sprintf("d%d", id%pool))
-		v := model.Value(0)
 		for pb.Next() {
-			v++
-			if err := sess.Transact(func(tx *Tx) error { return tx.Write(obj, v) }); err != nil {
+			err := sess.Transact(func(tx *Tx) error {
+				v, err := tx.Read(obj)
+				if err != nil {
+					return err
+				}
+				return tx.Write(obj, v+1)
+			})
+			if err != nil {
 				b.Error(err)
 				return
 			}

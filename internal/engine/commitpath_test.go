@@ -13,29 +13,38 @@ import (
 	"sian/internal/workload"
 )
 
-// TestGroupCommitDifferentialCertification certifies the SI commit
-// path against the paper's definition from both sides: a disjoint and
-// a 2-hot-key closed loop run to completion, and each history must be
-// a member of SI for the offline checker (check.Certify) and for the
-// online monitor over the recorded event stream, with the commit
-// count exact. Run under -race in CI, this pins the lock window and the
-// ordered-publish gate to the SI definition. (The only group commit in
-// the stack is the WAL's group fsync; the engine has one commit path.)
-func TestGroupCommitDifferentialCertification(t *testing.T) {
+// TestCommitPathCertification certifies the one commit path against
+// the paper's definitions from both sides, for each engine kind that
+// runs on it and the model that kind promises (SI → SI, SSI → SER): a
+// disjoint and a 2-hot-key closed loop — and, for SSI, a wider
+// 8-session hot-key loop that keeps the veto busy — run to completion,
+// and each history must be a member of the model for the offline
+// checker (check.Certify) and for the online monitor over the recorded
+// event stream, with the commit count exact. Run under -race in CI,
+// this pins the lock window, the SSI veto taken inside it and the
+// ordered-publish gate to the definitions.
+func TestCommitPathCertification(t *testing.T) {
 	t.Parallel()
+	disjoint := workload.ClosedLoopConfig{Sessions: 4, Ops: 20, Objects: 4, Disjoint: true, Seed: 11}
+	hotkeys := workload.ClosedLoopConfig{Sessions: 6, Ops: 15, Objects: 32, HotKeys: 2, Seed: 12}
 	configs := []struct {
-		name string
-		cfg  workload.ClosedLoopConfig
+		kind  engine.Kind
+		model depgraph.Model
+		name  string
+		cfg   workload.ClosedLoopConfig
 	}{
-		{"disjoint", workload.ClosedLoopConfig{Sessions: 4, Ops: 20, Objects: 4, Disjoint: true, Seed: 11}},
-		{"hotkeys", workload.ClosedLoopConfig{Sessions: 6, Ops: 15, Objects: 32, HotKeys: 2, Seed: 12}},
+		{engine.SI, depgraph.SI, "disjoint", disjoint},
+		{engine.SI, depgraph.SI, "hotkeys", hotkeys},
+		{engine.SSI, depgraph.SER, "disjoint", disjoint},
+		{engine.SSI, depgraph.SER, "hotkeys", hotkeys},
+		{engine.SSI, depgraph.SER, "hot8", workload.ClosedLoopConfig{Sessions: 8, Ops: 10, Objects: 16, HotKeys: 2, Seed: 13}},
 	}
 	for _, tc := range configs {
 		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.kind.String()+"/"+tc.name, func(t *testing.T) {
 			t.Parallel()
 			rec := eventlog.NewRecorder(1 << 17)
-			db, err := engine.New(engine.SI, engine.Config{Recorder: rec})
+			db, err := engine.New(tc.kind, engine.Config{Recorder: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,15 +59,15 @@ func TestGroupCommitDifferentialCertification(t *testing.T) {
 			}
 			db.Flush()
 
-			// Offline: the complete recorded history must be SI.
-			res, err := check.Certify(db.History(), depgraph.SI, check.Options{
+			// Offline: the complete recorded history must be in the model.
+			res, err := check.Certify(db.History(), tc.model, check.Options{
 				NoInit: true, PinInit: true, Budget: 5_000_000,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.Member {
-				t.Fatalf("history not allowed by SI: %v", res.Explain)
+				t.Fatalf("history not allowed by %v: %v", tc.model, res.Explain)
 			}
 
 			// Online: the monitor over the same event stream must agree,
@@ -66,7 +75,7 @@ func TestGroupCommitDifferentialCertification(t *testing.T) {
 			if dropped := rec.Dropped(); dropped > 0 {
 				t.Fatalf("recorder dropped %d events; raise the ring capacity", dropped)
 			}
-			mon := monitor.New(monitor.Config{Model: depgraph.SI})
+			mon := monitor.New(monitor.Config{Model: tc.model})
 			for _, ev := range rec.Events() {
 				mon.Ingest(ev)
 			}
@@ -123,15 +132,9 @@ func TestReadOnlyCommitTraceStage(t *testing.T) {
 			if td.Outcome != txtrace.OutcomeCommit {
 				t.Fatalf("outcome = %s", td.Outcome)
 			}
-			// SI and PSI read-only commits touch no lock; SSI must take
-			// the engine mutex even when read-only (its SIREADs stay
-			// relevant to later writers), so it honestly reports a
-			// lock_wait span first.
-			want := []txtrace.Stage{txtrace.StageBeginWait, txtrace.StageReads}
-			if kind == engine.SSI {
-				want = append(want, txtrace.StageLockWait)
+			want := []txtrace.Stage{
+				txtrace.StageBeginWait, txtrace.StageReads, txtrace.StageROCommit, txtrace.StageAck,
 			}
-			want = append(want, txtrace.StageROCommit, txtrace.StageAck)
 			if len(td.Spans) != len(want) {
 				t.Fatalf("spans: %v", td.Spans)
 			}

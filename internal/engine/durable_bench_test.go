@@ -13,30 +13,35 @@ import (
 )
 
 // BenchmarkDurableCommit guards the traffic BENCHMARK.json cannot see
-// (no workload there has more than 2 sessions): a bare closed loop of
-// N sessions over storage/wal with fsync on, each session on a private
+// (no workload there has more than 2 sessions, and none runs SSI): a
+// bare closed loop of N sessions of each durable kind (SI, SSI) over
+// storage/wal with fsync on, each session on a private
 // 8-key pool running 2 reads + 2 read-modify-writes per transaction.
 // With many sessions the WAL's group fsync is the only batching left
 // on the commit path, so the loop reports, besides txs/s, how many
 // appended records each fsync covered (wal_appends_total /
-// wal_syncs_total). A bare loop, not a benchmark claim: EXPERIMENTS.md
-// E35 records it next to the benchmark/run.sh pairs.
+// wal_syncs_total) and how many records each commit appended
+// (appends/commit: 1, one record per transaction, for both kinds). A
+// bare loop, not a benchmark claim: EXPERIMENTS.md E35 and E36 record
+// it next to the benchmark/run.sh pairs.
 func BenchmarkDurableCommit(b *testing.B) {
-	for _, sessions := range []int{2, 8, 32} {
-		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
-			benchDurableCommit(b, sessions)
-		})
+	for _, kind := range []Kind{SI, SSI} {
+		for _, sessions := range []int{2, 8, 32} {
+			b.Run(fmt.Sprintf("%v/sessions=%d", kind, sessions), func(b *testing.B) {
+				benchDurableCommit(b, kind, sessions)
+			})
+		}
 	}
 }
 
-func benchDurableCommit(b *testing.B, sessions int) {
+func benchDurableCommit(b *testing.B, kind Kind, sessions int) {
 	const pool = 8
 	reg := obs.NewRegistry()
 	drv, err := wal.Open(wal.Options{Dir: b.TempDir(), Metrics: reg})
 	if err != nil {
 		b.Fatal(err)
 	}
-	db, err := New(SI, Config{Driver: drv})
+	db, err := New(kind, Config{Driver: drv})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,7 +57,7 @@ func benchDurableCommit(b *testing.B, sessions int) {
 		b.Fatal(err)
 	}
 	appends, syncs := reg.Counter("wal_appends_total"), reg.Counter("wal_syncs_total")
-	appends0, syncs0 := appends.Value(), syncs.Value()
+	appends0, syncs0, commits0 := appends.Value(), syncs.Value(), db.Stats().Commits
 
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -92,5 +97,8 @@ func benchDurableCommit(b *testing.B, sessions int) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "txs/s")
 	if n := syncs.Value() - syncs0; n > 0 {
 		b.ReportMetric(float64(appends.Value()-appends0)/float64(n), "appends/sync")
+	}
+	if n := db.Stats().Commits - commits0; n > 0 {
+		b.ReportMetric(float64(appends.Value()-appends0)/float64(n), "appends/commit")
 	}
 }

@@ -1,11 +1,16 @@
 // Package engine implements in-process transactional storage engines
-// for the three consistency models the paper analyses:
+// for the three consistency models the paper analyses — two of them for
+// serializability:
 //
 //   - SI: multi-version concurrency control with start-timestamp
 //     snapshots and first-committer-wins write-conflict detection —
 //     the idealised algorithm of §1 of the paper;
+//   - SSI: that same commit path plus a run-time veto on Theorem 19's
+//     signature of non-serializable SI executions (two adjacent
+//     anti-dependencies between concurrent transactions), so its
+//     histories are serializable;
 //   - SER: strict two-phase locking over a single-version store
-//     (serializable);
+//     (serializable) — the independent oracle SSI is compared against;
 //   - PSI: one replica per session with local snapshots, global
 //     write-conflict detection and asynchronous causal propagation of
 //     commit logs (parallel snapshot isolation [31]).
@@ -86,10 +91,11 @@ type Config struct {
 	// only; PSI manages one in-memory store per replica and SER keeps
 	// no multi-version store at all). Nil selects a fresh in-memory
 	// driver (storage.NewMem). Passing a storage/wal driver makes
-	// commits durable: the SI commit window appends a CRC-framed
-	// record (full op list included) and fsyncs it before the commit
-	// timestamp is published, and commit events then carry the durable
-	// log sequence number. The DB owns the driver: Close closes it.
+	// commits durable: the commit window SI and SSI share appends one
+	// CRC-framed record per transaction (full op list included) and
+	// fsyncs it before the commit timestamp is published, and commit
+	// events then carry the durable log sequence number. The DB owns
+	// the driver: Close closes it.
 	Driver storage.Driver
 	// MaxRetries bounds Transact's automatic conflict retries;
 	// defaults to 10000.
@@ -269,7 +275,9 @@ func New(kind Kind, cfg Config) (*DB, error) {
 	case PSI:
 		db.impl = newPSIProtocol(cfg)
 	case SSI:
-		db.impl = newSSIProtocol(cfg)
+		p := newSIProtocol(cfg)
+		p.ssi = newSSITracker()
+		db.impl = p
 	default:
 		return nil, fmt.Errorf("engine: unknown kind %v", kind)
 	}

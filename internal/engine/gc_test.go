@@ -8,39 +8,48 @@ import (
 	"sian/internal/model"
 )
 
+// TestCompactSI: Compact truncates the version chains of both kinds on
+// the siProtocol commit path — SSI's too, whose tracker never reads the
+// store to recognise writers.
 func TestCompactSI(t *testing.T) {
 	t.Parallel()
-	db := newDB(t, SI, Config{})
-	if err := db.Initialize(map[model.Obj]model.Value{"x": 0}); err != nil {
-		t.Fatal(err)
-	}
-	s := db.Session("s")
-	for i := 1; i <= 20; i++ {
-		if err := s.Transact(func(tx *Tx) error { return tx.Write("x", model.Value(i)) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dropped := db.Compact()
-	if dropped != 20 { // 21 versions, latest survives
-		t.Errorf("Compact dropped %d versions, want 20", dropped)
-	}
-	// Reads still see the latest value.
-	err := s.Transact(func(tx *Tx) error {
-		v, err := tx.Read("x")
-		if err != nil {
-			return err
-		}
-		if v != 20 {
-			t.Errorf("x = %d after GC", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Nothing further to drop.
-	if d := db.Compact(); d != 0 {
-		t.Errorf("second Compact dropped %d", d)
+	for _, kind := range []Kind{SI, SSI} {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			t.Parallel()
+			db := newDB(t, kind, Config{})
+			if err := db.Initialize(map[model.Obj]model.Value{"x": 0}); err != nil {
+				t.Fatal(err)
+			}
+			s := db.Session("s")
+			for i := 1; i <= 20; i++ {
+				if err := s.Transact(func(tx *Tx) error { return tx.Write("x", model.Value(i)) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dropped := db.Compact()
+			if dropped != 20 { // 21 versions, latest survives
+				t.Errorf("Compact dropped %d versions, want 20", dropped)
+			}
+			// Reads still see the latest value.
+			err := s.Transact(func(tx *Tx) error {
+				v, err := tx.Read("x")
+				if err != nil {
+					return err
+				}
+				if v != 20 {
+					t.Errorf("x = %d after GC", v)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Nothing further to drop.
+			if d := db.Compact(); d != 0 {
+				t.Errorf("second Compact dropped %d", d)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"sian/internal/check"
+	"sian/internal/depgraph"
 	"sian/internal/model"
 	"sian/internal/storage"
 )
@@ -47,7 +49,8 @@ func (w *holdWindow) Unlock() {
 	}
 }
 
-// gateFixture is one SI engine over a holdDriver with keys a, b, c, h
+// gateFixture is one engine of the given kind (SI or SSI: the kinds on
+// the siProtocol commit path) over a holdDriver with keys a, b, c, h
 // initialised to 0.
 type gateFixture struct {
 	t   *testing.T
@@ -56,14 +59,14 @@ type gateFixture struct {
 	drv *holdDriver
 }
 
-func newGateFixture(t *testing.T) *gateFixture {
+func newGateFixture(t *testing.T, kind Kind) *gateFixture {
 	t.Helper()
 	drv := &holdDriver{
 		Driver:  storage.NewMem(),
 		entered: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	db, err := New(SI, Config{Driver: drv})
+	db, err := New(kind, Config{Driver: drv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +150,7 @@ func (f *gateFixture) awaitEntered() {
 // wake-up between a parking commit and its publisher fails here.
 func TestPublishGateOrdersVisibility(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
-		f := newGateFixture(t)
+		f := newGateFixture(t, SI)
 		base := f.p.commitTS.Load()
 		a := f.write("a")
 		f.awaitEntered() // A holds timestamp base+1, unpublished
@@ -189,45 +192,164 @@ func TestPublishGateOrdersVisibility(t *testing.T) {
 	}
 }
 
-// TestPublishGateConflictLeavesNoGap shows that a first-committer-wins
-// loser allocates no timestamp: while A (timestamp k) is held, L loses
-// on h and returns ErrConflict at once, and B — which then gets k+1,
-// not k+2 — parks behind A only. If L had burnt a timestamp, B would
-// wait forever on a predecessor that never publishes.
+// TestPublishGateConflictLeavesNoGap shows that a commit refused
+// inside its window allocates no timestamp: while A (timestamp k) is
+// held, L loses first-committer-wins on h and returns ErrConflict at
+// once, and B — which then gets k+1, not k+2 — parks behind A only. If
+// L had burnt a timestamp, B would wait forever on a predecessor that
+// never publishes. Under SSI a second refusal sits between the parked
+// pair: V reads a below the held A (V —rw→ A) and writes c, which the
+// open transaction Q has read (Q —rw→ V), so V would commit as a pivot
+// and is vetoed — again without a timestamp.
 func TestPublishGateConflictLeavesNoGap(t *testing.T) {
+	for _, kind := range []Kind{SI, SSI} {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			for iter := 0; iter < 200; iter++ {
+				f := newGateFixture(t, kind)
+				// L snapshots, then loses h to a commit that publishes normally.
+				l := f.begin("L")
+				if err := l.Write("h", 2); err != nil {
+					t.Fatal(err)
+				}
+				f.await("H", f.write("h"))
+				base := f.p.commitTS.Load()
+
+				a := f.write("a")
+				f.awaitEntered()
+				f.awaitConflict("L (first-committer-wins)", f.commit(l))
+				if kind == SSI {
+					q := f.begin("Q")
+					f.read(q, "c", 0)
+					v := f.begin("V")
+					f.read(v, "a", 0)
+					if err := v.Write("c", 3); err != nil {
+						t.Fatal(err)
+					}
+					f.awaitConflict("V (the SSI veto)", f.commit(v))
+					q.Abort()
+				}
+				b := f.write("b")
+				f.awaitParked(1)
+				if got := f.p.nextTS.Load(); got != base+2 {
+					t.Fatalf("iter %d: nextTS = %d, want %d (a refused commit must not allocate)", iter, got, base+2)
+				}
+
+				close(f.drv.release)
+				f.await("A", a)
+				f.await("B", b)
+				if got := f.p.commitTS.Load(); got != base+2 {
+					t.Fatalf("iter %d: commitTS = %d, want %d", iter, got, base+2)
+				}
+				if vals := f.snapshot("a", "b", "c", "h"); vals[0] != 1 || vals[1] != 1 || vals[2] != 0 || vals[3] != 1 {
+					t.Fatalf("iter %d: snapshot sees %v", iter, vals)
+				}
+				f.db.Close()
+			}
+		})
+	}
+}
+
+// begin starts a manual transaction on its own session.
+func (f *gateFixture) begin(name string) *ManualTx {
+	f.t.Helper()
+	m, err := f.db.Session(name).Begin(name)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	return m
+}
+
+// commit commits m on its own goroutine, so that a commit wrongly let
+// through — which would park in the gate — fails a bounded wait.
+func (f *gateFixture) commit(m *ManualTx) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- m.Commit() }()
+	return done
+}
+
+// awaitConflict receives ErrConflict from a commit within the timeout.
+func (f *gateFixture) awaitConflict(what string, done <-chan error) {
+	f.t.Helper()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrConflict) {
+			f.t.Fatalf("%s: commit = %v, want ErrConflict", what, err)
+		}
+	case <-time.After(gateTimeout):
+		f.t.Fatalf("%s: commit was let through and parked in the publish gate", what)
+	}
+}
+
+// read reads x in m and checks the value.
+func (f *gateFixture) read(m *ManualTx, x model.Obj, want model.Value) {
+	f.t.Helper()
+	if v, err := m.Read(x); err != nil || v != want {
+		f.t.Fatalf("read %s = %d, %v; want %d", x, v, err, want)
+	}
+}
+
+// TestSSIWriteSkewAcrossHeldWindow stages the schedule only the
+// writers table catches: T1 reads b, writes a and is parked inside
+// Unlock — vetted, installed, unpublished, past its point of no return.
+// T2 then begins, reads a (still the old value: T2 —rw→ T1, which no
+// store probe at a published timestamp would reveal) and writes b
+// (T1 —rw→ T2). Committing both is write skew, so T2 must be vetoed;
+// once T1 is released the history certifies serializable.
+func TestSSIWriteSkewAcrossHeldWindow(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
-		f := newGateFixture(t)
-		// L snapshots, then loses h to a commit that publishes normally.
-		l, err := f.db.Session("loser").Begin("L")
+		f := newGateFixture(t, SSI)
+		t1 := f.begin("T1")
+		f.read(t1, "b", 0)
+		if err := t1.Write("a", 1); err != nil {
+			t.Fatal(err)
+		}
+		done := f.commit(t1)
+		f.awaitEntered()
+
+		t2 := f.begin("T2")
+		f.read(t2, "a", 0)
+		if err := t2.Write("b", 1); err != nil {
+			t.Fatal(err)
+		}
+		f.awaitConflict("T2 (T1 is past its veto)", f.commit(t2))
+
+		close(f.drv.release)
+		f.await("T1", done)
+		if vals := f.snapshot("a", "b"); vals[0] != 1 || vals[1] != 0 {
+			t.Fatalf("iter %d: snapshot sees %v, want [1 0]", iter, vals)
+		}
+		res, err := check.Certify(f.db.History(), depgraph.SER, check.Options{NoInit: true, PinInit: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Write("h", 2); err != nil {
-			t.Fatal(err)
+		if !res.Member {
+			t.Fatalf("iter %d: history not serializable: %v", iter, res.Explain)
 		}
-		f.await("H", f.write("h"))
-		base := f.p.commitTS.Load()
+		f.db.Close()
+	}
+}
 
+// TestSSIReaderNeverBlocksOnHeldWriter: a transaction that only reads
+// — the held writer's own key included — finishes while the writer is
+// parked: reads take the tracker mutex only, never a commit window.
+func TestSSIReaderNeverBlocksOnHeldWriter(t *testing.T) {
+	for iter := 0; iter < 200; iter++ {
+		f := newGateFixture(t, SSI)
 		a := f.write("a")
 		f.awaitEntered()
-		if err := l.Commit(); !errors.Is(err, ErrConflict) {
-			t.Fatalf("iter %d: L commit = %v, want ErrConflict", iter, err)
+		read := make(chan []model.Value, 1)
+		go func() { read <- f.snapshot("a", "b", "c") }()
+		select {
+		case vals := <-read:
+			if vals[0] != 0 || vals[1] != 0 || vals[2] != 0 {
+				t.Fatalf("iter %d: reader sees %v before A published", iter, vals)
+			}
+		case <-time.After(gateTimeout):
+			t.Fatalf("iter %d: read-only transaction blocked behind a held writer", iter)
 		}
-		b := f.write("b")
-		f.awaitParked(1)
-		if got := f.p.nextTS.Load(); got != base+2 {
-			t.Fatalf("iter %d: nextTS = %d, want %d (the loser must not allocate)", iter, got, base+2)
-		}
-
 		close(f.drv.release)
 		f.await("A", a)
-		f.await("B", b)
-		if got := f.p.commitTS.Load(); got != base+2 {
-			t.Fatalf("iter %d: commitTS = %d, want %d", iter, got, base+2)
-		}
-		if vals := f.snapshot("a", "b", "h"); vals[0] != 1 || vals[1] != 1 || vals[2] != 1 {
-			t.Fatalf("iter %d: snapshot sees %v", iter, vals)
-		}
 		f.db.Close()
 	}
 }

@@ -11,6 +11,11 @@ import (
 // until the transaction ends). Lock conflicts use a no-wait policy —
 // the requester aborts with ErrConflict and Transact retries — which
 // trades extra aborts for deadlock freedom.
+//
+// It is the independent SER oracle: the workload tests and sitables run
+// it beside SSI (si.go + ssi.go) and expect the same verdicts, so it
+// deliberately shares nothing with that path — no storage driver, no
+// snapshots, no timestamps — and a bug there cannot hide in both.
 type serProtocol struct {
 	mu    sync.Mutex
 	vals  map[model.Obj]model.Value

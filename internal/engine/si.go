@@ -58,6 +58,9 @@ import (
 // order — so are all its predecessors; see DESIGN.md §12.
 type siProtocol struct {
 	store storage.Driver
+	// ssi, nil under SI, makes this SSI: reads and commits report to the
+	// dangerous-structure tracker of ssi.go, which may veto them.
+	ssi *ssiTracker
 
 	// nextTS is the commit-timestamp allocation sequence.
 	nextTS atomic.Uint64
@@ -99,8 +102,11 @@ func (p *siProtocol) ensureSite(int) {}
 func (p *siProtocol) close() error { return p.store.Close() }
 
 func (p *siProtocol) begin(int) (txProtocol, error) {
-	ticket := p.snaps.acquire(p.commitTS.Load)
-	return &siTx{p: p, ticket: ticket}, nil
+	t := &siTx{p: p, ticket: p.snaps.acquire(p.commitTS.Load)}
+	if p.ssi != nil {
+		t.rec = &ssiRecord{snap: t.ticket.snap}
+	}
+	return t, nil
 }
 
 // gc truncates version chains below the oldest live snapshot and
@@ -112,6 +118,7 @@ func (p *siProtocol) gc() int {
 type siTx struct {
 	p      *siProtocol
 	ticket snapTicket
+	rec    *ssiRecord // conflict flags; nil under SI
 	done   bool
 }
 
@@ -120,23 +127,26 @@ func (t *siTx) read(x model.Obj) (model.Value, error) {
 	if !ok {
 		return 0, ErrUninitialized
 	}
+	if t.rec != nil && !t.p.ssi.read(t.rec, x) {
+		return 0, ErrConflict
+	}
 	return v.Val, nil
 }
 
-// commit is the one SI commit procedure: one lock window over the
-// write set's shards, first-committer-wins validation, one timestamp,
-// install, one staged WAL record, Unlock (append + join the log's
-// group fsync), in-order publish. It is the path of record for the
-// DESIGN.md §10/§12 soundness arguments.
+// commit is the one commit procedure of SI and SSI: one lock window
+// over the write set's shards, first-committer-wins validation (then
+// the SSI veto), one timestamp, install, one staged WAL record, Unlock
+// (append + join the log's group fsync), in-order publish. It is the
+// path of record for the DESIGN.md §10/§12 soundness arguments.
 func (t *siTx) commit(req commitReq) (uint64, error) {
 	p := t.p
-	defer t.finish()
 	tr := req.trace
 	if len(req.writes) == 0 {
-		// Read-only transactions always commit under SI: no lock, no
-		// validation, no publish. Mark the terminal stage anyway so the
-		// commit stays attributable in /trace/{id} span trees.
+		// Read-only transactions always commit: no lock, no validation,
+		// no publish. Mark the terminal stage anyway so the commit stays
+		// attributable in /trace/{id} span trees.
 		tr.Mark(txtrace.StageROCommit)
+		t.finish(true)
 		return 0, nil
 	}
 	snap := t.ticket.snap
@@ -145,17 +155,30 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 	// Write-conflict detection: any object we wrote that gained a
 	// committed version after our snapshot aborts us. Holding every
 	// write-set shard makes validate-then-install atomic against any
-	// commit overlapping our write set. A loser allocates no
-	// timestamp, so it never leaves a gap the publish gate waits on.
+	// commit overlapping our write set. Under SSI a commit that would
+	// complete a dangerous structure is vetoed the same way. Neither
+	// loser allocates a timestamp, so neither leaves a gap the publish
+	// gate waits on.
+	ok := true
 	for _, x := range req.order {
 		if lock.LatestTS(x) > snap {
-			tr.Mark(txtrace.StageValidate)
-			lock.Unlock()
-			return 0, ErrConflict
+			ok = false
+			break
 		}
 	}
+	if ok && t.rec != nil {
+		ok = p.ssi.vet(t.rec, req.order)
+	}
 	tr.Mark(txtrace.StageValidate)
+	if !ok {
+		lock.Unlock()
+		t.finish(false)
+		return 0, ErrConflict
+	}
 	ts := p.nextTS.Add(1)
+	if t.rec != nil {
+		t.rec.stamp(ts)
+	}
 	var installErr error
 	for _, x := range req.order {
 		if err := lock.Install(x, storage.Version{Val: req.writes[x], TS: ts}); err != nil {
@@ -202,6 +225,7 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 			installErr = err
 		}
 	}
+	t.finish(true)
 	return lsn, installErr
 }
 
@@ -236,13 +260,21 @@ func (p *siProtocol) publish(ts uint64) {
 	}
 }
 
-func (t *siTx) abort() { t.finish() }
+func (t *siTx) abort() { t.finish(false) }
 
-// finish releases the snapshot registration exactly once.
-func (t *siTx) finish() {
+// finish releases the snapshot registration exactly once. Under SSI it
+// also ends the conflict-flag record at the published timestamp and,
+// when one is due, prunes the tracker against the registry watermark.
+func (t *siTx) finish(committed bool) {
 	if t.done {
 		return
 	}
 	t.done = true
-	t.p.snaps.release(t.ticket)
+	p := t.p
+	p.snaps.release(t.ticket)
+	if t.rec != nil {
+		if now := p.commitTS.Load(); p.ssi.end(t.rec, now, committed) {
+			p.ssi.prune(p.snaps.watermark(now))
+		}
+	}
 }

@@ -40,15 +40,15 @@ func TestTracedTransactStages(t *testing.T) {
 			if td.TxID == "" {
 				t.Error("trace has no txid")
 			}
-			// In-memory driver: the pipeline minus the WAL stages. Only
-			// SI has a publish span (the ordered-publish CAS); PSI and
-			// SSI install under the engine-wide mutex and have no
-			// separate publish step.
+			// In-memory driver: the pipeline minus the WAL stages. SI
+			// and SSI share the commit path and so the publish span (the
+			// ordered-publish CAS); PSI installs under its engine-wide
+			// mutex and has no separate publish step.
 			want := []txtrace.Stage{
 				txtrace.StageBeginWait, txtrace.StageReads, txtrace.StageLockWait,
 				txtrace.StageValidate, txtrace.StageInstall,
 			}
-			if kind == engine.SI {
+			if kind != engine.PSI {
 				want = append(want, txtrace.StagePublish)
 			}
 			want = append(want, txtrace.StageAck)

@@ -4,74 +4,107 @@ import (
 	"fmt"
 	"testing"
 
+	"sian/internal/depgraph"
 	. "sian/internal/engine"
 	"sian/internal/model"
 	"sian/internal/obs/eventlog"
 	"sian/internal/storage/wal"
 )
 
-func openWAL(t *testing.T, dir string) *wal.Driver {
+// openWAL opens a WAL driver (fsync off) whose recovery certifies
+// against m.
+func openWAL(t *testing.T, dir string, m depgraph.Model) *wal.Driver {
 	t.Helper()
-	d, err := wal.Open(wal.Options{Dir: dir, NoSync: true, Window: 64})
+	d, err := wal.Open(wal.Options{Dir: dir, NoSync: true, Window: 64, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
-// TestSIOverWALReopen is the engine-level durability loop: an SI
-// engine over the WAL driver, closed and reopened, resumes with the
-// committed state visible and the timestamp allocator seeded past the
-// recovered frontier.
+// durableKinds are the engine kinds that run over an injected driver
+// (the siProtocol commit path), each with the model its histories and
+// its recovered log must certify against.
+var durableKinds = []struct {
+	kind  Kind
+	model depgraph.Model
+}{{SI, depgraph.SI}, {SSI, depgraph.SER}}
+
+// TestSIOverWALReopen is the engine-level durability loop, for both
+// kinds on the siProtocol commit path: an engine over the WAL driver
+// logs exactly one record per transaction (two objects written each),
+// and closed and reopened, replays and certifies every commit — SI's
+// log against SI, SSI's against SER — and resumes with the committed
+// state visible and the timestamp allocator seeded past the recovered
+// frontier.
 func TestSIOverWALReopen(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	db := newDB(t, SI, Config{Driver: openWAL(t, dir)})
-	if err := db.Initialize(map[model.Obj]model.Value{"x": 0, "y": 0}); err != nil {
-		t.Fatal(err)
-	}
-	s := db.Session("s1")
-	for i := 1; i <= 20; i++ {
-		if err := s.Transact(func(tx *Tx) error {
-			v, err := tx.Read("x")
-			if err != nil {
-				return err
+	for _, tc := range durableKinds {
+		tc := tc
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			drv := openWAL(t, dir, tc.model)
+			db := newDB(t, tc.kind, Config{Driver: drv})
+			if err := db.Initialize(map[model.Obj]model.Value{"x": 0, "y": 0}); err != nil {
+				t.Fatal(err)
 			}
-			return tx.Write("x", v+1)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+			const commits = 21 // the init transaction + 20 increments
+			s := db.Session("s1")
+			for i := 1; i < commits; i++ {
+				if err := s.Transact(func(tx *Tx) error {
+					for _, k := range []model.Obj{"x", "y"} {
+						v, err := tx.Read(k)
+						if err != nil {
+							return err
+						}
+						if err := tx.Write(k, v+1); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := drv.Stats().AppendedLSN; got != commits {
+				t.Errorf("%d log records for %d commits, want one per transaction", got, commits)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	re := openWAL(t, dir)
-	if !re.Recovery().Certified {
-		t.Fatalf("recovery not certified: %s", re.Recovery().Verdict)
-	}
-	db2, err := New(SI, Config{Driver: re})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	s2 := db2.Session("s2")
-	if err := s2.Transact(func(tx *Tx) error {
-		v, err := tx.Read("x")
-		if err != nil {
-			return err
-		}
-		if v != 20 {
-			return fmt.Errorf("recovered x = %d, want 20", v)
-		}
-		return tx.Write("x", v+1)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The post-recovery commit must land above every recovered
-	// version (the allocator was seeded by RecoveredMaxTS).
-	if v, ok := re.Latest("x"); !ok || v.Val != 21 || v.TS <= re.RecoveredMaxTS() {
-		t.Errorf("post-recovery version %+v (recovered max ts %d)", v, re.RecoveredMaxTS())
+			re := openWAL(t, dir, tc.model)
+			if !re.Recovery().Certified {
+				t.Fatalf("recovery not certified: %s", re.Recovery().Verdict)
+			}
+			if got := re.Recovery().Commits; got != commits {
+				t.Errorf("recovery replayed %d commits, want %d", got, commits)
+			}
+			db2, err := New(tc.kind, Config{Driver: re})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			s2 := db2.Session("s2")
+			if err := s2.Transact(func(tx *Tx) error {
+				v, err := tx.Read("x")
+				if err != nil {
+					return err
+				}
+				if v != commits-1 {
+					return fmt.Errorf("recovered x = %d, want %d", v, commits-1)
+				}
+				return tx.Write("x", v+1)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			// The post-recovery commit must land above every recovered
+			// version (the allocator was seeded by RecoveredMaxTS).
+			if v, ok := re.Latest("x"); !ok || v.Val != commits || v.TS <= re.RecoveredMaxTS() {
+				t.Errorf("post-recovery version %+v (recovered max ts %d)", v, re.RecoveredMaxTS())
+			}
+		})
 	}
 }
 
@@ -81,8 +114,18 @@ func TestSIOverWALReopen(t *testing.T) {
 // are unique. Volatile drivers keep LSN zero.
 func TestCommitEventsCarryLSN(t *testing.T) {
 	t.Parallel()
+	for _, tc := range durableKinds {
+		tc := tc
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			t.Parallel()
+			commitEventsCarryLSN(t, tc.kind, tc.model)
+		})
+	}
+}
+
+func commitEventsCarryLSN(t *testing.T, kind Kind, m depgraph.Model) {
 	rec := eventlog.NewRecorder(1 << 12)
-	db := newDB(t, SI, Config{Driver: openWAL(t, t.TempDir()), Recorder: rec})
+	db := newDB(t, kind, Config{Driver: openWAL(t, t.TempDir(), m), Recorder: rec})
 	if err := db.Initialize(map[model.Obj]model.Value{"x": 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +175,7 @@ func TestCommitEventsCarryLSN(t *testing.T) {
 
 	// The volatile driver's commits never carry an LSN.
 	memRec := eventlog.NewRecorder(1 << 10)
-	memDB := newDB(t, SI, Config{Recorder: memRec})
+	memDB := newDB(t, kind, Config{Recorder: memRec})
 	if err := memDB.Initialize(map[model.Obj]model.Value{"x": 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +191,7 @@ func TestCommitEventsCarryLSN(t *testing.T) {
 func TestWALRejectsNonSIEngines(t *testing.T) {
 	t.Parallel()
 	for _, kind := range []Kind{PSI, SER} {
-		d := openWAL(t, t.TempDir())
+		d := openWAL(t, t.TempDir(), depgraph.SI)
 		if _, err := New(kind, Config{Driver: d}); err == nil {
 			t.Errorf("%v accepted an injected driver", kind)
 		}

@@ -54,11 +54,11 @@ const (
 	// an attributable commit span instead of jumping straight to ack.
 	StageROCommit Stage = "ro_commit"
 	// StageLockWait covers acquiring the write-set's shard locks in
-	// ascending shard order (PSI/SSI: the engine-wide mutex).
+	// ascending shard order (PSI: the engine-wide mutex).
 	StageLockWait Stage = "lock_wait"
 	// StageValidate covers first-committer-wins validation: comparing
 	// each written object's latest committed timestamp to the
-	// transaction's snapshot.
+	// transaction's snapshot (SSI: then the dangerous-structure veto).
 	StageValidate Stage = "validate"
 	// StageInstall covers installing the write set's new versions into
 	// the MVCC store at the freshly allocated commit timestamp.
