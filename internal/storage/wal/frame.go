@@ -15,6 +15,13 @@ import (
 //	frame   := u32 payloadLen | u32 crc32c(payload) | payload
 //	payload := u8 kind | u64 lsn | body
 //
+// A segment is preallocated, so on disk the frames may be followed by
+// zeros: the unwritten rest of the allocation. A zero header is never
+// a frame (payloadLen 0 is below the minimum), so an all-zero
+// remainder after the last frame is the segment's clean end — legal
+// only in the final segment, since every other one was sealed to its
+// written length (see replaySegment).
+//
 // All integers are big-endian; strings are u32 length + bytes; values
 // (model.Value, int64) travel as their two's-complement uint64 bits.
 // Record kinds:

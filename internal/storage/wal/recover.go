@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"sort"
@@ -165,10 +166,15 @@ func (d *Driver) listSegments() ([]uint64, uint64, error) {
 	return segs, maxIdx, nil
 }
 
-// replaySegment applies one segment file. In the final segment a torn
-// or corrupt frame truncates the file at the last valid frame (an
-// un-fsynced tail was never acknowledged); anywhere else it is
-// unexplainable corruption and recovery refuses.
+// replaySegment applies one segment file. The final segment ends at
+// its first invalid frame: an all-zero remainder is the unwritten part
+// of its preallocation, anything else a torn or corrupt tail (an
+// un-synced tail was never acknowledged), and either way the file is
+// cut at the last valid frame. Only the torn bytes count in
+// TruncatedBytes, never trailing zeros. Any invalid frame elsewhere —
+// a zero tail included, since a segment is sealed to its written
+// length before its successor exists — is unexplainable corruption,
+// and recovery refuses.
 func (d *Driver) replaySegment(path string, final bool, snapLSN uint64, sawCommit *bool, ingest func(eventlog.Event)) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -178,7 +184,7 @@ func (d *Driver) replaySegment(path string, final bool, snapLSN uint64, sawCommi
 		if final {
 			// A crash during segment creation tore the magic itself;
 			// no record in this file was ever durable.
-			d.recovery.TruncatedBytes += int64(len(data))
+			d.recovery.TruncatedBytes += tornLen(data)
 			if err := os.Remove(path); err != nil {
 				return fmt.Errorf("wal: %w", err)
 			}
@@ -188,24 +194,48 @@ func (d *Driver) replaySegment(path string, final bool, snapLSN uint64, sawCommi
 	}
 	off := len(segMagic)
 	for off < len(data) {
-		rest := data[off:]
-		frameLen, payload, why := nextFrame(rest)
+		frameLen, payload, why := nextFrame(data[off:])
 		if payload == nil {
+			torn := tornLen(data[off:])
 			if !final {
+				if torn == 0 {
+					why = "zero tail"
+				}
 				return fmt.Errorf("wal: %s: corrupt frame at offset %d in non-final segment (%s)", path, off, why)
 			}
-			// Torn tail: drop it so the next append continues from a
-			// valid frame boundary.
-			d.recovery.TruncatedBytes += int64(len(data) - off)
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-			return nil
+			// Drop the tail so the next append continues from a valid
+			// frame boundary.
+			d.recovery.TruncatedBytes += torn
+			return d.truncateSegment(path, int64(off))
 		}
 		if err := d.applyRecord(payload, snapLSN, sawCommit, ingest); err != nil {
 			return fmt.Errorf("wal: %s: offset %d: %w", path, off, err)
 		}
 		off += frameLen
+	}
+	return nil
+}
+
+// tornLen is the length of b without its trailing zero bytes.
+func tornLen(b []byte) int64 { return int64(len(bytes.TrimRight(b, "\x00"))) }
+
+// truncateSegment cuts a final segment at size and, unless NoSync,
+// syncs the cut: the segment stops being final once Open creates the
+// next one, and a non-final segment must not regrow its tail.
+func (d *Driver) truncateSegment(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	err = f.Truncate(size)
+	if err == nil && !d.opts.NoSync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
 }

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sian/internal/model"
@@ -13,7 +15,7 @@ import (
 // buildPristineLog commits n counter increments into dir and returns
 // the final segment's bytes. Each commit is one frame, so the log's
 // valid prefixes are exactly the commit prefixes.
-func buildPristineLog(t *testing.T, dir string, n int) []byte {
+func buildPristineLog(t testing.TB, dir string, n int) []byte {
 	t.Helper()
 	d := mustOpen(t, testOpts(dir))
 	counterChain(t, d, 1, n)
@@ -29,7 +31,7 @@ func buildPristineLog(t *testing.T, dir string, n int) []byte {
 
 // cloneDir copies the pristine log into a fresh directory with the
 // final segment replaced by tail.
-func cloneDir(t *testing.T, tail []byte) string {
+func cloneDir(t testing.TB, tail []byte) string {
 	t.Helper()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.log"), tail, 0o644); err != nil {
@@ -195,6 +197,113 @@ func TestTornMultiSegment(t *testing.T) {
 	if _, err := Open(testOpts(dir)); err == nil {
 		t.Fatal("Open served a log with a corrupt interior segment")
 	}
+}
+
+// TestZeroTailFinalSegment: a final segment whose frames are followed
+// by zeros (a preallocated tail a crash left behind) recovers every
+// commit, counts nothing as torn, and is cut back to its last frame.
+func TestZeroTailFinalSegment(t *testing.T) {
+	t.Parallel()
+	const n = 8
+	pristine := buildPristineLog(t, t.TempDir(), n)
+	dir := cloneDir(t, append(pristine[:len(pristine):len(pristine)], make([]byte, 4096)...))
+	d := mustOpen(t, testOpts(dir))
+	info := d.Recovery()
+	d.Close()
+	if !info.Certified || info.Commits != n || info.TruncatedBytes != 0 {
+		t.Fatalf("zero-tail recovery = %+v, want %d certified commits and TruncatedBytes 0", info, n)
+	}
+	assertSealed(t, filepath.Join(dir, "wal-00000001.log"), int64(len(pristine)))
+}
+
+// TestTornFrameThenZeros: a torn frame followed by a zero tail is
+// still a torn tail — recovery cuts at the last valid frame and counts
+// the torn bytes, not the zeros.
+func TestTornFrameThenZeros(t *testing.T) {
+	t.Parallel()
+	const n = 8
+	pristine := buildPristineLog(t, t.TempDir(), n)
+	lastFrame := frameEnd(pristine[:len(pristine)-1])
+	torn := pristine[: len(pristine)-5 : len(pristine)-5]
+	dir := cloneDir(t, append(torn, make([]byte, 4096)...))
+	d := mustOpen(t, testOpts(dir))
+	info := d.Recovery()
+	d.Close()
+	if want := tornLen(torn[lastFrame:]); !info.Certified || info.Commits != n-1 || info.TruncatedBytes != want {
+		t.Fatalf("torn+zero recovery = %+v, want %d certified commits and TruncatedBytes %d", info, n-1, want)
+	}
+	assertSealed(t, filepath.Join(dir, "wal-00000001.log"), int64(lastFrame))
+}
+
+// TestZeroTailNonFinalRefuses: a segment is sealed to its written
+// length before its successor exists, so a zero tail in a non-final
+// segment is corruption and recovery refuses.
+func TestZeroTailNonFinalRefuses(t *testing.T) {
+	t.Parallel()
+	pristine := buildPristineLog(t, t.TempDir(), 8)
+	dir := cloneDir(t, append(pristine[:len(pristine):len(pristine)], make([]byte, 4096)...))
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000002.log"), []byte(segMagic), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(testOpts(dir)); err == nil || !strings.Contains(err.Error(), "zero tail") {
+		t.Fatalf("Open = %v, want a refusal naming the zero tail", err)
+	}
+}
+
+// FuzzReplaySegment feeds arbitrary bytes after segMagic to recovery:
+// it must never panic or hang. As the final segment the result is a
+// refusal or a certified prefix — the file cut to its valid frames, and
+// a second Open recovering the same commits from a clean log. Followed
+// by another segment it opens only if it is nothing but valid frames.
+func FuzzReplaySegment(f *testing.F) {
+	// Small seeds: the fuzzer minimises every new input it finds, and
+	// that cost grows with the input.
+	pristine := buildPristineLog(f, f.TempDir(), 3)
+	frames := pristine[len(segMagic):len(pristine):len(pristine)]
+	zeros := make([]byte, 32)
+	f.Add(frames, false)
+	f.Add(append(frames, zeros...), false)
+	f.Add(append(frames[:len(frames)-5:len(frames)-5], zeros...), false)
+	f.Add(append(frames, zeros...), true)
+	f.Add(frames, true)
+
+	f.Fuzz(func(t *testing.T, tail []byte, nonFinal bool) {
+		seg := append([]byte(segMagic), tail...)
+		dir := cloneDir(t, seg)
+		if nonFinal {
+			if err := os.WriteFile(filepath.Join(dir, "wal-00000002.log"), []byte(segMagic), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := Open(testOpts(dir))
+		if err != nil {
+			return // refused
+		}
+		info := d.Recovery()
+		d.Close()
+		if !info.Certified {
+			t.Fatalf("served uncertified state: %s", info.Verdict)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "wal-00000001.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frameEnd(data) != len(data) || !bytes.Equal(data, seg[:len(data)]) {
+			t.Fatalf("recovery left %d bytes that are not a valid-frame prefix of the %d-byte segment", len(data), len(seg))
+		}
+		if nonFinal && len(data) != len(seg) {
+			t.Fatalf("a non-final segment with an invalid tail opened (%+v)", info)
+		}
+		re, err := Open(testOpts(dir))
+		if err != nil {
+			t.Fatalf("second Open: %v", err)
+		}
+		again := re.Recovery()
+		re.Close()
+		if again.TruncatedBytes != 0 || again.Commits != info.Commits {
+			t.Fatalf("second recovery = %+v, first %+v", again, info)
+		}
+	})
 }
 
 // TestWriterMetaRoundTrip pins the install-record codec end to end

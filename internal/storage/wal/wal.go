@@ -7,9 +7,9 @@
 // record via LogCommit; Unlock appends the length-prefixed, CRC-framed
 // record while the window's shard locks are still held — so per-object
 // record order in the log matches installed timestamp order — releases
-// the shards, and returns only after the record is fsynced. Syncs are
-// grouped: concurrent windows append under one mutex and one fsync
-// covers every record appended before it, so the fsync cost amortises
+// the shards, and returns only after the record is fdatasync'd. Syncs
+// are grouped: concurrent windows append under one mutex and one sync
+// covers every record appended before it, so the sync cost amortises
 // across overlapping commits. The engine publishes a commit timestamp
 // only after Unlock returns, which yields the crash guarantee: an
 // acknowledged (published) commit is durable, and — because timestamps
@@ -17,14 +17,22 @@
 // crash can lose is only un-acknowledged tails that no reader ever
 // observed.
 //
+// Segments are preallocated (fallocate, segChunk at a time), so an
+// append inside the allocation changes no file size and the group
+// sync's fdatasync flushes data without journalling the inode. A
+// segment is sealed — cut to its written length and fully fsynced —
+// before it is retired at rotation and on Close, so a closed log holds
+// exactly its frames; only a crash leaves a zero tail, and recovery
+// reads an all-zero remainder of the final segment as its clean end.
+//
 // Recovery (Open on a non-empty directory) replays the snapshot and
-// the log segments, stopping at the first torn or corrupt frame of the
-// final segment, and streams every replayed commit — full op list,
-// reads included — through internal/monitor. Startup thereby
-// *certifies* that the recovered state is reachable by an SI execution
-// (the paper's Theorem 8/9 arrival-order witness machinery, the same
-// code path the online monitor uses); a negative verdict refuses to
-// open and reports the witness cycle. See DESIGN.md §12 for why
+// the log segments, stopping at the first torn or corrupt frame (or
+// the zero tail) of the final segment, and streams every replayed
+// commit — full op list, reads included — through internal/monitor.
+// Startup thereby *certifies* that the recovered state is reachable by
+// an SI execution (the paper's Theorem 8/9 arrival-order witness
+// machinery, the same code path the online monitor uses); a negative
+// verdict refuses to open and reports the witness cycle. See DESIGN.md §12 for why
 // monitor-replay certification of the log implies the recovered state
 // is SI.
 //
@@ -170,6 +178,11 @@ type Driver struct {
 	f        *os.File
 	bw       *bufio.Writer
 	segIndex uint64
+	written  int64 // bytes written to f, buffered ones included
+	alloc    int64 // bytes preallocated for f (0: none)
+	// prealloc is whether segments are preallocated: only when syncing,
+	// and only until the file system says it cannot.
+	prealloc bool
 	lsn      uint64 // last appended LSN
 	closed   bool
 	ioErr    error // first append-path write error; poisons the driver
@@ -264,7 +277,7 @@ func Open(opts Options) (*Driver, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	d := &Driver{opts: opts, store: mem.New()}
+	d := &Driver{opts: opts, store: mem.New(), prealloc: !opts.NoSync}
 	d.syncCond = sync.NewCond(&d.syncMu)
 	reg := opts.Metrics
 	d.cAppends = reg.Counter("wal_appends_total")
@@ -283,7 +296,8 @@ func Open(opts Options) (*Driver, error) {
 		dir.Close()
 		return nil, err
 	}
-	if err := d.openFreshSegment(); err != nil {
+	// A fresh segment, numbered past every existing one.
+	if err := d.createSegment(d.segIndex + 1); err != nil {
 		dir.Close()
 		return nil, err
 	}
@@ -292,32 +306,87 @@ func Open(opts Options) (*Driver, error) {
 	return d, nil
 }
 
-// openFreshSegment starts a new segment after recovery, numbered past
-// every existing one, and makes its existence durable.
-func (d *Driver) openFreshSegment() error {
-	d.segIndex++
-	path := d.segmentPath(d.segIndex)
+// segChunk is the preallocation step of a segment (16 MiB): a new
+// segment is allocated one chunk, and an append that would cross the
+// allocation grows it by one more.
+const segChunk = 16 << 20
+
+// createSegment makes segment idx the current one: it creates the
+// file, writes segMagic, preallocates the first chunk and, unless
+// NoSync, syncs the file and the directory, so the segment exists
+// durably before any record in it can be acknowledged. On failure it
+// removes the file and leaves the current segment as it was. The
+// caller holds d.mu, or is Open.
+func (d *Driver) createSegment(idx uint64) error {
+	path := d.segmentPath(idx)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write([]byte(segMagic)); err != nil {
+	alloc, err := d.initSegment(f)
+	if err != nil {
 		f.Close()
-		return fmt.Errorf("wal: %w", err)
+		os.Remove(path)
+		return fmt.Errorf("wal: new segment: %w", err)
 	}
-	if !d.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: %w", err)
-		}
-		if err := d.dir.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: %w", err)
-		}
-	}
-	d.f = f
-	d.bw = bufio.NewWriterSize(f, 1<<16)
+	d.f, d.bw, d.segIndex = f, bufio.NewWriterSize(f, 1<<16), idx
+	d.written, d.alloc = int64(len(segMagic)), alloc
 	return nil
+}
+
+// initSegment writes a new segment's magic, preallocates its first
+// chunk and makes both durable; it returns the allocated size.
+func (d *Driver) initSegment(f *os.File) (int64, error) {
+	if _, err := f.Write([]byte(segMagic)); err != nil {
+		return 0, err
+	}
+	alloc, err := d.allocate(f, int64(len(segMagic)))
+	if err != nil || d.opts.NoSync {
+		return alloc, err
+	}
+	if err := f.Sync(); err != nil {
+		return 0, err
+	}
+	return alloc, d.dir.Sync()
+}
+
+// allocate preallocates f up to end bytes rounded up to whole chunks
+// and returns the allocated size, or 0 when segments are not
+// preallocated (NoSync, or the file system refused once).
+func (d *Driver) allocate(f *os.File, end int64) (int64, error) {
+	if !d.prealloc {
+		return 0, nil
+	}
+	size := (end + segChunk - 1) / segChunk * segChunk
+	ok, err := preallocate(f, size)
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		d.prealloc = false
+		return 0, nil
+	}
+	return size, nil
+}
+
+// sealLocked flushes the current segment, cuts it to its written
+// length and fully syncs it, so a retired or closed segment has no
+// preallocated tail and its size is durable. A failure poisons the
+// driver.
+func (d *Driver) sealLocked() error {
+	err := d.bw.Flush()
+	if err == nil {
+		if err = d.f.Truncate(d.written); err == nil {
+			d.alloc = d.written
+		}
+	}
+	if err == nil && !d.opts.NoSync {
+		err = d.f.Sync()
+	}
+	if err != nil && d.ioErr == nil {
+		d.ioErr = fmt.Errorf("wal: seal: %w", err)
+	}
+	return err
 }
 
 func (d *Driver) segmentPath(idx uint64) string {
@@ -326,10 +395,13 @@ func (d *Driver) segmentPath(idx uint64) string {
 
 func (d *Driver) snapshotPath() string { return filepath.Join(d.opts.Dir, "snapshot") }
 
-// append writes one frame under the log mutex and returns its LSN.
-// Callers still hold the window's shard locks when appending commit
-// records, so per-object record order matches timestamp order.
-func (d *Driver) append(kind byte, body []byte) (uint64, error) {
+// append writes one frame per body under a single hold of the log
+// mutex and returns the LSN of the last. Callers still hold the
+// window's shard locks when appending commit records, so per-object
+// record order matches timestamp order; a group commit's records are
+// contiguous, and one later syncTo at the returned LSN makes the whole
+// group durable with one sync.
+func (d *Driver) append(kind byte, bodies ...[]byte) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -338,59 +410,47 @@ func (d *Driver) append(kind byte, body []byte) (uint64, error) {
 	if d.ioErr != nil {
 		return 0, d.ioErr
 	}
-	d.lsn++
-	lsn := d.lsn
-	if _, err := d.bw.Write(encodeFrame(kind, lsn, body)); err != nil {
-		d.ioErr = fmt.Errorf("wal: append: %w", err)
-		return 0, d.ioErr
-	}
-	d.cAppends.Inc()
-	d.gAppended.Set(int64(lsn))
-	d.recsSinceSnap++
-	if d.opts.SnapshotEvery > 0 && d.recsSinceSnap >= d.opts.SnapshotEvery &&
-		d.snapshotting.CompareAndSwap(false, true) {
-		d.wg.Add(1)
-		go d.snapshot()
-	}
-	return lsn, nil
-}
-
-// appendGroup writes one commit frame per body under a single hold of
-// the log mutex, so a group commit's records are contiguous in the
-// log, and returns the LSN of the group's last frame. One later
-// syncTo at that LSN makes the whole group durable with one fsync.
-func (d *Driver) appendGroup(bodies [][]byte) (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return 0, fmt.Errorf("wal: closed")
-	}
-	if d.ioErr != nil {
-		return 0, d.ioErr
-	}
-	var lsn uint64
 	for _, body := range bodies {
-		d.lsn++
-		lsn = d.lsn
-		if _, err := d.bw.Write(encodeFrame(recCommit, lsn, body)); err != nil {
+		if err := d.writeFrameLocked(kind, body); err != nil {
 			d.ioErr = fmt.Errorf("wal: append: %w", err)
 			return 0, d.ioErr
 		}
-		d.cAppends.Inc()
-		d.recsSinceSnap++
 	}
-	d.gAppended.Set(int64(lsn))
+	d.gAppended.Set(int64(d.lsn))
 	if d.opts.SnapshotEvery > 0 && d.recsSinceSnap >= d.opts.SnapshotEvery &&
 		d.snapshotting.CompareAndSwap(false, true) {
 		d.wg.Add(1)
 		go d.snapshot()
 	}
-	return lsn, nil
+	return d.lsn, nil
+}
+
+// writeFrameLocked writes the next LSN's frame to the current segment,
+// first growing the segment's preallocation by a chunk when the frame
+// would cross it, so the write changes no file size.
+func (d *Driver) writeFrameLocked(kind byte, body []byte) error {
+	frame := encodeFrame(kind, d.lsn+1, body)
+	end := d.written + int64(len(frame))
+	if end > d.alloc && d.prealloc {
+		alloc, err := d.allocate(d.f, end)
+		if err != nil {
+			return err
+		}
+		d.alloc = alloc
+	}
+	if _, err := d.bw.Write(frame); err != nil {
+		return err
+	}
+	d.written = end
+	d.lsn++
+	d.cAppends.Inc()
+	d.recsSinceSnap++
+	return nil
 }
 
 // syncTo blocks until every record with LSN ≤ target is durable
 // (group commit: whichever waiter arrives first while no sync is in
-// flight performs one flush+fsync covering everything appended so
+// flight performs one flush+fdatasync covering everything appended so
 // far; the rest just wait). Under NoSync it only advances the
 // bookkeeping.
 func (d *Driver) syncTo(target uint64) error {
@@ -421,7 +481,8 @@ func (d *Driver) syncTo(target uint64) error {
 
 	// One sync round, covering every record appended before the
 	// flush. upTo is read before flushing: the flush covers at least
-	// those records, possibly more.
+	// those records, possibly more. Inside the preallocated size
+	// fdatasync flushes the data alone.
 	start := time.Now()
 	d.mu.Lock()
 	upTo := d.lsn
@@ -434,7 +495,7 @@ func (d *Driver) syncTo(target uint64) error {
 	f := d.f
 	d.mu.Unlock()
 	if err == nil {
-		err = f.Sync()
+		err = datasync(f)
 	}
 	d.cSyncs.Inc()
 	d.hSyncNS.Observe(time.Since(start).Nanoseconds())
@@ -471,10 +532,10 @@ func (d *Driver) snapshot() {
 }
 
 func (d *Driver) snapshotOnce() error {
-	// 1. Rotate under the append mutex: flush + sync the current
-	// segment, retire it, start the next one. After this, every
-	// record in retired segments is durable and every new append goes
-	// to the new segment.
+	// 1. Rotate under the append mutex: seal the current segment,
+	// retire it, start the next one. After this, every record in
+	// retired segments is durable and every new append goes to the new
+	// segment.
 	d.mu.Lock()
 	if d.closed || d.ioErr != nil {
 		err := d.ioErr
@@ -484,46 +545,12 @@ func (d *Driver) snapshotOnce() error {
 		}
 		return err
 	}
-	if err := d.bw.Flush(); err != nil {
-		d.ioErr = err
-		d.mu.Unlock()
-		return err
-	}
-	if !d.opts.NoSync {
-		if err := d.f.Sync(); err != nil {
-			d.mu.Unlock()
-			return err
-		}
-	}
 	rotatedLSN := d.lsn
-	oldSegs := make([]string, 0, 4)
-	for i := uint64(1); i <= d.segIndex; i++ {
-		if p := d.segmentPath(i); fileExists(p) {
-			oldSegs = append(oldSegs, p)
-		}
-	}
-	d.retired = append(d.retired, d.f)
-	d.segIndex++
-	path := d.segmentPath(d.segIndex)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		// Roll the rotation back: keep appending to the old segment.
-		d.retired = d.retired[:len(d.retired)-1]
-		d.segIndex--
-		d.mu.Unlock()
-		return err
-	}
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		f.Close()
-		d.retired = d.retired[:len(d.retired)-1]
-		d.segIndex--
-		d.mu.Unlock()
-		return err
-	}
-	d.f = f
-	d.bw = bufio.NewWriterSize(f, 1<<16)
-	d.recsSinceSnap = 0
+	oldSegs, err := d.rotateLocked()
 	d.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	// Everything rotated out is durable.
 	d.syncMu.Lock()
@@ -566,6 +593,31 @@ func (d *Driver) snapshotOnce() error {
 	return nil
 }
 
+// rotateLocked seals the current segment and makes a fresh one
+// current, returning the paths of every segment before it. The sealed
+// segment is durable and has its final size before its successor
+// exists, so only the final segment can ever hold a zero tail. If the
+// new segment cannot be created, appends continue in the sealed one
+// (the next append grows it again).
+func (d *Driver) rotateLocked() ([]string, error) {
+	if err := d.sealLocked(); err != nil {
+		return nil, err
+	}
+	old := d.f
+	if err := d.createSegment(d.segIndex + 1); err != nil {
+		return nil, err
+	}
+	d.retired = append(d.retired, old)
+	d.recsSinceSnap = 0
+	var oldSegs []string
+	for i := uint64(1); i < d.segIndex; i++ {
+		if p := d.segmentPath(i); fileExists(p) {
+			oldSegs = append(oldSegs, p)
+		}
+	}
+	return oldSegs, nil
+}
+
 func fileExists(p string) bool {
 	_, err := os.Stat(p)
 	return err == nil
@@ -589,8 +641,9 @@ func writeFileSync(path string, data []byte, sync bool) error {
 	return f.Close()
 }
 
-// Close flushes and syncs the log, then closes every file. The driver
-// must not be used afterwards.
+// Close seals the log — flushed, cut to its written length, fully
+// synced — then closes every file. The driver must not be used
+// afterwards.
 func (d *Driver) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -603,14 +656,8 @@ func (d *Driver) Close() error {
 	d.wg.Wait() // let an in-flight snapshot finish
 	d.mu.Lock()
 	d.closed = true
-	flushErr := d.bw.Flush()
-	if err == nil {
-		err = flushErr
-	}
-	if !d.opts.NoSync {
-		if serr := d.f.Sync(); err == nil {
-			err = serr
-		}
+	if serr := d.sealLocked(); err == nil {
+		err = serr
 	}
 	if cerr := d.f.Close(); err == nil {
 		err = cerr
@@ -631,7 +678,8 @@ func (d *Driver) Close() error {
 // --- storage.Driver ---
 
 // Install appends a version durably: the record is logged inside the
-// object's shard lock (ordering) and fsynced before Install returns.
+// object's shard lock (ordering) and fdatasync'd into the preallocated
+// segment before Install returns.
 func (d *Driver) Install(x model.Obj, v storage.Version) error {
 	w := d.LockObjs([]model.Obj{x}).(*window)
 	err := w.Install(x, v)
@@ -773,7 +821,7 @@ func (w *window) Unlock() {
 			bodies[i] = encodeCommitBody(rec)
 		}
 		groupRecords = len(bodies)
-		last, appendErr = w.d.appendGroup(bodies)
+		last, appendErr = w.d.append(recCommit, bodies...)
 	case w.staged != nil:
 		last, appendErr = w.d.append(recCommit, encodeCommitBody(*w.staged))
 	case len(w.installs) > 0:
@@ -823,7 +871,7 @@ func (d *Driver) syncedLSN() uint64 {
 	return d.synced
 }
 
-// Durable reports the fsynced LSN of the window's record, valid after
-// Unlock. A sync error means the installs are visible in memory but
-// not durable.
+// Durable reports the window's record's LSN, fdatasync'd into the
+// preallocated segment, valid after Unlock. A sync error means the
+// installs are visible in memory but not durable.
 func (w *window) Durable() (uint64, error) { return w.lsn, w.err }

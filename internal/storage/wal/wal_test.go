@@ -18,7 +18,7 @@ func testOpts(dir string) Options {
 	return Options{Dir: dir, NoSync: true, Window: 64}
 }
 
-func mustOpen(t *testing.T, opts Options) *Driver {
+func mustOpen(t testing.TB, opts Options) *Driver {
 	t.Helper()
 	d, err := Open(opts)
 	if err != nil {
@@ -38,7 +38,7 @@ func TestDriverConformance(t *testing.T) {
 
 // commitThrough simulates the engine's durable commit: lock the write
 // set, install, stage the commit record, unlock (append + sync).
-func commitThrough(t *testing.T, d *Driver, rec storage.CommitRecord) uint64 {
+func commitThrough(t testing.TB, d *Driver, rec storage.CommitRecord) uint64 {
 	t.Helper()
 	tx := model.NewTransaction(rec.TxID, rec.Ops...)
 	objs := tx.WriteSet()
@@ -64,7 +64,7 @@ func commitThrough(t *testing.T, d *Driver, rec storage.CommitRecord) uint64 {
 // counterChain builds the canonical test workload: n read-modify-write
 // commits on one object ("r x i-1, w x i" at timestamp i), an SI
 // history by construction.
-func counterChain(t *testing.T, d *Driver, from, to int) {
+func counterChain(t testing.TB, d *Driver, from, to int) {
 	t.Helper()
 	for i := from; i <= to; i++ {
 		commitThrough(t, d, storage.CommitRecord{
@@ -396,4 +396,114 @@ func TestEmptyDirCertifies(t *testing.T) {
 	if !info.Certified || info.Commits != 0 {
 		t.Errorf("fresh-dir recovery = %+v", info)
 	}
+}
+
+// TestOpenDriverCopyRecovers copies the directory of a live, syncing
+// driver after n acknowledged commits without closing it — what a
+// SIGKILL leaves: the final segment still carries its preallocated
+// zero tail. The copy must recover and certify exactly n commits, with
+// nothing counted as torn.
+func TestOpenDriverCopyRecovers(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	d := mustOpen(t, Options{Dir: dir, Window: 64})
+	defer d.Close()
+	const n = 20
+	counterChain(t, d, 1, n)
+
+	cp := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.mu.Lock()
+	written, alloc, seg := d.written, d.alloc, filepath.Base(d.segmentPath(d.segIndex))
+	d.mu.Unlock()
+	if alloc == 0 {
+		t.Log("file system does not preallocate: the copy has no zero tail")
+	} else if st, err := os.Stat(filepath.Join(cp, seg)); err != nil || st.Size() != alloc {
+		t.Fatalf("copied live segment: %v, want the preallocated size %d (written %d)", err, alloc, written)
+	}
+
+	if got := checkPrefixState(t, cp, "live copy"); got != n {
+		t.Fatalf("live copy recovered %d commits, want %d", got, n)
+	}
+	re := mustOpen(t, testOpts(cp))
+	defer re.Close()
+	if info := re.Recovery(); info.TruncatedBytes != 0 || info.Commits != n {
+		t.Fatalf("second recovery of the live copy = %+v", info)
+	}
+	assertSealed(t, filepath.Join(cp, seg), written)
+}
+
+// TestSealedSegmentSizes pins the seal: a segment retired at rotation,
+// and the final one after Close, are exactly their frames long —
+// every preallocated byte cut off — and the log recovers whole.
+func TestSealedSegmentSizes(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	d := mustOpen(t, Options{Dir: dir, Window: 64, SnapshotEvery: -1})
+	counterChain(t, d, 1, 5)
+	d.mu.Lock()
+	written, first := d.written, d.segmentPath(d.segIndex)
+	_, err := d.rotateLocked()
+	d.mu.Unlock()
+	if err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
+	assertSealed(t, first, written)
+
+	counterChain(t, d, 6, 10)
+	d.mu.Lock()
+	written, second := d.written, d.segmentPath(d.segIndex)
+	d.mu.Unlock()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertSealed(t, second, written)
+
+	re := mustOpen(t, testOpts(dir))
+	defer re.Close()
+	if info := re.Recovery(); !info.Certified || info.Commits != 10 || info.TruncatedBytes != 0 {
+		t.Fatalf("recovery of sealed segments = %+v", info)
+	}
+}
+
+// assertSealed checks that the segment at path is size bytes long and
+// holds nothing but the magic and valid frames.
+func assertSealed(t testing.TB, path string, size int64) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(data)) != size {
+		t.Fatalf("%s: %d bytes on disk, %d written", filepath.Base(path), len(data), size)
+	}
+	if end := frameEnd(data); end != len(data) {
+		t.Fatalf("%s: valid frames end at %d of %d bytes", filepath.Base(path), end, len(data))
+	}
+}
+
+// frameEnd returns the offset where a segment's run of valid frames
+// after the magic ends.
+func frameEnd(seg []byte) int {
+	off := len(segMagic)
+	for off < len(seg) {
+		n, payload, _ := nextFrame(seg[off:])
+		if payload == nil {
+			break
+		}
+		off += n
+	}
+	return off
 }
