@@ -375,6 +375,11 @@ func (db *DB) isClosed() bool {
 // replica, for PSI). It returns the number of versions discarded; the
 // single-version SER engine has nothing to compact and returns 0.
 // Safe to call concurrently with running transactions.
+//
+// SI and SSI also compact on their own: a commit that brings the
+// versions superseded since the last pass to a threshold runs the same
+// pass inline (see siProtocol.compactIfDue), so their chains stay short
+// without any caller. For them Compact forces a pass now.
 func (db *DB) Compact() int {
 	switch p := db.impl.(type) {
 	case *siProtocol:

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sian/internal/depgraph"
@@ -43,7 +45,10 @@ var gcDrivers = []struct {
 // snapshot open across several reads), writer transactions, and a
 // tight Compact loop. Both kinds on the siProtocol commit path run it:
 // SI certifying SI, and SSI — whose tracker must recognise writers
-// without probing the chains Compact truncates — certifying SER.
+// without probing the chains Compact truncates — certifying SER. The
+// "-auto" runs drop the Compact loop: the writers commit enough to
+// cross MinPass three times, so only the commit path's automatic
+// passes race the snapshot holders.
 func TestCompactNeverStarvesSnapshot(t *testing.T) {
 	t.Parallel()
 	for _, drv := range gcDrivers {
@@ -64,16 +69,39 @@ func gcConcurrencySuite(t *testing.T, open func(t *testing.T) storage.Driver) {
 				tc := tc
 				t.Run(tc.kind.String(), func(t *testing.T) {
 					t.Parallel()
-					gcConcurrencyRun(t, tc.kind, tc.model, seed, open(t))
+					gcConcurrencyRun(t, tc.kind, tc.model, seed, open(t), explicitCompact)
+				})
+				t.Run(tc.kind.String()+"-auto", func(t *testing.T) {
+					t.Parallel()
+					gcConcurrencyRun(t, tc.kind, tc.model, seed, open(t), autoCompact)
 				})
 			}
 		})
 	}
 }
 
-func gcConcurrencyRun(t *testing.T, kind Kind, want depgraph.Model, seed int64, drv storage.Driver) {
+// gcMode is who compacts while gcConcurrencyRun's workload runs, and
+// the workload's shape.
+type gcMode struct {
+	// explicit runs DB.Compact in a tight loop beside the workload.
+	explicit bool
+	// objects is the object count, writes each writer's commit count
+	// and perTx the objects each of those commits read-modify-writes.
+	objects, writes, perTx int
+}
+
+var (
+	explicitCompact = gcMode{explicit: true, objects: 8, writes: 150, perTx: 1}
+	// autoCompact's two writers supersede 12 800 versions, crossing
+	// MinPass three times, in few enough transactions for the offline
+	// checker, on enough objects that none gets more writers than it
+	// admits (64).
+	autoCompact = gcMode{objects: 512, writes: 800, perTx: 8}
+)
+
+func gcConcurrencyRun(t *testing.T, kind Kind, want depgraph.Model, seed int64, drv storage.Driver, mode gcMode) {
 	db := newDB(t, kind, Config{Driver: drv})
-	const objects = 8
+	objects := mode.objects
 	init := make(map[model.Obj]model.Value, objects)
 	objs := make([]model.Obj, objects)
 	for i := range objs {
@@ -86,35 +114,49 @@ func gcConcurrencyRun(t *testing.T, kind Kind, want depgraph.Model, seed int64, 
 
 	stop := make(chan struct{})
 	var gcDone sync.WaitGroup
-	gcDone.Add(1)
-	go func() {
-		defer gcDone.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				db.Compact()
+	if mode.explicit {
+		gcDone.Add(1)
+		go func() {
+			defer gcDone.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					db.Compact()
+				}
 			}
-		}
-	}()
+		}()
+	}
 
-	var wg sync.WaitGroup
+	var wg, writers sync.WaitGroup
+	var writing atomic.Bool
+	writing.Store(true)
 	// Writers churn versions so GC always has work.
 	for w := 0; w < 2; w++ {
 		sess := db.Session(fmt.Sprintf("w%d-%d", seed, w))
 		rng := rand.New(rand.NewSource(seed*100 + int64(w)))
-		wg.Add(1)
+		writers.Add(1)
 		go func() {
-			defer wg.Done()
-			for n := 0; n < 150; n++ {
-				x := objs[rng.Intn(objects)]
-				err := sess.Transact(func(tx *Tx) error {
-					v, err := tx.Read(x)
-					if err != nil {
-						return err
+			defer writers.Done()
+			for n := 0; n < mode.writes; n++ {
+				xs := make([]model.Obj, 0, mode.perTx)
+				for len(xs) < mode.perTx {
+					if x := objs[rng.Intn(objects)]; !slices.Contains(xs, x) {
+						xs = append(xs, x)
 					}
-					return tx.Write(x, v+1)
+				}
+				err := sess.Transact(func(tx *Tx) error {
+					for _, x := range xs {
+						v, err := tx.Read(x)
+						if err != nil {
+							return err
+						}
+						if err := tx.Write(x, v+1); err != nil {
+							return err
+						}
+					}
+					return nil
 				})
 				if err != nil {
 					t.Errorf("writer: %v", err)
@@ -124,14 +166,16 @@ func gcConcurrencyRun(t *testing.T, kind Kind, want depgraph.Model, seed int64, 
 		}()
 	}
 	// Readers hold manual transactions open across several
-	// reads — the snapshots GC must respect.
+	// reads — the snapshots GC must respect. Without the Compact loop
+	// they keep at it for as long as the writers run, aborting every
+	// transaction past their 80th so the history stays checkable.
 	for r := 0; r < 3; r++ {
 		sess := db.Session(fmt.Sprintf("r%d-%d", seed, r))
 		rng := rand.New(rand.NewSource(seed*1000 + int64(r)))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for n := 0; n < 80; n++ {
+			for n := 0; n < 80 || (!mode.explicit && writing.Load()); n++ {
 				m, err := sess.Begin(fmt.Sprintf("snap%d", n))
 				if err != nil {
 					t.Errorf("begin: %v", err)
@@ -153,7 +197,7 @@ func gcConcurrencyRun(t *testing.T, kind Kind, want depgraph.Model, seed int64, 
 						return
 					}
 				}
-				if aborted || rng.Intn(2) == 0 {
+				if aborted || n >= 80 || rng.Intn(2) == 0 {
 					m.Abort()
 				} else if err := m.Commit(); err != nil {
 					t.Errorf("read-only commit: %v", err)
@@ -162,6 +206,8 @@ func gcConcurrencyRun(t *testing.T, kind Kind, want depgraph.Model, seed int64, 
 			}
 		}()
 	}
+	writers.Wait()
+	writing.Store(false)
 	wg.Wait()
 	close(stop)
 	gcDone.Wait()

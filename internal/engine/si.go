@@ -56,6 +56,11 @@ import (
 // timestamp is published after Unlock. An acknowledged commit is thus
 // always durable, and — because publication is strictly in timestamp
 // order — so are all its predecessors; see DESIGN.md §12.
+//
+// The commit path also compacts on its own (compactIfDue): once enough
+// installs have superseded a version since the last pass, the commit
+// that crosses the threshold runs one gc pass, the same pass
+// DB.Compact forces, so version chains stay a few versions long.
 type siProtocol struct {
 	store storage.Driver
 	// ssi, nil under SI, makes this SSI: reads and commits report to the
@@ -77,7 +82,23 @@ type siProtocol struct {
 	pubWaiters atomic.Int32
 	pubMu      sync.Mutex
 	pubCond    sync.Cond
+
+	// Automatic compaction (compactIfDue). superseded counts the
+	// installs that replaced a version since the last gc pass; retained
+	// estimates the superseded versions earlier passes had to keep
+	// because snapshots pinned them; compacting is held by the one
+	// automatic pass in flight.
+	superseded atomic.Int64
+	retained   atomic.Int64
+	compacting atomic.Bool
 }
+
+// minPass is the fewest superseded versions that make a commit run an
+// automatic compaction pass. The threshold is max(minPass, retained):
+// versions that pinned snapshots kept through one pass raise it, so a
+// long-lived snapshot doubles the interval between passes instead of
+// having every pass re-scan the chains it pins.
+const minPass = 4096
 
 func newSIProtocol(cfg Config) *siProtocol {
 	st := cfg.Driver
@@ -110,9 +131,38 @@ func (p *siProtocol) begin(int) (txProtocol, error) {
 }
 
 // gc truncates version chains below the oldest live snapshot and
-// returns the number of versions discarded.
+// returns the number of versions discarded. It is the one compaction
+// pass, explicit (DB.Compact) or automatic (compactIfDue), and keeps
+// the trigger's books: the superseded versions counted since the last
+// pass, less those dropped, are what the pinned snapshots retain.
+// Concurrent passes are safe: each swaps out its own count, and every
+// dropped version is dropped by exactly one of them.
 func (p *siProtocol) gc() int {
-	return p.store.Compact(p.snaps.watermark(p.commitTS.Load()))
+	counted := p.superseded.Swap(0)
+	dropped := p.store.Compact(p.snaps.watermark(p.commitTS.Load()))
+	for {
+		r := p.retained.Load()
+		if p.retained.CompareAndSwap(r, max(0, r+counted-int64(dropped))) {
+			return dropped
+		}
+	}
+}
+
+// compactIfDue counts n superseding installs of a finished commit and,
+// when the count since the last pass reaches max(minPass, retained),
+// runs one gc pass on the calling goroutine. A pass costs O(counted +
+// retained) — the chains it visits hold at most that many superseded
+// versions — and runs only once counted ≥ retained, so each
+// superseding install pays O(1) amortised. No committer waits for a
+// pass: while one is in flight the others skip it.
+func (p *siProtocol) compactIfDue(n int) {
+	if n == 0 || p.superseded.Add(int64(n)) < max(minPass, p.retained.Load()) {
+		return
+	}
+	if p.compacting.CompareAndSwap(false, true) {
+		p.gc()
+		p.compacting.Store(false)
+	}
 }
 
 type siTx struct {
@@ -158,12 +208,18 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 	// commit overlapping our write set. Under SSI a commit that would
 	// complete a dangerous structure is vetoed the same way. Neither
 	// loser allocates a timestamp, so neither leaves a gap the publish
-	// gate waits on.
+	// gate waits on. A write to an object that already has a version
+	// supersedes it: compactIfDue counts those once the commit is done.
 	ok := true
+	superseding := 0
 	for _, x := range req.order {
-		if lock.LatestTS(x) > snap {
+		latest := lock.LatestTS(x)
+		if latest > snap {
 			ok = false
 			break
+		}
+		if latest != 0 {
+			superseding++
 		}
 	}
 	if ok && t.rec != nil {
@@ -226,6 +282,7 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 		}
 	}
 	t.finish(true)
+	p.compactIfDue(superseding)
 	return lsn, installErr
 }
 

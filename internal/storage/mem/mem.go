@@ -10,8 +10,10 @@
 // SI concurrency-control algorithm of §1 of the paper needs ("a
 // transaction reads values of shared objects from a snapshot taken at
 // its start"), and the one each parallel-SI replica needs for its
-// local snapshots. Garbage collection truncates chains below a
-// caller-chosen watermark.
+// local snapshots. Garbage collection (GC) trims chains below a
+// caller-chosen watermark; each shard lists its multi-version chains,
+// so a pass visits only chains that hold something to drop and trims
+// them in place.
 //
 // The store is lock-striped: objects hash onto a fixed number of
 // shards, each with its own mutex, chain map and garbage collection,
@@ -41,9 +43,6 @@ type Version struct {
 	// TS is the logical commit timestamp; chains are strictly
 	// increasing in TS.
 	TS uint64
-	// Writer optionally identifies the committing transaction for
-	// diagnostics and conflict attribution.
-	Writer string
 	// Meta carries engine-specific metadata (e.g. the global
 	// write-sequence stamp the PSI engine uses for conflict checks).
 	Meta uint64
@@ -66,6 +65,11 @@ const numShards = 64
 type shard struct {
 	mu     sync.RWMutex
 	chains map[model.Obj][]Version
+	// multi lists exactly the objects whose chain holds more than one
+	// version — the only chains GC can trim. An object joins when an
+	// install gives its chain a second version and leaves when GC trims
+	// the chain back to one.
+	multi []model.Obj
 }
 
 // Store is a sharded multi-version key-value store. The zero value is
@@ -101,7 +105,11 @@ func (sh *shard) installLocked(x model.Obj, v Version) error {
 		return fmt.Errorf("mem: non-monotonic install on %q: ts %d ≤ latest %d",
 			x, v.TS, chain[len(chain)-1].TS)
 	}
-	sh.chains[x] = append(chain, v)
+	chain = append(chain, v)
+	sh.chains[x] = chain
+	if len(chain) == 2 {
+		sh.multi = append(sh.multi, x)
+	}
 	return nil
 }
 
@@ -317,6 +325,7 @@ func (s *Store) Clone() *Store {
 				dst[x] = cp
 			}
 			out.shards[i].chains = dst
+			out.shards[i].multi = append([]model.Obj(nil), sh.multi...)
 		}
 		sh.mu.RUnlock()
 	}
@@ -328,25 +337,52 @@ func (s *Store) Clone() *Store {
 // reads at or above the watermark may still need it). It returns the
 // number of versions discarded. Shards are collected one at a time,
 // so GC never blocks readers or writers of more than one stripe.
+//
+// GC walks only each shard's list of multi-version chains, never the
+// whole chain map: a pass costs O(multi-version chains + versions
+// dropped), so objects holding a single version cost nothing however
+// many there are. A trimmed chain keeps its array (see trimChain), so
+// steady-state installs into it allocate nothing.
 func (s *Store) GC(watermark uint64) int {
 	dropped := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for x, chain := range sh.chains {
+		n := 0
+		for _, x := range sh.multi {
+			chain := sh.chains[x]
 			j := sort.Search(len(chain), func(j int) bool { return chain[j].TS > watermark })
 			// chain[j-1] is the version a read at the watermark returns;
 			// everything before it is unreachable for ts ≥ watermark.
 			if j > 1 {
-				keep := make([]Version, len(chain)-(j-1))
-				copy(keep, chain[j-1:])
-				sh.chains[x] = keep
+				chain = trimChain(chain, j-1)
+				sh.chains[x] = chain
 				dropped += j - 1
 			}
+			if len(chain) > 1 {
+				sh.multi[n] = x
+				n++
+			}
 		}
+		sh.multi = sh.multi[:n]
 		sh.mu.Unlock()
 	}
 	return dropped
+}
+
+// trimChain drops the chain's first k versions. The survivors move
+// down within the chain's own array; a fresh, right-sized array is
+// taken only when the old one is more than 4x the survivors, so a
+// chain that grew long (behind a pinned snapshot, say) does not keep
+// its peak size.
+func trimChain(chain []Version, k int) []Version {
+	live := chain[k:]
+	if cap(chain) > 4*len(live) {
+		return append([]Version(nil), live...)
+	}
+	n := copy(chain, live)
+	clear(chain[n:])
+	return chain[:n]
 }
 
 // Locked is exclusive ownership of every shard covering a write set,

@@ -65,10 +65,10 @@ func TestLatest(t *testing.T) {
 	if ts := s.LatestTS("x"); ts != 0 {
 		t.Errorf("LatestTS = %d, want 0", ts)
 	}
-	mustInstall(t, s, "x", Version{Val: 1, TS: 3, Writer: "w1"})
-	mustInstall(t, s, "x", Version{Val: 2, TS: 7, Writer: "w2"})
+	mustInstall(t, s, "x", Version{Val: 1, TS: 3})
+	mustInstall(t, s, "x", Version{Val: 2, TS: 7})
 	v, ok := s.Latest("x")
-	if !ok || v.Val != 2 || v.TS != 7 || v.Writer != "w2" {
+	if !ok || v.Val != 2 || v.TS != 7 {
 		t.Errorf("Latest = %+v", v)
 	}
 	if s.LatestTS("x") != 7 {
@@ -178,5 +178,66 @@ func TestConcurrentAccess(t *testing.T) {
 		if s.VersionCount(obj) != versions {
 			t.Errorf("%s has %d versions", obj, s.VersionCount(obj))
 		}
+	}
+}
+
+// TestGCSteadyStateAllocFree: once a chain has its array, an install
+// plus a GC at the newest timestamp trims the chain in place and
+// reuses the multi-version list, so the pair allocates nothing. Not
+// parallel: AllocsPerRun counts every goroutine's allocations.
+func TestGCSteadyStateAllocFree(t *testing.T) {
+	s := New()
+	ts := uint64(1)
+	mustInstall(t, s, "x", Version{Val: 1, TS: ts})
+	step := func() {
+		ts++
+		if err := s.Install("x", Version{Val: model.Value(ts), TS: ts}); err != nil {
+			t.Fatal(err)
+		}
+		if d := s.GC(ts); d != 1 {
+			t.Fatalf("GC(%d) dropped %d, want 1", ts, d)
+		}
+	}
+	step() // warm-up: the chain's array and the shard's list grow once
+	if a := testing.AllocsPerRun(100, step); a != 0 {
+		t.Errorf("install + GC allocates %.1f times, want 0", a)
+	}
+	if n := s.VersionCount("x"); n != 1 {
+		t.Errorf("VersionCount = %d after GC at the newest version, want 1", n)
+	}
+}
+
+// TestCloneGCMatchesSource: a clone carries the multi-version lists,
+// so GC drops the same versions from it as from its source, and the
+// two stay independent.
+func TestCloneGCMatchesSource(t *testing.T) {
+	t.Parallel()
+	s := New()
+	objs := make([]model.Obj, 40)
+	for i := range objs {
+		objs[i] = model.Obj(fmt.Sprintf("o%d", i))
+		for v := 1; v <= 1+i%5; v++ { // chains of 1 to 5 versions
+			mustInstall(t, s, objs[i], Version{Val: model.Value(v), TS: uint64(v)})
+		}
+	}
+	c := s.Clone()
+	for _, w := range []uint64{2, 4, 9} {
+		if got, want := c.GC(w), s.GC(w); got != want || want == 0 {
+			t.Errorf("GC(%d): clone dropped %d, source %d (want equal and > 0)", w, got, want)
+		}
+		for _, x := range objs {
+			if a, b := c.Chain(x), s.Chain(x); fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Fatalf("after GC(%d) %s: clone %v, source %v", w, x, a, b)
+			}
+		}
+	}
+	// A chain that gains a second version in the clone only is the
+	// clone's to collect.
+	mustInstall(t, c, objs[0], Version{Val: 9, TS: 10})
+	if got, want := c.GC(10), 1; got != want {
+		t.Errorf("clone GC after a clone-only install dropped %d, want %d", got, want)
+	}
+	if got := s.GC(10); got != 0 {
+		t.Errorf("source GC dropped %d versions installed only in the clone", got)
 	}
 }

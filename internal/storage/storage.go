@@ -13,7 +13,9 @@
 // needs: snapshot reads (ReadAt), latest-timestamp validation
 // (LatestTS), version installation (Install/InstallBatch), the
 // multi-shard first-committer-wins commit window (LockObjs), and
-// watermark compaction (Compact). Version and Write are aliases of the
+// watermark compaction (Compact), which the SI commit path calls on its
+// own once enough versions have been superseded, so a driver's chains
+// stay a few versions long. Version and Write are aliases of the
 // mem types so a driver wrapping mem shares them without conversion.
 //
 // Durability is layered on through optional interfaces discovered by

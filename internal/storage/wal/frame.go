@@ -32,7 +32,10 @@ import (
 //	             recovery replay re-certifies the history.
 //	install (2): str obj | i64 val | u64 ts | str writer | u64 meta
 //	             — one raw version install that bypassed the engine
-//	             commit path (Driver.Install / InstallBatch).
+//	             commit path (Driver.Install / InstallBatch). The
+//	             writer slot is reserved: always written empty, and
+//	             read and discarded (logs that carry a writer there
+//	             still open).
 //
 // The snapshot file is magic, u64 lastLSN, u64 maxTS, u32 count,
 // count × install-shaped entries, then u32 crc32c over everything
@@ -117,11 +120,11 @@ func encodeCommitBody(rec storage.CommitRecord) []byte {
 }
 
 func encodeInstallBody(x model.Obj, v storage.Version) []byte {
-	b := make([]byte, 0, 40+len(x)+len(v.Writer))
+	b := make([]byte, 0, 40+len(x))
 	b = appendString(b, string(x))
 	b = appendValue(b, v.Val)
 	b = appendUint64(b, v.TS)
-	b = appendString(b, v.Writer)
+	b = appendString(b, "") // the reserved writer slot
 	b = appendUint64(b, v.Meta)
 	return b
 }
@@ -238,12 +241,9 @@ func decodeCommitBody(b []byte) (storage.CommitRecord, error) {
 func decodeInstallBody(b []byte) (model.Obj, storage.Version, error) {
 	r := &byteReader{b: b}
 	x := model.Obj(r.str("install object"))
-	v := storage.Version{
-		Val:    r.val("install value"),
-		TS:     r.u64("install ts"),
-		Writer: r.str("install writer"),
-		Meta:   r.u64("install meta"),
-	}
+	v := storage.Version{Val: r.val("install value"), TS: r.u64("install ts")}
+	r.str("install writer") // reserved; discarded
+	v.Meta = r.u64("install meta")
 	return x, v, r.done("install record")
 }
 
@@ -280,12 +280,9 @@ func decodeSnapshot(b []byte) (latest []storage.Write, maxTS, lastLSN uint64, er
 	n := r.u32("snapshot entry count")
 	for i := 0; i < int(n) && r.err == nil; i++ {
 		x := model.Obj(r.str("snapshot object"))
-		v := storage.Version{
-			Val:    r.val("snapshot value"),
-			TS:     r.u64("snapshot ts"),
-			Writer: r.str("snapshot writer"),
-			Meta:   r.u64("snapshot meta"),
-		}
+		v := storage.Version{Val: r.val("snapshot value"), TS: r.u64("snapshot ts")}
+		r.str("snapshot writer") // reserved; discarded
+		v.Meta = r.u64("snapshot meta")
 		latest = append(latest, storage.Write{Obj: x, Version: v})
 	}
 	if derr := r.done("snapshot"); derr != nil {

@@ -210,12 +210,12 @@ func TestBatchGroupSurvivesReopen(t *testing.T) {
 
 // TestRawInstallsSurviveReopen pins the non-engine append path: plain
 // Install / InstallBatch calls are logged as install records with
-// Writer and Meta preserved.
+// Meta preserved.
 func TestRawInstallsSurviveReopen(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	d := mustOpen(t, testOpts(dir))
-	want := storage.Version{Val: 7, TS: 3, Writer: "w1", Meta: 42}
+	want := storage.Version{Val: 7, TS: 3, Meta: 42}
 	if err := d.Install("a", want); err != nil {
 		t.Fatal(err)
 	}
