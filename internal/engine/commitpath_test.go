@@ -15,14 +15,16 @@ import (
 
 // TestCommitPathCertification certifies the one commit path against
 // the paper's definitions from both sides, for each engine kind that
-// runs on it and the model that kind promises (SI → SI, SSI → SER): a
-// disjoint and a 2-hot-key closed loop — and, for SSI, a wider
-// 8-session hot-key loop that keeps the veto busy — run to completion,
-// and each history must be a member of the model for the offline
-// checker (check.Certify) and for the online monitor over the recorded
-// event stream, with the commit count exact. Run under -race in CI,
-// this pins the lock window, the SSI veto taken inside it and the
-// ordered-publish gate to the definitions.
+// runs on it and the model that kind promises (SI → SI, SSI → SER,
+// PSI → PSI): a disjoint and a 2-hot-key closed loop — and, for SSI, a
+// wider 8-session hot-key loop that keeps the veto busy — run to
+// completion, and each history must be a member of the model for the
+// offline checker (check.Certify) and for the online monitor over the
+// recorded event stream, with the commit count exact. Run under -race
+// in CI, this pins the lock window, the SSI and PSI vetoes taken inside
+// it and the ordered-publish gate to the definitions. The PSI rows'
+// other side, a history PSI allows and SI rejects, is
+// TestStageLongFork's.
 func TestCommitPathCertification(t *testing.T) {
 	t.Parallel()
 	disjoint := workload.ClosedLoopConfig{Sessions: 4, Ops: 20, Objects: 4, Disjoint: true, Seed: 11}
@@ -38,6 +40,8 @@ func TestCommitPathCertification(t *testing.T) {
 		{engine.SSI, depgraph.SER, "disjoint", disjoint},
 		{engine.SSI, depgraph.SER, "hotkeys", hotkeys},
 		{engine.SSI, depgraph.SER, "hot8", workload.ClosedLoopConfig{Sessions: 8, Ops: 10, Objects: 16, HotKeys: 2, Seed: 13}},
+		{engine.PSI, depgraph.PSI, "disjoint", disjoint},
+		{engine.PSI, depgraph.PSI, "hotkeys", hotkeys},
 	}
 	for _, tc := range configs {
 		tc := tc

@@ -2,144 +2,136 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"sian/internal/model"
-	"sian/internal/obs/txtrace"
 	"sian/internal/storage"
 )
 
 // psiProtocol implements parallel snapshot isolation in the style of
-// Walter [31]: every session is pinned to a replica (site); a
-// transaction reads a causally-consistent snapshot of its replica,
-// commits at its origin after a global write-conflict check (ensuring
-// NOCONFLICT: a writer must have observed the previous write to every
-// object it writes), and its effects propagate to other replicas
-// asynchronously in causal order. Two transactions committed at
-// different sites without mutual visibility may be observed in
-// different orders by different sites — the long-fork anomaly of
-// Figure 2(c), allowed by PSI and forbidden by SI.
+// Walter [31]. The paper's Definition 20 keeps every SI axiom except
+// PREFIX, which TRANSVIS replaces, so each site (replica) is an SI site:
+// an siProtocol over its own in-memory store, with its own snapshots,
+// lock windows, publish gate and compaction. Sessions are pinned to
+// sites. Only two parts are PSI's own:
+//
+//   - Walter's write-conflict rule, NOCONFLICT across sites: a writer
+//     must have seen the previous write of every object it writes.
+//     psiSite.vet checks it inside the local commit window.
+//   - Causal delivery: psiSite.append logs every commit at its origin
+//     with the vector of log prefixes its site had applied, and another
+//     site applies it, through its own commit window, only once it has
+//     applied those prefixes.
+//
+// Two transactions committed at different sites without mutual
+// visibility may be observed in different orders by different sites —
+// the long-fork anomaly of Figure 2(c), allowed by PSI and forbidden by
+// SI. DESIGN.md §10 gives the argument.
 type psiProtocol struct {
-	cfg Config
+	manual bool
 
-	mu sync.Mutex
-	// logs[o] is the suffix of origin o's commit log that some replica
-	// has not yet applied; bases[o] is the absolute sequence number of
-	// its first entry. Fully-applied prefixes are truncated
-	// periodically so long runs do not accumulate the whole history.
-	logs  [][]psiCommit
-	bases []int
-	// sincetruncate counts commits since the last log truncation.
-	sincetruncate int
-	// gv[x] counts globally committed writes to x; version Meta fields
-	// hold the stamp current when the version was installed.
-	gv       map[model.Obj]uint64
-	replicas []*replica
+	// mu is the PSI mutex: it guards every field below and every site's
+	// applied vector. Lock order: a site's applyMu → its shard locks → mu.
+	mu    sync.Mutex
+	sites []*psiSite
+	// logs[o] is the suffix of origin o's commit log that some site has
+	// not applied; bases[o] counts the entries before it, which
+	// truncation folded into checkpoint.
+	logs       [][]psiCommit
+	bases      []int
+	checkpoint map[model.Obj]model.Value
+	// last[x] is the global last writer of x.
+	last          map[model.Obj]psiRef
+	sinceTruncate int
 
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
 
+// truncateEvery is the number of commits between log truncations.
+const truncateEvery = 256
+
+// psiRef names a commit by its origin and sequence number.
+type psiRef struct{ origin, seq int }
+
 // psiCommit is one committed transaction in an origin log.
 type psiCommit struct {
 	origin int
-	seq    int   // 1-based position within the origin's log
-	dep    []int // causal dependency: required applied count per origin
+	seq    int   // 1-based position in the origin's log; 0 for a checkpoint
+	dep    []int // the origin's applied vector when the commit was logged
 	order  []model.Obj
-	writes map[model.Obj]model.Value
-	stamps map[model.Obj]uint64 // gv stamp assigned to each write
+	vals   []model.Value // vals[i] is the value written to order[i]
 }
 
-// replica is one site's local multi-version state.
-type replica struct {
-	mu       sync.Mutex
-	store    storage.Driver
-	applied  []int // per-origin applied log prefix lengths
-	applySeq uint64
-	// active counts live local transactions per snapshot sequence,
-	// for garbage collection.
-	active map[uint64]int
-	// scratch is the reusable batch buffer for applyLocked, so the
-	// apply loop does not allocate per commit.
-	scratch []storage.Write
-}
-
-// releaseLocked drops a snapshot registration. Callers hold r.mu.
-func (r *replica) releaseLocked(snap uint64) {
-	if n := r.active[snap]; n > 1 {
-		r.active[snap] = n - 1
-	} else {
-		delete(r.active, snap)
-	}
-}
-
-// gc truncates this replica's version chains below its oldest live
-// snapshot and returns the number of versions discarded.
-func (r *replica) gc() int {
-	r.mu.Lock()
-	watermark := r.applySeq
-	for snap := range r.active {
-		if snap < watermark {
-			watermark = snap
-		}
-	}
-	r.mu.Unlock()
-	return r.store.Compact(watermark)
+// psiSite is one replica: an SI site plus its place in causal delivery.
+type psiSite struct {
+	p  *psiProtocol
+	id int
+	si *siProtocol
+	// applyMu serialises the remote applies at this site.
+	applyMu sync.Mutex
+	// applied[o] is the length of origin o's log prefix this site has
+	// applied, its own commits included. Guarded by p.mu.
+	applied []int
 }
 
 func newPSIProtocol(cfg Config) *psiProtocol {
 	p := &psiProtocol{
-		cfg:  cfg,
-		gv:   make(map[model.Obj]uint64),
-		stop: make(chan struct{}),
+		manual:     cfg.ManualPropagation,
+		checkpoint: make(map[model.Obj]model.Value),
+		last:       make(map[model.Obj]psiRef),
+		stop:       make(chan struct{}),
 	}
-	if !cfg.ManualPropagation {
+	if !p.manual {
 		p.wg.Add(1)
 		go p.propagateLoop()
 	}
 	return p
 }
 
+// ensureSite adds sites up to site. Callers (DB.Session) serialise it,
+// and it is the only writer of p.sites.
 func (p *psiProtocol) ensureSite(site int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.replicas) <= site {
-		fresh := &replica{store: storage.NewMem(), active: make(map[uint64]int)}
-		p.replicas = append(p.replicas, fresh)
-		p.logs = append(p.logs, nil)
-		p.bases = append(p.bases, 0)
-		// Grow every replica's applied vector to the new origin count.
-		for _, r := range p.replicas {
-			r.mu.Lock()
-			for len(r.applied) < len(p.replicas) {
-				r.applied = append(r.applied, 0)
-			}
-			r.mu.Unlock()
-		}
-		// Bootstrap the new replica by state transfer from an existing
-		// one (any donor works: log truncation only drops entries that
-		// every replica, donor included, has applied), then catch up
-		// from the retained logs. In manual-propagation mode only the
-		// state transfer happens; the logs stay un-applied until the
-		// client propagates explicitly.
-		if len(p.replicas) > 1 {
-			donor := p.replicas[0]
-			donor.mu.Lock()
-			fresh.mu.Lock()
-			// Replica stores are always storage.NewMem drivers, which
-			// implement Cloner; the assertion documents the requirement.
-			fresh.store = donor.store.(storage.Cloner).Clone()
-			fresh.applySeq = donor.applySeq
-			copy(fresh.applied, donor.applied)
-			fresh.mu.Unlock()
-			donor.mu.Unlock()
-		}
-		if !p.cfg.ManualPropagation {
-			for fresh.applyReady(p.logs, p.bases) {
-			}
-		}
+	for len(p.sites) <= site {
+		p.join()
 	}
+}
+
+// join adds a site. It starts from the checkpoint, so its applied
+// vector is bases, and then replays the retained logs — all of them, or
+// under manual propagation only what site 0 has applied, the state a
+// copy of site 0 would hold. Replaying the logs alone would not do:
+// truncation has dropped entries the new site needs.
+func (p *psiProtocol) join() {
+	s := &psiSite{p: p, si: newSIProtocol(Config{})}
+	s.si.psi = s
+	s.applyMu.Lock()
+	p.mu.Lock()
+	s.id = len(p.sites)
+	p.logs = append(p.logs, nil)
+	p.bases = append(p.bases, 0)
+	for _, o := range p.sites {
+		o.applied = append(o.applied, 0)
+	}
+	s.applied = slices.Clone(p.bases)
+	var limit []int
+	if p.manual && s.id > 0 {
+		limit = slices.Clone(p.sites[0].applied)
+	}
+	var ck psiCommit
+	for x, v := range p.checkpoint {
+		ck.order, ck.vals = append(ck.order, x), append(ck.vals, v)
+	}
+	p.sites = append(p.sites, s)
+	p.mu.Unlock()
+	// applyMu keeps the propagator out until the checkpoint is in.
+	if len(ck.order) > 0 {
+		s.apply(ck)
+	}
+	s.applyMu.Unlock()
+	s.catchUp(limit)
 }
 
 func (p *psiProtocol) close() error {
@@ -163,269 +155,191 @@ func (p *psiProtocol) propagateLoop() {
 	}
 }
 
-// propagateOnce applies, at every replica, every origin-log entry
-// whose causal dependencies are satisfied. Returns whether any entry
-// was applied.
+// propagateOnce brings every site up to date with the logs and reports
+// whether any commit was applied.
 func (p *psiProtocol) propagateOnce() bool {
 	p.mu.Lock()
-	logs := make([][]psiCommit, len(p.logs))
-	copy(logs, p.logs)
-	bases := make([]int, len(p.bases))
-	copy(bases, p.bases)
-	replicas := make([]*replica, len(p.replicas))
-	copy(replicas, p.replicas)
+	sites := slices.Clone(p.sites)
 	p.mu.Unlock()
-
-	progress := false
-	for _, r := range replicas {
-		for {
-			if !r.applyReady(logs, bases) {
-				break
-			}
-			progress = true
-		}
+	n := 0
+	for _, s := range sites {
+		n += s.catchUp(nil)
 	}
-	return progress
+	return n > 0
 }
 
-// truncateLocked drops log prefixes every replica has applied. Callers
-// hold p.mu.
+// nextLocked returns a logged commit that extends the prefix vector
+// have, stays within limit (nil: the whole logs) and whose dependencies
+// have covers. Callers hold p.mu.
+func (p *psiProtocol) nextLocked(have, limit []int) (psiCommit, bool) {
+next:
+	for o, log := range p.logs {
+		i := have[o] - p.bases[o]
+		if i >= len(log) || limit != nil && have[o] >= limit[o] {
+			continue
+		}
+		for d, need := range log[i].dep {
+			if have[d] < need {
+				continue next
+			}
+		}
+		return log[i], true
+	}
+	return psiCommit{}, false
+}
+
+// truncateLocked folds into the checkpoint, in causal order, every log
+// entry all sites have applied, and drops it from its log. Those
+// entries form a causally closed set (each site's applied vector is
+// one), so the fold never stalls. Callers hold p.mu.
 func (p *psiProtocol) truncateLocked() {
-	for o := range p.logs {
-		min := -1
-		for _, r := range p.replicas {
-			r.mu.Lock()
-			a := 0
-			if o < len(r.applied) {
-				a = r.applied[o]
-			}
-			r.mu.Unlock()
-			if min < 0 || a < min {
-				min = a
-			}
+	floor := slices.Clone(p.sites[0].applied)
+	for _, s := range p.sites[1:] {
+		for o, a := range s.applied {
+			floor[o] = min(floor[o], a)
 		}
-		drop := min - p.bases[o]
-		if drop <= 0 {
-			continue
+	}
+	for {
+		c, ok := p.nextLocked(p.bases, floor)
+		if !ok {
+			return
 		}
-		kept := make([]psiCommit, len(p.logs[o])-drop)
-		copy(kept, p.logs[o][drop:])
-		p.logs[o] = kept
-		p.bases[o] = min
+		for i, x := range c.order {
+			p.checkpoint[x] = c.vals[i]
+		}
+		p.logs[c.origin] = p.logs[c.origin][1:]
+		p.bases[c.origin]++
 	}
 }
 
-// applyReady applies one causally-ready log entry at the replica, if
-// any. bases[o] is the absolute sequence of logs[o][0].
-func (r *replica) applyReady(logs [][]psiCommit, bases []int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for o := range logs {
-		if o >= len(r.applied) {
-			continue
+// catchUp applies, in causal order, every logged commit this site has
+// not applied, up to the prefix vector limit (nil: the whole logs), and
+// returns how many it applied.
+func (s *psiSite) catchUp(limit []int) int {
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	for n := 0; ; n++ {
+		s.p.mu.Lock()
+		c, ok := s.p.nextLocked(s.applied, limit)
+		s.p.mu.Unlock()
+		if !ok {
+			return n
 		}
-		idx := r.applied[o] - bases[o]
-		if idx < 0 || idx >= len(logs[o]) {
-			continue
-		}
-		c := logs[o][idx]
-		if !r.depSatisfiedLocked(c.dep) {
-			continue
-		}
-		r.applyLocked(c)
-		return true
+		s.apply(c)
 	}
-	return false
 }
 
-// depSatisfiedLocked reports whether every causal dependency of the
-// commit has been applied here. Callers hold r.mu.
-func (r *replica) depSatisfiedLocked(dep []int) bool {
-	for o, need := range dep {
-		if o >= len(r.applied) {
-			if need > 0 {
-				return false
-			}
-			continue
+// apply installs a remote commit (or the checkpoint) at the site
+// through the site's own commit window: a commit that cannot abort. The
+// applied vector is bumped before publish, so a local commit whose
+// snapshot includes c also lists c among its dependencies. Callers hold
+// s.applyMu.
+func (s *psiSite) apply(c psiCommit) {
+	si := s.si
+	lock := si.store.LockObjs(c.order)
+	ts := si.nextTS.Add(1)
+	superseding := 0
+	for i, x := range c.order {
+		if lock.LatestTS(x) != 0 {
+			superseding++
 		}
-		if r.applied[o] < need {
+		// ts was allocated under every shard the commit writes, so it
+		// exceeds every version there.
+		if err := lock.Install(x, storage.Version{Val: c.vals[i], TS: ts}); err != nil {
+			panic(fmt.Sprintf("engine: psi apply: %v", err))
+		}
+	}
+	lock.Unlock()
+	if c.seq > 0 {
+		s.p.mu.Lock()
+		s.applied[c.origin] = c.seq
+		s.p.mu.Unlock()
+	}
+	si.publish(ts)
+	si.compactIfDue(superseding)
+}
+
+// vet is Walter's rule, called inside a local commit's window once
+// first-committer-wins has passed and before the timestamp. It passes
+// if the global last writer of each written object is in this site's
+// applied vector. A commit of this site always is, and
+// first-committer-wins has already ordered it before this one. On
+// success it returns holding p.mu, which append releases.
+func (s *psiSite) vet(order []model.Obj) bool {
+	s.p.mu.Lock()
+	for _, x := range order {
+		if w, ok := s.p.last[x]; ok && s.applied[w.origin] < w.seq {
+			s.p.mu.Unlock()
 			return false
 		}
 	}
 	return true
 }
 
-// applyLocked installs the commit's writes into the replica's version
-// chains, taking each store shard lock once for the whole write set
-// rather than once per object. Callers hold r.mu and guarantee the
-// commit is the next entry of its origin with satisfied dependencies.
-func (r *replica) applyLocked(c psiCommit) {
-	r.applySeq++
-	r.scratch = r.scratch[:0]
-	for _, x := range c.order {
-		r.scratch = append(r.scratch, storage.Write{Obj: x, Version: storage.Version{
-			Val:  c.writes[x],
-			TS:   r.applySeq,
-			Meta: c.stamps[x],
-		}})
+// append logs a vetted commit after its timestamp and installs and
+// before its window's Unlock: it takes the next sequence number,
+// captures the dependency vector and claims the written objects. A
+// remote commit that depends on it is therefore applied here only
+// after it has its timestamp, and takes a later one.
+func (s *psiSite) append(order []model.Obj, writes map[model.Obj]model.Value) {
+	p := s.p
+	c := psiCommit{
+		origin: s.id,
+		seq:    s.applied[s.id] + 1,
+		dep:    slices.Clone(s.applied),
+		order:  slices.Clone(order),
+		vals:   make([]model.Value, len(order)),
 	}
-	// InstallBatch can only fail on non-monotonic timestamps, which
-	// the per-replica applySeq precludes.
-	if err := r.store.InstallBatch(r.scratch); err != nil {
-		panic(fmt.Sprintf("engine: psi replica install: %v", err))
+	for i, x := range order {
+		c.vals[i] = writes[x]
+		p.last[x] = psiRef{s.id, c.seq}
 	}
-	for len(r.applied) <= c.origin {
-		r.applied = append(r.applied, 0)
+	p.logs[s.id] = append(p.logs[s.id], c)
+	s.applied[s.id] = c.seq
+	if p.sinceTruncate++; p.sinceTruncate >= truncateEvery {
+		p.sinceTruncate = 0
+		p.truncateLocked()
 	}
-	r.applied[c.origin] = c.seq
-}
-
-// Flush propagates until every replica has applied every log entry.
-// Meaningful in both manual and automatic modes.
-func (p *psiProtocol) Flush() {
-	for p.propagateOnce() {
-	}
-}
-
-// gc compacts every replica's version chains and returns the total
-// number of versions discarded.
-func (p *psiProtocol) gc() int {
-	p.mu.Lock()
-	replicas := make([]*replica, len(p.replicas))
-	copy(replicas, p.replicas)
 	p.mu.Unlock()
-	total := 0
-	for _, r := range replicas {
-		total += r.gc()
-	}
-	return total
 }
 
 func (p *psiProtocol) begin(site int) (txProtocol, error) {
 	p.mu.Lock()
-	if site >= len(p.replicas) {
+	if site >= len(p.sites) {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("engine: psi: unknown site %d", site)
 	}
-	r := p.replicas[site]
-	var logs [][]psiCommit
-	var bases []int
-	if !p.cfg.ManualPropagation {
-		logs = make([][]psiCommit, len(p.logs))
-		copy(logs, p.logs)
-		bases = make([]int, len(p.bases))
-		copy(bases, p.bases)
-	}
+	s := p.sites[site]
 	p.mu.Unlock()
-	if logs != nil {
-		// Refresh the local replica with everything causally ready
-		// before snapshotting, so conflict-aborted transactions make
-		// progress on retry instead of spinning on a stale snapshot.
-		for r.applyReady(logs, bases) {
-		}
+	if !p.manual {
+		// Refresh the site before snapshotting, so conflict-aborted
+		// transactions make progress on retry instead of spinning on a
+		// stale snapshot.
+		s.catchUp(nil)
 	}
-	r.mu.Lock()
-	snap := r.applySeq
-	r.active[snap]++
-	r.mu.Unlock()
-	return &psiTx{p: p, r: r, site: site, snap: snap}, nil
+	return s.si.begin(site)
 }
 
-type psiTx struct {
-	p    *psiProtocol
-	r    *replica
-	site int
-	snap uint64
-	done bool
-}
-
-// finish releases the snapshot registration exactly once.
-func (t *psiTx) finish() {
-	if t.done {
-		return
-	}
-	t.done = true
-	t.r.mu.Lock()
-	t.r.releaseLocked(t.snap)
-	t.r.mu.Unlock()
-}
-
-func (t *psiTx) read(x model.Obj) (model.Value, error) {
-	v, ok := t.r.store.ReadAt(x, t.snap)
-	if !ok {
-		return 0, ErrUninitialized
-	}
-	return v.Val, nil
-}
-
-func (t *psiTx) commit(req commitReq) (uint64, error) {
-	writes, order := req.writes, req.order
-	defer t.finish()
-	if len(writes) == 0 {
-		// Read-only commit: no lock, no validation. Mark the terminal
-		// stage so the commit stays attributable in traces.
-		req.trace.Mark(txtrace.StageROCommit)
-		return 0, nil
-	}
-	tr := req.trace
-	p := t.p
+// gc compacts every site through siProtocol.gc and returns the total
+// number of versions discarded.
+func (p *psiProtocol) gc() int {
 	p.mu.Lock()
-	tr.Mark(txtrace.StageLockWait)
-	defer p.mu.Unlock()
-	// Write-conflict check: for every written object, the snapshot
-	// must contain the globally latest committed write (stamp match);
-	// otherwise some concurrent writer was not visible to us and
-	// NOCONFLICT would be violated.
-	for _, x := range order {
-		var seen uint64
-		if v, ok := t.r.store.ReadAt(x, t.snap); ok {
-			seen = v.Meta
-		}
-		if p.gv[x] != seen {
-			tr.Mark(txtrace.StageValidate)
-			return 0, ErrConflict
-		}
+	sites := slices.Clone(p.sites)
+	p.mu.Unlock()
+	total := 0
+	for _, s := range sites {
+		total += s.si.gc()
 	}
-	tr.Mark(txtrace.StageValidate)
-	c := psiCommit{
-		origin: t.site,
-		order:  append([]model.Obj(nil), order...),
-		writes: make(map[model.Obj]model.Value, len(writes)),
-		stamps: make(map[model.Obj]uint64, len(writes)),
-	}
-	for _, x := range order {
-		p.gv[x]++
-		c.writes[x] = writes[x]
-		c.stamps[x] = p.gv[x]
-	}
-	// Causal dependency: everything applied at the origin when the
-	// commit happens.
-	t.r.mu.Lock()
-	c.dep = append([]int(nil), t.r.applied...)
-	c.seq = p.bases[t.site] + len(p.logs[t.site]) + 1
-	p.logs[t.site] = append(p.logs[t.site], c)
-	// Apply at the origin immediately (a site always sees its own
-	// commits — this also yields the SESSION guarantee, since sessions
-	// are pinned to sites).
-	t.r.applyLocked(c)
-	t.r.mu.Unlock()
-	tr.Mark(txtrace.StageInstall)
-	p.sincetruncate++
-	if p.sincetruncate >= 256 {
-		p.sincetruncate = 0
-		p.truncateLocked()
-	}
-	return 0, nil
+	return total
 }
-
-func (t *psiTx) abort() { t.finish() }
 
 // Flush exposes PSI log propagation on the DB: it blocks until every
 // replica has applied every committed transaction. For non-PSI engines
 // it is a no-op.
 func (db *DB) Flush() {
 	if p, ok := db.impl.(*psiProtocol); ok {
-		p.Flush()
+		for p.propagateOnce() {
+		}
 	}
 }
 

@@ -66,6 +66,9 @@ type siProtocol struct {
 	// ssi, nil under SI, makes this SSI: reads and commits report to the
 	// dangerous-structure tracker of ssi.go, which may veto them.
 	ssi *ssiTracker
+	// psi, nil under SI, makes this a PSI site (psi.go): commits pass
+	// Walter's write-conflict veto and are logged for the other sites.
+	psi *psiSite
 
 	// nextTS is the commit-timestamp allocation sequence.
 	nextTS atomic.Uint64
@@ -183,11 +186,12 @@ func (t *siTx) read(x model.Obj) (model.Value, error) {
 	return v.Val, nil
 }
 
-// commit is the one commit procedure of SI and SSI: one lock window
-// over the write set's shards, first-committer-wins validation (then
-// the SSI veto), one timestamp, install, one staged WAL record, Unlock
-// (append + join the log's group fsync), in-order publish. It is the
-// path of record for the DESIGN.md §10/§12 soundness arguments.
+// commit is the one commit procedure of SI, SSI and PSI: one lock
+// window over the write set's shards, first-committer-wins validation
+// (then the SSI or PSI veto), one timestamp, install (then the PSI log
+// append), one staged WAL record, Unlock (append + join the log's group
+// fsync), in-order publish. It is the path of record for the DESIGN.md
+// §10/§12 soundness arguments.
 func (t *siTx) commit(req commitReq) (uint64, error) {
 	p := t.p
 	tr := req.trace
@@ -206,8 +210,9 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 	// committed version after our snapshot aborts us. Holding every
 	// write-set shard makes validate-then-install atomic against any
 	// commit overlapping our write set. Under SSI a commit that would
-	// complete a dangerous structure is vetoed the same way. Neither
-	// loser allocates a timestamp, so neither leaves a gap the publish
+	// complete a dangerous structure is vetoed the same way, and under
+	// PSI one that has not seen another site's last write. No
+	// loser allocates a timestamp, so none leaves a gap the publish
 	// gate waits on. A write to an object that already has a version
 	// supersedes it: compactIfDue counts those once the commit is done.
 	ok := true
@@ -224,6 +229,9 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 	}
 	if ok && t.rec != nil {
 		ok = p.ssi.vet(t.rec, req.order)
+	}
+	if ok && p.psi != nil {
+		ok = p.psi.vet(req.order)
 	}
 	tr.Mark(txtrace.StageValidate)
 	if !ok {
@@ -246,6 +254,9 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 				installErr = err
 			}
 		}
+	}
+	if p.psi != nil {
+		p.psi.append(req.order, req.writes)
 	}
 	tr.Mark(txtrace.StageInstall)
 	// Hand a durable window the commit record while the shards are

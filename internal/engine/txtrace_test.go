@@ -40,18 +40,13 @@ func TestTracedTransactStages(t *testing.T) {
 			if td.TxID == "" {
 				t.Error("trace has no txid")
 			}
-			// In-memory driver: the pipeline minus the WAL stages. SI
-			// and SSI share the commit path and so the publish span (the
-			// ordered-publish CAS); PSI installs under its engine-wide
-			// mutex and has no separate publish step.
+			// In-memory driver: the pipeline minus the WAL stages, the
+			// same for every kind on the one commit path.
 			want := []txtrace.Stage{
 				txtrace.StageBeginWait, txtrace.StageReads, txtrace.StageLockWait,
-				txtrace.StageValidate, txtrace.StageInstall,
+				txtrace.StageValidate, txtrace.StageInstall, txtrace.StagePublish,
+				txtrace.StageAck,
 			}
-			if kind != engine.PSI {
-				want = append(want, txtrace.StagePublish)
-			}
-			want = append(want, txtrace.StageAck)
 			if len(td.Spans) != len(want) {
 				t.Fatalf("spans: %v", td.Spans)
 			}
