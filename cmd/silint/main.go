@@ -1,24 +1,35 @@
-// Command silint statically analyses Go packages written against the
-// sian engine API: it lifts per-transaction read/write sets out of
-// Session.Transact/TransactNamed closures and Begin…Commit spans, then
-// runs the paper's static criteria (robustness, §6; chopping
-// correctness, §5 and Appendix B) and reports violations at the
-// offending call sites.
+// Command silint runs the paper's static criteria — robustness (§6,
+// Theorems 19 and 22) and chopping correctness (§5 and Appendix B,
+// Corollary 18, Theorems 29 and 31) — over per-transaction read and
+// write sets, which it takes from one of three sources:
 //
-// Usage:
+//	silint [-model si|psi|ser|all] [-format text|json] [-notes] [-fix] [packages...]
+//	silint [-model …] [-format …] [-fix] [-dot file] spec.json|-
+//	go vet -vettool=$(which silint) [-model=…] [packages]
 //
-//	silint [-model si|psi|ser|all] [-format text|json] [-fix] [packages...]
+// Go packages: silint lifts the sets out of Session.Transact/
+// TransactNamed closures and Begin…Commit spans and reports violations
+// at the offending call sites. Package patterns are directories, with
+// an optional /... suffix to walk subdirectories; the default is the
+// current directory. With -fix, the repair advisor's first-ranked
+// suggestions — verified read→write promotions (§6's materialised
+// conflict) — are applied to the source files in place; re-running
+// silint afterwards shows which diagnostics remain.
 //
-// Package patterns are directories, with an optional /... suffix to
-// walk subdirectories; the default is the current directory. Exit
-// status 0 means every check passed, 1 at least one potential anomaly
-// was reported, 2 an analysis error (unparseable or untypeable code,
-// bad flags, exceeded search budget).
+// JSON specs: an argument ending in .json, or - for standard input, is
+// a spec (see internal/histio for the schema). A top-level "sessions"
+// key makes it an app, checked by the robustness rows of -model; a
+// "programs" key makes it a program set, checked by the chopping rows.
+// For a program set, -fix prints a coarsened correct chopping and -dot
+// writes the static chopping graph with the first critical cycle
+// highlighted ('-' for stdout).
 //
-// With -fix, the repair advisor's first-ranked suggestions — verified
-// read→write promotions (§6's materialised conflict) — are applied to
-// the source files in place; re-running silint afterwards shows which
-// diagnostics remain.
+// go vet: silint speaks cmd/go's vettool protocol (vet.go) and reports
+// its diagnostics, with suggested fixes, once per package.
+//
+// Exit status 0 means every check passed, 1 at least one potential
+// anomaly was reported, 2 a usage or analysis error (unparseable or
+// untypeable code, bad flags or spec, exceeded search budget).
 package main
 
 import (
@@ -27,6 +38,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"sian/internal/cliutil"
 	"sian/internal/depgraph"
@@ -42,39 +54,61 @@ func main() {
 	os.Exit(code)
 }
 
-// models maps the -model flag to the checks Analyze should run.
-func models(flag string) ([]depgraph.Model, error) {
-	switch flag {
-	case "si":
-		return []depgraph.Model{depgraph.SI}, nil
-	case "psi":
-		return []depgraph.Model{depgraph.PSI}, nil
-	case "ser":
-		return []depgraph.Model{depgraph.SER}, nil
-	case "all":
-		return []depgraph.Model{depgraph.SI, depgraph.PSI, depgraph.SER}, nil
-	}
-	return nil, fmt.Errorf("unknown model %q (want si, psi, ser or all)", flag)
+// models maps the -model flag to the models whose checks run.
+var models = map[string][]depgraph.Model{
+	"si":  {depgraph.SI},
+	"psi": {depgraph.PSI},
+	"ser": {depgraph.SER},
+	"all": {depgraph.SI, depgraph.PSI, depgraph.SER},
 }
+
+// isSpec reports whether a positional argument names a JSON spec.
+func isSpec(arg string) bool { return arg == "-" || strings.HasSuffix(arg, ".json") }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) {
 	fs := flag.NewFlagSet("silint", flag.ContinueOnError)
 	model := fs.String("model", "si", "consistency model to check: si, psi, ser or all")
 	format := fs.String("format", "text", "output format: text or json")
 	notes := fs.Bool("notes", false, "also print analysis notes (⊤-widenings, session identity losses)")
-	fix := fs.Bool("fix", false, "apply the first-ranked suggested promotions to the source files")
+	fix := fs.Bool("fix", false, "apply the first-ranked suggested promotions to the source files (for a programs spec: print a coarsened correct chopping)")
+	dotOut := fs.String("dot", "", "programs spec only: write the static chopping graph (first critical cycle highlighted) as Graphviz DOT to this file ('-' for stdout)")
 	obsFlags := cliutil.RegisterObsFlags(fs)
+	if len(args) == 1 {
+		switch args[0] {
+		case "-V=full", "--V=full":
+			return vetVersion(stdout)
+		case "-flags", "--flags":
+			return vetFlags(stdout, fs)
+		}
+	}
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
 	if *format != "text" && *format != "json" {
 		return 2, fmt.Errorf("unknown format %q (want text or json)", *format)
 	}
-	ms, err := models(*model)
-	if err != nil {
-		return 2, err
+	ms, ok := models[*model]
+	if !ok {
+		return 2, fmt.Errorf("unknown model %q (want si, psi, ser or all)", *model)
 	}
 	patterns := fs.Args()
+	if len(patterns) == 1 && strings.HasSuffix(patterns[0], ".cfg") {
+		return unitcheck(patterns[0], ms, stderr)
+	}
+	specs := 0
+	for _, p := range patterns {
+		if isSpec(p) {
+			specs++
+		}
+	}
+	switch {
+	case specs > 1:
+		return 2, fmt.Errorf("at most one spec expected, got %d", specs)
+	case specs == 1 && len(patterns) > 1:
+		return 2, fmt.Errorf("a spec cannot be mixed with package patterns")
+	case specs == 0 && *dotOut != "":
+		return 2, fmt.Errorf("-dot needs a programs spec")
+	}
 	if len(patterns) == 0 {
 		patterns = []string{"."}
 	}
@@ -86,6 +120,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 	reg, tr := o.Registry, o.Tracer
 	finish := func(code int, err error) (int, error) {
 		return o.Finish(code, err, stdout, stderr)
+	}
+	if specs == 1 {
+		rows, err := silint.ChecksFor(ms)
+		if err != nil {
+			return finish(2, err)
+		}
+		sp := specRun{model: *model, rows: rows, json: *format == "json", fix: *fix, dot: *dotOut, obs: o, stdout: stdout}
+		return finish(sp.run(patterns[0], stdin))
 	}
 
 	done := tr.Phase("analyze")

@@ -13,12 +13,56 @@ import (
 // log of past runs and may name tests that have since gone.
 var namingDocs = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
 
+const ciFile = ".github/workflows/ci.yml"
+
 var (
 	testFuncRE  = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	quotedRE    = regexp.MustCompile("`+([^`]+)`+")
 	testNameRE  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 	goTestArgRE = regexp.MustCompile(`-(?:run|bench|fuzz)[= ]('[^']*'|"[^"]*"|[^\s'"]+)`)
+	quotedCmdRE = regexp.MustCompile(`(?:^|[\s(])(?:\./|sian/)?cmd/(\w+)`)
+	goRunRE     = regexp.MustCompile(`\bgo (?:run|build)\b`)
+	runCmdRE    = regexp.MustCompile(`\./cmd/(\w+)`)
 )
+
+// TestDocsNameRealCommands fails when a back-quoted `cmd/<name>` in
+// namingDocs, or a `go run`/`go build` of `./cmd/<name>` there or in
+// CI, names no directory under cmd/.
+func TestDocsNameRealCommands(t *testing.T) {
+	isCmd := func(name string) bool {
+		fi, err := os.Stat(filepath.Join("cmd", name))
+		return err == nil && fi.IsDir()
+	}
+	for _, doc := range append(namingDocs, ciFile) {
+		for _, name := range staleCommands(readDoc(t, doc), isCmd) {
+			t.Errorf("%s: cmd/%s names no command", doc, name)
+		}
+	}
+}
+
+// staleCommands returns the command names referenced in text (see
+// TestDocsNameRealCommands) for which isCmd is false.
+func staleCommands(text string, isCmd func(string) bool) []string {
+	var names, stale []string
+	for _, m := range quotedRE.FindAllStringSubmatch(text, -1) {
+		for _, c := range quotedCmdRE.FindAllStringSubmatch(m[1], -1) {
+			names = append(names, c[1])
+		}
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if goRunRE.MatchString(line) {
+			for _, c := range runCmdRE.FindAllStringSubmatch(line, -1) {
+				names = append(names, c[1])
+			}
+		}
+	}
+	for _, name := range names {
+		if !isCmd(name) {
+			stale = append(stale, name)
+		}
+	}
+	return stale
+}
 
 // TestDocsNameRealTests fails when a back-quoted Test*/Benchmark*/Fuzz*
 // name in namingDocs (inline spans and fenced blocks alike), or an
@@ -31,16 +75,21 @@ func TestDocsNameRealTests(t *testing.T) {
 			t.Errorf("%s: `%s` names no test function", doc, name)
 		}
 	}
-	const ci = ".github/workflows/ci.yml"
-	for _, name := range staleNames(ciPatterns(readDoc(t, ci)), funcs) {
-		t.Errorf("%s: pattern %q matches no test function", ci, name)
+	for _, name := range staleNames(ciPatterns(readDoc(t, ciFile)), funcs) {
+		t.Errorf("%s: pattern %q matches no test function", ciFile, name)
 	}
 }
 
-// TestDocsCheckerCatchesStaleRow pins the failing side on the kind of
+// TestDocsCheckerCatchesStaleRow pins the failing side on the kinds of
 // row that rotted before: a DESIGN.md experiment row naming a test
-// family that never existed.
+// family that never existed, and docs naming a deleted command.
 func TestDocsCheckerCatchesStaleRow(t *testing.T) {
+	isCmd := func(name string) bool { return name == "silint" }
+	doc := "| `cmd/sichop` | CLI |\nRun `go run ./cmd/silint x.json`, or `sian/cmd/silint`.\n" +
+		"      - run: go build -o /tmp/sivet ./cmd/sivet\n"
+	if got := staleCommands(doc, isCmd); strings.Join(got, " ") != "sichop sivet" {
+		t.Errorf("stale commands = %q, want [sichop sivet]", got)
+	}
 	row := "| E1 | Fig. 2(a) | Session guarantees | `TestFig2a*` / `BenchmarkFig2aSessionGuarantees` |"
 	funcs := []string{"TestCertifyFigure2Examples", "BenchmarkFig2aSessionGuarantees"}
 	if got := staleNames(docNames(row), funcs); len(got) != 1 || got[0] != "TestFig2a" {

@@ -5,9 +5,9 @@ import (
 	"io"
 )
 
-// Verdict is the machine-readable outcome of one static check, shared
-// by silint, sirobust and sichop so downstream tooling can consume a
-// single schema regardless of which tool produced it.
+// Verdict is the machine-readable outcome of one static check: silint
+// emits it for Go packages and JSON specs alike, so downstream tooling
+// consumes a single schema whichever input was checked.
 type Verdict struct {
 	// Check identifies the analysis, e.g. "robustness-si",
 	// "robustness-psi", "chopping-si".
@@ -24,16 +24,15 @@ type Verdict struct {
 	Theorem string `json:"theorem,omitempty"`
 	// Witness renders the dangerous or critical cycle on failure.
 	Witness string `json:"witness,omitempty"`
-	// Pos is a file:line:col source anchor when the tool has one
-	// (silint diagnostics).
+	// Pos is a file:line:col source anchor (package diagnostics only).
 	Pos string `json:"pos,omitempty"`
 	// Tx labels the anchoring transaction when known.
 	Tx string `json:"tx,omitempty"`
 	// Detail carries the human-readable message.
 	Detail string `json:"detail,omitempty"`
-	// Fixes are the repair advisor's verified suggestions when the
-	// emitting tool computed any (silint robustness diagnostics):
-	// read→write promotions whose application makes the check pass.
+	// Fixes are the repair advisor's verified suggestions, computed for
+	// package robustness diagnostics: read→write promotions whose
+	// application makes the check pass.
 	Fixes []SuggestedFix `json:"fixes,omitempty"`
 }
 

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestVerdictSchemaPinned pins the wire-level JSON schema shared by
-// silint, sirobust and sichop. Renaming or removing a key here is a
+// TestVerdictSchemaPinned pins the wire-level JSON schema of silint's
+// package and spec verdicts. Renaming or removing a key here is a
 // breaking change for downstream consumers — the test spells out every
 // field name so such a change cannot land silently.
 func TestVerdictSchemaPinned(t *testing.T) {
@@ -90,7 +90,7 @@ func TestVerdictSchemaPinned(t *testing.T) {
 	// Empty optional fields stay off the wire: a passing verdict emits
 	// no fixes/category/witness keys.
 	buf.Reset()
-	if err := WriteVerdicts(&buf, VerdictSet{Tool: "sirobust", Verdicts: []Verdict{{Check: "robustness-si", Target: "app", OK: true}}}); err != nil {
+	if err := WriteVerdicts(&buf, VerdictSet{Tool: "silint", Verdicts: []Verdict{{Check: "robustness-si", Target: "app", OK: true}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {

@@ -72,9 +72,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // findModule walks up from dir to the enclosing go.mod and returns the
 // module root directory and module path.
 func findModule(dir string) (root, path string, err error) {
@@ -254,25 +251,26 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
+	pkg, err := TypeCheck(types.Config{Importer: l}, path, dir, l.fset, files)
+	if err != nil {
+		return nil, fmt.Errorf("silint: type-check %s: %w", path, err)
+	}
+	l.cache[path] = pkg
+	return pkg, nil
+}
+
+// TypeCheck type-checks one package's parsed files under conf,
+// recording the resolution maps the extractor needs.
+func TypeCheck(conf types.Config, path, dir string, fset *token.FileSet, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(path, l.fset, files, info)
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("silint: type-check %s: %w", path, err)
+		return nil, err
 	}
-	pkg := &Package{
-		ImportPath: path,
-		Dir:        dir,
-		Fset:       l.fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}
-	l.cache[path] = pkg
-	return pkg, nil
+	return &Package{ImportPath: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }

@@ -20,6 +20,7 @@ package silint
 import (
 	"fmt"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 
@@ -151,16 +152,8 @@ func (r *Report) Diagnostics() []Diagnostic {
 // Analyze loads the packages matching the patterns and runs the
 // selected static checks over every transaction session found.
 func Analyze(patterns []string, opts Options) (*Report, error) {
-	models := opts.Models
-	if len(models) == 0 {
-		models = []depgraph.Model{depgraph.SI}
-	}
-	for _, m := range models {
-		switch m {
-		case depgraph.SER, depgraph.SI, depgraph.PSI:
-		default:
-			return nil, fmt.Errorf("silint: unsupported model %v", m)
-		}
+	if _, err := ChecksFor(opts.Models); err != nil {
+		return nil, err
 	}
 	l := opts.Loader
 	if l == nil {
@@ -180,7 +173,7 @@ func Analyze(patterns []string, opts Options) (*Report, error) {
 	reg := opts.Registry
 	report := &Report{}
 	for _, pkg := range pkgs {
-		pr, err := AnalyzePackage(pkg, models)
+		pr, err := AnalyzePackage(pkg, opts.Models)
 		if err != nil {
 			return nil, err
 		}
@@ -197,19 +190,85 @@ func Analyze(patterns []string, opts Options) (*Report, error) {
 	return report, nil
 }
 
-// AnalyzePackage runs extraction and the selected checks over one
-// loaded package. It is the entry point shared by Analyze and the
-// go/analysis wrapper (internal/silint/analyzer): everything from
-// extraction through the repair advisor happens here. Diagnostics are
-// sorted by (position, check) for deterministic output.
-func AnalyzePackage(pkg *Package, models []depgraph.Model) (*PackageReport, error) {
+// Check is one row of the model → check table: a static criterion of
+// the paper, selected by the consistency model it protects. Package
+// mode runs the selected rows over a package's lowered sessions; spec
+// mode runs them over a decoded app (robustness rows) or program set
+// (chopping rows).
+type Check struct {
+	// Model is the consistency model whose selection runs the check.
+	Model depgraph.Model
+	// Name identifies the check in verdicts, e.g. "robustness-si".
+	Name string
+	// Category classifies a failure, e.g. "write-skew".
+	Category string
+	// Theorem cites the paper result the check implements.
+	Theorem string
+	// Under names the model a package diagnostic reports against.
+	Under string
+	// Robust decides a robustness check (§6) and Repair proposes its
+	// verified promotions; both are nil for a chopping check (§5).
+	Robust func(robustness.App) (*robustness.Witness, bool)
+	Repair func(robustness.App, robustness.RepairOptions) []robustness.Repair
+	// Level is a chopping check's criticality.
+	Level chopping.Criticality
+	// Label and Holds head a robustness check's spec-mode text lines.
+	Label, Holds string
+}
+
+// checks is the table, in the order spec mode reports its rows.
+var checks = []Check{
+	{Model: depgraph.SER, Name: "chopping-ser", Category: "incorrect-chopping", Theorem: "Theorem 29, Appendix B",
+		Under: "serialisability", Level: chopping.SERCritical},
+	// Every SI-dangerous structure is a pair of adjacent vulnerable
+	// anti-dependencies — the (generalised) write skew pattern of §2 —
+	// so the category is uniform.
+	{Model: depgraph.SI, Name: "robustness-si", Category: "write-skew", Theorem: "Theorem 19, §6.1",
+		Under: "SI", Robust: robustness.CheckSIRobust, Repair: robustness.RepairAgainstSI,
+		Label: "SI→SER", Holds: "running under SI gives only serializable behaviour"},
+	{Model: depgraph.SI, Name: "chopping-si", Category: "incorrect-chopping", Theorem: "Corollary 18, §5",
+		Under: "SI", Level: chopping.SICritical},
+	{Model: depgraph.PSI, Name: "robustness-psi", Category: "long-fork", Theorem: "Theorem 22, §6.2",
+		Under: "PSI (towards SI)", Robust: robustness.CheckPSIRobust, Repair: robustness.RepairAgainstPSI,
+		Label: "PSI→SI", Holds: "running under parallel SI gives only SI behaviour"},
+	{Model: depgraph.PSI, Name: "chopping-psi", Category: "incorrect-chopping", Theorem: "Theorem 31, Appendix B",
+		Under: "PSI", Level: chopping.PSICritical},
+}
+
+// ChecksFor returns the table rows the models select (SI when none),
+// in table order.
+func ChecksFor(models []depgraph.Model) ([]Check, error) {
 	if len(models) == 0 {
 		models = []depgraph.Model{depgraph.SI}
+	}
+	for _, m := range models {
+		if !slices.ContainsFunc(checks, func(c Check) bool { return c.Model == m }) {
+			return nil, fmt.Errorf("silint: unsupported model %v", m)
+		}
+	}
+	var out []Check
+	for _, c := range checks {
+		if slices.Contains(models, c.Model) {
+			out = append(out, c)
+		}
+	}
+	return out, nil
+}
+
+// AnalyzePackage runs extraction and the selected checks over one
+// loaded package. It is the entry point shared by Analyze and the
+// go vet unit driver: everything from extraction through the repair
+// advisor happens here. Diagnostics are sorted by (position, check)
+// for deterministic output.
+func AnalyzePackage(pkg *Package, models []depgraph.Model) (*PackageReport, error) {
+	rows, err := ChecksFor(models)
+	if err != nil {
+		return nil, err
 	}
 	e := newExtractor(pkg)
 	e.extract()
 	pr := &PackageReport{Path: pkg.ImportPath, Sessions: e.sessions, Notes: e.notes, Widenings: e.widenings}
-	if err := diagnose(pkg, pr, models); err != nil {
+	if err := diagnose(pkg, pr, rows); err != nil {
 		return nil, fmt.Errorf("silint: %s: %w", pkg.ImportPath, err)
 	}
 	sort.SliceStable(pr.Diagnostics, func(i, j int) bool {
@@ -230,7 +289,7 @@ func AnalyzePackage(pkg *Package, models []depgraph.Model) (*PackageReport, erro
 
 // diagnose lowers a package's sessions and runs every selected check,
 // appending diagnostics to the report.
-func diagnose(pkg *Package, pr *PackageReport, models []depgraph.Model) error {
+func diagnose(pkg *Package, pr *PackageReport, rows []Check) error {
 	expanded := expandSessions(pr.Sessions)
 	if len(expanded) == 0 {
 		return nil
@@ -239,79 +298,75 @@ func diagnose(pkg *Package, pr *PackageReport, models []depgraph.Model) error {
 	app, flat, groups := lowerApp(expanded, universe)
 	programs := lowerPrograms(expanded, universe)
 
-	robust := func(check, category, theorem, against string, w *robustness.Witness, repairs []robustness.Repair) {
-		anchor := flat[w.Steps[0].From]
-		label := w.Labels[w.Steps[0].From]
-		d := Diagnostic{
-			Pos:      pkg.Fset.Position(anchor.Pos),
-			Package:  pkg.ImportPath,
-			Tx:       label,
-			Check:    check,
-			Category: category,
-			Theorem:  theorem,
-			Witness:  w.String(),
-		}
-		d.Message = fmt.Sprintf("%s: dangerous cycle %s — tx %s is not robust against %s (%s)",
-			category, d.Witness, label, against, theorem)
-		d.Fixes = lowerRepairs(pkg, groups, repairs)
-		if len(repairs) > 0 {
-			d.Message += fmt.Sprintf(" — suggested fix: %s", repairs[0])
+	for _, c := range rows {
+		d := Diagnostic{Package: pkg.ImportPath, Check: c.Name, Category: c.Category, Theorem: c.Theorem}
+		if c.Robust != nil {
+			w, ok := c.Robust(app)
+			if ok {
+				continue
+			}
+			repairs := c.Repair(app, robustness.RepairOptions{})
+			d.Pos = pkg.Fset.Position(flat[w.Steps[0].From].Pos)
+			d.Tx = w.Labels[w.Steps[0].From]
+			d.Witness = w.String()
+			d.Message = fmt.Sprintf("%s: dangerous cycle %s — tx %s is not robust against %s (%s)",
+				c.Category, d.Witness, d.Tx, c.Under, c.Theorem)
+			d.Fixes = lowerRepairs(pkg, groups, repairs)
+			if len(repairs) > 0 {
+				d.Message += fmt.Sprintf(" — suggested fix: %s", repairs[0])
+			}
+		} else {
+			v, err := chopping.CheckStatic(programs, c.Level)
+			if err != nil {
+				return err
+			}
+			if v.OK {
+				continue
+			}
+			d.Pos = pkg.Fset.Position(flat[flatIndex(programs, v.IDs[v.Witness[0].From])].Pos)
+			d.Tx = v.Graph.Label(v.Witness[0].From)
+			d.Witness = v.Graph.DescribeCycle(v.Witness)
+			d.Message = fmt.Sprintf("%s: critical cycle %s — session is not a correct chopping under %s (%s)",
+				c.Category, d.Witness, c.Under, c.Theorem)
 		}
 		pr.Diagnostics = append(pr.Diagnostics, d)
-	}
-	chop := func(level chopping.Criticality, check, theorem, under string) error {
-		v, err := chopping.CheckStatic(programs, level)
-		if err != nil {
-			return err
-		}
-		if v.OK {
-			return nil
-		}
-		id := v.IDs[v.Witness[0].From]
-		anchor := flatIndex(programs, id)
-		d := Diagnostic{
-			Pos:      pkg.Fset.Position(flat[anchor].Pos),
-			Package:  pkg.ImportPath,
-			Tx:       v.Graph.Label(v.Witness[0].From),
-			Check:    check,
-			Category: "incorrect-chopping",
-			Theorem:  theorem,
-			Witness:  v.Graph.DescribeCycle(v.Witness),
-		}
-		d.Message = fmt.Sprintf("incorrect-chopping: critical cycle %s — session is not a correct chopping under %s (%s)",
-			d.Witness, under, theorem)
-		pr.Diagnostics = append(pr.Diagnostics, d)
-		return nil
-	}
-
-	for _, m := range models {
-		switch m {
-		case depgraph.SI:
-			// Every SI-dangerous structure is a pair of adjacent
-			// vulnerable anti-dependencies — the (generalised) write
-			// skew pattern of §2 — so the category is uniform.
-			if w, ok := robustness.CheckSIRobust(app); !ok {
-				robust("robustness-si", "write-skew", "Theorem 19, §6.1", "SI", w,
-					robustness.RepairAgainstSI(app, robustness.RepairOptions{}))
-			}
-			if err := chop(chopping.SICritical, "chopping-si", "Corollary 18, §5", "SI"); err != nil {
-				return err
-			}
-		case depgraph.PSI:
-			if w, ok := robustness.CheckPSIRobust(app); !ok {
-				robust("robustness-psi", "long-fork", "Theorem 22, §6.2", "PSI (towards SI)", w,
-					robustness.RepairAgainstPSI(app, robustness.RepairOptions{}))
-			}
-			if err := chop(chopping.PSICritical, "chopping-psi", "Theorem 31, Appendix B", "PSI"); err != nil {
-				return err
-			}
-		case depgraph.SER:
-			if err := chop(chopping.SERCritical, "chopping-ser", "Theorem 29, Appendix B", "serialisability"); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
+}
+
+// AnnotationFixes suggests // silint:obj= annotation templates at the
+// ⊤-widening sites of d's anchoring transaction: naming the widened
+// keys is the other way to defuse a spurious cycle, and often the only
+// one when a widened write set blocks the repair advisor. Only the
+// go vet output prints them, so silint's own output stays unchanged.
+func AnnotationFixes(pkg *Package, pr *PackageReport, d Diagnostic) []SuggestedFix {
+	base := strings.TrimSuffix(d.Tx, "@it2")
+	var tx *Tx
+	for _, s := range pr.Sessions {
+		for _, t := range s.Txs {
+			if t.Name == base {
+				tx = t
+			}
+		}
+	}
+	if tx == nil {
+		return nil
+	}
+	var out []SuggestedFix
+	for _, site := range tx.WidenSites {
+		f := pkg.Fset.File(site)
+		if f == nil {
+			continue
+		}
+		pos := f.Position(site)
+		lineStart := f.Offset(f.LineStart(pos.Line))
+		out = append(out, SuggestedFix{
+			Pos:     pos,
+			Message: fmt.Sprintf("assert the key widened at %s:%d with a silint:obj annotation (replace KEY with the object names)", pos.Filename, pos.Line),
+			Edits:   []TextEdit{{Filename: pos.Filename, Offset: lineStart, End: lineStart, NewText: "// silint:obj=KEY\n"}},
+		})
+	}
+	return out
 }
 
 // lowerRepairs renders the advisor's verified repairs as suggested
@@ -357,12 +412,4 @@ func flatIndex(programs []chopping.Program, id chopping.PieceID) int {
 		n += len(programs[i].Pieces)
 	}
 	return n + id.Piece
-}
-
-// FormatNotes renders a package's notes one per line, for CLI output.
-func (p *PackageReport) FormatNotes() string {
-	if len(p.Notes) == 0 {
-		return ""
-	}
-	return "note: " + strings.Join(p.Notes, "\nnote: ")
 }

@@ -230,7 +230,7 @@ func installBatchMatchesSequential(t *testing.T, factory Factory) {
 	var ws []storage.Write
 	for i := 0; i < 50; i++ {
 		obj := model.Obj(fmt.Sprintf("b%d", i%7))
-		v := storage.Version{Val: model.Value(i), TS: uint64(i + 1), Meta: uint64(i)}
+		v := storage.Version{Val: model.Value(i), TS: uint64(i + 1)}
 		ws = append(ws, storage.Write{Obj: obj, Version: v})
 		if err := seq.Install(obj, v); err != nil {
 			t.Fatal(err)

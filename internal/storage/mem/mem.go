@@ -43,9 +43,6 @@ type Version struct {
 	// TS is the logical commit timestamp; chains are strictly
 	// increasing in TS.
 	TS uint64
-	// Meta carries engine-specific metadata (e.g. the global
-	// write-sequence stamp the PSI engine uses for conflict checks).
-	Meta uint64
 }
 
 // Write pairs an object with the version to install, for the batch

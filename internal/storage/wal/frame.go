@@ -33,9 +33,9 @@ import (
 //	install (2): str obj | i64 val | u64 ts | str writer | u64 meta
 //	             — one raw version install that bypassed the engine
 //	             commit path (Driver.Install / InstallBatch). The
-//	             writer slot is reserved: always written empty, and
-//	             read and discarded (logs that carry a writer there
-//	             still open).
+//	             writer and meta slots are reserved: always written
+//	             empty and 0, and read and discarded (logs that carry
+//	             a writer or a meta stamp there still open).
 //
 // The snapshot file is magic, u64 lastLSN, u64 maxTS, u32 count,
 // count × install-shaped entries, then u32 crc32c over everything
@@ -125,7 +125,7 @@ func encodeInstallBody(x model.Obj, v storage.Version) []byte {
 	b = appendValue(b, v.Val)
 	b = appendUint64(b, v.TS)
 	b = appendString(b, "") // the reserved writer slot
-	b = appendUint64(b, v.Meta)
+	b = appendUint64(b, 0)  // the reserved meta slot
 	return b
 }
 
@@ -243,7 +243,7 @@ func decodeInstallBody(b []byte) (model.Obj, storage.Version, error) {
 	x := model.Obj(r.str("install object"))
 	v := storage.Version{Val: r.val("install value"), TS: r.u64("install ts")}
 	r.str("install writer") // reserved; discarded
-	v.Meta = r.u64("install meta")
+	r.u64("install meta")   // reserved; discarded
 	return x, v, r.done("install record")
 }
 
@@ -282,7 +282,7 @@ func decodeSnapshot(b []byte) (latest []storage.Write, maxTS, lastLSN uint64, er
 		x := model.Obj(r.str("snapshot object"))
 		v := storage.Version{Val: r.val("snapshot value"), TS: r.u64("snapshot ts")}
 		r.str("snapshot writer") // reserved; discarded
-		v.Meta = r.u64("snapshot meta")
+		r.u64("snapshot meta")   // reserved; discarded
 		latest = append(latest, storage.Write{Obj: x, Version: v})
 	}
 	if derr := r.done("snapshot"); derr != nil {

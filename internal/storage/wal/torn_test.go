@@ -310,7 +310,7 @@ func FuzzReplaySegment(f *testing.F) {
 // through a real file (not just in memory).
 func TestWriterMetaRoundTrip(t *testing.T) {
 	t.Parallel()
-	want := storage.Version{Val: -5, TS: 9, Meta: ^uint64(0)}
+	want := storage.Version{Val: -5, TS: ^uint64(0)}
 	x, v, err := decodeInstallBody(encodeInstallBody(model.Obj("k\nj"), want))
 	if err != nil {
 		t.Fatal(err)
@@ -320,24 +320,27 @@ func TestWriterMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInstallWriterSlotReserved pins the reserved writer slot of the
-// install record: it is written empty, and a record that carries a
-// writer there (as logs written by older versions may) still decodes.
+// TestInstallWriterSlotReserved pins the reserved writer and meta slots
+// of the install record: they are written empty and 0, and a record
+// that carries a writer or a meta stamp there (as logs written by older
+// versions may) still decodes.
 func TestInstallWriterSlotReserved(t *testing.T) {
 	t.Parallel()
-	want := storage.Version{Val: 7, TS: 3, Meta: 42}
-	record := func(writer string) []byte {
+	want := storage.Version{Val: 7, TS: 3}
+	record := func(writer string, meta uint64) []byte {
 		b := appendString(nil, "a")
 		b = appendValue(b, want.Val)
 		b = appendUint64(b, want.TS)
 		b = appendString(b, writer)
-		return appendUint64(b, want.Meta)
+		return appendUint64(b, meta)
 	}
-	x, v, err := decodeInstallBody(record("w1"))
-	if err != nil || x != "a" || v != want {
-		t.Errorf("record with a writer = %q %+v, %v; want a %+v", x, v, err, want)
+	for _, old := range [][]byte{record("w1", 0), record("", 42), record("w1", ^uint64(0))} {
+		x, v, err := decodeInstallBody(old)
+		if err != nil || x != "a" || v != want {
+			t.Errorf("record %x = %q %+v, %v; want a %+v", old, x, v, err, want)
+		}
 	}
-	if got := encodeInstallBody("a", want); !bytes.Equal(got, record("")) {
-		t.Errorf("encoded record = %x, want an empty writer slot: %x", got, record(""))
+	if got := encodeInstallBody("a", want); !bytes.Equal(got, record("", 0)) {
+		t.Errorf("encoded record = %x, want empty writer and zero meta slots: %x", got, record("", 0))
 	}
 }

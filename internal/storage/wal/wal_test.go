@@ -209,19 +209,18 @@ func TestBatchGroupSurvivesReopen(t *testing.T) {
 }
 
 // TestRawInstallsSurviveReopen pins the non-engine append path: plain
-// Install / InstallBatch calls are logged as install records with
-// Meta preserved.
+// Install / InstallBatch calls are logged as install records.
 func TestRawInstallsSurviveReopen(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	d := mustOpen(t, testOpts(dir))
-	want := storage.Version{Val: 7, TS: 3, Meta: 42}
+	want := storage.Version{Val: 7, TS: 3}
 	if err := d.Install("a", want); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.InstallBatch([]storage.Write{
 		{Obj: "b", Version: storage.Version{Val: 1, TS: 1}},
-		{Obj: "b", Version: storage.Version{Val: 2, TS: 2, Meta: 9}},
+		{Obj: "b", Version: storage.Version{Val: 2, TS: 2}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +235,7 @@ func TestRawInstallsSurviveReopen(t *testing.T) {
 	if v, ok := re.Latest("a"); !ok || v != want {
 		t.Errorf("Latest(a) = %+v, want %+v", v, want)
 	}
-	if v, ok := re.Latest("b"); !ok || v.Val != 2 || v.Meta != 9 {
+	if v, ok := re.Latest("b"); !ok || v.Val != 2 || v.TS != 2 {
 		t.Errorf("Latest(b) = %+v", v)
 	}
 }

@@ -3,7 +3,8 @@
 // balance of a shared pair of objects but write disjoint halves — the
 // Figure 2(d) write skew embedded in a mixed workload, deliberately
 // left unfixed. silint must flag this package (write-skew, Theorem
-// 19), and the CI sivet gate runs it as the expected-failure case.
+// 19), and CI's go vet gate with silint as the tool runs it as the
+// expected-failure case.
 package randmix
 
 import (

@@ -7,8 +7,8 @@
 // interprocedural summariser). The package must stay diagnostic-free
 // with zero ⊤-widenings; the differential test asserts that the
 // statically extracted read/write sets over-approximate what the
-// engine records when the same forms are replayed, and CI runs sivet
-// over the package as a quality gate.
+// engine records when the same forms are replayed, and CI runs silint
+// as a go vet tool over the package as a quality gate.
 //
 // The SmallBank form carries the Promote-materialised conflict fix
 // (Alomari et al., ICDE 2008; the paper's §6 remedy): TransactSavings
