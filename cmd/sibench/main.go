@@ -10,7 +10,7 @@
 //	        [-accounts N] [-hops N] [-chopped] [-seed N] [-certify]
 //	        [-duration D] [-hotkeys N] [-disjoint] [-parallel N]
 //	        [-trace] [-metrics file|-] [-bench-json file]
-//	        [-serve addr] [-pprof addr]
+//	        [-serve addr]
 //	        [-record file.ndjson] [-timeline file.json]
 //	        [-addr host:port] [-trace-txns]
 //
@@ -27,9 +27,7 @@
 // exit in Prometheus text format ('-' for stdout, *.json for JSON).
 // -trace prints per-phase timing lines on stderr.
 // -bench-json writes a machine-readable benchmark summary
-// (throughput, p50/p99 commit latency) to the named file. -pprof
-// serves net/http/pprof on the given address (for example
-// localhost:6060) for the duration of the run.
+// (throughput, p50/p99 commit latency) to the named file.
 //
 // -record attaches a flight recorder to the engine and dumps the
 // transactional event stream as NDJSON on exit — feed it to simon for

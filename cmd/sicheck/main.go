@@ -9,7 +9,7 @@
 //	sicheck [-model all|ser|si|psi|pc|gsi] [-init] [-init-value N]
 //	        [-budget N] [-parallel N] [-witness] [-classify]
 //	        [-dot out.dot] [-trace] [-metrics file|-] [-serve addr]
-//	        [-pprof addr] [history.json]
+//	        [history.json]
 //
 // The history is read from the file argument or standard input; see
 // internal/histio for the JSON schema. -trace prints per-phase timing
@@ -18,7 +18,7 @@
 // format ('-' for stdout, a path ending in .json for JSON). -serve
 // runs the live observability plane (/metrics, /healthz,
 // /debug/pprof/) during the check — useful for watching or profiling
-// a long certification search; -pprof serves bare net/http/pprof.
+// a long certification search.
 // Exit status 0 means the history is allowed by every requested
 // model, 1 that some model rejects it, 2 a usage or processing error.
 package main

@@ -8,7 +8,7 @@
 //
 //	simon [-model ser|si|psi|pc|gsi] [-window N] [-budget N]
 //	      [-parallel N] [-quiet] [-follow] [-idle-exit D]
-//	      [-trace] [-metrics file|-] [-serve addr] [-pprof addr]
+//	      [-trace] [-metrics file|-] [-serve addr]
 //	      [events.ndjson|history.json]
 //
 // The input is read from the file argument or standard input and

@@ -8,7 +8,7 @@
 //
 //	siserve -dir waldir [-addr host:port] [-nosync] [-snapshot-every N]
 //	        [-window N] [-check-recovery] [-volatile] [-trace-txns]
-//	        [-trace] [-metrics file|-] [-serve addr] [-pprof addr]
+//	        [-trace] [-metrics file|-] [-serve addr]
 //
 // On startup siserve replays the write-ahead log in -dir (creating it
 // when empty), feeds every replayed commit through the online monitor,

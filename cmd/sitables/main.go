@@ -7,7 +7,7 @@
 // Usage:
 //
 //	sitables [-table all|anomalies|chopping|robustness|engines]
-//	         [-trace] [-metrics file|-] [-serve addr] [-pprof addr]
+//	         [-trace] [-metrics file|-] [-serve addr]
 //
 // The shared observability flags (see internal/cliutil) expose the
 // staging engines' metrics: -metrics dumps the registry on exit,

@@ -1,16 +1,14 @@
 // Package cliutil holds small flag-wiring helpers shared by the sian
 // command-line tools, so every CLI exposes identical operational
-// flags: -trace, -metrics, -serve (the live observability plane) and
-// -pprof.
+// flags: -trace, -metrics and -serve (the live observability plane,
+// /debug/pprof/ included).
 package cliutil
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	_ "net/http/pprof" // registered on DefaultServeMux, served only when -pprof is set
 
 	"sian/internal/obs"
 	"sian/internal/obs/eventlog"
@@ -25,16 +23,14 @@ type ObsFlags struct {
 	trace   *bool
 	metrics *string
 	serve   *string
-	pprof   *string
 }
 
 // RegisterObsFlags registers the shared observability flags on fs:
 //
 //	-trace        per-phase timing lines on stderr
 //	-metrics      dump the metrics registry on exit
-//	-serve        serve the live observability plane (internal/obs/obshttp)
-//	-pprof        serve bare net/http/pprof (subsumed by -serve, kept
-//	              for scripts that only want profiling)
+//	-serve        serve the live observability plane (internal/obs/obshttp),
+//	              net/http/pprof under /debug/pprof/ included
 //
 // Every sian CLI registers these through this one helper, so flag
 // names, help strings and semantics cannot drift between tools.
@@ -43,7 +39,6 @@ func RegisterObsFlags(fs *flag.FlagSet) *ObsFlags {
 	f.trace = fs.Bool("trace", false, "print per-phase timing lines on stderr")
 	f.metrics = fs.String("metrics", "", "dump the metrics registry on exit to this file ('-' for stdout, *.json for JSON)")
 	f.serve = fs.String("serve", "", "serve the live observability plane on this address during the run (e.g. :8080): /metrics, /metrics.json, /healthz, /events, /verdicts, /timeline, /debug/pprof/")
-	f.pprof = fs.String("pprof", "", "serve net/http/pprof on this address during the run (e.g. localhost:6060)")
 	return f
 }
 
@@ -58,16 +53,15 @@ type Obs struct {
 	// Server is non-nil when -serve was set.
 	Server *obshttp.Server
 
-	metrics   string
-	stopPprof func()
+	metrics string
 }
 
 // Start builds the run's observability state: a fresh registry, a
-// tracer when -trace was given, the obshttp plane when -serve was
-// given (announced on stderr), and bare pprof when -pprof was given.
-// name identifies the component in /healthz.
+// tracer when -trace was given, and the obshttp plane when -serve was
+// given (announced on stderr). name identifies the component in
+// /healthz.
 func (f *ObsFlags) Start(name string, stderr io.Writer) (*Obs, error) {
-	o := &Obs{Registry: obs.NewRegistry(), metrics: *f.metrics, stopPprof: func() {}}
+	o := &Obs{Registry: obs.NewRegistry(), metrics: *f.metrics}
 	if *f.trace {
 		o.Tracer = obs.NewTracer(o.Registry)
 	}
@@ -77,20 +71,6 @@ func (f *ObsFlags) Start(name string, stderr io.Writer) (*Obs, error) {
 			return nil, err
 		}
 		fmt.Fprintf(stderr, "obs: serving http://%s/ (/metrics /healthz /events /verdicts /timeline /debug/pprof/)\n", o.Server.Addr())
-	}
-	if *f.pprof != "" {
-		ln, err := net.Listen("tcp", *f.pprof)
-		if err != nil {
-			if o.Server != nil {
-				o.Server.Close()
-			}
-			return nil, fmt.Errorf("pprof: %w", err)
-		}
-		fmt.Fprintf(stderr, "pprof: serving on http://%s/debug/pprof/\n", ln.Addr())
-		go func() {
-			_ = http.Serve(ln, nil) // shut down by Finish closing the listener
-		}()
-		o.stopPprof = func() { ln.Close() }
 	}
 	return o, nil
 }
@@ -156,6 +136,5 @@ func (o *Obs) Finish(code int, err error, stdout, stderr io.Writer) (int, error)
 	if o.Server != nil {
 		o.Server.Close()
 	}
-	o.stopPprof()
 	return code, err
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -99,32 +98,5 @@ func TestObsFlagsServe(t *testing.T) {
 		if path == "/healthz" && !strings.Contains(string(body), `"name": "mytool"`) {
 			t.Errorf("/healthz missing component name:\n%s", body)
 		}
-	}
-}
-
-func TestObsFlagsPprof(t *testing.T) {
-	t.Parallel()
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	f := RegisterObsFlags(fs)
-	if err := fs.Parse([]string{"-pprof", "127.0.0.1:0"}); err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	o, err := f.Start("x", &stderr)
-	if err != nil {
-		t.Skipf("listen: %v", err) // sandboxed environments may forbid sockets
-	}
-	defer o.Finish(0, nil, io.Discard, io.Discard)
-	m := regexp.MustCompile(`http://([^/]+)/debug/pprof/`).FindStringSubmatch(stderr.String())
-	if m == nil {
-		t.Fatalf("no address announced in %q", stderr.String())
-	}
-	resp, err := http.Get(fmt.Sprintf("http://%s/debug/pprof/cmdline", m[1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if _, err := io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
-		t.Errorf("GET pprof: status %d, err %v", resp.StatusCode, err)
 	}
 }

@@ -1,9 +1,6 @@
 package depgraph
 
 import (
-	"errors"
-	"fmt"
-
 	"sian/internal/model"
 	"sian/internal/relation"
 )
@@ -40,7 +37,6 @@ import (
 type Builder struct {
 	h *model.History
 	m Model
-	n int
 
 	// Per-object edge sets, as in Graph.
 	wr map[model.Obj]*relation.Edges
@@ -90,7 +86,7 @@ func NewBuilder(h *model.History, m Model) *Builder {
 		so = h.SessionOrder()
 	}
 	return &Builder{
-		h: h, m: m, n: n,
+		h: h, m: m,
 		wr:    make(map[model.Obj]*relation.Edges),
 		ww:    make(map[model.Obj]*relation.Edges),
 		wrAll: relation.New(n), wwAll: relation.New(n), rw: relation.New(n),
@@ -209,58 +205,47 @@ func (b *Builder) Reaches(t, s int) bool { return b.cl.Reaches(t, s) }
 // INT axiom constrains transactions, not dependency choices, so the
 // search front-loads it). A nil error means membership.
 func (b *Builder) InModel() error {
-	cyclic := b.cl.HasCycle()
-	switch b.m {
+	return ClosureInModel(b.m, b.cl, b.rw, b.so, b.wrAll, b.s1, b.s2, b.s3)
+}
+
+// ClosureInModel is the membership test over a maintained closure, the
+// reductions listed on Builder: cl is the transitive closure of the
+// model's base relation B (SO ∪ WR ∪ WW, or WR ∪ WW under GSI), rw the
+// anti-dependencies, so and wr the session order and the WR union (PC's
+// A = SO ∪ WR), and s1, s2, s3 scratch relations it overwrites. The
+// certification search (Builder.InModel) and the online monitor's fast
+// path both judge their graphs with it. It allocates nothing.
+func ClosureInModel(m Model, cl *relation.Closure, rw, so, wr, s1, s2, s3 *relation.Rel) error {
+	violation, err := modelViolation(m)
+	if err != nil {
+		return err
+	}
+	if cl.HasCycle() {
+		return violation
+	}
+	ok := true
+	switch m {
 	case SER:
-		if cyclic {
-			return errors.New("SO ∪ WR ∪ WW ∪ RW is cyclic")
-		}
-		b.cl.ComposeMaybeInto(b.s1, b.rw)
-		if !b.s1.IsAcyclic() {
-			return errors.New("SO ∪ WR ∪ WW ∪ RW is cyclic")
-		}
-	case SI:
-		if cyclic {
-			return errors.New("(SO ∪ WR ∪ WW) ; RW? is cyclic")
-		}
-		b.cl.ComposeInto(b.s1, b.rw)
-		if !b.s1.IsAcyclic() {
-			return errors.New("(SO ∪ WR ∪ WW) ; RW? is cyclic")
-		}
+		cl.ComposeMaybeInto(s1, rw) // RW ; B*
+		ok = s1.IsAcyclic()
+	case SI, GSI:
+		cl.ComposeInto(s1, rw) // RW ; B⁺
+		ok = s1.IsAcyclic()
 	case PSI:
-		if cyclic {
-			return errors.New("(SO ∪ WR ∪ WW)⁺ ; RW? is not irreflexive")
-		}
-		bad := false
-		for a := 0; a < b.n && !bad; a++ {
-			b.rw.EachSuccessor(a, func(c int) {
-				if !bad && b.cl.Reaches(c, a) {
-					bad = true
+		for a := 0; a < rw.N() && ok; a++ {
+			rw.EachSuccessor(a, func(c int) {
+				if ok && cl.Reaches(c, a) {
+					ok = false
 				}
 			})
 		}
-		if bad {
-			return errors.New("(SO ∪ WR ∪ WW)⁺ ; RW? is not irreflexive")
-		}
 	case PC:
-		if cyclic {
-			return errors.New("((SO ∪ WR) ; RW?) ∪ WW is cyclic")
-		}
-		b.cl.ComposeMaybeInto(b.s1, b.rw)         // RW ; B*
-		b.s2.CopyFrom(b.so).UnionInPlace(b.wrAll) // A = SO ∪ WR
-		if !b.s3.ComposeOf(b.s1, b.s2).IsAcyclic() {
-			return errors.New("((SO ∪ WR) ; RW?) ∪ WW is cyclic")
-		}
-	case GSI:
-		if cyclic {
-			return errors.New("(WR ∪ WW) ; RW? is cyclic")
-		}
-		b.cl.ComposeInto(b.s1, b.rw)
-		if !b.s1.IsAcyclic() {
-			return errors.New("(WR ∪ WW) ; RW? is cyclic")
-		}
-	default:
-		return fmt.Errorf("unknown model %v", b.m)
+		cl.ComposeMaybeInto(s1, rw)      // RW ; B*
+		s2.CopyFrom(so).UnionInPlace(wr) // A = SO ∪ WR
+		ok = s3.ComposeOf(s1, s2).IsAcyclic()
+	}
+	if !ok {
+		return violation
 	}
 	return nil
 }

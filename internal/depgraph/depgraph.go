@@ -321,31 +321,45 @@ func (g *Graph) InModel(m Model) error {
 	if err := g.History.CheckInt(); err != nil {
 		return fmt.Errorf("INT: %w", err)
 	}
+	violation, err := modelViolation(m)
+	if err != nil {
+		return err
+	}
+	var ok bool
 	switch m {
 	case SER:
-		if !g.SERComposite().IsAcyclic() {
-			return errors.New("SO ∪ WR ∪ WW ∪ RW is cyclic")
-		}
+		ok = g.SERComposite().IsAcyclic()
 	case SI:
-		if !g.SIComposite().IsAcyclic() {
-			return errors.New("(SO ∪ WR ∪ WW) ; RW? is cyclic")
-		}
+		ok = g.SIComposite().IsAcyclic()
 	case PSI:
-		if !g.PSIComposite().IsIrreflexive() {
-			return errors.New("(SO ∪ WR ∪ WW)⁺ ; RW? is not irreflexive")
-		}
+		ok = g.PSIComposite().IsIrreflexive()
 	case PC:
-		if !g.PCComposite().IsAcyclic() {
-			return errors.New("((SO ∪ WR) ; RW?) ∪ WW is cyclic")
-		}
+		ok = g.PCComposite().IsAcyclic()
 	case GSI:
-		if !g.GSIComposite().IsAcyclic() {
-			return errors.New("(WR ∪ WW) ; RW? is cyclic")
-		}
-	default:
-		return fmt.Errorf("unknown model %v", m)
+		ok = g.GSIComposite().IsAcyclic()
+	}
+	if !ok {
+		return violation
 	}
 	return nil
+}
+
+// violations holds the condition each model's characterisation
+// forbids, the error a membership test reports.
+var violations = [...]error{
+	SER: errors.New("SO ∪ WR ∪ WW ∪ RW is cyclic"),
+	SI:  errors.New("(SO ∪ WR ∪ WW) ; RW? is cyclic"),
+	PSI: errors.New("(SO ∪ WR ∪ WW)⁺ ; RW? is not irreflexive"),
+	PC:  errors.New("((SO ∪ WR) ; RW?) ∪ WW is cyclic"),
+	GSI: errors.New("(WR ∪ WW) ; RW? is cyclic"),
+}
+
+// modelViolation returns m's violation, or an error for an unknown m.
+func modelViolation(m Model) (violation, err error) {
+	if m <= ModelInvalid || int(m) >= len(violations) {
+		return nil, fmt.Errorf("unknown model %v", m)
+	}
+	return violations[m], nil
 }
 
 // InGSI reports membership in GraphGSI (the generalised-SI

@@ -128,27 +128,11 @@ type Config struct {
 	// tracer the commit path carries only nil-pointer checks, no
 	// clock reads and no allocations.
 	TxTracer *txtrace.Tracer
-	// RetryBackoffBase and RetryBackoffMax shape the capped
-	// exponential backoff (with jitter) Transact applies between
-	// conflict retries, after a few initial pure yields. Zero values
-	// default to 1µs base and 1ms cap; a negative RetryBackoffMax
-	// disables sleeping entirely (every retry just yields, the seed
-	// behaviour). Backoff de-synchronises retry storms: without it,
-	// contending sessions re-collide in lockstep and the conflict
-	// counters grow superlinearly with the session count.
-	RetryBackoffBase time.Duration
-	RetryBackoffMax  time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 10000
-	}
-	if c.RetryBackoffBase <= 0 {
-		c.RetryBackoffBase = time.Microsecond
-	}
-	if c.RetryBackoffMax == 0 {
-		c.RetryBackoffMax = time.Millisecond
 	}
 	return c
 }
@@ -415,42 +399,13 @@ func (s *Session) ID() string { return s.id }
 // for PSI).
 func (s *Session) Site() int { return s.site }
 
-// beginAttempt records a Begin event for a fresh transaction attempt
-// and returns the attempt id ("<session>#<n>"; conflict retries get
-// fresh attempts). Without a recorder it returns "" and stays off the
-// session mutex.
-func (s *Session) beginAttempt() string {
-	rec := s.db.cfg.Recorder
-	if rec == nil {
-		return ""
+// emit records a lifecycle event of the session; a no-op without a
+// recorder, which keeps the operation hot path event-free.
+func (s *Session) emit(e eventlog.Event) {
+	if rec := s.db.cfg.Recorder; rec != nil {
+		e.Session = s.id
+		rec.Record(e)
 	}
-	s.mu.Lock()
-	s.attempts++
-	n := s.attempts
-	s.mu.Unlock()
-	txid := fmt.Sprintf("%s#%d", s.id, n)
-	rec.Record(eventlog.Event{Kind: eventlog.Begin, Session: s.id, TxID: txid})
-	return txid
-}
-
-// event records a lifecycle event for the attempt; a no-op without a
-// recorder.
-func (s *Session) event(kind eventlog.Kind, txid, name string) {
-	if s.db.cfg.Recorder == nil {
-		return
-	}
-	s.db.cfg.Recorder.Record(eventlog.Event{Kind: kind, Session: s.id, TxID: txid, Name: name})
-}
-
-// commitEvent records the Commit event, carrying the durable log
-// sequence number when the storage driver persisted the commit so the
-// flight-recorder timeline and /events frames can correlate publish
-// order with log order. A no-op without a recorder.
-func (s *Session) commitEvent(txid, name string, lsn uint64) {
-	if s.db.cfg.Recorder == nil {
-		return
-	}
-	s.db.cfg.Recorder.Record(eventlog.Event{Kind: eventlog.Commit, Session: s.id, TxID: txid, Name: name, LSN: lsn})
 }
 
 func (s *Session) committed() []model.Transaction {
@@ -469,7 +424,10 @@ func (s *Session) Transact(fn func(tx *Tx) error) error {
 	return s.TransactNamed("", fn)
 }
 
-// TransactNamed is Transact with a diagnostic transaction label.
+// TransactNamed is Transact with a diagnostic transaction label. It is
+// only the retry loop: every attempt is begun, committed or abandoned
+// by the same functions as a ManualTx, which do all of the attempt's
+// bookkeeping.
 func (s *Session) TransactNamed(name string, fn func(tx *Tx) error) error {
 	for attempt := 0; ; attempt++ {
 		if s.db.isClosed() {
@@ -481,83 +439,41 @@ func (s *Session) TransactNamed(name string, fn func(tx *Tx) error) error {
 		if attempt > 0 {
 			s.backoff(attempt)
 		}
-		tr := s.db.cfg.TxTracer.Begin(s.id)
-		inner, err := s.db.impl.begin(s.site)
+		m, err := s.begin(name, 0)
 		if err != nil {
 			return err
 		}
-		tr.Mark(txtrace.StageBeginWait)
-		began := time.Now()
-		txid := s.beginAttempt()
-		tr.SetTxID(txid)
-		tx := &Tx{inner: inner, writes: make(map[model.Obj]model.Value), rec: s.db.cfg.Recorder, session: s.id, txid: txid}
-		err = fn(tx)
-		if err != nil {
-			inner.abort()
-			if errors.Is(err, ErrConflict) {
-				s.event(eventlog.Conflict, txid, "")
-				s.db.mConflicts.Inc()
-				s.db.mRetries.Inc()
-				tr.Finish(txtrace.OutcomeConflict, 0)
-				continue // fn surfaced a conflict from a read; retry
-			}
-			s.event(eventlog.Abort, txid, "")
-			s.db.mAborts.Inc() // user-initiated rollback, not a conflict
-			tr.Finish(txtrace.OutcomeAbort, 0)
+		if err = fn(&m.tx); err != nil {
+			// A conflict fn surfaced from a read is retried like one
+			// lost at commit; any other error is a rollback.
+			m.tx.inner.abort()
+			m.end(errors.Is(err, ErrConflict))
+		} else {
+			err = m.Commit()
+		}
+		if !errors.Is(err, ErrConflict) {
 			return err
 		}
-		tr.Mark(txtrace.StageReads)
-		commitStart := time.Now()
-		lsn, err := inner.commit(commitReq{writes: tx.writes, order: tx.writeOrder, ops: tx.ops, session: s.id, txid: txid, trace: tr})
-		if err != nil {
-			if errors.Is(err, ErrConflict) {
-				s.event(eventlog.Conflict, txid, "")
-				s.db.mConflicts.Inc()
-				s.db.mRetries.Inc()
-				tr.Finish(txtrace.OutcomeConflict, 0)
-				continue
-			}
-			tr.Finish(txtrace.OutcomeError, 0)
-			return err
-		}
-		s.db.mCommits.Inc()
-		s.observeCommitLatency(time.Since(commitStart).Nanoseconds(), tr)
-		s.db.hSnapAge.Observe(commitStart.Sub(began).Nanoseconds())
-		id := s.record(name, tx.ops)
-		if txid == "" {
-			tr.SetTxID(id)
-		}
-		s.commitEvent(txid, id, lsn)
-		if tr != nil {
-			tr.Mark(txtrace.StageAck)
-			tr.Finish(txtrace.OutcomeCommit, lsn)
-		}
-		return nil
+		s.db.mRetries.Inc()
 	}
 }
 
-// observeCommitLatency records the commit latency; traced commits go
-// through ObserveExemplar so the histogram bucket links back to the
-// trace ID (resolvable via GET /trace/{id}).
-func (s *Session) observeCommitLatency(ns int64, tr *txtrace.Trace) {
-	if tr != nil {
-		s.db.hCommitLat.ObserveExemplar(ns, tr.ID())
-		return
-	}
-	s.db.hCommitLat.Observe(ns)
-}
+// Retry backoff: the first yieldRetries conflict retries only yield
+// the processor — a couple of immediate re-runs resolve most transient
+// races cheaper than any sleep would — and later ones sleep a capped
+// exponential delay with jitter, from backoffBase up to backoffMax.
+// Backoff de-synchronises retry storms: without it, contending
+// sessions re-collide in lockstep and the conflict counters grow
+// superlinearly with the session count.
+const (
+	yieldRetries = 3
+	backoffBase  = time.Microsecond
+	backoffMax   = time.Millisecond
+)
 
-// yieldRetries is the number of initial conflict retries that only
-// yield the processor: a couple of immediate re-runs resolve most
-// transient races cheaper than any sleep would.
-const yieldRetries = 3
-
-// backoff delays the attempt-th conflict retry: pure yields first,
-// then capped exponential backoff with jitter so contending sessions
-// spread out instead of re-colliding in lockstep.
+// backoff delays the attempt-th conflict retry.
 func (s *Session) backoff(attempt int) {
-	cfg := s.db.cfg
-	if attempt <= yieldRetries || cfg.RetryBackoffMax < 0 {
+	if attempt <= yieldRetries {
 		// Yield so competing sessions and the PSI propagator make
 		// progress instead of livelocking.
 		runtime.Gosched()
@@ -569,7 +485,7 @@ func (s *Session) backoff(attempt int) {
 		// de-correlates sessions created in the same nanosecond.
 		s.rng = rand.New(rand.NewSource(time.Now().UnixNano() ^ rand.Int63()))
 	}
-	time.Sleep(backoffDelay(attempt-yieldRetries, cfg.RetryBackoffBase, cfg.RetryBackoffMax, s.rng.Int63n))
+	time.Sleep(backoffDelay(attempt-yieldRetries, backoffBase, backoffMax, s.rng.Int63n))
 }
 
 // backoffDelay computes the n-th (1-based) backoff delay: base·2ⁿ⁻¹
@@ -629,30 +545,39 @@ func (s *Session) BeginTraced(name string, traceID uint64) (*ManualTx, error) {
 	if s.db.isClosed() {
 		return nil, ErrClosed
 	}
+	return s.begin(name, traceID)
+}
+
+// begin starts one transaction attempt: its trace, its protocol
+// snapshot and, with a recorder, its attempt id ("<session>#<n>";
+// conflict retries get fresh attempts) and Begin event.
+func (s *Session) begin(name string, traceID uint64) (*ManualTx, error) {
 	tr := s.db.cfg.TxTracer.BeginWithID(traceID, s.id)
 	inner, err := s.db.impl.begin(s.site)
 	if err != nil {
 		return nil, err
 	}
 	tr.Mark(txtrace.StageBeginWait)
-	txid := s.beginAttempt()
-	tr.SetTxID(txid)
-	return &ManualTx{
-		s:     s,
-		name:  name,
-		began: time.Now(),
-		trace: tr,
-		tx:    &Tx{inner: inner, writes: make(map[model.Obj]model.Value), rec: s.db.cfg.Recorder, session: s.id, txid: txid},
-	}, nil
+	m := &ManualTx{name: name, began: time.Now(), trace: tr}
+	m.tx = Tx{s: s, inner: inner, writes: make(map[model.Obj]model.Value)}
+	if s.db.cfg.Recorder != nil {
+		s.mu.Lock()
+		s.attempts++
+		n := s.attempts
+		s.mu.Unlock()
+		m.tx.txid = fmt.Sprintf("%s#%d", s.id, n)
+		s.emit(eventlog.Event{Kind: eventlog.Begin, TxID: m.tx.txid})
+		tr.SetTxID(m.tx.txid)
+	}
+	return m, nil
 }
 
 // ManualTx is an explicitly controlled transaction created by
 // Session.Begin.
 type ManualTx struct {
-	s     *Session
+	tx    Tx
 	name  string
 	began time.Time
-	tx    *Tx
 	trace *txtrace.Trace
 	done  bool
 	lsn   uint64
@@ -691,63 +616,75 @@ func (m *ManualTx) Commit() error {
 		return fmt.Errorf("engine: transaction %q already finished", m.name)
 	}
 	m.done = true
-	tr := m.trace
+	s, tr := m.tx.s, m.trace
 	tr.Mark(txtrace.StageReads)
 	commitStart := time.Now()
-	lsn, err := m.tx.inner.commit(commitReq{writes: m.tx.writes, order: m.tx.writeOrder, ops: m.tx.ops, session: m.s.id, txid: m.tx.txid, trace: tr})
+	lsn, err := m.tx.inner.commit(commitReq{writes: m.tx.writes, order: m.tx.writeOrder, ops: m.tx.ops, session: s.id, txid: m.tx.txid, trace: tr})
 	if err != nil {
 		if errors.Is(err, ErrConflict) {
-			m.s.event(eventlog.Conflict, m.tx.txid, "")
-			m.s.db.mConflicts.Inc()
-			tr.Finish(txtrace.OutcomeConflict, 0)
+			m.end(true)
 		} else {
 			tr.Finish(txtrace.OutcomeError, 0)
 		}
 		return err
 	}
 	m.lsn = lsn
-	m.s.db.mCommits.Inc()
-	m.s.observeCommitLatency(time.Since(commitStart).Nanoseconds(), tr)
-	m.s.db.hSnapAge.Observe(commitStart.Sub(m.began).Nanoseconds())
-	id := m.s.record(m.name, m.tx.ops)
+	s.db.mCommits.Inc()
+	// A traced commit links its latency bucket to the trace ID
+	// (resolvable via GET /trace/{id}).
+	if lat := time.Since(commitStart).Nanoseconds(); tr != nil {
+		s.db.hCommitLat.ObserveExemplar(lat, tr.ID())
+	} else {
+		s.db.hCommitLat.Observe(lat)
+	}
+	s.db.hSnapAge.Observe(commitStart.Sub(m.began).Nanoseconds())
+	id := s.record(m.name, m.tx.ops)
 	if m.tx.txid == "" {
 		tr.SetTxID(id)
 	}
-	m.s.commitEvent(m.tx.txid, id, lsn)
-	if tr != nil {
-		tr.Mark(txtrace.StageAck)
-		tr.Finish(txtrace.OutcomeCommit, lsn)
-	}
+	// The durable log sequence number lets the timeline and /events
+	// frames correlate publish order with log order.
+	s.emit(eventlog.Event{Kind: eventlog.Commit, TxID: m.tx.txid, Name: id, LSN: lsn})
+	tr.Mark(txtrace.StageAck)
+	tr.Finish(txtrace.OutcomeCommit, lsn)
 	return nil
 }
 
 // Abort abandons the transaction. Safe to call at most once, and only
-// if Commit was not called.
+// if Commit was not called. A transaction one of whose reads returned
+// ErrConflict ends as a conflict, not as a rollback.
 func (m *ManualTx) Abort() {
 	if m.done {
 		return
 	}
-	m.done = true
 	m.tx.inner.abort()
-	m.s.event(eventlog.Abort, m.tx.txid, "")
-	m.s.db.mAborts.Inc()
-	m.trace.Finish(txtrace.OutcomeAbort, 0)
+	m.end(m.tx.conflict)
+}
+
+// end finishes a transaction that did not commit: as a conflict the
+// protocol decided, or as a rollback its caller asked for.
+func (m *ManualTx) end(conflict bool) {
+	m.done = true
+	kind, outcome, n := eventlog.Abort, txtrace.OutcomeAbort, m.tx.s.db.mAborts
+	if conflict {
+		kind, outcome, n = eventlog.Conflict, txtrace.OutcomeConflict, m.tx.s.db.mConflicts
+	}
+	m.tx.s.emit(eventlog.Event{Kind: kind, TxID: m.tx.txid})
+	n.Inc()
+	m.trace.Finish(outcome, 0)
 }
 
 // Tx is a live transaction handle passed to Transact callbacks. It
 // buffers writes (read-your-writes) and records the operation log that
 // becomes the transaction's history entry.
 type Tx struct {
+	s          *Session
+	txid       string // attempt id; "" without a recorder
 	inner      txProtocol
 	ops        []model.Op
 	writes     map[model.Obj]model.Value
 	writeOrder []model.Obj
-
-	// Flight-recorder plumbing; rec is nil when no recorder is
-	// attached, keeping the operation hot path event-free.
-	rec     *eventlog.Recorder
-	session string
-	txid    string
+	conflict   bool // a read returned ErrConflict
 }
 
 // Read returns the value of x as of the transaction's snapshot (or its
@@ -758,13 +695,12 @@ func (t *Tx) Read(x model.Obj) (model.Value, error) {
 		var err error
 		v, err = t.inner.read(x)
 		if err != nil {
+			t.conflict = t.conflict || errors.Is(err, ErrConflict)
 			return 0, err
 		}
 	}
 	t.ops = append(t.ops, model.Read(x, v))
-	if t.rec != nil {
-		t.rec.Record(eventlog.Event{Kind: eventlog.Read, Session: t.session, TxID: t.txid, Obj: x, Val: v})
-	}
+	t.s.emit(eventlog.Event{Kind: eventlog.Read, TxID: t.txid, Obj: x, Val: v})
 	return v, nil
 }
 
@@ -789,8 +725,6 @@ func (t *Tx) Write(x model.Obj, v model.Value) error {
 	}
 	t.writes[x] = v
 	t.ops = append(t.ops, model.Write(x, v))
-	if t.rec != nil {
-		t.rec.Record(eventlog.Event{Kind: eventlog.Write, Session: t.session, TxID: t.txid, Obj: x, Val: v})
-	}
+	t.s.emit(eventlog.Event{Kind: eventlog.Write, TxID: t.txid, Obj: x, Val: v})
 	return nil
 }

@@ -18,19 +18,14 @@ import (
 // blocks a begin.
 //
 // When every slot is taken (more than snapSlots concurrent
-// transactions) registration falls over to epoch-based reclamation: a
-// registration coarsens its snapshot to an epoch (snap >> epochShift)
-// and counts itself into a small lock-free ring of packed
-// (epoch, count) words. A live epoch holds the watermark at its floor
-// (epoch << epochShift) — a conservative lower bound on every
-// snapshot in it — so the scan stays O(slots + epochs) no matter how
-// many thousands of transactions are live, at the cost of holding the
-// watermark back by at most 2^epochShift − 1 timestamps. (The former
-// implementation kept an exact mutex-protected count map here, whose
-// scan — and lock hold — grew with the number of distinct overflowed
-// snapshots.) If even the ring is saturated, a last-resort
-// mutex-protected epoch count map takes the registration; correctness
-// never depends on the fast paths having room.
+// transactions) registration spills into a mutex-protected map that
+// counts live registrations per epoch (snap >> epochShift). A live
+// epoch holds the watermark at its floor (epoch << epochShift) — a
+// conservative lower bound on every snapshot in it — so the scan costs
+// O(slots + live overflow epochs), at the price of holding the
+// watermark back by at most 2^epochShift − 1 timestamps while the
+// registry is overflowed. Correctness never depends on the slots
+// having room.
 //
 // # The begin/GC race
 //
@@ -50,25 +45,15 @@ import (
 //     timestamp. Retries terminate because gcIntent never exceeds the
 //     commit timestamp it was loaded from.
 //
-// The epoch ring uses the same handshake (an epoch's floor is ≤ every
-// snapshot counted in it, so a scan that sees the epoch bounds the
-// watermark safely below them all); the spill map instead orders
-// registration against the scan with its mutex, like the old overflow
-// map did. Both sides use atomics with sequentially consistent
-// ordering (Go's sync/atomic), which the argument above relies on.
+// The spill map instead orders registration against the scan with its
+// mutex. Both sides of the handshake use atomics with sequentially
+// consistent ordering (Go's sync/atomic), which the argument above
+// relies on.
 const snapSlots = 512
 
-// Epoch-based overflow geometry. 2^epochShift snapshots share an
-// epoch; the ring holds up to epochSlots distinct live epochs, each
-// counting up to epochCountMask registrations per ring word (an epoch
-// may occupy several ring words when one overflows — the scan takes a
-// minimum, so duplicates are harmless).
-const (
-	epochShift     = 6
-	epochSlots     = 256 // power of two
-	epochCountBits = 16
-	epochCountMask = 1<<epochCountBits - 1
-)
+// epochShift sets the spill map's granularity: 2^epochShift snapshots
+// share an epoch.
+const epochShift = 6
 
 type snapRegistry struct {
 	slots  [snapSlots]atomic.Uint64 // snapshot+1; 0 = free
@@ -78,26 +63,18 @@ type snapRegistry struct {
 	// in-flight scan.
 	gcIntent atomic.Uint64
 
-	// epochs is the overflow ring: epoch<<epochCountBits | count,
-	// count 0 = free (whatever epoch bits remain).
-	epochs [epochSlots]atomic.Uint64
-
-	// spill is the last-resort epoch count map, for a pathological
-	// spread of live epochs saturating the ring. The mutex orders
-	// registration against watermark's scan, so no intent handshake is
-	// needed on this path.
+	// spill counts the registrations that found every slot taken. The
+	// mutex orders registration against watermark's scan, so no intent
+	// handshake is needed on this path.
 	spillMu sync.Mutex
 	spill   map[uint64]int // epoch → live registrations
 }
 
 // snapTicket is one live registration, released exactly once.
 type snapTicket struct {
-	snap uint64
-	slot *atomic.Uint64 // fast-path slot; nil ⇒ epoch-registered
-	// epochSlot is the overflow ring word holding this registration;
-	// nil together with slot ⇒ counted in the spill map under epoch.
-	epochSlot *atomic.Uint64
-	epoch     uint64
+	snap  uint64
+	slot  *atomic.Uint64 // nil ⇒ counted in the spill map under epoch
+	epoch uint64
 }
 
 // acquire registers a snapshot read from now (typically the published
@@ -121,24 +98,7 @@ func (r *snapRegistry) acquire(now func() uint64) snapTicket {
 			slot.Store(v + 1)
 		}
 	}
-	// Slot array exhausted: count into the epoch ring, with the same
-	// intent handshake as the fast path (a scan that sees the epoch
-	// bounds the watermark at its floor, which is ≤ v).
-	for {
-		v := now()
-		e := v >> epochShift
-		s := r.epochClaim(e)
-		if s == nil {
-			break // ring saturated around e; spill below
-		}
-		if r.gcIntent.Load() <= v {
-			return snapTicket{snap: v, epochSlot: s, epoch: e}
-		}
-		// A scan above v may have missed the registration; drop it and
-		// re-register with a fresher timestamp.
-		epochRelease(s)
-	}
-	// Last resort: the mutex-ordered spill map (see watermark).
+	// Slot array exhausted: the mutex-ordered spill map (see watermark).
 	r.spillMu.Lock()
 	v := now()
 	e := v >> epochShift
@@ -150,51 +110,10 @@ func (r *snapRegistry) acquire(now func() uint64) snapTicket {
 	return snapTicket{snap: v, epoch: e}
 }
 
-// epochClaim counts one registration into a ring word holding epoch
-// e, claiming a free word if none does. It probes a handful of words
-// from e's home position; nil means the neighbourhood is saturated
-// and the caller must spill.
-func (r *snapRegistry) epochClaim(e uint64) *atomic.Uint64 {
-	const probes = 8
-probe:
-	for i := uint64(0); i < probes; i++ {
-		s := &r.epochs[(e+i)&(epochSlots-1)]
-		for {
-			cur := s.Load()
-			if cur&epochCountMask == 0 {
-				// Free word (count zero); claim it for e.
-				if s.CompareAndSwap(cur, e<<epochCountBits|1) {
-					return s
-				}
-				continue
-			}
-			if cur>>epochCountBits == e && cur&epochCountMask < epochCountMask {
-				if s.CompareAndSwap(cur, cur+1) {
-					return s
-				}
-				continue
-			}
-			// Held by another epoch, or its count is full.
-			continue probe
-		}
-	}
-	return nil
-}
-
-// epochRelease undoes one epochClaim. The decrement leaves the epoch
-// bits in place with count 0, which claimants treat as free.
-func epochRelease(s *atomic.Uint64) {
-	s.Add(^uint64(0)) // count−1; counts are per-word and never 0 here
-}
-
 // release drops the registration. Call exactly once per ticket.
 func (r *snapRegistry) release(t snapTicket) {
 	if t.slot != nil {
 		t.slot.Store(0)
-		return
-	}
-	if t.epochSlot != nil {
-		epochRelease(t.epochSlot)
 		return
 	}
 	r.spillMu.Lock()
@@ -208,10 +127,10 @@ func (r *snapRegistry) release(t snapTicket) {
 
 // watermark returns the oldest snapshot any live transaction may read
 // at, bounded above by now (the published commit timestamp). Callers
-// collect versions strictly below the result. Registrations in the
-// epoch paths contribute their epoch floor — a conservative bound ≤
-// every snapshot they cover, so the result can lag the true minimum
-// by at most 2^epochShift − 1 when the registry is overflowed.
+// collect versions strictly below the result. Spilled registrations
+// contribute their epoch floor — a conservative bound ≤ every snapshot
+// they cover, so the result can lag the true minimum by at most
+// 2^epochShift − 1 when the registry is overflowed.
 func (r *snapRegistry) watermark(now uint64) uint64 {
 	// Advertise intent before scanning; CAS-max so a slower concurrent
 	// collector with an older timestamp cannot regress it.
@@ -225,13 +144,6 @@ func (r *snapRegistry) watermark(now uint64) uint64 {
 	for i := range r.slots {
 		if v := r.slots[i].Load(); v != 0 && v-1 < min {
 			min = v - 1
-		}
-	}
-	for i := range r.epochs {
-		if v := r.epochs[i].Load(); v&epochCountMask != 0 {
-			if f := (v >> epochCountBits) << epochShift; f < min {
-				min = f
-			}
 		}
 	}
 	// Spill registrations happen under the same lock; a scan that runs

@@ -635,38 +635,10 @@ func (m *Monitor) indexValue(t *winTx, x model.Obj, v model.Value) {
 }
 
 // fastCheck tests the arrival-order candidate graph against the
-// model, mirroring depgraph.Builder.InModel over the incremental
-// closure.
+// model over the incremental closure, with the certification search's
+// own membership test.
 func (m *Monitor) fastCheck() bool {
-	if m.cl.HasCycle() {
-		return false
-	}
-	switch m.model {
-	case depgraph.SER:
-		m.cl.ComposeMaybeInto(m.s1, m.rw)
-		return m.s1.IsAcyclic()
-	case depgraph.SI, depgraph.GSI:
-		m.cl.ComposeInto(m.s1, m.rw)
-		return m.s1.IsAcyclic()
-	case depgraph.PSI:
-		ok := true
-		for a := 0; a < m.cap; a++ {
-			m.rw.EachSuccessor(a, func(c int) {
-				if ok && m.cl.Reaches(c, a) {
-					ok = false
-				}
-			})
-			if !ok {
-				return false
-			}
-		}
-		return true
-	case depgraph.PC:
-		m.cl.ComposeMaybeInto(m.s1, m.rw)
-		m.s2.CopyFrom(m.so).UnionInPlace(m.wrAll)
-		return m.s3.ComposeOf(m.s1, m.s2).IsAcyclic()
-	}
-	return false
+	return depgraph.ClosureInModel(m.model, m.cl, m.rw, m.so, m.wrAll, m.s1, m.s2, m.s3) == nil
 }
 
 // certifyWindow runs the offline checker over the assembled window
