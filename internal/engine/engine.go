@@ -29,6 +29,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sian/internal/model"
@@ -183,8 +184,9 @@ type DB struct {
 	cfg  Config
 	impl protocol
 
+	closed atomic.Bool
+
 	mu       sync.Mutex
-	closed   bool
 	sessions []*Session
 	sites    int
 
@@ -318,15 +320,17 @@ func (db *DB) Session(id string) *Session {
 // History snapshots the committed transactions of every session, in
 // session-creation order. Call it after the workload has quiesced; it
 // is safe at any time but reflects only commits that completed before
-// the call.
+// the call. Sessions keep their history as encoded byte logs, so each
+// call decodes it afresh: O(ops) time and allocation per call.
 func (db *DB) History() *model.History {
 	db.mu.Lock()
 	sessions := make([]*Session, len(db.sessions))
 	copy(sessions, db.sessions)
 	db.mu.Unlock()
 	specs := make([]model.Session, 0, len(sessions))
+	intern := make(map[string]model.Obj)
 	for _, s := range sessions {
-		txs := s.committed()
+		txs := s.committed(intern)
 		if len(txs) == 0 {
 			continue
 		}
@@ -338,20 +342,10 @@ func (db *DB) History() *model.History {
 // Close shuts the database down, stopping any background propagation.
 // Further transactions fail with ErrClosed.
 func (db *DB) Close() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+	if !db.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	db.closed = true
-	db.mu.Unlock()
 	return db.impl.close()
-}
-
-func (db *DB) isClosed() bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.closed
 }
 
 // Compact garbage-collects storage versions that no live transaction
@@ -387,8 +381,7 @@ type Session struct {
 	rng *rand.Rand
 
 	mu       sync.Mutex
-	txs      []model.Transaction
-	seq      int
+	log      histLog
 	attempts int
 }
 
@@ -408,12 +401,14 @@ func (s *Session) emit(e eventlog.Event) {
 	}
 }
 
-func (s *Session) committed() []model.Transaction {
+// committed decodes the session's history. Only the copy of the log's
+// chunk headers is taken under the session lock; intern deduplicates
+// object names across the sessions of one DB.History call.
+func (s *Session) committed(intern map[string]model.Obj) []model.Transaction {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]model.Transaction, len(s.txs))
-	copy(out, s.txs)
-	return out
+	l := s.log.snapshot()
+	s.mu.Unlock()
+	return l.decode(s.id, intern)
 }
 
 // Transact runs fn inside a transaction. Conflicts abort and retry the
@@ -430,7 +425,7 @@ func (s *Session) Transact(fn func(tx *Tx) error) error {
 // bookkeeping.
 func (s *Session) TransactNamed(name string, fn func(tx *Tx) error) error {
 	for attempt := 0; ; attempt++ {
-		if s.db.isClosed() {
+		if s.db.closed.Load() {
 			return ErrClosed
 		}
 		if attempt > s.db.cfg.MaxRetries {
@@ -507,24 +502,11 @@ func backoffDelay(n int, base, max time.Duration, randn func(int64) int64) time.
 }
 
 // record appends the committed transaction to the session's history
-// and returns the canonical id it was recorded under.
-func (s *Session) record(name string, ops []model.Op) string {
+// and returns its sequence number in the session (see txID).
+func (s *Session) record(name string, ops []model.Op) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
-	var id string
-	switch {
-	case s.id == model.InitTransactionID && s.seq == 1 && name == "":
-		// The canonical initialisation transaction keeps its bare name
-		// so that certifiers and tools recognise it (PinInit).
-		id = model.InitTransactionID
-	case name != "":
-		id = fmt.Sprintf("%s/%s", s.id, name)
-	default:
-		id = fmt.Sprintf("%s/%d", s.id, s.seq)
-	}
-	s.txs = append(s.txs, model.NewTransaction(id, ops...))
-	return id
+	return s.log.append(name, ops)
 }
 
 // Begin starts a manually controlled transaction on the session. Use
@@ -542,7 +524,7 @@ func (s *Session) Begin(name string) (*ManualTx, error) {
 // client's spans with the server's pipeline spans. A zero ID assigns a
 // fresh one; without a TxTracer the ID is ignored.
 func (s *Session) BeginTraced(name string, traceID uint64) (*ManualTx, error) {
-	if s.db.isClosed() {
+	if s.db.closed.Load() {
 		return nil, ErrClosed
 	}
 	return s.begin(name, traceID)
@@ -559,7 +541,8 @@ func (s *Session) begin(name string, traceID uint64) (*ManualTx, error) {
 	}
 	tr.Mark(txtrace.StageBeginWait)
 	m := &ManualTx{name: name, began: time.Now(), trace: tr}
-	m.tx = Tx{s: s, inner: inner, writes: make(map[model.Obj]model.Value)}
+	m.tx = Tx{s: s, inner: inner, writes: make(map[model.Obj]model.Value),
+		ops: m.opBuf[:0], writeOrder: m.orderBuf[:0]}
 	if s.db.cfg.Recorder != nil {
 		s.mu.Lock()
 		s.attempts++
@@ -581,6 +564,11 @@ type ManualTx struct {
 	trace *txtrace.Trace
 	done  bool
 	lsn   uint64
+	// opBuf and orderBuf seed tx.ops and tx.writeOrder, so small
+	// transactions append without growing them. Each attempt gets a
+	// fresh ManualTx, so protocols may keep references to both.
+	opBuf    [8]model.Op
+	orderBuf [4]model.Obj
 }
 
 // TraceID returns the transaction's trace ID (0 when tracing is off).
@@ -638,13 +626,16 @@ func (m *ManualTx) Commit() error {
 		s.db.hCommitLat.Observe(lat)
 	}
 	s.db.hSnapAge.Observe(commitStart.Sub(m.began).Nanoseconds())
-	id := s.record(m.name, m.tx.ops)
-	if m.tx.txid == "" {
-		tr.SetTxID(id)
+	seq := s.record(m.name, m.tx.ops)
+	if tr != nil || s.db.cfg.Recorder != nil {
+		id := txID(s.id, seq, m.name)
+		if m.tx.txid == "" {
+			tr.SetTxID(id)
+		}
+		// The durable log sequence number lets the timeline and /events
+		// frames correlate publish order with log order.
+		s.emit(eventlog.Event{Kind: eventlog.Commit, TxID: m.tx.txid, Name: id, LSN: lsn})
 	}
-	// The durable log sequence number lets the timeline and /events
-	// frames correlate publish order with log order.
-	s.emit(eventlog.Event{Kind: eventlog.Commit, TxID: m.tx.txid, Name: id, LSN: lsn})
 	tr.Mark(txtrace.StageAck)
 	tr.Finish(txtrace.OutcomeCommit, lsn)
 	return nil

@@ -1,0 +1,136 @@
+package engine
+
+import (
+	"encoding/binary"
+	"maps"
+	"math/bits"
+	"slices"
+	"strconv"
+
+	"sian/internal/model"
+)
+
+// A history log's chunks double in capacity from histFirstChunk up to
+// histChunk, so a session that commits little stays small. A
+// transaction whose encoding exceeds the next chunk gets a chunk of its
+// own, exactly its size.
+const (
+	histFirstChunk = 256
+	histChunk      = 64 << 10
+)
+
+// histLog is a session's committed history: an append-only log of
+// byte chunks, so the retained history holds no pointers for the
+// garbage collector to scan. Per transaction it stores a uvarint op
+// count, then per op uvarint(len(obj)<<1 | isWrite), the object's
+// bytes and a zigzag-varint value. Transaction ids are derived at
+// decode time (txID); only labelled transactions keep their label.
+//
+// Chunks are only ever appended to, so a copy of the chunk headers
+// taken under the session lock (snapshot) stays valid while later
+// commits extend the log.
+type histLog struct {
+	chunks [][]byte
+	n      int            // transactions appended
+	names  map[int]string // sequence number → label, labelled transactions only
+}
+
+// append encodes a committed transaction and returns its 1-based
+// sequence number.
+func (l *histLog) append(name string, ops []model.Op) int {
+	size := uvarintLen(uint64(len(ops)))
+	for _, op := range ops {
+		size += uvarintLen(opHeader(op)) + len(op.Obj) + uvarintLen(zigzag(op.Val))
+	}
+	var tail []byte
+	if k := len(l.chunks); k > 0 {
+		tail = l.chunks[k-1]
+	}
+	if cap(tail)-len(tail) < size {
+		tail = make([]byte, 0, max(size, min(2*cap(tail), histChunk), histFirstChunk))
+		l.chunks = append(l.chunks, tail)
+	}
+	tail = binary.AppendUvarint(tail, uint64(len(ops)))
+	for _, op := range ops {
+		tail = binary.AppendUvarint(tail, opHeader(op))
+		tail = append(tail, op.Obj...)
+		tail = binary.AppendVarint(tail, int64(op.Val))
+	}
+	l.chunks[len(l.chunks)-1] = tail
+	l.n++
+	if name != "" {
+		if l.names == nil {
+			l.names = make(map[int]string)
+		}
+		l.names[l.n] = name
+	}
+	return l.n
+}
+
+// snapshot copies the log's chunk headers and labels; the caller holds
+// the lock that serialises append.
+func (l *histLog) snapshot() histLog {
+	return histLog{chunks: slices.Clone(l.chunks), n: l.n, names: maps.Clone(l.names)}
+}
+
+// decode rebuilds the log's transactions of the given session. Object
+// names are deduplicated through intern, which may be shared across
+// sessions.
+func (l histLog) decode(session string, intern map[string]model.Obj) []model.Transaction {
+	txs := make([]model.Transaction, 0, l.n)
+	for _, c := range l.chunks {
+		for len(c) > 0 {
+			n, k := binary.Uvarint(c)
+			c = c[k:]
+			ops := make([]model.Op, n)
+			for i := range ops {
+				h, k := binary.Uvarint(c)
+				c = c[k:]
+				b := c[:h>>1]
+				c = c[h>>1:]
+				x, ok := intern[string(b)]
+				if !ok {
+					x = model.Obj(b)
+					intern[string(x)] = x
+				}
+				v, k := binary.Varint(c)
+				c = c[k:]
+				ops[i] = model.Op{Kind: model.OpRead, Obj: x, Val: model.Value(v)}
+				if h&1 == 1 {
+					ops[i].Kind = model.OpWrite
+				}
+			}
+			seq := len(txs) + 1
+			txs = append(txs, model.Transaction{ID: txID(session, seq, l.names[seq]), Ops: ops})
+		}
+	}
+	return txs
+}
+
+// txID is the id the seq-th committed transaction of a session is
+// recorded under: "<session>/<label>" for a labelled transaction,
+// "<session>/<seq>" otherwise — except that the first unlabelled
+// transaction of the session named model.InitTransactionID keeps that
+// bare name, so certifiers and tools recognise it (PinInit).
+func txID(session string, seq int, name string) string {
+	switch {
+	case name != "":
+		return session + "/" + name
+	case seq == 1 && session == model.InitTransactionID:
+		return model.InitTransactionID
+	default:
+		return session + "/" + strconv.Itoa(seq)
+	}
+}
+
+func opHeader(op model.Op) uint64 {
+	h := uint64(len(op.Obj)) << 1
+	if op.Kind == model.OpWrite {
+		h |= 1
+	}
+	return h
+}
+
+func zigzag(v model.Value) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

@@ -116,8 +116,8 @@ func TestSnapRegistryOverflowEpochs(t *testing.T) {
 // churn acquire/release while collectors scan, under -race. The
 // safety property is the sentinel invariant: a watermark computed
 // while a registration is live never exceeds that registration's
-// snapshot — regardless of which path (slot, epoch ring, spill) took
-// the registration.
+// snapshot — regardless of which path (slot or spill map) took the
+// registration.
 func TestSnapRegistryOverflowConcurrent(t *testing.T) {
 	t.Parallel()
 	var r snapRegistry
