@@ -29,13 +29,22 @@ type refSearch struct {
 	m       depgraph.Model
 	budget  int
 	pinned  int
-	reads   []readSite
+	reads   []refSite
 	objs    []model.Obj
 	writers map[model.Obj][]int
+	all     []model.Obj // h.Objects(), computed once for the clones
 
 	examined      int
 	lastCandidate *depgraph.Graph
 	lastPruned    *depgraph.Graph
+}
+
+// refSite is a read site as the reference names it: by object name.
+type refSite struct {
+	reader     int
+	obj        model.Obj
+	val        model.Value
+	candidates []int
 }
 
 func newRefSearch(h *model.History, m depgraph.Model, budget, pinned int) (*refSearch, error) {
@@ -48,7 +57,7 @@ func newRefSearch(h *model.History, m depgraph.Model, budget, pinned int) (*refS
 			if !reads {
 				continue
 			}
-			site := readSite{reader: i, obj: x, val: v}
+			site := refSite{reader: i, obj: x, val: v}
 			for j := 0; j < n; j++ {
 				if j == i {
 					continue
@@ -63,7 +72,8 @@ func newRefSearch(h *model.History, m depgraph.Model, budget, pinned int) (*refS
 			s.reads = append(s.reads, site)
 		}
 	}
-	for _, x := range h.Objects() {
+	s.all = h.Objects()
+	for _, x := range s.all {
 		w := h.WriteTx(x)
 		s.writers[x] = w
 		if len(w) >= 2 {
@@ -84,7 +94,7 @@ func (s *refSearch) assignReads(i int, g *depgraph.Graph) (*depgraph.Graph, erro
 	}
 	site := s.reads[i]
 	for _, w := range site.candidates {
-		g2 := refCloneGraph(s.h, g)
+		g2 := refCloneGraph(s.h, s.all, g)
 		g2.AddWR(site.obj, w, site.reader)
 		found, err := s.assignReads(i+1, g2)
 		if err != nil || found != nil {
@@ -141,7 +151,7 @@ func (s *refSearch) orderWrites(oi int, g *depgraph.Graph) (*depgraph.Graph, err
 
 func (s *refSearch) extend(oi int, x model.Obj, writers []int, forced []uint64, placed uint64, order []int, g *depgraph.Graph) (*depgraph.Graph, error) {
 	if len(order) == len(writers) {
-		g2 := refCloneGraph(s.h, g)
+		g2 := refCloneGraph(s.h, s.all, g)
 		for a := 0; a < len(order); a++ {
 			for b := a + 1; b < len(order); b++ {
 				g2.AddWW(x, order[a], order[b])
@@ -162,9 +172,9 @@ func (s *refSearch) extend(oi int, x model.Obj, writers []int, forced []uint64, 
 	return nil, nil
 }
 
-func refCloneGraph(h *model.History, g *depgraph.Graph) *depgraph.Graph {
+func refCloneGraph(h *model.History, objs []model.Obj, g *depgraph.Graph) *depgraph.Graph {
 	out := depgraph.New(h)
-	for _, x := range h.Objects() {
+	for _, x := range objs {
 		for _, p := range g.WRObj(x).Pairs() {
 			out.AddWR(x, p[0], p[1])
 		}
@@ -371,5 +381,58 @@ func TestDifferentialRandom(t *testing.T) {
 				diffCompare(t, label, h, other, false, 20_000, 4)
 			}
 		}
+	}
+}
+
+// forcedPrefixHistory has more than a thousand objects whose write
+// order the init transaction alone forces (one blind writer each, in
+// ten sessions) and, last in object order, one branch point: "z",
+// which two transactions of different sessions increment from the
+// same version, a lost update. The search places the forced objects
+// in one loop and branches only at z.
+func forcedPrefixHistory() *model.History {
+	const sessions, perSession, objsPerTx = 10, 2, 55
+	var sess []model.Session
+	next := model.Value(0)
+	for s := 0; s < sessions; s++ {
+		se := model.Session{ID: fmt.Sprintf("s%d", s)}
+		for t := 0; t < perSession; t++ {
+			var ops []model.Op
+			for k := 0; k < objsPerTx; k++ {
+				next++
+				ops = append(ops, model.Write(model.Obj(fmt.Sprintf("o%04d", (s*perSession+t)*objsPerTx+k)), next))
+			}
+			se.Transactions = append(se.Transactions, model.NewTransaction(fmt.Sprintf("s%d.%d", s, t), ops...))
+		}
+		sess = append(sess, se)
+	}
+	for i, v := range []model.Value{1, 2} {
+		sess = append(sess, model.Session{ID: fmt.Sprintf("lost%d", i), Transactions: []model.Transaction{
+			model.NewTransaction(fmt.Sprintf("lost%d", i), model.Read("z", 0), model.Write("z", v)),
+		}})
+	}
+	return model.NewHistory(sess...)
+}
+
+// TestDifferentialForcedPrefix pins the flat placement of forced write
+// orders to the reference on forcedPrefixHistory, under every model
+// with one worker, and under SI with four too (the plan has a single
+// branch, which runs inline either way).
+func TestDifferentialForcedPrefix(t *testing.T) {
+	t.Parallel()
+	h := forcedPrefixHistory()
+	s, err := newSearch(h.WithInit(0), depgraph.SI, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.objs) <= 1000 || s.names[s.objs[len(s.objs)-1]] != "z" {
+		t.Fatalf("%d multi-writer objects, last %s; want over 1000, last z", len(s.objs), s.names[s.objs[len(s.objs)-1]])
+	}
+	for _, m := range diffModels {
+		diffCompare(t, "forced-prefix", h, m, false, 100, 1)
+	}
+	diffCompare(t, "forced-prefix", h, depgraph.SI, false, 100, 4)
+	if res, err := Certify(h, depgraph.SI, Options{}); err != nil || res.Member || res.Examined != 2 {
+		t.Fatalf("SI: member %v, examined %d, err %v; want a rejection after both orders of z", res.Member, res.Examined, err)
 	}
 }

@@ -169,15 +169,27 @@ func TestIndexHistoryMatchesScan(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if !reflect.DeepEqual(got.reads, ref.reads) {
-			t.Fatalf("%s: read sites diverged:\nscan  %v\nindex %v", name, ref.reads, got.reads)
+		if !reflect.DeepEqual(got.names, h.Objects()) {
+			t.Fatalf("%s: object ids diverged from the sorted names: %v", name, got.names)
 		}
-		if !reflect.DeepEqual(got.objs, ref.objs) {
-			t.Fatalf("%s: multi-writer objects diverged: scan %v, index %v", name, ref.objs, got.objs)
+		// The index names objects by id; the scan by name.
+		var reads []refSite
+		for _, r := range got.reads {
+			reads = append(reads, refSite{reader: r.reader, obj: got.names[r.obj], val: r.val, candidates: r.candidates})
 		}
-		for _, x := range h.Objects() {
-			if !reflect.DeepEqual(got.writers[x], ref.writers[x]) {
-				t.Fatalf("%s: writers of %s diverged: scan %v, index %v", name, x, ref.writers[x], got.writers[x])
+		if !reflect.DeepEqual(reads, ref.reads) {
+			t.Fatalf("%s: read sites diverged:\nscan  %v\nindex %v", name, ref.reads, reads)
+		}
+		var objs []model.Obj
+		for _, x := range got.objs {
+			objs = append(objs, got.names[x])
+		}
+		if !reflect.DeepEqual(objs, ref.objs) {
+			t.Fatalf("%s: multi-writer objects diverged: scan %v, index %v", name, ref.objs, objs)
+		}
+		for x, xn := range got.names {
+			if !reflect.DeepEqual(got.writers[x], ref.writers[xn]) {
+				t.Fatalf("%s: writers of %s diverged: scan %v, index %v", name, xn, ref.writers[xn], got.writers[x])
 			}
 		}
 	}

@@ -1,9 +1,10 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,10 +14,11 @@ import (
 	"sian/internal/obs"
 )
 
-// readSite is one transaction-level external read (T ⊢ read(x, v)).
+// readSite is one transaction-level external read (T ⊢ read(x, v)),
+// of the object with id obj.
 type readSite struct {
 	reader     int
-	obj        model.Obj
+	obj        int
 	val        model.Value
 	candidates []int
 }
@@ -43,9 +45,12 @@ type search struct {
 	budget      int
 	parallelism int
 	pinned      int // index forced first in every WW order, or -1
-	reads       []readSite
-	objs        []model.Obj // objects with ≥2 writers needing a WW order
-	writers     map[model.Obj][]int
+	// Objects are interned once per certification: an object's id is
+	// its rank among the history's object names, sorted.
+	names   []model.Obj
+	reads   []readSite
+	objs    []int   // ids of the objects with ≥2 writers, needing a WW order
+	writers [][]int // WriteTx_x by object id
 
 	// Shared across branch workers.
 	examined atomic.Int64 // candidates tested, bounds the budget
@@ -74,23 +79,14 @@ func newSearch(h *model.History, m depgraph.Model, budget, parallelism, pinned i
 	s := &search{h: h, m: m, budget: budget, parallelism: parallelism, pinned: pinned}
 	s.winner.Store(math.MaxInt64)
 	s.minErr.Store(math.MaxInt64)
-	reads, writers, byVal := indexHistory(h)
-	s.reads, s.writers = reads, writers
-	for i := range s.reads {
-		site := &s.reads[i]
-		// Writers are indexed in increasing order; the reader itself is
-		// not a candidate source of its own external read.
-		for _, j := range byVal[version{site.obj, site.val}] {
-			if j != site.reader {
-				site.candidates = append(site.candidates, j)
-			}
-		}
+	s.names, s.reads, s.writers = indexHistory(h)
+	for _, site := range s.reads {
 		if len(site.candidates) == 0 {
-			return nil, fmt.Errorf("check: transaction %d reads (%s, %d) never finally written", site.reader, site.obj, site.val)
+			return nil, fmt.Errorf("check: transaction %d reads (%s, %d) never finally written", site.reader, s.names[site.obj], site.val)
 		}
 	}
-	for _, x := range h.Objects() {
-		if len(s.writers[x]) >= 2 {
+	for x, w := range s.writers {
+		if len(w) >= 2 {
 			s.objs = append(s.objs, x)
 		}
 	}
@@ -100,52 +96,146 @@ func newSearch(h *model.History, m depgraph.Model, budget, parallelism, pinned i
 // version names a value an object held: what a read site observed, and
 // what a transaction's final write installed.
 type version struct {
-	obj model.Obj
+	obj int32
 	val model.Value
 }
 
+// finalWrite records T ⊢ write(x, v), and the previous record of the
+// same version (-1 if none).
+type finalWrite struct {
+	obj, tx, prev int32
+	val           model.Value
+}
+
+// internObjects names every object of the history by a dense id, its
+// rank among the sorted object names. It returns the names by id and
+// the id of every operation (of nOps), transaction by transaction.
+func internObjects(h *model.History, nOps int) (names []model.Obj, opObj []int32) {
+	first := make(map[model.Obj]int32)
+	opObj = make([]int32, 0, nOps)
+	for i := 0; i < h.NumTransactions(); i++ {
+		for _, op := range h.Transaction(i).Ops {
+			id, ok := first[op.Obj]
+			if !ok {
+				id = int32(len(names))
+				first[op.Obj] = id
+				names = append(names, op.Obj)
+			}
+			opObj = append(opObj, id)
+		}
+	}
+	byName := make([]int32, len(names)) // sorted position -> first-seen id
+	for i := range byName {
+		byName[i] = int32(i)
+	}
+	slices.SortFunc(byName, func(a, b int32) int { return cmp.Compare(names[a], names[b]) })
+	rank := make([]int32, len(names))
+	sorted := make([]model.Obj, len(names))
+	for r, id := range byName {
+		rank[id] = int32(r)
+		sorted[r] = names[id]
+	}
+	for i, id := range opObj {
+		opObj[i] = rank[id]
+	}
+	return sorted, opObj
+}
+
 // indexHistory makes one pass over the history's operations and
-// returns the read sites (T ⊢ read(x, v): the first access of T to x is
-// a read), in increasing transaction order and sorted by object within
-// a transaction; WriteTx_x for every object; and, for every version
-// (x, v), the transactions with T ⊢ write(x, v), both in increasing
-// order. Candidate lists are left for the caller to fill from the
-// version index.
-func indexHistory(h *model.History) (reads []readSite, writers map[model.Obj][]int, byVal map[version][]int) {
-	writers = make(map[model.Obj][]int)
-	byVal = make(map[version][]int)
-	// touched[x] is the last transaction seen accessing x: a different
-	// index means the current transaction's first access to x.
-	touched := make(map[model.Obj]int)
+// returns the object names by id; the read sites (T ⊢ read(x, v): the
+// first access of T to x is a read), in increasing transaction order
+// and sorted by object within a transaction, each with its candidate
+// sources: the transactions other than the reader with
+// T ⊢ write(x, v), in increasing order; and WriteTx_x for every object,
+// in increasing order.
+func indexHistory(h *model.History) (names []model.Obj, reads []readSite, writers [][]int) {
+	nOps, nReads := 0, 0
+	for i := 0; i < h.NumTransactions(); i++ {
+		for _, op := range h.Transaction(i).Ops {
+			nOps++
+			if op.Kind == model.OpRead {
+				nReads++
+			}
+		}
+	}
+	names, opObj := internObjects(h, nOps)
+	// touched[x] is one more than the last transaction seen accessing
+	// x: a different value means the current transaction's first
+	// access to x.
+	touched := make([]int, len(names))
+	reads = make([]readSite, 0, nReads)
+	finals := make([]finalWrite, 0, nOps-nReads)
 	for i := 0; i < h.NumTransactions(); i++ {
 		ops := h.Transaction(i).Ops
+		ids := opObj[:len(ops)]
+		opObj = opObj[len(ops):]
 		first := len(reads)
-		for _, op := range ops {
-			if last, ok := touched[op.Obj]; ok && last == i {
+		for k, op := range ops {
+			x := int(ids[k])
+			if touched[x] == i+1 {
 				continue
 			}
-			touched[op.Obj] = i
+			touched[x] = i + 1
 			if op.Kind == model.OpRead {
-				reads = append(reads, readSite{reader: i, obj: op.Obj, val: op.Val})
+				reads = append(reads, readSite{reader: i, obj: x, val: op.Val})
 			}
 		}
 		site := reads[first:]
-		sort.Slice(site, func(a, b int) bool { return site[a].obj < site[b].obj })
+		slices.SortFunc(site, func(a, b readSite) int { return a.obj - b.obj })
 		// Backwards, the first write met on an object is the final one;
-		// writers[x] already ending in i marks the later ones as seen.
+		// touched[x] turning negative marks the earlier ones as seen.
 		for k := len(ops) - 1; k >= 0; k-- {
-			op := ops[k]
-			if op.Kind != model.OpWrite {
-				continue
+			if x := ids[k]; ops[k].Kind == model.OpWrite && touched[x] == i+1 {
+				touched[x] = -(i + 1)
+				finals = append(finals, finalWrite{obj: x, tx: int32(i), val: ops[k].Val})
 			}
-			if w := writers[op.Obj]; len(w) > 0 && w[len(w)-1] == i {
-				continue
-			}
-			writers[op.Obj] = append(writers[op.Obj], i)
-			byVal[version{op.Obj, op.Val}] = append(byVal[version{op.Obj, op.Val}], i)
 		}
 	}
-	return reads, writers, byVal
+	// WriteTx_x by counting sort: finals are in transaction order.
+	start := make([]int, len(names)+1)
+	for _, f := range finals {
+		start[f.obj+1]++
+	}
+	for x := range names {
+		start[x+1] += start[x]
+	}
+	flat := make([]int, len(finals))
+	fill := append([]int(nil), start[:len(names)]...)
+	for _, f := range finals {
+		flat[fill[f.obj]] = int(f.tx)
+		fill[f.obj]++
+	}
+	writers = make([][]int, len(names))
+	for x := range writers {
+		writers[x] = flat[start[x]:start[x+1]:start[x+1]]
+	}
+	// Candidate sources: each version's final writes, chained newest
+	// first, and copied out oldest first.
+	last := make(map[version]int32, len(finals))
+	for i := range finals {
+		f := &finals[i]
+		v := version{f.obj, f.val}
+		f.prev = -1
+		if p, ok := last[v]; ok {
+			f.prev = p
+		}
+		last[v] = int32(i)
+	}
+	var cands []int
+	for i := range reads {
+		r := &reads[i]
+		from := len(cands)
+		if p, ok := last[version{int32(r.obj), r.val}]; ok {
+			for ; p >= 0; p = finals[p].prev {
+				if tx := int(finals[p].tx); tx != r.reader {
+					cands = append(cands, tx)
+				}
+			}
+		}
+		r.candidates = cands[from:len(cands):len(cands)]
+		slices.Reverse(r.candidates)
+	}
+	return names, reads, writers
 }
 
 // planBranches picks the branch decomposition: the shortest read-site
@@ -189,6 +279,11 @@ type branchResult struct {
 func (s *search) run() (*depgraph.Graph, int, error) {
 	depth, branches := s.planBranches()
 	results := make([]branchResult, branches)
+	if branches == 1 {
+		// Nothing to share: the one branch runs on this goroutine.
+		s.runBranch(0, depth, &results[0])
+		return s.merge(results)
+	}
 	workers := s.parallelism
 	if workers > branches {
 		workers = branches
@@ -227,7 +322,7 @@ func (s *search) run() (*depgraph.Graph, int, error) {
 func (s *search) runBranch(idx int64, depth int, res *branchResult) {
 	b := &branchRun{
 		s: s, idx: idx, res: res,
-		bld:       depgraph.NewBuilder(s.h, s.m),
+		bld:       depgraph.NewBuilder(s.h, s.m, s.names),
 		curWR:     make([]int, len(s.reads)),
 		curOrders: make([][]int, len(s.objs)),
 	}
@@ -251,7 +346,7 @@ func (s *search) runBranch(idx int64, depth int, res *branchResult) {
 		res.err = err
 		casMin(&s.minErr, idx)
 	} else if found {
-		res.found = b.bld.Snapshot()
+		res.found = b.bld.Graph()
 		res.foundExamined = b.localExamined
 		casMin(&s.winner, idx)
 	}
@@ -303,10 +398,10 @@ func (s *search) merge(results []branchResult) (*depgraph.Graph, int, error) {
 func (s *search) replay(c *choice) *depgraph.Graph {
 	g := depgraph.New(s.h)
 	for i, w := range c.wr {
-		g.AddWR(s.reads[i].obj, w, s.reads[i].reader)
+		g.AddWR(s.names[s.reads[i].obj], w, s.reads[i].reader)
 	}
 	for oi, order := range c.orders {
-		x := s.objs[oi]
+		x := s.names[s.objs[oi]]
 		for i := range order {
 			for j := i + 1; j < len(order); j++ {
 				g.AddWW(x, order[i], order[j])
@@ -326,6 +421,7 @@ type branchRun struct {
 	curOrders     [][]int
 	localExamined int64
 	res           *branchResult
+	forced        [64]uint64 // orderWrites' precedence masks, reused per object
 }
 
 // aborted reports whether a lower-indexed branch has already decided
@@ -353,73 +449,120 @@ func (b *branchRun) assignReads(i int) (bool, error) {
 		b.curWR[i] = w
 		found, err := b.assignReads(i + 1)
 		if found || err != nil {
-			return found, err // keep the builder state for Snapshot
+			return found, err // keep the builder state for Graph
 		}
 		b.bld.Undo(mark)
 	}
 	return false, nil
 }
 
-// orderWrites chooses a total WW order for each multi-writer object.
-// Rather than enumerating all k! permutations, it only enumerates
-// linear extensions of the precedence already forced on the writers by
-// (SO ∪ WR ∪ WW-chosen-so-far)⁺: ordering two base-related writers
-// against the base relation would create a base cycle, which excludes
-// membership in every model (RW? is reflexive, so every base cycle is
-// a composite cycle). The precedence comes straight from the
-// builder's maintained closure instead of a per-node recomputation.
+// orderWrites chooses a total WW order for each multi-writer object
+// from objs[oi] on. Rather than enumerating all k! permutations, it
+// only enumerates linear extensions of the precedence already forced
+// on the writers by (SO ∪ WR ∪ WW-chosen-so-far)⁺: ordering two
+// base-related writers against the base relation would create a base
+// cycle, which excludes membership in every model (RW? is reflexive, so
+// every base cycle is a composite cycle). The precedence comes straight
+// from the builder's maintained closure instead of a per-node
+// recomputation.
+//
+// An object whose forced precedence admits exactly one linear
+// extension is placed in the loop, without a mark of its own: a
+// failure below it returns to the nearest frame with an alternative
+// left, whose mark predates its edges. Only an object with several
+// extensions recurses, through extend. The depth-first order, and with
+// it Examined and the witness, is the one a recursion per object
+// would take.
 func (b *branchRun) orderWrites(oi int) (bool, error) {
+	s := b.s
+	for ; oi < len(s.objs); oi++ {
+		if b.aborted() {
+			return false, nil
+		}
+		if b.bld.Cyclic() {
+			s.cPruned.Inc()
+			b.res.lastPruned = b.snapshotChoice(oi)
+			return false, nil // base already cyclic: dead branch
+		}
+		x := s.objs[oi]
+		writers := s.writers[x]
+		k := len(writers)
+		if k > 64 {
+			return false, fmt.Errorf("check: object %q has %d writers; search limited to 64", s.names[x], k)
+		}
+		// forced[i] is the bitmask of writer positions that must precede
+		// writers[i]: base-reachability plus the pinned init transaction.
+		forced := b.forced[:k]
+		for i, a := range writers {
+			forced[i] = 0
+			for j, c := range writers {
+				if i != j && (c == s.pinned || b.bld.Reaches(c, a)) {
+					forced[i] |= 1 << uint(j)
+				}
+			}
+		}
+		order := onlyExtension(writers, forced)
+		if order == nil {
+			return b.extend(oi, x, writers, append([]uint64(nil), forced...), 0, make([]int, 0, k))
+		}
+		for i := range order {
+			for j := i + 1; j < len(order); j++ {
+				b.bld.ApplyWW(x, order[i], order[j])
+			}
+		}
+		b.curOrders[oi] = order
+	}
 	if b.aborted() {
 		return false, nil
 	}
-	s := b.s
-	if oi == len(s.objs) {
-		total := s.examined.Add(1)
-		b.localExamined++
-		if total > int64(s.budget) {
-			return false, ErrBudgetExceeded
-		}
-		b.res.lastCandidate = b.snapshotChoice(len(s.objs))
-		s.cExamined.Inc()
-		var cycleStart time.Time
-		if s.tracer != nil {
-			cycleStart = time.Now()
-		}
-		err := b.bld.InModel()
-		if s.tracer != nil {
-			s.tracer.Add("cycle-search", time.Since(cycleStart))
-		}
-		return err == nil, nil
+	total := s.examined.Add(1)
+	b.localExamined++
+	if total > int64(s.budget) {
+		return false, ErrBudgetExceeded
 	}
-	x := s.objs[oi]
-	if b.bld.Cyclic() {
-		s.cPruned.Inc()
-		b.res.lastPruned = b.snapshotChoice(oi)
-		return false, nil // base already cyclic: dead branch
+	b.res.lastCandidate = b.snapshotChoice(len(s.objs))
+	s.cExamined.Inc()
+	var cycleStart time.Time
+	if s.tracer != nil {
+		cycleStart = time.Now()
 	}
-	writers := s.writers[x]
-	k := len(writers)
-	if k > 64 {
-		return false, fmt.Errorf("check: object %q has %d writers; search limited to 64", x, k)
+	err := b.bld.InModel()
+	if s.tracer != nil {
+		s.tracer.Add("cycle-search", time.Since(cycleStart))
 	}
-	// forced[i] is the bitmask of writer positions that must precede
-	// writers[i]: base-reachability plus the pinned init transaction.
-	forced := make([]uint64, k)
-	for i, a := range writers {
-		for j, c := range writers {
-			if i != j && (b.bld.Reaches(c, a) || c == s.pinned) {
-				forced[i] |= 1 << uint(j)
+	return err == nil, nil
+}
+
+// onlyExtension returns the writers in the one order the forced
+// precedence admits, or nil when it admits several (or, for a cyclic
+// precedence, none; extend then finds none).
+func onlyExtension(writers []int, forced []uint64) []int {
+	var placed uint64
+	order := make([]int, 0, len(writers))
+	for len(order) < len(writers) {
+		next := -1
+		for i := range writers {
+			if bit := uint64(1) << uint(i); placed&bit != 0 || forced[i]&^placed != 0 {
+				continue
 			}
+			if next >= 0 {
+				return nil
+			}
+			next = i
 		}
+		if next < 0 {
+			return nil
+		}
+		placed |= 1 << uint(next)
+		order = append(order, writers[next])
 	}
-	order := make([]int, 0, k)
-	return b.extend(oi, x, writers, forced, 0, order)
+	return order
 }
 
 // extend enumerates linear extensions of the forced precedence via
 // DFS: at each step any writer whose forced predecessors are all
 // placed may come next.
-func (b *branchRun) extend(oi int, x model.Obj, writers []int, forced []uint64, placed uint64, order []int) (bool, error) {
+func (b *branchRun) extend(oi int, x int, writers []int, forced []uint64, placed uint64, order []int) (bool, error) {
 	if len(order) == len(writers) {
 		mark := b.bld.Mark()
 		for i := 0; i < len(order); i++ {
@@ -430,7 +573,7 @@ func (b *branchRun) extend(oi int, x model.Obj, writers []int, forced []uint64, 
 		b.curOrders[oi] = order
 		found, err := b.orderWrites(oi + 1)
 		if found || err != nil {
-			return found, err // keep the builder state for Snapshot
+			return found, err // keep the builder state for Graph
 		}
 		b.bld.Undo(mark)
 		return false, nil

@@ -11,9 +11,10 @@ import (
 // applies WR and WW edges in place, derives the affected RW
 // anti-dependencies incrementally, and maintains the transitive
 // closure of the model's base relation (SO ∪ WR ∪ WW, or WR ∪ WW for
-// GSI) through relation.Closure. Every mutation is journaled, so a
-// depth-first search can push edges while descending and pop them with
-// Undo while backtracking — no per-branch graph clones.
+// GSI) through relation.Closure. Every mutation after the first Mark is
+// journaled, so a depth-first search can push edges while descending
+// and pop them with Undo while backtracking — no per-branch graph
+// clones.
 //
 // The membership test InModel is evaluated against the maintained
 // state. Writing B for the base relation and observing that a base
@@ -32,27 +33,34 @@ import (
 // B-paths). B⁺ is exactly the maintained closure, so no candidate
 // check recomputes a transitive closure.
 //
+// Objects are named by dense ids, positions in the name table passed
+// to NewBuilder, so the per-object edge sets are slices, not maps.
+// Nothing is journaled before the first Mark: edges applied before it
+// are below every mark and never undone, and the closure collects them
+// for one pass (relation.Closure) instead of propagating each.
+//
 // Builder is not safe for concurrent use; parallel searches give each
 // worker its own Builder.
 type Builder struct {
-	h *model.History
-	m Model
+	h    *model.History
+	m    Model
+	objs []model.Obj // object names by id
 
-	// Per-object edge sets, as in Graph.
-	wr map[model.Obj]*relation.Edges
-	ww map[model.Obj]*relation.Edges
-	// Maintained unions and derived anti-dependencies (dense: the
+	// Per-object edge sets by object id, as in Graph.
+	wr, ww []relation.Edges
+	// Maintained WR union and derived anti-dependencies (dense: the
 	// membership test composes them with the closure word-parallel).
-	wrAll, wwAll, rw *relation.Rel
-	// so seeds the closure base: the session order, or empty under GSI
-	// (whose composite ignores sessions).
+	wrAll, rw *relation.Rel
+	// so is the session order PC's membership test composes with; nil
+	// for the other models, which only need it inside the closure.
 	so *relation.Rel
-	// cl is the transitive closure of so ∪ wrAll ∪ wwAll.
+	// cl is the transitive closure of the base relation: SO ∪ WR ∪ WW,
+	// or WR ∪ WW under GSI (whose composite ignores sessions).
 	cl *relation.Closure
 
-	journal []builderOp
-	// Scratch relations reused across InModel calls.
-	s1, s2, s3 *relation.Rel
+	journal    []builderOp
+	journaling bool // set by the first Mark
+	scratch    *Scratch
 
 	undoOps int64
 }
@@ -63,7 +71,7 @@ type Builder struct {
 // exact prior state.
 type builderOp struct {
 	kind uint8
-	x    model.Obj
+	x    int
 	a, b int
 }
 
@@ -71,28 +79,34 @@ const (
 	opWRObj uint8 = iota
 	opWWObj
 	opWRAll
-	opWWAll
 	opRW
 )
 
 // NewBuilder returns an empty builder over the history for membership
-// tests against the given model.
-func NewBuilder(h *model.History, m Model) *Builder {
+// tests against the given model. objs names the objects by id: the
+// x of ApplyWR and ApplyWW indexes it.
+func NewBuilder(h *model.History, m Model, objs []model.Obj) *Builder {
 	n := h.NumTransactions()
-	var so *relation.Rel
-	if m == GSI {
-		so = relation.New(n)
-	} else {
-		so = h.SessionOrder()
+	b := &Builder{
+		h: h, m: m, objs: objs,
+		wr: make([]relation.Edges, len(objs)), ww: make([]relation.Edges, len(objs)),
+		wrAll: relation.New(n), rw: relation.New(n),
+		cl:      relation.NewClosure(n),
+		scratch: NewScratch(n),
 	}
-	return &Builder{
-		h: h, m: m,
-		wr:    make(map[model.Obj]*relation.Edges),
-		ww:    make(map[model.Obj]*relation.Edges),
-		wrAll: relation.New(n), wwAll: relation.New(n), rw: relation.New(n),
-		so: so, cl: relation.ClosureOf(so),
-		s1: relation.New(n), s2: relation.New(n), s3: relation.New(n),
+	if m == PC {
+		b.so = h.SessionOrder()
 	}
+	if m != GSI {
+		// Transaction indices run session by session, so each session's
+		// immediate-successor edges seed SO; the closure adds the rest.
+		for i := 1; i < n; i++ {
+			if h.SessionIndex(i) == h.SessionIndex(i-1) {
+				b.cl.AddEdge(i-1, i)
+			}
+		}
+	}
+	return b
 }
 
 // BuilderMark captures a builder state for Undo.
@@ -101,8 +115,10 @@ type BuilderMark struct {
 	cl  relation.Mark
 }
 
-// Mark returns a checkpoint of the current edge set.
+// Mark returns a checkpoint of the current edge set, and starts the
+// journal if this is the first one.
 func (b *Builder) Mark() BuilderMark {
+	b.journaling = true
 	return BuilderMark{ops: len(b.journal), cl: b.cl.Checkpoint()}
 }
 
@@ -117,8 +133,6 @@ func (b *Builder) Undo(m BuilderMark) {
 			b.ww[op.x].Remove(op.a, op.b)
 		case opWRAll:
 			b.wrAll.Remove(op.a, op.b)
-		case opWWAll:
-			b.wwAll.Remove(op.a, op.b)
 		case opRW:
 			b.rw.Remove(op.a, op.b)
 		}
@@ -128,13 +142,11 @@ func (b *Builder) Undo(m BuilderMark) {
 	b.cl.Rollback(m.cl)
 }
 
-func (b *Builder) obj(m map[model.Obj]*relation.Edges, x model.Obj) *relation.Edges {
-	e, ok := m[x]
-	if !ok {
-		e = &relation.Edges{}
-		m[x] = e
+// record journals a newly set bit once a mark exists.
+func (b *Builder) record(kind uint8, x, a, c int) {
+	if b.journaling {
+		b.journal = append(b.journal, builderOp{kind: kind, x: x, a: a, b: c})
 	}
-	return e
 }
 
 func (b *Builder) addRW(a, c int) {
@@ -142,22 +154,23 @@ func (b *Builder) addRW(a, c int) {
 		return
 	}
 	b.rw.Add(a, c)
-	b.journal = append(b.journal, builderOp{kind: opRW, a: a, b: c})
+	b.record(opRW, 0, a, c)
 }
 
-// ApplyWR records T —WR(x)→ S, updating the union, the derived
-// anti-dependencies (S now races with every WW(x)-successor of T) and
-// the maintained closure. Re-applying an existing edge is a no-op.
-func (b *Builder) ApplyWR(x model.Obj, t, s int) {
-	wr := b.obj(b.wr, x)
+// ApplyWR records T —WR(x)→ S for the object with id x, updating the
+// union, the derived anti-dependencies (S now races with every
+// WW(x)-successor of T) and the maintained closure. Re-applying an
+// existing edge is a no-op.
+func (b *Builder) ApplyWR(x, t, s int) {
+	wr := &b.wr[x]
 	if wr.Has(t, s) {
 		return
 	}
 	wr.Add(t, s)
-	b.journal = append(b.journal, builderOp{kind: opWRObj, x: x, a: t, b: s})
+	b.record(opWRObj, x, t, s)
 	if !b.wrAll.Has(t, s) {
 		b.wrAll.Add(t, s)
-		b.journal = append(b.journal, builderOp{kind: opWRAll, a: t, b: s})
+		b.record(opWRAll, 0, t, s)
 	}
 	b.ww[x].EachSuccessor(t, func(s2 int) {
 		if s2 != s {
@@ -167,20 +180,16 @@ func (b *Builder) ApplyWR(x model.Obj, t, s int) {
 	b.cl.AddEdge(t, s)
 }
 
-// ApplyWW records T —WW(x)→ S, updating the union, the derived
-// anti-dependencies (every reader of T on x races with S) and the
-// maintained closure. Re-applying an existing edge is a no-op.
-func (b *Builder) ApplyWW(x model.Obj, t, s int) {
-	ww := b.obj(b.ww, x)
+// ApplyWW records T —WW(x)→ S for the object with id x, updating the
+// derived anti-dependencies (every reader of T on x races with S) and
+// the maintained closure. Re-applying an existing edge is a no-op.
+func (b *Builder) ApplyWW(x, t, s int) {
+	ww := &b.ww[x]
 	if ww.Has(t, s) {
 		return
 	}
 	ww.Add(t, s)
-	b.journal = append(b.journal, builderOp{kind: opWWObj, x: x, a: t, b: s})
-	if !b.wwAll.Has(t, s) {
-		b.wwAll.Add(t, s)
-		b.journal = append(b.journal, builderOp{kind: opWWAll, a: t, b: s})
-	}
+	b.record(opWWObj, x, t, s)
 	b.wr[x].EachSuccessor(t, func(r int) {
 		if r != s {
 			b.addRW(r, s)
@@ -205,17 +214,31 @@ func (b *Builder) Reaches(t, s int) bool { return b.cl.Reaches(t, s) }
 // INT axiom constrains transactions, not dependency choices, so the
 // search front-loads it). A nil error means membership.
 func (b *Builder) InModel() error {
-	return ClosureInModel(b.m, b.cl, b.rw, b.so, b.wrAll, b.s1, b.s2, b.s3)
+	return ClosureInModel(b.m, b.cl, b.rw, b.so, b.wrAll, b.scratch)
+}
+
+// Scratch is the working storage ClosureInModel overwrites: relations
+// over the carrier for the composites and the cycle test's DFS. Each
+// builder and monitor keeps its own.
+type Scratch struct {
+	s1, s2, s3 *relation.Rel
+	dfs        relation.DFS
+}
+
+// NewScratch returns working storage for a carrier of n elements.
+func NewScratch(n int) *Scratch {
+	return &Scratch{s1: relation.New(n), s2: relation.New(n), s3: relation.New(n)}
 }
 
 // ClosureInModel is the membership test over a maintained closure, the
 // reductions listed on Builder: cl is the transitive closure of the
 // model's base relation B (SO ∪ WR ∪ WW, or WR ∪ WW under GSI), rw the
 // anti-dependencies, so and wr the session order and the WR union (PC's
-// A = SO ∪ WR), and s1, s2, s3 scratch relations it overwrites. The
-// certification search (Builder.InModel) and the online monitor's fast
-// path both judge their graphs with it. It allocates nothing.
-func ClosureInModel(m Model, cl *relation.Closure, rw, so, wr, s1, s2, s3 *relation.Rel) error {
+// A = SO ∪ WR; the other models ignore both), and sc working storage it
+// overwrites. The certification search (Builder.InModel) and the online
+// monitor's fast path both judge their graphs with it. It allocates
+// nothing.
+func ClosureInModel(m Model, cl *relation.Closure, rw, so, wr *relation.Rel, sc *Scratch) error {
 	violation, err := modelViolation(m)
 	if err != nil {
 		return err
@@ -224,13 +247,14 @@ func ClosureInModel(m Model, cl *relation.Closure, rw, so, wr, s1, s2, s3 *relat
 		return violation
 	}
 	ok := true
+	s1, s2, s3 := sc.s1, sc.s2, sc.s3
 	switch m {
 	case SER:
 		cl.ComposeMaybeInto(s1, rw) // RW ; B*
-		ok = s1.IsAcyclic()
+		ok = s1.IsAcyclicWith(&sc.dfs)
 	case SI, GSI:
 		cl.ComposeInto(s1, rw) // RW ; B⁺
-		ok = s1.IsAcyclic()
+		ok = s1.IsAcyclicWith(&sc.dfs)
 	case PSI:
 		for a := 0; a < rw.N() && ok; a++ {
 			rw.EachSuccessor(a, func(c int) {
@@ -242,7 +266,7 @@ func ClosureInModel(m Model, cl *relation.Closure, rw, so, wr, s1, s2, s3 *relat
 	case PC:
 		cl.ComposeMaybeInto(s1, rw)      // RW ; B*
 		s2.CopyFrom(so).UnionInPlace(wr) // A = SO ∪ WR
-		ok = s3.ComposeOf(s1, s2).IsAcyclic()
+		ok = s3.ComposeOf(s1, s2).IsAcyclicWith(&sc.dfs)
 	}
 	if !ok {
 		return violation
@@ -250,19 +274,18 @@ func ClosureInModel(m Model, cl *relation.Closure, rw, so, wr, s1, s2, s3 *relat
 	return nil
 }
 
-// Snapshot returns the current edge set as an immutable Graph, for
-// witness reporting once the search finds a member. It copies edges,
-// not matrices: the cost is the size of the dependency graph.
-func (b *Builder) Snapshot() *Graph {
-	g := New(b.h)
-	for x, e := range b.wr {
-		if !e.IsEmpty() {
-			g.wr[x] = e.Clone()
+// Graph hands the current edge set over to a Graph, for witness
+// reporting once the search finds a member. Nothing is copied: the
+// Graph shares the builder's per-object edge sets, so it stays valid
+// only until the builder's next ApplyWR, ApplyWW or Undo.
+func (b *Builder) Graph() *Graph {
+	g := &Graph{History: b.h, wr: make(map[model.Obj]*relation.Edges, len(b.objs)), ww: make(map[model.Obj]*relation.Edges)}
+	for x := range b.objs {
+		if e := &b.wr[x]; !e.IsEmpty() {
+			g.wr[b.objs[x]] = e
 		}
-	}
-	for x, e := range b.ww {
-		if !e.IsEmpty() {
-			g.ww[x] = e.Clone()
+		if e := &b.ww[x]; !e.IsEmpty() {
+			g.ww[b.objs[x]] = e
 		}
 	}
 	return g

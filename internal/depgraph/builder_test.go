@@ -22,6 +22,9 @@ func builderHistory() *model.History {
 
 var builderModels = []Model{SER, SI, PSI, PC, GSI}
 
+// builderObjs names builderHistory's objects by id: x is 0, y is 1.
+var builderObjs = []model.Obj{"x", "y"}
+
 // graphAgrees checks Builder.InModel against the immutable Graph's
 // composite characterisations (skipping the INT check, which is not
 // the builder's concern).
@@ -58,7 +61,7 @@ func TestBuilderMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, m := range builderModels {
 		for trial := 0; trial < 60; trial++ {
-			b := NewBuilder(h, m)
+			b := NewBuilder(h, m, objs)
 			g := New(h)
 			type frame struct {
 				mark BuilderMark
@@ -87,21 +90,22 @@ func TestBuilderMatchesGraph(t *testing.T) {
 				case rng.Intn(3) == 0:
 					stack = append(stack, frame{mark: b.Mark(), g: cloneG()})
 				default:
-					x := objs[rng.Intn(len(objs))]
+					xi := rng.Intn(len(objs))
+					x := objs[xi]
 					a, c := rng.Intn(n), rng.Intn(n)
 					if a == c {
 						continue
 					}
 					if rng.Intn(2) == 0 {
-						b.ApplyWR(x, a, c)
+						b.ApplyWR(xi, a, c)
 						g.AddWR(x, a, c)
 					} else {
-						b.ApplyWW(x, a, c)
+						b.ApplyWW(xi, a, c)
 						g.AddWW(x, a, c)
 					}
 				}
 				graphAgrees(t, b, g, m)
-				if snap := b.Snapshot(); !snap.Equal(g) {
+				if snap := b.Graph(); !snap.Equal(g) {
 					t.Fatalf("%v trial %d step %d: snapshot diverged from reference graph", m, trial, step)
 				}
 				if cyc := b.Cyclic(); m != GSI {
@@ -121,9 +125,9 @@ func TestBuilderReaches(t *testing.T) {
 	t.Parallel()
 	h := builderHistory()
 	n := h.NumTransactions()
-	b := NewBuilder(h, SI)
-	b.ApplyWR("x", 0, 4)
-	b.ApplyWW("x", 0, 2)
+	b := NewBuilder(h, SI, builderObjs)
+	b.ApplyWR(0, 0, 4)
+	b.ApplyWW(0, 0, 2)
 	g := New(h)
 	g.AddWR("x", 0, 4)
 	g.AddWW("x", 0, 2)
@@ -142,22 +146,22 @@ func TestBuilderReaches(t *testing.T) {
 func TestBuilderRederivesRW(t *testing.T) {
 	t.Parallel()
 	h := builderHistory()
-	b := NewBuilder(h, SI)
+	b := NewBuilder(h, SI, builderObjs)
 	// Witness 1: WR(x)(0,4), WW(x)(0,2) ⟹ RW(4,2).
-	b.ApplyWR("x", 0, 4)
-	b.ApplyWW("x", 0, 2)
+	b.ApplyWR(0, 0, 4)
+	b.ApplyWW(0, 0, 2)
 	mark := b.Mark()
 	// Witness 2 for the same pair via object y.
-	b.ApplyWR("y", 1, 4)
-	b.ApplyWW("y", 1, 2)
+	b.ApplyWR(1, 1, 4)
+	b.ApplyWW(1, 1, 2)
 	b.Undo(mark)
-	if !b.Snapshot().RW().Has(4, 2) {
+	if !b.Graph().RW().Has(4, 2) {
 		t.Fatal("undoing the second witness dropped a still-derivable RW pair")
 	}
-	b2 := NewBuilder(h, SI)
-	b2.ApplyWR("x", 0, 4)
-	b2.ApplyWW("x", 0, 2)
-	if !b.Snapshot().Equal(b2.Snapshot()) {
+	b2 := NewBuilder(h, SI, builderObjs)
+	b2.ApplyWR(0, 0, 4)
+	b2.ApplyWW(0, 0, 2)
+	if !b.Graph().Equal(b2.Graph()) {
 		t.Fatal("undo did not restore the exact edge set")
 	}
 }
@@ -166,9 +170,9 @@ func TestBuilderRederivesRW(t *testing.T) {
 func TestBuilderStats(t *testing.T) {
 	t.Parallel()
 	h := builderHistory()
-	b := NewBuilder(h, SI)
+	b := NewBuilder(h, SI, builderObjs)
 	m := b.Mark()
-	b.ApplyWR("x", 0, 4)
+	b.ApplyWR(0, 0, 4)
 	b.Undo(m)
 	undo, delta := b.Stats()
 	if undo == 0 || delta == 0 {
@@ -232,7 +236,7 @@ func TestBuilderUndoAgainstDense(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 80; trial++ {
-		b := NewBuilder(h, SI)
+		b := NewBuilder(h, SI, objs)
 		ref := &denseRef{n: n, wr: map[model.Obj]*relation.Rel{}, ww: map[model.Obj]*relation.Rel{}}
 		type frame struct {
 			mark BuilderMark
@@ -249,20 +253,21 @@ func TestBuilderUndoAgainstDense(t *testing.T) {
 			case rng.Intn(3) == 0:
 				stack = append(stack, frame{mark: b.Mark(), ref: ref.clone()})
 			default:
-				x := objs[rng.Intn(len(objs))]
+				xi := rng.Intn(len(objs))
+				x := objs[xi]
 				a, c := rng.Intn(n), rng.Intn(n)
 				if a == c {
 					continue
 				}
 				if rng.Intn(2) == 0 {
-					b.ApplyWR(x, a, c)
+					b.ApplyWR(xi, a, c)
 					ref.rel(ref.wr, x).Add(a, c)
 				} else {
-					b.ApplyWW(x, a, c)
+					b.ApplyWW(xi, a, c)
 					ref.rel(ref.ww, x).Add(a, c)
 				}
 			}
-			g := b.Snapshot()
+			g := b.Graph()
 			wrAll, wwAll, rwAll := relation.New(n), relation.New(n), relation.New(n)
 			for _, x := range objs {
 				samePairs("WR("+string(x)+")", g.WRObj(x), ref.rel(ref.wr, x))
@@ -283,6 +288,34 @@ func TestBuilderUndoAgainstDense(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestClosureInModelAllocatesNothing: the membership test over a
+// maintained closure, which every candidate of the certification
+// search and every monitor commit pays, allocates nothing under any
+// model, member or not.
+func TestClosureInModelAllocatesNothing(t *testing.T) {
+	h := builderHistory()
+	for _, m := range builderModels {
+		for _, member := range []bool{true, false} {
+			b := NewBuilder(h, m, builderObjs)
+			b.ApplyWR(0, 0, 4)
+			b.ApplyWW(0, 0, 2)
+			b.ApplyWR(1, 1, 5)
+			if !member {
+				// Lost update on y: D and F both follow B's version.
+				b.ApplyWR(1, 1, 3)
+				b.ApplyWW(1, 1, 3)
+				b.ApplyWW(1, 3, 5)
+			}
+			if got := b.InModel() == nil; m != PC && got != member {
+				t.Fatalf("%v: member = %v, want %v", m, got, member)
+			}
+			if allocs := testing.AllocsPerRun(50, func() { _ = b.InModel() }); allocs != 0 {
+				t.Errorf("%v member=%v: InModel allocated %.1f times per call", m, member, allocs)
 			}
 		}
 	}

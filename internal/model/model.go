@@ -192,16 +192,34 @@ func sortedObjs(set map[Obj]bool) []Obj {
 // transaction by an operation on x must return the value of the last
 // such operation. It returns nil when the axiom holds.
 func (t Transaction) CheckInt() error {
-	last := make(map[Obj]Value)
+	// A short transaction finds an operation's predecessor on the same
+	// object by scanning back; a long one keeps the last value per
+	// object in a map.
+	const scanned = 16
+	var last map[Obj]Value
+	if len(t.Ops) > scanned {
+		last = make(map[Obj]Value, len(t.Ops))
+	}
 	for i, op := range t.Ops {
 		if op.Kind == OpInvalid {
 			return fmt.Errorf("event %d: invalid operation kind", i)
 		}
-		if prev, ok := last[op.Obj]; ok && op.Kind == OpRead && op.Val != prev {
+		var prev Value
+		ok := false
+		if last != nil {
+			prev, ok = last[op.Obj]
+			last[op.Obj] = op.Val
+		} else {
+			for j := i - 1; j >= 0 && !ok; j-- {
+				if t.Ops[j].Obj == op.Obj {
+					prev, ok = t.Ops[j].Val, true
+				}
+			}
+		}
+		if ok && op.Kind == OpRead && op.Val != prev {
 			return fmt.Errorf("event %d: INT violated: read(%s, %d) after the value %d",
 				i, op.Obj, op.Val, prev)
 		}
-		last[op.Obj] = op.Val
 	}
 	return nil
 }

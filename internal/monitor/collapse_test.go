@@ -249,8 +249,8 @@ func comparePair(t *testing.T, label string, evs []eventlog.Event, cfg Config, a
 	inPlace.collapse = func(m *Monitor, k int) {
 		for _, p := range m.win[:k] {
 			for _, w := range p.fin {
-				for i, c := range m.chain[w.obj] {
-					if c == p && i > 0 && m.chain[w.obj][i-1].ord >= m.cut(k) {
+				for i, c := range w.obj.chain {
+					if c == p && i > 0 && w.obj.chain[i-1].ord >= m.cut(k) {
 						st.midChain++
 					}
 				}

@@ -53,15 +53,28 @@
 // nothing is renumbered: a collapsed transaction leaves its version
 // chains, its row and column are cleared in the dense relations, its
 // closure row is folded into slot 0, the survivors that read it are
-// re-pointed at the frontier, and the slot goes back on a free list. A
-// commit therefore costs the operations of the transaction it adds and
-// of the one it retires, not a replay of the window.
+// re-pointed at the frontier, and the slot goes back on a free list.
+//
+// # One record per object
+//
+// Everything the monitor keeps about an object — the value index, the
+// version chain, the readers of the current version, every live
+// reader, the frontier value — is one objState record, looked up by
+// name once per distinct object when a commit is summarised and
+// carried from there. Only a read of an object the retired prefix
+// wrote can break a collapse condition or need re-pointing, so
+// collapseOK and collapseInPlace visit the prefix's own operations and
+// the live readers of the objects it wrote. A commit therefore costs
+// the operations of the transaction it adds and of the one it retires,
+// plus the readers of what that one wrote — not a replay of the window,
+// nor a pass over its reads.
 package monitor
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"sian/internal/check"
@@ -207,30 +220,60 @@ type winTx struct {
 	reads []resolvedRead
 }
 
+// objState is everything the monitor keeps about one object. The
+// record is looked up by name once per distinct object when a commit
+// is summarised, and carried from there in version, resolvedRead and
+// pendingRead.
+type objState struct {
+	name model.Obj
+	// byVal indexes the live versions: value → the writer reads of it
+	// resolve to (the first in chain order).
+	byVal map[model.Value]*winTx
+	// chain is the version chain: every live writer, oldest version
+	// first.
+	chain []*winTx
+	// cur holds the live readers of the current version, whose
+	// anti-dependency on the next writer is not yet recorded.
+	cur []*winTx
+	// readers holds every live transaction with a resolved read of the
+	// object; a collapse visits these for the objects its prefix wrote.
+	readers []*winTx
+	// front is the value the collapsed prefix (or an absorbed init
+	// transaction) left, when hasFront.
+	front    model.Value
+	hasFront bool
+	// visit and last are prefixWrites' scratch: the call that last
+	// listed the object, and the prefix's latest writer of it.
+	visit int64
+	last  *winTx
+}
+
 // version is a value an object held.
 type version struct {
-	obj model.Obj
+	obj *objState
 	val model.Value
 }
 
 // summarize extracts a transaction's external reads (the first access
-// to the object is a read) and final writes, each sorted by object.
-func summarize(ops []model.Op) (ext, fin []version) {
+// to the object is a read) and final writes, each sorted by object
+// name, looking each distinct object's record up once.
+func (m *Monitor) summarize(ops []model.Op) (ext, fin []version) {
 	// Group the operations by object, keeping program order within one.
-	order := make([]int, len(ops))
+	order := make([]int32, len(ops))
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if oa, ob := ops[order[a]].Obj, ops[order[b]].Obj; oa != ob {
-			return oa < ob
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := strings.Compare(string(ops[a].Obj), string(ops[b].Obj)); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return int(a - b)
 	})
 	for i := 0; i < len(order); {
 		first := ops[order[i]]
+		st := m.state(first.Obj)
 		if first.Kind == model.OpRead {
-			ext = append(ext, version{first.Obj, first.Val})
+			ext = append(ext, version{st, first.Val})
 		}
 		var last *model.Op
 		for ; i < len(order) && ops[order[i]].Obj == first.Obj; i++ {
@@ -239,24 +282,44 @@ func summarize(ops []model.Op) (ext, fin []version) {
 			}
 		}
 		if last != nil {
-			fin = append(fin, version{last.Obj, last.Val})
+			fin = append(fin, version{st, last.Val})
 		}
 	}
 	return ext, fin
 }
 
+// state returns the record of object x, creating it on first sight.
+func (m *Monitor) state(x model.Obj) *objState {
+	st, ok := m.objects[x]
+	if !ok {
+		st = &objState{name: x}
+		m.objects[x] = st
+	}
+	return st
+}
+
 // finalWrite returns the value t finally writes to x; t must write x.
-func (t *winTx) finalWrite(x model.Obj) model.Value {
+func (t *winTx) finalWrite(x *objState) model.Value {
 	for _, w := range t.fin {
 		if w.obj == x {
 			return w.val
 		}
 	}
-	panic(fmt.Sprintf("monitor: %s is in the version chain of %s without writing it", t.id, x))
+	panic(fmt.Sprintf("monitor: %s is in the version chain of %s without writing it", t.id, x.name))
+}
+
+// readOf returns t's resolved read of x, or nil.
+func (t *winTx) readOf(x *objState) *resolvedRead {
+	for i := range t.reads {
+		if t.reads[i].obj == x {
+			return &t.reads[i]
+		}
+	}
+	return nil
 }
 
 type resolvedRead struct {
-	obj    model.Obj
+	obj    *objState
 	val    model.Value
 	writer *winTx
 }
@@ -266,7 +329,7 @@ type txKey struct{ session, txid string }
 
 type pendingRead struct {
 	reader *winTx
-	obj    model.Obj
+	obj    *objState
 	val    model.Value
 }
 
@@ -284,8 +347,8 @@ type Monitor struct {
 	sessions []string // live sessions in first-seen order, for deterministic window histories
 	sessTxs  map[string][]*winTx
 	sessLast map[string]*winTx
-	frontier map[model.Obj]model.Value
-	objs     map[model.Obj]bool
+	// objects holds the record of every object the stream has touched.
+	objects map[model.Obj]*objState
 	// strictInit is set when the stream's first commit is the
 	// history's own init transaction: it is absorbed into the
 	// frontier, and implicit reads of InitValue on objects it did
@@ -295,17 +358,18 @@ type Monitor struct {
 
 	// Incremental graph state over carrier slots [0, cap). free is the
 	// stack of unoccupied slots.
-	cap        int
-	free       []int
-	cl         *relation.Closure
-	so         *relation.Rel
-	wrAll      *relation.Rel
-	rw         *relation.Rel
-	s1, s2, s3 *relation.Rel
-	valueIdx   map[model.Obj]map[model.Value]*winTx
-	chain      map[model.Obj][]*winTx
-	curReaders map[model.Obj][]*winTx
-	pending    []pendingRead
+	cap     int
+	free    []int
+	cl      *relation.Closure
+	so      *relation.Rel
+	wrAll   *relation.Rel
+	rw      *relation.Rel
+	scratch *depgraph.Scratch
+	pending []pendingRead
+	// visits numbers prefixWrites calls, for objState.visit; written
+	// is the slice it returns.
+	visits  int64
+	written []*objState
 
 	violations []Violation
 	dupVals    bool
@@ -342,8 +406,7 @@ func New(cfg Config) *Monitor {
 		open:     make(map[txKey][]model.Op),
 		sessTxs:  make(map[string][]*winTx),
 		sessLast: make(map[string]*winTx),
-		frontier: make(map[model.Obj]model.Value),
-		objs:     make(map[model.Obj]bool),
+		objects:  make(map[model.Obj]*objState),
 		fastOK:   true,
 		collapse: (*Monitor).collapseInPlace,
 	}
@@ -428,8 +491,8 @@ func (m *Monitor) processCommit(ev eventlog.Event, ops []model.Op) *Verdict {
 		// window slot, mirroring how check pins transaction 0.
 		for _, op := range ops {
 			if op.Kind == model.OpWrite {
-				m.frontier[op.Obj] = op.Val // the last write wins
-				m.objs[op.Obj] = true
+				st := m.state(op.Obj)
+				st.front, st.hasFront = op.Val, true // the last write wins
 			}
 		}
 		m.strictInit = true
@@ -443,7 +506,7 @@ func (m *Monitor) processCommit(ev eventlog.Event, ops []model.Op) *Verdict {
 	// transaction can own it.
 	t := &winTx{id: name, session: ev.Session, tx: model.Transaction{ID: name, Ops: ops}, seq: ev.Seq, ord: m.nextOrd}
 	m.nextOrd++
-	t.ext, t.fin = summarize(ops)
+	t.ext, t.fin = m.summarize(ops)
 	t.idx = m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
 	t.prevSame = m.sessLast[ev.Session]
@@ -511,24 +574,22 @@ func (m *Monitor) applyTx(t *winTx) {
 		m.cl.AddEdge(t.prevSame.idx, t.idx)
 	}
 	for _, r := range t.ext {
-		m.objs[r.obj] = true
 		m.resolveRead(t, r.obj, r.val)
 	}
 	for _, w := range t.fin {
-		m.objs[w.obj] = true
 		m.applyWrite(t, w.obj, w.val)
 	}
 }
 
 // resolveRead attributes an external read (x, v) to its writer, or
 // parks it pending until a matching writer commits.
-func (m *Monitor) resolveRead(t *winTx, x model.Obj, v model.Value) {
-	if w, ok := m.valueIdx[x][v]; ok {
+func (m *Monitor) resolveRead(t *winTx, x *objState, v model.Value) {
+	if w, ok := x.byVal[v]; ok {
 		m.linkRead(t, x, v, w)
 		return
 	}
-	if fv, ok := m.frontier[x]; ok {
-		if fv == v {
+	if x.hasFront {
+		if x.front == v {
 			m.linkRead(t, x, v, nil)
 			return
 		}
@@ -545,16 +606,17 @@ func (m *Monitor) resolveRead(t *winTx, x model.Obj, v model.Value) {
 // the init/frontier transaction): a WR edge into the base relation,
 // plus the immediate-successor anti-dependency when the version has
 // already been overwritten.
-func (m *Monitor) linkRead(t *winTx, x model.Obj, v model.Value, w *winTx) {
+func (m *Monitor) linkRead(t *winTx, x *objState, v model.Value, w *winTx) {
 	wi := 0
 	if w != nil {
 		wi = w.idx
 	}
 	t.reads = append(t.reads, resolvedRead{obj: x, val: v, writer: w})
+	x.readers = append(x.readers, t)
 	m.wrAll.Add(wi, t.idx)
 	m.cl.AddEdge(wi, t.idx)
 	if m.linkSuccessor(t, x, w) {
-		m.curReaders[x] = append(m.curReaders[x], t)
+		x.cur = append(x.cur, t)
 	}
 }
 
@@ -562,9 +624,9 @@ func (m *Monitor) linkRead(t *winTx, x model.Obj, v model.Value, w *winTx) {
 // frontier's) against the version chain. If a later version exists, t
 // anti-depends on the writer of the next one and the result is false;
 // otherwise t reads the current version — the caller keeps it in
-// curReaders[x] for the next writer — and the result is true.
-func (m *Monitor) linkSuccessor(t *winTx, x model.Obj, w *winTx) bool {
-	ch := m.chain[x]
+// x.cur for the next writer — and the result is true.
+func (m *Monitor) linkSuccessor(t *winTx, x *objState, w *winTx) bool {
+	ch := x.chain
 	next := 0
 	if w != nil {
 		next = slices.Index(ch, w) + 1
@@ -581,21 +643,21 @@ func (m *Monitor) linkSuccessor(t *winTx, x model.Obj, w *winTx) bool {
 // applyWrite appends t to x's version chain: a WW edge from the
 // previous version, anti-dependencies from its readers, and
 // resolution of any reads waiting for this value.
-func (m *Monitor) applyWrite(t *winTx, x model.Obj, v model.Value) {
+func (m *Monitor) applyWrite(t *winTx, x *objState, v model.Value) {
 	m.indexValue(t, x, v)
-	ch := m.chain[x]
 	prev := 0
-	if len(ch) > 0 {
-		prev = ch[len(ch)-1].idx
+	if len(x.chain) > 0 {
+		prev = x.chain[len(x.chain)-1].idx
 	}
 	m.cl.AddEdge(prev, t.idx)
-	for _, r := range m.curReaders[x] {
+	for _, r := range x.cur {
 		if r != t {
 			m.rw.Add(r.idx, t.idx)
 		}
 	}
-	m.curReaders[x] = nil
-	m.chain[x] = append(ch, t)
+	clear(x.cur)
+	x.cur = x.cur[:0]
+	x.chain = append(x.chain, t)
 	if len(m.pending) > 0 {
 		kept := m.pending[:0]
 		for _, p := range m.pending {
@@ -614,19 +676,17 @@ func (m *Monitor) applyWrite(t *winTx, x model.Obj, v model.Value) {
 // A second writer, or a collision with the frontier or the virtual
 // init, makes WR resolution ambiguous: verdicts stay sound (the slow
 // path searches all attributions) but lose definitiveness.
-func (m *Monitor) indexValue(t *winTx, x model.Obj, v model.Value) {
-	byVal, ok := m.valueIdx[x]
-	if !ok {
-		byVal = make(map[model.Value]*winTx)
-		m.valueIdx[x] = byVal
+func (m *Monitor) indexValue(t *winTx, x *objState, v model.Value) {
+	if x.byVal == nil {
+		x.byVal = make(map[model.Value]*winTx)
 	}
-	if _, dup := byVal[v]; dup {
+	if _, dup := x.byVal[v]; dup {
 		m.dupVals = true
 	} else {
-		byVal[v] = t
+		x.byVal[v] = t
 	}
-	if fv, ok := m.frontier[x]; ok {
-		if fv == v {
+	if x.hasFront {
+		if x.front == v {
 			m.dupVals = true
 		}
 	} else if !m.strictInit && v == m.cfg.InitValue {
@@ -638,7 +698,7 @@ func (m *Monitor) indexValue(t *winTx, x model.Obj, v model.Value) {
 // model over the incremental closure, with the certification search's
 // own membership test.
 func (m *Monitor) fastCheck() bool {
-	return depgraph.ClosureInModel(m.model, m.cl, m.rw, m.so, m.wrAll, m.s1, m.s2, m.s3) == nil
+	return depgraph.ClosureInModel(m.model, m.cl, m.rw, m.so, m.wrAll, m.scratch) == nil
 }
 
 // certifyWindow runs the offline checker over the assembled window
@@ -669,24 +729,20 @@ func (m *Monitor) windowHistory() (*model.History, check.Options) {
 		Budget:      m.cfg.Budget,
 		Parallelism: m.cfg.Parallelism,
 	}
-	var objs []model.Obj
-	if m.strictInit {
-		for x := range m.frontier {
-			objs = append(objs, x)
-		}
-	} else {
-		for x := range m.objs {
-			objs = append(objs, x)
+	var objs []*objState
+	for _, st := range m.objects {
+		if st.hasFront || !m.strictInit {
+			objs = append(objs, st)
 		}
 	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
+	slices.SortFunc(objs, func(a, b *objState) int { return strings.Compare(string(a.name), string(b.name)) })
 	initOps := make([]model.Op, 0, len(objs))
-	for _, x := range objs {
-		v, ok := m.frontier[x]
-		if !ok {
-			v = m.cfg.InitValue
+	for _, st := range objs {
+		v := m.cfg.InitValue
+		if st.hasFront {
+			v = st.front
 		}
-		initOps = append(initOps, model.Write(x, v))
+		initOps = append(initOps, model.Write(st.name, v))
 	}
 	var sessions []model.Session
 	if len(initOps) > 0 {
@@ -742,28 +798,25 @@ func (m *Monitor) adoptWitness(g *depgraph.Graph) {
 	m.cl = relation.NewClosure(m.cap)
 	m.wrAll = relation.New(m.cap)
 	m.rw = relation.New(m.cap)
-	m.valueIdx = make(map[model.Obj]map[model.Value]*winTx)
-	m.chain = make(map[model.Obj][]*winTx)
-	m.curReaders = make(map[model.Obj][]*winTx)
-	m.pending = m.pending[:0]
-	m.dupVals = false
+	m.forgetVersions()
 	for _, t := range m.win {
 		t.reads = t.reads[:0]
 		if t.prevSame != nil && m.model != depgraph.GSI {
 			m.cl.AddEdge(t.prevSame.idx, t.idx)
 		}
 	}
-	for _, x := range g.Objects() {
+	for _, name := range g.Objects() {
+		x := m.objects[name]
 		// Version chain: the window's writers of x in the witness's
 		// per-object total write order (indegree within a total order
 		// ranks its elements; a single writer needs no pairs).
 		indeg := make(map[int]int)
-		for _, p := range g.WWObj(x).Pairs() {
+		for _, p := range g.WWObj(name).Pairs() {
 			indeg[p[1]]++
 		}
 		var chain []*winTx
 		for _, t := range m.win {
-			if _, ok := t.tx.FinalWrite(x); ok {
+			if _, ok := t.tx.FinalWrite(name); ok {
 				chain = append(chain, t)
 			}
 		}
@@ -776,10 +829,10 @@ func (m *Monitor) adoptWitness(g *depgraph.Graph) {
 			prev = w.idx
 			m.indexValue(w, x, w.finalWrite(x))
 		}
-		m.chain[x] = chain
-		for _, p := range g.WRObj(x).Pairs() {
+		x.chain = chain
+		for _, p := range g.WRObj(name).Pairs() {
 			w, r := histTx[p[0]], histTx[p[1]]
-			v, ok := r.tx.ReadsBeforeWrites(x)
+			v, ok := r.tx.ReadsBeforeWrites(name)
 			if !ok {
 				continue
 			}
@@ -834,18 +887,6 @@ func (m *Monitor) maybeGC() {
 // survivors, so k < len(m.win).
 func (m *Monitor) cut(k int) int64 { return m.win[k].ord }
 
-// lastPrefixWriter returns the latest-arrived writer of x below the
-// cut, or nil if no transaction below it writes x.
-func (m *Monitor) lastPrefixWriter(x model.Obj, cut int64) *winTx {
-	var last *winTx
-	for _, w := range m.chain[x] {
-		if w.ord < cut && (last == nil || w.ord > last.ord) {
-			last = w
-		}
-	}
-	return last
-}
-
 // collapseOK reports whether the k oldest window transactions can be
 // collapsed without losing a dependency edge that could still matter:
 //
@@ -861,6 +902,10 @@ func (m *Monitor) lastPrefixWriter(x model.Obj, cut int64) *winTx {
 // never re-enter it, so its (already certified) verdict is stable —
 // the PREFIX/Theorem 9 argument — and the prefix reduces to its final
 // values.
+//
+// A survivor read can only break conditions 2 and 3 on an object the
+// prefix writes, so the check visits the prefix's own reads and then
+// the live readers of the objects the prefix wrote, nothing else.
 func (m *Monitor) collapseOK(k int) bool {
 	cut := m.cut(k)
 	for _, t := range m.win[:k] {
@@ -870,16 +915,38 @@ func (m *Monitor) collapseOK(k int) bool {
 			}
 		}
 	}
-	for _, t := range m.win[k:] {
-		for _, r := range t.reads {
+	for _, x := range m.prefixWrites(k) {
+		for _, t := range x.readers {
+			if t.ord < cut {
+				continue // a prefix read: condition 1
+			}
 			// Conditions 2 and 3 in one: a read of a prefix writer or of
 			// the frontier must be of the version the prefix ends on.
-			if (r.writer == nil || r.writer.ord < cut) && m.lastPrefixWriter(r.obj, cut) != r.writer {
+			if r := t.readOf(x); (r.writer == nil || r.writer.ord < cut) && r.writer != x.last {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// prefixWrites returns the objects the k oldest window transactions
+// write, each once, with x.last set to the latest of them to write x.
+// The slice is reused by the next call.
+func (m *Monitor) prefixWrites(k int) []*objState {
+	m.visits++
+	m.written = m.written[:0]
+	for _, t := range m.win[:k] {
+		for _, w := range t.fin {
+			x := w.obj
+			if x.visit != m.visits {
+				x.visit = m.visits
+				m.written = append(m.written, x)
+			}
+			x.last = t // the window is in arrival order: the latest wins
+		}
+	}
+	return m.written
 }
 
 // collapseInPlace retires the k oldest window transactions, which
@@ -905,23 +972,23 @@ func (m *Monitor) collapseOK(k int) bool {
 // slow path decides, and its adoption rebuilds the state exactly.
 func (m *Monitor) collapseInPlace(k int) {
 	cut := m.cut(k)
-	var reordered []model.Obj // chains where a survivor preceded a prefix writer
+	var reordered []*objState // chains where a survivor preceded a prefix writer
+	written := m.prefixWrites(k)
 	for _, t := range m.win[:k] {
 		for _, w := range t.fin {
-			ch := m.chain[w.obj]
-			pos := slices.Index(ch, t)
-			if pos > 0 && ch[pos-1].ord >= cut {
-				reordered = append(reordered, w.obj)
+			x := w.obj
+			pos := slices.Index(x.chain, t)
+			if pos > 0 && x.chain[pos-1].ord >= cut {
+				reordered = append(reordered, x)
 			}
-			m.chain[w.obj] = slices.Delete(ch, pos, pos+1)
-			if byVal := m.valueIdx[w.obj]; byVal[w.val] == t {
-				delete(byVal, w.val)
+			x.chain = slices.Delete(x.chain, pos, pos+1)
+			if x.byVal[w.val] == t {
+				delete(x.byVal, w.val)
 			}
 		}
 		for _, r := range t.reads {
-			if cur := m.curReaders[r.obj]; len(cur) > 0 {
-				m.curReaders[r.obj] = without(cur, t)
-			}
+			r.obj.cur = without(r.obj.cur, t)
+			r.obj.readers = without(r.obj.readers, t)
 		}
 		m.so.Isolate(t.idx)
 		m.wrAll.Isolate(t.idx)
@@ -934,19 +1001,22 @@ func (m *Monitor) collapseInPlace(k int) {
 		// A collision may have left with the prefix, and a collapsed
 		// first writer of a duplicated version hands it to the next.
 		m.dupVals = false
-		for x, ch := range m.chain {
-			clear(m.valueIdx[x])
-			for _, w := range ch {
+		for _, x := range m.objects {
+			clear(x.byVal)
+			for _, w := range x.chain {
 				m.indexValue(w, x, w.finalWrite(x))
 			}
 		}
 	}
 	for _, x := range reordered {
-		m.curReaders[x] = nil
+		x.cur = nil
 	}
-	for _, t := range m.win {
-		for i := range t.reads {
-			r := &t.reads[i]
+	// Only reads of an object the prefix wrote can have lost their
+	// writer or their place in the chain.
+	for _, x := range written {
+		relink := slices.Contains(reordered, x)
+		for _, t := range x.readers {
+			r := t.readOf(x)
 			if r.writer != nil && r.writer.ord < cut {
 				// The collapsed writer left r.val in the frontier. The
 				// read resolves as it would on arrival (and as a replay
@@ -955,19 +1025,19 @@ func (m *Monitor) collapseInPlace(k int) {
 				// one, to the frontier otherwise.
 				r.writer = nil
 				wi := 0
-				if w := m.valueIdx[r.obj][r.val]; w != nil && w.ord < t.ord {
+				if w := x.byVal[r.val]; w != nil && w.ord < t.ord {
 					r.writer, wi = w, w.idx
 				}
 				m.wrAll.Add(wi, t.idx)
 				m.cl.AddEdge(wi, t.idx)
-			} else if !slices.Contains(reordered, r.obj) {
+			} else if !relink {
 				continue
 			}
-			cur := without(m.curReaders[r.obj], t)
-			if m.linkSuccessor(t, r.obj, r.writer) {
+			cur := without(x.cur, t)
+			if m.linkSuccessor(t, x, r.writer) {
 				cur = append(cur, t)
 			}
-			m.curReaders[r.obj] = cur
+			x.cur = cur
 		}
 	}
 }
@@ -988,7 +1058,7 @@ func without(s []*winTx, t *winTx) []*winTx {
 func (m *Monitor) advanceFrontier(k int) {
 	for i, t := range m.win[:k] {
 		for _, w := range t.fin {
-			m.frontier[w.obj] = w.val
+			w.obj.front, w.obj.hasFront = w.val, true
 		}
 		// The window is in arrival order, so t heads its session.
 		txs := m.sessTxs[t.session]
@@ -1005,6 +1075,17 @@ func (m *Monitor) advanceFrontier(k int) {
 		m.win[i] = nil
 	}
 	m.win = m.win[k:]
+}
+
+// forgetVersions clears every object's versions and readers, and the
+// pending reads, before the window is replayed or a witness adopted.
+func (m *Monitor) forgetVersions() {
+	for _, x := range m.objects {
+		clear(x.byVal)
+		x.chain, x.cur, x.readers = nil, nil, nil
+	}
+	m.pending = m.pending[:0]
+	m.dupVals = false
 }
 
 // grow doubles the carrier when every slot is taken — a window that
@@ -1026,14 +1107,8 @@ func (m *Monitor) rebuild(newCap int) {
 	m.so = relation.New(newCap)
 	m.wrAll = relation.New(newCap)
 	m.rw = relation.New(newCap)
-	m.s1 = relation.New(newCap)
-	m.s2 = relation.New(newCap)
-	m.s3 = relation.New(newCap)
-	m.valueIdx = make(map[model.Obj]map[model.Value]*winTx)
-	m.chain = make(map[model.Obj][]*winTx)
-	m.curReaders = make(map[model.Obj][]*winTx)
-	m.pending = m.pending[:0]
-	m.dupVals = false
+	m.scratch = depgraph.NewScratch(newCap)
+	m.forgetVersions()
 	for i, t := range m.win {
 		t.idx = i + 1
 	}

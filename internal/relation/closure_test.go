@@ -56,12 +56,14 @@ func TestClosureRollback(t *testing.T) {
 	}
 }
 
-func TestClosureOfSeed(t *testing.T) {
+// TestClosureDeferredSeed: edges added before the first read are
+// closed in one pass when it comes, sit below every checkpoint, and a
+// cyclic seed reports its cycle.
+func TestClosureDeferredSeed(t *testing.T) {
 	t.Parallel()
-	r := New(4)
-	r.Add(0, 1)
-	r.Add(1, 2)
-	c := ClosureOf(r)
+	c := NewClosure(4)
+	c.AddEdge(0, 1)
+	c.AddEdge(1, 2)
 	if !c.Reaches(0, 2) {
 		t.Fatal("seed closure incomplete")
 	}
@@ -75,10 +77,10 @@ func TestClosureOfSeed(t *testing.T) {
 		t.Fatal("rollback disturbed the seed")
 	}
 	// A cyclic seed reports the cycle immediately.
-	r2 := New(3)
-	r2.Add(0, 1)
-	r2.Add(1, 0)
-	if !ClosureOf(r2).HasCycle() {
+	c2 := NewClosure(3)
+	c2.AddEdge(0, 1)
+	c2.AddEdge(1, 0)
+	if !c2.HasCycle() {
 		t.Fatal("cyclic seed not detected")
 	}
 }
@@ -308,5 +310,123 @@ func TestClosureAbsorbSuperset(t *testing.T) {
 	c.Absorb(0, 2)
 	if !c.Reaches(0, 3) || !c.Reaches(1, 3) || c.Reaches(1, 2) || c.Reaches(0, 2) {
 		t.Fatalf("closure after absorbing a reachable node: %v", c.Rel())
+	}
+}
+
+// TestClosureDeferredDifferential pins the deferred closure to the
+// batch Warshall closure on random edge sequences — acyclic (edges
+// follow a random rank order), cyclic and with self-loops, on carriers
+// of one and of several words. The edges before the first read are
+// closed in one pass; the first read is chosen at random among
+// Reaches, HasCycle, Rel, Stats, Checkpoint and Absorb, and random
+// AddEdge/Checkpoint/Rollback steps follow. The one-pass close must
+// count every pair it materialises.
+func TestClosureDeferredDifferential(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(12)
+		if trial%4 == 0 {
+			n = 60 + rng.Intn(80)
+		}
+		shape := trial % 3 // 0 acyclic, 1 arbitrary, 2 arbitrary with self-loops
+		rank := rng.Perm(n)
+		edge := func() (int, int) {
+			a, b := rng.Intn(n), rng.Intn(n)
+			switch {
+			case shape == 0 && rank[a] > rank[b]:
+				a, b = b, a
+			case shape == 1 && a == b:
+				b = (a + 1) % n
+			}
+			return a, b
+		}
+		c := NewClosure(n)
+		base := New(n)
+		for i, k := 0, rng.Intn(3*n); i < k; i++ {
+			a, b := edge()
+			if shape == 0 && a == b {
+				continue
+			}
+			c.AddEdge(a, b)
+			base.Add(a, b)
+		}
+		want := base.TransitiveClosure()
+		first := rng.Intn(6)
+		switch first {
+		case 0:
+			a, b := rng.Intn(n), rng.Intn(n)
+			if c.Reaches(a, b) != want.Has(a, b) {
+				t.Fatalf("trial %d: Reaches(%d,%d) = %v on first read, batch %v", trial, a, b, !want.Has(a, b), want.Has(a, b))
+			}
+		case 1:
+			c.HasCycle()
+		case 2:
+			c.Rel()
+		case 3:
+			c.Stats()
+		case 4:
+			c.Checkpoint()
+		case 5:
+			// Absorb is exact only on source sets, so compare it with
+			// the same row edit applied to the batch closure.
+			dst, src := rng.Intn(n), rng.Intn(n)
+			c.Absorb(dst, src)
+			if dst != src {
+				self := want.Has(dst, dst)
+				for w := range want.row(dst) {
+					want.row(dst)[w] |= want.row(src)[w]
+				}
+				if self {
+					want.Add(dst, dst)
+				} else {
+					want.Remove(dst, dst)
+				}
+				want.Isolate(src)
+			}
+			if got := c.Rel(); !got.Equal(want) {
+				t.Fatalf("trial %d: Absorb(%d,%d) as first read\nbase    %v\nclosure %v\nwant    %v", trial, dst, src, base, got, want)
+			}
+			if c.HasCycle() != !want.IsIrreflexive() || len(c.journal) != 0 {
+				t.Fatalf("trial %d: after Absorb HasCycle = %v, journal %d words", trial, c.HasCycle(), len(c.journal))
+			}
+			continue
+		}
+		if delta, _ := c.Stats(); delta != int64(want.Size()) {
+			t.Fatalf("trial %d: one-pass close counted %d pairs, closure has %d", trial, delta, want.Size())
+		}
+		if first != 4 && len(c.journal) != 0 {
+			t.Fatalf("trial %d: %d journal words before any checkpoint", trial, len(c.journal))
+		}
+		type frame struct {
+			mark Mark
+			rel  *Rel
+		}
+		var stack []frame
+		if first == 4 {
+			stack = append(stack, frame{mark: 0, rel: base.Clone()})
+		}
+		for step := 0; step < 30; step++ {
+			switch {
+			case len(stack) > 0 && rng.Intn(4) == 0:
+				f := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				c.Rollback(f.mark)
+				base = f.rel
+			case rng.Intn(3) == 0:
+				stack = append(stack, frame{mark: c.Checkpoint(), rel: base.Clone()})
+			default:
+				a, b := edge()
+				c.AddEdge(a, b)
+				base.Add(a, b)
+			}
+			want := base.TransitiveClosure()
+			if got := c.Rel(); !got.Equal(want) {
+				t.Fatalf("trial %d step %d: closure diverged\nbase %v\ninc  %v\nwant %v", trial, step, base, got, want)
+			}
+			if c.HasCycle() != !want.IsIrreflexive() {
+				t.Fatalf("trial %d step %d: HasCycle = %v, batch irreflexive = %v", trial, step, c.HasCycle(), want.IsIrreflexive())
+			}
+		}
 	}
 }

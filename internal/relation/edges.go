@@ -167,26 +167,6 @@ func (e *Edges) Equal(o *Edges) bool {
 	return true
 }
 
-// Clone returns a deep copy of e; the copy's adjacency lists share one
-// backing array, so cloning costs two allocations whatever the number
-// of rows.
-func (e *Edges) Clone() *Edges {
-	c := &Edges{}
-	if e.IsEmpty() {
-		return c
-	}
-	c.rows = make([]edgeRow, len(e.rows))
-	backing := make([]int, 0, e.Size())
-	for i, r := range e.rows {
-		start := len(backing)
-		backing = append(backing, r.to...)
-		// The capacity is capped so that a later Add to this row
-		// reallocates instead of overwriting its neighbour.
-		c.rows[i] = edgeRow{from: r.from, to: backing[start:len(backing):len(backing)]}
-	}
-	return c
-}
-
 // AddTo inserts every pair of e into the dense relation r.
 func (e *Edges) AddTo(r *Rel) {
 	if e == nil {

@@ -82,24 +82,6 @@ func TestEdgesMatchRel(t *testing.T) {
 			}
 			checkEdgesAgainstRel(t, e, r, rng)
 		}
-		// A clone is equal, and independent in both directions: rows of
-		// a clone share one backing array and must not grow into each
-		// other.
-		c := e.Clone()
-		if !c.Equal(e) || !e.Equal(c) {
-			t.Fatalf("clone %v differs from %v", c, e)
-		}
-		want := r.Clone()
-		for step := 0; step < 10; step++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			c.Add(a, b)
-			want.Add(a, b)
-		}
-		checkEdgesAgainstRel(t, c, want, rng)
-		checkEdgesAgainstRel(t, e, r, rng)
-		if c.Equal(e) != want.Equal(r) {
-			t.Fatalf("Equal = %v, dense %v", c.Equal(e), want.Equal(r))
-		}
 	}
 }
 
@@ -140,7 +122,7 @@ func TestEdgesNilIsEmpty(t *testing.T) {
 	e.EachSuccessor(0, func(int) { t.Fatal("nil edge set has a successor") })
 	e.Remove(0, 1)
 	e.AddTo(New(2))
-	if !e.Equal(&Edges{}) || !(&Edges{}).Equal(e) || !e.Clone().IsEmpty() {
+	if !e.Equal(&Edges{}) || !(&Edges{}).Equal(e) {
 		t.Fatal("nil and empty edge sets differ")
 	}
 	if !e.IsTotalOrderOn(nil) || !e.IsTotalOrderOn([]int{4}) || e.IsTotalOrderOn([]int{1, 2}) {

@@ -298,14 +298,20 @@ func (r *Rel) Inverse() *Rel {
 // row. O(n²·⌈n/64⌉).
 func (r *Rel) TransitiveClosure() *Rel {
 	out := r.Clone()
-	for k := 0; k < out.n; k++ {
-		rk := out.row(k)
+	warshall(out.rows, out.n, out.words)
+	return out
+}
+
+// warshall closes the n×n bit matrix rows (words per row) in place.
+func warshall(rows []uint64, n, words int) {
+	for k := 0; k < n; k++ {
+		rk := rows[k*words : (k+1)*words]
 		kw, kb := k/64, uint64(1)<<(uint(k)%64)
-		for i := 0; i < out.n; i++ {
+		for i := 0; i < n; i++ {
 			if i == k {
 				continue
 			}
-			ri := out.row(i)
+			ri := rows[i*words : (i+1)*words]
 			if ri[kw]&kb != 0 {
 				for w := range ri {
 					ri[w] |= rk[w]
@@ -315,7 +321,6 @@ func (r *Rel) TransitiveClosure() *Rel {
 		// Row k may reach itself through a cycle; if so it absorbs
 		// nothing new from itself, so no self-step is needed.
 	}
-	return out
 }
 
 // ReflexiveTransitiveClosure returns R*.
@@ -386,60 +391,68 @@ func (r *Rel) IsTransitive() bool {
 // has no cycles (equivalently, R⁺ is irreflexive). It runs an
 // iterative three-colour DFS rather than computing the closure.
 func (r *Rel) IsAcyclic() bool {
+	var d DFS
+	return r.IsAcyclicWith(&d)
+}
+
+// DFS is the working storage of IsAcyclicWith: a colour per element
+// and the explicit stack. A caller that tests many relations keeps one
+// DFS, and once it has grown to the carrier the test allocates
+// nothing. The zero value is ready to use; a DFS must not be shared
+// between goroutines.
+type DFS struct {
+	colour []byte
+	stack  []dfsFrame
+}
+
+// dfsFrame is one grey node: the word of its row being scanned and the
+// bits of that word not yet visited.
+type dfsFrame struct {
+	node, w int
+	bits    uint64
+}
+
+// IsAcyclicWith is IsAcyclic with caller-owned working storage.
+func (r *Rel) IsAcyclicWith(d *DFS) bool {
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
-	colour := make([]byte, r.n)
-	// Iterative DFS with an explicit stack of (node, word index,
-	// remaining word bits) frames to avoid recursion on deep graphs.
-	type frame struct {
-		node int
-		w    int
-		bits uint64
+	if cap(d.colour) < r.n {
+		// Every element is pushed at most once, so the stack never
+		// outgrows the carrier either.
+		d.colour = make([]byte, r.n)
+		d.stack = make([]dfsFrame, 0, r.n)
 	}
-	var stack []frame
-	push := func(v int) {
-		colour[v] = grey
-		var first uint64
-		if r.words > 0 {
-			first = r.row(v)[0]
-		}
-		stack = append(stack, frame{node: v, w: 0, bits: first})
-	}
+	colour := d.colour[:r.n]
+	clear(colour)
+	stack := d.stack[:0]
 	for start := 0; start < r.n; start++ {
 		if colour[start] != white {
 			continue
 		}
-		push(start)
+		colour[start] = grey
+		stack = append(stack, dfsFrame{node: start, bits: r.row(start)[0]})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			advanced := false
-			for f.w < r.words {
-				if f.bits == 0 {
-					f.w++
-					if f.w < r.words {
-						f.bits = r.row(f.node)[f.w]
-					}
+			if f.bits == 0 {
+				if f.w++; f.w < r.words {
+					f.bits = r.row(f.node)[f.w]
 					continue
 				}
-				b := f.w*64 + bits.TrailingZeros64(f.bits)
-				f.bits &= f.bits - 1
-				switch colour[b] {
-				case grey:
-					return false
-				case white:
-					push(b)
-					advanced = true
-				}
-				if advanced {
-					break
-				}
-			}
-			if !advanced && f.w >= r.words {
 				colour[f.node] = black
 				stack = stack[:len(stack)-1]
+				continue
+			}
+			b := f.w*64 + bits.TrailingZeros64(f.bits)
+			f.bits &= f.bits - 1
+			switch colour[b] {
+			case grey:
+				return false
+			case white:
+				colour[b] = grey
+				stack = append(stack, dfsFrame{node: b, bits: r.row(b)[0]})
 			}
 		}
 	}

@@ -504,3 +504,27 @@ func TestQuickSubsetMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIsAcyclicWithAllocatesNothing: once its DFS has grown to the
+// carrier, the acyclicity test allocates nothing, and it agrees with
+// IsAcyclic on reused storage.
+func TestIsAcyclicWithAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var d DFS
+	for trial := 0; trial < 200; trial++ {
+		r := New(1 + rng.Intn(150))
+		for i := 0; i < r.N(); i++ {
+			r.Add(rng.Intn(r.N()), rng.Intn(r.N()))
+		}
+		if got, want := r.IsAcyclicWith(&d), r.IsAcyclic(); got != want {
+			t.Fatalf("trial %d: IsAcyclicWith = %v, IsAcyclic = %v on %v", trial, got, want, r)
+		}
+	}
+	r := New(200)
+	for i := 1; i < 200; i++ {
+		r.Add(i-1, i)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { r.IsAcyclicWith(&d) }); allocs != 0 {
+		t.Errorf("IsAcyclicWith allocated %.1f times per call", allocs)
+	}
+}
