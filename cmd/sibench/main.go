@@ -12,7 +12,7 @@
 //	        [-trace] [-metrics file|-] [-bench-json file]
 //	        [-serve addr]
 //	        [-record file.ndjson] [-timeline file.json]
-//	        [-addr host:port] [-trace-txns]
+//	        [-addr host:port]
 //
 // The closedloop workload is the concurrent driver: one goroutine per
 // session, each firing its next transaction the moment the previous
@@ -23,18 +23,16 @@
 // repository's benchmark is benchmark/ (BENCHMARK.json).
 //
 // -metrics dumps the metrics registry (engine counters,
-// commit-latency and snapshot-age histograms, phase durations) on
-// exit in Prometheus text format ('-' for stdout, *.json for JSON).
-// -trace prints per-phase timing lines on stderr.
+// commit-latency and snapshot-age histograms, trace_stage_ns with
+// -trace) on exit in Prometheus text format ('-' for stdout, *.json
+// for JSON).
 // -bench-json writes a machine-readable benchmark summary
 // (throughput, p50/p99 commit latency) to the named file.
 //
 // -record attaches a flight recorder to the engine and dumps the
 // transactional event stream as NDJSON on exit — feed it to simon for
-// online certification. -timeline renders the same stream (plus the
-// -trace certifier phases) as Chrome trace-event JSON, loadable in
-// Perfetto (ui.perfetto.dev) or chrome://tracing. -record-cap bounds
-// the recorder ring (older events are overwritten beyond it).
+// online certification. -record-cap bounds the recorder ring (older
+// events are overwritten beyond it).
 //
 // -serve starts the live observability plane (internal/obs/obshttp)
 // for the duration of the run: /metrics, /metrics.json, /healthz, an
@@ -48,21 +46,21 @@
 // the closed-loop workload with client-side conflict retry. The
 // report then carries mode "network" and the server's git revision
 // (from its info document). -certify and -record are unavailable in
-// network mode (there is no in-process engine); -timeline is available
-// only together with -trace-txns, where it renders the merged
-// client+server transaction traces instead of the engine event stream.
+// network mode (there is no in-process engine).
 //
-// -trace-txns traces every transaction's commit pipeline
-// (internal/obs/txtrace) and prints a per-stage p50/p99 table after
-// the run; the breakdown also lands in the bench report (stages field).
-// In-process it times begin, validation, WAL append, fsync wait,
-// publish and ack inside the engine. Against -addr the client
-// propagates its trace IDs inside the siwire frames, the server sends
-// its pipeline spans back on the commit response, and each trace
-// merges the client's wire round-trip spans with the server's
-// pipeline spans — -timeline then writes the merged rows as
-// Perfetto-loadable Chrome trace JSON, and /trace/{id} on either
-// side's -serve plane resolves the same IDs.
+// -trace traces the run (internal/obs/txtrace) and prints a per-stage
+// p50/p99 table on stderr at exit; the breakdown also lands in the
+// bench report (stages field). In-process it times every transaction's
+// begin, validation, WAL append, fsync wait, publish and ack inside
+// the engine, and the run itself: the workload, then -certify's
+// check_* stages. Against -addr the client propagates its trace IDs
+// inside the siwire frames, the server (siserve -trace) sends its
+// pipeline spans back on the commit response, and each trace merges
+// the client's wire round-trip spans with the server's pipeline spans;
+// /trace/{id} on either side's -serve plane resolves the same IDs.
+// -timeline turns tracing on and writes the retained traces as Chrome
+// trace-event JSON (client, server and certifier tracks), loadable in
+// Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // Exit status 0 on success, 1 when -certify fails, 2 on usage or
 // processing errors.
@@ -126,8 +124,8 @@ type benchReport struct {
 	CertifyNS          int64 `json:"certify_ns,omitempty"`
 	CertifyExamined    int   `json:"certify_examined,omitempty"`
 
-	// Stages is the per-stage latency breakdown of a -trace-txns run,
-	// in pipeline order; absent on untraced runs.
+	// Stages is the per-stage latency breakdown of a traced run, in
+	// pipeline order; absent on untraced runs.
 	Stages []txtrace.StageLatency `json:"stages,omitempty"`
 }
 
@@ -167,7 +165,6 @@ type runConfig struct {
 	hotkeys      int
 	disjoint     bool
 	addr         string
-	traceTxns    bool
 }
 
 func run(args []string, stdout, stderr io.Writer) (int, error) {
@@ -189,13 +186,12 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	parallel := fs.Int("parallel", 0, "worker goroutines for the certification search (0 = one per CPU)")
 	benchJSON := fs.String("bench-json", "", "write a machine-readable benchmark summary (JSON) to this file")
 	recordOut := fs.String("record", "", "dump the transactional event stream as NDJSON to this file on exit")
-	timelineOut := fs.String("timeline", "", "write a Chrome trace-event timeline (Perfetto-loadable JSON) to this file on exit")
+	timelineOut := fs.String("timeline", "", "trace the run and write its timeline (Perfetto-loadable Chrome trace JSON) to this file on exit")
 	recordCap := fs.Int("record-cap", 0, "flight-recorder ring capacity in events (0 = default)")
 	duration := fs.Duration("duration", 0, "closedloop: bound the run by wall clock instead of -txs")
 	hotkeys := fs.Int("hotkeys", 0, "closedloop: skew accesses onto the first N objects (contention)")
 	disjoint := fs.Bool("disjoint", false, "closedloop: give every session a private object pool (no conflicts)")
 	addrFlag := fs.String("addr", "", "drive a running siserve at this address over the siwire protocol instead of an in-process engine (closedloop only)")
-	traceTxns := fs.Bool("trace-txns", false, "trace every transaction's commit-pipeline stages and print the per-stage latency table (with -addr: merged client+server traces)")
 	obsFlags := cliutil.RegisterObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2, err
@@ -215,9 +211,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 		if *certify || *recordOut != "" {
 			return 2, fmt.Errorf("-addr is incompatible with -certify and -record (no in-process engine)")
 		}
-		if *timelineOut != "" && !*traceTxns {
-			return 2, fmt.Errorf("-addr supports -timeline only with -trace-txns (the merged client+server transaction timeline)")
-		}
 		if *engineFlag != "si" {
 			return 2, fmt.Errorf("-addr ignores -engine (the server chose at startup); leave it at the default")
 		}
@@ -230,7 +223,7 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 		certify: *certify, parallel: *parallel, benchJSON: *benchJSON,
 		recordOut: *recordOut, timelineOut: *timelineOut, recordCap: *recordCap,
 		duration: *duration, hotkeys: *hotkeys, disjoint: *disjoint,
-		addr: *addrFlag, traceTxns: *traceTxns,
+		addr: *addrFlag,
 	}
 
 	o, err := obsFlags.Start("sibench", stderr)
@@ -242,16 +235,21 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 }
 
 // execute runs the configured workload, in process or over the wire,
-// then writes the bench JSON and the recorder dumps.
+// then writes the bench JSON, the recorder dump and the timeline.
 func (cfg runConfig) execute(o *cliutil.Obs, stdout, stderr io.Writer) (int, error) {
-	// The flight recorder feeds -record / -timeline dumps and, while
-	// -serve is up, the live /events tail and /timeline endpoint. In
-	// network mode -timeline is the merged transaction-trace dump
-	// (written by runNetwork itself), not a recorder snapshot.
+	// The flight recorder feeds the -record dump and, while -serve is
+	// up, the live /events tail.
 	var rec *eventlog.Recorder
-	if cfg.recordOut != "" || (cfg.timelineOut != "" && cfg.addr == "") || o.Serving() {
+	if cfg.recordOut != "" || o.Serving() {
 		rec = eventlog.NewRecorder(cfg.recordCap)
 		o.SetRecorder(rec)
+	}
+	// -timeline draws traces, so it turns the tracer on the way -record
+	// turns the recorder on.
+	tracer := o.Tracer
+	if tracer == nil && cfg.timelineOut != "" {
+		tracer = txtrace.New(txtrace.Options{})
+		o.SetTxTracer(tracer)
 	}
 
 	var (
@@ -260,34 +258,25 @@ func (cfg runConfig) execute(o *cliutil.Obs, stdout, stderr io.Writer) (int, err
 		err  error
 	)
 	if cfg.addr != "" {
-		exit, rep, err = cfg.runNetwork(o, stdout)
+		exit, rep, err = cfg.runNetwork(o, tracer, stdout)
 	} else {
-		exit, rep, err = cfg.runSingle(o, rec, stdout)
+		exit, rep, err = cfg.runSingle(o, rec, tracer, stdout)
 	}
 	if err != nil {
 		return 2, err
 	}
+	rep.Stages = tracer.StageLatencies()
 
 	if cfg.benchJSON != "" {
 		if err := encodeBenchReport(cfg.benchJSON, rep); err != nil {
 			return 2, err
 		}
 	}
-	if rec != nil {
-		if code, err := cfg.dumpRecorder(rec, o, stdout, stderr); err != nil {
-			return code, err
-		}
-	}
-	return exit, nil
-}
-
-// dumpRecorder performs the -record / -timeline exit dumps.
-func (cfg runConfig) dumpRecorder(rec *eventlog.Recorder, o *cliutil.Obs, stdout, stderr io.Writer) (int, error) {
-	events := rec.Events()
-	if dropped := rec.Dropped(); dropped > 0 {
-		fmt.Fprintf(stderr, "flight recorder: ring overwrote %d events; raise -record-cap for a full stream\n", dropped)
-	}
 	if cfg.recordOut != "" {
+		events := rec.Events()
+		if dropped := rec.Dropped(); dropped > 0 {
+			fmt.Fprintf(stderr, "flight recorder: ring overwrote %d events; raise -record-cap for a full stream\n", dropped)
+		}
 		if err := writeFileWith(cfg.recordOut, func(w io.Writer) error {
 			return histio.EncodeEvents(w, events)
 		}); err != nil {
@@ -295,31 +284,27 @@ func (cfg runConfig) dumpRecorder(rec *eventlog.Recorder, o *cliutil.Obs, stdout
 		}
 		fmt.Fprintf(stdout, "recorded %d events to %s\n", len(events), cfg.recordOut)
 	}
-	if cfg.timelineOut != "" && cfg.addr == "" {
+	if cfg.timelineOut != "" {
+		traces := tracer.Finished(0)
 		if err := writeFileWith(cfg.timelineOut, func(w io.Writer) error {
-			return eventlog.WriteChromeTrace(w, events, o.Tracer.Phases())
+			return txtrace.WriteChromeTrace(w, traces)
 		}); err != nil {
 			return 2, fmt.Errorf("timeline: %w", err)
 		}
-		fmt.Fprintf(stdout, "timeline written to %s (load in ui.perfetto.dev)\n", cfg.timelineOut)
+		fmt.Fprintf(stdout, "timeline (%d traces) written to %s (load in ui.perfetto.dev)\n", len(traces), cfg.timelineOut)
 	}
-	return 0, nil
+	return exit, nil
 }
 
 // runSingle executes one workload run against a fresh engine and
-// returns its exit code and bench report.
-func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, stdout io.Writer) (int, benchReport, error) {
+// returns its exit code and bench report. With a tracer, every
+// transaction is traced, and so is the run: its workload stage, then
+// -certify's check_* stages.
+func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, tracer *txtrace.Tracer, stdout io.Writer) (int, benchReport, error) {
 	reg := o.Registry
-	tr := o.Tracer
-	econf := engine.Config{Metrics: reg, Recorder: rec}
+	econf := engine.Config{Metrics: reg, Recorder: rec, TxTracer: tracer}
 	if cfg.workload == "longfork" {
 		econf.ManualPropagation = true
-	}
-	var txt *txtrace.Tracer
-	if cfg.traceTxns {
-		txt = txtrace.New(txtrace.Options{})
-		econf.TxTracer = txt
-		o.SetTxTracer(txt)
 	}
 	db, err := engine.New(cfg.kind, econf)
 	if err != nil {
@@ -327,7 +312,7 @@ func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, stdout io
 	}
 	defer db.Close()
 
-	doneWorkload := tr.Phase("workload")
+	tr := tracer.Begin("sibench")
 	start := time.Now()
 	var h *model.History
 	switch cfg.workload {
@@ -401,7 +386,7 @@ func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, stdout io
 		return 2, benchReport{}, err
 	}
 	elapsed := time.Since(start)
-	doneWorkload()
+	tr.Mark("workload")
 
 	stats := db.Stats()
 	fmt.Fprintf(stdout, "engine=%s workload=%s commits=%d conflicts=%d aborts=%d retries=%d elapsed=%v\n",
@@ -416,7 +401,7 @@ func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, stdout io
 		certifyStart := time.Now()
 		res, err := check.Certify(h, cfg.model, check.Options{
 			NoInit: true, PinInit: true, Budget: 10_000_000,
-			Parallelism: cfg.parallel, Tracer: tr, Metrics: reg,
+			Parallelism: cfg.parallel, Trace: tr, Metrics: reg,
 		})
 		certifyDur = time.Since(certifyStart)
 		if err != nil {
@@ -435,13 +420,8 @@ func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, stdout io
 		}
 	}
 
-	rep := cfg.buildReport(elapsed, certifyDur, certifyExamined, stats, reg)
-	if txt != nil {
-		stages := txt.StageLatencies()
-		printStageTable(stdout, stages)
-		rep.Stages = stages
-	}
-	return exit, rep, nil
+	tr.Finish(cliutil.Outcome(exit, nil), 0)
+	return exit, cfg.buildReport(elapsed, certifyDur, certifyExamined, stats, reg), nil
 }
 
 // buildReport assembles the machine-readable summary of a single run

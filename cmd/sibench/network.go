@@ -27,7 +27,7 @@ import (
 // the latency quantiles are client-observed commit round-trips (wire
 // plus fsync), not engine-internal commit latencies. The report
 // carries Mode "network" and the server's git revision.
-func (cfg runConfig) runNetwork(o *cliutil.Obs, stdout io.Writer) (int, benchReport, error) {
+func (cfg runConfig) runNetwork(o *cliutil.Obs, ct *txtrace.Tracer, stdout io.Writer) (int, benchReport, error) {
 	const hotFraction = 800 // per-mille hot-set probability, as in workload.ClosedLoopConfig
 
 	objName := func(worker, n int) model.Obj {
@@ -78,15 +78,6 @@ func (cfg runConfig) runNetwork(o *cliutil.Obs, stdout io.Writer) (int, benchRep
 	probe.Close()
 
 	commitLat := o.Registry.Histogram("siwire_client_commit_latency_ns", obs.L("mode", "network"))
-	// With -trace-txns every transaction carries a client-assigned
-	// trace ID across the wire; the server's pipeline spans ride back
-	// on the commit response and merge into the client's trace, so one
-	// span tree covers the full round trip.
-	var ct *txtrace.Tracer
-	if cfg.traceTxns {
-		ct = txtrace.New(txtrace.Options{})
-		o.SetTxTracer(ct)
-	}
 	var counter, commits, conflicts atomic.Int64
 	var stopFlag atomic.Bool
 	if cfg.duration > 0 {
@@ -122,8 +113,13 @@ func (cfg runConfig) runNetwork(o *cliutil.Obs, stdout io.Writer) (int, benchRep
 				}
 				// One transaction, retried on conflict with a fresh
 				// object draw — the same shape as Session.Transact.
-				// Every txtrace call below is a nil-safe no-op when
-				// tracing is off (ct nil ⇒ tr nil).
+				// With a tracer every transaction carries a
+				// client-assigned trace ID across the wire; the
+				// server's pipeline spans ride back on the commit
+				// response and merge into the client's trace, so one
+				// span tree covers the full round trip. Every txtrace
+				// call below is a nil-safe no-op when tracing is off
+				// (ct nil ⇒ tr nil).
 				for {
 					var tr *txtrace.Trace
 					if ct != nil {
@@ -208,21 +204,6 @@ func (cfg runConfig) runNetwork(o *cliutil.Obs, stdout io.Writer) (int, benchRep
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		rep.TxsPerSec = float64(rep.Commits) / secs
-	}
-	if ct != nil {
-		stages := ct.StageLatencies()
-		printStageTable(stdout, stages)
-		rep.Stages = stages
-		if cfg.timelineOut != "" {
-			merged := ct.Finished(0)
-			if err := writeFileWith(cfg.timelineOut, func(w io.Writer) error {
-				return txtrace.WriteChromeTrace(w, merged)
-			}); err != nil {
-				return 2, benchReport{}, fmt.Errorf("timeline: %w", err)
-			}
-			fmt.Fprintf(stdout, "merged client+server timeline (%d traces) written to %s (load in ui.perfetto.dev)\n",
-				len(merged), cfg.timelineOut)
-		}
 	}
 	return 0, rep, nil
 }

@@ -46,7 +46,9 @@ func TestRunMetricsDump(t *testing.T) {
 	}
 }
 
-// TestRunTrace checks -trace prints phase timing lines on stderr.
+// TestRunTrace checks -trace prints the per-stage table on stderr: the
+// engine's commit pipeline, the run's workload stage and -certify's
+// check_* stages.
 func TestRunTrace(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code, err := run([]string{
@@ -60,7 +62,7 @@ func TestRunTrace(t *testing.T) {
 		t.Fatalf("exit = %d, want 0\n%s", code, out.String())
 	}
 	es := errOut.String()
-	for _, want := range []string{"trace: phase=", "workload", "extension-search"} {
+	for _, want := range []string{"trace: per-stage latency", "workload", "check_extension_search", "begin_wait"} {
 		if !strings.Contains(es, want) {
 			t.Errorf("stderr missing %q:\n%s", want, es)
 		}

@@ -93,6 +93,11 @@ func TestRunRecordAndTimeline(t *testing.T) {
 	if !haveComplete {
 		t.Error("timeline has no complete ('X') spans")
 	}
+	// The engine's stage slices sit on the server track, the run's
+	// workload stage on the certifier track.
+	if pids := stageSlicesByPid(t, tlPath); pids[2] == 0 || pids[3] != 1 {
+		t.Errorf("timeline stage slices by pid = %v, want server (2) and one on certifier (3)", pids)
+	}
 }
 
 // TestRunRecordDefaultCapWarning: an over-tight ring capacity drops

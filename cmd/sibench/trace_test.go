@@ -16,7 +16,7 @@ import (
 )
 
 // startTracedWireServer is startWireServer with server-side
-// transaction tracing on, standing in for `siserve -trace-txns`.
+// transaction tracing on, standing in for `siserve -trace`.
 func startTracedWireServer(t *testing.T) (string, *txtrace.Tracer) {
 	t.Helper()
 	tracer := txtrace.New(txtrace.Options{})
@@ -41,20 +41,20 @@ func startTracedWireServer(t *testing.T) (string, *txtrace.Tracer) {
 	return ln.Addr().String(), tracer
 }
 
-// TestTraceTxnsInProcess runs -trace-txns against the in-process
-// engine: the stage table prints and the bench report carries the
-// per-stage breakdown without disturbing the headline metrics.
+// TestTraceTxnsInProcess runs -trace against the in-process engine:
+// the stage table prints and the bench report carries the per-stage
+// breakdown without disturbing the headline metrics.
 func TestTraceTxnsInProcess(t *testing.T) {
 	benchPath := filepath.Join(t.TempDir(), "bench.json")
 	var out, errw bytes.Buffer
 	code, err := run([]string{
 		"-workload", "closedloop", "-sessions", "2", "-txs", "15", "-objects", "4",
-		"-trace-txns", "-bench-json", benchPath,
+		"-trace", "-bench-json", benchPath,
 	}, &out, &errw)
 	if err != nil || code != 0 {
 		t.Fatalf("run: %d, %v\n%s\n%s", code, err, out.String(), errw.String())
 	}
-	text := out.String()
+	text := errw.String()
 	if !strings.Contains(text, "trace: per-stage latency") {
 		t.Errorf("no stage table in:\n%s", text)
 	}
@@ -83,7 +83,8 @@ func TestTraceTxnsInProcess(t *testing.T) {
 // TestTraceTxnsNetworkMerged drives a traced client against a traced
 // server: stage tables carry both the wire and pipeline stages, the
 // -timeline dump is the merged Perfetto document, and the server's
-// tracer resolves the client-minted IDs.
+// tracer resolves the client-minted IDs. A second run with -timeline
+// alone writes the same document: -timeline turns tracing on.
 func TestTraceTxnsNetworkMerged(t *testing.T) {
 	addr, srvTracer := startTracedWireServer(t)
 	dir := t.TempDir()
@@ -93,12 +94,12 @@ func TestTraceTxnsNetworkMerged(t *testing.T) {
 	var out, errw bytes.Buffer
 	code, err := run([]string{
 		"-addr", addr, "-workload", "closedloop", "-sessions", "2", "-txs", "10",
-		"-objects", "4", "-trace-txns", "-timeline", timelinePath, "-bench-json", benchPath,
+		"-objects", "4", "-trace", "-timeline", timelinePath, "-bench-json", benchPath,
 	}, &out, &errw)
 	if err != nil || code != 0 {
 		t.Fatalf("run: %d, %v\n%s\n%s", code, err, out.String(), errw.String())
 	}
-	text := out.String()
+	text := errw.String()
 	for _, stage := range []string{"wire_begin", "wire_commit", "fsync_wait", "publish"} {
 		if !strings.Contains(text, stage) {
 			t.Errorf("stage %s missing from merged table:\n%s", stage, text)
@@ -108,26 +109,9 @@ func TestTraceTxnsNetworkMerged(t *testing.T) {
 		t.Errorf("network stage table lacks the pipelining legend:\n%s", text)
 	}
 
-	// The merged timeline parses and holds both process tracks.
-	raw, err := os.ReadFile(timelinePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Pid  int    `json:"pid"`
-			Name string `json:"name"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("timeline does not parse: %v", err)
-	}
-	pids := map[int]bool{}
-	for _, ev := range doc.TraceEvents {
-		pids[ev.Pid] = true
-	}
-	if !pids[1] || !pids[2] {
-		t.Errorf("timeline pids = %v, want client (1) and server (2)", pids)
+	// The merged timeline holds stage slices on both process tracks.
+	if pids := stageSlicesByPid(t, timelinePath); pids[1] == 0 || pids[2] == 0 {
+		t.Errorf("timeline stage slices by pid = %v, want client (1) and server (2)", pids)
 	}
 
 	// Every committed client trace resolves on the server too: the IDs
@@ -139,14 +123,40 @@ func TestTraceTxnsNetworkMerged(t *testing.T) {
 	if _, finished, _ := srvTracer.Stats(); finished < rep.Commits {
 		t.Errorf("server finished %d traces for %d commits", finished, rep.Commits)
 	}
+
+	bare := filepath.Join(dir, "bare.json")
+	if code, err := run([]string{
+		"-addr", addr, "-workload", "closedloop", "-sessions", "2", "-txs", "5",
+		"-objects", "4", "-timeline", bare,
+	}, &out, &errw); err != nil || code != 0 {
+		t.Fatalf("-timeline alone: %d, %v", code, err)
+	}
+	if pids := stageSlicesByPid(t, bare); pids[1] == 0 || pids[2] == 0 {
+		t.Errorf("-timeline alone: stage slices by pid = %v, want client (1) and server (2)", pids)
+	}
 }
 
-// TestTraceTxnsFlagValidation pins the exclusion: network -timeline
-// requires -trace-txns.
-func TestTraceTxnsFlagValidation(t *testing.T) {
-	args := []string{"-addr", "127.0.0.1:1", "-workload", "closedloop", "-timeline", "x.json"}
-	var out, errw bytes.Buffer
-	if code, err := run(args, &out, &errw); err == nil || code != 2 {
-		t.Errorf("run(%v) = %d, %v; want code 2 and an error", args, code, err)
+// stageSlicesByPid counts a timeline's stage slices per process track.
+func stageSlicesByPid(t *testing.T, path string) map[int]int {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var doc struct {
+		TraceEvents []struct {
+			Pid int    `json:"pid"`
+			Cat string `json:"cat"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("timeline does not parse: %v", err)
+	}
+	pids := map[int]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Cat == "stage" {
+			pids[ev.Pid]++
+		}
+	}
+	return pids
 }

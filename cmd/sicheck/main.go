@@ -12,10 +12,12 @@
 //	        [history.json]
 //
 // The history is read from the file argument or standard input; see
-// internal/histio for the JSON schema. -trace prints per-phase timing
-// lines on stderr; -metrics dumps the metrics registry (search
-// counters and phase-duration histograms) on exit, in Prometheus text
-// format ('-' for stdout, a path ending in .json for JSON). -serve
+// internal/histio for the JSON schema. -trace traces each
+// certification's stages (check_validate … check_explain) and prints
+// the per-stage table on stderr; -metrics dumps the metrics registry
+// (search counters and trace_stage_ns histograms) on exit, in
+// Prometheus text format ('-' for stdout, a path ending in .json for
+// JSON). -serve
 // runs the live observability plane (/metrics, /healthz,
 // /debug/pprof/) during the check — useful for watching or profiling
 // a long certification search.
@@ -91,10 +93,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 	if err != nil {
 		return 2, err
 	}
-	reg, tr := o.Registry, o.Tracer
-	finish := func(code int, err error) (int, error) {
-		return o.Finish(code, err, stdout, stderr)
-	}
+	tr, finish := o.Begin("sicheck", stdout, stderr)
 
 	opts := check.Options{
 		NoInit:      !*addInit,
@@ -102,8 +101,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 		InitValue:   model.Value(*initValue),
 		Budget:      *budget,
 		Parallelism: *parallel,
-		Tracer:      tr,
-		Metrics:     reg,
+		Trace:       tr,
+		Metrics:     o.Registry,
 	}
 	if !*addInit {
 		// Pin only when the history visibly carries its own init
@@ -148,6 +147,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 				return finish(2, err)
 			}
 		}
+		tr.Mark("output")
 	}
 	return finish(exit, nil)
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // TestRunTraceAndExplain runs sicheck with -trace on the write-skew
-// fixture and checks both observability outputs: phase timing lines on
-// stderr and the explainable verdict (axiom + witness cycle) on stdout.
+// fixture and checks both observability outputs: the certifier's
+// stage table on stderr and the explainable verdict (axiom + witness cycle) on stdout.
 func TestRunTraceAndExplain(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code, err := run([]string{"-init=false", "-trace", "../../testdata/writeskew_history.json"},
@@ -31,10 +31,10 @@ func TestRunTraceAndExplain(t *testing.T) {
 		}
 	}
 	es := errOut.String()
-	if !strings.Contains(es, "trace: phase=") {
-		t.Errorf("stderr missing trace lines:\n%s", es)
+	if !strings.Contains(es, "trace: per-stage latency") {
+		t.Errorf("stderr missing the stage table:\n%s", es)
 	}
-	for _, phase := range []string{"validate", "wr-enumeration", "extension-search", "explain"} {
+	for _, phase := range []string{"check_validate", "check_wr_enumeration", "check_extension_search", "check_explain", "output"} {
 		if !strings.Contains(es, phase) {
 			t.Errorf("stderr missing phase %q:\n%s", phase, es)
 		}

@@ -117,22 +117,20 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 	if err != nil {
 		return 2, err
 	}
-	reg, tr := o.Registry, o.Tracer
-	finish := func(code int, err error) (int, error) {
-		return o.Finish(code, err, stdout, stderr)
-	}
+	// Every mark lands before finish ends the trace and prints the
+	// stage table.
+	tr, finish := o.Begin("silint", stdout, stderr)
 	if specs == 1 {
 		rows, err := silint.ChecksFor(ms)
 		if err != nil {
 			return finish(2, err)
 		}
-		sp := specRun{model: *model, rows: rows, json: *format == "json", fix: *fix, dot: *dotOut, obs: o, stdout: stdout}
+		sp := specRun{model: *model, rows: rows, json: *format == "json", fix: *fix, dot: *dotOut, reg: o.Registry, trace: tr, stdout: stdout}
 		return finish(sp.run(patterns[0], stdin))
 	}
 
-	done := tr.Phase("analyze")
-	report, err := silint.Analyze(patterns, silint.Options{Models: ms, Registry: reg})
-	done()
+	report, err := silint.Analyze(patterns, silint.Options{Models: ms, Registry: o.Registry})
+	tr.Mark("analyze")
 	if err != nil {
 		return finish(2, err)
 	}
@@ -145,11 +143,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 		if err := applyFixes(report, stdout); err != nil {
 			return finish(2, err)
 		}
+		tr.Mark("fix")
 	}
-	doneOut := tr.Phase("output")
-	defer doneOut()
 	if *format == "json" {
-		return finish(exit, writeJSON(stdout, report, exit))
+		err := writeJSON(stdout, report, exit)
+		tr.Mark("output")
+		return finish(exit, err)
 	}
 	txs := 0
 	for _, p := range report.Packages {
@@ -169,6 +168,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 		fmt.Fprintf(stdout, "silint: no anomalies in %d package(s), %d transaction(s)\n",
 			len(report.Packages), txs)
 	}
+	tr.Mark("output")
 	return finish(exit, nil)
 }
 

@@ -49,6 +49,26 @@ func TestRunTextClean(t *testing.T) {
 	}
 }
 
+// TestRunTraceReportsOutput: -trace on packages lists the output
+// stage as well as analyze, in both formats: the stage table prints
+// only after the run's trace is finished.
+func TestRunTraceReportsOutput(t *testing.T) {
+	t.Parallel()
+	for _, format := range []string{"text", "json"} {
+		var out, errOut bytes.Buffer
+		code, err := run([]string{"-trace", "-format", format, "-model", "si", bankingPkg},
+			strings.NewReader(""), &out, &errOut)
+		if err != nil || code != 0 {
+			t.Fatalf("%s: exit %d, %v\n%s", format, code, err, errOut.String())
+		}
+		for _, stage := range []string{"analyze", "output"} {
+			if !strings.Contains(errOut.String(), "  "+stage+" ") {
+				t.Errorf("%s: stage table missing %s:\n%s", format, stage, errOut.String())
+			}
+		}
+	}
+}
+
 // TestRunJSON pins the shared machine-readable verdict schema.
 func TestRunJSON(t *testing.T) {
 	t.Parallel()

@@ -11,6 +11,8 @@ import (
 	"sian/internal/cliutil"
 	"sian/internal/dot"
 	"sian/internal/histio"
+	"sian/internal/obs"
+	"sian/internal/obs/txtrace"
 	"sian/internal/robustness"
 	"sian/internal/silint"
 )
@@ -23,7 +25,8 @@ type specRun struct {
 	json   bool
 	fix    bool
 	dot    string
-	obs    *cliutil.Obs
+	reg    *obs.Registry
+	trace  *txtrace.Trace // the run's: decode, check-*, fix-*, output
 	stdout io.Writer
 }
 
@@ -44,7 +47,6 @@ func (sp specRun) run(path string, stdin io.Reader) (int, error) {
 		return 2, err
 	}
 
-	done := sp.obs.Tracer.Phase("decode")
 	var keys map[string]json.RawMessage
 	if err := json.Unmarshal(data, &keys); err != nil {
 		return 2, fmt.Errorf("%s: %w", target, err)
@@ -62,7 +64,7 @@ func (sp specRun) run(path string, stdin io.Reader) (int, error) {
 	} else {
 		programs, err = histio.DecodePrograms(bytes.NewReader(data))
 	}
-	done()
+	sp.trace.Mark("decode")
 	if err != nil {
 		return 2, err
 	}
@@ -79,10 +81,9 @@ func (sp specRun) run(path string, stdin io.Reader) (int, error) {
 		return 2, fmt.Errorf("-model %s has no check for %s spec", sp.model, kind)
 	}
 
-	anomalies := sp.obs.Registry.Counter("silint_anomalies_total")
+	anomalies := sp.reg.Counter("silint_anomalies_total")
 	set := cliutil.VerdictSet{Tool: "silint", Verdicts: []cliutil.Verdict{}}
 	for i, c := range rows {
-		done := sp.obs.Tracer.Phase("check-" + c.Name)
 		v := cliutil.Verdict{Check: c.Name, Target: target, OK: true, Theorem: c.Theorem}
 		cycle := "critical cycle"
 		if isApp {
@@ -104,7 +105,7 @@ func (sp specRun) run(path string, stdin io.Reader) (int, error) {
 				v.Witness = sv.Graph.DescribeCycle(sv.Witness)
 			}
 		}
-		done()
+		sp.trace.Mark(txtrace.Stage("check-" + c.Name))
 		if !v.OK {
 			anomalies.Inc()
 			set.Exit = 1
@@ -126,6 +127,7 @@ func (sp specRun) run(path string, stdin io.Reader) (int, error) {
 			return 2, err
 		}
 	}
+	sp.trace.Mark("output")
 	return set.Exit, nil
 }
 
@@ -146,9 +148,8 @@ func printVerdict(w io.Writer, c silint.Check, v cliutil.Verdict) {
 // autochop prints the coarsened correct chopping at level: -fix for a
 // program set, which has no source to edit.
 func (sp specRun) autochop(programs []chopping.Program, level chopping.Criticality) error {
-	done := sp.obs.Tracer.Phase("fix-" + level.String())
 	fixed, err := chopping.Autochop(programs, level)
-	done()
+	sp.trace.Mark(txtrace.Stage("fix-" + level.String()))
 	if err != nil {
 		return err
 	}

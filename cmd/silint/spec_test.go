@@ -356,8 +356,8 @@ func TestSpecProgramsErrors(t *testing.T) {
 }
 
 // runTraced runs silint with -trace and -metrics - on spec, which must
-// fail, and checks the trace names the decode phase and phase, and the
-// metrics dump counts one anomaly.
+// fail, and checks the stage table names the decode, phase and output
+// stages, and the metrics dump counts one anomaly.
 func runTraced(t *testing.T, spec, phase string) {
 	t.Helper()
 	var out, errOut bytes.Buffer
@@ -368,10 +368,13 @@ func runTraced(t *testing.T, spec, phase string) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\n%s", code, out.String())
 	}
-	for _, want := range []string{"trace: phase=", "decode", phase} {
+	for _, want := range []string{"trace: per-stage latency", "decode", phase, "output"} {
 		if !strings.Contains(errOut.String(), want) {
 			t.Errorf("stderr missing %q:\n%s", want, errOut.String())
 		}
+	}
+	if !strings.Contains(out.String(), `trace_stage_ns_count{stage="decode"} 1`) {
+		t.Errorf("metrics dump missing the decode stage histogram:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "silint_anomalies_total 1") {
 		t.Errorf("metrics dump missing the anomaly counter:\n%s", out.String())

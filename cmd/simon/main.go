@@ -109,8 +109,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 	}
 
 	code, rerr := func() (int, error) {
-		// While serving, re-record the ingested stream so /events and
-		// /timeline have something to tail.
+		// While serving, re-record the ingested stream so /events has
+		// something to tail.
 		var rec *eventlog.Recorder
 		if o.Serving() {
 			rec = eventlog.NewRecorder(0)

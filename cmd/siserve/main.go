@@ -7,7 +7,7 @@
 // Usage:
 //
 //	siserve -dir waldir [-addr host:port] [-nosync] [-snapshot-every N]
-//	        [-window N] [-check-recovery] [-volatile] [-trace-txns]
+//	        [-window N] [-check-recovery] [-volatile]
 //	        [-trace] [-metrics file|-] [-serve addr]
 //
 // On startup siserve replays the write-ahead log in -dir (creating it
@@ -32,14 +32,15 @@
 // reporting the WAL fsync lag (appended minus synced LSN) and the
 // startup recovery verdict.
 //
-// -trace-txns turns on per-transaction commit-pipeline tracing
+// -trace turns on per-transaction commit-pipeline tracing
 // (internal/obs/txtrace): every transaction gets a trace ID (adopted
 // from the client when the siwire begin carries one) and monotonic
 // stage spans through begin, validation, WAL append, group-fsync wait,
 // publish and ack. Finished traces are served on the observability
 // plane at GET /trace/{id} and GET /slow, commit-latency histogram
 // buckets carry trace-ID exemplars, and commit responses return the
-// span tree to tracing clients. Off by default; when off the
+// span tree to tracing clients; /timeline draws the retained traces
+// and the per-stage table prints at exit. Off by default; when off the
 // per-commit cost is a nil check.
 //
 // SIGINT/SIGTERM shut down gracefully: stop accepting, sever
@@ -63,7 +64,6 @@ import (
 	"sian/internal/cliutil"
 	"sian/internal/engine"
 	"sian/internal/obs/eventlog"
-	"sian/internal/obs/txtrace"
 	"sian/internal/siwire"
 	"sian/internal/storage"
 	"sian/internal/storage/wal"
@@ -91,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) (in
 	snapshotEvery := fs.Int("snapshot-every", 0, "snapshot + truncate the log every N records (0 = default, negative disables)")
 	window := fs.Int("window", 0, "recovery certification monitor window (0 = default)")
 	checkRecovery := fs.Bool("check-recovery", false, "replay and certify the log, then exit without serving (0 certified, 1 refused)")
-	traceTxns := fs.Bool("trace-txns", false, "trace every transaction's commit-pipeline stages (served at /trace/{id} and /slow on the -serve plane)")
 	obsFlags := cliutil.RegisterObsFlags(fs)
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
@@ -111,7 +110,6 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) (in
 	code, err := serve(serveConfig{
 		addr: *addr, dir: *dir, volatile: *volatile, nosync: *nosync,
 		snapshotEvery: *snapshotEvery, window: *window, checkRecovery: *checkRecovery,
-		traceTxns: *traceTxns,
 	}, o, stdout, stderr, shutdown)
 	return o.Finish(code, err, stdout, stderr)
 }
@@ -124,7 +122,6 @@ type serveConfig struct {
 	snapshotEvery int
 	window        int
 	checkRecovery bool
-	traceTxns     bool
 }
 
 func serve(cfg serveConfig, o *cliutil.Obs, stdout, stderr io.Writer, shutdown <-chan os.Signal) (int, error) {
@@ -171,13 +168,10 @@ func serve(cfg serveConfig, o *cliutil.Obs, stdout, stderr io.Writer, shutdown <
 		rec = eventlog.NewRecorder(0)
 		o.SetRecorder(rec)
 	}
-	var txt *txtrace.Tracer
-	if cfg.traceTxns {
-		txt = txtrace.New(txtrace.Options{})
-		o.SetTxTracer(txt)
-		fmt.Fprintln(stdout, "siserve: transaction tracing on (/trace/{id}, /slow)")
+	if o.Tracer != nil {
+		fmt.Fprintln(stdout, "siserve: transaction tracing on (/trace/{id}, /slow, /timeline)")
 	}
-	db, err := engine.New(engine.SI, engine.Config{Driver: drv, Metrics: o.Registry, Recorder: rec, TxTracer: txt})
+	db, err := engine.New(engine.SI, engine.Config{Driver: drv, Metrics: o.Registry, Recorder: rec, TxTracer: o.Tracer})
 	if err != nil {
 		return 2, err
 	}

@@ -23,6 +23,12 @@ var (
 	quotedCmdRE = regexp.MustCompile(`(?:^|[\s(])(?:\./|sian/)?cmd/(\w+)`)
 	goRunRE     = regexp.MustCompile(`\bgo (?:run|build)\b`)
 	runCmdRE    = regexp.MustCompile(`\./cmd/(\w+)`)
+	// A command line: `go run ./cmd/X`, `./X` or an installed `…/bin/X`,
+	// then its arguments up to a pipe, list operator, comment or
+	// redirection.
+	cmdLineRE = regexp.MustCompile(`(?:go run \./cmd/|\./|/bin/)(\w+)([^|;&#<>]*)`)
+	flagRE    = regexp.MustCompile(`(?:^|\s)-([A-Za-z][\w-]*)`)
+	fsFlagRE  = regexp.MustCompile(`\bfs\.[A-Z]\w*\("([\w-]+)"`)
 )
 
 // TestDocsNameRealCommands fails when a back-quoted `cmd/<name>` in
@@ -80,9 +86,77 @@ func TestDocsNameRealTests(t *testing.T) {
 	}
 }
 
+// TestDocsNameRealFlags fails when a flag on a `go run ./cmd/X`,
+// `./X` or `…/bin/X` command line in namingDocs or CI (continuation
+// lines joined) is not registered by cmd/X: its own fs.* calls, plus
+// the shared cliutil.RegisterObsFlags set when it calls that.
+func TestDocsNameRealFlags(t *testing.T) {
+	flags := cmdFlags(t)
+	for _, doc := range append(namingDocs, ciFile) {
+		for _, bad := range staleFlags(readDoc(t, doc), flags) {
+			t.Errorf("%s: `%s` is not a flag of that command", doc, bad)
+		}
+	}
+}
+
+// staleFlags returns "X -flag" for every flag on a command line of
+// text (see TestDocsNameRealFlags) that flags[X] lacks. Lines naming
+// no command in flags are skipped.
+func staleFlags(text string, flags map[string]map[string]bool) []string {
+	var stale []string
+	for _, line := range strings.Split(strings.ReplaceAll(text, "\\\n", " "), "\n") {
+		for _, m := range cmdLineRE.FindAllStringSubmatch(line, -1) {
+			known, isCmd := flags[m[1]]
+			for _, f := range flagRE.FindAllStringSubmatch(m[2], -1) {
+				if isCmd && !known[f[1]] {
+					stale = append(stale, m[1]+" -"+f[1])
+				}
+			}
+		}
+	}
+	return stale
+}
+
+// cmdFlags maps each command under cmd/ to the flags its non-test
+// sources register, with -h and -help, which package flag provides.
+func cmdFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	registered := func(src string) map[string]bool {
+		set := map[string]bool{"h": true, "help": true}
+		for _, m := range fsFlagRE.FindAllStringSubmatch(src, -1) {
+			set[m[1]] = true
+		}
+		return set
+	}
+	shared := registered(readDoc(t, "internal/cliutil/cliutil.go"))
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]map[string]bool{}
+	for _, d := range dirs {
+		files, _ := filepath.Glob(filepath.Join("cmd", d.Name(), "*.go"))
+		var src strings.Builder
+		for _, f := range files {
+			if !strings.HasSuffix(f, "_test.go") {
+				src.WriteString(readDoc(t, f))
+			}
+		}
+		set := registered(src.String())
+		if strings.Contains(src.String(), "cliutil.RegisterObsFlags(") {
+			for f := range shared {
+				set[f] = true
+			}
+		}
+		flags[d.Name()] = set
+	}
+	return flags
+}
+
 // TestDocsCheckerCatchesStaleRow pins the failing side on the kinds of
 // row that rotted before: a DESIGN.md experiment row naming a test
-// family that never existed, and docs naming a deleted command.
+// family that never existed, docs naming a deleted command, and a
+// command line passing a deleted flag.
 func TestDocsCheckerCatchesStaleRow(t *testing.T) {
 	isCmd := func(name string) bool { return name == "silint" }
 	doc := "| `cmd/sichop` | CLI |\nRun `go run ./cmd/silint x.json`, or `sian/cmd/silint`.\n" +
@@ -97,6 +171,13 @@ func TestDocsCheckerCatchesStaleRow(t *testing.T) {
 	}
 	if got := staleNames(ciPatterns(`go test -run '^$' -bench 'BenchmarkFig2a|BenchmarkNope' .`), funcs); len(got) != 1 || got[0] != "BenchmarkNope" {
 		t.Errorf("stale CI names = %q, want [BenchmarkNope]", got)
+	}
+	flags := map[string]map[string]bool{"sibench": {"addr": true, "timeline": true}, "siserve": {"dir": true}}
+	script := "./siserve -dir d -trace-txns > s.log 2>&1 &\n" +
+		"./sibench -addr a -workload closedloop \\\n    -trace-txns -timeline t.json | grep -q -trace-txns\n" +
+		"go test -run TestX ./cmd/sibench/ -trace-txns\n"
+	if got := staleFlags(script, flags); strings.Join(got, ", ") != "siserve -trace-txns, sibench -workload, sibench -trace-txns" {
+		t.Errorf("stale flags = %q, want siserve -trace-txns, sibench -workload and -trace-txns", got)
 	}
 }
 

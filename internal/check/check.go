@@ -34,12 +34,13 @@ import (
 	"sian/internal/execution"
 	"sian/internal/model"
 	"sian/internal/obs"
+	"sian/internal/obs/txtrace"
 )
 
 // Options configures certification. The zero value selects the
 // defaults: an initialisation transaction writing 0, a one-million
 // candidate budget and one worker per CPU. Each field is normalised
-// individually, so setting only some fields (a Tracer, a Metrics
+// individually, so setting only some fields (a Trace, a Metrics
 // registry) keeps the defaults for the rest.
 type Options struct {
 	// NoInit disables extending the history with an initialisation
@@ -70,15 +71,18 @@ type Options struct {
 	// the Theorem 10(i) construction to produce an abstract execution
 	// certificate.
 	BuildExecution bool
-	// Tracer, when non-nil, records the certification phases: validate
-	// (history well-formedness and INT), wr-enumeration (read-site
-	// candidate discovery), extension-search (WR assignment and WW
-	// linear extensions), cycle-search (the per-candidate composite
-	// cycle checks, accumulated), solve-inequalities (the Figure 3 /
-	// Lemma 15 execution construction) and explain (witness
-	// decomposition). cycle-search time is a subset of
-	// extension-search time.
-	Tracer *obs.Tracer
+	// Trace, when non-nil, receives the certification's stages, in
+	// order (txtrace.StageCheck*): check_validate (history
+	// well-formedness and INT), check_wr_enumeration (read-site
+	// candidate discovery), check_extension_search (WR assignment and
+	// WW linear extensions; attrs cycle_ns, the per-candidate cycle
+	// checks summed over all workers, and candidates, Result.Examined),
+	// check_solve_inequalities (the Figure 3 / Lemma 15 execution
+	// construction) and check_explain (witness decomposition). Each
+	// stage runs from the trace's previous mark. A Trace belongs to
+	// one goroutine: CertifyAll certifies one model after another when
+	// it is set.
+	Trace *txtrace.Trace
 	// Metrics, when non-nil, receives the search counters
 	// check_graphs_examined_total, check_branches_pruned_total,
 	// check_wr_assignments_total, check_undo_ops_total,
@@ -97,7 +101,7 @@ func DefaultOptions() Options {
 // normalized fills in the per-field defaults. Every field stands on
 // its own — there is deliberately no "zero value means all defaults"
 // comparison, which used to silently disable the init transaction and
-// budget when only Tracer or Metrics were set.
+// budget when only Trace or Metrics were set.
 func (o Options) normalized() Options {
 	if o.Budget <= 0 {
 		o.Budget = 1_000_000
@@ -204,29 +208,28 @@ func Certify(h *model.History, m depgraph.Model, opts Options) (*Result, error) 
 	if !opts.NoInit {
 		target = h.WithInit(opts.InitValue)
 	}
-	doneValidate := opts.Tracer.Phase("validate")
+	tr := opts.Trace
 	if err := target.Validate(); err != nil {
-		doneValidate()
+		tr.Mark(txtrace.StageCheckValidate)
 		return nil, fmt.Errorf("check: invalid history: %w", err)
 	}
 	res := &Result{History: target}
 	// INT is model-independent (it constrains transactions, not
 	// dependencies); fail fast.
-	if err := target.CheckInt(); err != nil {
-		doneValidate()
+	err := target.CheckInt()
+	tr.Mark(txtrace.StageCheckValidate)
+	if err != nil {
 		res.Explain = &Explanation{
 			Model: m, Axiom: "INT", Detail: err.Error(), Definitive: true,
 		}
 		return res, nil //nolint:nilerr // INT violation simply means non-membership.
 	}
-	doneValidate()
 	pinned := -1
 	if opts.PinInit {
 		pinned = 0
 	}
-	doneWR := opts.Tracer.Phase("wr-enumeration")
 	s, err := newSearch(target, m, opts.Budget, opts.Parallelism, pinned)
-	doneWR()
+	tr.Mark(txtrace.StageCheckWREnumeration)
 	if err != nil {
 		// A read with no candidate writer: no extension exists.
 		res.Member = false
@@ -235,7 +238,7 @@ func Certify(h *model.History, m depgraph.Model, opts Options) (*Result, error) 
 		}
 		return res, nil //nolint:nilerr // unresolvable read means non-membership
 	}
-	s.tracer = opts.Tracer
+	s.timed = tr != nil
 	if opts.Metrics != nil {
 		lbl := obs.L("model", m.String())
 		s.cExamined = opts.Metrics.Counter("check_graphs_examined_total", lbl)
@@ -245,13 +248,12 @@ func Certify(h *model.History, m depgraph.Model, opts Options) (*Result, error) 
 		s.cDelta = opts.Metrics.Counter("check_closure_delta_edges_total", lbl)
 		s.cWorkers = opts.Metrics.Counter("check_workers_spawned_total", lbl)
 	}
-	doneSearch := opts.Tracer.Phase("extension-search")
-	// cycle-search is accumulated by the search workers; reserve its
-	// report position now so the trace order does not depend on which
-	// worker records the first interval.
-	opts.Tracer.Reserve("cycle-search")
 	g, examined, err := s.run()
-	doneSearch()
+	if tr != nil {
+		// The workers have joined: their cycle-check time is summed.
+		tr.MarkAttrs(txtrace.StageCheckExtensionSearch, map[string]int64{
+			"cycle_ns": s.cycleNS.Load(), "candidates": int64(examined)})
+	}
 	res.Examined = examined
 	if err != nil {
 		return res, err
@@ -260,15 +262,15 @@ func Certify(h *model.History, m depgraph.Model, opts Options) (*Result, error) 
 		if examined == 1 {
 			res.Rejection = s.lastCandidate
 		}
-		res.Explain = s.explainNegative(m, examined, opts.Tracer)
+		res.Explain = s.explainNegative(m, examined)
+		tr.Mark(txtrace.StageCheckExplain)
 		return res, nil
 	}
 	res.Member = true
 	res.Graph = g
 	if opts.BuildExecution && m == depgraph.SI {
-		doneSolve := opts.Tracer.Phase("solve-inequalities")
 		x, err := core.BuildExecution(g)
-		doneSolve()
+		tr.Mark(txtrace.StageCheckSolve)
 		if err != nil {
 			return res, fmt.Errorf("check: building SI execution certificate: %w", err)
 		}
@@ -281,9 +283,7 @@ func Certify(h *model.History, m depgraph.Model, opts Options) (*Result, error) 
 // the search's final state: the last complete candidate graph when one
 // exists, or the dependency (base) cycle that killed the last pruned
 // branch when every branch died early.
-func (s *search) explainNegative(m depgraph.Model, examined int, tr *obs.Tracer) *Explanation {
-	doneExplain := tr.Phase("explain")
-	defer doneExplain()
+func (s *search) explainNegative(m depgraph.Model, examined int) *Explanation {
 	definitive := examined == 1
 	detail := ""
 	if !definitive && examined > 1 {
@@ -317,15 +317,20 @@ func (s *search) explainNegative(m depgraph.Model, examined int, tr *obs.Tracer)
 }
 
 // CertifyAll certifies the history against several models
-// concurrently, one goroutine per model, and returns the results keyed
-// by model. On failure it returns the error of the first failing model
-// in the order of the models argument (results for other models may
-// still be present).
+// concurrently, one goroutine per model (in order on the caller's
+// goroutine when opts.Trace is set, so the trace holds each model's
+// stages in turn), and returns the results keyed by model. On failure
+// it returns the error of the first failing model in the order of the
+// models argument (results for other models may still be present).
 func CertifyAll(h *model.History, models []depgraph.Model, opts Options) (map[depgraph.Model]*Result, error) {
 	results := make([]*Result, len(models))
 	errs := make([]error, len(models))
 	var wg sync.WaitGroup
 	for i, m := range models {
+		if opts.Trace != nil {
+			results[i], errs[i] = Certify(h, m, opts)
+			continue
+		}
 		wg.Add(1)
 		go func(i int, m depgraph.Model) {
 			defer wg.Done()

@@ -65,8 +65,11 @@ type search struct {
 	lastCandidate *depgraph.Graph
 	lastPruned    *depgraph.Graph
 
-	// Optional observability (all nil-safe no-ops when unset).
-	tracer    *obs.Tracer
+	// Optional observability (all nil-safe no-ops when unset). timed
+	// turns on cycleNS, the cycle checks' time summed over workers,
+	// for the trace's check_extension_search attrs.
+	timed     bool
+	cycleNS   atomic.Int64
 	cExamined *obs.Counter
 	cPruned   *obs.Counter
 	cWR       *obs.Counter
@@ -522,14 +525,12 @@ func (b *branchRun) orderWrites(oi int) (bool, error) {
 	}
 	b.res.lastCandidate = b.snapshotChoice(len(s.objs))
 	s.cExamined.Inc()
-	var cycleStart time.Time
-	if s.tracer != nil {
-		cycleStart = time.Now()
+	if !s.timed {
+		return b.bld.InModel() == nil, nil
 	}
+	cycleStart := time.Now()
 	err := b.bld.InModel()
-	if s.tracer != nil {
-		s.tracer.Add("cycle-search", time.Since(cycleStart))
-	}
+	s.cycleNS.Add(int64(time.Since(cycleStart)))
 	return err == nil, nil
 }
 

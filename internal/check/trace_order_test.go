@@ -1,12 +1,12 @@
 package check
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"sian/internal/depgraph"
 	"sian/internal/model"
-	"sian/internal/obs"
+	"sian/internal/obs/txtrace"
 )
 
 // branchingWriteSkew is a write-skew history with a duplicated write
@@ -29,41 +29,40 @@ func branchingWriteSkew() *model.History {
 	)
 }
 
-// TestTracePhaseOrderDeterministic pins the fix for the tracer
-// phase-ordering race: with a parallel search, worker goroutines used
-// to record "cycle-search" at whatever moment the first worker reached
-// it, so the reported phase sequence varied from run to run. Certify
-// now reserves the slot up front, and the phase order must be
-// identical across repeated runs.
+// TestTracePhaseOrderDeterministic pins the certifier's stages on a
+// parallel search: at Parallelism 4 every run marks the same stage
+// list, the workers' cycle-check time arrives as attrs of
+// check_extension_search once they have joined, and its candidates
+// attr equals Result.Examined.
 func TestTracePhaseOrderDeterministic(t *testing.T) {
 	t.Parallel()
 	h := branchingWriteSkew()
-	var want string
+	want := []txtrace.Stage{txtrace.StageCheckValidate, txtrace.StageCheckWREnumeration,
+		txtrace.StageCheckExtensionSearch}
+	tt := txtrace.New(txtrace.Options{})
 	for i := 0; i < 20; i++ {
-		tr := obs.NewTracer(nil)
-		_, err := Certify(h, depgraph.SER, Options{
-			NoInit:      true,
-			PinInit:     false,
-			Parallelism: 4,
-			Tracer:      tr,
-		})
+		tr := tt.Begin("check")
+		res, err := Certify(h, depgraph.SER, Options{NoInit: true, Parallelism: 4, Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var names []string
-		for _, p := range tr.Phases() {
-			names = append(names, p.Name)
+		tr.Finish("ok", 0)
+		if !res.Member {
+			t.Fatal("the branching write skew is serializable once tA reads t1's a=1")
 		}
-		got := strings.Join(names, ",")
-		if i == 0 {
-			want = got
-			if !strings.Contains(got, "cycle-search") {
-				t.Fatalf("run did not exercise cycle-search: phases %q", got)
-			}
-			continue
+		var got []txtrace.Stage
+		for _, sp := range tr.Data().Spans {
+			got = append(got, sp.Stage)
 		}
-		if got != want {
-			t.Fatalf("run %d phase order %q differs from first run %q", i, got, want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d stages %v, want %v", i, got, want)
+		}
+		attrs := tr.Data().Spans[2].Attrs
+		if attrs["candidates"] != int64(res.Examined) || res.Examined < 2 {
+			t.Fatalf("run %d: candidates attr %d, Result.Examined %d (want equal, ≥ 2)", i, attrs["candidates"], res.Examined)
+		}
+		if attrs["cycle_ns"] <= 0 {
+			t.Fatalf("run %d: cycle_ns %d, want > 0", i, attrs["cycle_ns"])
 		}
 	}
 }

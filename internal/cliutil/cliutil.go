@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"sian/internal/obs"
 	"sian/internal/obs/eventlog"
@@ -27,7 +28,10 @@ type ObsFlags struct {
 
 // RegisterObsFlags registers the shared observability flags on fs:
 //
-//	-trace        per-phase timing lines on stderr
+//	-trace        trace the run (internal/obs/txtrace): its transactions,
+//	              certifications and phases; the per-stage table on
+//	              stderr at exit, /trace/{id}, /slow and /timeline on
+//	              the -serve plane
 //	-metrics      dump the metrics registry on exit
 //	-serve        serve the live observability plane (internal/obs/obshttp),
 //	              net/http/pprof under /debug/pprof/ included
@@ -36,7 +40,7 @@ type ObsFlags struct {
 // names, help strings and semantics cannot drift between tools.
 func RegisterObsFlags(fs *flag.FlagSet) *ObsFlags {
 	f := &ObsFlags{}
-	f.trace = fs.Bool("trace", false, "print per-phase timing lines on stderr")
+	f.trace = fs.Bool("trace", false, "trace the run's transactions, certifications and phases; print the per-stage latency table on stderr at exit")
 	f.metrics = fs.String("metrics", "", "dump the metrics registry on exit to this file ('-' for stdout, *.json for JSON)")
 	f.serve = fs.String("serve", "", "serve the live observability plane on this address during the run (e.g. :8080): /metrics, /metrics.json, /healthz, /events, /verdicts, /timeline, /debug/pprof/")
 	return f
@@ -48,8 +52,9 @@ func RegisterObsFlags(fs *flag.FlagSet) *ObsFlags {
 type Obs struct {
 	// Registry is the run's metric registry.
 	Registry *obs.Registry
-	// Tracer is non-nil when -trace was set.
-	Tracer *obs.Tracer
+	// Tracer is non-nil when -trace was set. Its per-stage histograms
+	// are the registry's trace_stage_ns{stage} series.
+	Tracer *txtrace.Tracer
 	// Server is non-nil when -serve was set.
 	Server *obshttp.Server
 
@@ -63,10 +68,10 @@ type Obs struct {
 func (f *ObsFlags) Start(name string, stderr io.Writer) (*Obs, error) {
 	o := &Obs{Registry: obs.NewRegistry(), metrics: *f.metrics}
 	if *f.trace {
-		o.Tracer = obs.NewTracer(o.Registry)
+		o.Tracer = txtrace.New(txtrace.Options{Metrics: o.Registry})
 	}
 	if *f.serve != "" {
-		o.Server = obshttp.New(obshttp.Config{Name: name, Registry: o.Registry, Tracer: o.Tracer})
+		o.Server = obshttp.New(obshttp.Config{Name: name, Registry: o.Registry, TxTracer: o.Tracer})
 		if err := o.Server.Serve(*f.serve); err != nil {
 			return nil, err
 		}
@@ -79,15 +84,15 @@ func (f *ObsFlags) Start(name string, stderr io.Writer) (*Obs, error) {
 func (o *Obs) Serving() bool { return o != nil && o.Server != nil }
 
 // SetRecorder attaches the flight recorder to the live plane's
-// /events and /timeline endpoints. No-op without -serve.
+// /events endpoint. No-op without -serve.
 func (o *Obs) SetRecorder(rec *eventlog.Recorder) {
 	if o != nil && o.Server != nil {
 		o.Server.SetRecorder(rec)
 	}
 }
 
-// SetTxTracer attaches the transaction tracer to the live plane's
-// /trace/{id} and /slow endpoints. No-op without -serve.
+// SetTxTracer attaches a tracer to the live plane's /trace/{id},
+// /slow and /timeline endpoints. No-op without -serve.
 func (o *Obs) SetTxTracer(t *txtrace.Tracer) {
 	if o != nil && o.Server != nil {
 		o.Server.SetTxTracer(t)
@@ -118,16 +123,42 @@ func (o *Obs) PublishVerdict(v obshttp.VerdictEvent) {
 	}
 }
 
-// Finish performs the exit-time observability work — tracer report on
-// stderr, -metrics dump of the current registry — and stops the
-// servers. It passes through (code, err), replacing them with (2,
+// Begin starts the run's own trace (nil without -trace), named after
+// the tool, and returns it with the function a main returns through:
+// it finishes the trace with the run's Outcome, then calls Finish, so
+// the trace is in the stage table.
+func (o *Obs) Begin(tool string, stdout, stderr io.Writer) (*txtrace.Trace, func(int, error) (int, error)) {
+	tr := o.Tracer.Begin(tool)
+	return tr, func(code int, err error) (int, error) {
+		tr.Finish(Outcome(code, err), 0)
+		return o.Finish(code, err, stdout, stderr)
+	}
+}
+
+// Outcome names a run's result for its trace: "ok" for exit 0,
+// "violation" for exit 1, "error" otherwise.
+func Outcome(code int, err error) string {
+	switch {
+	case err != nil || code > 1:
+		return txtrace.OutcomeError
+	case code == 1:
+		return "violation"
+	}
+	return "ok"
+}
+
+// Finish performs the exit-time observability work — the -trace
+// per-stage table on stderr, -metrics dump of the current registry —
+// and stops the servers. It passes through (code, err), replacing them with (2,
 // dump error) when the dump itself fails and no earlier error exists,
 // so mains can `return o.Finish(code, err, ...)` as their final word.
 func (o *Obs) Finish(code int, err error, stdout, stderr io.Writer) (int, error) {
 	if o == nil {
 		return code, err
 	}
-	o.Tracer.Report(stderr)
+	if o.Tracer != nil {
+		printStageTable(stderr, o.Tracer.StageLatencies())
+	}
 	if o.metrics != "" {
 		if derr := o.Registry.Dump(o.metrics, stdout); derr != nil && err == nil {
 			code, err = 2, derr
@@ -137,4 +168,29 @@ func (o *Obs) Finish(code int, err error, stdout, stderr io.Writer) (int, error)
 		o.Server.Close()
 	}
 	return code, err
+}
+
+// printStageTable prints the -trace per-stage latency breakdown: one
+// row per stage (wire round trip, commit pipeline, certifier, run
+// phase), in the tracer's canonical order.
+func printStageTable(w io.Writer, stages []txtrace.StageLatency) {
+	if len(stages) == 0 {
+		fmt.Fprintln(w, "trace: no finished traces")
+		return
+	}
+	fmt.Fprintln(w, "trace: per-stage latency (pipeline order)")
+	fmt.Fprintf(w, "  %-24s %10s %12s %12s\n", "stage", "count", "p50", "p99")
+	wire := false
+	for _, s := range stages {
+		fmt.Fprintf(w, "  %-24s %10d %12v %12v\n", s.Stage, s.Count,
+			time.Duration(s.P50NS).Round(time.Microsecond),
+			time.Duration(s.P99NS).Round(time.Microsecond))
+		wire = wire || s.Stage == txtrace.StageWireBegin
+	}
+	if wire {
+		// siwire pipelines begin and write: without this line the
+		// ≈ 0 µs wire_begin row reads as a measurement error.
+		fmt.Fprintln(w, "  (wire_begin times only the enqueue: begin and write replies are deferred, so begin's"+
+			" round trip rides with the first read in wire_ops and the last write's with wire_commit)")
+	}
 }

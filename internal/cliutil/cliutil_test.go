@@ -51,17 +51,20 @@ func TestObsFlagsFinishPassthrough(t *testing.T) {
 	if o.Tracer == nil {
 		t.Fatal("-trace should build a tracer")
 	}
-	done := o.Tracer.Phase("work")
-	done()
+	tr, finish := o.Begin("x", &stdout, &stderr)
+	tr.Mark("work")
 	wantErr := fmt.Errorf("boom")
-	if code, err := o.Finish(1, wantErr, &stdout, &stderr); code != 1 || err != wantErr {
-		t.Errorf("Finish = (%d, %v), want passthrough (1, boom)", code, err)
+	if code, err := finish(1, wantErr); code != 1 || err != wantErr {
+		t.Errorf("finish = (%d, %v), want passthrough (1, boom)", code, err)
 	}
-	if !strings.Contains(stderr.String(), "phase=work") {
-		t.Errorf("tracer report missing from stderr: %q", stderr.String())
+	if td := tr.Data(); td == nil || td.Outcome != "error" {
+		t.Errorf("run trace not finished with outcome error: %+v", td)
 	}
-	if !strings.Contains(stdout.String(), "phase_duration_ns") {
-		t.Errorf("-metrics - dump missing from stdout: %q", stdout.String())
+	if !strings.Contains(stderr.String(), "trace: per-stage latency") || !strings.Contains(stderr.String(), "work") {
+		t.Errorf("stage table missing from stderr: %q", stderr.String())
+	}
+	if !strings.Contains(stdout.String(), `trace_stage_ns_count{stage="work"} 1`) {
+		t.Errorf("-metrics - dump missing the stage histogram: %q", stdout.String())
 	}
 }
 

@@ -116,10 +116,10 @@ type Config struct {
 	Metrics *obs.Registry
 	// Recorder, when non-nil, receives a structured event for every
 	// transaction lifecycle point (begin, read, write, commit, abort,
-	// conflict) across all sessions — the flight-recorder stream that
-	// internal/monitor certifies online and eventlog.WriteChromeTrace
-	// renders as a timeline. Recording is lock-light and never blocks
-	// commits; nil keeps the hot path free of event appends.
+	// conflict) across all sessions — the history's event stream that
+	// internal/monitor certifies online (timelines are TxTracer's).
+	// Recording is lock-light and never blocks commits; nil keeps the
+	// hot path free of event appends.
 	Recorder *eventlog.Recorder
 	// TxTracer, when non-nil, assigns every transaction attempt a
 	// trace ID and records per-stage commit-pipeline spans (begin

@@ -8,9 +8,9 @@
 // recording never blocks and never grows — the recorder keeps the
 // recent past, like an aircraft flight recorder.
 //
-// Events dump to and load from NDJSON via internal/histio, and render
-// to a Chrome trace-event (Perfetto-loadable) timeline via
-// WriteChromeTrace.
+// The stream is the history's event log, nothing more: the online
+// monitor's input, NDJSON via internal/histio (-record), and the live
+// /events tail. Timelines are spans, drawn by internal/obs/txtrace.
 package eventlog
 
 import (

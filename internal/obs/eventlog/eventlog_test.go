@@ -111,33 +111,3 @@ func TestConcurrentRecord(t *testing.T) {
 		t.Errorf("retained %d + dropped %d != recorded %d", len(evs), r.Dropped(), workers*each)
 	}
 }
-
-func TestSpans(t *testing.T) {
-	t.Parallel()
-	events := []Event{
-		{Seq: 1, TS: 1000, Kind: Begin, Session: "a", TxID: "a#1"},
-		{Seq: 2, TS: 1100, Kind: Read, Session: "a", TxID: "a#1", Obj: "x"},
-		{Seq: 3, TS: 1200, Kind: Begin, Session: "b", TxID: "b#1"},
-		{Seq: 4, TS: 1300, Kind: Write, Session: "a", TxID: "a#1", Obj: "y", Val: 7},
-		{Seq: 5, TS: 1400, Kind: Commit, Session: "a", TxID: "a#1", Name: "a/1"},
-		{Seq: 6, TS: 1500, Kind: Conflict, Session: "b", TxID: "b#1"},
-		{Seq: 7, TS: 1600, Kind: Begin, Session: "b", TxID: "b#2"},
-	}
-	spans := Spans(events)
-	if len(spans) != 3 {
-		t.Fatalf("spans = %d, want 3", len(spans))
-	}
-	a := spans[0]
-	if a.TxID != "a#1" || a.Name != "a/1" || a.Outcome != Commit ||
-		a.BeginTS != 1000 || a.EndTS != 1400 || a.Reads != 1 || a.Writes != 1 {
-		t.Errorf("span a = %+v", a)
-	}
-	b := spans[1]
-	if b.TxID != "b#1" || b.Outcome != Conflict || b.BeginTS != 1200 || b.EndTS != 1500 {
-		t.Errorf("span b#1 = %+v", b)
-	}
-	// The still-open attempt extends to the dump's last timestamp.
-	if open := spans[2]; open.Outcome != KindInvalid || open.EndTS != 1600 {
-		t.Errorf("open span = %+v", open)
-	}
-}

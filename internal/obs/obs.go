@@ -1,6 +1,6 @@
 // Package obs is the observability substrate of the module: counters,
-// gauges and latency histograms behind a small registry, a lightweight
-// phase tracer, and Prometheus-text / JSON exporters.
+// gauges and latency histograms behind a small registry, and
+// Prometheus-text / JSON exporters. Spans live in internal/obs/txtrace.
 //
 // The design goals, in order:
 //
@@ -11,7 +11,7 @@
 //  2. Safe under heavy concurrency. All mutation is atomic; the
 //     registry lock is taken only at registration and export time.
 //  3. Nil-tolerant. Every method on a nil *Counter, *Gauge,
-//     *Histogram or *Tracer is a no-op, so instrumented code needs no
+//     *Histogram or *Registry is a no-op, so instrumented code needs no
 //     "is observability enabled?" branches.
 //
 // Histograms use fixed log-scale (power-of-two) buckets: a value v ≥ 0
@@ -32,7 +32,7 @@ import (
 )
 
 // Label is one key=value dimension of a metric series (for example
-// engine="SI" or phase="cycle-search").
+// engine="SI" or stage="validate").
 type Label struct {
 	Key, Value string
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestCounterConcurrent hammers one counter series from many
@@ -181,13 +180,6 @@ func TestNilSafety(t *testing.T) {
 	if err := reg.WritePrometheus(nil); err != nil {
 		t.Errorf("nil registry export: %v", err)
 	}
-	var tr *Tracer
-	tr.Phase("p")()
-	tr.Add("p", time.Second)
-	tr.Report(nil)
-	if tr.Phases() != nil {
-		t.Error("nil tracer should have no phases")
-	}
 }
 
 func TestRegistryKindMismatchPanics(t *testing.T) {
@@ -200,49 +192,4 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("m")
 	reg.Histogram("m")
-}
-
-func TestTracerPhases(t *testing.T) {
-	t.Parallel()
-	reg := NewRegistry()
-	tr := NewTracer(reg)
-	done := tr.Phase("alpha")
-	time.Sleep(time.Millisecond)
-	done()
-	tr.Add("beta", 3*time.Millisecond)
-	tr.Add("beta", 2*time.Millisecond)
-	ps := tr.Phases()
-	if len(ps) != 2 {
-		t.Fatalf("phases = %d, want 2", len(ps))
-	}
-	if ps[0].Name != "alpha" || ps[0].Duration <= 0 || ps[0].Count != 1 {
-		t.Errorf("alpha = %+v, want positive single span", ps[0])
-	}
-	if ps[1].Name != "beta" || ps[1].Duration != 5*time.Millisecond || ps[1].Count != 2 {
-		t.Errorf("beta = %+v, want 5ms over 2 intervals", ps[1])
-	}
-	// Phase durations must also land in the registry histogram.
-	if n := reg.Histogram("phase_duration_ns", L("phase", "beta")).Count(); n != 2 {
-		t.Errorf("phase_duration_ns{phase=beta} count = %d, want 2", n)
-	}
-}
-
-func TestTracerConcurrent(t *testing.T) {
-	t.Parallel()
-	tr := NewTracer(nil)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				tr.Add("shared", time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	ps := tr.Phases()
-	if len(ps) != 1 || ps[0].Count != 4000 || ps[0].Duration != 4000*time.Microsecond {
-		t.Errorf("phases = %+v, want one shared phase with 4000 × 1µs", ps)
-	}
 }

@@ -28,12 +28,12 @@
 //	GET /verdicts      Server-Sent Events stream of monitor verdicts
 //	                   published via PublishVerdict.
 //	GET /timeline      Chrome trace-event JSON snapshot of the
-//	                   retained flight-recorder events plus tracer
-//	                   phases (Perfetto-loadable).
+//	                   tracer's retained traces: client, server and
+//	                   certifier tracks (Perfetto-loadable).
 //	GET /debug/pprof/  net/http/pprof.
 //
-// The recorder and tracers are swappable at runtime (SetRecorder,
-// SetTracer, SetTxTracer), so a CLI can start the plane before it
+// The recorder and tracer are swappable at runtime (SetRecorder,
+// SetTxTracer), so a CLI can start the plane before it
 // builds the components those endpoints serve.
 package obshttp
 
@@ -53,8 +53,8 @@ import (
 )
 
 // Config parameterises a Server. Every field is optional: endpoints
-// whose backing component is absent respond 404 (/events, /timeline)
-// or serve an empty document (/metrics).
+// whose backing component is absent respond 404 (/events, /timeline,
+// /trace/{id}, /slow) or serve an empty document (/metrics).
 type Config struct {
 	// Name identifies the serving component in /healthz (for example
 	// "sibench"). Empty means "sian".
@@ -62,13 +62,10 @@ type Config struct {
 	// Registry is the metrics registry scraped by /metrics and
 	// /metrics.json.
 	Registry *obs.Registry
-	// Recorder is the flight recorder tailed by /events and
-	// snapshotted by /timeline.
+	// Recorder is the flight recorder tailed by /events.
 	Recorder *eventlog.Recorder
-	// Tracer contributes phase spans to /timeline.
-	Tracer *obs.Tracer
-	// TxTracer backs /trace/{id} and /slow. Absent (the default —
-	// transaction tracing is opt-in) both endpoints respond 404.
+	// TxTracer backs /trace/{id}, /slow and /timeline. Absent (the
+	// default — tracing is opt-in) the three endpoints respond 404.
 	TxTracer *txtrace.Tracer
 	// KeepAlive is the SSE keep-alive interval: how often an idle
 	// stream emits a comment frame so proxies and clients can detect
@@ -85,7 +82,6 @@ type Server struct {
 
 	registry *obs.Registry
 	recorder atomic.Pointer[eventlog.Recorder]
-	tracer   atomic.Pointer[obs.Tracer]
 	txtracer atomic.Pointer[txtrace.Tracer]
 
 	// self holds the server's own metric series (SSE client gauges and
@@ -123,7 +119,6 @@ func New(cfg Config) *Server {
 		done:      make(chan struct{}),
 	}
 	s.recorder.Store(cfg.Recorder)
-	s.tracer.Store(cfg.Tracer)
 	s.txtracer.Store(cfg.TxTracer)
 	s.events = newSSEStream(s.self, "events")
 	s.verdicts = newSSEStream(s.self, "verdicts")
@@ -146,15 +141,12 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// SetRecorder repoints /events and /timeline at rec. Streams already
+// SetRecorder repoints /events at rec. Streams already
 // tailing the previous recorder keep it until the client reconnects.
 func (s *Server) SetRecorder(rec *eventlog.Recorder) { s.recorder.Store(rec) }
 
-// SetTracer repoints /timeline's phase-span source at tr.
-func (s *Server) SetTracer(tr *obs.Tracer) { s.tracer.Store(tr) }
-
-// SetTxTracer repoints /trace/{id} and /slow at t. Nil is allowed and
-// returns both endpoints to their tracing-off 404.
+// SetTxTracer repoints /trace/{id}, /slow and /timeline at t. Nil is
+// allowed and returns the three endpoints to their tracing-off 404.
 func (s *Server) SetTxTracer(t *txtrace.Tracer) { s.txtracer.Store(t) }
 
 // SetHealth registers a callback whose key/value pairs are merged into
@@ -339,9 +331,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleTrace serves one finished transaction's span tree by trace ID
 // (the 16-hex-digit form that exemplars, /slow and sibench print).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tt := s.txtracer.Load()
+	tt := s.tracing(w)
 	if tt == nil {
-		http.Error(w, "transaction tracing is off (run with -trace-txns)", http.StatusNotFound)
 		return
 	}
 	id, err := txtrace.ParseID(r.PathValue("id"))
@@ -371,9 +362,8 @@ type slowDoc struct {
 // above ?threshold= (a Go duration like 2ms, or a bare nanosecond
 // count), slowest first, capped at ?limit=.
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	tt := s.txtracer.Load()
+	tt := s.tracing(w)
 	if tt == nil {
-		http.Error(w, "transaction tracing is off (run with -trace-txns)", http.StatusNotFound)
 		return
 	}
 	var threshold time.Duration
@@ -409,13 +399,24 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(doc)
 }
 
+// tracing returns the attached tracer, or answers 404 with the flag
+// that turns tracing on and returns nil.
+func (s *Server) tracing(w http.ResponseWriter) *txtrace.Tracer {
+	tt := s.txtracer.Load()
+	if tt == nil {
+		http.Error(w, "tracing is off (run with -trace)", http.StatusNotFound)
+	}
+	return tt
+}
+
+// handleTimeline renders the tracer's retained traces as one
+// Perfetto-loadable document.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	rec := s.recorder.Load()
-	if rec == nil {
-		http.Error(w, "no flight recorder attached (run with -record, -timeline or -serve on a recording command)", http.StatusNotFound)
+	tt := s.tracing(w)
+	if tt == nil {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="timeline.json"`)
-	_ = eventlog.WriteChromeTrace(w, rec.Events(), s.tracer.Load().Phases())
+	_ = txtrace.WriteChromeTrace(w, tt.Finished(0))
 }

@@ -115,8 +115,8 @@ func TestMetricsGolden(t *testing.T) {
 }
 
 // TestHealthzAndMissingBackends covers the degraded configuration: no
-// recorder means /events and /timeline are 404 while /healthz and the
-// scrapes still work.
+// recorder and no tracer mean /events and /timeline are 404 while
+// /healthz and the scrapes still work.
 func TestHealthzAndMissingBackends(t *testing.T) {
 	s := New(Config{Registry: obs.NewRegistry()})
 	defer s.Close()
@@ -137,7 +137,7 @@ func TestHealthzAndMissingBackends(t *testing.T) {
 
 	for _, path := range []string{"/events", "/timeline"} {
 		if code, _ := get(t, ts, path); code != http.StatusNotFound {
-			t.Errorf("GET %s without recorder: status %d, want 404", path, code)
+			t.Errorf("GET %s without backend: status %d, want 404", path, code)
 		}
 	}
 	if code, _ := get(t, ts, "/metrics"); code != http.StatusOK {

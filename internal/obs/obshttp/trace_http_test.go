@@ -133,23 +133,26 @@ func TestSlowEndpoint(t *testing.T) {
 }
 
 // TestTraceEndpointsOff pins the tracing-off and error responses, and
-// that SetTxTracer attaches tracing to a running plane.
+// that SetTxTracer attaches tracing (and /timeline) to a running plane.
 func TestTraceEndpointsOff(t *testing.T) {
 	s := New(Config{Registry: obs.NewRegistry()})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, path := range []string{"/trace/0000000000000010", "/slow"} {
+	for _, path := range []string{"/trace/0000000000000010", "/slow", "/timeline"} {
 		code, body := get(t, ts, path)
-		if code != http.StatusNotFound || !strings.Contains(string(body), "-trace-txns") {
-			t.Errorf("%s without tracer: %d %q (want 404 pointing at -trace-txns)", path, code, body)
+		if code != http.StatusNotFound || !strings.Contains(string(body), "run with -trace)") {
+			t.Errorf("%s without tracer: %d %q (want 404 pointing at -trace)", path, code, body)
 		}
 	}
 
 	s.SetTxTracer(demoTxTracer())
 	if code, _ := get(t, ts, "/trace/0000000000000010"); code != http.StatusOK {
 		t.Errorf("after SetTxTracer: status %d", code)
+	}
+	if code, body := get(t, ts, "/timeline"); code != http.StatusOK || !strings.Contains(string(body), `"cat": "stage"`) {
+		t.Errorf("/timeline after SetTxTracer: %d, no stage slices in %.200s", code, body)
 	}
 	if code, _ := get(t, ts, "/trace/not-hex"); code != http.StatusBadRequest {
 		t.Errorf("bad id status %d", code)

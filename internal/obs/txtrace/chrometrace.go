@@ -27,91 +27,88 @@ type traceDoc struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// Trace-event process ids for the merged view: client wire spans on
-// one track group, server pipeline spans on another.
+// Trace-event process ids: client wire spans, server pipeline spans
+// and certifier (or CLI run) stages each get a track group.
 const (
-	pidClient = 1
-	pidServer = 2
+	pidClient = iota + 1
+	pidServer
+	pidCertifier
 )
 
-// isWireStage reports whether a stage was produced on the client side
-// of the wire (everything else is server/engine pipeline work).
-func isWireStage(s Stage) bool { return strings.HasPrefix(string(s), "wire_") }
+var processNames = map[int]string{
+	pidClient:    "client (wire)",
+	pidServer:    "server (commit pipeline)",
+	pidCertifier: "certifier",
+}
 
-// WriteChromeTrace renders finished traces as a Chrome trace-event
-// JSON document with the client and server halves of each transaction
-// on separate process tracks: per trace, an umbrella "X" slice named
-// by its trace ID, and one "X" slice per stage span — wire_* stages
-// under the client process, pipeline stages under the server process,
-// each grouped into one thread per session. Timestamps are rebased to
-// the earliest span so the timeline starts near zero (client and
-// server stamps share a timebase only when both halves ran on the same
-// host; otherwise tracks may be skewed by the clock offset). Output is
-// deterministic for a given input.
-func WriteChromeTrace(w io.Writer, traces []*TraceData) error {
-	// Stable session → tid assignment per side, in sorted order.
-	sessions := map[int]map[string]bool{pidClient: {}, pidServer: {}}
-	sideOf := func(td *TraceData) int {
-		for _, sp := range td.Spans {
-			if isWireStage(sp.Stage) {
-				return pidClient
-			}
-		}
+// trackOf places a stage: wire_* stages ran on the client side of the
+// wire, the commit-pipeline stages on the server, and everything else
+// (the certifier's check_* stages, a CLI run's phases) on the
+// certifier track.
+func trackOf(s Stage) int {
+	switch {
+	case strings.HasPrefix(string(s), "wire_"):
+		return pidClient
+	case stageRank(s) <= stageRank(StageAck):
 		return pidServer
 	}
-	for _, td := range traces {
-		if td == nil {
-			continue
-		}
-		sessions[sideOf(td)][td.Session] = true
-	}
-	tidOf := map[int]map[string]int{pidClient: {}, pidServer: {}}
-	for pid, set := range sessions {
-		names := make([]string, 0, len(set))
-		for s := range set {
-			names = append(names, s)
-		}
-		sort.Strings(names)
-		for i, s := range names {
-			tidOf[pid][s] = i + 1
-		}
-	}
+	return pidCertifier
+}
 
-	base := int64(0)
-	first := true
+// homeOf is the track of a trace's umbrella slice: the first track any
+// of its spans lands on (a client trace carries merged server spans).
+func homeOf(td *TraceData) int {
+	home := pidCertifier
+	for _, sp := range td.Spans {
+		home = min(home, trackOf(sp.Stage))
+	}
+	return home
+}
+
+// WriteChromeTrace renders finished traces as a Chrome trace-event
+// JSON document with the client, server and certifier halves of the
+// work on separate process tracks: per trace, an umbrella "X" slice
+// named by its transaction (or trace) ID on its home track, and one "X"
+// slice per stage span on the stage's track, each grouped into one
+// thread per session. Timestamps are rebased to the earliest span so
+// the timeline starts near zero (client and server stamps share a
+// timebase only when both halves ran on the same host; otherwise
+// tracks may be skewed by the clock offset). Output is deterministic
+// for a given input.
+func WriteChromeTrace(w io.Writer, traces []*TraceData) error {
+	// Stable session → tid assignment per track, in sorted order.
+	tidOf := map[int]map[string]int{pidClient: {}, pidServer: {}, pidCertifier: {}}
+	base, first := int64(0), true
 	for _, td := range traces {
 		if td == nil {
 			continue
 		}
+		tidOf[homeOf(td)][td.Session] = 0
 		if first || td.Start < base {
-			base = td.Start
-			first = false
+			base, first = td.Start, false
 		}
 		for _, sp := range td.Spans {
-			if sp.Start < base {
-				base = sp.Start
-			}
+			base = min(base, sp.Start)
 		}
 	}
 	usSince := func(ns int64) float64 { return float64(ns-base) / 1e3 }
-
 	var out []traceEvent
-	out = append(out,
-		traceEvent{Name: "process_name", Ph: "M", Pid: pidClient,
-			Args: map[string]any{"name": "client (wire)"}},
-		traceEvent{Name: "process_name", Ph: "M", Pid: pidServer,
-			Args: map[string]any{"name": "server (commit pipeline)"}},
-	)
-	for _, pid := range []int{pidClient, pidServer} {
+	for pid := pidClient; pid <= pidCertifier; pid++ {
+		out = append(out, traceEvent{Name: "process_name", Ph: "M", Pid: pid,
+			Args: map[string]any{"name": processNames[pid]}})
 		names := make([]string, 0, len(tidOf[pid]))
 		for s := range tidOf[pid] {
 			names = append(names, s)
 		}
 		sort.Strings(names)
-		for _, s := range names {
+		for i, s := range names {
+			tidOf[pid][s] = i + 1
+			if pid != pidCertifier { // a certifier "session" is the tool's name
+				s = "session " + s
+			}
 			out = append(out, traceEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: tidOf[pid][s],
-				Args: map[string]any{"name": "session " + s},
+				Name: "thread_name", Ph: "M", Pid: pid, Tid: i + 1,
+				Args: map[string]any{"name": s},
 			})
 		}
 	}
@@ -120,7 +117,7 @@ func WriteChromeTrace(w io.Writer, traces []*TraceData) error {
 		if td == nil {
 			continue
 		}
-		homePid := sideOf(td)
+		homePid := homeOf(td)
 		homeTid := tidOf[homePid][td.Session]
 		name := td.TxID
 		if name == "" {
@@ -138,14 +135,11 @@ func WriteChromeTrace(w io.Writer, traces []*TraceData) error {
 			},
 		})
 		for _, sp := range td.Spans {
-			pid := pidServer
-			if isWireStage(sp.Stage) {
-				pid = pidClient
-			}
+			pid := trackOf(sp.Stage)
 			tid := tidOf[pid][td.Session]
 			if tid == 0 {
 				// Server spans merged into a client trace: the server
-				// side has no thread for this session yet; reuse the
+				// side has no thread for this session; reuse the
 				// client tid so related rows stay adjacent.
 				tid = homeTid
 			}

@@ -1,9 +1,11 @@
-// Package txtrace is the per-transaction tracer: it assigns each
-// transaction a trace ID at Begin, records monotonic stage spans as the
-// transaction moves through the commit pipeline (begin-wait, reads,
-// shard-lock wait, first-committer-wins validation, install, WAL
-// append, group-fsync wait, publish CAS, ack), and retains finished
-// traces in a bounded ring plus a top-K slow log for forensics.
+// Package txtrace is the stack's span model: it assigns each traced
+// unit of work a trace ID at Begin, records monotonic stage spans as it
+// moves on (a transaction through the commit pipeline: begin-wait,
+// reads, shard-lock wait, first-committer-wins validation, install, WAL
+// append, group-fsync wait, publish CAS, ack; a certification through
+// the checker's stages; a CLI run through its phases), and retains
+// finished traces in a bounded ring plus a top-K slow log for
+// forensics. WriteChromeTrace is the one timeline exporter.
 //
 // Design constraints, in order:
 //
@@ -86,6 +88,18 @@ const (
 	StageWireBegin  Stage = "wire_begin"
 	StageWireOps    Stage = "wire_ops"
 	StageWireCommit Stage = "wire_commit"
+
+	// The certifier's stages (check.Certify), in the order it marks
+	// them: history well-formedness and INT; read-site candidate
+	// discovery; the WR/WW extension search, whose attrs carry the
+	// summed per-candidate cycle checks (cycle_ns) and the candidates
+	// examined; the Figure 3 execution construction; and the witness
+	// decomposition of a negative verdict.
+	StageCheckValidate        Stage = "check_validate"
+	StageCheckWREnumeration   Stage = "check_wr_enumeration"
+	StageCheckExtensionSearch Stage = "check_extension_search"
+	StageCheckSolve           Stage = "check_solve_inequalities"
+	StageCheckExplain         Stage = "check_explain"
 )
 
 // Transaction outcomes recorded at Finish.
@@ -102,6 +116,8 @@ var stageOrder = []Stage{
 	StageWireBegin, StageWireOps, StageWireCommit,
 	StageBeginWait, StageReads, StageROCommit, StageLockWait, StageValidate,
 	StageInstall, StageWALAppend, StageFsyncWait, StagePublish, StageAck,
+	StageCheckValidate, StageCheckWREnumeration, StageCheckExtensionSearch,
+	StageCheckSolve, StageCheckExplain,
 }
 
 func stageRank(s Stage) int {
@@ -261,6 +277,10 @@ type Options struct {
 	// different processes (a tracing client and a tracing server) do
 	// not collide in a merged timeline.
 	Start uint64
+	// Metrics, when non-nil, exports the per-stage latency histograms
+	// as trace_stage_ns{stage="<stage>"}, registered at a stage's first
+	// span.
+	Metrics *obs.Registry
 }
 
 // Tracer mints trace IDs and retains finished traces. Create with New;
@@ -278,6 +298,7 @@ type Tracer struct {
 	cap    int
 	slowCp int
 	stages map[Stage]*obs.Histogram
+	reg    *obs.Registry
 
 	started  atomic.Int64
 	finished atomic.Int64
@@ -298,6 +319,7 @@ func New(opts Options) *Tracer {
 		cap:    opts.Capacity,
 		slowCp: opts.SlowCap,
 		stages: make(map[Stage]*obs.Histogram),
+		reg:    opts.Metrics,
 	}
 	start := opts.Start
 	if start == 0 {
@@ -400,7 +422,9 @@ func (t *Tracer) publish(td *TraceData) {
 	for _, sp := range td.Spans {
 		h := t.stages[sp.Stage]
 		if h == nil {
-			h = &obs.Histogram{}
+			if h = t.reg.Histogram("trace_stage_ns", obs.L("stage", string(sp.Stage))); h == nil {
+				h = &obs.Histogram{}
+			}
 			t.stages[sp.Stage] = h
 		}
 		h.Observe(sp.End - sp.Start)
@@ -505,7 +529,8 @@ type StageLatency struct {
 }
 
 // StageLatencies returns per-stage latency aggregates in canonical
-// pipeline order (wire stages first, then the server pipeline).
+// order: wire stages first, then the server pipeline, then the
+// certifier's; other stages follow alphabetically.
 func (t *Tracer) StageLatencies() []StageLatency {
 	if t == nil {
 		return nil
