@@ -30,7 +30,7 @@
 // (throughput, p50/p99 commit latency) to the named file.
 //
 // -record attaches a flight recorder to the engine and dumps the
-// transactional event stream as NDJSON on exit — feed it to simon for
+// transactional event stream as NDJSON on exit — feed it to sicheck for
 // online certification. -record-cap bounds the recorder ring (older
 // events are overwritten beyond it).
 //
@@ -68,6 +68,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -467,11 +468,7 @@ func writeFileWith(path string, fn func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return errors.Join(fn(f), f.Close())
 }
 
 // encodeBenchReport writes a benchReport as indented JSON.

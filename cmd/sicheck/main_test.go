@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"sian/internal/histio"
+	"sian/internal/model"
 	"sian/internal/workload"
 )
 
@@ -28,11 +30,27 @@ func historyFile(t *testing.T, name string, ex *workload.Example) string {
 	return path
 }
 
+// eventsFile writes the example history's event stream to a temp
+// file and returns its path.
+func eventsFile(t *testing.T, name string, ex *workload.Example) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name+".ndjson")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := histio.EncodeEvents(f, histio.HistoryToEvents(ex.History)); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestRunWriteSkew(t *testing.T) {
 	t.Parallel()
 	path := historyFile(t, "ws", workload.WriteSkew())
 	var out bytes.Buffer
-	code, err := run([]string{"-init=false", path}, strings.NewReader(""), &out, io.Discard)
+	code, err := run([]string{path}, strings.NewReader(""), &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +69,7 @@ func TestRunSingleModelWithWitness(t *testing.T) {
 	t.Parallel()
 	path := historyFile(t, "ws", workload.WriteSkew())
 	var out bytes.Buffer
-	code, err := run([]string{"-init=false", "-model", "si", "-witness", path}, strings.NewReader(""), &out, io.Discard)
+	code, err := run([]string{"-model", "si", "-witness", path}, strings.NewReader(""), &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,20 +100,93 @@ func TestRunStdin(t *testing.T) {
 	}
 }
 
+// TestRunErrors: usage and processing errors exit 2 with an error.
 func TestRunErrors(t *testing.T) {
 	t.Parallel()
-	var out bytes.Buffer
-	if _, err := run([]string{"-model", "bogus"}, strings.NewReader("{}"), &out, io.Discard); err == nil {
-		t.Error("bogus model accepted")
+	doc := historyFile(t, "ws", workload.WriteSkew())
+	for _, c := range []struct {
+		args  []string
+		stdin string
+		want  string
+	}{
+		{[]string{"-model", "bogus"}, "{}", "unknown model"},
+		{[]string{filepath.Join(t.TempDir(), "missing.json")}, "", "no such file"},
+		{[]string{"a", "b"}, "", "at most one input file"},
+		{nil, "not json", "line 1"},
+		{[]string{"-init=false", doc}, "", "flag provided but not defined: -init"},
+	} {
+		var out bytes.Buffer
+		code, err := run(c.args, strings.NewReader(c.stdin), &out, io.Discard)
+		if code != 2 || err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: code=%d err=%v, want 2 and an error containing %q", c.args, code, err, c.want)
+		}
 	}
-	if _, err := run([]string{"nope.json"}, strings.NewReader(""), &out, io.Discard); err == nil {
-		t.Error("missing file accepted")
+}
+
+// TestRunVerdictTable certifies each Figure 2 history and each
+// committed fixture, as a document and as its event stream, with
+// default flags and with one -model at a time: both kinds must give
+// every model the verdict the paper assigns. Each input carries its
+// own init transaction except Figure 2(a), which relies on -init-value.
+func TestRunVerdictTable(t *testing.T) {
+	t.Parallel()
+	type entry struct {
+		name string
+		h    *model.History
+		in   [5]bool // SER, SI, PSI, PC, GSI
 	}
-	if _, err := run([]string{"a", "b"}, strings.NewReader(""), &out, io.Discard); err == nil {
-		t.Error("extra args accepted")
+	var table []entry
+	for _, ex := range []*workload.Example{workload.SessionGuarantees(), workload.LostUpdate(), workload.LongFork(), workload.WriteSkew()} {
+		table = append(table, entry{ex.Name, ex.History, [5]bool{ex.InSER, ex.InSI, ex.InPSI, ex.InPC, ex.InGSI}})
 	}
-	if _, err := run(nil, strings.NewReader("not json"), &out, io.Discard); err == nil {
-		t.Error("invalid json accepted")
+	for _, fx := range []entry{
+		{name: "longfork_history.json", in: [5]bool{false, false, true, false, false}},
+		{name: "writeskew_history.json", in: [5]bool{false, true, true, true, true}},
+	} {
+		f, err := os.Open(testdata(fx.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.h, err = histio.DecodeHistory(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		table = append(table, fx)
+	}
+	models := []string{"SER", "SI", "PSI", "PC", "GSI"}
+	for _, e := range table {
+		var doc, events bytes.Buffer
+		if err := histio.EncodeHistory(&doc, e.h); err != nil {
+			t.Fatal(err)
+		}
+		if err := histio.EncodeEvents(&events, histio.HistoryToEvents(e.h)); err != nil {
+			t.Fatal(err)
+		}
+		for kind, input := range map[string][]byte{"document": doc.Bytes(), "stream": events.Bytes()} {
+			var out bytes.Buffer
+			code, err := run(nil, bytes.NewReader(input), &out, io.Discard)
+			if err != nil {
+				t.Fatalf("%s %s: %v", e.name, kind, err)
+			}
+			all := 0
+			for i, m := range models {
+				verdict, wantCode := "ALLOWED", 0
+				if !e.in[i] {
+					verdict, wantCode, all = "DISALLOWED", 1, 1
+				}
+				if want := fmt.Sprintf("%-4s %s (", m, verdict); !strings.Contains(out.String(), want) {
+					t.Errorf("%s %s: default run lacks %q:\n%s", e.name, kind, want, out.String())
+				}
+				code, err := run([]string{"-model", strings.ToLower(m)}, bytes.NewReader(input), io.Discard, io.Discard)
+				if err != nil || code != wantCode {
+					t.Errorf("%s %s -model %s: code=%d err=%v, want %d", e.name, kind, m, code, err, wantCode)
+				}
+			}
+			if code != all {
+				t.Errorf("%s %s: default run exit %d, want %d", e.name, kind, code, all)
+			}
+		}
 	}
 }
 
@@ -104,7 +195,7 @@ func TestRunDotOutput(t *testing.T) {
 	path := historyFile(t, "ws", workload.WriteSkew())
 	dotPath := filepath.Join(t.TempDir(), "out.dot")
 	var out bytes.Buffer
-	code, err := run([]string{"-init=false", "-model", "si", "-dot", dotPath, path}, strings.NewReader(""), &out, io.Discard)
+	code, err := run([]string{"-model", "si", "-dot", dotPath, path}, strings.NewReader(""), &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +211,7 @@ func TestRunDotOutput(t *testing.T) {
 	}
 	// '-' writes to stdout.
 	out.Reset()
-	if _, err := run([]string{"-init=false", "-model", "si", "-dot", "-", path}, strings.NewReader(""), &out, io.Discard); err != nil {
+	if _, err := run([]string{"-model", "si", "-dot", "-", path}, strings.NewReader(""), &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "digraph dependencies") {
@@ -132,7 +223,7 @@ func TestRunDotOutput(t *testing.T) {
 func TestRunFixtures(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	code, err := run([]string{"-init=false", "../../testdata/longfork_history.json"}, strings.NewReader(""), &out, io.Discard)
+	code, err := run([]string{"../../testdata/longfork_history.json"}, strings.NewReader(""), &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +242,7 @@ func TestRunClassify(t *testing.T) {
 	t.Parallel()
 	path := historyFile(t, "ws", workload.WriteSkew())
 	var out bytes.Buffer
-	code, err := run([]string{"-init=false", "-classify", path}, strings.NewReader(""), &out, io.Discard)
+	code, err := run([]string{"-classify", path}, strings.NewReader(""), &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +255,7 @@ func TestRunClassify(t *testing.T) {
 	// A serializable history exits 0.
 	path2 := historyFile(t, "ok", workload.SessionGuarantees())
 	out.Reset()
-	code, err = run([]string{"-init=false", "-classify", path2}, strings.NewReader(""), &out, io.Discard)
+	code, err = run([]string{"-classify", path2}, strings.NewReader(""), &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

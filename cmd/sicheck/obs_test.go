@@ -2,8 +2,14 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
+	"time"
+
+	"sian/internal/histio"
+	"sian/internal/workload"
 )
 
 // TestRunTraceAndExplain runs sicheck with -trace on the write-skew
@@ -11,7 +17,7 @@ import (
 // stage table on stderr and the explainable verdict (axiom + witness cycle) on stdout.
 func TestRunTraceAndExplain(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code, err := run([]string{"-init=false", "-trace", "../../testdata/writeskew_history.json"},
+	code, err := run([]string{"-trace", "../../testdata/writeskew_history.json"},
 		strings.NewReader(""), &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +51,7 @@ func TestRunTraceAndExplain(t *testing.T) {
 // Prometheus registry (search counters) lands on stdout.
 func TestRunMetricsDump(t *testing.T) {
 	var out bytes.Buffer
-	code, err := run([]string{"-init=false", "-metrics", "-", "../../testdata/writeskew_history.json"},
+	code, err := run([]string{"-metrics", "-", "../../testdata/writeskew_history.json"},
 		strings.NewReader(""), &out, new(bytes.Buffer))
 	if err != nil {
 		t.Fatal(err)
@@ -63,4 +69,70 @@ func TestRunMetricsDump(t *testing.T) {
 			t.Errorf("metrics dump missing %q:\n%s", want, s)
 		}
 	}
+}
+
+// TestRunStreamTrace: -trace records a stream run too, as the ingest,
+// finish and output stages of the run's own trace.
+func TestRunStreamTrace(t *testing.T) {
+	var errOut bytes.Buffer
+	path := eventsFile(t, "ws", workload.WriteSkew())
+	code, err := run([]string{"-model", "si", "-trace", path}, strings.NewReader(""), io.Discard, &errOut)
+	if err != nil || code != 0 {
+		t.Fatalf("code=%d err=%v", code, err)
+	}
+	for _, stage := range []string{"trace: per-stage latency", "ingest", "finish", "output"} {
+		if !strings.Contains(errOut.String(), stage) {
+			t.Errorf("stderr missing %q:\n%s", stage, errOut.String())
+		}
+	}
+}
+
+// TestRunServeVerdicts tails a stream that stays open while a client
+// watches /verdicts: each commit's verdict, the violating one with its
+// axiom, reaches the client before the input ends.
+func TestRunServeVerdicts(t *testing.T) {
+	pr, pw := io.Pipe()
+	errOut := new(lockedBuffer)
+	done := make(chan error, 1)
+	go func() {
+		_, err := run([]string{"-model", "si", "-serve", "127.0.0.1:0"}, pr, io.Discard, errOut)
+		done <- err
+	}()
+	defer func() {
+		pw.Close()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+	waitFor(t, errOut, "/ (")
+	addr := strings.TrimPrefix(strings.Fields(errOut.String())[2], "http://")
+	base := "http://" + strings.TrimSuffix(addr, "/")
+
+	resp, err := http.Get(base + "/verdicts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := new(lockedBuffer)
+	go io.Copy(frames, resp.Body)
+	// Publish only once the subscriber is registered.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		m, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(m.Body)
+		m.Body.Close()
+		if strings.Contains(string(body), `sse_clients{stream="verdicts"} 1`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("verdicts client never registered:\n%s", body)
+		}
+	}
+	if err := histio.EncodeEvents(pw, histio.HistoryToEvents(workload.LostUpdate().History)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, frames, `"txn":"T2","model":"SI","member":false`)
+	waitFor(t, frames, `"axiom":"NOCONFLICT (lost-update shape`)
 }

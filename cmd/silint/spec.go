@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -174,9 +175,5 @@ func writeDot(name string, stdout io.Writer, g *chopping.Graph, cyc chopping.Cyc
 	if err != nil {
 		return err
 	}
-	if err := dot.ChopGraph(f, g, cyc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return errors.Join(dot.ChopGraph(f, g, cyc), f.Close())
 }

@@ -71,7 +71,7 @@ func DecodeEvents(r io.Reader) ([]eventlog.Event, error) {
 }
 
 // EventScanner reads an NDJSON event stream incrementally — the tail-
-// reader path of cmd/simon. Next blocks on the underlying reader until
+// reader path of cmd/sicheck. Next blocks on the underlying reader until
 // a full line is available, so scanning a pipe follows the writer
 // naturally.
 type EventScanner struct {

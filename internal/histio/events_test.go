@@ -45,7 +45,7 @@ func TestEventScannerStreaming(t *testing.T) {
 	t.Parallel()
 	// A pipe delivers lines incrementally: the scanner must return
 	// each event as soon as its line is complete, without waiting for
-	// EOF — the tail-reader contract simon relies on.
+	// EOF — the tail-reader contract sicheck relies on.
 	pr, pw := io.Pipe()
 	var encoded bytes.Buffer
 	if err := EncodeEvents(&encoded, sampleEvents()); err != nil {

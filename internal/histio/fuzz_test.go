@@ -42,7 +42,7 @@ func FuzzDecodeHistory(f *testing.F) {
 }
 
 // FuzzDecodeEvents checks that arbitrary NDJSON input never panics
-// the streaming event scanner (the tail-reader path of cmd/simon) and
+// the streaming event scanner (the tail-reader path of cmd/sicheck) and
 // that every successfully decoded stream round-trips through
 // EncodeEvents. Seeds include truncated and mid-line-cut streams, the
 // shapes a tail reader sees while a writer is mid-append.

@@ -16,7 +16,7 @@ import (
 // VerdictEvent is the wire form of one online-monitor verdict on the
 // /verdicts stream: the per-commit answer (member / checked) plus, on
 // an anomaly, the violation with its witness-cycle explanation. The
-// producing CLI (cmd/simon) converts internal/monitor verdicts into
+// producing CLI (cmd/sicheck) converts internal/monitor verdicts into
 // this shape so the plane itself stays decoupled from the checker.
 type VerdictEvent struct {
 	// Seq is the event sequence number of the commit the verdict is
@@ -206,7 +206,7 @@ func (sw *sseWriter) announceDrops(total int64) error {
 // kind (begin/read/write/commit/abort/conflict), `id:` to its global
 // sequence number, and `data:` to its NDJSON object (the same wire
 // form sibench -record files use, so `curl -N .../events | sed -n
-// 's/^data: //p'` reconstructs a simon-consumable stream). A ?replay=N
+// 's/^data: //p'` reconstructs a stream sicheck can certify). A ?replay=N
 // query replays up to N retained ring events before going live
 // (replay=all for the whole ring); ?buf=N sizes the client's frame
 // buffer. Slow consumers lose frames instead of blocking the engine;
