@@ -1,12 +1,11 @@
 package engine
 
 import (
-	"encoding/binary"
 	"maps"
-	"math/bits"
 	"slices"
 	"strconv"
 
+	"sian/internal/codec"
 	"sian/internal/model"
 )
 
@@ -21,10 +20,9 @@ const (
 
 // histLog is a session's committed history: an append-only log of
 // byte chunks, so the retained history holds no pointers for the
-// garbage collector to scan. Per transaction it stores a uvarint op
-// count, then per op uvarint(len(obj)<<1 | isWrite), the object's
-// bytes and a zigzag-varint value. Transaction ids are derived at
-// decode time (txID); only labelled transactions keep their label.
+// garbage collector to scan. Per transaction it stores codec's op
+// list. Transaction ids are derived at decode time (txID); only
+// labelled transactions keep their label.
 //
 // Chunks are only ever appended to, so a copy of the chunk headers
 // taken under the session lock (snapshot) stays valid while later
@@ -38,10 +36,7 @@ type histLog struct {
 // append encodes a committed transaction and returns its 1-based
 // sequence number.
 func (l *histLog) append(name string, ops []model.Op) int {
-	size := uvarintLen(uint64(len(ops)))
-	for _, op := range ops {
-		size += uvarintLen(opHeader(op)) + len(op.Obj) + uvarintLen(zigzag(op.Val))
-	}
+	size := codec.OpsLen(ops)
 	var tail []byte
 	if k := len(l.chunks); k > 0 {
 		tail = l.chunks[k-1]
@@ -50,13 +45,7 @@ func (l *histLog) append(name string, ops []model.Op) int {
 		tail = make([]byte, 0, max(size, min(2*cap(tail), histChunk), histFirstChunk))
 		l.chunks = append(l.chunks, tail)
 	}
-	tail = binary.AppendUvarint(tail, uint64(len(ops)))
-	for _, op := range ops {
-		tail = binary.AppendUvarint(tail, opHeader(op))
-		tail = append(tail, op.Obj...)
-		tail = binary.AppendVarint(tail, int64(op.Val))
-	}
-	l.chunks[len(l.chunks)-1] = tail
+	l.chunks[len(l.chunks)-1] = codec.AppendOps(tail, ops)
 	l.n++
 	if name != "" {
 		if l.names == nil {
@@ -79,29 +68,10 @@ func (l *histLog) snapshot() histLog {
 func (l histLog) decode(session string, intern map[string]model.Obj) []model.Transaction {
 	txs := make([]model.Transaction, 0, l.n)
 	for _, c := range l.chunks {
-		for len(c) > 0 {
-			n, k := binary.Uvarint(c)
-			c = c[k:]
-			ops := make([]model.Op, n)
-			for i := range ops {
-				h, k := binary.Uvarint(c)
-				c = c[k:]
-				b := c[:h>>1]
-				c = c[h>>1:]
-				x, ok := intern[string(b)]
-				if !ok {
-					x = model.Obj(b)
-					intern[string(x)] = x
-				}
-				v, k := binary.Varint(c)
-				c = c[k:]
-				ops[i] = model.Op{Kind: model.OpRead, Obj: x, Val: model.Value(v)}
-				if h&1 == 1 {
-					ops[i].Kind = model.OpWrite
-				}
-			}
+		r := codec.NewReader("engine", c)
+		for r.Remaining() > 0 {
 			seq := len(txs) + 1
-			txs = append(txs, model.Transaction{ID: txID(session, seq, l.names[seq]), Ops: ops})
+			txs = append(txs, model.Transaction{ID: txID(session, seq, l.names[seq]), Ops: r.Ops(intern)})
 		}
 	}
 	return txs
@@ -122,15 +92,3 @@ func txID(session string, seq int, name string) string {
 		return session + "/" + strconv.Itoa(seq)
 	}
 }
-
-func opHeader(op model.Op) uint64 {
-	h := uint64(len(op.Obj)) << 1
-	if op.Kind == model.OpWrite {
-		h |= 1
-	}
-	return h
-}
-
-func zigzag(v model.Value) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

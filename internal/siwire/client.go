@@ -8,6 +8,7 @@ import (
 	"net"
 	"time"
 
+	"sian/internal/codec"
 	"sian/internal/model"
 	"sian/internal/obs/txtrace"
 )
@@ -120,22 +121,21 @@ func (c *Client) readReply() (status byte, body []byte, err error) {
 		c.err = fmt.Errorf("siwire: connection broken: %w", err)
 		return 0, nil, c.err
 	}
-	r := reader{b: payload}
-	status = r.u8("status")
-	if r.err != nil {
-		c.err = r.err
+	r := codec.NewReader("siwire", payload)
+	status = r.U8("status")
+	if r.Err() != nil {
+		c.err = r.Err()
 		return 0, nil, c.err
 	}
 	switch status {
 	case statusErr:
 		c.open = false // the server aborts the transaction on every error reply
-		er := reader{b: r.rest()}
-		return status, nil, fmt.Errorf("siwire: server: %s", er.str("error message"))
+		return status, nil, fmt.Errorf("siwire: server: %s", r.Str("error message"))
 	case statusConflict:
 		c.open = false
 		return status, nil, ErrConflict
 	}
-	return status, r.rest(), nil
+	return status, r.Rest(), nil
 }
 
 // drain flushes the queued requests and reads the deferred replies in
@@ -208,7 +208,7 @@ func (c *Client) BeginTraced(traceID uint64) error {
 	}
 	c.request(opBegin)
 	if traceID != 0 {
-		c.req = appendU64(c.req, traceID)
+		c.req = codec.AppendU64(c.req, traceID)
 	}
 	if err := c.enqueue(); err != nil {
 		return err
@@ -224,16 +224,16 @@ func (c *Client) Read(x model.Obj) (model.Value, error) {
 		return 0, err
 	}
 	c.request(opRead)
-	c.req = appendStr(c.req, string(x))
+	c.req = codec.AppendStr(c.req, string(x))
 	status, body, err := c.roundTrip()
 	if err != nil {
 		return 0, err
 	}
 	switch status {
 	case statusOK:
-		r := reader{b: body}
-		v := model.Value(r.u64("read value"))
-		return v, r.err
+		r := codec.NewReader("siwire", body)
+		v := model.Value(r.U64("read value"))
+		return v, r.Err()
 	case statusUninitialized:
 		return 0, ErrUninitialized
 	default:
@@ -250,8 +250,8 @@ func (c *Client) Write(x model.Obj, v model.Value) error {
 		return err
 	}
 	c.request(opWrite)
-	c.req = appendStr(c.req, string(x))
-	c.req = appendU64(c.req, uint64(v))
+	c.req = codec.AppendStr(c.req, string(x))
+	c.req = codec.AppendU64(c.req, uint64(v))
 	return c.enqueue()
 }
 
@@ -283,9 +283,9 @@ func (c *Client) Commit() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r := reader{b: body}
-	lsn := r.u64("commit lsn")
-	return lsn, r.err
+	r := codec.NewReader("siwire", body)
+	lsn := r.U64("commit lsn")
+	return lsn, r.Err()
 }
 
 // CommitResult is CommitTraced's decoded response: the durability LSN
@@ -310,12 +310,12 @@ func (c *Client) CommitTraced() (CommitResult, error) {
 	if err != nil {
 		return CommitResult{}, err
 	}
-	r := reader{b: body}
-	res := CommitResult{LSN: r.u64("commit lsn")}
-	if r.err == nil && r.remaining() > 0 {
+	r := codec.NewReader("siwire", body)
+	res := CommitResult{LSN: r.U64("commit lsn")}
+	if r.Err() == nil && r.Remaining() > 0 {
 		res.TraceID, res.ServerSpans = parseTraceBlob(&r)
 	}
-	return res, r.err
+	return res, r.Err()
 }
 
 // Abort abandons the open transaction. With none open it is a local

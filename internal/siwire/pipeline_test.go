@@ -12,9 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"sian/internal/codec"
 	"sian/internal/engine"
 	"sian/internal/model"
 	"sian/internal/obs"
+	"sian/internal/obs/txtrace"
 )
 
 // countingConn counts the Read and Write calls that reach the
@@ -176,14 +178,14 @@ func TestTransactRoundTrips(t *testing.T) {
 
 // rawFrame builds one wire frame from a payload.
 func rawFrame(payload ...byte) []byte {
-	return append(appendU32(nil, uint32(len(payload))), payload...)
+	return append(codec.AppendU32(nil, uint32(len(payload))), payload...)
 }
 
 func writeReq(obj string, v uint64) []byte {
-	return rawFrame(appendU64(appendStr([]byte{opWrite}, obj), v)...)
+	return rawFrame(codec.AppendU64(codec.AppendStr([]byte{opWrite}, obj), v)...)
 }
 
-func readReq(obj string) []byte { return rawFrame(appendStr([]byte{opRead}, obj)...) }
+func readReq(obj string) []byte { return rawFrame(codec.AppendStr([]byte{opRead}, obj)...) }
 
 // TestBurstRepliesSurviveHandlerExit is the regression test for the
 // missing flush on handleConn's return paths: a pipelined burst whose
@@ -202,8 +204,8 @@ func TestBurstRepliesSurviveHandlerExit(t *testing.T) {
 	burst := []byte(Magic)
 	burst = append(burst, rawFrame(opBegin)...)
 	burst = append(burst, writeReq("x", 1)...)
-	burst = append(burst, rawFrame(99)...)               // garbage op
-	burst = append(burst, appendU32(nil, MaxFrame+1)...) // unreadable frame: the handler exits
+	burst = append(burst, rawFrame(99)...)                     // garbage op
+	burst = append(burst, codec.AppendU32(nil, MaxFrame+1)...) // unreadable frame: the handler exits
 	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +215,7 @@ func TestBurstRepliesSurviveHandlerExit(t *testing.T) {
 	}
 	want := rawFrame(statusOK)
 	want = append(want, rawFrame(statusOK)...)
-	want = append(want, rawFrame(appendStr([]byte{statusErr}, "unknown op 99")...)...)
+	want = append(want, rawFrame(codec.AppendStr([]byte{statusErr}, "unknown op 99")...)...)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("replies before close:\n got %x\nwant %x", got, want)
 	}
@@ -244,13 +246,13 @@ func TestBlockingClientCompat(t *testing.T) {
 		{"begin", rawFrame(opBegin), okFrame},
 		{"read uninitialised", readReq("k"), rawFrame(statusUninitialized)},
 		{"write", writeReq("k", 42), okFrame},
-		{"read own write", readReq("k"), rawFrame(appendU64([]byte{statusOK}, 42)...)},
-		{"commit", rawFrame(opCommit), rawFrame(appendU64([]byte{statusOK}, 0)...)},
-		{"commit again", rawFrame(opCommit), rawFrame(appendStr([]byte{statusErr}, "commit: no open transaction")...)},
+		{"read own write", readReq("k"), rawFrame(codec.AppendU64([]byte{statusOK}, 42)...)},
+		{"commit", rawFrame(opCommit), rawFrame(codec.AppendU64([]byte{statusOK}, 0)...)},
+		{"commit again", rawFrame(opCommit), rawFrame(codec.AppendStr([]byte{statusErr}, "commit: no open transaction")...)},
 		{"begin 2", rawFrame(opBegin), okFrame},
-		{"double begin", rawFrame(opBegin), rawFrame(appendStr([]byte{statusErr}, "begin: transaction already open")...)},
+		{"double begin", rawFrame(opBegin), rawFrame(codec.AppendStr([]byte{statusErr}, "begin: transaction already open")...)},
 		{"abort", rawFrame(opAbort), okFrame},
-		{"truncated write", rawFrame(opWrite, 0, 0), rawFrame(appendStr([]byte{statusErr}, "siwire: truncated write object at offset 1")...)},
+		{"truncated write", rawFrame(opWrite, 0, 0), rawFrame(codec.AppendStr([]byte{statusErr}, "siwire: truncated write object at offset 1")...)},
 	}
 	for _, st := range steps {
 		if _, err := conn.Write(st.req); err != nil {
@@ -397,13 +399,13 @@ func scriptedServer(t *testing.T, conn net.Conn, replies ...[]byte) {
 func TestTransactRetriesWrappedConflict(t *testing.T) {
 	cli, srv := net.Pipe()
 	okFrame := rawFrame(statusOK)
-	noTx := rawFrame(appendStr([]byte{statusErr}, "commit: no open transaction")...)
+	noTx := rawFrame(codec.AppendStr([]byte{statusErr}, "commit: no open transaction")...)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		scriptedServer(t, srv,
 			okFrame, rawFrame(statusConflict), noTx, // attempt 1: begin, write, commit
-			okFrame, okFrame, rawFrame(appendU64([]byte{statusOK}, 7)...), // attempt 2
+			okFrame, okFrame, rawFrame(codec.AppendU64([]byte{statusOK}, 7)...), // attempt 2
 		)
 	}()
 	c := NewClient(cli)
@@ -510,7 +512,7 @@ func FuzzServerFrames(f *testing.F) {
 	f.Add(bytes.Join([][]byte{rawFrame(opBegin), writeReq("x", 1), readReq("x"), rawFrame(opCommit)}, nil))
 	f.Add(bytes.Join([][]byte{rawFrame(opBegin), rawFrame(opBegin)}, nil))
 	f.Add(bytes.Join([][]byte{rawFrame(opBegin, 0, 0, 0, 0, 0, 0, 0, 9), writeReq("y", 2)}, nil))
-	f.Add(bytes.Join([][]byte{rawFrame(opBegin), rawFrame(99), appendU32(nil, MaxFrame+1)}, nil))
+	f.Add(bytes.Join([][]byte{rawFrame(opBegin), rawFrame(99), codec.AppendU32(nil, MaxFrame+1)}, nil))
 	f.Add(bytes.Join([][]byte{rawFrame(opInfo), rawFrame(opAbort), rawFrame(), {0, 0}}, nil))
 	f.Add(rawFrame(opWrite, 0xff, 0xff, 0xff, 0xff))
 
@@ -544,41 +546,23 @@ func FuzzServerFrames(f *testing.F) {
 	})
 }
 
-// FuzzReader drives the frame-body decoder with arbitrary bytes and an
-// arbitrary accessor sequence: no panic, no read past the end, errors
-// stick, and a trace blob never parses to a partial result.
+// FuzzReader parses arbitrary bytes as a run of commit trace blobs:
+// each blob parses whole or fails with no partial result. The reader's
+// own properties are codec.FuzzCodec's.
 func FuzzReader(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3}, []byte("payload"))
-	f.Add([]byte{3, 3}, appendStr(appendStr(nil, "key"), "value"))
-	f.Add([]byte{4}, appendU32(appendU64(nil, 9), 0xffffffff))
-	f.Add([]byte{3}, appendU32(nil, 0xffffffff))
-	f.Fuzz(func(t *testing.T, script, data []byte) {
-		r := reader{b: data}
-		for _, step := range script {
-			failed := r.err != nil
-			switch step % 5 {
-			case 0:
-				r.u8("u8")
-			case 1:
-				r.u32("u32")
-			case 2:
-				r.u64("u64")
-			case 3:
-				r.str("str")
-			case 4:
-				id, spans := parseTraceBlob(&r)
-				if r.err != nil && (id != 0 || spans != nil) {
-					t.Fatalf("partial trace blob (%#x, %d spans) despite %v", id, len(spans), r.err)
-				}
-			}
-			if failed && r.err == nil {
-				t.Fatal("sticky error cleared")
-			}
-			if r.off < 0 || r.off > len(data) {
-				t.Fatalf("offset %d outside the %d-byte frame", r.off, len(data))
-			}
-			if r.err != nil && (r.remaining() != 0 || r.rest() != nil) {
-				t.Fatal("failed reader still offers bytes")
+	tr := txtrace.New(txtrace.Options{Start: 0xee}).Begin("s")
+	tr.MarkAttrs(txtrace.StageValidate, map[string]int64{"k": -1})
+	tr.Finish(txtrace.OutcomeCommit, 0)
+	f.Add(appendTraceBlob(nil, tr.Data()))
+	f.Add([]byte("payload"))
+	f.Add(codec.AppendU32(codec.AppendU64(nil, 9), 0xffffffff))
+	f.Add(codec.AppendStr(codec.AppendU32(codec.AppendU64(nil, 9), 1), "stage"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := codec.NewReader("siwire", data)
+		for r.Remaining() > 0 {
+			id, spans := parseTraceBlob(&r)
+			if r.Err() != nil && (id != 0 || spans != nil) {
+				t.Fatalf("partial trace blob (%#x, %d spans) despite %v", id, len(spans), r.Err())
 			}
 		}
 	})
@@ -594,8 +578,8 @@ func BenchmarkFrameCodec(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		frame = newFrame(frame, opWrite)
-		frame = appendStr(frame, "d0_0001")
-		frame = appendU64(frame, uint64(i))
+		frame = codec.AppendStr(frame, "d0_0001")
+		frame = codec.AppendU64(frame, uint64(i))
 		if err := writeFrame(bw, frame); err != nil {
 			b.Fatal(err)
 		}
@@ -606,16 +590,17 @@ func BenchmarkFrameCodec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// The key is compared in place: reader.str copies out, and that
+		// The key is compared in place: Reader.Str copies out, and that
 		// copy is the decoder's one intended allocation, not the codec's.
-		r := reader{b: payload}
-		op, n := r.u8("op"), int(r.u32("obj len"))
-		if r.err != nil || op != opWrite || string(payload[r.off:r.off+n]) != "d0_0001" {
-			b.Fatalf("frame %d decoded wrong: %v", i, r.err)
+		r := codec.NewReader("siwire", payload)
+		op, n := r.U8("op"), int(r.U32("obj len"))
+		key := r.Rest()
+		if r.Err() != nil || op != opWrite || n > len(key) || string(key[:n]) != "d0_0001" {
+			b.Fatalf("frame %d decoded wrong: %v", i, r.Err())
 		}
-		r.off += n
-		if r.u64("val") != uint64(i) || r.remaining() != 0 {
-			b.Fatalf("frame %d decoded wrong: %v", i, r.err)
+		r = codec.NewReader("siwire", key[n:])
+		if r.U64("val") != uint64(i) || r.Remaining() != 0 {
+			b.Fatalf("frame %d decoded wrong: %v", i, r.Err())
 		}
 	}
 }

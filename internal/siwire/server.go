@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sian/internal/codec"
 	"sian/internal/engine"
 	"sian/internal/model"
 	"sian/internal/obs"
@@ -233,7 +234,7 @@ func (c *wireConn) fail(op byte, msg string) error {
 		c.srv.deferredErrs.Inc()
 	}
 	c.reply(statusErr)
-	c.out = appendStr(c.out, msg)
+	c.out = codec.AppendStr(c.out, msg)
 	return c.send()
 }
 
@@ -241,8 +242,8 @@ func (c *wireConn) fail(op byte, msg string) error {
 // error is a transport failure; protocol errors are responses.
 func (c *wireConn) handle(payload []byte) error {
 	c.unflushed++
-	r := reader{b: payload}
-	op := r.u8("op")
+	r := codec.NewReader("siwire", payload)
+	op := r.U8("op")
 	switch op {
 	case opBegin:
 		if c.tx != nil {
@@ -251,8 +252,8 @@ func (c *wireConn) handle(payload []byte) error {
 		// Version-tolerant trace extension: a tracing client appends
 		// its u64 trace ID; old clients send no body.
 		var traceID uint64
-		if r.remaining() >= 8 {
-			traceID = r.u64("trace id")
+		if r.Remaining() >= 8 {
+			traceID = r.U64("trace id")
 		}
 		tx, err := c.sess.BeginTraced("", traceID)
 		if err != nil {
@@ -261,9 +262,9 @@ func (c *wireConn) handle(payload []byte) error {
 		c.tx = tx
 		return c.ok()
 	case opRead:
-		x := model.Obj(r.str("read object"))
-		if r.err != nil {
-			return c.fail(op, r.err.Error())
+		x := model.Obj(r.Str("read object"))
+		if r.Err() != nil {
+			return c.fail(op, r.Err().Error())
 		}
 		if c.tx == nil {
 			return c.fail(op, "read: no open transaction")
@@ -278,14 +279,14 @@ func (c *wireConn) handle(payload []byte) error {
 			return c.fail(op, err.Error())
 		default:
 			c.reply(statusOK)
-			c.out = appendU64(c.out, uint64(v))
+			c.out = codec.AppendU64(c.out, uint64(v))
 		}
 		return c.send()
 	case opWrite:
-		x := model.Obj(r.str("write object"))
-		v := model.Value(r.u64("write value"))
-		if r.err != nil {
-			return c.fail(op, r.err.Error())
+		x := model.Obj(r.Str("write object"))
+		v := model.Value(r.U64("write value"))
+		if r.Err() != nil {
+			return c.fail(op, r.Err().Error())
 		}
 		if c.tx == nil {
 			return c.fail(op, "write: no open transaction")
@@ -312,7 +313,7 @@ func (c *wireConn) handle(payload []byte) error {
 			// server traces, the pipeline spans ride back after the
 			// LSN (old clients ignore them).
 			c.reply(statusOK)
-			c.out = appendU64(c.out, tx.LSN())
+			c.out = codec.AppendU64(c.out, tx.LSN())
 			c.out = appendTraceBlob(c.out, tx.TraceData())
 		}
 		return c.send()

@@ -13,8 +13,8 @@
 //	request  := u8 op  | body
 //	response := u8 status | body
 //
-// Strings are u32 length + bytes; values (model.Value) travel as their
-// two's-complement uint64 bits. Requests:
+// Integers, strings and values are encoded as internal/codec says.
+// Requests:
 //
 //	begin  (1): —               start a transaction on this connection
 //	read   (2): str obj         read at the transaction's snapshot
@@ -104,12 +104,12 @@ package siwire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 
+	"sian/internal/codec"
 	"sian/internal/obs/txtrace"
 )
 
@@ -170,7 +170,7 @@ func writeFrame(w *bufio.Writer, frame []byte) error {
 	if n > MaxFrame {
 		return fmt.Errorf("siwire: frame payload %d exceeds limit", n)
 	}
-	binary.BigEndian.PutUint32(frame, uint32(n))
+	codec.PutU32(frame, uint32(n))
 	_, err := w.Write(frame)
 	return err
 }
@@ -178,7 +178,7 @@ func writeFrame(w *bufio.Writer, frame []byte) error {
 // readFrame reads one length-prefixed frame into the connection's
 // reused buffer *buf (grown on demand, see retainFrame). The returned
 // payload aliases that buffer and is valid until the next readFrame;
-// every reader accessor copies out, so decoded values outlive it.
+// every codec.Reader accessor copies out, so decoded values outlive it.
 func readFrame(r *bufio.Reader, buf *[]byte) ([]byte, error) {
 	hdr, err := r.Peek(frameHeader)
 	if err != nil {
@@ -187,7 +187,7 @@ func readFrame(r *bufio.Reader, buf *[]byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	n32 := binary.BigEndian.Uint32(hdr)
+	n32 := codec.U32(hdr)
 	if n32 > MaxFrame {
 		return nil, fmt.Errorf("siwire: frame payload %d exceeds limit", n32)
 	}
@@ -209,83 +209,6 @@ func readFrame(r *bufio.Reader, buf *[]byte) ([]byte, error) {
 	return payload, nil
 }
 
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// reader decodes a frame body with sticky errors.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("siwire: truncated %s at offset %d", what, r.off)
-	}
-}
-
-func (r *reader) u8(what string) byte {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32(what string) uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64(what string) uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) str(what string) string {
-	n := r.u32(what)
-	if r.err != nil || r.off+int(n) > len(r.b) || int(n) < 0 {
-		r.fail(what)
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-func (r *reader) rest() []byte {
-	if r.err != nil {
-		return nil
-	}
-	return r.b[r.off:]
-}
-
-// remaining reports how many undecoded bytes the frame still holds.
-func (r *reader) remaining() int {
-	if r.err != nil {
-		return 0
-	}
-	return len(r.b) - r.off
-}
-
 // appendTraceBlob appends the commit response's trace blob (see the
 // package doc): the server's trace ID and pipeline spans. A nil td
 // appends nothing, which old and new clients alike parse as "server
@@ -294,58 +217,55 @@ func appendTraceBlob(b []byte, td *txtrace.TraceData) []byte {
 	if td == nil {
 		return b
 	}
-	b = appendU64(b, td.ID())
-	b = appendU32(b, uint32(len(td.Spans)))
+	b = codec.AppendU64(b, td.ID())
+	b = codec.AppendU32(b, uint32(len(td.Spans)))
 	for _, sp := range td.Spans {
-		b = appendStr(b, string(sp.Stage))
-		b = appendU64(b, uint64(sp.Start))
-		b = appendU64(b, uint64(sp.End))
-		b = appendU32(b, uint32(len(sp.Attrs)))
+		b = codec.AppendStr(b, string(sp.Stage))
+		b = codec.AppendU64(b, uint64(sp.Start))
+		b = codec.AppendU64(b, uint64(sp.End))
+		b = codec.AppendU32(b, uint32(len(sp.Attrs)))
 		keys := make([]string, 0, len(sp.Attrs))
 		for k := range sp.Attrs {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			b = appendStr(b, k)
-			b = appendU64(b, uint64(sp.Attrs[k]))
+			b = codec.AppendStr(b, k)
+			b = codec.AppendU64(b, uint64(sp.Attrs[k]))
 		}
 	}
 	return b
 }
 
-// parseTraceBlob decodes a trace blob. Callers check remaining() > 0
+// parseTraceBlob decodes a trace blob. Callers check Remaining() > 0
 // first; a malformed blob surfaces as the reader's sticky error.
-func parseTraceBlob(r *reader) (traceID uint64, spans []txtrace.Span) {
-	traceID = r.u64("trace id")
-	n := r.u32("trace span count")
-	if r.err != nil {
-		return 0, nil
-	}
-	for i := uint32(0); i < n && r.err == nil; i++ {
+func parseTraceBlob(r *codec.Reader) (traceID uint64, spans []txtrace.Span) {
+	traceID = r.U64("trace id")
+	n := r.U32("trace span count")
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		sp := txtrace.Span{
-			Stage: txtrace.Stage(r.str("span stage")),
-			Start: int64(r.u64("span start")),
-			End:   int64(r.u64("span end")),
+			Stage: txtrace.Stage(r.Str("span stage")),
+			Start: int64(r.U64("span start")),
+			End:   int64(r.U64("span end")),
 		}
-		na := r.u32("span attr count")
-		for j := uint32(0); j < na && r.err == nil; j++ {
-			k := r.str("attr key")
-			v := int64(r.u64("attr value"))
-			if r.err == nil {
+		na := r.U32("span attr count")
+		for j := uint32(0); j < na && r.Err() == nil; j++ {
+			k := r.Str("attr key")
+			v := int64(r.U64("attr value"))
+			if r.Err() == nil {
 				if sp.Attrs == nil {
 					// The size hint is the peer's claim: bound it by what
 					// the frame can still hold (an attr is ≥ 12 bytes).
-					sp.Attrs = make(map[string]int64, min(uint64(na), uint64(1+r.remaining()/12)))
+					sp.Attrs = make(map[string]int64, min(uint64(na), uint64(1+r.Remaining()/12)))
 				}
 				sp.Attrs[k] = v
 			}
 		}
-		if r.err == nil {
+		if r.Err() == nil {
 			spans = append(spans, sp)
 		}
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return 0, nil
 	}
 	return traceID, spans

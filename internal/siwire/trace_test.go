@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sian/internal/codec"
 	"sian/internal/engine"
 	"sian/internal/model"
 	"sian/internal/obs/txtrace"
@@ -76,12 +77,12 @@ func TestTraceBlobRoundTrip(t *testing.T) {
 		tr.Finish(txtrace.OutcomeCommit, 0)
 		data := tr.Data()
 
-		b := appendTraceBlob(appendU64(nil, 12345), data)
-		r := &reader{b: b}
-		if lsn := r.u64("lsn"); lsn != 12345 {
+		b := appendTraceBlob(codec.AppendU64(nil, 12345), data)
+		r := codec.NewReader("siwire", b)
+		if lsn := r.U64("lsn"); lsn != 12345 {
 			t.Fatalf("lsn = %d", lsn)
 		}
-		gotID, gotSpans := parseTraceBlob(r)
+		gotID, gotSpans := parseTraceBlob(&r)
 		if gotID != id {
 			t.Fatalf("iter %d: id = %#x, want %#x", iter, gotID, id)
 		}
@@ -93,8 +94,8 @@ func TestTraceBlobRoundTrip(t *testing.T) {
 				t.Fatalf("iter %d span %d: %+v != %+v", iter, i, gotSpans[i], data.Spans[i])
 			}
 		}
-		if r.remaining() != 0 {
-			t.Fatalf("iter %d: %d bytes left over", iter, r.remaining())
+		if r.Remaining() != 0 {
+			t.Fatalf("iter %d: %d bytes left over", iter, r.Remaining())
 		}
 	}
 }
@@ -104,7 +105,7 @@ func TestTraceBlobRoundTrip(t *testing.T) {
 // the pre-extension format), and truncated blobs fail cleanly instead
 // of returning partial spans.
 func TestTraceBlobNilAndTruncated(t *testing.T) {
-	if got := appendTraceBlob(appendU64(nil, 9), nil); len(got) != 8 {
+	if got := appendTraceBlob(codec.AppendU64(nil, 9), nil); len(got) != 8 {
 		t.Errorf("nil trace blob added %d bytes", len(got)-8)
 	}
 
@@ -113,9 +114,9 @@ func TestTraceBlobNilAndTruncated(t *testing.T) {
 	tr.Finish(txtrace.OutcomeCommit, 0)
 	full := appendTraceBlob(nil, tr.Data())
 	for cut := 1; cut < len(full); cut++ {
-		r := &reader{b: full[:cut]}
-		id, spans := parseTraceBlob(r)
-		if r.err == nil {
+		r := codec.NewReader("siwire", full[:cut])
+		id, spans := parseTraceBlob(&r)
+		if r.Err() == nil {
 			t.Fatalf("cut %d: truncated blob parsed without error", cut)
 		}
 		if id != 0 || spans != nil {

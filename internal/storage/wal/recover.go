@@ -3,11 +3,13 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
+	"sian/internal/codec"
 	"sian/internal/model"
 	"sian/internal/monitor"
 	"sian/internal/obs/eventlog"
@@ -166,7 +168,10 @@ func (d *Driver) listSegments() ([]uint64, uint64, error) {
 	return segs, maxIdx, nil
 }
 
-// replaySegment applies one segment file. The final segment ends at
+// replaySegment applies one segment file. A final segment whose
+// non-zero bytes are a strict prefix of the magic is what a crash in
+// createSegment leaves, and is removed; any other magic refuses, in
+// every segment. The final segment ends at
 // its first invalid frame: an all-zero remainder is the unwritten part
 // of its preallocation, anything else a torn or corrupt tail (an
 // un-synced tail was never acknowledged), and either way the file is
@@ -180,17 +185,18 @@ func (d *Driver) replaySegment(path string, final bool, snapLSN uint64, sawCommi
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		if final {
-			// A crash during segment creation tore the magic itself;
-			// no record in this file was ever durable.
-			d.recovery.TruncatedBytes += tornLen(data)
+	if magic := data[:min(len(data), len(segMagic))]; string(magic) != segMagic {
+		rest := bytes.TrimRight(data, "\x00")
+		if final && len(rest) < len(segMagic) && strings.HasPrefix(segMagic, string(rest)) {
+			// A crash during createSegment tore the magic itself; no
+			// record in this file was ever durable.
+			d.recovery.TruncatedBytes += int64(len(rest))
 			if err := os.Remove(path); err != nil {
 				return fmt.Errorf("wal: %w", err)
 			}
 			return nil
 		}
-		return fmt.Errorf("wal: %s: bad segment magic", path)
+		return fmt.Errorf("wal: %s: segment magic %q: this build reads and writes only %q", path, magic, segMagic)
 	}
 	off := len(segMagic)
 	for off < len(data) {
@@ -248,7 +254,7 @@ func nextFrame(b []byte) (int, []byte, string) {
 	if len(b) < frameHeaderLen {
 		return 0, nil, "truncated header"
 	}
-	plen := int(beUint32(b))
+	plen := int(codec.U32(b))
 	if plen < 9 { // kind + lsn minimum
 		return 0, nil, "implausibly short payload"
 	}
@@ -259,7 +265,7 @@ func nextFrame(b []byte) (int, []byte, string) {
 		return 0, nil, "truncated payload"
 	}
 	payload := b[frameHeaderLen : frameHeaderLen+plen]
-	if crcChecksum(payload) != beUint32(b[4:]) {
+	if crc32.Checksum(payload, castagnoli) != codec.U32(b[4:]) {
 		return 0, nil, "CRC mismatch"
 	}
 	return frameHeaderLen + plen, payload, ""
@@ -268,7 +274,8 @@ func nextFrame(b []byte) (int, []byte, string) {
 // applyRecord replays one CRC-valid record. A record the snapshot
 // already covers (by LSN, or per object by timestamp) is skipped.
 func (d *Driver) applyRecord(payload []byte, snapLSN uint64, sawCommit *bool, ingest func(eventlog.Event)) error {
-	kind, lsn, body := payload[0], beUint64(payload[1:]), payload[9:]
+	r := codec.NewReader("wal", payload)
+	kind, lsn := r.U8("record kind"), r.U64("record lsn")
 	if lsn > d.recovery.LastLSN {
 		d.recovery.LastLSN = lsn
 	}
@@ -279,8 +286,8 @@ func (d *Driver) applyRecord(payload []byte, snapLSN uint64, sawCommit *bool, in
 	}
 	switch kind {
 	case recCommit:
-		rec, err := decodeCommitBody(body)
-		if err != nil {
+		rec := readCommit(&r)
+		if err := r.Done("commit record"); err != nil {
 			return err
 		}
 		tx := model.NewTransaction(rec.TxID, rec.Ops...)
@@ -331,8 +338,8 @@ func (d *Driver) applyRecord(payload []byte, snapLSN uint64, sawCommit *bool, in
 		ev.Kind, ev.Name = eventlog.Commit, name
 		ingest(ev)
 	case recInstall:
-		x, v, err := decodeInstallBody(body)
-		if err != nil {
+		x, v := readWrite(&r)
+		if err := r.Done("install record"); err != nil {
 			return err
 		}
 		if d.store.LatestTS(x) >= v.TS {

@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
-	"sian/internal/model"
+	"sian/internal/codec"
 	"sian/internal/storage"
 )
 
@@ -306,41 +307,100 @@ func FuzzReplaySegment(f *testing.F) {
 	})
 }
 
-// TestWriterMetaRoundTrip pins the install-record codec end to end
-// through a real file (not just in memory).
+// TestWriterMetaRoundTrip pins the install record's frame codec: the
+// frame validates, and its payload decodes to the kind, LSN, object
+// and version written, two's-complement value and maximal timestamp
+// included.
 func TestWriterMetaRoundTrip(t *testing.T) {
 	t.Parallel()
 	want := storage.Version{Val: -5, TS: ^uint64(0)}
-	x, v, err := decodeInstallBody(encodeInstallBody(model.Obj("k\nj"), want))
-	if err != nil {
-		t.Fatal(err)
+	frame := installFrame(nil, 7, "k\nj", want)
+	n, payload, why := nextFrame(frame)
+	if n != len(frame) {
+		t.Fatalf("install frame invalid: %s", why)
 	}
-	if x != "k\nj" || v != want {
-		t.Errorf("round trip: %q %+v", x, v)
+	r := codec.NewReader("wal", payload)
+	kind, lsn := r.U8("kind"), r.U64("lsn")
+	x, v := readWrite(&r)
+	if err := r.Done("install record"); err != nil || kind != recInstall || lsn != 7 || x != "k\nj" || v != want {
+		t.Errorf("round trip: kind %d lsn %d %q %+v, %v", kind, lsn, x, v, err)
 	}
 }
 
-// TestInstallWriterSlotReserved pins the reserved writer and meta slots
-// of the install record: they are written empty and 0, and a record
-// that carries a writer or a meta stamp there (as logs written by older
-// versions may) still decodes.
-func TestInstallWriterSlotReserved(t *testing.T) {
-	t.Parallel()
-	want := storage.Version{Val: 7, TS: 3}
-	record := func(writer string, meta uint64) []byte {
-		b := appendString(nil, "a")
-		b = appendValue(b, want.Val)
-		b = appendUint64(b, want.TS)
-		b = appendString(b, writer)
-		return appendUint64(b, meta)
+// dirFiles reads every file of dir, by name.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, old := range [][]byte{record("w1", 0), record("", 42), record("w1", ^uint64(0))} {
-		x, v, err := decodeInstallBody(old)
-		if err != nil || x != "a" || v != want {
-			t.Errorf("record %x = %q %+v, %v; want a %+v", old, x, v, err, want)
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
+}
+
+// openRefuses asserts that Open refuses dir with an error naming every
+// string in want, and leaves every file in it as it was.
+func openRefuses(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	before := dirFiles(t, dir)
+	d, err := Open(testOpts(dir))
+	if err == nil {
+		d.Close()
+		t.Fatalf("Open served the log: %+v", d.Recovery())
+	}
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("Open error %q does not name %s", err, w)
 		}
 	}
-	if got := encodeInstallBody("a", want); !bytes.Equal(got, record("", 0)) {
-		t.Errorf("encoded record = %x, want empty writer and zero meta slots: %x", got, record("", 0))
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused Open changed the directory: %d files before, %d after", len(before), len(after))
 	}
+}
+
+// TestFinalSegmentBadMagicRefuses: only a final segment whose non-zero
+// bytes are a strict prefix of the magic is a torn createSegment and
+// removable. Any other damage to the magic of a segment full of
+// acknowledged commits refuses recovery, quotes the bytes found, and
+// removes nothing.
+func TestFinalSegmentBadMagicRefuses(t *testing.T) {
+	t.Parallel()
+	pristine := buildPristineLog(t, t.TempDir(), 50)
+	flipped := append([]byte(nil), pristine...)
+	flipped[7] ^= 1
+	prefixThenJunk := append([]byte(segMagic[:3]+"\x01"), make([]byte, 64)...)
+	for name, seg := range map[string][]byte{"flipped version": flipped, "prefix then junk": prefixThenJunk} {
+		t.Run(name, func(t *testing.T) {
+			openRefuses(t, cloneDir(t, seg), fmt.Sprintf("%q", seg[:len(segMagic)]), segMagic)
+		})
+	}
+}
+
+// TestOpenRefusesV1Log: a directory written in the previous log format
+// (testdata/v1, a three-commit segment and the snapshot covering it)
+// is refused by name, and nothing in it changes.
+func TestOpenRefusesV1Log(t *testing.T) {
+	t.Parallel()
+	copyV1 := func(names ...string) string {
+		dir := t.TempDir()
+		for _, name := range names {
+			data, err := os.ReadFile(filepath.Join("testdata", "v1", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	openRefuses(t, copyV1("wal-00000001.log"), `"SIWAL001"`, `"SIWAL002"`)
+	openRefuses(t, copyV1("wal-00000001.log", "snapshot"), `"SISNAP01"`, `"SISNAP02"`)
 }

@@ -184,6 +184,7 @@ type Driver struct {
 	// and only until the file system says it cannot.
 	prealloc bool
 	lsn      uint64 // last appended LSN
+	frame    []byte // scratch buffer the next frame is built in
 	closed   bool
 	ioErr    error // first append-path write error; poisons the driver
 	// retired holds previous segment files, kept open until Close so
@@ -395,13 +396,13 @@ func (d *Driver) segmentPath(idx uint64) string {
 
 func (d *Driver) snapshotPath() string { return filepath.Join(d.opts.Dir, "snapshot") }
 
-// append writes one frame per body under a single hold of the log
-// mutex and returns the LSN of the last. Callers still hold the
-// window's shard locks when appending commit records, so per-object
-// record order matches timestamp order; a group commit's records are
+// append writes one frame per commit record, then one per install,
+// under a single hold of the log mutex and returns the LSN of the
+// last. Callers still hold the window's shard locks, so per-object
+// record order matches timestamp order; a group's records are
 // contiguous, and one later syncTo at the returned LSN makes the whole
 // group durable with one sync.
-func (d *Driver) append(kind byte, bodies ...[]byte) (uint64, error) {
+func (d *Driver) append(commits []storage.CommitRecord, installs []storage.Write) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -410,8 +411,14 @@ func (d *Driver) append(kind byte, bodies ...[]byte) (uint64, error) {
 	if d.ioErr != nil {
 		return 0, d.ioErr
 	}
-	for _, body := range bodies {
-		if err := d.writeFrameLocked(kind, body); err != nil {
+	for i := 0; i < len(commits)+len(installs); i++ {
+		if i < len(commits) {
+			d.frame = commitFrame(d.frame, d.lsn+1, &commits[i])
+		} else {
+			w := installs[i-len(commits)]
+			d.frame = installFrame(d.frame, d.lsn+1, w.Obj, w.Version)
+		}
+		if err := d.writeFrameLocked(d.frame); err != nil {
 			d.ioErr = fmt.Errorf("wal: append: %w", err)
 			return 0, d.ioErr
 		}
@@ -428,8 +435,7 @@ func (d *Driver) append(kind byte, bodies ...[]byte) (uint64, error) {
 // writeFrameLocked writes the next LSN's frame to the current segment,
 // first growing the segment's preallocation by a chunk when the frame
 // would cross it, so the write changes no file size.
-func (d *Driver) writeFrameLocked(kind byte, body []byte) error {
-	frame := encodeFrame(kind, d.lsn+1, body)
+func (d *Driver) writeFrameLocked(frame []byte) error {
 	end := d.written + int64(len(frame))
 	if end > d.alloc && d.prealloc {
 		alloc, err := d.allocate(d.f, end)
@@ -758,16 +764,15 @@ func (d *Driver) LockBatch(objs []model.Obj) storage.BatchLocked {
 type window struct {
 	d     *Driver
 	inner *mem.Locked
-	// staged is the engine's commit record (LogCommit); stagedBatch a
-	// group commit's record set (LogCommitBatch); installs collects
-	// raw installs for windows driven without either.
-	staged      *storage.CommitRecord
-	stagedBatch []storage.CommitRecord
-	installs    []storage.Write
-	trace       *txtrace.Trace
-	lsn         uint64
-	err         error
-	unlocked    bool
+	// commits holds the staged commit records (LogCommit,
+	// LogCommitBatch); installs collects raw installs for windows
+	// driven without them.
+	commits  []storage.CommitRecord
+	installs []storage.Write
+	trace    *txtrace.Trace
+	lsn      uint64
+	err      error
+	unlocked bool
 }
 
 // AttachTrace hands the window the transaction's trace; Unlock then
@@ -792,14 +797,14 @@ func (w *window) Install(x model.Obj, v storage.Version) error {
 // LogCommit stages the commit record; it subsumes the window's raw
 // installs (the record's final writes are exactly what was installed).
 func (w *window) LogCommit(rec storage.CommitRecord) {
-	w.staged = &rec
+	w.commits = []storage.CommitRecord{rec}
 }
 
 // LogCommitBatch stages a group commit's records (ascending timestamp
 // order); Unlock appends them as one contiguous frame group under a
 // single log-mutex hold, and the group's durability is one fsync.
 func (w *window) LogCommitBatch(recs []storage.CommitRecord) {
-	w.stagedBatch = recs
+	w.commits = recs
 }
 
 // Unlock appends the staged record (or the raw installs) while the
@@ -813,29 +818,16 @@ func (w *window) Unlock() {
 	w.unlocked = true
 	var last uint64
 	var appendErr error
-	var groupRecords int
 	switch {
-	case len(w.stagedBatch) > 0:
-		bodies := make([][]byte, len(w.stagedBatch))
-		for i, rec := range w.stagedBatch {
-			bodies[i] = encodeCommitBody(rec)
-		}
-		groupRecords = len(bodies)
-		last, appendErr = w.d.append(recCommit, bodies...)
-	case w.staged != nil:
-		last, appendErr = w.d.append(recCommit, encodeCommitBody(*w.staged))
+	case len(w.commits) > 0: // the commit records subsume the installs
+		last, appendErr = w.d.append(w.commits, nil)
 	case len(w.installs) > 0:
-		for _, wr := range w.installs {
-			last, appendErr = w.d.append(recInstall, encodeInstallBody(wr.Obj, wr.Version))
-			if appendErr != nil {
-				break
-			}
-		}
+		last, appendErr = w.d.append(nil, w.installs)
 	}
 	if w.trace != nil && last > 0 {
 		attrs := map[string]int64{"lsn": int64(last)}
-		if groupRecords > 0 {
-			attrs["group_records"] = int64(groupRecords)
+		if len(w.commits) > 1 {
+			attrs["group_records"] = int64(len(w.commits))
 		}
 		w.trace.MarkAttrs(txtrace.StageWALAppend, attrs)
 	}

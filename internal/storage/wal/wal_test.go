@@ -248,14 +248,14 @@ func TestRecoveryRefusesNonSI(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	records := [][]byte{
-		encodeFrame(recCommit, 1, encodeCommitBody(storage.CommitRecord{
+		commitFrame(nil, 1, &storage.CommitRecord{
 			TS: 1, Session: "a", TxID: "T1",
 			Ops: []model.Op{model.Read("x", 0), model.Write("x", 1)},
-		})),
-		encodeFrame(recCommit, 2, encodeCommitBody(storage.CommitRecord{
+		}),
+		commitFrame(nil, 2, &storage.CommitRecord{
 			TS: 2, Session: "b", TxID: "T2",
 			Ops: []model.Op{model.Read("x", 0), model.Write("x", 2)},
-		})),
+		}),
 	}
 	writeSegment(t, filepath.Join(dir, "wal-00000001.log"), records)
 
