@@ -8,7 +8,7 @@
 //	sibench -engine si|ser|psi|ssi -workload registers|writeskew|transfers|longfork|banking|smallbank|closedloop
 //	        [-sessions N] [-txs N] [-ops N] [-objects N] [-rounds N]
 //	        [-accounts N] [-hops N] [-chopped] [-seed N] [-certify]
-//	        [-duration D] [-hotkeys N] [-disjoint] [-parallel N]
+//	        [-duration D] [-hotkeys N] [-disjoint]
 //	        [-trace] [-metrics file|-] [-bench-json file]
 //	        [-serve addr]
 //	        [-record file.ndjson] [-timeline file.json]
@@ -89,8 +89,8 @@ import (
 )
 
 // benchSchema versions the -bench-json report. v3 dropped v2's sweep,
-// checker_bench and note fields.
-const benchSchema = "sibench/v3"
+// checker_bench and note fields; v4 dropped certify_parallelism.
+const benchSchema = "sibench/v4"
 
 // benchReport is the machine-readable summary -bench-json writes, one
 // JSON object per run. Latency quantiles come from the engine's
@@ -121,9 +121,8 @@ type benchReport struct {
 	P99SnapshotAgeNS   float64 `json:"p99_snapshot_age_ns"`
 
 	// Certification fields are present when -certify ran.
-	CertifyParallelism int   `json:"certify_parallelism,omitempty"`
-	CertifyNS          int64 `json:"certify_ns,omitempty"`
-	CertifyExamined    int   `json:"certify_examined,omitempty"`
+	CertifyNS       int64 `json:"certify_ns,omitempty"`
+	CertifyExamined int   `json:"certify_examined,omitempty"`
 
 	// Stages is the per-stage latency breakdown of a traced run, in
 	// pipeline order; absent on untraced runs.
@@ -157,7 +156,6 @@ type runConfig struct {
 	seed         int64
 	atomicLookup bool
 	certify      bool
-	parallel     int
 	benchJSON    string
 	recordOut    string
 	timelineOut  string
@@ -184,7 +182,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	seed := fs.Int64("seed", 1, "workload seed")
 	atomicLookup := fs.Bool("atomic-lookup", false, "banking: query both accounts in one transaction (the incorrect Figure 5 chopping)")
 	certify := fs.Bool("certify", false, "certify the recorded history against the engine's model")
-	parallel := fs.Int("parallel", 0, "worker goroutines for the certification search (0 = one per CPU)")
 	benchJSON := fs.String("bench-json", "", "write a machine-readable benchmark summary (JSON) to this file")
 	recordOut := fs.String("record", "", "dump the transactional event stream as NDJSON to this file on exit")
 	timelineOut := fs.String("timeline", "", "trace the run and write its timeline (Perfetto-loadable Chrome trace JSON) to this file on exit")
@@ -221,7 +218,7 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 		sessions: *sessions, txs: *txs, ops: *ops, objects: *objects,
 		rounds: *rounds, accounts: *accounts, hops: *hops, transfers: *transfers,
 		chopped: *chopped, seed: *seed, atomicLookup: *atomicLookup,
-		certify: *certify, parallel: *parallel, benchJSON: *benchJSON,
+		certify: *certify, benchJSON: *benchJSON,
 		recordOut: *recordOut, timelineOut: *timelineOut, recordCap: *recordCap,
 		duration: *duration, hotkeys: *hotkeys, disjoint: *disjoint,
 		addr: *addrFlag,
@@ -371,10 +368,7 @@ func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, tracer *t
 	case "banking":
 		h, err = workload.StageBankingChopped(db, cfg.atomicLookup)
 		if err == nil {
-			spliced, serr := check.Certify(h.Splice(), cfg.model, check.Options{
-				NoInit: true, PinInit: true, Budget: 1_000_000,
-				Parallelism: cfg.parallel,
-			})
+			spliced, serr := check.Certify(h.Splice(), cfg.model, check.Options{NoInit: true, PinInit: true, Budget: 1_000_000})
 			if serr != nil {
 				return 2, benchReport{}, serr
 			}
@@ -401,8 +395,7 @@ func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, tracer *t
 	if cfg.certify {
 		certifyStart := time.Now()
 		res, err := check.Certify(h, cfg.model, check.Options{
-			NoInit: true, PinInit: true, Budget: 10_000_000,
-			Parallelism: cfg.parallel, Trace: tr, Metrics: reg,
+			NoInit: true, PinInit: true, Budget: 10_000_000, Trace: tr, Metrics: reg,
 		})
 		certifyDur = time.Since(certifyStart)
 		if err != nil {
@@ -449,10 +442,6 @@ func (cfg runConfig) buildReport(elapsed, certifyDur time.Duration, certifyExami
 		P99SnapshotAgeNS:   snapAge.Quantile(0.99),
 	}
 	if certifyExamined > 0 {
-		rep.CertifyParallelism = cfg.parallel
-		if cfg.parallel <= 0 {
-			rep.CertifyParallelism = runtime.GOMAXPROCS(0)
-		}
 		rep.CertifyNS = certifyDur.Nanoseconds()
 		rep.CertifyExamined = certifyExamined
 	}

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	sicheck [-model all|ser|si|psi|pc|gsi] [-init-value N] [-budget N]
-//	        [-parallel N] [-witness] [-classify] [-dot out.dot] [-window N]
+//	        [-witness] [-classify] [-dot out.dot] [-window N]
 //	        [-follow] [-idle-exit D] [-trace] [-metrics file|-]
 //	        [-serve addr] [history.json|events.ndjson]
 //
@@ -70,7 +70,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 	modelFlag := fs.String("model", "all", "model to check: all, ser, si, psi, pc or gsi")
 	initValue := fs.Int64("init-value", 0, "value every object holds before any write, unless the input's first transaction is named init")
 	budget := fs.Int("budget", 0, "candidate dependency graphs to examine per certification (0 = one million)")
-	parallel := fs.Int("parallel", 0, "worker goroutines per certification (0 = one per CPU for a document, 1 for a stream)")
 	witness := fs.Bool("witness", false, "document: print the witness dependency graph for members")
 	dotOut := fs.String("dot", "", "document: write the first witness dependency graph as Graphviz DOT to this file ('-' for stdout)")
 	classify := fs.Bool("classify", false, "document: name the anomaly class of the history across the model lattice")
@@ -112,14 +111,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 		return finish(2, err)
 	}
 	if !doc {
-		cfg := monitor.Config{Window: *window, Budget: *budget, Parallelism: *parallel, InitValue: model.Value(*initValue), Metrics: o.Registry}
+		cfg := monitor.Config{Window: *window, Budget: *budget, InitValue: model.Value(*initValue), Metrics: o.Registry}
 		return finish(certifyStream(br, models, cfg, stdout, o, tr))
 	}
 	h, err := histio.DecodeHistory(br)
 	if err != nil {
 		return finish(2, err)
 	}
-	opts := check.Options{InitValue: model.Value(*initValue), Budget: *budget, Parallelism: *parallel, Trace: tr, Metrics: o.Registry}
+	opts := check.Options{InitValue: model.Value(*initValue), Budget: *budget, Trace: tr, Metrics: o.Registry}
 	if h.NumTransactions() > 0 && h.Transaction(0).ID == model.InitTransactionID {
 		// The document carries its own init: pin it, add none.
 		opts.NoInit, opts.PinInit = true, true

@@ -7,13 +7,11 @@
 // the history — read-dependency (WR) assignments consistent with the
 // values read, and per-object total write orders (WW) — and tests each
 // candidate for membership in GraphSER / GraphSI / GraphPSI. The
-// search mutates a single depgraph.Builder per worker, undoing edges
-// on backtrack, and fans the top-level WR branches across a bounded
-// worker pool (Options.Parallelism) while keeping verdicts and
-// witnesses deterministic. For value-traceable histories (every object
-// value written at most once, as produced by internal/workload and
-// internal/engine) the WR assignment is unique, leaving only the WW
-// orders to search.
+// search is one sequential depth-first exploration that mutates a
+// single depgraph.Builder, undoing edges on backtrack. For
+// value-traceable histories (every object value written at most once,
+// as produced by internal/workload and internal/engine) the WR
+// assignment is unique, leaving only the WW orders to search.
 //
 // The package also contains a brute-force checker that enumerates
 // abstract executions directly against the axioms of Figure 1; it is
@@ -25,9 +23,7 @@ package check
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"sian/internal/core"
 	"sian/internal/depgraph"
@@ -38,10 +34,10 @@ import (
 )
 
 // Options configures certification. The zero value selects the
-// defaults: an initialisation transaction writing 0, a one-million
-// candidate budget and one worker per CPU. Each field is normalised
-// individually, so setting only some fields (a Trace, a Metrics
-// registry) keeps the defaults for the rest.
+// defaults: an initialisation transaction writing 0 and a one-million
+// candidate budget. Each field is normalised individually, so setting
+// only some fields (a Trace, a Metrics registry) keeps the defaults
+// for the rest.
 type Options struct {
 	// NoInit disables extending the history with an initialisation
 	// transaction writing InitValue to every object before checking.
@@ -61,12 +57,6 @@ type Options struct {
 	// examined before the search gives up with ErrBudgetExceeded.
 	// Non-positive means the default of one million.
 	Budget int
-	// Parallelism bounds the number of worker goroutines exploring
-	// top-level WR assignment branches. Non-positive means
-	// runtime.GOMAXPROCS(0). Verdicts, witnesses and explanations are
-	// deterministic at any setting; with Parallelism 1 the search is
-	// exactly the sequential depth-first exploration.
-	Parallelism int
 	// BuildExecution, when certifying SI membership, additionally runs
 	// the Theorem 10(i) construction to produce an abstract execution
 	// certificate.
@@ -76,24 +66,22 @@ type Options struct {
 	// well-formedness and INT), check_wr_enumeration (read-site
 	// candidate discovery), check_extension_search (WR assignment and
 	// WW linear extensions; attrs cycle_ns, the per-candidate cycle
-	// checks summed over all workers, and candidates, Result.Examined),
+	// checks' time, and candidates, Result.Examined),
 	// check_solve_inequalities (the Figure 3 / Lemma 15 execution
 	// construction) and check_explain (witness decomposition). Each
 	// stage runs from the trace's previous mark. A Trace belongs to
-	// one goroutine: CertifyAll certifies one model after another when
-	// it is set.
+	// one goroutine.
 	Trace *txtrace.Trace
 	// Metrics, when non-nil, receives the search counters
 	// check_graphs_examined_total, check_branches_pruned_total,
 	// check_wr_assignments_total, check_undo_ops_total,
-	// check_closure_delta_edges_total and check_workers_spawned_total,
-	// labelled model="<model>".
+	// and check_closure_delta_edges_total, labelled model="<model>".
 	Metrics *obs.Registry
 }
 
 // DefaultOptions returns the fully normalised options the zero
-// Options value selects: init transaction with value 0, a one-million
-// graph budget and one worker per CPU.
+// Options value selects: init transaction with value 0 and a
+// one-million graph budget.
 func DefaultOptions() Options {
 	return Options{}.normalized()
 }
@@ -105,9 +93,6 @@ func DefaultOptions() Options {
 func (o Options) normalized() Options {
 	if o.Budget <= 0 {
 		o.Budget = 1_000_000
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if !o.NoInit {
 		// The added init transaction sits at index 0 and precedes
@@ -131,21 +116,11 @@ type Result struct {
 	// Execution is the Theorem 10(i) certificate when requested via
 	// Options.BuildExecution and the model is SI.
 	Execution *execution.Execution
-	// Examined counts candidate graphs tested. It is deterministic for
-	// any verdict at any parallelism (workers beyond the first explore
-	// work the sequential search would have reached anyway, and the
-	// count reflects the sequential prefix).
+	// Examined counts candidate graphs tested, in depth-first order.
 	Examined int
 	// History is the history actually analysed (init-extended unless
 	// Options.NoInit).
 	History *model.History
-	// Rejection explains a negative verdict when the dependency
-	// extension was fully determined (a single candidate graph): it is
-	// that graph, whose forbidden cycle (Graph.Witness) is then the
-	// definitive reason the history is disallowed. Nil when the search
-	// branched (a negative verdict then quantifies over all
-	// candidates) or when the history is a member.
-	Rejection *depgraph.Graph
 	// Explain is the explainable trace of a negative verdict: the
 	// violated axiom and, where a candidate graph exists, the
 	// witnessing cycle as labelled edges. Nil for members.
@@ -228,7 +203,7 @@ func Certify(h *model.History, m depgraph.Model, opts Options) (*Result, error) 
 	if opts.PinInit {
 		pinned = 0
 	}
-	s, err := newSearch(target, m, opts.Budget, opts.Parallelism, pinned)
+	s, err := newSearch(target, m, opts.Budget, pinned)
 	tr.Mark(txtrace.StageCheckWREnumeration)
 	if err != nil {
 		// A read with no candidate writer: no extension exists.
@@ -246,22 +221,17 @@ func Certify(h *model.History, m depgraph.Model, opts Options) (*Result, error) 
 		s.cWR = opts.Metrics.Counter("check_wr_assignments_total", lbl)
 		s.cUndo = opts.Metrics.Counter("check_undo_ops_total", lbl)
 		s.cDelta = opts.Metrics.Counter("check_closure_delta_edges_total", lbl)
-		s.cWorkers = opts.Metrics.Counter("check_workers_spawned_total", lbl)
 	}
 	g, examined, err := s.run()
 	if tr != nil {
-		// The workers have joined: their cycle-check time is summed.
 		tr.MarkAttrs(txtrace.StageCheckExtensionSearch, map[string]int64{
-			"cycle_ns": s.cycleNS.Load(), "candidates": int64(examined)})
+			"cycle_ns": s.cycleNS, "candidates": int64(examined)})
 	}
 	res.Examined = examined
 	if err != nil {
 		return res, err
 	}
 	if g == nil {
-		if examined == 1 {
-			res.Rejection = s.lastCandidate
-		}
 		res.Explain = s.explainNegative(m, examined)
 		tr.Mark(txtrace.StageCheckExplain)
 		return res, nil
@@ -290,10 +260,11 @@ func (s *search) explainNegative(m depgraph.Model, examined int) *Explanation {
 		detail = fmt.Sprintf("cycle from the last of %d rejected candidate extensions", examined)
 	}
 	if s.lastCandidate != nil {
-		if we := s.lastCandidate.ExplainWitness(m); we != nil {
+		g := s.replay(s.lastCandidate)
+		if we := g.ExplainWitness(m); we != nil {
 			return &Explanation{
 				Model: m, Axiom: we.Axiom, Cycle: we.Cycle,
-				Graph: s.lastCandidate, Detail: detail, Definitive: definitive,
+				Graph: g, Detail: detail, Definitive: definitive,
 			}
 		}
 		// A complete candidate that is not in the model must have a
@@ -302,13 +273,14 @@ func (s *search) explainNegative(m depgraph.Model, examined int) *Explanation {
 		// explanation rather than returning nil.
 	}
 	if s.lastPruned != nil {
-		if we := s.lastPruned.ExplainBaseCycle(m); we != nil {
+		g := s.replay(s.lastPruned)
+		if we := g.ExplainBaseCycle(m); we != nil {
 			if detail == "" {
 				detail = "every write-order extension of this WR assignment makes the dependencies cyclic"
 			}
 			return &Explanation{
 				Model: m, Axiom: we.Axiom, Cycle: we.Cycle,
-				Graph: s.lastPruned, Detail: detail, Definitive: definitive,
+				Graph: g, Detail: detail, Definitive: definitive,
 			}
 		}
 	}
@@ -316,35 +288,19 @@ func (s *search) explainNegative(m depgraph.Model, examined int) *Explanation {
 		Detail: "no dependency-graph extension of the history lies in the model", Definitive: definitive}
 }
 
-// CertifyAll certifies the history against several models
-// concurrently, one goroutine per model (in order on the caller's
-// goroutine when opts.Trace is set, so the trace holds each model's
-// stages in turn), and returns the results keyed by model. On failure
-// it returns the error of the first failing model in the order of the
+// CertifyAll certifies the history against several models, one after
+// another, and returns the results keyed by model. On failure it
+// returns the error of the first failing model in the order of the
 // models argument (results for other models may still be present).
 func CertifyAll(h *model.History, models []depgraph.Model, opts Options) (map[depgraph.Model]*Result, error) {
-	results := make([]*Result, len(models))
-	errs := make([]error, len(models))
-	var wg sync.WaitGroup
-	for i, m := range models {
-		if opts.Trace != nil {
-			results[i], errs[i] = Certify(h, m, opts)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, m depgraph.Model) {
-			defer wg.Done()
-			results[i], errs[i] = Certify(h, m, opts)
-		}(i, m)
-	}
-	wg.Wait()
 	out := make(map[depgraph.Model]*Result, len(models))
 	var firstErr error
-	for i, m := range models {
-		if errs[i] != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%v: %w", m, errs[i])
+	for _, m := range models {
+		res, err := Certify(h, m, opts)
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("%v: %w", m, err)
 		}
-		out[m] = results[i]
+		out[m] = res
 	}
 	return out, firstErr
 }

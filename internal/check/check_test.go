@@ -378,8 +378,9 @@ func TestCertifySessionOrderMatters(t *testing.T) {
 }
 
 // TestRejectionExplanation: when the dependency extension is fully
-// determined (no branching), a negative verdict carries the candidate
-// graph, whose Witness pinpoints the forbidden cycle.
+// determined (no branching), a negative verdict's explanation is
+// definitive and carries the candidate graph, whose Witness pinpoints
+// the forbidden cycle.
 func TestRejectionExplanation(t *testing.T) {
 	t.Parallel()
 	lf := workload.LongFork()
@@ -390,21 +391,21 @@ func TestRejectionExplanation(t *testing.T) {
 	if res.Examined != 1 {
 		t.Fatalf("expected a fully determined search, examined = %d", res.Examined)
 	}
-	if res.Rejection == nil {
-		t.Fatal("no rejection graph")
+	if res.Explain == nil || !res.Explain.Definitive || res.Explain.Graph == nil {
+		t.Fatalf("no definitive rejection graph: %v", res.Explain)
 	}
-	cyc := res.Rejection.Witness(depgraph.SI)
+	cyc := res.Explain.Graph.Witness(depgraph.SI)
 	if len(cyc) < 2 {
 		t.Errorf("witness cycle = %v", cyc)
 	}
-	// Members carry no rejection.
+	// Members carry no explanation.
 	psi := certifyNoInit(t, lf.History, depgraph.PSI)
-	if !psi.Member || psi.Rejection != nil {
-		t.Error("member result should have nil Rejection")
+	if !psi.Member || psi.Explain != nil {
+		t.Error("member result should have nil Explain")
 	}
 }
 
-// TestCertifyAll runs the concurrent multi-model certification.
+// TestCertifyAll runs the multi-model certification.
 func TestCertifyAll(t *testing.T) {
 	t.Parallel()
 	ws := workload.WriteSkew()

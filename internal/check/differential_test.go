@@ -15,7 +15,7 @@ import (
 	"sian/internal/workload"
 )
 
-// This file pins the refactored incremental/parallel certifier to the
+// This file pins the refactored incremental certifier to the
 // pre-refactor semantics. refSearch below is a faithful port of the
 // original search: it clones the whole dependency graph at every WR
 // branch and write-order leaf and recomputes a full transitive closure
@@ -249,58 +249,53 @@ func refCertify(h *model.History, m depgraph.Model, noInit, pinInit bool, budget
 
 var diffModels = []depgraph.Model{depgraph.SER, depgraph.SI, depgraph.PSI, depgraph.PC, depgraph.GSI}
 
-// diffCompare certifies h under the new implementation at the given
-// parallelism and requires agreement with the reference.
-func diffCompare(t *testing.T, label string, h *model.History, m depgraph.Model, noInit bool, budget, par int) {
+// diffCompare certifies h under the new implementation and requires
+// agreement with the reference.
+func diffCompare(t *testing.T, label string, h *model.History, m depgraph.Model, noInit bool, budget int) {
 	t.Helper()
 	ref, refErr := refCertify(h, m, noInit, true, budget)
-	opts := Options{NoInit: noInit, PinInit: true, Budget: budget, Parallelism: par}
+	opts := Options{NoInit: noInit, PinInit: true, Budget: budget}
 	res, err := Certify(h, m, opts)
 	if refErr != nil {
-		// Search error (budget or >64 writers). With one worker the
-		// new search is the same sequential exploration and must agree
-		// exactly; extra workers may legitimately find a member before
-		// the shared budget trips (documented tolerance), so only the
-		// error case is pinned there.
-		if par == 1 {
-			if err == nil {
-				t.Fatalf("%s/%v p%d: reference errored (%v), new certifier returned member=%v", label, m, par, refErr, res.Member)
-			}
-			if errors.Is(refErr, ErrBudgetExceeded) != errors.Is(err, ErrBudgetExceeded) {
-				t.Fatalf("%s/%v p%d: error kind diverged: ref %v, new %v", label, m, par, refErr, err)
-			}
-			if res.Examined != ref.examined {
-				t.Fatalf("%s/%v p%d: examined at error diverged: ref %d, new %d", label, m, par, ref.examined, res.Examined)
-			}
+		// Search error (budget or >64 writers): the new search is the
+		// same depth-first exploration and must stop at the same place.
+		if err == nil {
+			t.Fatalf("%s/%v: reference errored (%v), new certifier returned member=%v", label, m, refErr, res.Member)
+		}
+		if errors.Is(refErr, ErrBudgetExceeded) != errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("%s/%v: error kind diverged: ref %v, new %v", label, m, refErr, err)
+		}
+		if res.Examined != ref.examined {
+			t.Fatalf("%s/%v: examined at error diverged: ref %d, new %d", label, m, ref.examined, res.Examined)
 		}
 		return
 	}
 	if err != nil {
-		t.Fatalf("%s/%v p%d: new certifier errored (%v), reference did not", label, m, par, err)
+		t.Fatalf("%s/%v: new certifier errored (%v), reference did not", label, m, err)
 	}
 	if res.Member != ref.member {
-		t.Fatalf("%s/%v p%d: verdict diverged: ref member=%v, new member=%v", label, m, par, ref.member, res.Member)
+		t.Fatalf("%s/%v: verdict diverged: ref member=%v, new member=%v", label, m, ref.member, res.Member)
 	}
 	if res.Examined != ref.examined {
-		t.Fatalf("%s/%v p%d: examined diverged: ref %d, new %d", label, m, par, ref.examined, res.Examined)
+		t.Fatalf("%s/%v: examined diverged: ref %d, new %d", label, m, ref.examined, res.Examined)
 	}
 	if ref.member {
 		if res.Graph == nil || !res.Graph.Equal(ref.graph) {
-			t.Fatalf("%s/%v p%d: witness graph diverged from reference", label, m, par)
+			t.Fatalf("%s/%v: witness graph diverged from reference", label, m)
 		}
 		return
 	}
 	if res.Explain == nil {
-		t.Fatalf("%s/%v p%d: negative verdict without explanation", label, m, par)
+		t.Fatalf("%s/%v: negative verdict without explanation", label, m)
 	}
 	if res.Explain.Axiom != ref.axiom {
-		t.Fatalf("%s/%v p%d: axiom diverged: ref %s, new %s", label, m, par, ref.axiom, res.Explain.Axiom)
+		t.Fatalf("%s/%v: axiom diverged: ref %s, new %s", label, m, ref.axiom, res.Explain.Axiom)
 	}
 	if !reflect.DeepEqual(res.Explain.Cycle, ref.cycle) {
-		t.Fatalf("%s/%v p%d: witness cycle diverged:\nref %v\nnew %v", label, m, par, ref.cycle, res.Explain.Cycle)
+		t.Fatalf("%s/%v: witness cycle diverged:\nref %v\nnew %v", label, m, ref.cycle, res.Explain.Cycle)
 	}
 	if ref.explainG != nil && (res.Explain.Graph == nil || !res.Explain.Graph.Equal(ref.explainG)) {
-		t.Fatalf("%s/%v p%d: explanation graph diverged from reference", label, m, par)
+		t.Fatalf("%s/%v: explanation graph diverged from reference", label, m)
 	}
 }
 
@@ -328,25 +323,22 @@ func diffCorpus(t *testing.T) map[string]*model.History {
 }
 
 // TestDifferentialCorpus pins the new certifier to the reference on
-// every curated history, sequentially and with four workers.
+// every curated history.
 func TestDifferentialCorpus(t *testing.T) {
 	t.Parallel()
 	for name, h := range diffCorpus(t) {
 		for _, m := range diffModels {
-			for _, par := range []int{1, 4} {
-				// The curated histories carry their own init
-				// transactions; certify both raw and init-extended.
-				diffCompare(t, name, h, m, true, 100_000, par)
-				diffCompare(t, name+"+init", h, m, false, 100_000, par)
-			}
+			// The curated histories carry their own init transactions;
+			// certify both raw and init-extended.
+			diffCompare(t, name, h, m, true, 100_000)
+			diffCompare(t, name+"+init", h, m, false, 100_000)
 		}
 	}
 }
 
 // TestDifferentialRandom pins the new certifier to the reference on
 // seeded random histories — well over a thousand, mixing the
-// unconstrained and plausible generators — under every model, with
-// one and with four workers.
+// unconstrained and plausible generators — under every model.
 func TestDifferentialRandom(t *testing.T) {
 	t.Parallel()
 	const histories = 1200
@@ -367,18 +359,15 @@ func TestDifferentialRandom(t *testing.T) {
 		}
 		label := fmt.Sprintf("random-%d", i)
 		m := diffModels[i%len(diffModels)]
-		// Every history under one rotating model at both parallelism
-		// levels, plus a full model sweep on a sample.
-		for _, par := range []int{1, 4} {
-			diffCompare(t, label, h, m, false, 20_000, par)
-		}
+		// Every history under one rotating model, plus a full model
+		// sweep on a sample.
+		diffCompare(t, label, h, m, false, 20_000)
 		if i%10 == 0 {
 			for _, other := range diffModels {
 				if other == m {
 					continue
 				}
-				diffCompare(t, label, h, other, false, 20_000, 1)
-				diffCompare(t, label, h, other, false, 20_000, 4)
+				diffCompare(t, label, h, other, false, 20_000)
 			}
 		}
 	}
@@ -415,13 +404,11 @@ func forcedPrefixHistory() *model.History {
 }
 
 // TestDifferentialForcedPrefix pins the flat placement of forced write
-// orders to the reference on forcedPrefixHistory, under every model
-// with one worker, and under SI with four too (the plan has a single
-// branch, which runs inline either way).
+// orders to the reference on forcedPrefixHistory, under every model.
 func TestDifferentialForcedPrefix(t *testing.T) {
 	t.Parallel()
 	h := forcedPrefixHistory()
-	s, err := newSearch(h.WithInit(0), depgraph.SI, 1, 1, 0)
+	s, err := newSearch(h.WithInit(0), depgraph.SI, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,9 +416,8 @@ func TestDifferentialForcedPrefix(t *testing.T) {
 		t.Fatalf("%d multi-writer objects, last %s; want over 1000, last z", len(s.objs), s.names[s.objs[len(s.objs)-1]])
 	}
 	for _, m := range diffModels {
-		diffCompare(t, "forced-prefix", h, m, false, 100, 1)
+		diffCompare(t, "forced-prefix", h, m, false, 100)
 	}
-	diffCompare(t, "forced-prefix", h, depgraph.SI, false, 100, 4)
 	if res, err := Certify(h, depgraph.SI, Options{}); err != nil || res.Member || res.Examined != 2 {
 		t.Fatalf("SI: member %v, examined %d, err %v; want a rejection after both orders of z", res.Member, res.Examined, err)
 	}

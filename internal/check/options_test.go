@@ -63,9 +63,6 @@ func TestOptionsPerFieldDefaults(t *testing.T) {
 	if n.Budget != DefaultOptions().Budget {
 		t.Errorf("Budget not defaulted alongside Metrics: got %d", n.Budget)
 	}
-	if n.Parallelism < 1 {
-		t.Errorf("Parallelism not defaulted alongside Metrics: got %d", n.Parallelism)
-	}
 	if n.NoInit || !n.PinInit {
 		t.Errorf("init defaults not applied alongside Metrics: NoInit=%v PinInit=%v", n.NoInit, n.PinInit)
 	}
@@ -77,8 +74,7 @@ func TestOptionsPerFieldDefaults(t *testing.T) {
 }
 
 // TestCertifyAllFirstErrorInArgumentOrder pins CertifyAll's error to
-// the first failing model in the models argument order, independent of
-// goroutine scheduling.
+// the first failing model in the models argument order.
 func TestCertifyAllFirstErrorInArgumentOrder(t *testing.T) {
 	t.Parallel()
 	h := manyWriters(65) // every model fails with the >64-writer error
@@ -97,29 +93,27 @@ func TestCertifyAllFirstErrorInArgumentOrder(t *testing.T) {
 	}
 }
 
-// TestTooManyWriters exercises the >64 writers-per-object error path,
-// sequentially and with workers, and checks 64 writers still certify.
+// TestTooManyWriters exercises the >64 writers-per-object error path
+// and checks 64 writers still certify.
 func TestTooManyWriters(t *testing.T) {
 	t.Parallel()
-	for _, par := range []int{1, 4} {
-		_, err := Certify(manyWriters(65), depgraph.SER, Options{NoInit: true, Parallelism: par})
-		if err == nil {
-			t.Fatalf("p%d: 65 writers must be rejected with an error", par)
-		}
-		if !strings.Contains(err.Error(), "65 writers") || !strings.Contains(err.Error(), "limited to 64") {
-			t.Fatalf("p%d: unexpected error text: %v", par, err)
-		}
-		if errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("p%d: writer-limit error must not be a budget error: %v", par, err)
-		}
+	_, err := Certify(manyWriters(65), depgraph.SER, Options{NoInit: true})
+	if err == nil {
+		t.Fatal("65 writers must be rejected with an error")
+	}
+	if !strings.Contains(err.Error(), "65 writers") || !strings.Contains(err.Error(), "limited to 64") {
+		t.Fatalf("unexpected error text: %v", err)
+	}
+	if errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("writer-limit error must not be a budget error: %v", err)
+	}
 
-		res, err := Certify(manyWriters(64), depgraph.SER, Options{NoInit: true, Parallelism: par})
-		if err != nil {
-			t.Fatalf("p%d: 64 blind writers: %v", par, err)
-		}
-		if !res.Member || res.Examined != 1 {
-			t.Fatalf("p%d: 64 blind writers: want member on first candidate, got member=%v examined=%d", par, res.Member, res.Examined)
-		}
+	res, err := Certify(manyWriters(64), depgraph.SER, Options{NoInit: true})
+	if err != nil {
+		t.Fatalf("64 blind writers: %v", err)
+	}
+	if !res.Member || res.Examined != 1 {
+		t.Fatalf("64 blind writers: want member on first candidate, got member=%v examined=%d", res.Member, res.Examined)
 	}
 }
 
@@ -149,29 +143,17 @@ func budgetHistory() *model.History {
 	return model.NewHistory(sessions...)
 }
 
-// TestBudgetExceededUnderParallelism checks ErrBudgetExceeded fires
-// under the worker pool and that the shared budget is respected within
-// a worker-count tolerance: each worker can overshoot the shared
-// counter by at most one candidate before it observes the breach.
-func TestBudgetExceededUnderParallelism(t *testing.T) {
+// TestBudgetExceeded checks ErrBudgetExceeded fires on a search that
+// would examine more candidates than its budget, and that the search
+// stops on the first candidate past it: exactly budget+1 examined.
+func TestBudgetExceeded(t *testing.T) {
 	t.Parallel()
 	const budget = 50
-	h := budgetHistory()
-
-	res, err := Certify(h, depgraph.SER, Options{NoInit: true, Budget: budget, Parallelism: 1})
+	res, err := Certify(budgetHistory(), depgraph.SER, Options{NoInit: true, Budget: budget})
 	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("p1: want ErrBudgetExceeded, got %v", err)
+		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
 	if res.Examined != budget+1 {
-		t.Fatalf("p1: sequential budget stop must examine exactly budget+1, got %d", res.Examined)
-	}
-
-	const workers = 4
-	res, err = Certify(h, depgraph.SER, Options{NoInit: true, Budget: budget, Parallelism: workers})
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("p%d: want ErrBudgetExceeded, got %v", workers, err)
-	}
-	if res.Examined <= budget || res.Examined > budget+workers {
-		t.Fatalf("p%d: examined %d outside (budget, budget+workers] = (%d, %d]", workers, res.Examined, budget, budget+workers)
+		t.Fatalf("budget stop must examine exactly budget+1, got %d", res.Examined)
 	}
 }

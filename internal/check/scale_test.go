@@ -2,8 +2,10 @@ package check
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +77,38 @@ func BenchmarkCertify1k(b *testing.B) {
 	}
 }
 
+// TestCertifyCostIndependentOfGOMAXPROCS: the search has one path, so
+// what certifying BenchmarkCertify1k's history examines, finds and
+// allocates does not depend on how many CPUs the process may use. It
+// measures the heap, so it does not run in parallel with other tests.
+func TestCertifyCostIndependentOfGOMAXPROCS(t *testing.T) {
+	h := serialHistory(1, 1000, 4, 2048, false)
+	opts := Options{NoInit: true, PinInit: true}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	if _, err := Certify(h, depgraph.SI, opts); err != nil { // warm up
+		t.Fatal(err)
+	}
+	var res [2]*Result
+	var alloc [2]float64
+	for i, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := Certify(h, depgraph.SI, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil || !r.Member {
+			t.Fatalf("GOMAXPROCS %d: member %v, err %v", procs, r != nil && r.Member, err)
+		}
+		res[i], alloc[i] = r, float64(after.TotalAlloc-before.TotalAlloc)
+	}
+	if res[0].Examined != res[1].Examined || !res[0].Graph.Equal(res[1].Graph) {
+		t.Fatalf("examined %d vs %d, or the witnesses differ, at GOMAXPROCS 1 and 2", res[0].Examined, res[1].Examined)
+	}
+	if d := math.Abs(alloc[0]-alloc[1]) / alloc[0]; d > 0.01 {
+		t.Fatalf("allocated %.0f B at GOMAXPROCS 1, %.0f B at 2: %.1f%% apart, want within 1%%", alloc[0], alloc[1], 100*d)
+	}
+}
+
 // TestRejected1kExplained: a rejected history of a thousand
 // transactions is certified a non-member and explained — axiom and
 // witness cycle — in well under a second. The explanation used to
@@ -84,7 +118,7 @@ func TestRejected1kExplained(t *testing.T) {
 	t.Parallel()
 	h := serialHistory(2, 1000, 4, 2048, true)
 	start := time.Now()
-	res, err := Certify(h, depgraph.SI, Options{NoInit: true, PinInit: true, Parallelism: 1})
+	res, err := Certify(h, depgraph.SI, Options{NoInit: true, PinInit: true})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +196,7 @@ func TestIndexHistoryMatchesScan(t *testing.T) {
 	}
 	for name, h := range hs {
 		ref, refErr := newRefSearch(h, depgraph.SI, 1, 0)
-		got, err := newSearch(h, depgraph.SI, 1, 1, 0)
+		got, err := newSearch(h, depgraph.SI, 1, 0)
 		if (refErr == nil) != (err == nil) || (err != nil && err.Error() != refErr.Error()) {
 			t.Fatalf("%s: error diverged: scan %v, index %v", name, refErr, err)
 		}

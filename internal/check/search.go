@@ -3,10 +3,7 @@ package check
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sian/internal/depgraph"
@@ -34,17 +31,13 @@ type choice struct {
 	orders [][]int // write order chosen for objs[0 .. len(orders))
 }
 
-// search carries the state of the dependency-graph search. The
-// top-level WR assignment space is split into lexicographic branches
-// (prefixes of read-site candidate choices) that a bounded worker pool
-// explores concurrently; within a branch the search is a sequential
-// mutate-and-undo DFS on one depgraph.Builder.
+// search carries the state of the dependency-graph search: one
+// sequential mutate-and-undo DFS on one depgraph.Builder.
 type search struct {
-	h           *model.History
-	m           depgraph.Model
-	budget      int
-	parallelism int
-	pinned      int // index forced first in every WW order, or -1
+	h      *model.History
+	m      depgraph.Model
+	budget int
+	pinned int // index forced first in every WW order, or -1
 	// Objects are interned once per certification: an object's id is
 	// its rank among the history's object names, sorted.
 	names   []model.Obj
@@ -52,36 +45,33 @@ type search struct {
 	objs    []int   // ids of the objects with ≥2 writers, needing a WW order
 	writers [][]int // WriteTx_x by object id
 
-	// Shared across branch workers.
-	examined atomic.Int64 // candidates tested, bounds the budget
-	winner   atomic.Int64 // lowest branch index that found a member
-	minErr   atomic.Int64 // lowest branch index that stopped on an error
+	bld       *depgraph.Builder
+	curWR     []int      // the WR source chosen for each read site so far
+	curOrders [][]int    // the write order chosen for each object so far
+	examined  int        // candidates tested, bounds the budget
+	forced    [64]uint64 // orderWrites' precedence masks, reused per object
 
-	// lastCandidate is the most recent complete candidate graph in
-	// deterministic (sequential) order; when the search ends negative
-	// with one candidate examined it is the definitive rejection
-	// explanation. lastPruned is the most recent partial graph whose
-	// dependencies were already cyclic.
-	lastCandidate *depgraph.Graph
-	lastPruned    *depgraph.Graph
+	// lastCandidate is the most recent complete candidate; with one
+	// candidate examined it is the definitive rejection explanation.
+	// lastPruned is the most recent partial candidate whose
+	// dependencies were already cyclic. A negative verdict's
+	// explanation replays them.
+	lastCandidate, lastPruned *choice
 
 	// Optional observability (all nil-safe no-ops when unset). timed
-	// turns on cycleNS, the cycle checks' time summed over workers,
-	// for the trace's check_extension_search attrs.
+	// turns on cycleNS, the cycle checks' time summed, for the trace's
+	// check_extension_search attrs.
 	timed     bool
-	cycleNS   atomic.Int64
+	cycleNS   int64
 	cExamined *obs.Counter
 	cPruned   *obs.Counter
 	cWR       *obs.Counter
 	cUndo     *obs.Counter
 	cDelta    *obs.Counter
-	cWorkers  *obs.Counter
 }
 
-func newSearch(h *model.History, m depgraph.Model, budget, parallelism, pinned int) (*search, error) {
-	s := &search{h: h, m: m, budget: budget, parallelism: parallelism, pinned: pinned}
-	s.winner.Store(math.MaxInt64)
-	s.minErr.Store(math.MaxInt64)
+func newSearch(h *model.History, m depgraph.Model, budget, pinned int) (*search, error) {
+	s := &search{h: h, m: m, budget: budget, pinned: pinned}
 	s.names, s.reads, s.writers = indexHistory(h)
 	for _, site := range s.reads {
 		if len(site.candidates) == 0 {
@@ -241,160 +231,21 @@ func indexHistory(h *model.History) (names []model.Obj, reads []readSite, writer
 	return names, reads, writers
 }
 
-// planBranches picks the branch decomposition: the shortest read-site
-// prefix whose candidate combinations give at least ~4 branches per
-// worker (bounded to keep the plan small). With Parallelism 1 the
-// whole space is one branch and the search is exactly the sequential
-// DFS.
-func (s *search) planBranches() (depth, total int) {
-	total = 1
-	if s.parallelism <= 1 {
-		return 0, 1
-	}
-	const maxBranches = 1 << 12
-	target := s.parallelism * 4
-	for depth < len(s.reads) && total < target {
-		c := len(s.reads[depth].candidates)
-		if total*c > maxBranches {
-			break
-		}
-		total *= c
-		depth++
-	}
-	return depth, total
-}
-
-// branchResult is the outcome of one branch, merged deterministically
-// after all workers join.
-type branchResult struct {
-	found         *depgraph.Graph // member snapshot, nil if none
-	foundExamined int64           // branch-local candidates tested up to the find
-	err           error
-	fullExamined  int64 // branch-local candidates tested in total
-	lastCandidate *choice
-	lastPruned    *choice
-}
-
-// run performs the search and returns the first member graph in the
-// deterministic exploration order (nil if none), the number of
-// candidates examined, and an error for budget exhaustion or
-// unsearchable write sets.
+// run performs the search and returns the first member graph in
+// depth-first order (nil if none), the number of candidates examined,
+// and an error for budget exhaustion or unsearchable write sets.
 func (s *search) run() (*depgraph.Graph, int, error) {
-	depth, branches := s.planBranches()
-	results := make([]branchResult, branches)
-	if branches == 1 {
-		// Nothing to share: the one branch runs on this goroutine.
-		s.runBranch(0, depth, &results[0])
-		return s.merge(results)
-	}
-	workers := s.parallelism
-	if workers > branches {
-		workers = branches
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	s.cWorkers.Add(int64(workers))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := next.Add(1) - 1
-				if idx >= int64(branches) {
-					return
-				}
-				// A lower branch already decided the outcome: everything
-				// from here on would be dead work the sequential search
-				// never performed.
-				if s.winner.Load() < idx || s.minErr.Load() < idx {
-					continue
-				}
-				s.runBranch(idx, depth, &results[idx])
-			}
-		}()
-	}
-	wg.Wait()
-	return s.merge(results)
-}
-
-// runBranch explores one lexicographic prefix of the WR assignment
-// space on its own builder.
-func (s *search) runBranch(idx int64, depth int, res *branchResult) {
-	b := &branchRun{
-		s: s, idx: idx, res: res,
-		bld:       depgraph.NewBuilder(s.h, s.m, s.names),
-		curWR:     make([]int, len(s.reads)),
-		curOrders: make([][]int, len(s.objs)),
-	}
-	// Decode the branch index into candidate choices for the prefix
-	// sites, most-significant site first (lexicographic = DFS order).
-	stride := int64(1)
-	for i := depth - 1; i >= 0; i-- {
-		c := int64(len(s.reads[i].candidates))
-		digit := (idx / stride) % c
-		b.curWR[i] = s.reads[i].candidates[digit]
-		stride *= c
-	}
-	for i := 0; i < depth; i++ {
-		site := s.reads[i]
-		s.cWR.Inc()
-		b.bld.ApplyWR(site.obj, b.curWR[i], site.reader)
-	}
-	found, err := b.assignReads(depth)
-	res.fullExamined = b.localExamined
-	if err != nil {
-		res.err = err
-		casMin(&s.minErr, idx)
-	} else if found {
-		res.found = b.bld.Graph()
-		res.foundExamined = b.localExamined
-		casMin(&s.winner, idx)
-	}
-	undo, delta := b.bld.Stats()
+	s.bld = depgraph.NewBuilder(s.h, s.m, s.names)
+	s.curWR = make([]int, len(s.reads))
+	s.curOrders = make([][]int, len(s.objs))
+	found, err := s.assignReads(0)
+	undo, delta := s.bld.Stats()
 	s.cUndo.Add(undo)
 	s.cDelta.Add(delta)
-}
-
-// merge combines the branch results in deterministic branch order:
-// the first decisive event (member found or terminal error) in
-// sequential exploration order wins.
-func (s *search) merge(results []branchResult) (*depgraph.Graph, int, error) {
-	winner := s.winner.Load()
-	errIdx := s.minErr.Load()
-	if winner < errIdx {
-		// Every branch below the winner ran to completion without
-		// finding, so the examined count up to the find is the
-		// sequential one.
-		var examined int64
-		for j := int64(0); j < winner; j++ {
-			examined += results[j].fullExamined
-		}
-		examined += results[winner].foundExamined
-		return results[winner].found, int(examined), nil
+	if !found || err != nil {
+		return nil, s.examined, err
 	}
-	if errIdx != math.MaxInt64 {
-		return nil, int(s.examined.Load()), results[errIdx].err
-	}
-	// Negative verdict: all branches completed. Replay the last
-	// recorded diagnostics in sequential order (branches are
-	// consecutive segments of the DFS, so the highest branch holding
-	// one recorded it last).
-	for j := len(results) - 1; j >= 0; j-- {
-		if results[j].lastCandidate != nil {
-			s.lastCandidate = s.replay(results[j].lastCandidate)
-			break
-		}
-	}
-	for j := len(results) - 1; j >= 0; j-- {
-		if results[j].lastPruned != nil {
-			s.lastPruned = s.replay(results[j].lastPruned)
-			break
-		}
-	}
-	return nil, int(s.examined.Load()), nil
+	return s.bld.Graph(), s.examined, nil
 }
 
 // replay rebuilds the dependency graph a recorded choice identifies.
@@ -414,47 +265,35 @@ func (s *search) replay(c *choice) *depgraph.Graph {
 	return g
 }
 
-// branchRun is the per-branch DFS state: one builder mutated in place
-// plus the current decision vector for diagnostics.
-type branchRun struct {
-	s             *search
-	idx           int64
-	bld           *depgraph.Builder
-	curWR         []int
-	curOrders     [][]int
-	localExamined int64
-	res           *branchResult
-	forced        [64]uint64 // orderWrites' precedence masks, reused per object
-}
-
-// aborted reports whether a lower-indexed branch has already decided
-// the search outcome, making this branch's remainder dead work.
-// Branches below the eventual winner never abort, which is what keeps
-// the merged result deterministic.
-func (b *branchRun) aborted() bool {
-	return b.s.winner.Load() < b.idx || b.s.minErr.Load() < b.idx
-}
-
-// assignReads chooses a WR source for every read site from b.start
-// on, then moves on to WW orders.
-func (b *branchRun) assignReads(i int) (bool, error) {
-	if b.aborted() {
-		return false, nil
+// assignReads chooses a WR source for every read site from i on, then
+// moves on to WW orders. A site with exactly one candidate is placed in
+// the loop, without a mark of its own, as orderWrites places a forced
+// order: a failure below returns to the nearest frame with an
+// alternative left, whose mark predates the edge. Only a site with
+// several candidates recurses. A value-traceable history thus reaches
+// its candidate without a mark, and the builder closes the forced
+// prefix in one pass.
+func (s *search) assignReads(i int) (bool, error) {
+	for ; i < len(s.reads) && len(s.reads[i].candidates) == 1; i++ {
+		site := s.reads[i]
+		s.cWR.Inc()
+		s.bld.ApplyWR(site.obj, site.candidates[0], site.reader)
+		s.curWR[i] = site.candidates[0]
 	}
-	if i == len(b.s.reads) {
-		return b.orderWrites(0)
+	if i == len(s.reads) {
+		return s.orderWrites(0)
 	}
-	site := b.s.reads[i]
+	site := s.reads[i]
 	for _, w := range site.candidates {
-		b.s.cWR.Inc()
-		mark := b.bld.Mark()
-		b.bld.ApplyWR(site.obj, w, site.reader)
-		b.curWR[i] = w
-		found, err := b.assignReads(i + 1)
+		s.cWR.Inc()
+		mark := s.bld.Mark()
+		s.bld.ApplyWR(site.obj, w, site.reader)
+		s.curWR[i] = w
+		found, err := s.assignReads(i + 1)
 		if found || err != nil {
 			return found, err // keep the builder state for Graph
 		}
-		b.bld.Undo(mark)
+		s.bld.Undo(mark)
 	}
 	return false, nil
 }
@@ -470,21 +309,16 @@ func (b *branchRun) assignReads(i int) (bool, error) {
 // recomputation.
 //
 // An object whose forced precedence admits exactly one linear
-// extension is placed in the loop, without a mark of its own: a
-// failure below it returns to the nearest frame with an alternative
-// left, whose mark predates its edges. Only an object with several
-// extensions recurses, through extend. The depth-first order, and with
-// it Examined and the witness, is the one a recursion per object
-// would take.
-func (b *branchRun) orderWrites(oi int) (bool, error) {
-	s := b.s
+// extension is placed in the loop, without a mark of its own, for the
+// reason assignReads gives. Only an object with several extensions
+// recurses, through extend. The depth-first order, and with it
+// Examined and the witness, is the one a recursion per object would
+// take.
+func (s *search) orderWrites(oi int) (bool, error) {
 	for ; oi < len(s.objs); oi++ {
-		if b.aborted() {
-			return false, nil
-		}
-		if b.bld.Cyclic() {
+		if s.bld.Cyclic() {
 			s.cPruned.Inc()
-			b.res.lastPruned = b.snapshotChoice(oi)
+			s.lastPruned = s.snapshotChoice(oi)
 			return false, nil // base already cyclic: dead branch
 		}
 		x := s.objs[oi]
@@ -495,42 +329,38 @@ func (b *branchRun) orderWrites(oi int) (bool, error) {
 		}
 		// forced[i] is the bitmask of writer positions that must precede
 		// writers[i]: base-reachability plus the pinned init transaction.
-		forced := b.forced[:k]
+		forced := s.forced[:k]
 		for i, a := range writers {
 			forced[i] = 0
 			for j, c := range writers {
-				if i != j && (c == s.pinned || b.bld.Reaches(c, a)) {
+				if i != j && (c == s.pinned || s.bld.Reaches(c, a)) {
 					forced[i] |= 1 << uint(j)
 				}
 			}
 		}
 		order := onlyExtension(writers, forced)
 		if order == nil {
-			return b.extend(oi, x, writers, append([]uint64(nil), forced...), 0, make([]int, 0, k))
+			return s.extend(oi, x, writers, append([]uint64(nil), forced...), 0, make([]int, 0, k))
 		}
 		for i := range order {
 			for j := i + 1; j < len(order); j++ {
-				b.bld.ApplyWW(x, order[i], order[j])
+				s.bld.ApplyWW(x, order[i], order[j])
 			}
 		}
-		b.curOrders[oi] = order
+		s.curOrders[oi] = order
 	}
-	if b.aborted() {
-		return false, nil
-	}
-	total := s.examined.Add(1)
-	b.localExamined++
-	if total > int64(s.budget) {
+	s.examined++
+	if s.examined > s.budget {
 		return false, ErrBudgetExceeded
 	}
-	b.res.lastCandidate = b.snapshotChoice(len(s.objs))
+	s.lastCandidate = s.snapshotChoice(len(s.objs))
 	s.cExamined.Inc()
 	if !s.timed {
-		return b.bld.InModel() == nil, nil
+		return s.bld.InModel() == nil, nil
 	}
 	cycleStart := time.Now()
-	err := b.bld.InModel()
-	s.cycleNS.Add(int64(time.Since(cycleStart)))
+	err := s.bld.InModel()
+	s.cycleNS += int64(time.Since(cycleStart))
 	return err == nil, nil
 }
 
@@ -563,20 +393,20 @@ func onlyExtension(writers []int, forced []uint64) []int {
 // extend enumerates linear extensions of the forced precedence via
 // DFS: at each step any writer whose forced predecessors are all
 // placed may come next.
-func (b *branchRun) extend(oi int, x int, writers []int, forced []uint64, placed uint64, order []int) (bool, error) {
+func (s *search) extend(oi int, x int, writers []int, forced []uint64, placed uint64, order []int) (bool, error) {
 	if len(order) == len(writers) {
-		mark := b.bld.Mark()
+		mark := s.bld.Mark()
 		for i := 0; i < len(order); i++ {
 			for j := i + 1; j < len(order); j++ {
-				b.bld.ApplyWW(x, order[i], order[j])
+				s.bld.ApplyWW(x, order[i], order[j])
 			}
 		}
-		b.curOrders[oi] = order
-		found, err := b.orderWrites(oi + 1)
+		s.curOrders[oi] = order
+		found, err := s.orderWrites(oi + 1)
 		if found || err != nil {
 			return found, err // keep the builder state for Graph
 		}
-		b.bld.Undo(mark)
+		s.bld.Undo(mark)
 		return false, nil
 	}
 	for i := range writers {
@@ -584,7 +414,7 @@ func (b *branchRun) extend(oi int, x int, writers []int, forced []uint64, placed
 		if placed&bit != 0 || forced[i]&^placed != 0 {
 			continue
 		}
-		found, err := b.extend(oi, x, writers, forced, placed|bit, append(order, writers[i]))
+		found, err := s.extend(oi, x, writers, forced, placed|bit, append(order, writers[i]))
 		if found || err != nil {
 			return found, err
 		}
@@ -594,20 +424,10 @@ func (b *branchRun) extend(oi int, x int, writers []int, forced []uint64, placed
 
 // snapshotChoice copies the current decision vector: every WR choice
 // plus the write orders for the first numOrders objects.
-func (b *branchRun) snapshotChoice(numOrders int) *choice {
-	c := &choice{wr: append([]int(nil), b.curWR...), orders: make([][]int, numOrders)}
+func (s *search) snapshotChoice(numOrders int) *choice {
+	c := &choice{wr: append([]int(nil), s.curWR...), orders: make([][]int, numOrders)}
 	for i := 0; i < numOrders; i++ {
-		c.orders[i] = append([]int(nil), b.curOrders[i]...)
+		c.orders[i] = append([]int(nil), s.curOrders[i]...)
 	}
 	return c
-}
-
-// casMin lowers a to v if v is smaller.
-func casMin(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v >= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }

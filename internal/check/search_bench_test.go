@@ -25,10 +25,10 @@ var searchBench struct {
 }
 
 // searchBenchCorpus deterministically selects random histories that
-// are (a) at least eight transactions, (b) fan out into at least eight
-// top-level WR branches so the worker pool has work to distribute,
-// (c) non-members of SI within the budget, so seed, sequential and
-// parallel searches all exhaust the same candidate space.
+// are (a) at least eight transactions, (b) have at least eight WR
+// assignments (the product of the read sites' candidate counts), (c)
+// non-members of SI within the budget, so the seed and the incremental
+// searches both exhaust the same candidate space.
 func searchBenchCorpus(tb testing.TB) []*model.History {
 	searchBench.once.Do(func() {
 		rng := rand.New(rand.NewSource(7))
@@ -45,14 +45,20 @@ func searchBenchCorpus(tb testing.TB) []*model.History {
 			if target.Validate() != nil || target.CheckInt() != nil {
 				continue
 			}
-			s, err := newSearch(target, depgraph.SI, searchBenchBudget, 4, 0)
+			s, err := newSearch(target, depgraph.SI, searchBenchBudget, 0)
 			if err != nil {
 				continue
 			}
-			if _, total := s.planBranches(); total < 8 {
+			assignments := 1
+			for _, site := range s.reads {
+				if assignments *= len(site.candidates); assignments >= 8 {
+					break
+				}
+			}
+			if assignments < 8 {
 				continue
 			}
-			res, err := Certify(h, depgraph.SI, Options{Budget: searchBenchBudget, Parallelism: 1})
+			res, err := Certify(h, depgraph.SI, Options{Budget: searchBenchBudget})
 			if err != nil || res.Member || res.Examined < 100 {
 				continue
 			}
@@ -86,25 +92,20 @@ func BenchmarkSearchSeedClone(b *testing.B) {
 }
 
 // BenchmarkSearchIncremental measures the incremental mutate-and-undo
-// core at 1, 2 and 4 workers over the same corpus and budget. At p1
-// the exploration order is exactly the seed's; speedup over
-// BenchmarkSearchSeedClone is purely algorithmic. Parallel speedup is
-// additionally bounded by the host's GOMAXPROCS.
+// core over the same corpus and budget. Its exploration order is
+// exactly the seed's, so its speedup over BenchmarkSearchSeedClone is
+// purely algorithmic.
 func BenchmarkSearchIncremental(b *testing.B) {
 	hs := searchBenchCorpus(b)
-	for _, par := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "p1", 2: "p2", 4: "p4"}[par], func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				for _, h := range hs {
-					res, err := Certify(h, depgraph.SI, Options{Budget: searchBenchBudget, Parallelism: par})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Member {
-						b.Fatal("corpus history unexpectedly member")
-					}
-				}
+	for n := 0; n < b.N; n++ {
+		for _, h := range hs {
+			res, err := Certify(h, depgraph.SI, Options{Budget: searchBenchBudget})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			if res.Member {
+				b.Fatal("corpus history unexpectedly member")
+			}
+		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // branchingWriteSkew is a write-skew history with a duplicated write
-// of a=1, so WR enumeration branches and the parallel search explores
-// several candidates concurrently.
+// of a=1, so WR enumeration branches and the search explores several
+// candidates.
 func branchingWriteSkew() *model.History {
 	return model.NewHistory(
 		model.Session{ID: "s0", Transactions: []model.Transaction{
@@ -30,10 +30,9 @@ func branchingWriteSkew() *model.History {
 }
 
 // TestTracePhaseOrderDeterministic pins the certifier's stages on a
-// parallel search: at Parallelism 4 every run marks the same stage
-// list, the workers' cycle-check time arrives as attrs of
-// check_extension_search once they have joined, and its candidates
-// attr equals Result.Examined.
+// branching search: every run marks the same stage list, the summed
+// cycle-check time arrives as an attr of check_extension_search, and
+// its candidates attr equals Result.Examined.
 func TestTracePhaseOrderDeterministic(t *testing.T) {
 	t.Parallel()
 	h := branchingWriteSkew()
@@ -42,7 +41,7 @@ func TestTracePhaseOrderDeterministic(t *testing.T) {
 	tt := txtrace.New(txtrace.Options{})
 	for i := 0; i < 20; i++ {
 		tr := tt.Begin("check")
-		res, err := Certify(h, depgraph.SER, Options{NoInit: true, Parallelism: 4, Trace: tr})
+		res, err := Certify(h, depgraph.SER, Options{NoInit: true, Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,8 +39,7 @@ import (
 // are below every mark and never undone, and the closure collects them
 // for one pass (relation.Closure) instead of propagating each.
 //
-// Builder is not safe for concurrent use; parallel searches give each
-// worker its own Builder.
+// Builder is not safe for concurrent use.
 type Builder struct {
 	h    *model.History
 	m    Model

@@ -96,10 +96,6 @@ type Config struct {
 	Window int
 	// Budget bounds each slow-path certification, as check.Options.
 	Budget int
-	// Parallelism is passed to slow-path certifications. Non-positive
-	// means 1: the monitor runs on the ingest goroutine and the
-	// search stays sequential unless the caller asks otherwise.
-	Parallelism int
 	// InitValue is the value every object holds before any write;
 	// reads of it resolve to the (virtual) init transaction.
 	InitValue model.Value
@@ -393,9 +389,6 @@ type Monitor struct {
 func New(cfg Config) *Monitor {
 	if cfg.Model == depgraph.ModelInvalid {
 		cfg.Model = depgraph.SI
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 1
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -724,11 +717,7 @@ func (m *Monitor) certifyWindow() *check.Result {
 // in-stream init, InitValue for every other observed object),
 // followed by each session's surviving transactions in commit order.
 func (m *Monitor) windowHistory() (*model.History, check.Options) {
-	opts := check.Options{
-		InitValue:   m.cfg.InitValue,
-		Budget:      m.cfg.Budget,
-		Parallelism: m.cfg.Parallelism,
-	}
+	opts := check.Options{InitValue: m.cfg.InitValue, Budget: m.cfg.Budget}
 	var objs []*objState
 	for _, st := range m.objects {
 		if st.hasFront || !m.strictInit {

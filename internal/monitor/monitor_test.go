@@ -25,7 +25,7 @@ var allModels = []depgraph.Model{depgraph.SER, depgraph.SI, depgraph.PSI, depgra
 // is added.
 func offlineCertify(t *testing.T, h *model.History, m depgraph.Model) *check.Result {
 	t.Helper()
-	opts := check.Options{Parallelism: 1}
+	var opts check.Options
 	if h.NumTransactions() > 0 && h.Transaction(0).ID == model.InitTransactionID {
 		opts.NoInit = true
 		opts.PinInit = true

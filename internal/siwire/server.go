@@ -68,13 +68,14 @@ func NewServer(cfg ServerConfig) *Server {
 }
 
 // Serve accepts connections on ln until Close. It returns nil after a
-// graceful Close, the accept error otherwise.
+// graceful Close, also one that came before Serve (ln is then closed
+// unused), the accept error otherwise.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		ln.Close()
-		return fmt.Errorf("siwire: server closed")
+		return nil
 	}
 	s.ln = ln
 	s.mu.Unlock()

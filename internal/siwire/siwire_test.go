@@ -208,6 +208,27 @@ func TestWireProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestServeAfterClose: a Close that wins the race against Serve's
+// goroutine is still graceful. Serve returns nil and closes the
+// listener it was handed.
+func TestServeAfterClose(t *testing.T) {
+	t.Parallel()
+	srv := siwire.NewServer(siwire.ServerConfig{})
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(ln); err != nil {
+		t.Fatalf("Serve after Close: %v, want nil", err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener still open after Serve: Accept = %v", err)
+	}
+}
+
 // TestHTTPFallback drives the JSON endpoint: a write transaction, a
 // read-back, per-op results and the durability LSN.
 func TestHTTPFallback(t *testing.T) {

@@ -111,8 +111,8 @@ func Certify(h *History, m Model, opts CertifyOptions) (*CertifyResult, error) {
 	return check.Certify(h, m, opts)
 }
 
-// CertifyAll certifies the history against several models
-// concurrently.
+// CertifyAll certifies the history against several models, one
+// after another.
 func CertifyAll(h *History, models []Model, opts CertifyOptions) (map[Model]*CertifyResult, error) {
 	return check.CertifyAll(h, models, opts)
 }
