@@ -7,6 +7,7 @@ import (
 
 	. "sian/internal/engine"
 	"sian/internal/model"
+	"sian/internal/obs"
 )
 
 // BenchmarkPSIApply guards the batched replica apply loop: commits
@@ -54,8 +55,12 @@ func BenchmarkPSIApply(b *testing.B) {
 // SSI's SIREAD and veto run too), commits validate and install under
 // disjoint shard locks and only meet at the publication handoff — and,
 // under SSI, at the tracker mutex. Run with -cpu 1,2,4 to see the
-// scaling. A bare loop for traffic BENCHMARK.json cannot see (all six
-// workloads there are SI): EXPERIMENTS.md E36 records it.
+// scaling: the shard mutexes and the publish gate spin before they
+// park, so SI-2 commits faster than SI-1. parks/commit is the share of
+// commits that outwaited the gate's spin budget
+// (engine_publish_parks_total). A bare loop for traffic BENCHMARK.json
+// cannot see (all six workloads there are SI): EXPERIMENTS.md E36 and
+// E43 record it.
 func BenchmarkSICommitDisjoint(b *testing.B) {
 	for _, kind := range []Kind{SI, SSI} {
 		b.Run(kind.String(), func(b *testing.B) { benchCommitDisjoint(b, kind) })
@@ -76,6 +81,8 @@ func benchCommitDisjoint(b *testing.B, kind Kind) {
 	if err := db.Initialize(init); err != nil {
 		b.Fatal(err)
 	}
+	parks := db.Metrics().Counter("engine_publish_parks_total", obs.L("engine", kind.String()))
+	parks0, commits0 := parks.Value(), db.Stats().Commits
 	var next atomic.Int32
 	b.RunParallel(func(pb *testing.PB) {
 		// One private object and session per worker goroutine.
@@ -96,4 +103,7 @@ func benchCommitDisjoint(b *testing.B, kind Kind) {
 			}
 		}
 	})
+	if n := db.Stats().Commits - commits0; n > 0 {
+		b.ReportMetric(float64(parks.Value()-parks0)/float64(n), "parks/commit")
+	}
 }

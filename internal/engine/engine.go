@@ -229,7 +229,8 @@ func (db *DB) Stats() Stats {
 // Metrics returns the registry holding the engine's metric series
 // (Config.Metrics when one was supplied, a private registry
 // otherwise): engine_{commits,conflicts,aborts,retries}_total
-// counters, an engine_sessions gauge, and
+// counters (plus engine_publish_parks_total on the kinds with an
+// ordered-publish gate: SI, SSI, PSI), an engine_sessions gauge, and
 // engine_{commit_latency,snapshot_age}_ns histograms, all labelled
 // engine="<kind>".
 func (db *DB) Metrics() *obs.Registry { return db.reg }
@@ -253,15 +254,19 @@ func New(kind Kind, cfg Config) (*DB, error) {
 	if cfg.Driver != nil && kind != SI && kind != SSI {
 		return nil, fmt.Errorf("engine: Config.Driver is not supported for %v (SI and SSI only)", kind)
 	}
+	var parks *obs.Counter // the ordered-publish gate's; SER has none
+	if kind != SER {
+		parks = db.reg.Counter("engine_publish_parks_total", lbl)
+	}
 	switch kind {
 	case SI:
-		db.impl = newSIProtocol(cfg)
+		db.impl = newSIProtocol(cfg, parks)
 	case SER:
 		db.impl = newSERProtocol()
 	case PSI:
-		db.impl = newPSIProtocol(cfg)
+		db.impl = newPSIProtocol(cfg, parks)
 	case SSI:
-		p := newSIProtocol(cfg)
+		p := newSIProtocol(cfg, parks)
 		p.ssi = newSSITracker()
 		db.impl = p
 	default:

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sian/internal/model"
+	"sian/internal/obs"
 	"sian/internal/storage"
 )
 
@@ -31,6 +32,8 @@ import (
 // SI. DESIGN.md §10 gives the argument.
 type psiProtocol struct {
 	manual bool
+	// parks is every site's engine_publish_parks_total.
+	parks *obs.Counter
 
 	// mu is the PSI mutex: it guards every field below and every site's
 	// applied vector. Lock order: a site's applyMu → its shard locks → mu.
@@ -77,9 +80,10 @@ type psiSite struct {
 	applied []int
 }
 
-func newPSIProtocol(cfg Config) *psiProtocol {
+func newPSIProtocol(cfg Config, parks *obs.Counter) *psiProtocol {
 	p := &psiProtocol{
 		manual:     cfg.ManualPropagation,
+		parks:      parks,
 		checkpoint: make(map[model.Obj]model.Value),
 		last:       make(map[model.Obj]psiRef),
 		stop:       make(chan struct{}),
@@ -105,7 +109,7 @@ func (p *psiProtocol) ensureSite(site int) {
 // copy of site 0 would hold. Replaying the logs alone would not do:
 // truncation has dropped entries the new site needs.
 func (p *psiProtocol) join() {
-	s := &psiSite{p: p, si: newSIProtocol(Config{})}
+	s := &psiSite{p: p, si: newSIProtocol(Config{}, p.parks)}
 	s.si.psi = s
 	s.applyMu.Lock()
 	p.mu.Lock()
@@ -255,7 +259,7 @@ func (s *psiSite) apply(c psiCommit) {
 		s.applied[c.origin] = c.seq
 		s.p.mu.Unlock()
 	}
-	si.publish(ts)
+	si.publish(ts, true)
 	si.compactIfDue(superseding)
 }
 

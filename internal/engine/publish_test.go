@@ -8,6 +8,7 @@ import (
 	"sian/internal/check"
 	"sian/internal/depgraph"
 	"sian/internal/model"
+	"sian/internal/obs"
 	"sian/internal/storage"
 )
 
@@ -189,6 +190,37 @@ func TestPublishGateOrdersVisibility(t *testing.T) {
 			t.Fatalf("iter %d: %d waiters left in the gate", iter, n)
 		}
 		f.db.Close()
+	}
+}
+
+// TestPublishGateParksCounted pins engine_publish_parks_total: while A
+// is held inside Unlock, B and C queue behind it, outwait the gate's
+// spin budget and park; each counts once, however often a publisher
+// wakes it, and A, whose predecessor has published, counts nothing.
+func TestPublishGateParksCounted(t *testing.T) {
+	for _, kind := range []Kind{SI, SSI} {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			for iter := 0; iter < 50; iter++ {
+				f := newGateFixture(t, kind)
+				parks := f.db.Metrics().Counter("engine_publish_parks_total", obs.L("engine", kind.String()))
+				before := parks.Value()
+				a := f.write("a")
+				f.awaitEntered()
+				b := f.write("b")
+				f.awaitParked(1)
+				c := f.write("c")
+				f.awaitParked(2)
+				close(f.drv.release)
+				f.await("A", a)
+				f.await("B", b)
+				f.await("C", c)
+				if got := parks.Value() - before; got != 2 {
+					t.Fatalf("iter %d: engine_publish_parks_total grew by %d, want 2", iter, got)
+				}
+				f.db.Close()
+			}
+		})
 	}
 }
 

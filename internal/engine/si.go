@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"sian/internal/model"
+	"sian/internal/obs"
 	"sian/internal/obs/txtrace"
 	"sian/internal/storage"
 )
@@ -21,16 +23,17 @@ import (
 //   - begin is lock-free: one atomic load of the published commit
 //     timestamp plus a slot registration in snapRegistry (see
 //     snapreg.go for the begin/GC handshake);
-//   - reads take only the read-lock of the one store shard holding
-//     the object;
+//   - reads take only the lock of the one store shard holding the
+//     object, a spinning mutex held for one chain lookup;
 //   - commit locks only the shards covering its write set, in
 //     canonical shard order (Driver.LockObjs), validates
 //     first-committer-wins per shard and installs under that one
 //     multi-shard critical section, so transactions with disjoint
 //     write sets commit fully in parallel;
-//   - publication is one CAS when the predecessor has published and
-//     a parked wait behind it otherwise (publish, the ordered-publish
-//     gate);
+//   - publication is one CAS when the predecessor has published, a
+//     bounded spin-then-yield retry of that CAS when it is about to,
+//     and a parked wait behind it otherwise (publish, the
+//     ordered-publish gate);
 //   - read-only transactions touch no lock at all: their commit is a
 //     single atomic slot release.
 //
@@ -80,11 +83,14 @@ type siProtocol struct {
 	snaps snapRegistry
 
 	// The ordered-publish gate (publish): commits whose predecessor
-	// has not published yet park on pubCond; pubWaiters counts them so
-	// that an uncontended publish never touches pubMu.
+	// has not published within the spin budget park on pubCond;
+	// pubWaiters counts them so that an uncontended publish never
+	// touches pubMu, and parks (engine_publish_parks_total) counts
+	// every commit that parked.
 	pubWaiters atomic.Int32
 	pubMu      sync.Mutex
 	pubCond    sync.Cond
+	parks      *obs.Counter
 
 	// Automatic compaction (compactIfDue). superseded counts the
 	// installs that replaced a version since the last gc pass; retained
@@ -103,12 +109,12 @@ type siProtocol struct {
 // having every pass re-scan the chains it pins.
 const minPass = 4096
 
-func newSIProtocol(cfg Config) *siProtocol {
+func newSIProtocol(cfg Config, parks *obs.Counter) *siProtocol {
 	st := cfg.Driver
 	if st == nil {
 		st = storage.NewMem()
 	}
-	p := &siProtocol{store: st}
+	p := &siProtocol{store: st, parks: parks}
 	p.pubCond.L = &p.pubMu
 	// A driver restored from a log already holds versions; seed the
 	// allocator above them so fresh commits stay monotonic and fresh
@@ -277,11 +283,12 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 	// the record is fsynced — so the publication below never exposes
 	// an un-synced commit. Concurrent commits meet in the log's group
 	// fsync, which is the stack's only commit batching.
+	dw, durable := lock.(storage.DurableWindow)
 	lock.Unlock()
-	p.publish(ts)
+	p.publish(ts, !durable)
 	tr.Mark(txtrace.StagePublish)
 	var lsn uint64
-	if dw, ok := lock.(storage.DurableWindow); ok {
+	if durable {
 		durLSN, err := dw.Durable()
 		lsn = durLSN
 		// A sync failure leaves the writes visible in memory but not
@@ -301,18 +308,26 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 // to ts, so timestamp ts becomes visible to snapshots only when
 // everything at or below it is installed (and, for durable drivers,
 // synced). When the predecessor has already published — the common
-// case — that is one successful CAS and no lock. Otherwise the commit
-// parks on pubCond until its turn comes, and every publisher wakes the
-// parked commits when there are any.
+// case — that is one successful CAS and no lock. When it has not and
+// spin is set, the commit retries the CAS for a constant budget
+// (spinPublish): over a volatile window the predecessor is at most an
+// install and an Unlock behind, far less than a park and wake-up
+// costs. Commits past the budget, and every commit of a durable
+// window (spin unset: its predecessor may be waiting for an fsync, and
+// a spinner would take the CPU the log's group commit needs), park on
+// pubCond until their turn comes; every publisher wakes the parked
+// commits when there are any.
 //
 // No wake-up is lost: a waiter increments pubWaiters before re-trying
 // its CAS under pubMu, and a publisher loads pubWaiters after its CAS.
 // If the publisher reads zero, the waiter's increment — and so its
 // re-tried CAS — comes after the publisher's CAS and succeeds; if it
 // reads non-zero it broadcasts under pubMu, which the waiter holds
-// from its failed CAS until it is parked in Wait.
-func (p *siProtocol) publish(ts uint64) {
-	if !p.commitTS.CompareAndSwap(ts-1, ts) {
+// from its failed CAS until it is parked in Wait. The spin touches
+// neither pubWaiters nor pubMu, so it changes none of this.
+func (p *siProtocol) publish(ts uint64, spin bool) {
+	if !p.commitTS.CompareAndSwap(ts-1, ts) && !(spin && p.spinPublish(ts)) {
+		p.parks.Inc()
 		p.pubWaiters.Add(1)
 		p.pubMu.Lock()
 		for !p.commitTS.CompareAndSwap(ts-1, ts) {
@@ -326,6 +341,32 @@ func (p *siProtocol) publish(ts uint64) {
 		p.pubCond.Broadcast()
 		p.pubMu.Unlock()
 	}
+}
+
+// The spin budget of the publish gate: publishSpins loads of commitTS,
+// then publishYields yields of the processor, each followed by a CAS
+// when the predecessor has published. The spins cover a predecessor
+// running on another core; the yields one that is runnable on this
+// one (at GOMAXPROCS 1 it can run only when this commit yields). A
+// predecessor still unpublished after both is descheduled or blocked,
+// and parking costs less than waiting for it.
+const (
+	publishSpins  = 128
+	publishYields = 8
+)
+
+// spinPublish retries publish's CAS within the spin budget and
+// reports whether it succeeded.
+func (p *siProtocol) spinPublish(ts uint64) bool {
+	for i := 0; i < publishSpins+publishYields; i++ {
+		if i >= publishSpins {
+			runtime.Gosched()
+		}
+		if p.commitTS.Load() == ts-1 && p.commitTS.CompareAndSwap(ts-1, ts) {
+			return true
+		}
+	}
+	return false
 }
 
 func (t *siTx) abort() { t.finish(false) }

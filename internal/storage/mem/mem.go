@@ -58,9 +58,13 @@ type Write struct {
 const numShards = 64
 
 // shard is one lock stripe: a mutex and the chains of every object
-// hashing onto it.
+// hashing onto it. Readers and writers take the same exclusive mutex:
+// a read or an install holds it for a map lookup plus a binary search
+// or an append, far shorter than a park and wake-up, and a sync.Mutex
+// spins while its holder runs where a sync.RWMutex parks a reader
+// behind a writer (and a writer behind readers) at once.
 type shard struct {
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	chains map[model.Obj][]Version
 	// multi lists exactly the objects whose chain holds more than one
 	// version — the only chains GC can trim. An object joins when an
@@ -111,7 +115,7 @@ func (sh *shard) installLocked(x model.Obj, v Version) error {
 }
 
 // readAtLocked returns the latest version of x with TS ≤ ts, if any.
-// Callers hold sh.mu (read or write).
+// Callers hold sh.mu.
 func (sh *shard) readAtLocked(x model.Obj, ts uint64) (Version, bool) {
 	chain := sh.chains[x]
 	// Chains are sorted by TS; binary-search the first version > ts.
@@ -164,13 +168,13 @@ func (s *Store) InstallBatch(ws []Write) error {
 // ReadAt returns the latest version of x with TS ≤ ts, if any.
 func (s *Store) ReadAt(x model.Obj, ts uint64) (Version, bool) {
 	sh := s.shardOf(x)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	return sh.readAtLocked(x, ts)
 }
 
 // ReadAtBatch performs ReadAt for every object at one timestamp,
-// taking each covered shard read-lock exactly once. The i-th result
+// taking each covered shard lock exactly once. The i-th result
 // corresponds to objs[i]; oks[i] reports whether a version existed.
 // The reads are not a cross-shard atomic snapshot — like a sequence
 // of ReadAt calls, each shard is consistent internally and the
@@ -181,29 +185,20 @@ func (s *Store) ReadAtBatch(objs []model.Obj, ts uint64) ([]Version, []bool) {
 	if len(objs) == 0 {
 		return out, oks
 	}
-	var mask uint64
-	for _, x := range objs {
-		mask |= 1 << shardIndex(x)
-	}
-	for mi := mask; mi != 0; mi &= mi - 1 {
-		sh := &s.shards[bits.TrailingZeros64(mi)]
-		sh.mu.RLock()
-	}
+	mask := objMask(objs)
+	s.lockShards(mask)
 	for i, x := range objs {
 		out[i], oks[i] = s.shardOf(x).readAtLocked(x, ts)
 	}
-	for mi := mask; mi != 0; mi &= mi - 1 {
-		sh := &s.shards[bits.TrailingZeros64(mi)]
-		sh.mu.RUnlock()
-	}
+	s.unlockShards(mask)
 	return out, oks
 }
 
 // Latest returns the most recent version of x, if any.
 func (s *Store) Latest(x model.Obj) (Version, bool) {
 	sh := s.shardOf(x)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	chain := sh.chains[x]
 	if len(chain) == 0 {
 		return Version{}, false
@@ -215,31 +210,24 @@ func (s *Store) Latest(x model.Obj) (Version, bool) {
 // zero when x has never been written.
 func (s *Store) LatestTS(x model.Obj) uint64 {
 	sh := s.shardOf(x)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	return sh.latestTSLocked(x)
 }
 
 // LatestTSBatch returns LatestTS for every object, taking each
-// covered shard read-lock exactly once.
+// covered shard lock exactly once.
 func (s *Store) LatestTSBatch(objs []model.Obj) []uint64 {
 	out := make([]uint64, len(objs))
 	if len(objs) == 0 {
 		return out
 	}
-	var mask uint64
-	for _, x := range objs {
-		mask |= 1 << shardIndex(x)
-	}
-	for mi := mask; mi != 0; mi &= mi - 1 {
-		s.shards[bits.TrailingZeros64(mi)].mu.RLock()
-	}
+	mask := objMask(objs)
+	s.lockShards(mask)
 	for i, x := range objs {
 		out[i] = s.shardOf(x).latestTSLocked(x)
 	}
-	for mi := mask; mi != 0; mi &= mi - 1 {
-		s.shards[bits.TrailingZeros64(mi)].mu.RUnlock()
-	}
+	s.unlockShards(mask)
 	return out
 }
 
@@ -249,11 +237,11 @@ func (s *Store) Objects() []model.Obj {
 	var out []model.Obj
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.RLock()
+		sh.mu.Lock()
 		for x := range sh.chains {
 			out = append(out, x)
 		}
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -262,8 +250,8 @@ func (s *Store) Objects() []model.Obj {
 // VersionCount returns the number of stored versions of x.
 func (s *Store) VersionCount(x model.Obj) int {
 	sh := s.shardOf(x)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	return len(sh.chains[x])
 }
 
@@ -272,8 +260,8 @@ func (s *Store) VersionCount(x model.Obj) int {
 // durability tests to assert that an acknowledged write survived.
 func (s *Store) Chain(x model.Obj) []Version {
 	sh := s.shardOf(x)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	return append([]Version(nil), sh.chains[x]...)
 }
 
@@ -313,7 +301,7 @@ func (s *Store) Clone() *Store {
 	out := &Store{}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.RLock()
+		sh.mu.Lock()
 		if len(sh.chains) > 0 {
 			dst := make(map[model.Obj][]Version, len(sh.chains))
 			for x, chain := range sh.chains {
@@ -324,7 +312,7 @@ func (s *Store) Clone() *Store {
 			out.shards[i].chains = dst
 			out.shards[i].multi = append([]model.Obj(nil), sh.multi...)
 		}
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	return out
 }
@@ -388,26 +376,42 @@ func trimChain(chain []Version, k int) []Version {
 // multi-shard critical section — the first-committer-wins window.
 type Locked struct {
 	s    *Store
-	mask uint64 // bit i set ⇒ s.shards[i] is write-locked
+	mask uint64 // bit i set ⇒ s.shards[i] is locked
 }
 
-// LockObjs write-locks every shard covering objs, in ascending shard
+// LockObjs locks every shard covering objs, in ascending shard
 // order (the canonical order, so concurrent commits with overlapping
 // write sets never deadlock), and returns the multi-shard lock.
 // Callers must Unlock it exactly once.
 func (s *Store) LockObjs(objs []model.Obj) *Locked {
+	return s.lockMask(objMask(objs))
+}
+
+func (s *Store) lockMask(mask uint64) *Locked {
+	s.lockShards(mask)
+	return &Locked{s: s, mask: mask}
+}
+
+// lockShards locks every shard in mask in ascending shard order, the
+// canonical order every multi-shard acquisition uses.
+func (s *Store) lockShards(mask uint64) {
+	for mi := mask; mi != 0; mi &= mi - 1 {
+		s.shards[bits.TrailingZeros64(mi)].mu.Lock()
+	}
+}
+
+func (s *Store) unlockShards(mask uint64) {
+	for mi := mask; mi != 0; mi &= mi - 1 {
+		s.shards[bits.TrailingZeros64(mi)].mu.Unlock()
+	}
+}
+
+func objMask(objs []model.Obj) uint64 {
 	var mask uint64
 	for _, x := range objs {
 		mask |= 1 << shardIndex(x)
 	}
-	return s.lockMask(mask)
-}
-
-func (s *Store) lockMask(mask uint64) *Locked {
-	for mi := mask; mi != 0; mi &= mi - 1 {
-		s.shards[bits.TrailingZeros64(mi)].mu.Lock()
-	}
-	return &Locked{s: s, mask: mask}
+	return mask
 }
 
 func writeMask(ws []Write) uint64 {
@@ -453,8 +457,6 @@ func (l *Locked) Install(x model.Obj, v Version) error {
 // Unlock releases every held shard. The Locked must not be used
 // afterwards.
 func (l *Locked) Unlock() {
-	for mi := l.mask; mi != 0; mi &= mi - 1 {
-		l.s.shards[bits.TrailingZeros64(mi)].mu.Unlock()
-	}
+	l.s.unlockShards(l.mask)
 	l.mask = 0
 }

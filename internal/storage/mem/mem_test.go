@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sian/internal/model"
@@ -239,5 +240,111 @@ func TestCloneGCMatchesSource(t *testing.T) {
 	}
 	if got := s.GC(10); got != 0 {
 		t.Errorf("source GC dropped %d versions installed only in the clone", got)
+	}
+}
+
+// TestSameShardReadersAndWriter puts readers, a committer and GC on
+// one shard, the lock they all contend for: keys chosen to hash onto
+// one stripe, readers at a fixed timestamp (through ReadAt, ReadAtBatch
+// and a LockObjs window), a writer installing newer versions through
+// LockObjs and InstallBatch, and GC trimming up to the readers'
+// timestamp. Every read at that timestamp must return the same version
+// throughout. Meant for -race.
+func TestSameShardReadersAndWriter(t *testing.T) {
+	t.Parallel()
+	const (
+		nkeys     = 4
+		snapTS    = 5    // the readers' timestamp; versions 1..snapTS exist up front
+		minRounds = 300  // the writer installs at least this many versions per key
+		minReads  = 3000 // and keeps going until the readers have read this often
+	)
+	var keys []model.Obj
+	for i := 0; len(keys) < nkeys; i++ {
+		if x := model.Obj(fmt.Sprintf("k%d", i)); shardIndex(x) == shardIndex("k0") {
+			keys = append(keys, x)
+		}
+	}
+	s := New()
+	val := func(i int, ts uint64) model.Value { return model.Value(1000*i) + model.Value(ts) }
+	for ts := uint64(1); ts <= snapTS; ts++ {
+		for i, x := range keys {
+			mustInstall(t, s, x, Version{Val: val(i, ts), TS: ts})
+		}
+	}
+	check := func(i int, v Version, ok bool) bool {
+		if !ok || v.TS != snapTS || v.Val != val(i, snapTS) {
+			t.Errorf("read of %s at %d = (%+v, %v), want ts %d val %d", keys[i], snapTS, v, ok, snapTS, val(i, snapTS))
+			return false
+		}
+		return true
+	}
+
+	stop := make(chan struct{})
+	var reads atomic.Int64
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				reads.Add(1)
+				switch (r + n) % 3 {
+				case 0:
+					i := n % nkeys
+					if v, ok := s.ReadAt(keys[i], snapTS); !check(i, v, ok) {
+						return
+					}
+				case 1:
+					vs, oks := s.ReadAtBatch(keys, snapTS)
+					for i := range keys {
+						if !check(i, vs[i], oks[i]) {
+							return
+						}
+					}
+				case 2:
+					l := s.LockObjs(keys)
+					v, ok := l.ReadAt(keys[n%nkeys], snapTS)
+					l.Unlock()
+					if !check(n%nkeys, v, ok) {
+						return
+					}
+				}
+			}
+		}(r)
+	}
+
+	ts := uint64(snapTS)
+	for !t.Failed() && (ts < snapTS+minRounds || reads.Load() < minReads) {
+		ts++
+		if ts%2 == 0 {
+			l := s.LockObjs(keys)
+			for i, x := range keys {
+				if err := l.Install(x, Version{Val: val(i, ts), TS: ts}); err != nil {
+					t.Error(err)
+				}
+			}
+			l.Unlock()
+		} else {
+			ws := make([]Write, len(keys))
+			for i, x := range keys {
+				ws[i] = Write{Obj: x, Version: Version{Val: val(i, ts), TS: ts}}
+			}
+			if err := s.InstallBatch(ws); err != nil {
+				t.Error(err)
+			}
+		}
+		s.GC(min(ts-snapTS, snapTS))
+	}
+	close(stop)
+	readers.Wait()
+	for _, x := range keys {
+		if n, want := s.VersionCount(x), int(ts-snapTS)+1; n != want {
+			t.Errorf("%s keeps %d versions after GC at %d, want %d", x, n, snapTS, want)
+		}
 	}
 }

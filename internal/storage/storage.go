@@ -87,19 +87,19 @@ type Driver interface {
 	// ReadAt returns the latest version of x with TS ≤ ts, if any.
 	ReadAt(x model.Obj, ts uint64) (Version, bool)
 	// ReadAtBatch performs ReadAt for every object at one timestamp,
-	// taking each covered stripe read-lock exactly once.
+	// taking each covered stripe lock exactly once.
 	ReadAtBatch(objs []model.Obj, ts uint64) ([]Version, []bool)
 	// Latest returns the most recent version of x, if any.
 	Latest(x model.Obj) (Version, bool)
 	// LatestTS returns the newest timestamp of x, or zero.
 	LatestTS(x model.Obj) uint64
 	// LatestTSBatch returns LatestTS for every object, taking each
-	// covered stripe read-lock exactly once.
+	// covered stripe lock exactly once.
 	LatestTSBatch(objs []model.Obj) []uint64
-	// LockObjs write-locks every stripe covering objs in canonical
+	// LockObjs locks every stripe covering objs in canonical
 	// order and returns the commit window.
 	LockObjs(objs []model.Obj) Locked
-	// LockBatch write-locks every stripe covering the union write set
+	// LockBatch locks every stripe covering the union write set
 	// of a batch of pairwise-disjoint commits — one multi-shard
 	// critical section in the same canonical stripe order as LockObjs —
 	// and returns the group-commit window. For a durable driver the
