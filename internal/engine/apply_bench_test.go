@@ -59,8 +59,9 @@ func BenchmarkPSIApply(b *testing.B) {
 // park, so SI-2 commits faster than SI-1. parks/commit is the share of
 // commits that outwaited the gate's spin budget
 // (engine_publish_parks_total). A bare loop for traffic BENCHMARK.json
-// cannot see (all six workloads there are SI): EXPERIMENTS.md E36 and
-// E43 record it.
+// cannot see (all six workloads there are SI): EXPERIMENTS.md E36, E43
+// and E44 record it. With -benchmem, SI makes 1 allocation per op, the
+// storage lock window; CI fails on any other count.
 func BenchmarkSICommitDisjoint(b *testing.B) {
 	for _, kind := range []Kind{SI, SSI} {
 		b.Run(kind.String(), func(b *testing.B) { benchCommitDisjoint(b, kind) })

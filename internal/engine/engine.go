@@ -140,8 +140,10 @@ func (c Config) withDefaults() Config {
 
 // protocol is the engine-specific part of a DB.
 type protocol interface {
-	// begin starts a transaction for a session pinned to a site.
-	begin(site int) (txProtocol, error)
+	// begin starts a transaction for a session pinned to a site. prev,
+	// when non-nil, is the session's previous attempt, finished, which
+	// the protocol may re-initialise and return instead of allocating.
+	begin(site int, prev txProtocol) (txProtocol, error)
 	// ensureSite makes the site index valid (PSI allocates replicas
 	// lazily; others ignore it).
 	ensureSite(site int)
@@ -162,13 +164,15 @@ type txProtocol interface {
 }
 
 // commitReq carries everything a protocol needs to commit: the
-// coalesced write set (writes, with order listing the written objects
-// deterministically), plus the full operation list and attribution
-// that durable drivers persist with the commit record
-// (storage.CommitRecord) so that log replay re-certifies the history.
+// coalesced write set (order lists the written objects in first-write
+// order, vals[i] the last value written to order[i]), plus the full
+// operation list and attribution that durable drivers persist with the
+// commit record (storage.CommitRecord) so that log replay re-certifies
+// the history. Its slices belong to the session's reused attempt and
+// are valid only during commit: a protocol copies what it keeps.
 type commitReq struct {
-	writes  map[model.Obj]model.Value
 	order   []model.Obj
+	vals    []model.Value
 	ops     []model.Op
 	session string
 	txid    string
@@ -385,6 +389,13 @@ type Session struct {
 	// backed-off retry and used only from the session's goroutine.
 	rng *rand.Rand
 
+	// attempt is the ManualTx every Transact attempt re-initialises;
+	// inTransact marks it in use, so a Transact nested in a callback on
+	// the same session runs on a fresh one instead. Both are used only
+	// from the session's goroutine.
+	attempt    ManualTx
+	inTransact bool
+
 	mu       sync.Mutex
 	log      histLog
 	attempts int
@@ -427,8 +438,21 @@ func (s *Session) Transact(fn func(tx *Tx) error) error {
 // TransactNamed is Transact with a diagnostic transaction label. It is
 // only the retry loop: every attempt is begun, committed or abandoned
 // by the same functions as a ManualTx, which do all of the attempt's
-// bookkeeping.
+// bookkeeping. The attempts run on the session's one reused ManualTx,
+// so a transaction allocates nothing of its own.
 func (s *Session) TransactNamed(name string, fn func(tx *Tx) error) error {
+	if s.inTransact {
+		return s.transact(new(ManualTx), name, fn)
+	}
+	s.inTransact = true
+	err := s.transact(&s.attempt, name, fn)
+	s.inTransact = false
+	s.attempt.recycle()
+	return err
+}
+
+// transact runs TransactNamed's retry loop with every attempt begun on m.
+func (s *Session) transact(m *ManualTx, name string, fn func(tx *Tx) error) error {
 	for attempt := 0; ; attempt++ {
 		if s.db.closed.Load() {
 			return ErrClosed
@@ -439,7 +463,7 @@ func (s *Session) TransactNamed(name string, fn func(tx *Tx) error) error {
 		if attempt > 0 {
 			s.backoff(attempt)
 		}
-		m, err := s.begin(name, 0)
+		err := s.begin(m, name, 0)
 		if err != nil {
 			return err
 		}
@@ -532,22 +556,28 @@ func (s *Session) BeginTraced(name string, traceID uint64) (*ManualTx, error) {
 	if s.db.closed.Load() {
 		return nil, ErrClosed
 	}
-	return s.begin(name, traceID)
-}
-
-// begin starts one transaction attempt: its trace, its protocol
-// snapshot and, with a recorder, its attempt id ("<session>#<n>";
-// conflict retries get fresh attempts) and Begin event.
-func (s *Session) begin(name string, traceID uint64) (*ManualTx, error) {
-	tr := s.db.cfg.TxTracer.BeginWithID(traceID, s.id)
-	inner, err := s.db.impl.begin(s.site)
-	if err != nil {
+	m := new(ManualTx)
+	if err := s.begin(m, name, traceID); err != nil {
 		return nil, err
 	}
+	return m, nil
+}
+
+// begin starts one transaction attempt on m, a fresh ManualTx or a
+// finished one to re-initialise: its trace, its protocol snapshot and,
+// with a recorder, its attempt id ("<session>#<n>"; conflict retries
+// get fresh attempts) and Begin event. A re-initialised m hands its
+// finished protocol transaction to the protocol for reuse.
+func (s *Session) begin(m *ManualTx, name string, traceID uint64) error {
+	tr := s.db.cfg.TxTracer.BeginWithID(traceID, s.id)
+	inner, err := s.db.impl.begin(s.site, m.tx.inner)
+	if err != nil {
+		return err
+	}
 	tr.Mark(txtrace.StageBeginWait)
-	m := &ManualTx{name: name, began: time.Now(), trace: tr}
-	m.tx = Tx{s: s, inner: inner, writes: make(map[model.Obj]model.Value),
-		ops: m.opBuf[:0], writeOrder: m.orderBuf[:0]}
+	m.name, m.began, m.trace, m.done, m.lsn = name, monoNow(), tr, false, 0
+	m.recycle()
+	m.tx = Tx{s: s, inner: inner, ops: m.tx.ops, writeOrder: m.tx.writeOrder, vals: m.tx.vals}
 	if s.db.cfg.Recorder != nil {
 		s.mu.Lock()
 		s.attempts++
@@ -557,23 +587,56 @@ func (s *Session) begin(name string, traceID uint64) (*ManualTx, error) {
 		s.emit(eventlog.Event{Kind: eventlog.Begin, TxID: m.tx.txid})
 		tr.SetTxID(m.tx.txid)
 	}
-	return m, nil
+	return nil
 }
+
+// keepCap bounds the capacity of the buffers a reused attempt keeps: a
+// session's one large transaction (Initialize's, say) does not pin its
+// buffers for the session's lifetime.
+const keepCap = 64
+
+// recycle empties m's buffers for its next attempt. A buffer that is
+// unset (a fresh m) or has outgrown keepCap goes back to its in-line
+// array, and so does the write-set index.
+func (m *ManualTx) recycle() {
+	m.tx.ops = recycled(m.tx.ops, m.opBuf[:0])
+	m.tx.writeOrder = recycled(m.tx.writeOrder, m.orderBuf[:0])
+	m.tx.vals = recycled(m.tx.vals, m.valBuf[:0])
+	m.tx.index = nil
+}
+
+func recycled[T any](buf, seed []T) []T {
+	if cap(buf) < cap(seed) || cap(buf) > keepCap {
+		return seed
+	}
+	return buf[:0]
+}
+
+// epoch anchors monoNow.
+var epoch = time.Now()
+
+// monoNow reads the monotonic clock, in nanoseconds since epoch. The
+// commit path measures only durations, and time.Since on a time with a
+// monotonic reading skips the wall clock read time.Now pays for.
+func monoNow() int64 { return int64(time.Since(epoch)) }
 
 // ManualTx is an explicitly controlled transaction created by
 // Session.Begin.
 type ManualTx struct {
 	tx    Tx
 	name  string
-	began time.Time
+	began int64 // monoNow at begin
 	trace *txtrace.Trace
 	done  bool
 	lsn   uint64
-	// opBuf and orderBuf seed tx.ops and tx.writeOrder, so small
-	// transactions append without growing them. Each attempt gets a
-	// fresh ManualTx, so protocols may keep references to both.
+	// opBuf, orderBuf and valBuf seed tx.ops, tx.writeOrder and tx.vals,
+	// so small transactions append without growing them. Transact
+	// re-initialises one ManualTx per session for every attempt, so
+	// these buffers are reused: commitReq's slices are valid only during
+	// commit, and a protocol copies what it keeps.
 	opBuf    [8]model.Op
 	orderBuf [4]model.Obj
+	valBuf   [4]model.Value
 }
 
 // TraceID returns the transaction's trace ID (0 when tracing is off).
@@ -611,8 +674,8 @@ func (m *ManualTx) Commit() error {
 	m.done = true
 	s, tr := m.tx.s, m.trace
 	tr.Mark(txtrace.StageReads)
-	commitStart := time.Now()
-	lsn, err := m.tx.inner.commit(commitReq{writes: m.tx.writes, order: m.tx.writeOrder, ops: m.tx.ops, session: s.id, txid: m.tx.txid, trace: tr})
+	commitStart := monoNow()
+	lsn, err := m.tx.inner.commit(commitReq{order: m.tx.writeOrder, vals: m.tx.vals, ops: m.tx.ops, session: s.id, txid: m.tx.txid, trace: tr})
 	if err != nil {
 		if errors.Is(err, ErrConflict) {
 			m.end(true)
@@ -625,12 +688,12 @@ func (m *ManualTx) Commit() error {
 	s.db.mCommits.Inc()
 	// A traced commit links its latency bucket to the trace ID
 	// (resolvable via GET /trace/{id}).
-	if lat := time.Since(commitStart).Nanoseconds(); tr != nil {
+	if lat := monoNow() - commitStart; tr != nil {
 		s.db.hCommitLat.ObserveExemplar(lat, tr.ID())
 	} else {
 		s.db.hCommitLat.Observe(lat)
 	}
-	s.db.hSnapAge.Observe(commitStart.Sub(m.began).Nanoseconds())
+	s.db.hSnapAge.Observe(commitStart - m.began)
 	seq := s.record(m.name, m.tx.ops)
 	if tr != nil || s.db.cfg.Recorder != nil {
 		id := txID(s.id, seq, m.name)
@@ -672,22 +735,53 @@ func (m *ManualTx) end(conflict bool) {
 
 // Tx is a live transaction handle passed to Transact callbacks. It
 // buffers writes (read-your-writes) and records the operation log that
-// becomes the transaction's history entry.
+// becomes the transaction's history entry. Transact reuses the Tx of
+// its session for the next transaction, so a *Tx must not be kept
+// after its callback returns.
 type Tx struct {
-	s          *Session
-	txid       string // attempt id; "" without a recorder
-	inner      txProtocol
-	ops        []model.Op
-	writes     map[model.Obj]model.Value
+	s     *Session
+	txid  string // attempt id; "" without a recorder
+	inner txProtocol
+	ops   []model.Op
+	// The write set: writeOrder lists the written objects in
+	// first-write order and vals[i] is the last value written to
+	// writeOrder[i]. Lookups scan writeOrder until it holds more than
+	// indexAfter objects; from then on index maps each object to its
+	// position.
 	writeOrder []model.Obj
+	vals       []model.Value
+	index      map[model.Obj]int
 	conflict   bool // a read returned ErrConflict
+}
+
+// indexAfter is the write-set size beyond which Tx indexes its writes:
+// a linear scan of a few objects beats hashing, and the index keeps a
+// large write set (Initialize's) linear overall.
+const indexAfter = 8
+
+// written returns the position of x in the write set, or -1.
+func (t *Tx) written(x model.Obj) int {
+	if t.index != nil {
+		if i, ok := t.index[x]; ok {
+			return i
+		}
+		return -1
+	}
+	for i, y := range t.writeOrder {
+		if y == x {
+			return i
+		}
+	}
+	return -1
 }
 
 // Read returns the value of x as of the transaction's snapshot (or its
 // own buffered write).
 func (t *Tx) Read(x model.Obj) (model.Value, error) {
-	v, ok := t.writes[x]
-	if !ok {
+	var v model.Value
+	if i := t.written(x); i >= 0 {
+		v = t.vals[i]
+	} else {
 		var err error
 		v, err = t.inner.read(x)
 		if err != nil {
@@ -716,10 +810,21 @@ func (t *Tx) Promote(x model.Obj) error {
 
 // Write buffers a write of v to x.
 func (t *Tx) Write(x model.Obj, v model.Value) error {
-	if _, seen := t.writes[x]; !seen {
+	if i := t.written(x); i >= 0 {
+		t.vals[i] = v
+	} else {
 		t.writeOrder = append(t.writeOrder, x)
+		t.vals = append(t.vals, v)
+		switch n := len(t.writeOrder); {
+		case t.index != nil:
+			t.index[x] = n - 1
+		case n > indexAfter:
+			t.index = make(map[model.Obj]int, 2*n)
+			for i, y := range t.writeOrder {
+				t.index[y] = i
+			}
+		}
 	}
-	t.writes[x] = v
 	t.ops = append(t.ops, model.Write(x, v))
 	t.s.emit(eventlog.Event{Kind: eventlog.Write, TxID: t.txid, Obj: x, Val: v})
 	return nil

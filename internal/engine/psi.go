@@ -284,18 +284,19 @@ func (s *psiSite) vet(order []model.Obj) bool {
 // before its window's Unlock: it takes the next sequence number,
 // captures the dependency vector and claims the written objects. A
 // remote commit that depends on it is therefore applied here only
-// after it has its timestamp, and takes a later one.
-func (s *psiSite) append(order []model.Obj, writes map[model.Obj]model.Value) {
+// after it has its timestamp, and takes a later one. order and vals are
+// the commit request's, valid only during the commit, so the log keeps
+// copies.
+func (s *psiSite) append(order []model.Obj, vals []model.Value) {
 	p := s.p
 	c := psiCommit{
 		origin: s.id,
 		seq:    s.applied[s.id] + 1,
 		dep:    slices.Clone(s.applied),
 		order:  slices.Clone(order),
-		vals:   make([]model.Value, len(order)),
+		vals:   slices.Clone(vals),
 	}
-	for i, x := range order {
-		c.vals[i] = writes[x]
+	for _, x := range order {
 		p.last[x] = psiRef{s.id, c.seq}
 	}
 	p.logs[s.id] = append(p.logs[s.id], c)
@@ -307,7 +308,7 @@ func (s *psiSite) append(order []model.Obj, writes map[model.Obj]model.Value) {
 	p.mu.Unlock()
 }
 
-func (p *psiProtocol) begin(site int) (txProtocol, error) {
+func (p *psiProtocol) begin(site int, prev txProtocol) (txProtocol, error) {
 	p.mu.Lock()
 	if site >= len(p.sites) {
 		p.mu.Unlock()
@@ -321,7 +322,7 @@ func (p *psiProtocol) begin(site int) (txProtocol, error) {
 		// stale snapshot.
 		s.catchUp(nil)
 	}
-	return s.si.begin(site)
+	return s.si.begin(site, prev)
 }
 
 // gc compacts every site through siProtocol.gc and returns the total

@@ -38,7 +38,7 @@ func (p *serProtocol) ensureSite(int) {}
 
 func (p *serProtocol) close() error { return nil }
 
-func (p *serProtocol) begin(int) (txProtocol, error) {
+func (p *serProtocol) begin(int, txProtocol) (txProtocol, error) {
 	return &serTx{p: p, held: make(map[model.Obj]bool)}, nil
 }
 
@@ -78,7 +78,7 @@ func (t *serTx) read(x model.Obj) (model.Value, error) {
 // writes and releases every lock. It is terminal: locks are released
 // whether it succeeds or conflicts.
 func (t *serTx) commit(req commitReq) (uint64, error) {
-	writes, order := req.writes, req.order
+	order, vals := req.order, req.vals
 	p := t.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -101,8 +101,8 @@ func (t *serTx) commit(req commitReq) (uint64, error) {
 		ls.writer = t
 		t.held[x] = true
 	}
-	for _, x := range order {
-		p.vals[x] = writes[x]
+	for i, x := range order {
+		p.vals[x] = vals[i]
 	}
 	return 0, nil
 }

@@ -131,8 +131,16 @@ func (p *siProtocol) ensureSite(int) {}
 
 func (p *siProtocol) close() error { return p.store.Close() }
 
-func (p *siProtocol) begin(int) (txProtocol, error) {
-	t := &siTx{p: p, ticket: p.snaps.acquire(p.commitTS.Load)}
+// begin re-initialises prev when it is a finished siTx (a session
+// stays on one protocol, or PSI site), and allocates an siTx otherwise.
+// Under SSI the record is always fresh: the tracker keeps it after the
+// transaction ends.
+func (p *siProtocol) begin(_ int, prev txProtocol) (txProtocol, error) {
+	t, ok := prev.(*siTx)
+	if !ok || !t.done {
+		t = new(siTx)
+	}
+	*t = siTx{p: p, ticket: p.snaps.acquire(p.commitTS.Load)}
 	if p.ssi != nil {
 		t.rec = &ssiRecord{snap: t.ticket.snap}
 	}
@@ -201,7 +209,7 @@ func (t *siTx) read(x model.Obj) (model.Value, error) {
 func (t *siTx) commit(req commitReq) (uint64, error) {
 	p := t.p
 	tr := req.trace
-	if len(req.writes) == 0 {
+	if len(req.order) == 0 {
 		// Read-only transactions always commit: no lock, no validation,
 		// no publish. Mark the terminal stage anyway so the commit stays
 		// attributable in /trace/{id} span trees.
@@ -250,8 +258,8 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 		t.rec.stamp(ts)
 	}
 	var installErr error
-	for _, x := range req.order {
-		if err := lock.Install(x, storage.Version{Val: req.writes[x], TS: ts}); err != nil {
+	for i, x := range req.order {
+		if err := lock.Install(x, storage.Version{Val: req.vals[i], TS: ts}); err != nil {
 			// Unreachable while the write-set shards are held (the
 			// allocation order argument above); surface it rather than
 			// panic per the no-panic guideline — but only after the
@@ -262,7 +270,7 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 		}
 	}
 	if p.psi != nil {
-		p.psi.append(req.order, req.writes)
+		p.psi.append(req.order, req.vals)
 	}
 	tr.Mark(txtrace.StageInstall)
 	// Hand a durable window the commit record while the shards are
