@@ -23,8 +23,8 @@ import (
 //   - begin is lock-free: one atomic load of the published commit
 //     timestamp plus a slot registration in snapRegistry (see
 //     snapreg.go for the begin/GC handshake);
-//   - reads take only the lock of the one store shard holding the
-//     object, a spinning mutex held for one chain lookup;
+//   - reads take no lock: the store's object index and version
+//     records are walked with atomic loads (storage/mem);
 //   - commit locks only the shards covering its write set, in
 //     canonical shard order (Driver.LockObjs), validates
 //     first-committer-wins per shard and installs under that one

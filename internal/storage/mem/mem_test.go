@@ -2,9 +2,12 @@ package mem
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"sian/internal/model"
 )
@@ -346,5 +349,272 @@ func TestSameShardReadersAndWriter(t *testing.T) {
 		if n, want := s.VersionCount(x), int(ts-snapTS)+1; n != want {
 			t.Errorf("%s keeps %d versions after GC at %d, want %d", x, n, snapTS, want)
 		}
+	}
+}
+
+// TestLockFreeReadsMatchGroundTruth races lock-free readers against
+// every writer path: installs through Install, InstallBatch and a
+// LockObjs window, and GC at the minimum of the readers' registered
+// snapshots, in passes spaced 1 to 64 timestamps apart so that each
+// record's ring fills, wraps, doubles and shrinks many times. Key i
+// has a version at every ts with (ts+i)%3 != 0, valued val(i, ts), so
+// a read at snap must return exactly the version at the largest such
+// ts ≤ snap. Readers register a snapshot the way the engine does — no
+// lower than the one they held — and GC's watermark is at most every
+// registered one. A second phase reads just below the watermark of
+// GC passes in flight: a read there may miss but never returns a
+// dropped version in place of its answer, and 3 below a finished
+// pass's watermark it must miss. Meant for -race.
+func TestLockFreeReadsMatchGroundTruth(t *testing.T) {
+	t.Parallel()
+	const (
+		nreaders  = 3
+		minRounds = 3000 // timestamps the writer installs at least
+		minReads  = 6000 // reads the readers make at least, per phase
+	)
+	var keys []model.Obj
+	for i := 0; len(keys) < 4; i++ { // four keys on one shard, two elsewhere
+		if x := model.Obj(fmt.Sprintf("g%d", i)); shardIndex(x) == shardIndex("g0") {
+			keys = append(keys, x)
+		}
+	}
+	keys = append(keys, "other1", "other2")
+	has := func(i int, ts uint64) bool { return (ts+uint64(i))%3 != 0 }
+	val := func(i int, ts uint64) model.Value { return model.Value(1_000_000*i) + model.Value(ts) }
+	truth := func(i int, snap uint64) uint64 {
+		for ts := snap; ts > 0; ts-- {
+			if has(i, ts) {
+				return ts
+			}
+		}
+		return 0
+	}
+
+	s := New()
+	var (
+		pub    atomic.Uint64 // every version ≤ pub is installed
+		gcDone atomic.Uint64 // a finished GC pass's watermark
+		reads  atomic.Int64
+		snaps  [nreaders]atomic.Uint64 // registered snapshots
+	)
+	install := func(ts uint64) {
+		var ws []Write
+		for i, x := range keys {
+			if has(i, ts) {
+				ws = append(ws, Write{Obj: x, Version: Version{Val: val(i, ts), TS: ts}})
+			}
+		}
+		switch ts % 3 {
+		case 0:
+			for _, w := range ws {
+				if err := s.Install(w.Obj, w.Version); err != nil {
+					t.Error(err)
+				}
+			}
+		case 1:
+			if err := s.InstallBatch(ws); err != nil {
+				t.Error(err)
+			}
+		case 2:
+			l := s.LockObjs(keys)
+			for _, w := range ws {
+				if err := l.Install(w.Obj, w.Version); err != nil {
+					t.Error(err)
+				}
+			}
+			l.Unlock()
+		}
+		pub.Store(ts)
+	}
+	for ts := uint64(1); ts <= 3; ts++ {
+		install(ts)
+	}
+	for r := range snaps {
+		snaps[r].Store(pub.Load())
+	}
+
+	// readers runs read(r, n) on nreaders goroutines until stopped,
+	// or until a read fails.
+	readers := func(read func(r, n int) bool) (stop func()) {
+		quit := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < nreaders; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for n := 0; ; n++ {
+					select {
+					case <-quit:
+						return
+					default:
+					}
+					reads.Add(1)
+					if !read(r, n) {
+						return
+					}
+				}
+			}(r)
+		}
+		return func() { close(quit); wg.Wait() }
+	}
+
+	// The writer: install, and GC at the registered minimum every
+	// 1, 2, 4, …, 64 timestamps. It counts the rings key 0 goes
+	// through.
+	rec := s.find(keys[0])
+	rings, ring, maxLive := 0, rec.ring.Load(), uint64(0)
+	registered := func() uint64 {
+		w := pub.Load()
+		for r := range snaps {
+			w = min(w, snaps[r].Load())
+		}
+		return w
+	}
+	gc := func() {
+		w := registered()
+		s.GC(w)
+		gcDone.Store(w)
+	}
+	ts := pub.Load()
+	write := func(rounds uint64) {
+		start := reads.Load()
+		for every := uint64(1); !t.Failed() && (ts < rounds || reads.Load()-start < minReads); every = every%64 + every {
+			for k := uint64(0); k < every; k++ {
+				for ts-registered() > 128 && !t.Failed() {
+					runtime.Gosched()
+				}
+				ts++
+				install(ts)
+				maxLive = max(maxLive, rec.hi.Load()-rec.lo.Load())
+				if r := rec.ring.Load(); r != ring {
+					rings, ring = rings+1, r
+				}
+			}
+			for every == 64 && registered() < ts && !t.Failed() {
+				runtime.Gosched()
+			}
+			gc()
+		}
+	}
+
+	// Phase 1: reader r moves its snapshot up once it lags 8<<r
+	// timestamps behind, and every 64 reads; the writer waits while
+	// any lags more than 128, and for all of them to catch up after
+	// its 64-timestamp stretches. So the live versions of a record
+	// swing between one and a few hundred.
+	var held [nreaders]uint64
+	stop := readers(func(r, n int) bool {
+		if p := pub.Load(); p-held[r] >= 8<<r || n%64 == 0 {
+			held[r] = p
+			snaps[r].Store(p)
+		}
+		snap := held[r]
+		want := func(i int) Version { ts := truth(i, snap); return Version{Val: val(i, ts), TS: ts} }
+		if n%5 == 4 {
+			vs, oks := s.ReadAtBatch(keys, snap)
+			for i := range keys {
+				if !oks[i] || vs[i] != want(i) {
+					t.Errorf("ReadAtBatch %s at %d = (%+v, %v), want %+v", keys[i], snap, vs[i], oks[i], want(i))
+					return false
+				}
+			}
+			return true
+		}
+		i := n % len(keys)
+		if v, ok := s.ReadAt(keys[i], snap); !ok || v != want(i) {
+			t.Errorf("ReadAt %s at %d = (%+v, %v), want %+v", keys[i], snap, v, ok, want(i))
+			return false
+		}
+		return true
+	})
+	write(minRounds)
+	stop()
+	if rings < 20 {
+		t.Errorf("key 0 went through %d rings (most live versions %d), want the ring resized at least 20 times", rings, maxLive)
+	}
+	t.Logf("key 0 went through %d rings, at most %d live versions", rings, maxLive)
+
+	// Phase 2: no snapshot is registered, so GC collects at the newest
+	// timestamp while readers read up to 15 below it, racing the passes
+	// that drop their answers and the installs that overwrite them. A
+	// read may miss, but what it returns must be the answer; and a read
+	// 3 or more below a finished pass's watermark must miss.
+	for r := range snaps {
+		snaps[r].Store(^uint64(0))
+	}
+	gc()
+	stop = readers(func(r, n int) bool {
+		w := gcDone.Load()
+		snap := pub.Load() - uint64(n%16)
+		i := n % len(keys)
+		v, ok := s.ReadAt(keys[i], snap)
+		want := truth(i, snap)
+		if ok && v != (Version{Val: val(i, want), TS: want}) {
+			t.Errorf("read of %s at %d = %+v, want ts %d or a miss", keys[i], snap, v, want)
+			return false
+		}
+		if ok && snap+3 <= w {
+			t.Errorf("read of %s at %d, below GC watermark %d, returned dropped %+v", keys[i], snap, w, v)
+			return false
+		}
+		return true
+	})
+	write(ts + minRounds)
+	stop()
+}
+
+// TestReadAtWhileShardLocked is the direct proof that reads take no
+// lock: while a LockObjs window holds a shard, reads of another
+// object on that shard — every read accessor — return.
+func TestReadAtWhileShardLocked(t *testing.T) {
+	t.Parallel()
+	var y model.Obj
+	for i := 0; y == ""; i++ {
+		if c := model.Obj(fmt.Sprintf("y%d", i)); shardIndex(c) == shardIndex("x") {
+			y = c
+		}
+	}
+	s := New()
+	mustInstall(t, s, "x", Version{Val: 1, TS: 1})
+	mustInstall(t, s, "x", Version{Val: 2, TS: 2})
+	mustInstall(t, s, y, Version{Val: 3, TS: 1})
+	l := s.LockObjs([]model.Obj{y})
+	defer l.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		if v, ok := s.ReadAt("x", 1); !ok || v.Val != 1 {
+			err = fmt.Errorf("ReadAt(x, 1) = (%+v, %v)", v, ok)
+		}
+		if vs, oks := s.ReadAtBatch([]model.Obj{"x", "x"}, 2); !oks[0] || vs[1].Val != 2 {
+			err = fmt.Errorf("ReadAtBatch(x, x at 2) = (%+v, %v)", vs, oks)
+		}
+		if v, ok := s.Latest("x"); !ok || v.TS != 2 || s.LatestTS("x") != 2 || s.LatestTSBatch([]model.Obj{"x"})[0] != 2 {
+			err = fmt.Errorf("Latest(x) = (%+v, %v)", v, ok)
+		}
+		if n := s.VersionCount("x"); n != 2 {
+			err = fmt.Errorf("VersionCount(x) = %d", n)
+		}
+		if _, ok := s.ReadAt("absent", 1); ok {
+			err = fmt.Errorf("ReadAt of an absent object succeeded")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a read of x blocked behind a LockObjs window on its shard")
+	}
+}
+
+// TestObjectFitsACacheLine: a reader of an object with one or two live
+// versions touches only its record, and the record sits in one cache
+// line only while it is allocated from the 64-byte size class.
+func TestObjectFitsACacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(object{}); n > 64 {
+		t.Errorf("object is %d bytes, want at most 64", n)
 	}
 }

@@ -86,15 +86,13 @@ type Driver interface {
 	InstallBatch(ws []Write) error
 	// ReadAt returns the latest version of x with TS ≤ ts, if any.
 	ReadAt(x model.Obj, ts uint64) (Version, bool)
-	// ReadAtBatch performs ReadAt for every object at one timestamp,
-	// taking each covered stripe lock exactly once.
+	// ReadAtBatch performs ReadAt for every object at one timestamp.
 	ReadAtBatch(objs []model.Obj, ts uint64) ([]Version, []bool)
 	// Latest returns the most recent version of x, if any.
 	Latest(x model.Obj) (Version, bool)
 	// LatestTS returns the newest timestamp of x, or zero.
 	LatestTS(x model.Obj) uint64
-	// LatestTSBatch returns LatestTS for every object, taking each
-	// covered stripe lock exactly once.
+	// LatestTSBatch returns LatestTS for every object.
 	LatestTSBatch(objs []model.Obj) []uint64
 	// LockObjs locks every stripe covering objs in canonical
 	// order and returns the commit window.
