@@ -424,13 +424,12 @@ func TestSessionsForgotten(t *testing.T) {
 			t.Fatalf("commit %d rejected", i)
 		}
 	}
-	if len(mon.sessions) != window || len(mon.sessTxs) != window || len(mon.sessLast) != window {
-		t.Fatalf("sessions/sessTxs/sessLast hold %d/%d/%d entries, want %d each",
-			len(mon.sessions), len(mon.sessTxs), len(mon.sessLast), window)
+	if len(mon.sessions) != window || len(mon.sess) != window {
+		t.Fatalf("sessions/sess hold %d/%d entries, want %d each", len(mon.sessions), len(mon.sess), window)
 	}
-	for i, sid := range mon.sessions {
-		if want := fmt.Sprintf("conn%d", n-window+1+i); sid != want {
-			t.Errorf("sessions[%d] = %s, want %s (first-seen order)", i, sid, want)
+	for i, s := range mon.sessions {
+		if want := fmt.Sprintf("conn%d", n-window+1+i); s.id != want || mon.sess[s.id] != s {
+			t.Errorf("sessions[%d] = %s, want %s (first-seen order)", i, s.id, want)
 		}
 	}
 	h, _ := mon.windowHistory()

@@ -53,7 +53,9 @@
 // nothing is renumbered: a collapsed transaction leaves its version
 // chains, its row and column are cleared in the dense relations, its
 // closure row is folded into slot 0, the survivors that read it are
-// re-pointed at the frontier, and the slot goes back on a free list.
+// re-pointed at the frontier, and the slot goes back on a free list —
+// as does the transaction's record, which a later commit reuses once
+// the collapse has left no live pointer to it.
 //
 // # One record per object
 //
@@ -193,12 +195,14 @@ type Report struct {
 	Final *check.Explanation
 }
 
-// winTx is one committed transaction in the live window.
+// winTx is one committed transaction in the live window. A collapse
+// retires the record to the monitor's free list, and the next commit
+// takes it back with the capacity of its slices.
 type winTx struct {
-	id      string
-	session string
-	tx      model.Transaction
-	seq     int64
+	id   string
+	sess *sessState
+	tx   model.Transaction
+	seq  int64
 	// ord numbers commits in arrival order; the window is sorted by it,
 	// so "t is among the k oldest" is one comparison.
 	ord int64
@@ -250,21 +254,24 @@ type version struct {
 	val model.Value
 }
 
-// summarize extracts a transaction's external reads (the first access
-// to the object is a read) and final writes, each sorted by object
-// name, looking each distinct object's record up once.
-func (m *Monitor) summarize(ops []model.Op) (ext, fin []version) {
+// summarize sets t.ext to t's external reads (the first access to the
+// object is a read) and t.fin to its final writes, each sorted by
+// object name, looking each distinct object's record up once.
+func (m *Monitor) summarize(t *winTx) {
+	ops := t.tx.Ops
 	// Group the operations by object, keeping program order within one.
-	order := make([]int32, len(ops))
-	for i := range order {
-		order[i] = int32(i)
+	order := m.order[:0]
+	for i := range ops {
+		order = append(order, int32(i))
 	}
+	m.order = order
 	slices.SortFunc(order, func(a, b int32) int {
 		if c := strings.Compare(string(ops[a].Obj), string(ops[b].Obj)); c != 0 {
 			return c
 		}
 		return int(a - b)
 	})
+	ext, fin := t.ext[:0], t.fin[:0]
 	for i := 0; i < len(order); {
 		first := ops[order[i]]
 		st := m.state(first.Obj)
@@ -281,7 +288,7 @@ func (m *Monitor) summarize(ops []model.Op) (ext, fin []version) {
 			fin = append(fin, version{st, last.Val})
 		}
 	}
-	return ext, fin
+	t.ext, t.fin = ext, fin
 }
 
 // state returns the record of object x, creating it on first sight.
@@ -320,8 +327,56 @@ type resolvedRead struct {
 	writer *winTx
 }
 
-// txKey identifies an in-flight transaction.
-type txKey struct{ session, txid string }
+// sessState is everything the monitor keeps about one session: its
+// in-flight attempts and its live window transactions. Ingest finds it
+// with the one map lookup an event costs.
+type sessState struct {
+	id string
+	// open holds the session's in-flight attempts, usually one. The
+	// slots past len(open) keep their op buffers for the next attempt.
+	open []attempt
+	// txs holds the session's live window transactions in commit order.
+	txs []*winTx
+}
+
+// attempt is one in-flight transaction: its id within the session and
+// its operations so far.
+type attempt struct {
+	txid string
+	ops  []model.Op
+}
+
+// find returns the index of s's open attempt txid, or -1.
+func (s *sessState) find(txid string) int {
+	for i := range s.open {
+		if s.open[i].txid == txid {
+			return i
+		}
+	}
+	return -1
+}
+
+// begin returns s's open attempt txid, opening it on first sight.
+func (s *sessState) begin(txid string) *attempt {
+	if i := s.find(txid); i >= 0 {
+		return &s.open[i]
+	}
+	if len(s.open) < cap(s.open) {
+		s.open = s.open[:len(s.open)+1]
+	} else {
+		s.open = append(s.open, attempt{})
+	}
+	a := &s.open[len(s.open)-1]
+	a.txid, a.ops = txid, a.ops[:0]
+	return a
+}
+
+// end closes open attempt i; its buffer stays past len(s.open).
+func (s *sessState) end(i int) {
+	last := len(s.open) - 1
+	s.open[i], s.open[last] = s.open[last], s.open[i]
+	s.open = s.open[:last]
+}
 
 type pendingRead struct {
 	reader *winTx
@@ -336,13 +391,17 @@ type Monitor struct {
 	cfg   Config
 	model depgraph.Model
 
-	open map[txKey][]model.Op // in-flight transactions
+	// sess holds every session with an open attempt or a live window
+	// transaction.
+	sess map[string]*sessState
 
 	win      []*winTx // live transactions in arrival order
 	nextOrd  int64
-	sessions []string // live sessions in first-seen order, for deterministic window histories
-	sessTxs  map[string][]*winTx
-	sessLast map[string]*winTx
+	sessions []*sessState // sessions with live transactions in first-seen order, for deterministic window histories
+	// freeTx holds the records of collapsed transactions for reuse;
+	// order is summarize's scratch.
+	freeTx []*winTx
+	order  []int32
 	// objects holds the record of every object the stream has touched.
 	objects map[model.Obj]*objState
 	// strictInit is set when the stream's first commit is the
@@ -353,7 +412,9 @@ type Monitor struct {
 	sawCommit  bool
 
 	// Incremental graph state over carrier slots [0, cap). free is the
-	// stack of unoccupied slots.
+	// stack of unoccupied slots. so and wrAll are kept only when pc is
+	// set: PC's formula is the one that reads them.
+	pc      bool
 	cap     int
 	free    []int
 	cl      *relation.Closure
@@ -396,9 +457,8 @@ func New(cfg Config) *Monitor {
 	m := &Monitor{
 		cfg:      cfg,
 		model:    cfg.Model,
-		open:     make(map[txKey][]model.Op),
-		sessTxs:  make(map[string][]*winTx),
-		sessLast: make(map[string]*winTx),
+		pc:       cfg.Model == depgraph.PC,
+		sess:     make(map[string]*sessState),
 		objects:  make(map[model.Obj]*objState),
 		fastOK:   true,
 		collapse: (*Monitor).collapseInPlace,
@@ -431,31 +491,70 @@ func (m *Monitor) Ingest(ev eventlog.Event) *Verdict {
 	}
 	m.nEvents++
 	m.cEvents.Inc()
-	if ev.TS > 0 {
+	if ev.TS > 0 && m.hLag != nil {
 		if lag := m.cfg.now().UnixNano() - ev.TS; lag > 0 {
 			m.hLag.Observe(lag)
 		} else {
 			m.hLag.Observe(0)
 		}
 	}
-	key := txKey{ev.Session, ev.TxID}
+	s := m.sess[ev.Session]
 	switch ev.Kind {
 	case eventlog.Begin:
-		if _, ok := m.open[key]; !ok {
-			m.open[key] = nil
-		}
+		m.session(s, ev.Session).begin(ev.TxID)
 	case eventlog.Read:
-		m.open[key] = append(m.open[key], model.Read(ev.Obj, ev.Val))
+		a := m.session(s, ev.Session).begin(ev.TxID)
+		a.ops = append(a.ops, model.Read(ev.Obj, ev.Val))
 	case eventlog.Write:
-		m.open[key] = append(m.open[key], model.Write(ev.Obj, ev.Val))
+		a := m.session(s, ev.Session).begin(ev.TxID)
+		a.ops = append(a.ops, model.Write(ev.Obj, ev.Val))
 	case eventlog.Abort, eventlog.Conflict:
-		delete(m.open, key)
+		if s == nil {
+			break
+		}
+		if i := s.find(ev.TxID); i >= 0 {
+			s.end(i)
+			m.release(s)
+		}
 	case eventlog.Commit:
-		ops := m.open[key]
-		delete(m.open, key)
-		return m.processCommit(ev, ops)
+		i := -1
+		var ops []model.Op
+		if s != nil {
+			if i = s.find(ev.TxID); i >= 0 {
+				ops = s.open[i].ops
+			}
+		}
+		name := ev.Name
+		if name == "" {
+			name = ev.TxID
+		}
+		v, spare := m.processCommit(ev.Seq, name, s, ops)
+		if i >= 0 {
+			s.open[i].ops = spare
+			s.end(i)
+			m.release(s)
+		}
+		return v
 	}
 	return nil
+}
+
+// session returns s, the record of session id, or a new one when s is
+// nil.
+func (m *Monitor) session(s *sessState, id string) *sessState {
+	if s == nil {
+		s = &sessState{id: id}
+		m.sess[id] = s
+	}
+	return s
+}
+
+// release forgets session s once it has neither an open attempt nor a
+// live transaction.
+func (m *Monitor) release(s *sessState) {
+	if len(s.open) == 0 && len(s.txs) == 0 {
+		delete(m.sess, s.id)
+	}
 }
 
 // Violations returns the anomalies reported so far.
@@ -464,19 +563,18 @@ func (m *Monitor) Violations() []Violation { return m.violations }
 // Window returns the number of committed transactions currently live.
 func (m *Monitor) Window() int { return len(m.win) }
 
-// processCommit folds one committed transaction into the live graph
-// and re-certifies.
-func (m *Monitor) processCommit(ev eventlog.Event, ops []model.Op) *Verdict {
+// processCommit folds the transaction of session s that committed at
+// event seq, named name, into the live graph and re-certifies. A window
+// record keeps ops; the buffer returned is the one the caller's attempt
+// holds next: the record's previous one, or ops itself when no record
+// kept it.
+func (m *Monitor) processCommit(seq int64, name string, s *sessState, ops []model.Op) (*Verdict, []model.Op) {
 	m.nCommits++
 	m.cCommits.Inc()
-	name := ev.Name
-	if name == "" {
-		name = ev.TxID
-	}
 	first := !m.sawCommit
 	m.sawCommit = true
 	if len(ops) == 0 {
-		return &Verdict{Seq: ev.Seq, Txn: name, Member: m.memberNow(), Pending: len(m.pending), Window: len(m.win)}
+		return &Verdict{Seq: seq, Txn: name, Member: m.memberNow(), Pending: len(m.pending), Window: len(m.win)}, ops
 	}
 	if first && name == model.InitTransactionID {
 		// The stream carries the history's own init transaction:
@@ -489,29 +587,33 @@ func (m *Monitor) processCommit(ev eventlog.Event, ops []model.Op) *Verdict {
 			}
 		}
 		m.strictInit = true
-		return &Verdict{Seq: ev.Seq, Txn: name, Member: true, Window: len(m.win)}
+		return &Verdict{Seq: seq, Txn: name, Member: true, Window: len(m.win)}, ops
 	}
 
 	if len(m.free) == 0 {
 		m.grow()
 	}
-	// ops left the open map with this commit and is not shared: the
-	// transaction can own it.
-	t := &winTx{id: name, session: ev.Session, tx: model.Transaction{ID: name, Ops: ops}, seq: ev.Seq, ord: m.nextOrd}
+	// ops leaves the attempt with this commit and is not shared: the
+	// record can own it.
+	t := m.newTx()
+	spare := t.tx.Ops[:0]
+	t.id, t.sess, t.seq, t.ord = name, s, seq, m.nextOrd
+	t.tx = model.Transaction{ID: name, Ops: ops}
 	m.nextOrd++
-	t.ext, t.fin = m.summarize(ops)
+	m.summarize(t)
 	t.idx = m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
-	t.prevSame = m.sessLast[ev.Session]
-	m.sessLast[ev.Session] = t
-	if _, ok := m.sessTxs[ev.Session]; !ok {
-		m.sessions = append(m.sessions, ev.Session)
+	t.prevSame = nil
+	if n := len(s.txs); n > 0 {
+		t.prevSame = s.txs[n-1]
+	} else {
+		m.sessions = append(m.sessions, s)
 	}
-	m.sessTxs[ev.Session] = append(m.sessTxs[ev.Session], t)
+	s.txs = append(s.txs, t)
 	m.win = append(m.win, t)
 	m.applyTx(t)
 
-	v := &Verdict{Seq: ev.Seq, Txn: name}
+	v := &Verdict{Seq: seq, Txn: name}
 	m.fastOK = m.fastCheck()
 	switch {
 	case m.tainted:
@@ -532,7 +634,7 @@ func (m *Monitor) processCommit(ev eventlog.Event, ops []model.Op) *Verdict {
 			}
 		} else {
 			m.tainted = true
-			viol := m.violationFrom(ev.Seq, name, res.Explain)
+			viol := m.violationFrom(seq, name, res.Explain)
 			m.violations = append(m.violations, viol)
 			m.cViol.Inc()
 			if m.cfg.OnViolation != nil {
@@ -546,7 +648,20 @@ func (m *Monitor) processCommit(ev eventlog.Event, ops []model.Op) *Verdict {
 	v.Window = len(m.win)
 	m.gWindow.Set(int64(len(m.win)))
 	m.gPending.Set(int64(len(m.pending)))
-	return v
+	return v, spare
+}
+
+// newTx returns a window record to fill: a retired one when there is
+// one, keeping the capacity of its slices.
+func (m *Monitor) newTx() *winTx {
+	n := len(m.freeTx)
+	if n == 0 {
+		return new(winTx)
+	}
+	t := m.freeTx[n-1]
+	m.freeTx[n-1] = nil
+	m.freeTx = m.freeTx[:n-1]
+	return t
 }
 
 func (m *Monitor) memberNow() bool { return m.fastOK && !m.tainted }
@@ -560,7 +675,7 @@ func (m *Monitor) applyTx(t *winTx) {
 	// the immediate predecessor edge, transitivity is its job. GSI
 	// drops SO from the base relation altogether (Theorem 21's
 	// GraphSI variant without session guarantees).
-	for p := t.prevSame; p != nil; p = p.prevSame {
+	for p := t.prevSame; p != nil && m.pc; p = p.prevSame {
 		m.so.Add(p.idx, t.idx)
 	}
 	if t.prevSame != nil && m.model != depgraph.GSI {
@@ -606,7 +721,9 @@ func (m *Monitor) linkRead(t *winTx, x *objState, v model.Value, w *winTx) {
 	}
 	t.reads = append(t.reads, resolvedRead{obj: x, val: v, writer: w})
 	x.readers = append(x.readers, t)
-	m.wrAll.Add(wi, t.idx)
+	if m.pc {
+		m.wrAll.Add(wi, t.idx)
+	}
 	m.cl.AddEdge(wi, t.idx)
 	if m.linkSuccessor(t, x, w) {
 		x.cur = append(x.cur, t)
@@ -742,13 +859,9 @@ func (m *Monitor) windowHistory() (*model.History, check.Options) {
 			Transactions: []model.Transaction{model.NewTransaction(model.InitTransactionID, initOps...)},
 		})
 	}
-	for _, sid := range m.sessions {
-		txs := m.sessTxs[sid]
-		if len(txs) == 0 {
-			continue
-		}
-		sess := model.Session{ID: sid, Transactions: make([]model.Transaction, 0, len(txs))}
-		for _, t := range txs {
+	for _, s := range m.sessions {
+		sess := model.Session{ID: s.id, Transactions: make([]model.Transaction, 0, len(s.txs))}
+		for _, t := range s.txs {
 			sess.Transactions = append(sess.Transactions, t.tx)
 		}
 		sessions = append(sessions, sess)
@@ -775,8 +888,8 @@ func (m *Monitor) adoptWitness(g *depgraph.Graph) {
 	if h.NumTransactions() > 0 && h.Transaction(0).ID == model.InitTransactionID {
 		histTx = append(histTx, nil)
 	}
-	for _, sid := range m.sessions {
-		histTx = append(histTx, m.sessTxs[sid]...)
+	for _, s := range m.sessions {
+		histTx = append(histTx, s.txs...)
 	}
 	histIdx := make(map[*winTx]int, len(histTx))
 	for i, t := range histTx {
@@ -979,8 +1092,10 @@ func (m *Monitor) collapseInPlace(k int) {
 			r.obj.cur = without(r.obj.cur, t)
 			r.obj.readers = without(r.obj.readers, t)
 		}
-		m.so.Isolate(t.idx)
-		m.wrAll.Isolate(t.idx)
+		if m.pc {
+			m.so.Isolate(t.idx)
+			m.wrAll.Isolate(t.idx)
+		}
 		m.rw.Isolate(t.idx)
 		m.cl.Absorb(0, t.idx)
 		m.free = append(m.free, t.idx)
@@ -998,11 +1113,16 @@ func (m *Monitor) collapseInPlace(k int) {
 		}
 	}
 	for _, x := range reordered {
-		x.cur = nil
+		clear(x.cur)
+		x.cur = x.cur[:0]
 	}
 	// Only reads of an object the prefix wrote can have lost their
-	// writer or their place in the chain.
+	// writer or their place in the chain. The collapsed records are on
+	// the free list by now, but nothing takes one back before the next
+	// commit, so their ord still tells them apart; the loop re-points
+	// every survivor read of one.
 	for _, x := range written {
+		x.last = nil
 		relink := slices.Contains(reordered, x)
 		for _, t := range x.readers {
 			r := t.readOf(x)
@@ -1017,7 +1137,9 @@ func (m *Monitor) collapseInPlace(k int) {
 				if w := x.byVal[r.val]; w != nil && w.ord < t.ord {
 					r.writer, wi = w, w.idx
 				}
-				m.wrAll.Add(wi, t.idx)
+				if m.pc {
+					m.wrAll.Add(wi, t.idx)
+				}
 				m.cl.AddEdge(wi, t.idx)
 			} else if !relink {
 				continue
@@ -1042,28 +1164,30 @@ func without(s []*winTx, t *winTx) []*winTx {
 // advanceFrontier is the bookkeeping of a collapse outside the graph:
 // the k oldest window transactions leave their final values in the
 // frontier (the latest arrival wins), leave their sessions — a session
-// whose last transaction collapsed is forgotten altogether, the others
-// keep their first-seen order — and leave the window.
+// whose last transaction collapsed is forgotten altogether unless it
+// has an attempt open, the others keep their first-seen order — and
+// leave the window for the free list.
 func (m *Monitor) advanceFrontier(k int) {
-	for i, t := range m.win[:k] {
+	for _, t := range m.win[:k] {
 		for _, w := range t.fin {
 			w.obj.front, w.obj.hasFront = w.val, true
 		}
 		// The window is in arrival order, so t heads its session.
-		txs := m.sessTxs[t.session]
-		txs[0] = nil
-		if txs = txs[1:]; len(txs) > 0 {
-			m.sessTxs[t.session] = txs
-			txs[0].prevSame = nil
+		s := t.sess
+		n := copy(s.txs, s.txs[1:])
+		s.txs[n] = nil
+		if s.txs = s.txs[:n]; n > 0 {
+			s.txs[0].prevSame = nil
 		} else {
-			delete(m.sessTxs, t.session)
-			delete(m.sessLast, t.session)
-			j := slices.Index(m.sessions, t.session)
+			j := slices.Index(m.sessions, s)
 			m.sessions = slices.Delete(m.sessions, j, j+1)
+			m.release(s)
 		}
-		m.win[i] = nil
 	}
-	m.win = m.win[k:]
+	m.freeTx = append(m.freeTx, m.win[:k]...)
+	n := copy(m.win, m.win[k:])
+	clear(m.win[n:])
+	m.win = m.win[:n]
 }
 
 // forgetVersions clears every object's versions and readers, and the

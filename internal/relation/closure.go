@@ -110,6 +110,10 @@ func (c *Closure) AddEdge(a, b int) {
 		c.pending = append(c.pending, closureEdge{int32(a), int32(b)})
 		return
 	}
+	if c.words == 1 && !c.journaling {
+		c.addEdgeWord(a, b)
+		return
+	}
 	if c.has(a, b) {
 		return
 	}
@@ -140,6 +144,29 @@ func (c *Closure) AddEdge(a, b int) {
 			ri[w] = merged
 		}
 	}
+}
+
+// addEdgeWord is AddEdge's delta propagation over a carrier of at most
+// 64 elements with no journal: every row is one word, indexed directly.
+func (c *Closure) addEdgeWord(a, b int) {
+	rows := c.rows[:c.n]
+	bbit := uint64(1) << uint(b)
+	if rows[a]&bbit != 0 {
+		return
+	}
+	add := rows[b] | bbit // {b} ∪ reach(b), before any row changes
+	d := add &^ rows[a]
+	rows[a] |= d // row a now holds add, so the loop adds nothing to it
+	delta, self := bits.OnesCount64(d), int(d>>uint(a)&1)
+	for i, ri := range rows {
+		// Branch-free: a row that does not reach a ORs in nothing.
+		d := add & -(ri >> uint(a) & 1) &^ ri
+		rows[i] = ri | d
+		delta += bits.OnesCount64(d)
+		self += int(d >> uint(i) & 1)
+	}
+	c.deltaEdges += int64(delta)
+	c.selfReach += self
 }
 
 // settle closes the pending edges, once: a depth-first pass gives each
@@ -258,6 +285,17 @@ func (c *Closure) Absorb(dst, src int) {
 	if c.has(src, src) {
 		c.selfReach--
 	}
+	c.journal, c.journaling = nil, false
+	if c.words == 1 {
+		rows := c.rows[:c.n]
+		dbit, sbit := uint64(1)<<uint(dst), uint64(1)<<uint(src)
+		rows[dst] |= rows[src] &^ dbit // src reaching dst does not make dst reach itself
+		rows[src] = 0
+		for i := range rows {
+			rows[i] &^= sbit
+		}
+		return
+	}
 	rd, rs := c.row(dst), c.row(src)
 	dw, dbit := dst/64, uint64(1)<<(uint(dst)%64)
 	self := rd[dw] & dbit // src reaching dst does not make dst reach itself
@@ -270,7 +308,6 @@ func (c *Closure) Absorb(dst, src int) {
 	for i := 0; i < c.n; i++ {
 		c.rows[i*c.words+sw] &^= sbit
 	}
-	c.journal, c.journaling = nil, false
 }
 
 // Rollback restores the closure to the state at the given checkpoint,
@@ -309,6 +346,17 @@ func (c *Closure) ComposeInto(dst, left *Rel) {
 		panic(fmt.Sprintf("relation: carrier mismatch (closure %d, dst %d, left %d)", c.n, dst.n, left.n))
 	}
 	c.settle()
+	if c.words == 1 {
+		rows, out := c.rows[:c.n], dst.rows[:c.n]
+		for i, word := range left.rows[:c.n] {
+			var acc uint64
+			for ; word != 0; word &= word - 1 {
+				acc |= rows[bits.TrailingZeros64(word)]
+			}
+			out[i] = acc
+		}
+		return
+	}
 	dst.Clear()
 	for i := 0; i < c.n; i++ {
 		li := left.row(i)

@@ -127,6 +127,14 @@ func (r *Rel) Remove(a, b int) {
 // column i.
 func (r *Rel) Isolate(i int) {
 	r.check(i, i)
+	if r.words == 1 {
+		rows, ibit := r.rows[:r.n], uint64(1)<<uint(i)
+		rows[i] = 0
+		for a := range rows {
+			rows[a] &^= ibit
+		}
+		return
+	}
 	row := r.row(i)
 	for w := range row {
 		row[w] = 0
@@ -425,6 +433,9 @@ func (r *Rel) IsAcyclicWith(d *DFS) bool {
 		d.colour = make([]byte, r.n)
 		d.stack = make([]dfsFrame, 0, r.n)
 	}
+	if r.words == 1 {
+		return r.isAcyclicWord(d.stack[:0])
+	}
 	colour := d.colour[:r.n]
 	clear(colour)
 	stack := d.stack[:0]
@@ -454,6 +465,41 @@ func (r *Rel) IsAcyclicWith(d *DFS) bool {
 				colour[b] = grey
 				stack = append(stack, dfsFrame{node: b, bits: r.row(b)[0]})
 			}
+		}
+	}
+	return true
+}
+
+// isAcyclicWord is IsAcyclicWith's search over a carrier of at most 64
+// elements: every row is one word, indexed directly, and the colours
+// are two words — grey for the path, black for the finished nodes,
+// which a frame drops from its successors without visiting them.
+func (r *Rel) isAcyclicWord(stack []dfsFrame) bool {
+	rows := r.rows[:r.n]
+	var grey, black uint64
+	for start, word := range rows {
+		if black>>uint(start)&1 != 0 {
+			continue
+		}
+		grey |= 1 << uint(start)
+		stack = append(stack, dfsFrame{node: start, bits: word})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			next := f.bits &^ black
+			if next == 0 {
+				bit := uint64(1) << uint(f.node)
+				grey &^= bit
+				black |= bit
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			if next&grey != 0 {
+				return false // an edge back into the path
+			}
+			b := bits.TrailingZeros64(next)
+			f.bits = next &^ (1 << uint(b))
+			grey |= 1 << uint(b)
+			stack = append(stack, dfsFrame{node: b, bits: rows[b]})
 		}
 	}
 	return true

@@ -34,6 +34,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"sian/internal/model"
 )
@@ -543,8 +544,31 @@ type object struct {
 	inline [2]slot
 }
 
-// ring is a power-of-two array of version slots.
-type ring struct{ slots []slot }
+// ring is the header of a power-of-two array of version slots, and
+// the array follows it in the same allocation: newRing makes n+1 slots
+// and the header takes the first. A reader reaches the length and the
+// slots from the one pointer it loads, and a resize allocates once.
+type ring struct {
+	n int   // the slots after the header
+	_ int64 // the header is one slot wide
+}
+
+// The header must be exactly one slot for the slots behind it to line up.
+var _ [unsafe.Sizeof(ring{}) - unsafe.Sizeof(slot{})]struct{}
+var _ [unsafe.Sizeof(slot{}) - unsafe.Sizeof(ring{})]struct{}
+
+// newRing returns a ring of n zero slots.
+func newRing(n int) *ring {
+	buf := make([]slot, n+1)
+	r := (*ring)(unsafe.Pointer(&buf[0]))
+	r.n = n
+	return r
+}
+
+// slots returns the ring's slot array.
+func (r *ring) slots() []slot {
+	return unsafe.Slice((*slot)(unsafe.Add(unsafe.Pointer(r), unsafe.Sizeof(ring{}))), r.n)
+}
 
 // slot is one version. Both fields are atomics: a reader whose lo
 // moved may have raced a rewrite, and discards what it read.
@@ -556,7 +580,7 @@ type slot struct {
 // slots returns the current ring.
 func (o *object) slots() []slot {
 	if r := o.ring.Load(); r != nil {
-		return r.slots
+		return r.slots()
 	}
 	return o.inline[:]
 }
@@ -676,14 +700,15 @@ func (o *object) gcLocked(watermark uint64) int {
 // slots below hi are not written meanwhile (writers hold the mutex).
 func (o *object) resize(lo, hi uint64, n int) []slot {
 	old := o.slots()
-	r := &ring{slots: make([]slot, n)}
+	r := newRing(n)
+	slots := r.slots()
 	for i := lo; i < hi; {
 		// Copy the longest run that wraps in neither ring.
 		src, dst := i&uint64(len(old)-1), i&uint64(n-1)
 		k := min(hi-i, uint64(len(old))-src, uint64(n)-dst)
-		copy(r.slots[dst:dst+k], old[src:src+k])
+		copy(slots[dst:dst+k], old[src:src+k])
 		i += k
 	}
 	o.ring.Store(r)
-	return r.slots
+	return slots
 }
