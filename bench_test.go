@@ -184,7 +184,8 @@ func BenchmarkSCGFig6(b *testing.B) {
 }
 
 // BenchmarkSCGScaling (E19): static chopping analysis cost as the
-// number of concurrent transfer programs grows.
+// number of concurrent transfer programs grows, and on 40 one-piece
+// shared-counter programs, which the walk pre-pass answers.
 func BenchmarkSCGScaling(b *testing.B) {
 	for _, k := range []int{2, 4, 8} {
 		programs := append(chopping.Replicate(workload.TransferChopped(), k),
@@ -197,6 +198,14 @@ func BenchmarkSCGScaling(b *testing.B) {
 			}
 		})
 	}
+	b.Run("counter-40", func(b *testing.B) {
+		programs := workload.CounterPrograms(40)
+		for i := 0; i < b.N; i++ {
+			if v, err := chopping.CheckStatic(programs, chopping.SICritical); err != nil || !v.OK {
+				b.Fatalf("counter-40 chopping: %v", err)
+			}
+		}
+	})
 }
 
 // BenchmarkDCGFig4 (E8): the dynamic chopping check of Theorem 16 on
@@ -233,16 +242,17 @@ func BenchmarkRobustnessSER(b *testing.B) {
 		app    robustness.App
 		robust bool
 	}{
-		"writeSkew": {workload.WriteSkewApp(), false},
-		"fixed":     {workload.WriteSkewAppFixed(), true},
-		"transfer":  {workload.TransferApp(), true},
+		"writeSkew":  {workload.WriteSkewApp(), false},
+		"fixed":      {workload.WriteSkewAppFixed(), true},
+		"transfer":   {workload.TransferApp(), true},
+		"counter-40": {workload.CounterApp(40), true},
 	}
 	for name, tc := range apps {
 		tc := tc
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, robust := robustness.CheckSIRobust(tc.app); robust != tc.robust {
-					b.Fatalf("robust = %v, want %v", robust, tc.robust)
+				if w, err := robustness.CheckSIRobust(tc.app); err != nil || (w == nil) != tc.robust {
+					b.Fatalf("robust = %v (%v), want %v", w == nil, err, tc.robust)
 				}
 			}
 		})
@@ -262,8 +272,8 @@ func BenchmarkRobustnessPSI(b *testing.B) {
 		tc := tc
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, robust := robustness.CheckPSIRobust(tc.app); robust != tc.robust {
-					b.Fatalf("robust = %v, want %v", robust, tc.robust)
+				if w, err := robustness.CheckPSIRobust(tc.app); err != nil || (w == nil) != tc.robust {
+					b.Fatalf("robust = %v (%v), want %v", w == nil, err, tc.robust)
 				}
 			}
 		})

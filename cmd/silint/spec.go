@@ -74,7 +74,7 @@ func (sp specRun) run(path string, stdin io.Reader) (int, error) {
 	}
 	var rows []silint.Check
 	for _, c := range sp.rows {
-		if (c.Robust != nil) == isApp {
+		if c.Robustness() == isApp {
 			rows = append(rows, c)
 		}
 	}
@@ -88,8 +88,11 @@ func (sp specRun) run(path string, stdin io.Reader) (int, error) {
 		v := cliutil.Verdict{Check: c.Name, Target: target, OK: true, Theorem: c.Theorem}
 		cycle := "critical cycle"
 		if isApp {
-			var w *robustness.Witness
-			if w, v.OK = c.Robust(app); !v.OK {
+			w, err := robustness.Check(app, c.Level)
+			if err != nil {
+				return 2, fmt.Errorf("%v: %w", c.Level, err)
+			}
+			if v.OK = w == nil; !v.OK {
 				cycle, v.Witness = "dangerous cycle", w.String()
 			}
 		} else {
@@ -135,9 +138,9 @@ func (sp specRun) run(path string, stdin io.Reader) (int, error) {
 // printVerdict renders one spec verdict as a text line.
 func printVerdict(w io.Writer, c silint.Check, v cliutil.Verdict) {
 	switch {
-	case c.Robust != nil && v.OK:
+	case c.Robustness() && v.OK:
 		fmt.Fprintf(w, "%s  ROBUST: %s\n", c.Label, c.Holds)
-	case c.Robust != nil:
+	case c.Robustness():
 		fmt.Fprintf(w, "%s  NOT ROBUST: dangerous cycle %s\n", c.Label, v.Witness)
 	case v.OK:
 		fmt.Fprintf(w, "%-12s chopping CORRECT: no critical cycle\n", c.Level)

@@ -65,7 +65,9 @@ func run(args []string, w io.Writer) error {
 		printed = true
 	}
 	if all || *table == "robustness" {
-		robustnessTable(w)
+		if err := robustnessTable(w); err != nil {
+			return err
+		}
 		printed = true
 	}
 	if all || *table == "engines" {
@@ -146,7 +148,7 @@ func choppingTable(w io.Writer) error {
 }
 
 // robustnessTable runs the §6 static analyses on the example apps.
-func robustnessTable(w io.Writer) {
+func robustnessTable(w io.Writer) error {
 	fmt.Fprintln(w, "Table 3 — static robustness analyses")
 	fmt.Fprintf(w, "  %-28s %-12s %-12s\n", "application", "SI→SER", "PSI→SI")
 	apps := []struct {
@@ -160,18 +162,25 @@ func robustnessTable(w io.Writer) {
 		{"SmallBank", workload.SmallBankApp(2, false)},
 		{"SmallBank (fixed)", workload.SmallBankApp(2, true)},
 	}
-	verdict := func(robust bool) string {
-		if robust {
+	verdict := func(w *chopping.Witness) string {
+		if w == nil {
 			return "robust"
 		}
 		return "NOT robust"
 	}
 	for _, a := range apps {
-		_, si := robustness.CheckSIRobust(a.app)
-		_, psi := robustness.CheckPSIRobust(a.app)
+		si, err := robustness.CheckSIRobust(a.app)
+		if err != nil {
+			return fmt.Errorf("%s: %w", a.name, err)
+		}
+		psi, err := robustness.CheckPSIRobust(a.app)
+		if err != nil {
+			return fmt.Errorf("%s: %w", a.name, err)
+		}
 		fmt.Fprintf(w, "  %-28s %-12s %-12s\n", a.name, verdict(si), verdict(psi))
 	}
 	fmt.Fprintln(w)
+	return nil
 }
 
 // engineTable stages the write-skew and long-fork anomalies on each

@@ -153,7 +153,11 @@ func main() {
 }
 
 func report(name string, app sian.App) {
-	if w, robust := sian.CheckSIRobust(app); robust {
+	w, err := sian.CheckSIRobust(app)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if w == nil {
 		fmt.Printf("%s: ROBUST against SI — only serializable behaviour\n", name)
 	} else {
 		fmt.Printf("%s: NOT robust against SI — dangerous cycle %s\n", name, w)

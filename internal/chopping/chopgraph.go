@@ -1,22 +1,23 @@
 // Package chopping implements the transaction-chopping analyses of §5
-// and Appendix B of the paper: dynamic chopping graphs DCG(G) and the
-// splice operation (Theorem 16), static chopping graphs SCG(P) over
-// programs with read/write sets (Corollary 18), and the three
-// criticality notions — SER-critical (Definition 28, Shasha et al.),
-// SI-critical (§5) and PSI-critical (Definition 30).
+// and Appendix B of the paper: dynamic chopping graphs DCG(G) and
+// splice (Theorem 16), static chopping graphs SCG(P) (Corollary 18),
+// and SER-, SI- and PSI-critical cycles (Definitions 28 and 30, §5).
+// Its graph and cycle engine (walk.go) also decide §6's dangerous
+// cycles for package robustness: all five criteria are conditions on
+// the edge labels of one simple cycle.
 package chopping
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
-// EdgeKind classifies the edges of a chopping graph.
+// EdgeKind classifies the edges of a chopping graph. Successor and
+// predecessor edges connect pieces of the same session/program; the
+// three conflict kinds connect pieces of different sessions/programs.
 type EdgeKind int
 
-// Chopping graph edge kinds. Successor and predecessor edges connect
-// pieces of the same session/program; the three conflict kinds connect
-// pieces of different sessions/programs.
 const (
 	KindInvalid EdgeKind = iota
 	KindSuccessor
@@ -24,72 +25,54 @@ const (
 	KindWR
 	KindWW
 	KindRW
+	numKinds
 )
 
-const numKinds = 6
+// The kinds' names in a chopping graph and in a dependency graph.
+var (
+	kindNames = [numKinds]string{"", "S", "P", "WR", "WW", "RW"}
+	depNames  = [numKinds]string{"", "SO", "P", "WR", "WW", "RW*"}
+)
 
 // String returns a short name: "S", "P", "WR", "WW" or "RW".
 func (k EdgeKind) String() string {
-	switch k {
-	case KindSuccessor:
-		return "S"
-	case KindPredecessor:
-		return "P"
-	case KindWR:
-		return "WR"
-	case KindWW:
-		return "WW"
-	case KindRW:
-		return "RW"
-	default:
-		return fmt.Sprintf("EdgeKind(%d)", int(k))
+	if k > KindInvalid && k < numKinds {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("EdgeKind(%d)", int(k))
 }
 
-// IsConflict reports whether the kind is one of the conflict kinds
-// (read dependency, write dependency or anti-dependency).
-func (k EdgeKind) IsConflict() bool {
-	return k == KindWR || k == KindWW || k == KindRW
-}
+// IsConflict reports whether the kind is WR, WW or RW.
+func (k EdgeKind) IsConflict() bool { return k == KindWR || k == KindWW || k == KindRW }
 
-// IsDependency reports whether the kind is a read or write dependency
-// (the separators required between anti-dependencies by SI-
-// criticality condition (iii)).
-func (k EdgeKind) IsDependency() bool {
-	return k == KindWR || k == KindWW
-}
+// IsDependency reports whether the kind is WR or WW, the separators
+// SI-criticality condition (iii) requires between anti-dependencies.
+func (k EdgeKind) IsDependency() bool { return k == KindWR || k == KindWW }
 
-// Criticality selects which notion of critical cycle to search for.
+// Criticality selects the cycle shape a search looks for: one of the
+// critical cycles of §5, from laxest to strictest (PSI-critical implies
+// SI-critical implies SER-critical), or one of the dangerous cycles of
+// §6, read on a static dependency graph (vulnerable RW edges only).
 type Criticality int
 
-// The three criticality notions, ordered from laxest to strictest
-// conditions (every PSI-critical cycle is SI-critical, and every
-// SI-critical cycle is SER-critical).
+// The five shapes.
 const (
 	CriticalityInvalid Criticality = iota
-	// SERCritical: simple + contains a "conflict, predecessor,
-	// conflict" fragment (Definition 28).
-	SERCritical
-	// SICritical: SER-critical + any two anti-dependency edges are
-	// separated (cyclically) by a read or write dependency edge (§5).
-	SICritical
-	// PSICritical: SER-critical + at most one anti-dependency edge
-	// (Definition 30).
-	PSICritical
+	SERCritical                    // a "conflict, predecessor, conflict" fragment (Definition 28)
+	SICritical                     // SER-critical, and a dependency between any two anti-dependencies (§5)
+	PSICritical                    // SER-critical, and at most one anti-dependency (Definition 30)
+	SIDangerous                    // two adjacent anti-dependencies: not robust against SI (Theorem 19, §6.1)
+	PSIDangerous                   // two or more anti-dependencies, none adjacent: not robust against PSI (Theorem 22, §6.2)
+	numCriticalities
 )
 
-// String returns "SER-critical", "SI-critical" or "PSI-critical".
+// String returns "SER-critical", "SI-critical", "PSI-critical",
+// "SI-dangerous" or "PSI-dangerous".
 func (c Criticality) String() string {
-	switch c {
-	case SERCritical:
-		return "SER-critical"
-	case SICritical:
-		return "SI-critical"
-	case PSICritical:
-		return "PSI-critical"
-	default:
-		return fmt.Sprintf("Criticality(%d)", int(c))
+	if c > CriticalityInvalid && c < numCriticalities {
+		return [...]string{"", "SER-critical", "SI-critical", "PSI-critical", "SI-dangerous", "PSI-dangerous"}[c]
 	}
+	return fmt.Sprintf("Criticality(%d)", int(c))
 }
 
 // Step is one edge of a cycle in a chopping graph.
@@ -98,20 +81,21 @@ type Step struct {
 	Kind     EdgeKind
 }
 
-// Cycle is a sequence of steps forming a directed cycle: each step's
-// To equals the next step's From, and the last step returns to the
-// first step's From.
+// Cycle is a directed cycle: each step's To is the next step's From,
+// and the last step returns to the first step's From.
 type Cycle []Step
 
 // String renders the cycle as "0 -RW-> 1 -P-> 0".
-func (c Cycle) String() string {
+func (c Cycle) String() string { return c.describe(strconv.Itoa, EdgeKind.String) }
+
+func (c Cycle) describe(label func(int) string, name func(EdgeKind) string) string {
 	if len(c) == 0 {
 		return "<empty>"
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d", c[0].From)
+	sb.WriteString(label(c[0].From))
 	for _, s := range c {
-		fmt.Fprintf(&sb, " -%s-> %d", s.Kind, s.To)
+		fmt.Fprintf(&sb, " -%s-> %s", name(s.Kind), label(s.To))
 	}
 	return sb.String()
 }
@@ -125,95 +109,29 @@ func (c Cycle) Kinds() []EdgeKind {
 	return out
 }
 
-// IsCriticalKinds decides, for the cyclic sequence of edge kinds of a
-// vertex-simple cycle, whether the cycle is critical at the given
-// level. Vertex-simplicity (condition (i)) is the caller's
-// responsibility; this function checks the kind conditions:
-//
-//	(ii)  some three consecutive edges (cyclically) form
-//	      "conflict, predecessor, conflict";
-//	(iii) SI: between any two cyclically-consecutive anti-dependency
-//	      edges there is at least one read/write dependency edge;
-//	      PSI: at most one anti-dependency edge.
+// IsCriticalKinds decides whether the cyclic word of edge kinds of a
+// vertex-simple cycle has the shape level selects: whether the level's
+// automaton (walk.go) accepts one of its rotations. Vertex-simplicity,
+// criticality condition (i), is the caller's responsibility.
 func IsCriticalKinds(kinds []EdgeKind, level Criticality) bool {
-	n := len(kinds)
-	if n < 2 {
-		// A self-loop cannot contain the three-edge fragment without
-		// repeating a vertex.
+	a := automata[level]
+	if a == nil || len(kinds) < 2 { // a self-loop has no shape without a repeated vertex
 		return false
 	}
-	// Condition (ii).
-	fragment := false
-	for i := 0; i < n; i++ {
-		a, b, c := kinds[i], kinds[(i+1)%n], kinds[(i+2)%n]
-		if a.IsConflict() && b == KindPredecessor && c.IsConflict() {
-			fragment = true
-			break
-		}
-	}
-	if !fragment {
-		return false
-	}
-	switch level {
-	case SERCritical:
-		return true
-	case PSICritical:
-		anti := 0
-		for _, k := range kinds {
-			if k == KindRW {
-				anti++
+	for r := range kinds {
+		s := 0
+		for i := 0; i < len(kinds) && s >= 0; i++ {
+			k := kinds[(r+i)%len(kinds)]
+			if k < KindInvalid || k >= numKinds {
+				k = KindInvalid
 			}
+			s = a.next[s][k]
 		}
-		return anti <= 1
-	case SICritical:
-		return antiDepsSeparated(kinds)
-	default:
-		return false
-	}
-}
-
-// antiDepsSeparated checks SI-criticality condition (iii): walking the
-// cycle cyclically, every segment between two consecutive RW edges
-// contains a WR or WW edge. Cycles with at most one RW edge satisfy
-// the condition vacuously.
-func antiDepsSeparated(kinds []EdgeKind) bool {
-	n := len(kinds)
-	first := -1
-	for i, k := range kinds {
-		if k == KindRW {
-			first = i
-			break
+		if s >= 0 && a.accept[s] {
+			return true
 		}
 	}
-	if first < 0 {
-		return true
-	}
-	// Walk from the first RW all the way around; require a dependency
-	// edge before each subsequent RW (including the wrap back to the
-	// first one when there are two or more RW edges).
-	rwCount := 0
-	for _, k := range kinds {
-		if k == KindRW {
-			rwCount++
-		}
-	}
-	if rwCount < 2 {
-		return true
-	}
-	sepSeen := false
-	for off := 1; off <= n; off++ {
-		k := kinds[(first+off)%n]
-		switch {
-		case k == KindRW:
-			if !sepSeen {
-				return false
-			}
-			sepSeen = false
-		case k.IsDependency():
-			sepSeen = true
-		}
-	}
-	return true
+	return false
 }
 
 // IsCritical reports whether the cycle is critical at the given level,
@@ -221,30 +139,23 @@ func antiDepsSeparated(kinds []EdgeKind) bool {
 // conditions.
 func (c Cycle) IsCritical(level Criticality) bool {
 	seen := make(map[int]bool, len(c))
-	for _, s := range c {
-		if seen[s.From] {
+	for i, s := range c {
+		if seen[s.From] || s.To != c[(i+1)%len(c)].From {
 			return false
 		}
 		seen[s.From] = true
-	}
-	for i, s := range c {
-		next := c[(i+1)%len(c)].From
-		if s.To != next {
-			return false
-		}
 	}
 	return IsCriticalKinds(c.Kinds(), level)
 }
 
 // Graph is a chopping graph: a directed multigraph whose parallel
-// edges are distinguished by kind. It serves both as the dynamic
-// chopping graph DCG(G) (vertices are transactions) and the static
-// chopping graph SCG(P) (vertices are program pieces).
+// edges differ by kind. It serves as DCG(G) and SCG(P) (§5) and as the
+// static dependency graph of an application (§6).
 type Graph struct {
 	labels []string
-	// adj[u*n+v] is a bitmask over EdgeKind values.
-	adj []uint8
-	n   int
+	adj    []uint8 // adj[u*n+v] is a bitmask over EdgeKind values
+	n      int
+	names  *[numKinds]string
 }
 
 // NewGraph returns a chopping graph with n vertices labelled by the
@@ -252,13 +163,20 @@ type Graph struct {
 func NewGraph(n int, labels []string) *Graph {
 	l := make([]string, n)
 	for i := range l {
-		if labels != nil && i < len(labels) && labels[i] != "" {
+		if l[i] = strconv.Itoa(i); i < len(labels) && labels[i] != "" {
 			l[i] = labels[i]
-		} else {
-			l[i] = fmt.Sprintf("%d", i)
 		}
 	}
-	return &Graph{labels: l, adj: make([]uint8, n*n), n: n}
+	return &Graph{labels: l, adj: make([]uint8, n*n), n: n, names: &kindNames}
+}
+
+// NewDependencyGraph returns a static dependency graph (§6): a Graph
+// whose successor edges are session order and whose anti-dependencies
+// are the vulnerable ones, so that they render as "SO" and "RW*".
+func NewDependencyGraph(n int, labels []string) *Graph {
+	g := NewGraph(n, labels)
+	g.names = &depNames
+	return g
 }
 
 // N returns the number of vertices.
@@ -267,66 +185,35 @@ func (g *Graph) N() int { return g.n }
 // Label returns the display label of a vertex.
 func (g *Graph) Label(v int) string { return g.labels[v] }
 
+// KindName returns the name the graph renders an edge kind with.
+func (g *Graph) KindName(k EdgeKind) string {
+	if k > KindInvalid && k < numKinds {
+		return g.names[k]
+	}
+	return k.String()
+}
+
 // AddEdge inserts a directed edge of the given kind.
 func (g *Graph) AddEdge(u, v int, k EdgeKind) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("chopping: edge (%d,%d) out of range [0,%d)", u, v, g.n))
 	}
-	if k <= KindInvalid || int(k) >= numKinds {
+	if k <= KindInvalid || k >= numKinds {
 		panic(fmt.Sprintf("chopping: invalid edge kind %d", int(k)))
 	}
-	g.adj[u*g.n+v] |= 1 << uint(k)
+	g.adj[u*g.n+v] |= 1 << k
 }
 
 // HasEdge reports whether an edge of the given kind exists.
-func (g *Graph) HasEdge(u, v int, k EdgeKind) bool {
-	return g.adj[u*g.n+v]&(1<<uint(k)) != 0
-}
+func (g *Graph) HasEdge(u, v int, k EdgeKind) bool { return g.adj[u*g.n+v]&(1<<uint(k)) != 0 }
 
-// kindsBetween returns the kinds present on the (u, v) edge bundle.
-func (g *Graph) kindsBetween(u, v int) []EdgeKind {
-	mask := g.adj[u*g.n+v]
-	var out []EdgeKind
-	for k := KindSuccessor; int(k) < numKinds; k++ {
-		if mask&(1<<uint(k)) != 0 {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// searchKindsBetween is kindsBetween with WR/WW collapsed to a single
-// representative: every criticality predicate treats read and write
-// dependencies identically (both are conflicts and both are
-// separators), so trying both merely doubles the search.
-func (g *Graph) searchKindsBetween(u, v int) []EdgeKind {
-	mask := g.adj[u*g.n+v]
-	var out []EdgeKind
-	if mask&(1<<uint(KindSuccessor)) != 0 {
-		out = append(out, KindSuccessor)
-	}
-	if mask&(1<<uint(KindPredecessor)) != 0 {
-		out = append(out, KindPredecessor)
-	}
-	switch {
-	case mask&(1<<uint(KindWR)) != 0:
-		out = append(out, KindWR)
-	case mask&(1<<uint(KindWW)) != 0:
-		out = append(out, KindWW)
-	}
-	if mask&(1<<uint(KindRW)) != 0 {
-		out = append(out, KindRW)
-	}
-	return out
-}
-
-// Edges returns every edge of the graph.
+// Edges returns every edge of the graph, by source, target and kind.
 func (g *Graph) Edges() []Step {
 	var out []Step
-	for u := 0; u < g.n; u++ {
-		for v := 0; v < g.n; v++ {
-			for _, k := range g.kindsBetween(u, v) {
-				out = append(out, Step{From: u, To: v, Kind: k})
+	for x, mask := range g.adj {
+		for k := KindSuccessor; mask != 0 && k < numKinds; k++ {
+			if mask&(1<<k) != 0 {
+				out = append(out, Step{From: x / g.n, To: x % g.n, Kind: k})
 			}
 		}
 	}
@@ -334,99 +221,19 @@ func (g *Graph) Edges() []Step {
 }
 
 // DescribeCycle renders a cycle using vertex labels.
-func (g *Graph) DescribeCycle(c Cycle) string {
-	if len(c) == 0 {
-		return "<empty>"
-	}
-	var sb strings.Builder
-	sb.WriteString(g.labels[c[0].From])
-	for _, s := range c {
-		fmt.Fprintf(&sb, " -%s-> %s", s.Kind, g.labels[s.To])
-	}
-	return sb.String()
+func (g *Graph) DescribeCycle(c Cycle) string { return c.describe(g.Label, g.KindName) }
+
+// Witness is a cycle a search matched, with the graph it lies in.
+type Witness struct {
+	Cycle Cycle
+	Graph *Graph
 }
 
-// ErrBudgetExceeded is returned by FindCriticalCycle when the cycle
-// search exceeded its work budget without an answer; the analysis is
-// then inconclusive and the caller should treat the chopping as
-// potentially incorrect.
-var ErrBudgetExceeded = fmt.Errorf("chopping: cycle enumeration budget exceeded; analysis inconclusive")
-
-// DefaultBudget bounds the number of DFS extensions performed by the
-// critical-cycle search. Static chopping graphs are small (pieces ×
-// programs), so the default is generous.
-const DefaultBudget = 50_000_000
-
-// FindCriticalCycle searches for a vertex-simple directed cycle that
-// is critical at the given level. It returns (cycle, nil) when one is
-// found, (nil, nil) when provably none exists, and
-// (nil, ErrBudgetExceeded) when the search ran out of budget.
-//
-// The search enumerates vertex-simple cycles in canonical form (the
-// smallest vertex of the cycle is the start) via DFS, carrying the
-// chosen edge kinds; per-cycle criticality is decided by
-// IsCriticalKinds. Worst-case exponential, as is inherent in
-// enumerating simple cycles, but chopping graphs are program-sized.
-func (g *Graph) FindCriticalCycle(level Criticality, budget int) (Cycle, error) {
-	if budget <= 0 {
-		budget = DefaultBudget
+// String renders the witness with vertex labels, e.g.
+// "withdraw1 -RW*-> withdraw2 -RW*-> withdraw1".
+func (w *Witness) String() string {
+	if w == nil || len(w.Cycle) == 0 {
+		return "<none>"
 	}
-	e := &enumerator{g: g, level: level, budget: budget}
-	for start := 0; start < g.n; start++ {
-		e.start = start
-		e.onStack = make([]bool, g.n)
-		e.onStack[start] = true
-		if found, err := e.dfs(start, nil); err != nil {
-			return nil, err
-		} else if found != nil {
-			return found, nil
-		}
-	}
-	return nil, nil
-}
-
-type enumerator struct {
-	g       *Graph
-	level   Criticality
-	budget  int
-	start   int
-	onStack []bool
-}
-
-// dfs extends the current path (a stack of steps from e.start) and
-// returns the first critical cycle found.
-func (e *enumerator) dfs(v int, path []Step) (Cycle, error) {
-	for next := 0; next < e.g.n; next++ {
-		kinds := e.g.searchKindsBetween(v, next)
-		if len(kinds) == 0 {
-			continue
-		}
-		switch {
-		case next == e.start && len(path) >= 1:
-			for _, k := range kinds {
-				e.budget--
-				if e.budget < 0 {
-					return nil, ErrBudgetExceeded
-				}
-				candidate := append(append(Cycle{}, path...), Step{From: v, To: next, Kind: k})
-				if IsCriticalKinds(candidate.Kinds(), e.level) {
-					return candidate, nil
-				}
-			}
-		case next > e.start && !e.onStack[next]:
-			for _, k := range kinds {
-				e.budget--
-				if e.budget < 0 {
-					return nil, ErrBudgetExceeded
-				}
-				e.onStack[next] = true
-				found, err := e.dfs(next, append(path, Step{From: v, To: next, Kind: k}))
-				e.onStack[next] = false
-				if err != nil || found != nil {
-					return found, err
-				}
-			}
-		}
-	}
-	return nil, nil
+	return w.Graph.DescribeCycle(w.Cycle)
 }

@@ -4,39 +4,33 @@ import (
 	"fmt"
 
 	"sian/internal/depgraph"
+	"sian/internal/model"
+	"sian/internal/relation"
 )
 
-// DCG builds the dynamic chopping graph of a dependency graph (§5):
-// the vertices are g's transactions; WR/WW/RW edges between
-// transactions of *different* sessions become conflict edges (edges
-// between ≈-related transactions are dropped); session order yields
-// successor edges and its inverse predecessor edges.
+// DCG builds the dynamic chopping graph of a dependency graph (§5)
+// over g's transactions: its WR/WW/RW edges between *different*
+// sessions become conflict edges, session order yields successor edges
+// and its inverse predecessor edges.
 func DCG(g *depgraph.Graph) *Graph {
 	h := g.History
-	n := h.NumTransactions()
-	labels := make([]string, n)
-	for i := 0; i < n; i++ {
-		if id := h.Transaction(i).ID; id != "" {
-			labels[i] = id
-		}
+	labels := make([]string, h.NumTransactions())
+	for i := range labels {
+		labels[i] = h.Transaction(i).ID
 	}
-	out := NewGraph(n, labels)
-	so := h.SessionOrder()
-	for _, p := range so.Pairs() {
+	out := NewGraph(len(labels), labels)
+	for _, p := range h.SessionOrder().Pairs() {
 		out.AddEdge(p[0], p[1], KindSuccessor)
 		out.AddEdge(p[1], p[0], KindPredecessor)
 	}
 	same := h.SameSession()
-	addConflicts := func(pairs [][2]int, k EdgeKind) {
-		for _, p := range pairs {
+	for k, rel := range map[EdgeKind]*relation.Rel{KindWR: g.WR(), KindWW: g.WW(), KindRW: g.RW()} {
+		for _, p := range rel.Pairs() {
 			if !same.Has(p[0], p[1]) {
 				out.AddEdge(p[0], p[1], k)
 			}
 		}
 	}
-	addConflicts(g.WR().Pairs(), KindWR)
-	addConflicts(g.WW().Pairs(), KindWW)
-	addConflicts(g.RW().Pairs(), KindRW)
 	return out
 }
 
@@ -53,19 +47,16 @@ func DCG(g *depgraph.Graph) *Graph {
 // out. Callers should Validate or check the returned error.
 func Splice(g *depgraph.Graph) (*depgraph.Graph, error) {
 	h := g.History
-	sh := h.Splice()
-	out := depgraph.New(sh)
+	out := depgraph.New(h.Splice())
 	for _, x := range h.Objects() {
-		for _, p := range g.WRObj(x).Pairs() {
-			t, s := h.SplicedIndex(p[0]), h.SplicedIndex(p[1])
-			if t != s {
-				out.AddWR(x, t, s)
-			}
-		}
-		for _, p := range g.WWObj(x).Pairs() {
-			t, s := h.SplicedIndex(p[0]), h.SplicedIndex(p[1])
-			if t != s {
-				out.AddWW(x, t, s)
+		for _, lift := range []struct {
+			pairs [][2]int
+			add   func(model.Obj, int, int)
+		}{{g.WRObj(x).Pairs(), out.AddWR}, {g.WWObj(x).Pairs(), out.AddWW}} {
+			for _, p := range lift.pairs {
+				if t, s := h.SplicedIndex(p[0]), h.SplicedIndex(p[1]); t != s {
+					lift.add(x, t, s)
+				}
 			}
 		}
 	}
@@ -75,51 +66,42 @@ func Splice(g *depgraph.Graph) (*depgraph.Graph, error) {
 	return out, nil
 }
 
-// SpliceResult reports the outcome of the dynamic chopping check of a
-// single dependency graph.
+// SpliceResult reports the dynamic chopping check of one dependency
+// graph G: the critical cycle of DCG(G), nil if none; DCG(G) itself,
+// for diagnostics; and splice(G) when there is no critical cycle.
 type SpliceResult struct {
-	// Critical is the critical cycle found in DCG(G), nil if none.
 	Critical Cycle
-	// DCG is the dynamic chopping graph (for diagnostics).
-	DCG *Graph
-	// Spliced is splice(G) when Critical is nil and splicing
-	// succeeded.
-	Spliced *depgraph.Graph
+	DCG      *Graph
+	Spliced  *depgraph.Graph
 }
 
 // CheckDynamic applies Theorem 16 to a dependency graph G ∈ GraphSI:
-// if DCG(G) contains no SI-critical cycle, G is spliceable and the
-// spliced dependency graph (which Theorem 16 guarantees is in GraphSI)
-// is returned in the result. When a critical cycle exists the result
-// carries it as a witness; the graph may or may not be spliceable (the
-// criterion is sound, not complete).
+// if DCG(G) has no SI-critical cycle, the result carries splice(G),
+// which the theorem puts in GraphSI; else it carries the cycle, and G
+// may or may not splice (the criterion is sound, not complete).
 func CheckDynamic(g *depgraph.Graph) (*SpliceResult, error) {
 	return CheckDynamicLevel(g, SICritical)
 }
 
-// CheckDynamicLevel is CheckDynamic for any of the three criticality
-// levels and their models: SERCritical with GraphSER (the dynamic form
-// of Shasha et al.'s Theorem 29), SICritical with GraphSI (Theorem 16)
-// and PSICritical with GraphPSI (the dynamic form of Theorem 31). The
-// input graph must be in the corresponding model; when its DCG has no
-// level-critical cycle, the spliced graph is checked to be in the same
-// model and returned.
+// CheckDynamicLevel is CheckDynamic at any criticality level, with its
+// model: SERCritical with GraphSER (the dynamic Theorem 29), SICritical
+// with GraphSI (Theorem 16), PSICritical with GraphPSI (the dynamic
+// Theorem 31). G must be in the model, and so must splice(G) be.
 func CheckDynamicLevel(g *depgraph.Graph, level Criticality) (*SpliceResult, error) {
-	m, err := modelForLevel(level)
-	if err != nil {
-		return nil, err
+	m, ok := map[Criticality]depgraph.Model{SERCritical: depgraph.SER, SICritical: depgraph.SI, PSICritical: depgraph.PSI}[level]
+	if !ok {
+		return nil, fmt.Errorf("chopping: unknown criticality level %v", level)
 	}
 	if err := g.InModel(m); err != nil {
 		return nil, fmt.Errorf("chopping: input graph outside Graph%v: %w", m, err)
 	}
 	dcg := DCG(g)
-	cyc, err := dcg.FindCriticalCycle(level, 0)
+	cyc, err := dcg.FindCriticalCycle(level)
 	if err != nil {
 		return nil, err
 	}
-	res := &SpliceResult{Critical: cyc, DCG: dcg}
 	if cyc != nil {
-		return res, nil
+		return &SpliceResult{Critical: cyc, DCG: dcg}, nil
 	}
 	spliced, err := Splice(g)
 	if err != nil {
@@ -128,21 +110,5 @@ func CheckDynamicLevel(g *depgraph.Graph, level Criticality) (*SpliceResult, err
 	if err := spliced.InModel(m); err != nil {
 		return nil, fmt.Errorf("chopping: dynamic criterion violated — spliced graph outside Graph%v: %w", m, err)
 	}
-	res.Spliced = spliced
-	return res, nil
-}
-
-// modelForLevel maps a criticality level to the consistency model its
-// dynamic criterion speaks about.
-func modelForLevel(level Criticality) (depgraph.Model, error) {
-	switch level {
-	case SERCritical:
-		return depgraph.SER, nil
-	case SICritical:
-		return depgraph.SI, nil
-	case PSICritical:
-		return depgraph.PSI, nil
-	default:
-		return 0, fmt.Errorf("chopping: unknown criticality level %v", level)
-	}
+	return &SpliceResult{DCG: dcg, Spliced: spliced}, nil
 }

@@ -1,6 +1,6 @@
 // Package dot renders the analyser's graph structures — dependency
-// graphs, abstract executions, chopping graphs and static dependency
-// graphs — as Graphviz DOT documents, for visual inspection of
+// graphs, abstract executions and chopping graphs (static dependency
+// graphs included) — as Graphviz DOT documents, for visual inspection of
 // anomalies, witness cycles and analysis inputs.
 package dot
 
@@ -12,7 +12,6 @@ import (
 	"sian/internal/chopping"
 	"sian/internal/depgraph"
 	"sian/internal/execution"
-	"sian/internal/robustness"
 )
 
 // quote escapes a label for DOT.
@@ -101,7 +100,7 @@ func ChopGraph(w io.Writer, g *chopping.Graph, highlight chopping.Cycle) error {
 		fmt.Fprintf(&b, "  n%d [label=%s];\n", i, quote(g.Label(i)))
 	}
 	for _, e := range g.Edges() {
-		attrs := edgeAttrs(e.Kind)
+		attrs := append(edgeStyle(e.Kind), fmt.Sprintf("label=%q", g.KindName(e.Kind)))
 		if inCycle[e] {
 			attrs = append(attrs, "color=red", "penwidth=2")
 		}
@@ -112,40 +111,17 @@ func ChopGraph(w io.Writer, g *chopping.Graph, highlight chopping.Cycle) error {
 	return err
 }
 
-func edgeAttrs(k chopping.EdgeKind) []string {
+// edgeStyle is an edge kind's line style, before its label.
+func edgeStyle(k chopping.EdgeKind) []string {
 	switch k {
 	case chopping.KindSuccessor:
-		return []string{"style=dotted", `label="S"`}
+		return []string{"style=dotted"}
 	case chopping.KindPredecessor:
-		return []string{"style=dotted", "color=grey", `label="P"`}
-	case chopping.KindWR:
-		return []string{`label="WR"`}
+		return []string{"style=dotted", "color=grey"}
 	case chopping.KindWW:
-		return []string{"style=bold", `label="WW"`}
+		return []string{"style=bold"}
 	case chopping.KindRW:
-		return []string{"style=dashed", `label="RW"`}
-	default:
-		return []string{fmt.Sprintf("label=%q", k.String())}
+		return []string{"style=dashed"}
 	}
-}
-
-// StaticDependencies writes a robustness static dependency graph.
-func StaticDependencies(w io.Writer, g *robustness.StaticGraph) error {
-	var b strings.Builder
-	b.WriteString("digraph static {\n  rankdir=LR;\n  node [shape=box];\n")
-	for i, l := range g.Labels {
-		fmt.Fprintf(&b, "  n%d [label=%s];\n", i, quote(l))
-	}
-	emit := func(pairs [][2]int, attrs string) {
-		for _, p := range pairs {
-			fmt.Fprintf(&b, "  n%d -> n%d [%s];\n", p[0], p[1], attrs)
-		}
-	}
-	emit(g.SO.Pairs(), `style=dotted, label="SO"`)
-	emit(g.WR.Pairs(), `label="WR"`)
-	emit(g.WW.Pairs(), `style=bold, label="WW"`)
-	emit(g.RW.Pairs(), `style=dashed, color=red, label="RW"`)
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	return nil
 }

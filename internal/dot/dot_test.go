@@ -7,7 +7,6 @@ import (
 
 	"sian/internal/chopping"
 	"sian/internal/core"
-	"sian/internal/robustness"
 	"sian/internal/workload"
 )
 
@@ -76,13 +75,6 @@ func TestChopGraph(t *testing.T) {
 	if strings.Contains(s2, "penwidth=2") {
 		t.Error("unexpected highlight without a cycle")
 	}
-}
-
-func TestStaticDependencies(t *testing.T) {
-	t.Parallel()
-	g := robustness.BuildStatic(workload.WriteSkewApp())
-	s := render(t, func(b *bytes.Buffer) error { return StaticDependencies(b, g) })
-	checkDOT(t, s, "withdraw1", "withdraw2", `label="RW"`)
 }
 
 func TestQuoting(t *testing.T) {

@@ -4,8 +4,20 @@ import (
 	"reflect"
 	"testing"
 
+	"sian/internal/chopping"
 	"sian/internal/model"
 )
+
+// siRobust runs CheckSIRobust, failing the test on an inconclusive
+// answer.
+func siRobust(t *testing.T, app App) (*chopping.Witness, bool) {
+	t.Helper()
+	w, err := CheckSIRobust(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, w == nil
+}
 
 // NewTxSpec must canonicalise its sets: silint feeds it map-ordered,
 // possibly duplicated extraction results, and witnesses must not depend
@@ -35,8 +47,8 @@ func TestWitnessDeterministicUnderInputOrder(t *testing.T) {
 	}
 	a := mk([]model.Obj{"acct1", "acct2"}, []model.Obj{"acct1", "acct2"})
 	b := mk([]model.Obj{"acct2", "acct1", "acct1"}, []model.Obj{"acct2", "acct2", "acct1"})
-	wa, ra := CheckSIRobust(a)
-	wb, rb := CheckSIRobust(b)
+	wa, ra := siRobust(t, a)
+	wb, rb := siRobust(t, b)
 	if ra || rb {
 		t.Fatalf("write-skew app reported robust (%v, %v)", ra, rb)
 	}
@@ -58,10 +70,10 @@ func TestWritesWidenedDisablesVulnerabilityRefinement(t *testing.T) {
 		t1.WritesWidened = widened
 		return SingleTxApp(t1, t2)
 	}
-	if _, robust := CheckSIRobust(mk(false)); !robust {
+	if _, robust := siRobust(t, mk(false)); !robust {
 		t.Fatalf("materialised conflict with exact sets must be robust")
 	}
-	if w, robust := CheckSIRobust(mk(true)); robust {
+	if w, robust := siRobust(t, mk(true)); robust {
 		t.Fatalf("widened write set must keep the app non-robust")
 	} else if w == nil {
 		t.Fatalf("missing witness")

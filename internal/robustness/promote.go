@@ -1,35 +1,32 @@
 // Read→write promotion search: the automatic remedy of §6.
 //
-// When the static analyses of §6 reject an application, the witness is
-// a dangerous cycle through vulnerable anti-dependency edges. The
-// paper's fix is to *materialise the conflict*: promote a read on one
-// of those edges to a write of the same object, so the racing pair
-// gains a write-write conflict, the anti-dependency stops being
-// vulnerable, and the dangerous cycle disappears. This file searches
-// for minimal sets of such promotions whose application makes the
-// criterion pass, re-verifying every candidate by re-running the full
-// static check on the promoted application.
+// A failing §6 check's witness is a dangerous cycle through vulnerable
+// anti-dependency edges. The paper's fix *materialises the conflict*:
+// promote a read on one of those edges to a write of the same object,
+// so the racing pair gains a write-write conflict and the edge stops
+// being vulnerable. Repairs searches for minimal sets of such
+// promotions, re-verifying each by the full static check.
 package robustness
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
+	"sian/internal/chopping"
 	"sian/internal/model"
 )
 
 // Promotion is one suggested read→write promotion: in every
-// transaction of Group, the read of Obj is promoted to also write Obj
-// (read the value, write it back — engine.Tx.Promote).
+// transaction of Group (TxSpec.PromoteGroup, or a per-vertex key for
+// ungrouped specifications), whose labels are Txs, the read of Obj is
+// promoted to also write Obj (read the value, write it back —
+// engine.Tx.Promote).
 type Promotion struct {
-	// Group is the promotion-group key (TxSpec.PromoteGroup, or the
-	// synthetic per-vertex key for ungrouped specifications).
 	Group string
-	// Txs are the labels of the promoted transaction instances.
-	Txs []string
-	// Obj is the object whose read is promoted.
-	Obj model.Obj
+	Txs   []string
+	Obj   model.Obj
 }
 
 // String renders e.g. `promote read of "total" in tx withdraw1`.
@@ -39,9 +36,7 @@ func (p Promotion) String() string {
 
 // Repair is one verified fix: applying every listed promotion makes
 // the failed static check pass.
-type Repair struct {
-	Promotions []Promotion
-}
+type Repair struct{ Promotions []Promotion }
 
 // String renders the promotions joined by "; ".
 func (r Repair) String() string {
@@ -52,45 +47,12 @@ func (r Repair) String() string {
 	return strings.Join(parts, "; ")
 }
 
-// RepairOptions bounds the promotion search.
-type RepairOptions struct {
-	// MaxPromotions caps the size of a suggested promotion set
-	// (default 3).
-	MaxPromotions int
-	// MaxRepairs caps how many verified repairs are returned
-	// (default 3).
-	MaxRepairs int
-	// MaxChecks caps how many candidate applications are re-verified
-	// before the search gives up (default 512).
-	MaxChecks int
-}
-
-func (o RepairOptions) withDefaults() RepairOptions {
-	if o.MaxPromotions <= 0 {
-		o.MaxPromotions = 3
-	}
-	if o.MaxRepairs <= 0 {
-		o.MaxRepairs = 3
-	}
-	if o.MaxChecks <= 0 {
-		o.MaxChecks = 512
-	}
-	return o
-}
-
-// RepairAgainstSI searches for minimal promotion sets that make
-// CheckSIRobust pass. It returns verified repairs ranked smallest
-// first (ties broken lexicographically), or nil when the application
-// is already robust or no repair exists within the bounds.
-func RepairAgainstSI(app App, opts RepairOptions) []Repair {
-	return repair(app, CheckSIRobust, opts)
-}
-
-// RepairAgainstPSI is RepairAgainstSI for the §6.2 criterion
-// (robustness against parallel SI towards SI, Theorem 22).
-func RepairAgainstPSI(app App, opts RepairOptions) []Repair {
-	return repair(app, CheckPSIRobust, opts)
-}
+// The bounds of the promotion search.
+const (
+	maxPromotions = 3   // size cap of a suggested promotion set
+	maxRepairs    = 3   // verified repairs returned
+	maxChecks     = 512 // candidate applications re-verified before giving up
+)
 
 // promKey identifies a promotion candidate.
 type promKey struct {
@@ -98,8 +60,8 @@ type promKey struct {
 	obj   model.Obj
 }
 
-// groupKeyOf returns the promotion group of the vertex-th flattened
-// specification: its PromoteGroup, or a synthetic per-vertex key.
+// groupKeyOf returns the promotion group of the vertex-th
+// specification: its PromoteGroup, or a per-vertex key.
 func groupKeyOf(spec TxSpec, vertex int) string {
 	if spec.PromoteGroup != "" {
 		return spec.PromoteGroup
@@ -107,72 +69,40 @@ func groupKeyOf(spec TxSpec, vertex int) string {
 	return fmt.Sprintf("#%d", vertex)
 }
 
-// flatten returns the application's specifications in session-major
-// (static-graph vertex) order, as (session index, tx index) pairs.
-func flatten(app App) (specs []TxSpec, at [][2]int) {
-	for si, s := range app.Sessions {
-		for ti, t := range s.Txs {
-			specs = append(specs, t)
-			at = append(at, [2]int{si, ti})
-		}
-	}
-	return specs, at
-}
-
-// applyPromotions returns a deep copy of app with every promotion
-// applied: each transaction of a promoted group additionally reads and
-// writes the promoted object (Promote performs both).
+// applyPromotions returns a copy of app in which each transaction of a
+// promoted group also reads and writes the promoted object.
 func applyPromotions(app App, set []promKey) App {
-	specs, at := flatten(app)
-	out := App{Sessions: make([]SessionSpec, len(app.Sessions))}
+	out, v := App{Sessions: make([]SessionSpec, len(app.Sessions))}, 0
 	for i, s := range app.Sessions {
-		out.Sessions[i] = SessionSpec{Name: s.Name, Txs: append([]TxSpec(nil), s.Txs...)}
-	}
-	for v, spec := range specs {
-		g := groupKeyOf(spec, v)
-		var add []model.Obj
-		for _, p := range set {
-			if p.group == g {
-				add = append(add, p.obj)
+		out.Sessions[i] = SessionSpec{Name: s.Name, Txs: slices.Clone(s.Txs)}
+		for j := range s.Txs {
+			t := &out.Sessions[i].Txs[j]
+			for _, p := range set {
+				if p.group == groupKeyOf(*t, v) {
+					t.Reads = model.NormalizeObjs(append(slices.Clip(t.Reads), p.obj))
+					t.Writes = model.NormalizeObjs(append(slices.Clip(t.Writes), p.obj))
+				}
 			}
+			v++
 		}
-		if len(add) == 0 {
-			continue
-		}
-		si, ti := at[v][0], at[v][1]
-		t := out.Sessions[si].Txs[ti]
-		t.Reads = model.NormalizeObjs(append(append([]model.Obj(nil), t.Reads...), add...))
-		t.Writes = model.NormalizeObjs(append(append([]model.Obj(nil), t.Writes...), add...))
-		out.Sessions[si].Txs[ti] = t
 	}
 	return out
 }
 
 // candidatesOf derives the promotion candidates of a witness cycle:
-// for every vulnerable anti-dependency edge From -RW*-> To, each
-// object in Reads(From) ∩ Writes(To) names a promotion of From's read.
-// Edges incident to a widened writer are skipped — a promotion cannot
-// certify a concrete conflict against a may-write set, so it can never
-// defuse such an edge.
-func candidatesOf(app App, w *Witness) []promKey {
+// each object in Reads(From) ∩ Writes(To) of an edge From -RW*-> To,
+// unless an endpoint is widened — no promotion makes a concrete
+// conflict with a may-write set.
+func candidatesOf(app App, w *chopping.Witness) []promKey {
 	specs, _ := flatten(app)
 	var out []promKey
-	seen := make(map[promKey]bool)
-	for _, step := range w.Steps {
-		if step.Kind != EdgeVulnerableRW {
-			continue
-		}
-		from, to := specs[step.From], specs[step.To]
-		if from.WritesWidened || to.WritesWidened {
+	for _, s := range w.Cycle {
+		from, to := specs[s.From], specs[s.To]
+		if s.Kind != chopping.KindRW || from.WritesWidened || to.WritesWidened {
 			continue
 		}
 		for _, x := range from.Reads {
-			if !model.ObjsIntersect([]model.Obj{x}, to.Writes) {
-				continue
-			}
-			k := promKey{group: groupKeyOf(specs[step.From], step.From), obj: x}
-			if !seen[k] {
-				seen[k] = true
+			if k := (promKey{groupKeyOf(from, s.From), x}); slices.Contains(to.Writes, x) && !slices.Contains(out, k) {
 				out = append(out, k)
 			}
 		}
@@ -180,109 +110,79 @@ func candidatesOf(app App, w *Witness) []promKey {
 	return out
 }
 
-// setKey canonicalises a promotion set for the visited map.
-func setKey(set []promKey) string {
-	parts := make([]string, len(set))
-	for i, p := range set {
-		parts[i] = p.group + "\x00" + string(p.obj)
+// Repairs searches for minimal promotion sets that make the static
+// check at crit (see Check) pass. It returns verified repairs ranked
+// smallest first (ties broken lexicographically), or nil when the
+// application already passes or no repair exists within the bounds.
+//
+// The search is breadth-first: level k extends each failing set of k-1
+// promotions by a candidate from its own witness cycle, and the first
+// level with a verified repair is the last, so repairs are minimal.
+// Each set is verified by the full static check of the promoted
+// application; one whose re-check is inconclusive is neither reported
+// nor extended. Only an inconclusive check of app itself is an error.
+func Repairs(app App, crit chopping.Criticality) ([]Repair, error) {
+	w0, err := Check(app, crit)
+	if w0 == nil || err != nil {
+		return nil, err
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, "\x01")
-}
-
-// repair runs a breadth-first search over promotion sets: level k
-// explores sets of k promotions, each derived by extending a failing
-// level-(k-1) set with a candidate from its own witness cycle. The
-// first level that yields any verified repair is completed and the
-// search stops — every returned repair is therefore minimal in the
-// number of promotions. Each candidate set is verified by re-running
-// the full static check on the promoted application.
-func repair(app App, check func(App) (*Witness, bool), opts RepairOptions) []Repair {
-	opts = opts.withDefaults()
-	w0, ok := check(app)
-	if ok {
-		return nil
-	}
-	specs, _ := flatten(app)
-	labelsOf := func(group string) []string {
-		var out []string
-		for v, spec := range specs {
-			if groupKeyOf(spec, v) == group {
-				out = append(out, labelOf(spec, v))
-			}
-		}
-		return out
-	}
-
 	type node struct {
-		set     []promKey
-		app     App // app with set applied; witness indexes its vertices
-		witness *Witness
+		set     []promKey // sorted
+		app     App       // app with set applied; witness indexes its vertices
+		witness *chopping.Witness
 	}
-	frontier := []node{{set: nil, app: app, witness: w0}}
-	visited := map[string]bool{setKey(nil): true}
-	checks := 0
+	frontier, visited, checks := []node{{app: app, witness: w0}}, map[string]bool{}, 0
 	var found [][]promKey
-	for level := 1; level <= opts.MaxPromotions && len(found) == 0 && len(frontier) > 0; level++ {
+	for level := 1; level <= maxPromotions && len(found) == 0 && len(frontier) > 0; level++ {
 		var next []node
 		for _, n := range frontier {
 			for _, cand := range candidatesOf(n.app, n.witness) {
-				set := append(append([]promKey(nil), n.set...), cand)
-				key := setKey(set)
+				set := append(slices.Clone(n.set), cand)
+				slices.SortFunc(set, func(p, q promKey) int {
+					return cmp.Or(strings.Compare(p.group, q.group), strings.Compare(string(p.obj), string(q.obj)))
+				})
+				key := fmt.Sprintf("%q", set)
 				if visited[key] {
 					continue
 				}
 				visited[key] = true
-				if checks++; checks > opts.MaxChecks {
-					return repairsFrom(found, labelsOf, opts)
+				if checks++; checks > maxChecks {
+					return repairsFrom(app, found), nil
 				}
 				promoted := applyPromotions(app, set)
-				w, ok := check(promoted)
-				if ok {
+				switch w, err := Check(promoted, crit); {
+				case err != nil:
+				case w == nil:
 					found = append(found, set)
-					continue
+				default:
+					next = append(next, node{set: set, app: promoted, witness: w})
 				}
-				next = append(next, node{set: set, app: promoted, witness: w})
 			}
 		}
 		frontier = next
 	}
-	return repairsFrom(found, labelsOf, opts)
-}
-
-// labelOf mirrors BuildStatic's vertex labelling.
-func labelOf(spec TxSpec, vertex int) string {
-	if spec.Name != "" {
-		return spec.Name
-	}
-	return fmt.Sprintf("tx%d", vertex)
+	return repairsFrom(app, found), nil
 }
 
 // repairsFrom materialises and ranks the found promotion sets.
-func repairsFrom(found [][]promKey, labelsOf func(string) []string, opts RepairOptions) []Repair {
+func repairsFrom(app App, found [][]promKey) []Repair {
+	specs, _ := flatten(app)
 	var out []Repair
 	for _, set := range found {
-		r := Repair{}
+		var r Repair
 		for _, p := range set {
-			r.Promotions = append(r.Promotions, Promotion{Group: p.group, Txs: labelsOf(p.group), Obj: p.obj})
-		}
-		sort.Slice(r.Promotions, func(i, j int) bool {
-			a, b := r.Promotions[i], r.Promotions[j]
-			if a.Group != b.Group {
-				return a.Group < b.Group
+			var txs []string
+			for v, spec := range specs {
+				if groupKeyOf(spec, v) == p.group {
+					txs = append(txs, labelOf(spec, v))
+				}
 			}
-			return a.Obj < b.Obj
-		})
+			r.Promotions = append(r.Promotions, Promotion{Group: p.group, Txs: txs, Obj: p.obj})
+		}
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Promotions) != len(out[j].Promotions) {
-			return len(out[i].Promotions) < len(out[j].Promotions)
-		}
-		return out[i].String() < out[j].String()
+	slices.SortFunc(out, func(a, b Repair) int {
+		return cmp.Or(cmp.Compare(len(a.Promotions), len(b.Promotions)), strings.Compare(a.String(), b.String()))
 	})
-	if len(out) > opts.MaxRepairs {
-		out = out[:opts.MaxRepairs]
-	}
-	return out
+	return out[:min(len(out), maxRepairs)]
 }

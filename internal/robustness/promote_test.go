@@ -4,10 +4,22 @@ import (
 	"strings"
 	"testing"
 
+	"sian/internal/chopping"
 	"sian/internal/model"
 	. "sian/internal/robustness"
 	"sian/internal/workload"
 )
+
+// mustRepairs runs the repair search, failing the test on an
+// inconclusive check of app.
+func mustRepairs(t *testing.T, app App, crit chopping.Criticality) []Repair {
+	t.Helper()
+	r, err := Repairs(app, crit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 // TestRepairWriteSkew: the Figure 2(d) write skew is repaired by a
 // single promotion — promoting either withdrawal's read of the other
@@ -16,7 +28,7 @@ import (
 func TestRepairWriteSkew(t *testing.T) {
 	t.Parallel()
 	app := workload.WriteSkewApp()
-	repairs := RepairAgainstSI(app, RepairOptions{})
+	repairs := mustRepairs(t, app, chopping.SIDangerous)
 	if len(repairs) == 0 {
 		t.Fatal("no repair found for the write-skew app")
 	}
@@ -41,7 +53,7 @@ func TestRepairWriteSkew(t *testing.T) {
 		}
 		fixed.Sessions = append(fixed.Sessions, cp)
 	}
-	if w, ok := CheckSIRobust(fixed); !ok {
+	if w, ok := siRobust(t, fixed); !ok {
 		t.Errorf("suggested repair %s does not pass Theorem 19: %s", repairs[0], w)
 	}
 }
@@ -49,10 +61,10 @@ func TestRepairWriteSkew(t *testing.T) {
 // TestRepairRobustAppIsNil: a robust application needs no repair.
 func TestRepairRobustAppIsNil(t *testing.T) {
 	t.Parallel()
-	if r := RepairAgainstSI(workload.WriteSkewAppFixed(), RepairOptions{}); r != nil {
+	if r := mustRepairs(t, workload.WriteSkewAppFixed(), chopping.SIDangerous); r != nil {
 		t.Errorf("repair on robust app = %v, want nil", r)
 	}
-	if r := RepairAgainstSI(workload.TransferApp(), RepairOptions{}); r != nil {
+	if r := mustRepairs(t, workload.TransferApp(), chopping.SIDangerous); r != nil {
 		t.Errorf("repair on transfer app = %v, want nil", r)
 	}
 }
@@ -64,7 +76,7 @@ func TestRepairRobustAppIsNil(t *testing.T) {
 // TransactSavings pair is what gets promoted.
 func TestRepairSmallBank(t *testing.T) {
 	t.Parallel()
-	repairs := RepairAgainstSI(workload.SmallBankApp(1, false), RepairOptions{})
+	repairs := mustRepairs(t, workload.SmallBankApp(1, false), chopping.SIDangerous)
 	if len(repairs) == 0 {
 		t.Fatal("no repair found for SmallBank")
 	}
@@ -79,7 +91,7 @@ func TestRepairSmallBank(t *testing.T) {
 // criterion by promoting reads so the forked writers conflict.
 func TestRepairLongForkPSI(t *testing.T) {
 	t.Parallel()
-	repairs := RepairAgainstPSI(workload.LongForkApp(), RepairOptions{})
+	repairs := mustRepairs(t, workload.LongForkApp(), chopping.PSIDangerous)
 	if len(repairs) == 0 {
 		t.Fatal("no repair found for the long-fork app")
 	}
@@ -104,7 +116,7 @@ func TestRepairGrouped(t *testing.T) {
 			mk("w2", "g2", []model.Obj{"a", "b"}, []model.Obj{"b"}),
 		}},
 	)
-	repairs := RepairAgainstSI(app, RepairOptions{})
+	repairs := mustRepairs(t, app, chopping.SIDangerous)
 	if len(repairs) == 0 {
 		t.Fatal("no repair found")
 	}
@@ -125,10 +137,10 @@ func TestRepairWidenedWriterUnfixable(t *testing.T) {
 	sweep.WritesWidened = true
 	put := NewTxSpec("put", []model.Obj{"x", "y"}, []model.Obj{"y"})
 	app := SingleTxApp(sweep, put)
-	if w, ok := CheckSIRobust(app); ok {
+	if w, ok := siRobust(t, app); ok {
 		t.Fatalf("widened app unexpectedly robust (witness %v)", w)
 	}
-	if r := RepairAgainstSI(app, RepairOptions{}); r != nil {
+	if r := mustRepairs(t, app, chopping.SIDangerous); r != nil {
 		t.Errorf("repair against a widened writer = %v, want nil", r)
 	}
 }

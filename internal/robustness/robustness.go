@@ -1,101 +1,71 @@
 // Package robustness implements the robustness analyses of §6 of the
 // paper.
 //
-// Dynamic side: classify a concrete dependency graph against the three
-// model characterisations — Theorem 19 decides membership in
+// Dynamic side: classify a concrete dependency graph against the model
+// characterisations — Theorem 19 decides membership in
 // GraphSI \ GraphSER (executions SI admits but serializability does
 // not) and Theorem 22 membership in GraphPSI \ GraphSI.
 //
-// Static side: build a static dependency graph over transaction
-// specifications (read/write sets) that over-approximates the
-// dependencies of any execution, then check the absence of the
-// dangerous cycle shapes:
-//
-//   - robustness against SI (towards serializability, §6.1): no cycle
-//     with two adjacent anti-dependency edges;
-//   - robustness against parallel SI (towards SI, §6.2): no cycle with
-//     at least two anti-dependency edges none of which are adjacent.
-//
-// Two standard refinements sharpen the naive statement of §6 without
-// losing soundness:
-//
-//  1. Only *vulnerable* anti-dependencies matter: an RW edge between
-//     transactions with intersecting write sets always carries a
-//     parallel WW edge in any concrete graph (in GraphSI/GraphPSI the
-//     WW must agree with the RW direction, else WW ; RW is a forbidden
-//     composite self-loop), so such an RW edge can be rewritten to the
-//     WW edge in any dangerous cycle; a dangerous cycle in a concrete
-//     graph therefore always yields one whose anti-dependencies are
-//     all between write-disjoint pairs. This is the classical
-//     vulnerability condition of Fekete et al. [18], and it is what
-//     makes the materialised-conflict fix for write skew pass the
-//     analysis.
-//  2. Only *simple* cycles matter: distinct transactions of a concrete
-//     execution map to distinct programs (§5's one-to-one session
-//     correspondence), so a simple dangerous cycle in a concrete graph
-//     lifts to a simple cycle in the static graph.
+// Static side: an application is robust when the static dependency
+// graph over its transactions' read/write sets, which over-approximates
+// the dependencies of any execution, has no dangerous simple cycle
+// (chopping.SIDangerous, chopping.PSIDangerous). Two standard
+// refinements sharpen §6's statement soundly. Only *vulnerable*
+// anti-dependencies count: an RW edge between transactions whose write
+// sets meet carries a parallel WW edge in any concrete graph of
+// GraphSI/GraphPSI (the same way, else WW ; RW is a forbidden
+// self-loop), which a dangerous cycle can take instead — the condition
+// of Fekete et al. [18] that lets the materialised-conflict fix for
+// write skew pass. And only *simple* cycles count: distinct
+// transactions of an execution map to distinct programs (§5's
+// one-to-one session correspondence).
 package robustness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"sian/internal/chopping"
 	"sian/internal/depgraph"
 	"sian/internal/model"
-	"sian/internal/relation"
 )
 
-// TxSpec is the static specification of one transaction: the sets of
-// objects it may read and write.
+// TxSpec is the static specification of a transaction: the objects it may read and write.
 type TxSpec struct {
 	Name   string
 	Reads  []model.Obj
 	Writes []model.Obj
-	// WritesWidened marks the write set as a strict may-write
+	// WritesWidened marks the write set as a may-write
 	// over-approximation (e.g. silint's ⊤-widening of a non-constant
-	// key): the transaction is not guaranteed to write any particular
-	// listed object at run time, so an intersection with another write
-	// set does not imply a concrete write-write conflict. The
-	// vulnerability refinement (see the package comment) requires that
-	// implication, so anti-dependencies incident to a widened
-	// transaction are always treated as vulnerable.
+	// key): meeting another write set then proves no conflict, so the
+	// transaction's anti-dependencies all stay vulnerable.
 	WritesWidened bool
-	// PromoteGroup keys read→write promotion (see promote.go): a
-	// suggested promotion applies to every transaction specification
-	// sharing the same non-empty group. silint uses this to tie the
-	// loop- and instance-expanded copies of one source transaction
-	// together, so a suggested source edit is modelled on all of them.
-	// Empty means the specification promotes alone.
+	// PromoteGroup ties specifications that promote together (see
+	// promote.go), as silint does the loop- and instance-expanded
+	// copies of one source transaction. Empty promotes alone.
 	PromoteGroup string
 }
 
 // NewTxSpec builds a specification; both sets are copied, deduplicated
-// and canonically sorted so that map-ordered inputs yield deterministic
-// graphs and witnesses.
+// and sorted, so that map-ordered inputs yield deterministic witnesses.
 func NewTxSpec(name string, reads, writes []model.Obj) TxSpec {
 	return TxSpec{Name: name, Reads: model.NormalizeObjs(reads), Writes: model.NormalizeObjs(writes)}
 }
 
-// SessionSpec is an ordered list of transaction specifications issued
-// by one client session.
+// SessionSpec is the ordered transactions of one client session.
 type SessionSpec struct {
 	Name string
 	Txs  []TxSpec
 }
 
-// App is the static description of an application: the sessions it may
-// run concurrently. To model a transaction that may run concurrently
-// with itself, list it in two sessions.
+// App is an application: the sessions it may run concurrently. List a
+// transaction in two sessions to run it concurrently with itself.
 type App struct {
 	Sessions []SessionSpec
 }
 
 // NewApp builds an application from session specifications.
-func NewApp(sessions ...SessionSpec) App {
-	cp := make([]SessionSpec, len(sessions))
-	copy(cp, sessions)
-	return App{Sessions: cp}
-}
+func NewApp(sessions ...SessionSpec) App { return App{Sessions: slices.Clone(sessions)} }
 
 // SingleTxApp is a convenience constructor for the common case of the
 // paper's §6 examples: every transaction in its own session.
@@ -107,314 +77,121 @@ func SingleTxApp(txs ...TxSpec) App {
 	return App{Sessions: sessions}
 }
 
-// StaticGraph is a static dependency graph: vertices are the
-// application's transactions (session-major order) and the relations
-// over-approximate the session order and dependencies of any
-// execution.
-type StaticGraph struct {
-	Labels []string
-	SO     *relation.Rel
-	WR     *relation.Rel
-	WW     *relation.Rel
-	RW     *relation.Rel
-}
-
 // BuildStatic constructs the static dependency graph of an
-// application: for transactions of different sessions,
-// W₁ ∩ R₂ ≠ ∅ yields a WR edge, W₁ ∩ W₂ ≠ ∅ a WW edge (both
-// directions arise symmetrically from the two ordered pairs) and
-// R₁ ∩ W₂ ≠ ∅ an RW edge; transactions of the same session are
-// ordered by SO.
-func BuildStatic(app App) *StaticGraph {
-	var specs []TxSpec
-	var session []int
-	for si, s := range app.Sessions {
-		for _, t := range s.Txs {
-			specs = append(specs, t)
-			session = append(session, si)
-		}
-	}
-	n := len(specs)
-	g := &StaticGraph{
-		Labels: make([]string, n),
-		SO:     relation.New(n),
-		WR:     relation.New(n),
-		WW:     relation.New(n),
-		RW:     relation.New(n),
-	}
+// application, one vertex per transaction in session-major order.
+// Session order gives the successor edges. Between transactions of
+// different sessions, W₁ ∩ R₂ ≠ ∅ yields a WR edge, W₁ ∩ W₂ ≠ ∅ a WW
+// edge and R₁ ∩ W₂ ≠ ∅ an RW edge when it is vulnerable: the write
+// sets are disjoint, or one is widened (TxSpec.WritesWidened).
+func BuildStatic(app App) *chopping.Graph {
+	specs, session := flatten(app)
+	labels := make([]string, len(specs))
 	for i, t := range specs {
-		if t.Name != "" {
-			g.Labels[i] = t.Name
-		} else {
-			g.Labels[i] = fmt.Sprintf("tx%d", i)
-		}
+		labels[i] = labelOf(t, i)
 	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			if session[a] == session[b] {
-				if a < b {
-					g.SO.Add(a, b)
+	g := chopping.NewDependencyGraph(len(specs), labels)
+	for a, ta := range specs {
+		for b, tb := range specs {
+			switch {
+			case session[a] == session[b] && a < b:
+				g.AddEdge(a, b, chopping.KindSuccessor)
+			case session[a] != session[b]:
+				ww := model.ObjsIntersect(ta.Writes, tb.Writes)
+				if model.ObjsIntersect(ta.Writes, tb.Reads) {
+					g.AddEdge(a, b, chopping.KindWR)
 				}
-				continue
-			}
-			if model.ObjsIntersect(specs[a].Writes, specs[b].Reads) {
-				g.WR.Add(a, b)
-			}
-			if model.ObjsIntersect(specs[a].Writes, specs[b].Writes) {
-				g.WW.Add(a, b)
-			}
-			if model.ObjsIntersect(specs[a].Reads, specs[b].Writes) {
-				g.RW.Add(a, b)
+				if ww {
+					g.AddEdge(a, b, chopping.KindWW)
+				}
+				if model.ObjsIntersect(ta.Reads, tb.Writes) && (!ww || ta.WritesWidened || tb.WritesWidened) {
+					g.AddEdge(a, b, chopping.KindRW)
+				}
 			}
 		}
 	}
 	return g
 }
 
-// EdgeKind labels an edge of a static dependency graph for witness
-// reporting.
-type EdgeKind int
-
-// Static dependency edge kinds. VulnerableRW marks anti-dependencies
-// between transactions with disjoint write sets — the only ones that
-// can participate in dangerous structures (see the package comment).
-const (
-	EdgeInvalid EdgeKind = iota
-	EdgeSO
-	EdgeWR
-	EdgeWW
-	EdgeVulnerableRW
-)
-
-// String returns "SO", "WR", "WW" or "RW*".
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeSO:
-		return "SO"
-	case EdgeWR:
-		return "WR"
-	case EdgeWW:
-		return "WW"
-	case EdgeVulnerableRW:
-		return "RW*"
-	default:
-		return fmt.Sprintf("EdgeKind(%d)", int(k))
-	}
-}
-
-// WitnessStep is one edge of a dangerous cycle.
-type WitnessStep struct {
-	From, To int
-	Kind     EdgeKind
-}
-
-// Witness is a dangerous simple cycle in a static dependency graph,
-// with vertex labels for display.
-type Witness struct {
-	Steps  []WitnessStep
-	Labels []string
-}
-
-// String renders the witness cycle, e.g.
-// "withdraw1 -RW*-> withdraw2 -RW*-> withdraw1".
-func (w *Witness) String() string {
-	if w == nil || len(w.Steps) == 0 {
-		return "<none>"
-	}
-	out := w.Labels[w.Steps[0].From]
-	for _, s := range w.Steps {
-		out += fmt.Sprintf(" -%s-> %s", s.Kind, w.Labels[s.To])
-	}
-	return out
-}
-
-// vulnerableRW returns the anti-dependency edges between transactions
-// whose write sets are disjoint (so the pair can be concurrent and
-// escape write-conflict detection). A widened write set (TxSpec.
-// WritesWidened) never certifies a concrete write-write conflict, so
-// edges incident to widened transactions stay vulnerable even when the
-// declared sets intersect.
-func (g *StaticGraph) vulnerableRW(app App) *relation.Rel {
-	var specs []TxSpec
-	for _, s := range app.Sessions {
-		specs = append(specs, s.Txs...)
-	}
-	out := relation.New(g.RW.N())
-	for _, p := range g.RW.Pairs() {
-		a, b := specs[p[0]], specs[p[1]]
-		if a.WritesWidened || b.WritesWidened || !model.ObjsIntersect(a.Writes, b.Writes) {
-			out.Add(p[0], p[1])
+// flatten returns the application's specifications in session-major
+// (static-graph vertex) order, with the session index of each.
+func flatten(app App) (specs []TxSpec, session []int) {
+	for si, s := range app.Sessions {
+		for _, t := range s.Txs {
+			specs, session = append(specs, t), append(session, si)
 		}
 	}
-	return out
+	return specs, session
 }
 
-// edgeKindsAt returns the kinds present on (u, v), with anti-
-// dependencies restricted to the vulnerable ones.
-func staticEdges(g *StaticGraph, vuln *relation.Rel, u, v int) []EdgeKind {
-	var out []EdgeKind
-	if g.SO.Has(u, v) {
-		out = append(out, EdgeSO)
+// labelOf is a transaction's vertex label: its name, else "tx<vertex>".
+func labelOf(spec TxSpec, vertex int) string {
+	if spec.Name != "" {
+		return spec.Name
 	}
-	if g.WR.Has(u, v) {
-		out = append(out, EdgeWR)
-	}
-	if g.WW.Has(u, v) {
-		out = append(out, EdgeWW)
-	}
-	if vuln.Has(u, v) {
-		out = append(out, EdgeVulnerableRW)
-	}
-	return out
+	return fmt.Sprintf("tx%d", vertex)
 }
 
-// findDangerous enumerates vertex-simple cycles over the dependency
-// and vulnerable-anti-dependency edges, returning the first whose kind
-// sequence satisfies pred. Canonical form (smallest vertex first)
-// avoids duplicate rotations.
-func findDangerous(g *StaticGraph, vuln *relation.Rel, pred func([]EdgeKind) bool) *Witness {
-	n := g.RW.N()
-	onStack := make([]bool, n)
-	var steps []WitnessStep
-	var kindsBuf []EdgeKind
-	var dfs func(start, v int) *Witness
-	dfs = func(start, v int) *Witness {
-		for next := 0; next < n; next++ {
-			kinds := staticEdges(g, vuln, v, next)
-			if len(kinds) == 0 {
-				continue
-			}
-			switch {
-			case next == start && len(steps) >= 1:
-				for _, k := range kinds {
-					kindsBuf = kindsBuf[:0]
-					for _, s := range steps {
-						kindsBuf = append(kindsBuf, s.Kind)
-					}
-					kindsBuf = append(kindsBuf, k)
-					if pred(kindsBuf) {
-						full := append(append([]WitnessStep{}, steps...), WitnessStep{From: v, To: next, Kind: k})
-						return &Witness{Steps: full, Labels: g.Labels}
-					}
-				}
-			case next > start && !onStack[next]:
-				for _, k := range kinds {
-					onStack[next] = true
-					steps = append(steps, WitnessStep{From: v, To: next, Kind: k})
-					if w := dfs(start, next); w != nil {
-						return w
-					}
-					steps = steps[:len(steps)-1]
-					onStack[next] = false
-				}
-			}
-		}
-		return nil
-	}
-	for start := 0; start < n; start++ {
-		onStack[start] = true
-		if w := dfs(start, start); w != nil {
-			return w
-		}
-		onStack[start] = false
-	}
-	return nil
-}
-
-// CheckSIRobust implements the static analysis of §6.1: the
-// application is robust against SI (it produces no histories in
-// HistSI \ HistSER; running it under SI gives only serializable
-// behaviour) if the static dependency graph has no simple cycle with
-// two adjacent vulnerable anti-dependency edges. It returns
-// (nil, true) when robust and a witness cycle otherwise.
-func CheckSIRobust(app App) (*Witness, bool) {
+// Check runs the static analysis crit selects (chopping.SIDangerous or
+// chopping.PSIDangerous) on the application's static dependency graph.
+// It returns (nil, nil) when the application is robust, a dangerous
+// simple cycle when it may not be, and chopping.ErrBudgetExceeded when
+// the witness search was inconclusive.
+func Check(app App, crit chopping.Criticality) (*chopping.Witness, error) {
 	g := BuildStatic(app)
-	vuln := g.vulnerableRW(app)
-	w := findDangerous(g, vuln, func(kinds []EdgeKind) bool {
-		n := len(kinds)
-		if n < 2 {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if kinds[i] == EdgeVulnerableRW && kinds[(i+1)%n] == EdgeVulnerableRW {
-				return true
-			}
-		}
-		return false
-	})
-	return w, w == nil
+	cyc, err := g.FindCriticalCycle(crit)
+	if cyc == nil || err != nil {
+		return nil, err
+	}
+	return &chopping.Witness{Cycle: cyc, Graph: g}, nil
 }
 
-// CheckPSIRobust implements the static analysis of §6.2: the
-// application is robust against parallel SI towards SI (it produces no
-// histories in HistPSI \ HistSI) if the static dependency graph has no
-// simple cycle with at least two vulnerable anti-dependency edges of
-// which no two are adjacent.
-func CheckPSIRobust(app App) (*Witness, bool) {
-	g := BuildStatic(app)
-	vuln := g.vulnerableRW(app)
-	w := findDangerous(g, vuln, func(kinds []EdgeKind) bool {
-		n := len(kinds)
-		count := 0
-		for _, k := range kinds {
-			if k == EdgeVulnerableRW {
-				count++
-			}
-		}
-		if count < 2 {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if kinds[i] == EdgeVulnerableRW && kinds[(i+1)%n] == EdgeVulnerableRW {
-				return false
-			}
-		}
-		return true
-	})
-	return w, w == nil
+// CheckSIRobust implements §6.1: the application is robust against SI
+// (running it under SI gives only serializable behaviour, no history
+// in HistSI \ HistSER) if its static dependency graph has no simple
+// cycle with two adjacent vulnerable anti-dependency edges.
+func CheckSIRobust(app App) (*chopping.Witness, error) {
+	return Check(app, chopping.SIDangerous)
 }
 
-// Classification places a concrete dependency graph in the model
-// lattice HistSER ⊆ HistSI ⊆ HistPSI.
+// CheckPSIRobust implements §6.2: the application is robust against
+// parallel SI towards SI (no history in HistPSI \ HistSI) if its static
+// dependency graph has no simple cycle with two or more vulnerable
+// anti-dependency edges, no two of them adjacent.
+func CheckPSIRobust(app App) (*chopping.Witness, error) {
+	return Check(app, chopping.PSIDangerous)
+}
+
+// Classification places a dependency graph in HistSER ⊆ HistSI ⊆ HistPSI.
 type Classification struct {
 	SER bool
 	SI  bool
 	PSI bool
 }
 
-// String renders e.g. "SER+SI+PSI" or "PSI only" or "none".
+// String renders the models in name order, e.g. "[PSI SER SI]", or
+// "none".
 func (c Classification) String() string {
 	var parts []string
+	if c.PSI {
+		parts = append(parts, "PSI")
+	}
 	if c.SER {
 		parts = append(parts, "SER")
 	}
 	if c.SI {
 		parts = append(parts, "SI")
 	}
-	if c.PSI {
-		parts = append(parts, "PSI")
-	}
 	if len(parts) == 0 {
 		return "none"
 	}
-	sort.Strings(parts)
-	return fmt.Sprintf("%v", parts)
+	return fmt.Sprint(parts)
 }
 
 // Classify runs the three dependency-graph characterisations on a
-// concrete graph. By Theorem 19, SI && !SER identifies executions
-// witnessing non-robustness against SI; by Theorem 22, PSI && !SI
-// identifies executions witnessing non-robustness against parallel SI
-// towards SI.
+// concrete graph. SI && !SER witnesses non-robustness against SI
+// (Theorem 19), PSI && !SI against parallel SI towards SI (Theorem 22).
 func Classify(g *depgraph.Graph) Classification {
-	return Classification{
-		SER: g.InSER(),
-		SI:  g.InSI(),
-		PSI: g.InPSI(),
-	}
+	return Classification{SER: g.InSER(), SI: g.InSI(), PSI: g.InPSI()}
 }
 
 // Theorem19 decides G ∈ GraphSI \ GraphSER for a concrete graph and

@@ -7,11 +7,32 @@ import (
 	"testing"
 
 	"sian/internal/check"
+	"sian/internal/chopping"
 	"sian/internal/depgraph"
 	"sian/internal/model"
 	. "sian/internal/robustness"
 	"sian/internal/workload"
 )
+
+// siRobust and psiRobust run the two static checks, failing the test
+// on an inconclusive answer.
+func siRobust(t *testing.T, app App) (*chopping.Witness, bool) {
+	t.Helper()
+	w, err := CheckSIRobust(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, w == nil
+}
+
+func psiRobust(t *testing.T, app App) (*chopping.Witness, bool) {
+	t.Helper()
+	w, err := CheckPSIRobust(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, w == nil
+}
 
 func TestBuildStatic(t *testing.T) {
 	t.Parallel()
@@ -25,37 +46,36 @@ func TestBuildStatic(t *testing.T) {
 		}},
 	)
 	g := BuildStatic(app)
-	if len(g.Labels) != 3 || g.Labels[0] != "t1" || g.Labels[2] != "t3" {
-		t.Fatalf("labels = %v", g.Labels)
+	if g.N() != 3 || g.Label(0) != "t1" || g.Label(2) != "t3" {
+		t.Fatalf("labels = %v %v %v", g.Label(0), g.Label(1), g.Label(2))
 	}
-	if !g.SO.Has(0, 1) || g.SO.Has(1, 0) || g.SO.Has(0, 2) {
+	if !g.HasEdge(0, 1, chopping.KindSuccessor) || g.HasEdge(1, 0, chopping.KindSuccessor) || g.HasEdge(0, 2, chopping.KindSuccessor) {
 		t.Error("SO edges wrong")
 	}
 	// t3 writes y which t2 reads: WR t3→t2; t1 writes y too: WW both
 	// directions between t1 and t3; t1 reads x which t3 writes: RW
-	// t1→t3.
-	if !g.WR.Has(2, 1) {
+	// t1→t3, which is not vulnerable since both write y.
+	if !g.HasEdge(2, 1, chopping.KindWR) {
 		t.Error("missing WR t3→t2")
 	}
-	if !g.WW.Has(0, 2) || !g.WW.Has(2, 0) {
+	if !g.HasEdge(0, 2, chopping.KindWW) || !g.HasEdge(2, 0, chopping.KindWW) {
 		t.Error("missing symmetric WW t1↔t3")
 	}
-	if !g.RW.Has(0, 2) {
-		t.Error("missing RW t1→t3")
+	if g.HasEdge(0, 2, chopping.KindRW) {
+		t.Error("RW t1→t3 between write-conflicting transactions kept")
 	}
 	// Same-session pairs never get conflict edges.
-	if g.WR.Has(0, 1) || g.RW.Has(1, 0) {
+	if g.HasEdge(0, 1, chopping.KindWR) || g.HasEdge(1, 0, chopping.KindRW) {
 		t.Error("same-session conflict edges present")
 	}
-	// t1 writes y which t2 reads — but same session, so only SO.
-	if g.WR.Has(0, 1) {
-		t.Error("same-session WR present")
+	if w := (&chopping.Witness{Cycle: chopping.Cycle{{From: 0, To: 2, Kind: chopping.KindWW}, {From: 2, To: 0, Kind: chopping.KindRW}}, Graph: g}); w.String() != "t1 -WW-> t3 -RW*-> t1" {
+		t.Errorf("witness renders as %q", w)
 	}
 }
 
 func TestWriteSkewAppNotRobust(t *testing.T) {
 	t.Parallel()
-	w, robust := CheckSIRobust(workload.WriteSkewApp())
+	w, robust := siRobust(t, workload.WriteSkewApp())
 	if robust {
 		t.Fatal("write-skew app reported robust against SI")
 	}
@@ -70,17 +90,17 @@ func TestWriteSkewAppNotRobust(t *testing.T) {
 
 func TestWriteSkewAppFixedRobust(t *testing.T) {
 	t.Parallel()
-	if w, robust := CheckSIRobust(workload.WriteSkewAppFixed()); !robust {
+	if w, robust := siRobust(t, workload.WriteSkewAppFixed()); !robust {
 		t.Fatalf("materialised-conflict fix not robust: %v", w)
 	}
 }
 
 func TestTransferAppRobust(t *testing.T) {
 	t.Parallel()
-	if w, robust := CheckSIRobust(workload.TransferApp()); !robust {
+	if w, robust := siRobust(t, workload.TransferApp()); !robust {
 		t.Fatalf("transfer app not robust against SI: %v", w)
 	}
-	if w, robust := CheckPSIRobust(workload.TransferApp()); !robust {
+	if w, robust := psiRobust(t, workload.TransferApp()); !robust {
 		t.Fatalf("transfer app not robust against PSI: %v", w)
 	}
 }
@@ -89,11 +109,11 @@ func TestLongForkAppPSIRobustness(t *testing.T) {
 	t.Parallel()
 	app := workload.LongForkApp()
 	// Robust against SI (no adjacent anti-dependencies possible)…
-	if w, robust := CheckSIRobust(app); !robust {
+	if w, robust := siRobust(t, app); !robust {
 		t.Errorf("long-fork app not robust against SI: %v", w)
 	}
 	// …but not against parallel SI towards SI.
-	w, robust := CheckPSIRobust(app)
+	w, robust := psiRobust(t, app)
 	if robust {
 		t.Fatal("long-fork app reported robust against PSI")
 	}
@@ -182,7 +202,7 @@ func TestTheorem22(t *testing.T) {
 func TestSIRobustSoundnessRandomised(t *testing.T) {
 	t.Parallel()
 	app := workload.TransferApp() // robust
-	if _, robust := CheckSIRobust(app); !robust {
+	if _, robust := siRobust(t, app); !robust {
 		t.Skip("app unexpectedly not robust")
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -258,10 +278,10 @@ func TestSingleTxApp(t *testing.T) {
 		t.Fatalf("app = %+v", app)
 	}
 	g := BuildStatic(app)
-	if !g.SO.IsEmpty() {
-		t.Error("single-tx sessions should have empty SO")
+	if g.HasEdge(0, 1, chopping.KindSuccessor) || g.HasEdge(1, 0, chopping.KindSuccessor) {
+		t.Error("single-tx sessions should have no SO edge")
 	}
-	if !g.WR.Has(0, 1) || !g.RW.Has(1, 0) {
+	if !g.HasEdge(0, 1, chopping.KindWR) || !g.HasEdge(1, 0, chopping.KindRW) {
 		t.Error("conflict edges missing")
 	}
 }
@@ -287,7 +307,7 @@ func TestSmallBank(t *testing.T) {
 		customers := customers
 		t.Run(fmt.Sprintf("customers=%d", customers), func(t *testing.T) {
 			t.Parallel()
-			w, robust := CheckSIRobust(workload.SmallBankApp(customers, false))
+			w, robust := siRobust(t, workload.SmallBankApp(customers, false))
 			if robust {
 				t.Fatal("SmallBank reported robust against SI")
 			}
@@ -297,7 +317,7 @@ func TestSmallBank(t *testing.T) {
 					t.Errorf("witness %q misses the %s race", s, want)
 				}
 			}
-			if _, robust := CheckSIRobust(workload.SmallBankApp(customers, true)); !robust {
+			if _, robust := siRobust(t, workload.SmallBankApp(customers, true)); !robust {
 				t.Error("materialised-conflict fix did not restore robustness")
 			}
 		})
@@ -310,7 +330,7 @@ func TestSmallBank(t *testing.T) {
 // unfixed app is not robust there either.
 func TestSmallBankPSI(t *testing.T) {
 	t.Parallel()
-	w, robust := CheckPSIRobust(workload.SmallBankApp(2, false))
+	w, robust := psiRobust(t, workload.SmallBankApp(2, false))
 	if robust {
 		t.Skip("PSI analysis found no dangerous cycle; nothing to assert")
 	}

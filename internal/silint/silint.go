@@ -206,14 +206,18 @@ type Check struct {
 	Theorem string
 	// Under names the model a package diagnostic reports against.
 	Under string
-	// Robust decides a robustness check (§6) and Repair proposes its
-	// verified promotions; both are nil for a chopping check (§5).
-	Robust func(robustness.App) (*robustness.Witness, bool)
-	Repair func(robustness.App, robustness.RepairOptions) []robustness.Repair
-	// Level is a chopping check's criticality.
+	// Level is the cycle shape the check looks for: a criticality for
+	// a chopping check (§5), a dangerous shape for a robustness check
+	// (§6).
 	Level chopping.Criticality
 	// Label and Holds head a robustness check's spec-mode text lines.
 	Label, Holds string
+}
+
+// Robustness reports a robustness row, which runs over an app; the
+// other rows check a chopping over programs.
+func (c Check) Robustness() bool {
+	return c.Level == chopping.SIDangerous || c.Level == chopping.PSIDangerous
 }
 
 // checks is the table, in the order spec mode reports its rows.
@@ -224,12 +228,12 @@ var checks = []Check{
 	// anti-dependencies — the (generalised) write skew pattern of §2 —
 	// so the category is uniform.
 	{Model: depgraph.SI, Name: "robustness-si", Category: "write-skew", Theorem: "Theorem 19, §6.1",
-		Under: "SI", Robust: robustness.CheckSIRobust, Repair: robustness.RepairAgainstSI,
+		Under: "SI", Level: chopping.SIDangerous,
 		Label: "SI→SER", Holds: "running under SI gives only serializable behaviour"},
 	{Model: depgraph.SI, Name: "chopping-si", Category: "incorrect-chopping", Theorem: "Corollary 18, §5",
 		Under: "SI", Level: chopping.SICritical},
 	{Model: depgraph.PSI, Name: "robustness-psi", Category: "long-fork", Theorem: "Theorem 22, §6.2",
-		Under: "PSI (towards SI)", Robust: robustness.CheckPSIRobust, Repair: robustness.RepairAgainstPSI,
+		Under: "PSI (towards SI)", Level: chopping.PSIDangerous,
 		Label: "PSI→SI", Holds: "running under parallel SI gives only SI behaviour"},
 	{Model: depgraph.PSI, Name: "chopping-psi", Category: "incorrect-chopping", Theorem: "Theorem 31, Appendix B",
 		Under: "PSI", Level: chopping.PSICritical},
@@ -300,14 +304,20 @@ func diagnose(pkg *Package, pr *PackageReport, rows []Check) error {
 
 	for _, c := range rows {
 		d := Diagnostic{Package: pkg.ImportPath, Check: c.Name, Category: c.Category, Theorem: c.Theorem}
-		if c.Robust != nil {
-			w, ok := c.Robust(app)
-			if ok {
+		if c.Robustness() {
+			w, err := robustness.Check(app, c.Level)
+			if err != nil {
+				return err
+			}
+			if w == nil {
 				continue
 			}
-			repairs := c.Repair(app, robustness.RepairOptions{})
-			d.Pos = pkg.Fset.Position(flat[w.Steps[0].From].Pos)
-			d.Tx = w.Labels[w.Steps[0].From]
+			repairs, err := robustness.Repairs(app, c.Level)
+			if err != nil {
+				return err
+			}
+			d.Pos = pkg.Fset.Position(flat[w.Cycle[0].From].Pos)
+			d.Tx = w.Graph.Label(w.Cycle[0].From)
 			d.Witness = w.String()
 			d.Message = fmt.Sprintf("%s: dangerous cycle %s — tx %s is not robust against %s (%s)",
 				c.Category, d.Witness, d.Tx, c.Under, c.Theorem)

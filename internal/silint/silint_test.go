@@ -29,7 +29,7 @@ func TestChecksFor(t *testing.T) {
 		var names []string
 		for _, r := range rows {
 			names = append(names, r.Name)
-			if (r.Robust == nil) != (r.Repair == nil) || r.Theorem == "" || r.Category == "" {
+			if r.Level == 0 || r.Theorem == "" || r.Category == "" {
 				t.Errorf("row %+v is incomplete", r)
 			}
 		}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"sian/internal/chopping"
 	"sian/internal/model"
 	"sian/internal/robustness"
@@ -149,4 +151,29 @@ func TransferApp() robustness.App {
 		robustness.NewTxSpec("lookup1", objs(objAcct1), nil),
 		robustness.NewTxSpec("lookup2", objs(objAcct2), nil),
 	)
+}
+
+// CounterApp is n one-transaction sessions that each increment one
+// shared counter x (read it, write it). Every pair conflicts on x, so
+// no anti-dependency is vulnerable and the application is robust
+// against SI and against parallel SI; yet its static dependency graph
+// is complete, with more simple cycles than any enumeration can visit
+// once n passes about ten. testdata/counter40_app.json is CounterApp(40).
+func CounterApp(n int) robustness.App {
+	txs := make([]robustness.TxSpec, n)
+	for i := range txs {
+		txs[i] = robustness.NewTxSpec(fmt.Sprintf("incr%d", i+1), objs(objX), objs(objX))
+	}
+	return robustness.SingleTxApp(txs...)
+}
+
+// CounterPrograms is CounterApp as n one-piece programs: a correct
+// chopping at every criticality level, since no predecessor edge
+// exists. testdata/counter40_programs.json is CounterPrograms(40).
+func CounterPrograms(n int) []chopping.Program {
+	out := make([]chopping.Program, n)
+	for i := range out {
+		out[i] = chopping.NewProgram(fmt.Sprintf("incr%d", i+1), chopping.NewPiece("x=x+1", objs(objX), objs(objX)))
+	}
+	return out
 }

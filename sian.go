@@ -235,18 +235,19 @@ func SingleTxApp(txs ...TxSpec) App { return robustness.SingleTxApp(txs...) }
 
 // RobustnessWitness is a dangerous cycle found by a robustness
 // analysis.
-type RobustnessWitness = robustness.Witness
+type RobustnessWitness = chopping.Witness
 
 // CheckSIRobust reports whether the application, run under SI, only
-// produces serializable behaviour (§6.1). The witness is non-nil when
-// not robust.
-func CheckSIRobust(app App) (witness *RobustnessWitness, robust bool) {
+// produces serializable behaviour (§6.1). The witness is nil when the
+// application is robust; an error means the witness search ran out of
+// budget and the analysis is inconclusive.
+func CheckSIRobust(app App) (*RobustnessWitness, error) {
 	return robustness.CheckSIRobust(app)
 }
 
 // CheckPSIRobust reports whether the application, run under parallel
-// SI, only produces SI behaviour (§6.2).
-func CheckPSIRobust(app App) (witness *RobustnessWitness, robust bool) {
+// SI, only produces SI behaviour (§6.2), as CheckSIRobust does.
+func CheckPSIRobust(app App) (*RobustnessWitness, error) {
 	return robustness.CheckPSIRobust(app)
 }
 

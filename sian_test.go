@@ -90,10 +90,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 		sian.NewTxSpec("w1", both, acct1),
 		sian.NewTxSpec("w2", both, acct2),
 	)
-	if _, robust := sian.CheckSIRobust(brokenApp); robust {
-		t.Error("write-skew app reported robust")
+	if w, err := sian.CheckSIRobust(brokenApp); err != nil || w == nil {
+		t.Errorf("write-skew app reported robust (%v)", err)
 	}
-	if w, robust := sian.CheckPSIRobust(brokenApp); !robust {
+	if w, err := sian.CheckPSIRobust(brokenApp); err != nil || w != nil {
 		// The broken app has adjacent RWs only; adjacent pairs are not
 		// the PSI-dangerous shape.
 		t.Errorf("write-skew app should be PSI-robust: %v", w)
