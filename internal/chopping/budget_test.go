@@ -74,15 +74,18 @@ func TestRepairSkipsInconclusiveCandidates(t *testing.T) {
 	}
 	app := robustness.SingleTxApp(txs...)
 
-	full, err := robustness.Repairs(app, SIDangerous)
-	if err != nil || len(full) != 2 {
-		t.Fatalf("with the default budget: repairs %v, error %v; want both single promotions", full, err)
+	w, err := robustness.CheckSIRobust(app)
+	if w == nil || err != nil {
+		t.Fatalf("with the default budget: witness %v, error %v; want a write skew", w, err)
+	}
+	if full := robustness.Repairs(app, SIDangerous, w); len(full) != 2 {
+		t.Fatalf("with the default budget: repairs %v; want both single promotions", full)
 	}
 	defer SetBudget(100)()
-	if w, err := robustness.CheckSIRobust(app); w == nil || err != nil {
+	if w, err = robustness.CheckSIRobust(app); w == nil || err != nil {
 		t.Fatalf("write-skew witness not found within the budget: %v, %v", w, err)
 	}
-	if r, err := robustness.Repairs(app, SIDangerous); r != nil || err != nil {
-		t.Errorf("inconclusive re-checks reported as repairs: %v (error %v)", r, err)
+	if r := robustness.Repairs(app, SIDangerous, w); r != nil {
+		t.Errorf("inconclusive re-checks reported as repairs: %v", r)
 	}
 }

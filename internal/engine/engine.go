@@ -140,10 +140,11 @@ func (c Config) withDefaults() Config {
 
 // protocol is the engine-specific part of a DB.
 type protocol interface {
-	// begin starts a transaction for a session pinned to a site. prev,
-	// when non-nil, is the session's previous attempt, finished, which
-	// the protocol may re-initialise and return instead of allocating.
-	begin(site int, prev txProtocol) (txProtocol, error)
+	// begin starts a transaction for session s, which is pinned to
+	// s.site. prev, when non-nil, is the session's previous attempt,
+	// finished, which the protocol may re-initialise and return instead
+	// of allocating.
+	begin(s *Session, prev txProtocol) (txProtocol, error)
 	// ensureSite makes the site index valid (PSI allocates replicas
 	// lazily; others ignore it).
 	ensureSite(site int)
@@ -196,7 +197,7 @@ type DB struct {
 
 	reg *obs.Registry
 	// Counter/histogram handles are resolved once at New; the hot path
-	// is a single atomic op per event.
+	// is a single atomic op per event, on the session's stripe.
 	mCommits   *obs.Counter
 	mConflicts *obs.Counter
 	mAborts    *obs.Counter
@@ -320,7 +321,9 @@ func (db *DB) Session(id string) *Session {
 	}
 	db.sites++
 	db.impl.ensureSite(site)
-	s := &Session{db: db, id: id, site: site}
+	n := len(db.sessions)
+	s := &Session{db: db, id: id, site: site, stripe: n % obs.Stripes}
+	s.snapHint.Store(uint32(n))
 	db.sessions = append(db.sessions, s)
 	db.gSessions.Add(1)
 	return s
@@ -384,6 +387,16 @@ type Session struct {
 	db   *DB
 	id   string
 	site int
+	// stripe is the session's index among the DB's sessions, mod
+	// obs.Stripes: the cell its commits count in, in the engine's
+	// metrics and in the SI compaction trigger, so that sessions on
+	// different stripes write no common cache line for them.
+	stripe int
+	// snapHint is the snapshot-registry slot the session tries first at
+	// begin: the slot its last transaction held (initially its index).
+	// It lives here, not in the reused attempt, so a session that begins
+	// each transaction on a fresh ManualTx keeps it too.
+	snapHint atomic.Uint32
 
 	// rng drives retry-backoff jitter; created lazily on the first
 	// backed-off retry and used only from the session's goroutine.
@@ -478,7 +491,7 @@ func (s *Session) transact(m *ManualTx, name string, fn func(tx *Tx) error) erro
 		if !errors.Is(err, ErrConflict) {
 			return err
 		}
-		s.db.mRetries.Inc()
+		s.db.mRetries.AddAt(s.stripe, 1)
 	}
 }
 
@@ -570,7 +583,7 @@ func (s *Session) BeginTraced(name string, traceID uint64) (*ManualTx, error) {
 // finished protocol transaction to the protocol for reuse.
 func (s *Session) begin(m *ManualTx, name string, traceID uint64) error {
 	tr := s.db.cfg.TxTracer.BeginWithID(traceID, s.id)
-	inner, err := s.db.impl.begin(s.site, m.tx.inner)
+	inner, err := s.db.impl.begin(s, m.tx.inner)
 	if err != nil {
 		return err
 	}
@@ -685,15 +698,15 @@ func (m *ManualTx) Commit() error {
 		return err
 	}
 	m.lsn = lsn
-	s.db.mCommits.Inc()
+	s.db.mCommits.AddAt(s.stripe, 1)
 	// A traced commit links its latency bucket to the trace ID
 	// (resolvable via GET /trace/{id}).
 	if lat := monoNow() - commitStart; tr != nil {
 		s.db.hCommitLat.ObserveExemplar(lat, tr.ID())
 	} else {
-		s.db.hCommitLat.Observe(lat)
+		s.db.hCommitLat.ObserveAt(s.stripe, lat)
 	}
-	s.db.hSnapAge.Observe(commitStart - m.began)
+	s.db.hSnapAge.ObserveAt(s.stripe, commitStart-m.began)
 	seq := s.record(m.name, m.tx.ops)
 	if tr != nil || s.db.cfg.Recorder != nil {
 		id := txID(s.id, seq, m.name)
@@ -729,7 +742,7 @@ func (m *ManualTx) end(conflict bool) {
 		kind, outcome, n = eventlog.Conflict, txtrace.OutcomeConflict, m.tx.s.db.mConflicts
 	}
 	m.tx.s.emit(eventlog.Event{Kind: kind, TxID: m.tx.txid})
-	n.Inc()
+	n.AddAt(m.tx.s.stripe, 1)
 	m.trace.Finish(outcome, 0)
 }
 

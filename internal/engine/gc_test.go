@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -215,23 +216,54 @@ func TestCompactUnderLoad(t *testing.T) {
 // passes, and once it is released the passes catch up, so every chain
 // ends at most MinPass versions long (without compaction each would
 // hold commits/4). The history must still certify.
+//
+// The loop commits in one of three ways: Transact on one session (the
+// unnamed cases); a fresh Session.Begin and Commit for every
+// transaction, as a networked server runs them ("begin"); and a new
+// session every FlushEvery−1 transactions, so that every session ends
+// with superseding installs it has counted but not flushed
+// ("sessions"). Passes must come in all three.
 func TestChainsStayBounded(t *testing.T) {
 	t.Parallel()
 	for _, drv := range gcDrivers {
 		for _, tc := range durableKinds {
-			t.Run(drv.name+"/"+tc.kind.String(), func(t *testing.T) {
-				t.Parallel()
-				d := drv.open(t)
-				if d == nil {
-					d = storage.NewMem()
+			for _, writer := range []string{"", "begin", "sessions"} {
+				name := drv.name + "/" + tc.kind.String()
+				if writer != "" {
+					name += "/" + writer
 				}
-				chainsStayBounded(t, tc.kind, tc.model, d)
-			})
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					d := drv.open(t)
+					if d == nil {
+						d = storage.NewMem()
+					}
+					chainsStayBounded(t, tc.kind, tc.model, d, writer)
+				})
+			}
 		}
 	}
 }
 
-func chainsStayBounded(t *testing.T, kind Kind, want depgraph.Model, drv storage.Driver) {
+// beginRMW increments x in one transaction begun with Begin: a fresh
+// ManualTx and protocol transaction every time.
+func beginRMW(s *Session, x model.Obj) error {
+	m, err := s.Begin("rmw")
+	if err != nil {
+		return err
+	}
+	v, err := m.Read(x)
+	if err == nil {
+		err = m.Write(x, v+1)
+	}
+	if err != nil {
+		m.Abort()
+		return err
+	}
+	return m.Commit()
+}
+
+func chainsStayBounded(t *testing.T, kind Kind, want depgraph.Model, drv storage.Driver, writer string) {
 	const commits = 50_000
 	keys := []model.Obj{"k0", "k1", "k2", "k3"}
 	db := newDB(t, kind, Config{Driver: drv})
@@ -260,13 +292,22 @@ func chainsStayBounded(t *testing.T, kind Kind, want depgraph.Model, drv storage
 			pinned.Abort()
 		}
 		x := keys[i%len(keys)]
-		if err := s.Transact(func(tx *Tx) error {
-			v, err := tx.Read(x)
-			if err != nil {
-				return err
-			}
-			return tx.Write(x, v+1)
-		}); err != nil {
+		if writer == "sessions" && i%(FlushEvery-1) == 0 {
+			s = db.Session(fmt.Sprintf("w%d", i))
+		}
+		var err error
+		if writer == "begin" {
+			err = beginRMW(s, x)
+		} else {
+			err = s.Transact(func(tx *Tx) error {
+				v, err := tx.Read(x)
+				if err != nil {
+					return err
+				}
+				return tx.Write(x, v+1)
+			})
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -260,7 +260,7 @@ func (s *psiSite) apply(c psiCommit) {
 		s.p.mu.Unlock()
 	}
 	si.publish(ts, true)
-	si.compactIfDue(superseding)
+	si.compactIfDue(0, superseding) // appliers count in stripe 0
 }
 
 // vet is Walter's rule, called inside a local commit's window once
@@ -308,13 +308,13 @@ func (s *psiSite) append(order []model.Obj, vals []model.Value) {
 	p.mu.Unlock()
 }
 
-func (p *psiProtocol) begin(site int, prev txProtocol) (txProtocol, error) {
+func (p *psiProtocol) begin(sess *Session, prev txProtocol) (txProtocol, error) {
 	p.mu.Lock()
-	if site >= len(p.sites) {
+	if sess.site >= len(p.sites) {
 		p.mu.Unlock()
-		return nil, fmt.Errorf("engine: psi: unknown site %d", site)
+		return nil, fmt.Errorf("engine: psi: unknown site %d", sess.site)
 	}
-	s := p.sites[site]
+	s := p.sites[sess.site]
 	p.mu.Unlock()
 	if !p.manual {
 		// Refresh the site before snapshotting, so conflict-aborted
@@ -322,7 +322,7 @@ func (p *psiProtocol) begin(site int, prev txProtocol) (txProtocol, error) {
 		// stale snapshot.
 		s.catchUp(nil)
 	}
-	return s.si.begin(site, prev)
+	return s.si.begin(sess, prev)
 }
 
 // gc compacts every site through siProtocol.gc and returns the total

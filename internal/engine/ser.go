@@ -38,7 +38,7 @@ func (p *serProtocol) ensureSite(int) {}
 
 func (p *serProtocol) close() error { return nil }
 
-func (p *serProtocol) begin(int, txProtocol) (txProtocol, error) {
+func (p *serProtocol) begin(*Session, txProtocol) (txProtocol, error) {
 	return &serTx{p: p, held: make(map[model.Obj]bool)}, nil
 }
 

@@ -64,6 +64,13 @@ import (
 // installs have superseded a version since the last pass, the commit
 // that crosses the threshold runs one gc pass, the same pass
 // DB.Compact forces, so version chains stay a few versions long.
+//
+// The layout keeps commits of sessions with disjoint write sets from
+// writing a cache line another one reads, except the line of the
+// timestamps: the fields every read loads come first, the timestamps
+// and the gate's waiter count sit on a line of their own, and the
+// compaction books, the per-stripe supersede counts and the registry's
+// slots each have theirs (TestProtocolLayout).
 type siProtocol struct {
 	store storage.Driver
 	// ssi, nil under SI, makes this SSI: reads and commits report to the
@@ -72,6 +79,10 @@ type siProtocol struct {
 	// psi, nil under SI, makes this a PSI site (psi.go): commits pass
 	// Walter's write-conflict veto and are logged for the other sites.
 	psi *psiSite
+	// parks (engine_publish_parks_total) counts every commit that
+	// parked in publish.
+	parks *obs.Counter
+	_     [64]byte
 
 	// nextTS is the commit-timestamp allocation sequence.
 	nextTS atomic.Uint64
@@ -79,27 +90,31 @@ type siProtocol struct {
 	// timestamp at or below it is fully installed. Begins snapshot
 	// this value.
 	commitTS atomic.Uint64
-	// snaps registers live snapshots for the GC watermark.
-	snaps snapRegistry
-
 	// The ordered-publish gate (publish): commits whose predecessor
 	// has not published within the spin budget park on pubCond;
 	// pubWaiters counts them so that an uncontended publish never
-	// touches pubMu, and parks (engine_publish_parks_total) counts
-	// every commit that parked.
+	// touches pubMu.
 	pubWaiters atomic.Int32
+	_          [64]byte
 	pubMu      sync.Mutex
 	pubCond    sync.Cond
-	parks      *obs.Counter
 
 	// Automatic compaction (compactIfDue). superseded counts the
-	// installs that replaced a version since the last gc pass; retained
-	// estimates the superseded versions earlier passes had to keep
-	// because snapshots pinned them; compacting is held by the one
-	// automatic pass in flight.
+	// installs that replaced a version since the last gc pass, as far
+	// as the stripes have flushed them (pending); retained estimates
+	// the superseded versions earlier passes had to keep because
+	// snapshots pinned them; compacting is held by the one automatic
+	// pass in flight.
 	superseded atomic.Int64
 	retained   atomic.Int64
 	compacting atomic.Bool
+	_          [64]byte
+	// pending holds, per session stripe, the superseding installs not
+	// yet flushed into superseded: fewer than flushEvery each.
+	pending [obs.Stripes]paddedUint64
+
+	// snaps registers live snapshots for the GC watermark.
+	snaps snapRegistry
 }
 
 // minPass is the fewest superseded versions that make a commit run an
@@ -108,6 +123,12 @@ type siProtocol struct {
 // long-lived snapshot doubles the interval between passes instead of
 // having every pass re-scan the chains it pins.
 const minPass = 4096
+
+// flushEvery is the batch in which a stripe moves its superseding
+// installs into the shared count: a pass comes at most
+// obs.Stripes·(flushEvery−1) superseding installs later than an exact
+// count would start it.
+const flushEvery = 64
 
 func newSIProtocol(cfg Config, parks *obs.Counter) *siProtocol {
 	st := cfg.Driver
@@ -135,12 +156,16 @@ func (p *siProtocol) close() error { return p.store.Close() }
 // stays on one protocol, or PSI site), and allocates an siTx otherwise.
 // Under SSI the record is always fresh: the tracker keeps it after the
 // transaction ends.
-func (p *siProtocol) begin(_ int, prev txProtocol) (txProtocol, error) {
+func (p *siProtocol) begin(s *Session, prev txProtocol) (txProtocol, error) {
 	t, ok := prev.(*siTx)
 	if !ok || !t.done {
 		t = new(siTx)
 	}
-	*t = siTx{p: p, ticket: p.snaps.acquire(p.commitTS.Load)}
+	hint := s.snapHint.Load()
+	*t = siTx{p: p, ticket: p.snaps.acquire(hint, p.commitTS.Load), stripe: s.stripe}
+	if t.ticket.slot != nil && t.ticket.idx != hint {
+		s.snapHint.Store(t.ticket.idx)
+	}
 	if p.ssi != nil {
 		t.rec = &ssiRecord{snap: t.ticket.snap}
 	}
@@ -165,15 +190,25 @@ func (p *siProtocol) gc() int {
 	}
 }
 
-// compactIfDue counts n superseding installs of a finished commit and,
-// when the count since the last pass reaches max(minPass, retained),
-// runs one gc pass on the calling goroutine. A pass costs O(counted +
-// retained) — the chains it visits hold at most that many superseded
-// versions — and runs only once counted ≥ retained, so each
-// superseding install pays O(1) amortised. No committer waits for a
-// pass: while one is in flight the others skip it.
-func (p *siProtocol) compactIfDue(n int) {
-	if n == 0 || p.superseded.Add(int64(n)) < max(minPass, p.retained.Load()) {
+// compactIfDue counts n superseding installs of a finished commit in
+// its session's stripe. Once the stripe holds flushEvery of them it
+// moves them into superseded, and when that count since the last pass
+// reaches max(minPass, retained), runs one gc pass on the calling
+// goroutine. A pass costs O(counted + retained) — the chains it visits
+// hold at most that many superseded versions, plus the fewer than
+// obs.Stripes·flushEvery still pending — and runs only once counted ≥
+// retained, so each superseding install pays O(1) amortised. No
+// committer waits for a pass: while one is in flight the others skip
+// it.
+func (p *siProtocol) compactIfDue(stripe, n int) {
+	if n == 0 {
+		return
+	}
+	c := &p.pending[stripe%obs.Stripes].v
+	if c.Add(uint64(n)) < flushEvery {
+		return
+	}
+	if n = int(c.Swap(0)); n == 0 || p.superseded.Add(int64(n)) < max(minPass, p.retained.Load()) {
 		return
 	}
 	if p.compacting.CompareAndSwap(false, true) {
@@ -186,6 +221,7 @@ type siTx struct {
 	p      *siProtocol
 	ticket snapTicket
 	rec    *ssiRecord // conflict flags; nil under SI
+	stripe int        // the session's stripe (Session.stripe)
 	done   bool
 }
 
@@ -308,7 +344,7 @@ func (t *siTx) commit(req commitReq) (uint64, error) {
 		}
 	}
 	t.finish(true)
-	p.compactIfDue(superseding)
+	p.compactIfDue(t.stripe, superseding)
 	return lsn, installErr
 }
 

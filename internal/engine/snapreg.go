@@ -17,6 +17,12 @@ import (
 // slot count, not by the number of live snapshots, and it never
 // blocks a begin.
 //
+// Each slot has a cache line of its own, and a begin first tries the
+// slot its session held last (the session's hint), probing from a
+// shared cursor only when that slot is taken. So sessions that begin
+// and end transactions side by side each keep writing their own line,
+// and none writes the cursor's.
+//
 // When every slot is taken (more than snapSlots concurrent
 // transactions) registration spills into a mutex-protected map that
 // counts live registrations per epoch (snap >> epochShift). A live
@@ -56,12 +62,13 @@ const snapSlots = 512
 const epochShift = 6
 
 type snapRegistry struct {
-	slots  [snapSlots]atomic.Uint64 // snapshot+1; 0 = free
-	cursor atomic.Uint64            // round-robin claim hint
 	// gcIntent is the highest watermark any collector has advertised
 	// before scanning; begins above it are guaranteed visible to every
-	// in-flight scan.
+	// in-flight scan. Every begin reads it; only collectors write it.
 	gcIntent atomic.Uint64
+	cursor   atomic.Uint64 // where a begin whose hint is taken probes from
+	_        [64]byte
+	slots    [snapSlots]paddedUint64 // snapshot+1; 0 = free
 
 	// spill counts the registrations that found every slot taken. The
 	// mutex orders registration against watermark's scan, so no intent
@@ -70,32 +77,33 @@ type snapRegistry struct {
 	spill   map[uint64]int // epoch → live registrations
 }
 
+// paddedUint64 is an atomic counter padded to 64 bytes: two of them in
+// an array are 64 bytes apart, so they never share a cache line.
+type paddedUint64 struct {
+	v atomic.Uint64
+	_ [56]byte
+}
+
 // snapTicket is one live registration, released exactly once.
 type snapTicket struct {
 	snap  uint64
 	slot  *atomic.Uint64 // nil ⇒ counted in the spill map under epoch
 	epoch uint64
+	idx   uint32 // the slot's index, for the session's next hint
 }
 
 // acquire registers a snapshot read from now (typically the published
 // commit timestamp) and returns the ticket carrying the snapshot to
-// read at.
-func (r *snapRegistry) acquire(now func() uint64) snapTicket {
+// read at. It tries slot hint (mod snapSlots) first, and probes from
+// the cursor only when that slot is taken.
+func (r *snapRegistry) acquire(hint uint32, now func() uint64) snapTicket {
+	if t, ok := r.claim(hint%snapSlots, now); ok {
+		return t
+	}
 	start := r.cursor.Add(1)
 	for i := uint64(0); i < snapSlots; i++ {
-		slot := &r.slots[(start+i)%snapSlots]
-		v := now()
-		if !slot.CompareAndSwap(0, v+1) {
-			continue // taken; probe the next slot
-		}
-		for {
-			if r.gcIntent.Load() <= v {
-				return snapTicket{snap: v, slot: slot}
-			}
-			// A collector may be scanning above v and may have missed
-			// this slot; republish with a fresher timestamp.
-			v = now()
-			slot.Store(v + 1)
+		if t, ok := r.claim(uint32((start+i)%snapSlots), now); ok {
+			return t
 		}
 	}
 	// Slot array exhausted: the mutex-ordered spill map (see watermark).
@@ -108,6 +116,26 @@ func (r *snapRegistry) acquire(now func() uint64) snapTicket {
 	r.spill[e]++
 	r.spillMu.Unlock()
 	return snapTicket{snap: v, epoch: e}
+}
+
+// claim registers a snapshot read from now in slot i, unless it is
+// taken.
+func (r *snapRegistry) claim(i uint32, now func() uint64) (snapTicket, bool) {
+	slot := &r.slots[i].v
+	if slot.Load() != 0 {
+		return snapTicket{}, false // taken: leave its line alone
+	}
+	v := now()
+	if !slot.CompareAndSwap(0, v+1) {
+		return snapTicket{}, false
+	}
+	for r.gcIntent.Load() > v {
+		// A collector may be scanning above v and may have missed
+		// this slot; republish with a fresher timestamp.
+		v = now()
+		slot.Store(v + 1)
+	}
+	return snapTicket{snap: v, slot: slot, idx: i}, true
 }
 
 // release drops the registration. Call exactly once per ticket.
@@ -142,7 +170,7 @@ func (r *snapRegistry) watermark(now uint64) uint64 {
 	}
 	min := now
 	for i := range r.slots {
-		if v := r.slots[i].Load(); v != 0 && v-1 < min {
+		if v := r.slots[i].v.Load(); v != 0 && v-1 < min {
 			min = v - 1
 		}
 	}

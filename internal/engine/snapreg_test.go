@@ -14,9 +14,9 @@ func TestSnapRegistryWatermark(t *testing.T) {
 	if w := r.watermark(now.Load()); w != 10 {
 		t.Errorf("idle watermark = %d, want 10", w)
 	}
-	t1 := r.acquire(now.Load)
+	t1 := r.acquire(0, now.Load)
 	now.Store(15)
-	t2 := r.acquire(now.Load)
+	t2 := r.acquire(0, now.Load)
 	if t1.snap != 10 || t2.snap != 15 {
 		t.Fatalf("snaps = %d, %d", t1.snap, t2.snap)
 	}
@@ -46,7 +46,7 @@ func TestSnapRegistryOverflow(t *testing.T) {
 	now.Store(5)
 	tickets := make([]snapTicket, 0, snapSlots+10)
 	for i := 0; i < snapSlots+10; i++ {
-		tickets = append(tickets, r.acquire(now.Load))
+		tickets = append(tickets, r.acquire(0, now.Load))
 	}
 	overflowed := 0
 	for _, tk := range tickets {
@@ -83,11 +83,11 @@ func TestSnapRegistryOverflowEpochs(t *testing.T) {
 	now.Store(10 * (1 << epochShift))
 	var slotTickets []snapTicket
 	for i := 0; i < snapSlots; i++ {
-		slotTickets = append(slotTickets, r.acquire(now.Load))
+		slotTickets = append(slotTickets, r.acquire(0, now.Load))
 	}
-	old := r.acquire(now.Load) // epoch 10, floor 10<<shift
+	old := r.acquire(0, now.Load) // epoch 10, floor 10<<shift
 	now.Store(12*(1<<epochShift) + 3)
-	young := r.acquire(now.Load) // epoch 12, floor 12<<shift
+	young := r.acquire(0, now.Load) // epoch 12, floor 12<<shift
 	if old.slot != nil || young.slot != nil {
 		t.Fatal("expected overflow registrations")
 	}
@@ -146,7 +146,7 @@ func TestSnapRegistryOverflowConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				tk := r.acquire(now.Load)
+				tk := r.acquire(uint32(s), now.Load)
 				if tk.snap > now.Load() {
 					t.Errorf("snapshot %d above the clock", tk.snap)
 				}
@@ -210,7 +210,7 @@ func TestSnapRegistryBeginGCRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3000; i++ {
-				tk := r.acquire(now.Load)
+				tk := r.acquire(uint32(w), now.Load)
 				// A watermark returned after our acquire can never
 				// exceed our snapshot while we are live. lowWater is
 				// monotone, so reading it now bounds every earlier GC;
@@ -234,7 +234,7 @@ func TestSnapRegistryBeginGCRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3000; i++ {
-			sentinel := r.acquire(now.Load)
+			sentinel := r.acquire(0, now.Load)
 			w := r.watermark(now.Load())
 			if w > sentinel.snap {
 				t.Errorf("watermark %d above live sentinel snapshot %d", w, sentinel.snap)

@@ -4,12 +4,20 @@
 //
 // The design goals, in order:
 //
-//  1. Allocation-free hot path. Counter.Add, Gauge.Set and
-//     Histogram.Observe are single atomic operations on pre-registered
-//     series; registration (which allocates and takes a lock) happens
-//     once, after which callers hold the series pointer.
-//  2. Safe under heavy concurrency. All mutation is atomic; the
-//     registry lock is taken only at registration and export time.
+//  1. Allocation-free hot path. Counter.Add and Gauge.Set are one
+//     atomic operation, Histogram.Observe three (bucket, sum, count),
+//     on pre-registered series; registration (which allocates and
+//     takes a lock) happens once, after which callers hold the series
+//     pointer.
+//  2. Safe under heavy concurrency, and shared by cores without
+//     contention. All mutation is atomic; the registry lock is taken
+//     only at registration and export time. Counters and histograms are
+//     striped: each holds Stripes cells on cache lines of their own,
+//     AddAt and ObserveAt write only the cell of the stripe the caller
+//     names (Add and Observe write stripe 0), and reads, Quantile and
+//     the exporters sum the cells. A caller that owns a stripe (the
+//     engine gives each session one) updates a series without writing
+//     a line any other stripe's caller reads or writes.
 //  3. Nil-tolerant. Every method on a nil *Counter, *Gauge,
 //     *Histogram or *Registry is a no-op, so instrumented code needs no
 //     "is observability enabled?" branches.
@@ -40,28 +48,52 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotonically increasing counter.
-type Counter struct {
+// Stripes is the number of cells a Counter or Histogram spreads its
+// updates over. Callers pass a stripe to AddAt and ObserveAt; any int
+// is valid, reduced modulo Stripes.
+const Stripes = 8
+
+// stripeOf reduces a caller's stripe to a cell index.
+func stripeOf(stripe int) int { return int(uint(stripe) % Stripes) }
+
+// cell is one counter stripe. The padding keeps the counts of two
+// stripes 64 bytes apart, so they never share a cache line.
+type cell struct {
 	v atomic.Int64
+	_ [56]byte
+}
+
+// Counter is a monotonically increasing counter, striped (see
+// Stripes).
+type Counter struct {
+	cells [Stripes]cell
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.AddAt(0, 1) }
 
-// Add adds n (negative n is ignored; counters only go up).
-func (c *Counter) Add(n int64) {
+// Add adds n to stripe 0 (negative n is ignored; counters only go up).
+func (c *Counter) Add(n int64) { c.AddAt(0, n) }
+
+// AddAt adds n to the given stripe's cell.
+func (c *Counter) AddAt(stripe int, n int64) {
 	if c == nil || n < 0 {
 		return
 	}
-	c.v.Add(n)
+	c.cells[stripeOf(stripe)].v.Add(n)
 }
 
-// Value returns the current count (0 on a nil counter).
+// Value returns the current count, the sum of the cells (0 on a nil
+// counter).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	var n int64
+	for i := range c.cells {
+		n += c.cells[i].v.Load()
+	}
+	return n
 }
 
 // Gauge is a value that can go up and down.
@@ -98,15 +130,24 @@ func (g *Gauge) Value() int64 {
 const numBuckets = 64
 
 // Histogram is a fixed log-scale (power-of-two bucket) histogram of
-// non-negative int64 observations. Observation is one atomic add per
-// bucket/sum/count — allocation-free and lock-free. Each bucket can
-// additionally carry one exemplar (the latest traced observation that
-// landed in it), linking a latency bucket to a resolvable trace ID.
+// non-negative int64 observations, striped (see Stripes): each stripe
+// has its own buckets, sum and count. Observation is one atomic add
+// per bucket/sum/count of one stripe — allocation-free and lock-free.
+// Each bucket can additionally carry one exemplar (the latest traced
+// observation that landed in it), linking a latency bucket to a
+// resolvable trace ID.
 type Histogram struct {
-	buckets   [numBuckets]atomic.Int64
+	stripes   [Stripes]histStripe
 	exemplars [numBuckets]atomic.Pointer[Exemplar]
-	sum       atomic.Int64
-	count     atomic.Int64
+}
+
+// histStripe is one stripe of a Histogram. The padding keeps the last
+// word of one stripe 64 bytes from the first of the next, so two
+// stripes never share a cache line.
+type histStripe struct {
+	buckets    [numBuckets]atomic.Int64
+	sum, count atomic.Int64
+	_          [64]byte
 }
 
 // Exemplar is one concrete traced observation attached to a histogram
@@ -117,17 +158,28 @@ type Exemplar struct {
 	UnixNS  int64
 }
 
-// Observe records v. Negative values clamp to 0.
-func (h *Histogram) Observe(v int64) {
+// Observe records v in stripe 0. Negative values clamp to 0.
+func (h *Histogram) Observe(v int64) { h.ObserveAt(0, v) }
+
+// ObserveAt records v in the given stripe. Negative values clamp to 0.
+func (h *Histogram) ObserveAt(stripe int, v int64) {
 	if h == nil {
 		return
 	}
+	h.observe(stripe, v)
+}
+
+// observe records v in stripe and returns its bucket.
+func (h *Histogram) observe(stripe int, v int64) int {
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bits.Len64(uint64(v))].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
+	i := bits.Len64(uint64(v))
+	st := &h.stripes[stripeOf(stripe)]
+	st.buckets[i].Add(1)
+	st.sum.Add(v)
+	st.count.Add(1)
+	return i
 }
 
 // ObserveExemplar records v like Observe and, when traceID is non-zero,
@@ -138,15 +190,9 @@ func (h *Histogram) ObserveExemplar(v int64, traceID uint64) {
 	if h == nil {
 		return
 	}
-	if v < 0 {
-		v = 0
-	}
-	i := bits.Len64(uint64(v))
-	h.buckets[i].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
+	i := h.observe(0, v)
 	if traceID != 0 {
-		h.exemplars[i].Store(&Exemplar{Value: v, TraceID: traceID, UnixNS: time.Now().UnixNano()})
+		h.exemplars[i].Store(&Exemplar{Value: max(v, 0), TraceID: traceID, UnixNS: time.Now().UnixNano()})
 	}
 }
 
@@ -164,7 +210,11 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n int64
+	for i := range h.stripes {
+		n += h.stripes[i].count.Load()
+	}
+	return n
 }
 
 // Sum returns the sum of all observed values.
@@ -172,7 +222,11 @@ func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum.Load()
+	var n int64
+	for i := range h.stripes {
+		n += h.stripes[i].sum.Load()
+	}
+	return n
 }
 
 // BucketUpperBound returns the inclusive upper bound of bucket i:
@@ -207,7 +261,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
+	buckets := h.snapshotBuckets()
+	var total int64
+	for _, n := range buckets {
+		total += n
+	}
 	if total == 0 {
 		return 0
 	}
@@ -219,8 +277,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	rank := q * float64(total)
 	var cum float64
-	for i := 0; i < numBuckets; i++ {
-		n := h.buckets[i].Load()
+	for i, n := range buckets {
 		if n == 0 {
 			continue
 		}
@@ -240,11 +297,14 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return float64(BucketUpperBound(numBuckets - 1))
 }
 
-// snapshotBuckets returns the per-bucket counts.
+// snapshotBuckets returns the per-bucket counts, summed over the
+// stripes.
 func (h *Histogram) snapshotBuckets() [numBuckets]int64 {
 	var out [numBuckets]int64
-	for i := range out {
-		out[i] = h.buckets[i].Load()
+	for s := range h.stripes {
+		for i := range out {
+			out[i] += h.stripes[s].buckets[i].Load()
+		}
 	}
 	return out
 }

@@ -111,20 +111,22 @@ func candidatesOf(app App, w *chopping.Witness) []promKey {
 }
 
 // Repairs searches for minimal promotion sets that make the static
-// check at crit (see Check) pass. It returns verified repairs ranked
-// smallest first (ties broken lexicographically), or nil when the
-// application already passes or no repair exists within the bounds.
+// check at crit (see Check) pass. w0 is the witness Check(app, crit)
+// returned: the caller has already run that check, and the search
+// starts from its cycle instead of running it again. It returns
+// verified repairs ranked smallest first (ties broken
+// lexicographically), or nil when w0 is nil (the application passes)
+// or no repair exists within the bounds.
 //
 // The search is breadth-first: level k extends each failing set of k-1
 // promotions by a candidate from its own witness cycle, and the first
 // level with a verified repair is the last, so repairs are minimal.
 // Each set is verified by the full static check of the promoted
 // application; one whose re-check is inconclusive is neither reported
-// nor extended. Only an inconclusive check of app itself is an error.
-func Repairs(app App, crit chopping.Criticality) ([]Repair, error) {
-	w0, err := Check(app, crit)
-	if w0 == nil || err != nil {
-		return nil, err
+// nor extended.
+func Repairs(app App, crit chopping.Criticality, w0 *chopping.Witness) []Repair {
+	if w0 == nil {
+		return nil
 	}
 	type node struct {
 		set     []promKey // sorted
@@ -147,7 +149,7 @@ func Repairs(app App, crit chopping.Criticality) ([]Repair, error) {
 				}
 				visited[key] = true
 				if checks++; checks > maxChecks {
-					return repairsFrom(app, found), nil
+					return repairsFrom(app, found)
 				}
 				promoted := applyPromotions(app, set)
 				switch w, err := Check(promoted, crit); {
@@ -161,7 +163,7 @@ func Repairs(app App, crit chopping.Criticality) ([]Repair, error) {
 		}
 		frontier = next
 	}
-	return repairsFrom(app, found), nil
+	return repairsFrom(app, found)
 }
 
 // repairsFrom materialises and ranks the found promotion sets.

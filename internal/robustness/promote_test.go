@@ -10,15 +10,15 @@ import (
 	"sian/internal/workload"
 )
 
-// mustRepairs runs the repair search, failing the test on an
-// inconclusive check of app.
+// mustRepairs checks app and runs the repair search from its witness,
+// failing the test on an inconclusive check of app.
 func mustRepairs(t *testing.T, app App, crit chopping.Criticality) []Repair {
 	t.Helper()
-	r, err := Repairs(app, crit)
+	w, err := Check(app, crit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return Repairs(app, crit, w)
 }
 
 // TestRepairWriteSkew: the Figure 2(d) write skew is repaired by a

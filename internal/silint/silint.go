@@ -312,10 +312,7 @@ func diagnose(pkg *Package, pr *PackageReport, rows []Check) error {
 			if w == nil {
 				continue
 			}
-			repairs, err := robustness.Repairs(app, c.Level)
-			if err != nil {
-				return err
-			}
+			repairs := robustness.Repairs(app, c.Level, w)
 			d.Pos = pkg.Fset.Position(flat[w.Cycle[0].From].Pos)
 			d.Tx = w.Graph.Label(w.Cycle[0].From)
 			d.Witness = w.String()

@@ -521,10 +521,11 @@ func (l *Locked) Unlock() {
 //     publishes hi+1. The ring holds at most its length of live
 //     versions, so that slot held a version below lo.
 //   - GC only advances lo. It never moves a survivor.
-//   - A ring is replaced (doubled when full, shrunk to fit when more
-//     than four times the live versions) by copying the live versions
-//     into a fresh ring and publishing its pointer, after GC's lo
-//     store. A replaced ring is never written again.
+//   - A ring is replaced (doubled when full, shrunk when it is longer
+//     than minRing and more than four times the live versions) by
+//     copying the live versions into a fresh ring and publishing its
+//     pointer, after GC's lo store. A replaced ring is never written
+//     again.
 //
 // A reader loads lo, then hi, then the ring, searches versions lo to
 // hi-1 of that ring, and re-loads lo: if lo moved, it starts over.
@@ -674,10 +675,18 @@ func (o *object) installLocked(v Version) {
 	o.hi.Store(hi + 1)
 }
 
+// minRing is the shortest ring GC shrinks to, and a ring no longer than
+// it is never shrunk. A record that holds a few live versions between
+// passes keeps its ring, instead of GC shrinking it and the next
+// installs growing it back, one allocation per doubling, on every
+// pass. After a pass a ring holds at most max(minRing, 4·live) slots.
+const minRing = 8
+
 // gcLocked drops every version older than the latest one with TS ≤
 // watermark and returns how many it dropped. It advances lo, and then
-// shrinks a ring more than four times the live versions. Callers hold
-// the shard mutex.
+// shrinks a ring longer than minRing and more than four times the live
+// versions, to the smallest power of two holding them, at least
+// minRing. Callers hold the shard mutex.
 func (o *object) gcLocked(watermark uint64) int {
 	lo, hi := o.lo.Load(), o.hi.Load()
 	slots := o.slots()
@@ -688,8 +697,8 @@ func (o *object) gcLocked(watermark uint64) int {
 		return 0
 	}
 	o.lo.Store(keep)
-	if live := hi - keep; uint64(len(slots)) > 4*live {
-		o.resize(keep, hi, max(2, 1<<bits.Len64(live-1)))
+	if live := hi - keep; len(slots) > minRing && uint64(len(slots)) > 4*live {
+		o.resize(keep, hi, max(minRing, 1<<bits.Len64(live-1)))
 	}
 	return int(keep - lo)
 }

@@ -211,6 +211,71 @@ func TestGCSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestGCKeepsShortRings: a record that reaches 5 live versions between
+// GC passes grows its ring to minRing slots once, and then keeps it:
+// after the first cycle neither the installs nor the passes allocate.
+// Not parallel: AllocsPerRun counts every goroutine's allocations.
+func TestGCKeepsShortRings(t *testing.T) {
+	s := New()
+	ts := uint64(1)
+	mustInstall(t, s, "x", Version{Val: 1, TS: ts})
+	cycle := func() {
+		for i := 0; i < 4; i++ {
+			ts++
+			if err := s.Install("x", Version{Val: model.Value(ts), TS: ts}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d := s.GC(ts); d != 4 {
+			t.Fatalf("GC(%d) dropped %d, want 4", ts, d)
+		}
+	}
+	cycle() // the ring grows 2 → 4 → 8 once
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("4 installs + GC allocate %.1f times per cycle, want 0", a)
+	}
+	if n := len(s.find("x").slots()); n != minRing {
+		t.Errorf("ring has %d slots, want %d", n, minRing)
+	}
+}
+
+// TestGCShrinksLongRings: a ring grown past 64 slots shrinks once its
+// live versions drop, to the smallest power of two holding them but no
+// shorter than minRing, and keeps every live version readable.
+func TestGCShrinksLongRings(t *testing.T) {
+	t.Parallel()
+	s := New()
+	for ts := uint64(1); ts <= 100; ts++ {
+		mustInstall(t, s, "x", Version{Val: model.Value(10 * ts), TS: ts})
+	}
+	o := s.find("x")
+	if n := len(o.slots()); n != 128 {
+		t.Fatalf("100 versions in %d slots, want 128", n)
+	}
+	for _, step := range []struct {
+		watermark uint64
+		live      int
+		slots     int
+	}{
+		{68, 33, 128}, // 128 ≤ 4·33: kept
+		{90, 11, 16},
+		{100, 1, minRing},
+	} {
+		s.GC(step.watermark)
+		if n := s.VersionCount("x"); n != step.live {
+			t.Errorf("GC(%d) left %d versions, want %d", step.watermark, n, step.live)
+		}
+		if n := len(o.slots()); n != step.slots {
+			t.Errorf("GC(%d) left a ring of %d slots, want %d", step.watermark, n, step.slots)
+		}
+		for ts := 101 - uint64(step.live); ts <= 100; ts++ {
+			if v, ok := s.ReadAt("x", ts); !ok || v != (Version{Val: model.Value(10 * ts), TS: ts}) {
+				t.Errorf("after GC(%d) ReadAt(x, %d) = %+v, %v", step.watermark, ts, v, ok)
+			}
+		}
+	}
+}
+
 // TestCloneGCMatchesSource: a clone carries the multi-version lists,
 // so GC drops the same versions from it as from its source, and the
 // two stay independent.
@@ -462,7 +527,7 @@ func TestLockFreeReadsMatchGroundTruth(t *testing.T) {
 	// 1, 2, 4, …, 64 timestamps. It counts the rings key 0 goes
 	// through.
 	rec := s.find(keys[0])
-	rings, ring, maxLive := 0, rec.ring.Load(), uint64(0)
+	rings, shrinks, ring, maxLive := 0, 0, rec.ring.Load(), uint64(0)
 	registered := func() uint64 {
 		w := pub.Load()
 		for r := range snaps {
@@ -487,6 +552,9 @@ func TestLockFreeReadsMatchGroundTruth(t *testing.T) {
 				install(ts)
 				maxLive = max(maxLive, rec.hi.Load()-rec.lo.Load())
 				if r := rec.ring.Load(); r != ring {
+					if ring != nil && r.n < ring.n {
+						shrinks++
+					}
 					rings, ring = rings+1, r
 				}
 			}
@@ -532,7 +600,10 @@ func TestLockFreeReadsMatchGroundTruth(t *testing.T) {
 	if rings < 20 {
 		t.Errorf("key 0 went through %d rings (most live versions %d), want the ring resized at least 20 times", rings, maxLive)
 	}
-	t.Logf("key 0 went through %d rings, at most %d live versions", rings, maxLive)
+	if shrinks == 0 {
+		t.Errorf("key 0 went through %d rings (most live versions %d), none of them shrunk", rings, maxLive)
+	}
+	t.Logf("key 0 went through %d rings, %d of them shrunk, at most %d live versions", rings, shrinks, maxLive)
 
 	// Phase 2: no snapshot is registered, so GC collects at the newest
 	// timestamp while readers read up to 15 below it, racing the passes
