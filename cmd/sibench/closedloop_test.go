@@ -91,16 +91,16 @@ func TestConcurrentDifferentialCertification(t *testing.T) {
 	}
 }
 
-// TestSweepDisjointScalesConflictFree checks the scaling workload's
-// defining property end to end through the CLI: disjoint pools must
-// produce zero conflicts and zero retries in the -bench-json report.
-func TestSweepDisjointScalesConflictFree(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
+// TestDisjointPoolsConflictFree checks the scaling workload's defining
+// property end to end through the CLI: disjoint pools must produce zero
+// conflicts and zero retries in the -metrics registry.
+func TestDisjointPoolsConflictFree(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "metrics.json")
 	var out bytes.Buffer
 	code, err := run([]string{
 		"-engine", "si", "-workload", "closedloop",
 		"-sessions", "4", "-txs", "25", "-objects", "4",
-		"-disjoint", "-bench-json", path,
+		"-disjoint", "-metrics", path,
 	}, &out, new(bytes.Buffer))
 	if err != nil {
 		t.Fatal(err)
@@ -108,11 +108,13 @@ func TestSweepDisjointScalesConflictFree(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d\n%s", code, out.String())
 	}
-	rep := readBenchReport(t, path)
-	if rep.Commits < 4*25 {
-		t.Errorf("commits = %d, want ≥ %d", rep.Commits, 4*25)
+	vals := readMetricsJSON(t, path)
+	if commits := vals["engine_commits_total"]; commits < 4*25 {
+		t.Errorf("commits = %d, want ≥ %d", commits, 4*25)
 	}
-	if rep.Conflicts != 0 || rep.Retries != 0 {
-		t.Errorf("conflicts=%d retries=%d on disjoint pools", rep.Conflicts, rep.Retries)
+	conflicts, ok1 := vals["engine_conflicts_total"]
+	retries, ok2 := vals["engine_retries_total"]
+	if !ok1 || !ok2 || conflicts != 0 || retries != 0 {
+		t.Errorf("conflicts=%d (present %v) retries=%d (present %v) on disjoint pools", conflicts, ok1, retries, ok2)
 	}
 }

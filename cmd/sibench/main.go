@@ -6,11 +6,10 @@
 // Usage:
 //
 //	sibench -engine si|ser|psi|ssi -workload registers|writeskew|transfers|longfork|banking|smallbank|closedloop
-//	        [-sessions N] [-txs N] [-ops N] [-objects N] [-rounds N]
-//	        [-accounts N] [-hops N] [-chopped] [-seed N] [-certify]
+//	        [-sessions N] [-txs N] [-ops N] [-objects N]
+//	        [-hops N] [-chopped] [-seed N] [-certify]
 //	        [-duration D] [-hotkeys N] [-disjoint]
-//	        [-trace] [-metrics file|-] [-bench-json file]
-//	        [-serve addr]
+//	        [-trace] [-metrics file|-] [-serve addr]
 //	        [-record file.ndjson] [-timeline file.json]
 //	        [-addr host:port]
 //
@@ -26,8 +25,6 @@
 // commit-latency and snapshot-age histograms, trace_stage_ns with
 // -trace) on exit in Prometheus text format ('-' for stdout, *.json
 // for JSON).
-// -bench-json writes a machine-readable benchmark summary
-// (throughput, p50/p99 commit latency) to the named file.
 //
 // -record attaches a flight recorder to the engine and dumps the
 // transactional event stream as NDJSON on exit — feed it to sicheck for
@@ -43,16 +40,14 @@
 // -addr switches sibench into network client mode: instead of an
 // in-process engine it drives a running siserve (cmd/siserve) over the
 // siwire binary protocol, one client connection per session running
-// the closed-loop workload with client-side conflict retry. The
-// report then carries mode "network" and the server's git revision
-// (from its info document). -certify and -record are unavailable in
-// network mode (there is no in-process engine).
+// the closed-loop workload with client-side conflict retry. -certify
+// and -record are unavailable in network mode (there is no in-process
+// engine).
 //
 // -trace traces the run (internal/obs/txtrace) and prints a per-stage
-// p50/p99 table on stderr at exit; the breakdown also lands in the
-// bench report (stages field). In-process it times every transaction's
-// begin, validation, WAL append, fsync wait, publish and ack inside
-// the engine, and the run itself: the workload, then -certify's
+// p50/p99 table on stderr at exit. In-process it times every
+// transaction's begin, validation, WAL append, fsync wait, publish and
+// ack inside the engine, and the run itself: the workload, then -certify's
 // check_* stages. Against -addr the client propagates its trace IDs
 // inside the siwire frames, the server (siserve -trace) sends its
 // pipeline spans back on the commit response, and each trace merges
@@ -67,13 +62,11 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"sian/internal/check"
@@ -82,52 +75,10 @@ import (
 	"sian/internal/engine"
 	"sian/internal/histio"
 	"sian/internal/model"
-	"sian/internal/obs"
 	"sian/internal/obs/eventlog"
 	"sian/internal/obs/txtrace"
 	"sian/internal/workload"
 )
-
-// benchSchema versions the -bench-json report. v3 dropped v2's sweep,
-// checker_bench and note fields; v4 dropped certify_parallelism.
-const benchSchema = "sibench/v4"
-
-// benchReport is the machine-readable summary -bench-json writes, one
-// JSON object per run. Latency quantiles come from the engine's
-// log-scale commit-latency histogram (in network mode: the client's
-// commit round trips).
-type benchReport struct {
-	Schema   string `json:"schema"`
-	Engine   string `json:"engine"`
-	Workload string `json:"workload"`
-	// Mode is "network" for a run driven against a siserve over siwire
-	// (-addr), absent for the in-process engine.
-	Mode string `json:"mode,omitempty"`
-	// ServerRev is the serving binary's git revision from the server's
-	// info document: the build actually measured in network mode.
-	ServerRev          string  `json:"server_rev,omitempty"`
-	Sessions           int     `json:"sessions"`
-	CPUs               int     `json:"cpus"`
-	GOMAXPROCS         int     `json:"gomaxprocs"`
-	ElapsedNS          int64   `json:"elapsed_ns"`
-	Commits            int64   `json:"commits"`
-	Conflicts          int64   `json:"conflicts"`
-	Aborts             int64   `json:"aborts"`
-	Retries            int64   `json:"retries"`
-	TxsPerSec          float64 `json:"txs_per_sec"`
-	P50CommitLatencyNS float64 `json:"p50_commit_latency_ns"`
-	P99CommitLatencyNS float64 `json:"p99_commit_latency_ns"`
-	P50SnapshotAgeNS   float64 `json:"p50_snapshot_age_ns"`
-	P99SnapshotAgeNS   float64 `json:"p99_snapshot_age_ns"`
-
-	// Certification fields are present when -certify ran.
-	CertifyNS       int64 `json:"certify_ns,omitempty"`
-	CertifyExamined int   `json:"certify_examined,omitempty"`
-
-	// Stages is the per-stage latency breakdown of a traced run, in
-	// pipeline order; absent on untraced runs.
-	Stages []txtrace.StageLatency `json:"stages,omitempty"`
-}
 
 func main() {
 	code, err := run(os.Args[1:], os.Stdout, os.Stderr)
@@ -148,15 +99,11 @@ type runConfig struct {
 	txs          int
 	ops          int
 	objects      int
-	rounds       int
-	accounts     int
 	hops         int
-	transfers    int
 	chopped      bool
 	seed         int64
 	atomicLookup bool
 	certify      bool
-	benchJSON    string
 	recordOut    string
 	timelineOut  string
 	recordCap    int
@@ -169,20 +116,16 @@ type runConfig struct {
 func run(args []string, stdout, stderr io.Writer) (int, error) {
 	fs := flag.NewFlagSet("sibench", flag.ContinueOnError)
 	engineFlag := fs.String("engine", "si", "engine: si, ser, psi or ssi")
-	workloadFlag := fs.String("workload", "registers", "workload: registers, writeskew, transfers, longfork, banking or smallbank")
+	workloadFlag := fs.String("workload", "registers", "workload: registers, writeskew, transfers, longfork, banking, smallbank or closedloop")
 	sessions := fs.Int("sessions", 4, "concurrent sessions")
-	txs := fs.Int("txs", 50, "transactions per session (registers)")
-	ops := fs.Int("ops", 3, "operations per transaction (registers)")
-	objects := fs.Int("objects", 4, "object pool size (registers)")
-	rounds := fs.Int("rounds", 50, "rounds (writeskew)")
-	accounts := fs.Int("accounts", 8, "account pool size (transfers)")
+	txs := fs.Int("txs", 0, "transactions per session, writeskew rounds or transfers per session (0 = the workload's default)")
+	ops := fs.Int("ops", 3, "operations per transaction (registers, closedloop)")
+	objects := fs.Int("objects", 0, "object pool size: registers and closedloop objects, transfers accounts, twice the smallbank customers (0 = the workload's default)")
 	hops := fs.Int("hops", 4, "accounts per transfer (transfers)")
-	transfers := fs.Int("transfers", 20, "transfers per session (transfers)")
 	chopped := fs.Bool("chopped", false, "run transfers chopped into one transaction per account")
 	seed := fs.Int64("seed", 1, "workload seed")
 	atomicLookup := fs.Bool("atomic-lookup", false, "banking: query both accounts in one transaction (the incorrect Figure 5 chopping)")
 	certify := fs.Bool("certify", false, "certify the recorded history against the engine's model")
-	benchJSON := fs.String("bench-json", "", "write a machine-readable benchmark summary (JSON) to this file")
 	recordOut := fs.String("record", "", "dump the transactional event stream as NDJSON to this file on exit")
 	timelineOut := fs.String("timeline", "", "trace the run and write its timeline (Perfetto-loadable Chrome trace JSON) to this file on exit")
 	recordCap := fs.Int("record-cap", 0, "flight-recorder ring capacity in events (0 = default)")
@@ -199,29 +142,26 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	if *addrFlag != "" {
+	cfg := runConfig{
+		engine: *engineFlag, kind: kind, model: m, workload: *workloadFlag,
+		sessions: *sessions, txs: *txs, ops: *ops, objects: *objects, hops: *hops,
+		chopped: *chopped, seed: *seed, atomicLookup: *atomicLookup, certify: *certify,
+		recordOut: *recordOut, timelineOut: *timelineOut, recordCap: *recordCap,
+		duration: *duration, hotkeys: *hotkeys, disjoint: *disjoint, addr: *addrFlag,
+	}
+	if cfg.addr != "" {
 		// Network mode drives a remote server: there is no in-process
 		// engine to certify or record, and the server picked its engine
 		// at startup.
-		if *workloadFlag != "closedloop" {
+		if cfg.workload != "closedloop" {
 			return 2, fmt.Errorf("-addr supports only -workload closedloop")
 		}
-		if *certify || *recordOut != "" {
+		if cfg.certify || cfg.recordOut != "" {
 			return 2, fmt.Errorf("-addr is incompatible with -certify and -record (no in-process engine)")
 		}
-		if *engineFlag != "si" {
+		if cfg.engine != "si" {
 			return 2, fmt.Errorf("-addr ignores -engine (the server chose at startup); leave it at the default")
 		}
-	}
-	cfg := runConfig{
-		engine: *engineFlag, kind: kind, model: m, workload: *workloadFlag,
-		sessions: *sessions, txs: *txs, ops: *ops, objects: *objects,
-		rounds: *rounds, accounts: *accounts, hops: *hops, transfers: *transfers,
-		chopped: *chopped, seed: *seed, atomicLookup: *atomicLookup,
-		certify: *certify, benchJSON: *benchJSON,
-		recordOut: *recordOut, timelineOut: *timelineOut, recordCap: *recordCap,
-		duration: *duration, hotkeys: *hotkeys, disjoint: *disjoint,
-		addr: *addrFlag,
 	}
 
 	o, err := obsFlags.Start("sibench", stderr)
@@ -233,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 }
 
 // execute runs the configured workload, in process or over the wire,
-// then writes the bench JSON, the recorder dump and the timeline.
+// then writes the recorder dump and the timeline.
 func (cfg runConfig) execute(o *cliutil.Obs, stdout, stderr io.Writer) (int, error) {
 	// The flight recorder feeds the -record dump and, while -serve is
 	// up, the live /events tail.
@@ -250,25 +190,14 @@ func (cfg runConfig) execute(o *cliutil.Obs, stdout, stderr io.Writer) (int, err
 		o.SetTxTracer(tracer)
 	}
 
-	var (
-		exit int
-		rep  benchReport
-		err  error
-	)
+	exit, err := 0, error(nil)
 	if cfg.addr != "" {
-		exit, rep, err = cfg.runNetwork(o, tracer, stdout)
+		err = cfg.runNetwork(o, tracer, stdout)
 	} else {
-		exit, rep, err = cfg.runSingle(o, rec, tracer, stdout)
+		exit, err = cfg.runSingle(o, rec, tracer, stdout)
 	}
 	if err != nil {
 		return 2, err
-	}
-	rep.Stages = tracer.StageLatencies()
-
-	if cfg.benchJSON != "" {
-		if err := encodeBenchReport(cfg.benchJSON, rep); err != nil {
-			return 2, err
-		}
 	}
 	if cfg.recordOut != "" {
 		events := rec.Events()
@@ -295,10 +224,10 @@ func (cfg runConfig) execute(o *cliutil.Obs, stdout, stderr io.Writer) (int, err
 }
 
 // runSingle executes one workload run against a fresh engine and
-// returns its exit code and bench report. With a tracer, every
-// transaction is traced, and so is the run: its workload stage, then
-// -certify's check_* stages.
-func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, tracer *txtrace.Tracer, stdout io.Writer) (int, benchReport, error) {
+// returns its exit code. With a tracer, every transaction is traced,
+// and so is the run: its workload stage, then -certify's check_*
+// stages.
+func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, tracer *txtrace.Tracer, stdout io.Writer) (int, error) {
 	reg := o.Registry
 	econf := engine.Config{Metrics: reg, Recorder: rec, TxTracer: tracer}
 	if cfg.workload == "longfork" {
@@ -306,7 +235,7 @@ func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, tracer *t
 	}
 	db, err := engine.New(cfg.kind, econf)
 	if err != nil {
-		return 2, benchReport{}, err
+		return 2, err
 	}
 	defer db.Close()
 
@@ -321,64 +250,57 @@ func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, tracer *t
 		})
 	case "writeskew":
 		var out *workload.WriteSkewOutcome
-		out, err = workload.RunWriteSkew(db, cfg.rounds)
+		out, err = workload.RunWriteSkew(db, cfg.txs)
 		if err == nil {
 			fmt.Fprintf(stdout, "write-skew anomalies: %d / %d rounds\n", out.Anomalies, out.Rounds)
-			db.Flush()
-			h = db.History()
 		}
 	case "transfers":
 		var out *workload.TransferOutcome
 		out, err = workload.RunTransfers(db, workload.TransferConfig{
-			Sessions: cfg.sessions, Transfers: cfg.transfers, Accounts: cfg.accounts,
+			Sessions: cfg.sessions, Transfers: cfg.txs, Accounts: cfg.objects,
 			Hops: cfg.hops, Chopped: cfg.chopped, Seed: cfg.seed,
 		})
 		if err == nil {
 			fmt.Fprintf(stdout, "transfers: %d commits, %d conflict aborts\n", out.Commits, out.Conflicts)
-			db.Flush()
-			h = db.History()
 		}
 	case "longfork":
 		if cfg.kind != engine.PSI {
-			return 2, benchReport{}, fmt.Errorf("workload longfork requires -engine psi")
+			return 2, fmt.Errorf("workload longfork requires -engine psi")
 		}
 		h, err = workload.StageLongFork(db)
 	case "closedloop":
 		var out *workload.ClosedLoopOutcome
-		out, err = workload.RunClosedLoop(db, workload.ClosedLoopConfig{
-			Sessions: cfg.sessions, Ops: cfg.txs, OpsPerTx: cfg.ops, Objects: cfg.objects,
-			Duration: cfg.duration, HotKeys: cfg.hotkeys, Disjoint: cfg.disjoint, Seed: cfg.seed,
-		})
+		out, err = workload.RunClosedLoop(db, cfg.closedLoop())
 		if err == nil {
 			fmt.Fprintf(stdout, "closedloop: %d commits, %d conflicts, %d retries in %v\n",
 				out.Commits, out.Conflicts, out.Retries, out.Elapsed.Round(time.Microsecond))
-			db.Flush()
-			h = db.History()
 		}
 	case "smallbank":
 		var out *workload.SmallBankOutcome
 		out, err = workload.RunSmallBank(db, workload.SmallBankConfig{
-			Customers: cfg.accounts / 2, Sessions: cfg.sessions, TxPerSession: cfg.txs, Seed: cfg.seed,
+			Customers: cfg.objects / 2, Sessions: cfg.sessions, TxPerSession: cfg.txs, Seed: cfg.seed,
 		})
 		if err == nil {
 			fmt.Fprintf(stdout, "smallbank: %d operations, %d overdrawn customers\n", out.Operations, out.Overdrafts)
-			db.Flush()
-			h = db.History()
 		}
 	case "banking":
 		h, err = workload.StageBankingChopped(db, cfg.atomicLookup)
 		if err == nil {
 			spliced, serr := check.Certify(h.Splice(), cfg.model, check.Options{NoInit: true, PinInit: true, Budget: 1_000_000})
 			if serr != nil {
-				return 2, benchReport{}, serr
+				return 2, serr
 			}
 			fmt.Fprintf(stdout, "spliced history allowed by %v: %v\n", cfg.model, spliced.Member)
 		}
 	default:
-		return 2, benchReport{}, fmt.Errorf("unknown workload %q", cfg.workload)
+		return 2, fmt.Errorf("unknown workload %q", cfg.workload)
 	}
 	if err != nil {
-		return 2, benchReport{}, err
+		return 2, err
+	}
+	if h == nil {
+		db.Flush()
+		h = db.History()
 	}
 	elapsed := time.Since(start)
 	tr.Mark("workload")
@@ -390,18 +312,13 @@ func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, tracer *t
 	fmt.Fprintf(stdout, "history: %d sessions, %d transactions\n", h.NumSessions(), h.NumTransactions())
 
 	exit := 0
-	var certifyDur time.Duration
-	certifyExamined := 0
 	if cfg.certify {
-		certifyStart := time.Now()
 		res, err := check.Certify(h, cfg.model, check.Options{
 			NoInit: true, PinInit: true, Budget: 10_000_000, Trace: tr, Metrics: reg,
 		})
-		certifyDur = time.Since(certifyStart)
 		if err != nil {
-			return 2, benchReport{}, fmt.Errorf("certify: %w", err)
+			return 2, fmt.Errorf("certify: %w", err)
 		}
-		certifyExamined = res.Examined
 		switch {
 		case res.Member:
 			fmt.Fprintf(stdout, "history certified %v (%d candidate graphs examined)\n", cfg.model, res.Examined)
@@ -415,40 +332,16 @@ func (cfg runConfig) runSingle(o *cliutil.Obs, rec *eventlog.Recorder, tracer *t
 	}
 
 	tr.Finish(cliutil.Outcome(exit, nil), 0)
-	return exit, cfg.buildReport(elapsed, certifyDur, certifyExamined, stats, reg), nil
+	return exit, nil
 }
 
-// buildReport assembles the machine-readable summary of a single run
-// from the engine stats and the run's metrics registry.
-func (cfg runConfig) buildReport(elapsed, certifyDur time.Duration, certifyExamined int, stats engine.Stats, reg *obs.Registry) benchReport {
-	lbl := obs.L("engine", cfg.kind.String())
-	commitLat := reg.Histogram("engine_commit_latency_ns", lbl)
-	snapAge := reg.Histogram("engine_snapshot_age_ns", lbl)
-	rep := benchReport{
-		Schema:             benchSchema,
-		Engine:             cfg.engine,
-		Workload:           cfg.workload,
-		Sessions:           cfg.sessions,
-		CPUs:               runtime.NumCPU(),
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		ElapsedNS:          elapsed.Nanoseconds(),
-		Commits:            stats.Commits,
-		Conflicts:          stats.Conflicts,
-		Aborts:             stats.Aborts,
-		Retries:            stats.Retries,
-		P50CommitLatencyNS: commitLat.Quantile(0.50),
-		P99CommitLatencyNS: commitLat.Quantile(0.99),
-		P50SnapshotAgeNS:   snapAge.Quantile(0.50),
-		P99SnapshotAgeNS:   snapAge.Quantile(0.99),
+// closedLoop is the closed-loop configuration the flags select, in
+// process and over the wire alike.
+func (cfg runConfig) closedLoop() workload.ClosedLoopConfig {
+	return workload.ClosedLoopConfig{
+		Sessions: cfg.sessions, Ops: cfg.txs, OpsPerTx: cfg.ops, Objects: cfg.objects,
+		Duration: cfg.duration, HotKeys: cfg.hotkeys, Disjoint: cfg.disjoint, Seed: cfg.seed,
 	}
-	if certifyExamined > 0 {
-		rep.CertifyNS = certifyDur.Nanoseconds()
-		rep.CertifyExamined = certifyExamined
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		rep.TxsPerSec = float64(stats.Commits) / secs
-	}
-	return rep
 }
 
 // writeFileWith creates path and streams fn's output into it.
@@ -458,21 +351,6 @@ func writeFileWith(path string, fn func(io.Writer) error) error {
 		return err
 	}
 	return errors.Join(fn(f), f.Close())
-}
-
-// encodeBenchReport writes a benchReport as indented JSON.
-func encodeBenchReport(path string, rep benchReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func selectEngine(s string) (engine.Kind, depgraph.Model, error) {

@@ -35,7 +35,7 @@ func TestRunRegistersCertified(t *testing.T) {
 func TestRunWriteSkewWorkload(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	code, err := run([]string{"-engine", "ser", "-workload", "writeskew", "-rounds", "5"}, &out, io.Discard)
+	code, err := run([]string{"-engine", "ser", "-workload", "writeskew", "-txs", "5"}, &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRunTransfersWorkload(t *testing.T) {
 		var out bytes.Buffer
 		code, err := run([]string{
 			"-engine", "si", "-workload", "transfers",
-			"-sessions", "2", "-transfers", "3", "-accounts", "4", "-hops", "2", chopped,
+			"-sessions", "2", "-txs", "3", "-objects", "4", "-hops", "2", chopped,
 		}, &out, io.Discard)
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +138,7 @@ func TestRunSmallBankWorkload(t *testing.T) {
 	var out bytes.Buffer
 	code, err := run([]string{
 		"-engine", "ssi", "-workload", "smallbank",
-		"-sessions", "2", "-txs", "10", "-accounts", "4",
+		"-sessions", "2", "-txs", "10", "-objects", "4",
 	}, &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)

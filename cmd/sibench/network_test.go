@@ -5,18 +5,21 @@ import (
 	"encoding/json"
 	"net"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"sian/internal/check"
+	"sian/internal/depgraph"
 	"sian/internal/engine"
+	"sian/internal/obs"
 	"sian/internal/siwire"
 	"sian/internal/storage/wal"
 )
 
 // startWireServer runs an in-process siwire server over a WAL-backed
-// SI engine, standing in for a remote siserve.
-func startWireServer(t *testing.T) string {
+// SI engine, standing in for a remote siserve, and returns its address
+// and engine.
+func startWireServer(t *testing.T) (string, *engine.DB) {
 	t.Helper()
 	drv, err := wal.Open(wal.Options{Dir: t.TempDir(), NoSync: true})
 	if err != nil {
@@ -41,55 +44,71 @@ func startWireServer(t *testing.T) string {
 		srv.Close()
 		db.Close()
 	})
-	return ln.Addr().String()
+	return ln.Addr().String(), db
 }
 
 // TestNetworkMode drives the full sibench pipeline against a live
-// server: the closed-loop runs over the wire and the -bench-json report
-// carries mode "network" plus the server's revision.
+// server: the closed loop runs over the wire, and the history the
+// server's engine recorded holds exactly the pool initialisation plus
+// sessions × txs commits and certifies SI.
 func TestNetworkMode(t *testing.T) {
-	addr := startWireServer(t)
-	benchPath := filepath.Join(t.TempDir(), "bench.json")
+	addr, db := startWireServer(t)
 
 	var out, errw bytes.Buffer
 	code, err := run([]string{
 		"-addr", addr, "-workload", "closedloop", "-sessions", "3", "-txs", "20",
-		"-objects", "8", "-bench-json", benchPath,
+		"-objects", "8",
 	}, &out, &errw)
 	if err != nil || code != 0 {
 		t.Fatalf("run: %d, %v\nstdout: %s\nstderr: %s", code, err, out.String(), errw.String())
 	}
-	if !strings.Contains(out.String(), "network closedloop: ") {
-		t.Errorf("stdout: %s", out.String())
+	for _, want := range []string{"rev=feedc0de1234", "network closedloop: 60 commits"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("stdout lacks %q: %s", want, out.String())
+		}
 	}
 
-	rep := readBenchReport(t, benchPath)
-	if rep.Mode != "network" {
-		t.Errorf("mode = %q, want network", rep.Mode)
+	db.Flush()
+	h := db.History()
+	if n := h.NumTransactions(); n != 1+3*20 {
+		t.Errorf("server history holds %d transactions, want 1 pool initialisation + 3×20", n)
 	}
-	if rep.ServerRev != "feedc0de1234" {
-		t.Errorf("server_rev = %q", rep.ServerRev)
+	res, err := check.Certify(h, depgraph.SI, check.Options{NoInit: true, PinInit: true, Budget: 5_000_000})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.Commits != 3*20 {
-		t.Errorf("commits = %d, want 60", rep.Commits)
-	}
-	if rep.TxsPerSec <= 0 || rep.P50CommitLatencyNS <= 0 {
-		t.Errorf("throughput/latency not measured: %+v", rep)
+	if !res.Member {
+		t.Fatalf("server history not allowed by SI: %v", res.Explain)
 	}
 }
 
-// readBenchReport decodes a -bench-json file.
-func readBenchReport(t *testing.T, path string) benchReport {
+// readMetricsJSON decodes a *.json -metrics dump into one value per
+// series: a counter's value or a histogram's count, keyed by name, or
+// by name/stage for the trace_stage_ns series.
+func readMetricsJSON(t *testing.T, path string) map[string]int64 {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep benchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("bench JSON does not parse: %v\n%s", err, raw)
+	var metrics []obs.JSONMetric
+	if err := json.Unmarshal(raw, &metrics); err != nil {
+		t.Fatalf("metrics JSON does not parse: %v\n%s", err, raw)
 	}
-	return rep
+	vals := map[string]int64{}
+	for _, m := range metrics {
+		key := m.Name
+		if stage := m.Labels["stage"]; stage != "" {
+			key += "/" + stage
+		}
+		switch {
+		case m.Value != nil:
+			vals[key] = *m.Value
+		case m.Count != nil:
+			vals[key] = *m.Count
+		}
+	}
+	return vals
 }
 
 // TestNetworkModeFlagValidation pins the -addr flag exclusions.

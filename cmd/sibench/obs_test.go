@@ -22,7 +22,7 @@ func TestRunMetricsDump(t *testing.T) {
 	var out bytes.Buffer
 	code, err := run([]string{
 		"-engine", "si", "-workload", "smallbank",
-		"-sessions", "2", "-txs", "5", "-accounts", "4",
+		"-sessions", "2", "-txs", "5", "-objects", "4",
 		"-metrics", "-",
 	}, &out, new(bytes.Buffer))
 	if err != nil {
@@ -66,43 +66,6 @@ func TestRunTrace(t *testing.T) {
 		if !strings.Contains(es, want) {
 			t.Errorf("stderr missing %q:\n%s", want, es)
 		}
-	}
-}
-
-// TestRunBenchJSON checks -bench-json writes a parseable summary with
-// throughput and latency quantiles.
-func TestRunBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out bytes.Buffer
-	code, err := run([]string{
-		"-engine", "si", "-workload", "smallbank",
-		"-sessions", "2", "-txs", "5", "-accounts", "4",
-		"-bench-json", path,
-	}, &out, new(bytes.Buffer))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0\n%s", code, out.String())
-	}
-	rep := readBenchReport(t, path)
-	if rep.Schema != benchSchema {
-		t.Errorf("schema = %q, want %s", rep.Schema, benchSchema)
-	}
-	if rep.GOMAXPROCS <= 0 {
-		t.Errorf("gomaxprocs = %d, want > 0", rep.GOMAXPROCS)
-	}
-	if rep.Engine != "si" || rep.Workload != "smallbank" {
-		t.Errorf("identity = %s/%s, want si/smallbank", rep.Engine, rep.Workload)
-	}
-	if rep.Commits <= 0 {
-		t.Errorf("commits = %d, want > 0", rep.Commits)
-	}
-	if rep.TxsPerSec <= 0 {
-		t.Errorf("txs_per_sec = %v, want > 0", rep.TxsPerSec)
-	}
-	if rep.P50CommitLatencyNS <= 0 || rep.P99CommitLatencyNS < rep.P50CommitLatencyNS {
-		t.Errorf("latency quantiles implausible: p50=%v p99=%v", rep.P50CommitLatencyNS, rep.P99CommitLatencyNS)
 	}
 }
 

@@ -42,14 +42,14 @@ func startTracedWireServer(t *testing.T) (string, *txtrace.Tracer) {
 }
 
 // TestTraceTxnsInProcess runs -trace against the in-process engine:
-// the stage table prints and the bench report carries the per-stage
+// the stage table prints and the registry carries the per-stage
 // breakdown without disturbing the headline metrics.
 func TestTraceTxnsInProcess(t *testing.T) {
-	benchPath := filepath.Join(t.TempDir(), "bench.json")
+	metricsPath := filepath.Join(t.TempDir(), "metrics.json")
 	var out, errw bytes.Buffer
 	code, err := run([]string{
 		"-workload", "closedloop", "-sessions", "2", "-txs", "15", "-objects", "4",
-		"-trace", "-bench-json", benchPath,
+		"-trace", "-metrics", metricsPath,
 	}, &out, &errw)
 	if err != nil || code != 0 {
 		t.Fatalf("run: %d, %v\n%s\n%s", code, err, out.String(), errw.String())
@@ -64,19 +64,12 @@ func TestTraceTxnsInProcess(t *testing.T) {
 		}
 	}
 
-	rep := readBenchReport(t, benchPath)
-	if len(rep.Stages) == 0 {
-		t.Fatal("bench report has no stages")
+	vals := readMetricsJSON(t, metricsPath)
+	if acks := vals["trace_stage_ns/ack"]; acks < 2*15 {
+		t.Errorf("ack count = %d, want ≥ %d", acks, 2*15)
 	}
-	byStage := map[txtrace.Stage]txtrace.StageLatency{}
-	for _, s := range rep.Stages {
-		byStage[s.Stage] = s
-	}
-	if byStage["ack"].Count < 2*15 {
-		t.Errorf("ack count = %d, want ≥ %d", byStage["ack"].Count, 2*15)
-	}
-	if rep.Commits < 2*15 || rep.TxsPerSec <= 0 {
-		t.Errorf("headline metrics disturbed: %+v", rep)
+	if commits := vals["engine_commits_total"]; commits < 2*15 {
+		t.Errorf("headline metrics disturbed: %d commits", commits)
 	}
 }
 
@@ -89,12 +82,12 @@ func TestTraceTxnsNetworkMerged(t *testing.T) {
 	addr, srvTracer := startTracedWireServer(t)
 	dir := t.TempDir()
 	timelinePath := filepath.Join(dir, "merged.json")
-	benchPath := filepath.Join(dir, "bench.json")
+	metricsPath := filepath.Join(dir, "metrics.json")
 
 	var out, errw bytes.Buffer
 	code, err := run([]string{
 		"-addr", addr, "-workload", "closedloop", "-sessions", "2", "-txs", "10",
-		"-objects", "4", "-trace", "-timeline", timelinePath, "-bench-json", benchPath,
+		"-objects", "4", "-trace", "-timeline", timelinePath, "-metrics", metricsPath,
 	}, &out, &errw)
 	if err != nil || code != 0 {
 		t.Fatalf("run: %d, %v\n%s\n%s", code, err, out.String(), errw.String())
@@ -116,12 +109,14 @@ func TestTraceTxnsNetworkMerged(t *testing.T) {
 
 	// Every committed client trace resolves on the server too: the IDs
 	// crossed the wire.
-	rep := readBenchReport(t, benchPath)
-	if rep.Mode != "network" || len(rep.Stages) == 0 {
-		t.Errorf("network bench report: mode %q, %d stages", rep.Mode, len(rep.Stages))
+	vals := readMetricsJSON(t, metricsPath)
+	commits := vals["siwire_client_commit_latency_ns"]
+	if !strings.Contains(out.String(), "network closedloop: 20 commits") || commits != 2*10 || vals["trace_stage_ns/wire_commit"] < commits {
+		t.Errorf("network run: stdout %q, %d client commits, %d wire_commit stages",
+			out.String(), commits, vals["trace_stage_ns/wire_commit"])
 	}
-	if _, finished, _ := srvTracer.Stats(); finished < rep.Commits {
-		t.Errorf("server finished %d traces for %d commits", finished, rep.Commits)
+	if _, finished, _ := srvTracer.Stats(); finished < commits {
+		t.Errorf("server finished %d traces for %d commits", finished, commits)
 	}
 
 	bare := filepath.Join(dir, "bare.json")

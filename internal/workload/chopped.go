@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"sian/internal/chopping"
@@ -66,33 +65,26 @@ func RunChoppedPrograms(db *engine.DB, programs []chopping.Program, cfg ChoppedR
 		return nil, err
 	}
 	var counter atomic.Int64
-	var wg sync.WaitGroup
-	errs := make([]error, len(programs))
-	// Sessions must be created by the caller goroutine for engines
-	// that allocate sites; pre-create one per (program, round).
-	sessions := make([][]*engine.Session, len(programs))
-	for pi, p := range programs {
-		name := p.Name
-		if name == "" {
-			name = fmt.Sprintf("program%d", pi)
-		}
-		for round := 0; round < cfg.Rounds; round++ {
-			sessions[pi] = append(sessions[pi], db.Session(fmt.Sprintf("%s#%d", name, round)))
-		}
-	}
-	for pi, p := range programs {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(pi)*104729))
-		wg.Add(1)
-		go func(idx int, prog chopping.Program) {
-			defer wg.Done()
-			for round := 0; round < cfg.Rounds; round++ {
-				sess := sessions[idx][round]
+	_, err := drive(loop{sessions: len(programs), txs: cfg.Rounds, seed: cfg.Seed, stride: 104729},
+		func(w int, rng *rand.Rand) (func(int) error, error) {
+			prog := programs[w]
+			name := prog.Name
+			if name == "" {
+				name = fmt.Sprintf("program%d", w)
+			}
+			// One session per round, opened here: on the calling
+			// goroutine, as engines that allocate sites need.
+			sessions := make([]*engine.Session, cfg.Rounds)
+			for round := range sessions {
+				sessions[round] = db.Session(fmt.Sprintf("%s#%d", name, round))
+			}
+			return func(round int) error {
 				for pj, piece := range prog.Pieces {
 					label := piece.Name
 					if label == "" {
 						label = fmt.Sprintf("p%d", pj)
 					}
-					err := sess.TransactNamed(label, func(tx *engine.Tx) error {
+					err := transact(sessions[round], label, func(tx Tx) error {
 						for _, x := range piece.Reads {
 							if _, err := tx.Read(x); err != nil {
 								return err
@@ -106,8 +98,7 @@ func RunChoppedPrograms(db *engine.DB, programs []chopping.Program, cfg ChoppedR
 						return nil
 					})
 					if err != nil {
-						errs[idx] = err
-						return
+						return err
 					}
 					// Jitter between pieces widens the window in which
 					// other sessions can interleave — the situation
@@ -116,11 +107,10 @@ func RunChoppedPrograms(db *engine.DB, programs []chopping.Program, cfg ChoppedR
 						runtime.Gosched()
 					}
 				}
-			}
-		}(pi, p)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+				return nil
+			}, nil
+		})
+	if err != nil {
 		return nil, err
 	}
 	db.Flush()

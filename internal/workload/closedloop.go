@@ -1,10 +1,8 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,10 +10,10 @@ import (
 	"sian/internal/model"
 )
 
-// ClosedLoopConfig parameterises RunClosedLoop, the concurrent
-// benchmark driver: one goroutine per session, each issuing its next
-// transaction as soon as the previous one finishes (a closed loop —
-// offered load equals 1 outstanding transaction per session).
+// ClosedLoopConfig parameterises the closed-loop workload (RunClosedLoop,
+// Drive): one worker per session, each issuing its next transaction as
+// soon as the previous one finishes (a closed loop — offered load
+// equals 1 outstanding transaction per session).
 type ClosedLoopConfig struct {
 	// Sessions is the number of concurrent worker sessions.
 	Sessions int
@@ -23,13 +21,13 @@ type ClosedLoopConfig struct {
 	// by count instead.
 	Duration time.Duration
 	// Ops is the number of transactions per session when Duration is
-	// zero (default 100).
+	// zero (default 50).
 	Ops int
 	// OpsPerTx is the number of read/write operations per transaction
 	// (default 3).
 	OpsPerTx int
 	// Objects sizes the object pool: shared across sessions, or per
-	// session when Disjoint is set (default 16).
+	// session when Disjoint is set (default 4).
 	Objects int
 	// ReadFraction is the per-mille probability of a pure read
 	// (default 500); every other operation is a read-modify-write of
@@ -55,13 +53,13 @@ func (c ClosedLoopConfig) withDefaults() ClosedLoopConfig {
 		c.Sessions = 4
 	}
 	if c.Ops <= 0 {
-		c.Ops = 100
+		c.Ops = 50
 	}
 	if c.OpsPerTx <= 0 {
 		c.OpsPerTx = 3
 	}
 	if c.Objects <= 0 {
-		c.Objects = 16
+		c.Objects = 4
 	}
 	if c.ReadFraction <= 0 {
 		c.ReadFraction = 500
@@ -107,96 +105,97 @@ func (c ClosedLoopConfig) pick(rng *rand.Rand) int {
 	return rng.Intn(c.Objects)
 }
 
-// RunClosedLoop drives the closed-loop workload: Sessions goroutines,
-// each on its own session with its own RNG stream, running random
-// read/write transactions until the duration or per-session op count
-// is exhausted. Every written value is globally unique, so the
-// recorded history is value-traceable and check.Certify can recover
-// its read dependencies. The database must be fresh; the runner
-// initialises every pool object to 0.
-func RunClosedLoop(db *engine.DB, cfg ClosedLoopConfig) (*ClosedLoopOutcome, error) {
-	cfg = cfg.withDefaults()
-	init := make(map[model.Obj]model.Value)
+// Pool lists the objects the run reads and writes, each of which must
+// hold 0 when it starts: one shared pool, or one per session under
+// Disjoint.
+func (c ClosedLoopConfig) Pool() []model.Obj {
+	c = c.withDefaults()
 	pools := 1
-	if cfg.Disjoint {
-		pools = cfg.Sessions
+	if c.Disjoint {
+		pools = c.Sessions
 	}
+	var objs []model.Obj
 	for w := 0; w < pools; w++ {
-		for n := 0; n < cfg.Objects; n++ {
-			init[cfg.objName(w, n)] = 0
+		for n := 0; n < c.Objects; n++ {
+			objs = append(objs, c.objName(w, n))
 		}
+	}
+	return objs
+}
+
+// Drive runs the closed loop over one Transactor per session, which
+// open returns for worker w on the calling goroutine: RunClosedLoop
+// opens engine sessions, sibench -addr siwire connections. Each
+// transaction draws OpsPerTx objects; a drawn object is read, or read
+// and then overwritten with a value unique across the run, so the
+// recorded history is value-traceable and check.Certify can recover
+// its read dependencies. Drive fills Elapsed and PerSession; counting
+// commits and conflicts is the caller's.
+func (c ClosedLoopConfig) Drive(open func(w int) (Transactor, error)) (*ClosedLoopOutcome, error) {
+	c = c.withDefaults()
+	var counter atomic.Int64
+	out := &ClosedLoopOutcome{PerSession: make([]int64, c.Sessions)}
+	var err error
+	l := loop{sessions: c.Sessions, txs: c.Ops, duration: c.Duration, seed: c.Seed, stride: 6364136223846793005}
+	out.Elapsed, err = drive(l, func(w int, rng *rand.Rand) (func(int) error, error) {
+		transact, err := open(w)
+		pool := 0
+		if c.Disjoint {
+			pool = w
+		}
+		body := func(tx Tx) error {
+			for o := 0; o < c.OpsPerTx; o++ {
+				x := c.objName(pool, c.pick(rng))
+				write := rng.Intn(1000) >= c.ReadFraction
+				// A write is a read-modify-write rather than a blind
+				// write: the read pins the predecessor version, so the
+				// recorded history's version order is traceable and
+				// certification stays near-linear (long concurrent
+				// blind-write chains force the checker to search WW
+				// orders).
+				if _, err := tx.Read(x); err != nil {
+					return err
+				}
+				if write {
+					if err := tx.Write(x, model.Value(counter.Add(1))); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
+		return func(int) error {
+			if err := transact(body); err != nil {
+				return err
+			}
+			out.PerSession[w]++
+			return nil
+		}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// RunClosedLoop drives the closed-loop workload on one engine session
+// per worker until the duration or per-session op count is exhausted.
+// The database must be fresh; the runner initialises every pool object
+// to 0.
+func RunClosedLoop(db *engine.DB, cfg ClosedLoopConfig) (*ClosedLoopOutcome, error) {
+	init := make(map[model.Obj]model.Value)
+	for _, x := range cfg.Pool() {
+		init[x] = 0
 	}
 	if err := db.Initialize(init); err != nil {
 		return nil, fmt.Errorf("workload: initialising closed loop: %w", err)
 	}
-
 	before := db.Stats()
-	var counter atomic.Int64
-	var stopFlag atomic.Bool
-	var timer *time.Timer
-	if cfg.Duration > 0 {
-		timer = time.AfterFunc(cfg.Duration, func() { stopFlag.Store(true) })
-		defer timer.Stop()
-	}
-
-	out := &ClosedLoopOutcome{PerSession: make([]int64, cfg.Sessions)}
-	errs := make([]error, cfg.Sessions)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.Sessions; w++ {
+	out, err := cfg.Drive(func(w int) (Transactor, error) {
 		sess := db.Session(fmt.Sprintf("cl%d", w))
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*6364136223846793005))
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool := 0
-			if cfg.Disjoint {
-				pool = w
-			}
-			for n := 0; ; n++ {
-				if cfg.Duration > 0 {
-					if stopFlag.Load() {
-						return
-					}
-				} else if n >= cfg.Ops {
-					return
-				}
-				err := sess.Transact(func(tx *engine.Tx) error {
-					for o := 0; o < cfg.OpsPerTx; o++ {
-						x := cfg.objName(pool, cfg.pick(rng))
-						if rng.Intn(1000) < cfg.ReadFraction {
-							if _, err := tx.Read(x); err != nil {
-								return err
-							}
-						} else {
-							// Read-modify-write rather than a blind
-							// write: the read pins the predecessor
-							// version, so the recorded history's
-							// version order is traceable and
-							// certification stays near-linear (long
-							// concurrent blind-write chains force the
-							// checker to search WW orders).
-							if _, err := tx.Read(x); err != nil {
-								return err
-							}
-							if err := tx.Write(x, model.Value(counter.Add(1))); err != nil {
-								return err
-							}
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out.PerSession[w]++
-			}
-		}(w)
-	}
-	wg.Wait()
-	out.Elapsed = time.Since(start)
-	if err := errors.Join(errs...); err != nil {
+		return func(body func(Tx) error) error { return transact(sess, "", body) }, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	after := db.Stats()

@@ -1,10 +1,8 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,7 +28,7 @@ func (c RegistersConfig) withDefaults() RegistersConfig {
 		c.Sessions = 4
 	}
 	if c.TxPerSession <= 0 {
-		c.TxPerSession = 10
+		c.TxPerSession = 50
 	}
 	if c.OpsPerTx <= 0 {
 		c.OpsPerTx = 3
@@ -59,39 +57,25 @@ func RunRegisters(db *engine.DB, cfg RegistersConfig) (*model.History, error) {
 		return nil, fmt.Errorf("workload: initialising registers: %w", err)
 	}
 	var counter atomic.Int64
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Sessions)
-	for s := 0; s < cfg.Sessions; s++ {
-		sess := db.Session(fmt.Sprintf("reg%d", s))
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(s)))
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			for t := 0; t < cfg.TxPerSession; t++ {
-				err := sess.Transact(func(tx *engine.Tx) error {
-					for o := 0; o < cfg.OpsPerTx; o++ {
-						x := model.Obj(fmt.Sprintf("k%d", rng.Intn(cfg.Objects)))
-						if rng.Intn(1000) < cfg.ReadFraction {
-							if _, err := tx.Read(x); err != nil {
-								return err
-							}
-						} else {
-							if err := tx.Write(x, model.Value(counter.Add(1))); err != nil {
-								return err
-							}
+	_, err := drive(loop{sessions: cfg.Sessions, txs: cfg.TxPerSession, seed: cfg.Seed, stride: 1},
+		func(w int, rng *rand.Rand) (func(int) error, error) {
+			sess := db.Session(fmt.Sprintf("reg%d", w))
+			body := func(tx Tx) error {
+				for o := 0; o < cfg.OpsPerTx; o++ {
+					x := model.Obj(fmt.Sprintf("k%d", rng.Intn(cfg.Objects)))
+					if rng.Intn(1000) < cfg.ReadFraction {
+						if _, err := tx.Read(x); err != nil {
+							return err
 						}
+					} else if err := tx.Write(x, model.Value(counter.Add(1))); err != nil {
+						return err
 					}
-					return nil
-				})
-				if err != nil {
-					errs[idx] = err
-					return
 				}
+				return nil
 			}
-		}(s)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+			return func(int) error { return transact(sess, "", body) }, nil
+		})
+	if err != nil {
 		return nil, err
 	}
 	db.Flush()
@@ -109,52 +93,43 @@ type WriteSkewOutcome struct {
 }
 
 // RunWriteSkew runs the Figure 2(d) scenario for the given number of
-// rounds. Each round uses a fresh pair of accounts initialised to 60
-// each; two concurrent sessions read both balances and, if the
-// combined balance is at least 100, withdraw 100 from their own
-// account. An anomaly is a round whose final combined balance is
+// rounds (default 50). Each round uses a fresh pair of accounts
+// initialised to 60 each; two concurrent sessions read both balances
+// and, if the combined balance is at least 100, withdraw 100 from their
+// own account. An anomaly is a round whose final combined balance is
 // negative.
 func RunWriteSkew(db *engine.DB, rounds int) (*WriteSkewOutcome, error) {
+	if rounds <= 0 {
+		rounds = 50
+	}
 	out := &WriteSkewOutcome{Rounds: rounds}
-	s1 := db.Session("withdraw1")
-	s2 := db.Session("withdraw2")
+	sessions := []*engine.Session{db.Session("withdraw1"), db.Session("withdraw2")}
 	for r := 0; r < rounds; r++ {
 		a1 := model.Obj(fmt.Sprintf("acct1_%d", r))
 		a2 := model.Obj(fmt.Sprintf("acct2_%d", r))
 		if err := db.Initialize(map[model.Obj]model.Value{a1: 60, a2: 60}); err != nil {
 			return nil, err
 		}
-		withdraw := func(sess *engine.Session, own model.Obj) error {
-			return sess.TransactNamed(fmt.Sprintf("withdraw%d", r), func(tx *engine.Tx) error {
-				v1, err := tx.Read(a1)
-				if err != nil {
-					return err
-				}
-				v2, err := tx.Read(a2)
-				if err != nil {
-					return err
-				}
-				if v1+v2 >= 100 {
-					ownVal := v1
-					if own == a2 {
-						ownVal = v2
+		// Session w withdraws from account w+1, both at once.
+		_, err := drive(loop{sessions: 2, txs: 1}, func(w int, _ *rand.Rand) (func(int) error, error) {
+			return func(int) error {
+				return transact(sessions[w], fmt.Sprintf("withdraw%d", r), func(tx Tx) error {
+					v1, v2, err := readPair(tx, a1, a2)
+					if err != nil || v1+v2 < 100 {
+						return err
 					}
-					return tx.Write(own, ownVal-100)
-				}
-				return nil
-			})
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, 2)
-		wg.Add(2)
-		go func() { defer wg.Done(); errs[0] = withdraw(s1, a1) }()
-		go func() { defer wg.Done(); errs[1] = withdraw(s2, a2) }()
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
+					if w == 0 {
+						return tx.Write(a1, v1-100)
+					}
+					return tx.Write(a2, v2-100)
+				})
+			}, nil
+		})
+		if err != nil {
 			return nil, err
 		}
 		db.Flush()
-		total, err := readPair(db, a1, a2)
+		total, err := balance(db.Session("audit"), a1, a2)
 		if err != nil {
 			return nil, err
 		}
@@ -165,22 +140,35 @@ func RunWriteSkew(db *engine.DB, rounds int) (*WriteSkewOutcome, error) {
 	return out, nil
 }
 
-// readPair reads two objects in one fresh transaction and returns
-// their sum.
-func readPair(db *engine.DB, a1, a2 model.Obj) (model.Value, error) {
-	s := db.Session("audit")
+// readPair reads a and then b.
+func readPair(tx Tx, a, b model.Obj) (model.Value, model.Value, error) {
+	va, err := tx.Read(a)
+	if err != nil {
+		return 0, 0, err
+	}
+	vb, err := tx.Read(b)
+	return va, vb, err
+}
+
+// add runs x += delta as one transaction named name on sess.
+func add(sess *engine.Session, name string, x model.Obj, delta model.Value) error {
+	return transact(sess, name, func(tx Tx) error {
+		v, err := tx.Read(x)
+		if err != nil {
+			return err
+		}
+		return tx.Write(x, v+delta)
+	})
+}
+
+// balance reads a and b in one transaction on sess and returns their
+// sum.
+func balance(sess *engine.Session, a, b model.Obj) (model.Value, error) {
 	var total model.Value
-	err := s.Transact(func(tx *engine.Tx) error {
-		v1, err := tx.Read(a1)
-		if err != nil {
-			return err
-		}
-		v2, err := tx.Read(a2)
-		if err != nil {
-			return err
-		}
-		total = v1 + v2
-		return nil
+	err := transact(sess, "", func(tx Tx) error {
+		va, vb, err := readPair(tx, a, b)
+		total = va + vb
+		return err
 	})
 	return total, err
 }
@@ -239,31 +227,32 @@ func RunTransfers(db *engine.DB, cfg TransferConfig) (*TransferOutcome, error) {
 		return nil, err
 	}
 	before := db.Stats()
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Sessions)
-	for s := 0; s < cfg.Sessions; s++ {
-		sess := db.Session(fmt.Sprintf("transfer%d", s))
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(s)*7919))
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			for t := 0; t < cfg.Transfers; t++ {
+	_, err := drive(loop{sessions: cfg.Sessions, txs: cfg.Transfers, seed: cfg.Seed, stride: 7919},
+		func(w int, rng *rand.Rand) (func(int) error, error) {
+			sess := db.Session(fmt.Sprintf("transfer%d", w))
+			return func(int) error {
 				accounts := pickDistinct(rng, cfg.Accounts, cfg.Hops)
-				var err error
-				if cfg.Chopped {
-					err = choppedTransfer(sess, accounts, cfg.Think)
-				} else {
-					err = monolithicTransfer(sess, accounts, cfg.Think)
+				if !cfg.Chopped {
+					// Monolithic: every hop in one transaction.
+					return transact(sess, "", func(tx Tx) error {
+						for _, a := range accounts {
+							if err := hop(tx, a, cfg.Think); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
 				}
-				if err != nil {
-					errs[idx] = err
-					return
+				// Chopped: one transaction per hop.
+				for _, a := range accounts {
+					if err := transact(sess, "", func(tx Tx) error { return hop(tx, a, cfg.Think) }); err != nil {
+						return err
+					}
 				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+				return nil
+			}, nil
+		})
+	if err != nil {
 		return nil, err
 	}
 	after := db.Stats()
@@ -284,48 +273,16 @@ func pickDistinct(rng *rand.Rand, n, k int) []int {
 	return perm[:k]
 }
 
-// monolithicTransfer updates every account in a single transaction,
-// thinking between the read and the write of each hop.
-func monolithicTransfer(sess *engine.Session, accounts []int, think time.Duration) error {
-	return sess.Transact(func(tx *engine.Tx) error {
-		for _, a := range accounts {
-			v, err := tx.Read(acctName(a))
-			if err != nil {
-				return err
-			}
-			sleep(think)
-			if err := tx.Write(acctName(a), v+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// choppedTransfer performs the same per-account updates as a session
-// of single-account transactions — the chopping of
-// monolithicTransfer.
-func choppedTransfer(sess *engine.Session, accounts []int, think time.Duration) error {
-	for _, a := range accounts {
-		err := sess.Transact(func(tx *engine.Tx) error {
-			v, err := tx.Read(acctName(a))
-			if err != nil {
-				return err
-			}
-			sleep(think)
-			return tx.Write(acctName(a), v+1)
-		})
-		if err != nil {
-			return err
-		}
+// hop increments account a, thinking between the read and the write.
+func hop(tx Tx, a int, think time.Duration) error {
+	v, err := tx.Read(acctName(a))
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-func sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
+	if think > 0 {
+		time.Sleep(think)
 	}
+	return tx.Write(acctName(a), v+1)
 }
 
 // StageBankingChopped realises Figure 4 operationally on a database:
@@ -342,15 +299,7 @@ func StageBankingChopped(db *engine.DB, atomicLookup bool) (*model.History, erro
 		return nil, err
 	}
 	transfer := db.Session("transfer")
-	// Piece 1: acct1 -= 100.
-	err := transfer.TransactNamed("piece1", func(tx *engine.Tx) error {
-		v, err := tx.Read(objAcct1)
-		if err != nil {
-			return err
-		}
-		return tx.Write(objAcct1, v-100)
-	})
-	if err != nil {
+	if err := add(transfer, "piece1", objAcct1, -100); err != nil {
 		return nil, err
 	}
 	// Queries between the pieces.
@@ -376,15 +325,7 @@ func StageBankingChopped(db *engine.DB, atomicLookup bool) (*model.History, erro
 			return nil, err
 		}
 	}
-	// Piece 2: acct2 += 100.
-	err = transfer.TransactNamed("piece2", func(tx *engine.Tx) error {
-		v, err := tx.Read(objAcct2)
-		if err != nil {
-			return err
-		}
-		return tx.Write(objAcct2, v+100)
-	})
-	if err != nil {
+	if err := add(transfer, "piece2", objAcct2, 100); err != nil {
 		return nil, err
 	}
 	db.Flush()
@@ -410,11 +351,8 @@ func StageLongFork(db *engine.DB) (*model.History, error) {
 		return s.Transact(func(tx *engine.Tx) error { return tx.Write(obj, 1) })
 	}
 	readBoth := func(s *engine.Session, first, second model.Obj) error {
-		return s.Transact(func(tx *engine.Tx) error {
-			if _, err := tx.Read(first); err != nil {
-				return err
-			}
-			_, err := tx.Read(second)
+		return transact(s, "", func(tx Tx) error {
+			_, _, err := readPair(tx, first, second)
 			return err
 		})
 	}

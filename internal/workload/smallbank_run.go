@@ -1,10 +1,8 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"sian/internal/engine"
 	"sian/internal/model"
@@ -12,30 +10,25 @@ import (
 
 // SmallBankConfig parameterises RunSmallBank.
 type SmallBankConfig struct {
-	Customers    int
-	Sessions     int
-	TxPerSession int
+	Customers    int // default 4
+	Sessions     int // default 4
+	TxPerSession int // default 50
 	Seed         int64
-	// InitialChecking / InitialSavings are the opening balances.
-	InitialChecking model.Value
-	InitialSavings  model.Value
 }
+
+// initialChecking and initialSavings are every customer's opening
+// balances.
+const initialChecking, initialSavings = 100, 100
 
 func (c SmallBankConfig) withDefaults() SmallBankConfig {
 	if c.Customers <= 0 {
-		c.Customers = 2
+		c.Customers = 4
 	}
 	if c.Sessions <= 0 {
 		c.Sessions = 4
 	}
 	if c.TxPerSession <= 0 {
-		c.TxPerSession = 20
-	}
-	if c.InitialChecking == 0 {
-		c.InitialChecking = 100
-	}
-	if c.InitialSavings == 0 {
-		c.InitialSavings = 100
+		c.TxPerSession = 50
 	}
 	return c
 }
@@ -63,44 +56,36 @@ func RunSmallBank(db *engine.DB, cfg SmallBankConfig) (*SmallBankOutcome, error)
 	init := make(map[model.Obj]model.Value, 2*cfg.Customers)
 	for n := 0; n < cfg.Customers; n++ {
 		c, s := smallBankObjs(n)
-		init[c] = cfg.InitialChecking
-		init[s] = cfg.InitialSavings
+		init[c] = initialChecking
+		init[s] = initialSavings
 	}
 	if err := db.Initialize(init); err != nil {
 		return nil, err
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Sessions)
-	for i := 0; i < cfg.Sessions; i++ {
-		sess := db.Session(fmt.Sprintf("teller%d", i))
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*6151))
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			for t := 0; t < cfg.TxPerSession; t++ {
-				customer := rng.Intn(cfg.Customers)
-				var err error
+	_, err := drive(loop{sessions: cfg.Sessions, txs: cfg.TxPerSession, seed: cfg.Seed, stride: 6151},
+		func(w int, rng *rand.Rand) (func(int) error, error) {
+			sess := db.Session(fmt.Sprintf("teller%d", w))
+			return func(int) error {
+				n := rng.Intn(cfg.Customers)
+				c, s := smallBankObjs(n)
 				switch rng.Intn(5) {
 				case 0:
-					err = sbBalance(sess, customer)
+					return transact(sess, "Balance", func(tx Tx) error {
+						_, _, err := readPair(tx, c, s)
+						return err
+					})
 				case 1:
-					err = sbDepositChecking(sess, customer, model.Value(1+rng.Intn(20)))
+					return add(sess, "DepositChecking", c, model.Value(1+rng.Intn(20)))
 				case 2:
-					err = sbTransactSavings(sess, customer, -model.Value(1+rng.Intn(80)))
+					return sbTransactSavings(sess, c, s, -model.Value(1+rng.Intn(80)))
 				case 3:
-					err = sbWriteCheck(sess, customer, model.Value(1+rng.Intn(120)))
-				case 4:
-					err = sbAmalgamate(sess, customer, (customer+1)%cfg.Customers)
+					return sbWriteCheck(sess, c, s, model.Value(1+rng.Intn(120)))
+				default:
+					return sbAmalgamate(sess, n, (n+1)%cfg.Customers)
 				}
-				if err != nil {
-					errs[idx] = err
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+			}, nil
+		})
+	if err != nil {
 		return nil, err
 	}
 	db.Flush()
@@ -108,19 +93,7 @@ func RunSmallBank(db *engine.DB, cfg SmallBankConfig) (*SmallBankOutcome, error)
 	audit := db.Session("audit")
 	for n := 0; n < cfg.Customers; n++ {
 		c, s := smallBankObjs(n)
-		var total model.Value
-		err := audit.Transact(func(tx *engine.Tx) error {
-			cv, err := tx.Read(c)
-			if err != nil {
-				return err
-			}
-			sv, err := tx.Read(s)
-			if err != nil {
-				return err
-			}
-			total = cv + sv
-			return nil
-		})
+		total, err := balance(audit, c, s)
 		if err != nil {
 			return nil, err
 		}
@@ -131,68 +104,28 @@ func RunSmallBank(db *engine.DB, cfg SmallBankConfig) (*SmallBankOutcome, error)
 	return out, nil
 }
 
-// sbBalance reads both accounts.
-func sbBalance(sess *engine.Session, n int) error {
-	c, s := smallBankObjs(n)
-	return sess.TransactNamed("Balance", func(tx *engine.Tx) error {
-		if _, err := tx.Read(c); err != nil {
-			return err
-		}
-		_, err := tx.Read(s)
-		return err
-	})
-}
-
-// sbDepositChecking adds amount to checking.
-func sbDepositChecking(sess *engine.Session, n int, amount model.Value) error {
-	c, _ := smallBankObjs(n)
-	return sess.TransactNamed("DepositChecking", func(tx *engine.Tx) error {
-		v, err := tx.Read(c)
-		if err != nil {
-			return err
-		}
-		return tx.Write(c, v+amount)
-	})
-}
-
-// sbTransactSavings applies amount (possibly negative) to savings.
+// sbTransactSavings applies amount (possibly negative) to savings s.
 // Withdrawals are authorised against the *combined* balance — the
 // precondition that makes "total never negative" a serial invariant,
 // and exactly what creates the disjoint-write race with WriteCheck
 // under SI.
-func sbTransactSavings(sess *engine.Session, n int, amount model.Value) error {
-	c, s := smallBankObjs(n)
-	return sess.TransactNamed("TransactSavings", func(tx *engine.Tx) error {
-		cv, err := tx.Read(c)
-		if err != nil {
-			return err
-		}
-		sv, err := tx.Read(s)
-		if err != nil {
-			return err
-		}
-		if cv+sv+amount < 0 {
-			return nil // insufficient funds: no-op
+func sbTransactSavings(sess *engine.Session, c, s model.Obj, amount model.Value) error {
+	return transact(sess, "TransactSavings", func(tx Tx) error {
+		cv, sv, err := readPair(tx, c, s)
+		if err != nil || cv+sv+amount < 0 {
+			return err // insufficient funds: no-op
 		}
 		return tx.Write(s, sv+amount)
 	})
 }
 
 // sbWriteCheck cashes a check against the combined balance: only
-// authorised when covered, deducted from checking.
-func sbWriteCheck(sess *engine.Session, n int, amount model.Value) error {
-	c, s := smallBankObjs(n)
-	return sess.TransactNamed("WriteCheck", func(tx *engine.Tx) error {
-		cv, err := tx.Read(c)
-		if err != nil {
-			return err
-		}
-		sv, err := tx.Read(s)
-		if err != nil {
-			return err
-		}
-		if cv+sv < amount {
-			return nil // not covered: reject the check
+// authorised when covered, deducted from checking c.
+func sbWriteCheck(sess *engine.Session, c, s model.Obj, amount model.Value) error {
+	return transact(sess, "WriteCheck", func(tx Tx) error {
+		cv, sv, err := readPair(tx, c, s)
+		if err != nil || cv+sv < amount {
+			return err // not covered: reject the check
 		}
 		return tx.Write(c, cv-amount)
 	})
@@ -206,12 +139,8 @@ func sbAmalgamate(sess *engine.Session, a, b int) error {
 	if a == b {
 		return nil
 	}
-	return sess.TransactNamed("Amalgamate", func(tx *engine.Tx) error {
-		cav, err := tx.Read(ca)
-		if err != nil {
-			return err
-		}
-		sav, err := tx.Read(sa)
+	return transact(sess, "Amalgamate", func(tx Tx) error {
+		cav, sav, err := readPair(tx, ca, sa)
 		if err != nil {
 			return err
 		}
@@ -248,11 +177,7 @@ func StageSmallBankOverdraft(db *engine.DB) (bothCommitted bool, finalTotal mode
 		return false, 0, err
 	}
 	// WriteCheck: cash 35 against combined 40.
-	cv, err := wc.Read(c)
-	if err != nil {
-		return false, 0, err
-	}
-	sv, err := wc.Read(s)
+	cv, sv, err := readPair(wc, c, s)
 	if err != nil {
 		return false, 0, err
 	}
@@ -264,11 +189,7 @@ func StageSmallBankOverdraft(db *engine.DB) (bothCommitted bool, finalTotal mode
 	}
 	// TransactSavings: withdraw 30, authorised against the combined
 	// snapshot balance 40.
-	tcv, err := ts.Read(c)
-	if err != nil {
-		return false, 0, err
-	}
-	tsv, err := ts.Read(s)
+	tcv, tsv, err := readPair(ts, c, s)
 	if err != nil {
 		return false, 0, err
 	}
@@ -281,22 +202,9 @@ func StageSmallBankOverdraft(db *engine.DB) (bothCommitted bool, finalTotal mode
 	err1 := wc.Commit()
 	err2 := ts.Commit()
 	db.Flush()
-	var total model.Value
-	audit := db.Session("audit")
-	aerr := audit.Transact(func(tx *engine.Tx) error {
-		cv, err := tx.Read(c)
-		if err != nil {
-			return err
-		}
-		sv, err := tx.Read(s)
-		if err != nil {
-			return err
-		}
-		total = cv + sv
-		return nil
-	})
-	if aerr != nil {
-		return false, 0, aerr
+	total, err := balance(db.Session("audit"), c, s)
+	if err != nil {
+		return false, 0, err
 	}
 	return err1 == nil && err2 == nil, total, nil
 }
