@@ -3,6 +3,7 @@ package check
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"time"
 
@@ -12,10 +13,11 @@ import (
 )
 
 // readSite is one transaction-level external read (T ⊢ read(x, v)),
-// of the object with id obj.
+// of the object with id obj. Read sites' candidate lists are windows
+// of a shared array, not one allocation each.
 type readSite struct {
 	reader     int
-	obj        int
+	obj        int32
 	val        model.Value
 	candidates []int
 }
@@ -24,11 +26,12 @@ type readSite struct {
 // tree: the WR source chosen for every read site and the write orders
 // placed so far. The search journal-mutates a single builder, so
 // instead of cloning graphs for diagnostics it records choices and
-// replays the interesting ones (the last candidate, the last pruned
-// branch) into fresh graphs once the search is over.
+// replays the interesting ones (the last rejected candidate, the last
+// pruned branch) into fresh graphs once the search is over.
 type choice struct {
-	wr     []int   // writer chosen for reads[i]
-	orders [][]int // write order chosen for objs[0 .. len(orders))
+	wr        []int // writer chosen for reads[i]
+	orders    []int // the write orders of objs[0 .. numOrders), laid out as search.orders
+	numOrders int
 }
 
 // search carries the state of the dependency-graph search: one
@@ -45,17 +48,21 @@ type search struct {
 	objs    []int   // ids of the objects with ≥2 writers, needing a WW order
 	writers [][]int // WriteTx_x by object id
 
-	bld       *depgraph.Builder
-	curWR     []int      // the WR source chosen for each read site so far
-	curOrders [][]int    // the write order chosen for each object so far
-	examined  int        // candidates tested, bounds the budget
-	forced    [64]uint64 // orderWrites' precedence masks, reused per object
+	bld   *depgraph.Builder
+	curWR []int // the WR source chosen for each read site so far
+	// orders holds the write order chosen so far for each of objs: the
+	// one of objs[i] is orders[orderAt[i]:orderAt[i+1]].
+	orders   []int
+	orderAt  []int32
+	examined int        // candidates tested, bounds the budget
+	forced   [64]uint64 // orderWrites' precedence masks, reused per object
 
-	// lastCandidate is the most recent complete candidate; with one
-	// candidate examined it is the definitive rejection explanation.
-	// lastPruned is the most recent partial candidate whose
+	// lastCandidate is the most recent rejected complete candidate; with
+	// one candidate examined it is the definitive rejection
+	// explanation. lastPruned is the most recent partial candidate whose
 	// dependencies were already cyclic. A negative verdict's
-	// explanation replays them.
+	// explanation replays them. Each keeps its buffers from one record
+	// to the next.
 	lastCandidate, lastPruned *choice
 
 	// Optional observability (all nil-safe no-ops when unset). timed
@@ -78,43 +85,51 @@ func newSearch(h *model.History, m depgraph.Model, budget, pinned int) (*search,
 			return nil, fmt.Errorf("check: transaction %d reads (%s, %d) never finally written", site.reader, s.names[site.obj], site.val)
 		}
 	}
+	s.orderAt = []int32{0}
 	for x, w := range s.writers {
 		if len(w) >= 2 {
 			s.objs = append(s.objs, x)
+			s.orderAt = append(s.orderAt, s.orderAt[len(s.orderAt)-1]+int32(len(w)))
 		}
 	}
 	return s, nil
 }
 
-// version names a value an object held: what a read site observed, and
-// what a transaction's final write installed.
-type version struct {
-	obj int32
-	val model.Value
+// finalWrite records T ⊢ write(x, v).
+type finalWrite struct {
+	obj, tx int32
+	val     model.Value
 }
 
-// finalWrite records T ⊢ write(x, v), and the previous record of the
-// same version (-1 if none).
-type finalWrite struct {
-	obj, tx, prev int32
-	val           model.Value
-}
+// internSeed hashes object names into internObjects' table.
+var internSeed = maphash.MakeSeed()
 
 // internObjects names every object of the history by a dense id, its
 // rank among the sorted object names. It returns the names by id and
 // the id of every operation (of nOps), transaction by transaction.
+// Names meet through an open-addressing table of int32 slots, at most
+// half full: sorting every operation's name instead would compare
+// strings O(nOps log nOps) times, several times the cost of hashing
+// each once.
 func internObjects(h *model.History, nOps int) (names []model.Obj, opObj []int32) {
-	first := make(map[model.Obj]int32)
+	size := 1
+	for size < 2*nOps {
+		size <<= 1
+	}
+	table := make([]int32, size) // first-seen id + 1; 0 is a free slot
+	mask := uint64(size - 1)
 	opObj = make([]int32, 0, nOps)
 	for i := 0; i < h.NumTransactions(); i++ {
 		for _, op := range h.Transaction(i).Ops {
-			id, ok := first[op.Obj]
-			if !ok {
-				id = int32(len(names))
-				first[op.Obj] = id
-				names = append(names, op.Obj)
+			slot := maphash.String(internSeed, string(op.Obj)) & mask
+			for table[slot] != 0 && names[table[slot]-1] != op.Obj {
+				slot = (slot + 1) & mask
 			}
-			opObj = append(opObj, id)
+			if table[slot] == 0 {
+				names = append(names, op.Obj)
+				table[slot] = int32(len(names))
+			}
+			opObj = append(opObj, table[slot]-1)
 		}
 	}
 	byName := make([]int32, len(names)) // sorted position -> first-seen id
@@ -155,7 +170,7 @@ func indexHistory(h *model.History) (names []model.Obj, reads []readSite, writer
 	// touched[x] is one more than the last transaction seen accessing
 	// x: a different value means the current transaction's first
 	// access to x.
-	touched := make([]int, len(names))
+	touched := make([]int32, len(names))
 	reads = make([]readSite, 0, nReads)
 	finals := make([]finalWrite, 0, nOps-nReads)
 	for i := 0; i < h.NumTransactions(); i++ {
@@ -163,70 +178,71 @@ func indexHistory(h *model.History) (names []model.Obj, reads []readSite, writer
 		ids := opObj[:len(ops)]
 		opObj = opObj[len(ops):]
 		first := len(reads)
+		mark := int32(i + 1)
 		for k, op := range ops {
-			x := int(ids[k])
-			if touched[x] == i+1 {
+			x := ids[k]
+			if touched[x] == mark {
 				continue
 			}
-			touched[x] = i + 1
+			touched[x] = mark
 			if op.Kind == model.OpRead {
 				reads = append(reads, readSite{reader: i, obj: x, val: op.Val})
 			}
 		}
 		site := reads[first:]
-		slices.SortFunc(site, func(a, b readSite) int { return a.obj - b.obj })
+		slices.SortFunc(site, func(a, b readSite) int { return cmp.Compare(a.obj, b.obj) })
 		// Backwards, the first write met on an object is the final one;
 		// touched[x] turning negative marks the earlier ones as seen.
 		for k := len(ops) - 1; k >= 0; k-- {
-			if x := ids[k]; ops[k].Kind == model.OpWrite && touched[x] == i+1 {
-				touched[x] = -(i + 1)
+			if x := ids[k]; ops[k].Kind == model.OpWrite && touched[x] == mark {
+				touched[x] = -mark
 				finals = append(finals, finalWrite{obj: x, tx: int32(i), val: ops[k].Val})
 			}
 		}
 	}
-	// WriteTx_x by counting sort: finals are in transaction order.
-	start := make([]int, len(names)+1)
+	// Group the final writes by object with a counting sort: finals are
+	// in transaction order, and stay so within each object.
+	start := make([]int32, len(names)+1)
 	for _, f := range finals {
 		start[f.obj+1]++
 	}
 	for x := range names {
 		start[x+1] += start[x]
 	}
-	flat := make([]int, len(finals))
-	fill := append([]int(nil), start[:len(names)]...)
+	byObj := make([]finalWrite, len(finals))
+	fill := touched // no longer needed: the next free position per object
+	copy(fill, start)
 	for _, f := range finals {
-		flat[fill[f.obj]] = int(f.tx)
+		byObj[fill[f.obj]] = f
 		fill[f.obj]++
+	}
+	flat := make([]int, len(byObj))
+	for i, f := range byObj {
+		flat[i] = int(f.tx)
 	}
 	writers = make([][]int, len(names))
 	for x := range writers {
 		writers[x] = flat[start[x]:start[x+1]:start[x+1]]
 	}
-	// Candidate sources: each version's final writes, chained newest
-	// first, and copied out oldest first.
-	last := make(map[version]int32, len(finals))
-	for i := range finals {
-		f := &finals[i]
-		v := version{f.obj, f.val}
-		f.prev = -1
-		if p, ok := last[v]; ok {
-			f.prev = p
+	// Candidate sources: each object's final writes by value (stable, so
+	// the writers of one value stay in transaction order), searched.
+	byVal := func(f finalWrite, v model.Value) int { return cmp.Compare(f.val, v) }
+	for x := range names {
+		if g := byObj[start[x]:start[x+1]]; len(g) > 1 {
+			slices.SortStableFunc(g, func(a, b finalWrite) int { return byVal(a, b.val) })
 		}
-		last[v] = int32(i)
 	}
-	var cands []int
+	cands := make([]int, 0, len(reads))
 	for i := range reads {
 		r := &reads[i]
+		g := byObj[start[r.obj]:start[r.obj+1]]
 		from := len(cands)
-		if p, ok := last[version{int32(r.obj), r.val}]; ok {
-			for ; p >= 0; p = finals[p].prev {
-				if tx := int(finals[p].tx); tx != r.reader {
-					cands = append(cands, tx)
-				}
+		for k, _ := slices.BinarySearchFunc(g, r.val, byVal); k < len(g) && g[k].val == r.val; k++ {
+			if tx := int(g[k].tx); tx != r.reader {
+				cands = append(cands, tx)
 			}
 		}
 		r.candidates = cands[from:len(cands):len(cands)]
-		slices.Reverse(r.candidates)
 	}
 	return names, reads, writers
 }
@@ -236,8 +252,16 @@ func indexHistory(h *model.History) (names []model.Obj, reads []readSite, writer
 // and an error for budget exhaustion or unsearchable write sets.
 func (s *search) run() (*depgraph.Graph, int, error) {
 	s.bld = depgraph.NewBuilder(s.h, s.m, s.names)
+	// The read sites placed before the first branch are the edges the
+	// closure collects before it settles (the write orders come after
+	// its first read).
+	forced := 0
+	for forced < len(s.reads) && len(s.reads[forced].candidates) == 1 {
+		forced++
+	}
+	s.bld.Reserve(forced)
 	s.curWR = make([]int, len(s.reads))
-	s.curOrders = make([][]int, len(s.objs))
+	s.orders = make([]int, s.orderAt[len(s.objs)])
 	found, err := s.assignReads(0)
 	undo, delta := s.bld.Stats()
 	s.cUndo.Add(undo)
@@ -254,8 +278,9 @@ func (s *search) replay(c *choice) *depgraph.Graph {
 	for i, w := range c.wr {
 		g.AddWR(s.names[s.reads[i].obj], w, s.reads[i].reader)
 	}
-	for oi, order := range c.orders {
+	for oi := 0; oi < c.numOrders; oi++ {
 		x := s.names[s.objs[oi]]
+		order := c.orders[s.orderAt[oi]:s.orderAt[oi+1]]
 		for i := range order {
 			for j := i + 1; j < len(order); j++ {
 				g.AddWW(x, order[i], order[j])
@@ -277,7 +302,7 @@ func (s *search) assignReads(i int) (bool, error) {
 	for ; i < len(s.reads) && len(s.reads[i].candidates) == 1; i++ {
 		site := s.reads[i]
 		s.cWR.Inc()
-		s.bld.ApplyWR(site.obj, site.candidates[0], site.reader)
+		s.bld.ApplyWR(int(site.obj), site.candidates[0], site.reader)
 		s.curWR[i] = site.candidates[0]
 	}
 	if i == len(s.reads) {
@@ -287,7 +312,7 @@ func (s *search) assignReads(i int) (bool, error) {
 	for _, w := range site.candidates {
 		s.cWR.Inc()
 		mark := s.bld.Mark()
-		s.bld.ApplyWR(site.obj, w, site.reader)
+		s.bld.ApplyWR(int(site.obj), w, site.reader)
 		s.curWR[i] = w
 		found, err := s.assignReads(i + 1)
 		if found || err != nil {
@@ -318,7 +343,7 @@ func (s *search) orderWrites(oi int) (bool, error) {
 	for ; oi < len(s.objs); oi++ {
 		if s.bld.Cyclic() {
 			s.cPruned.Inc()
-			s.lastPruned = s.snapshotChoice(oi)
+			s.lastPruned = s.record(s.lastPruned, oi)
 			return false, nil // base already cyclic: dead branch
 		}
 		x := s.objs[oi]
@@ -338,61 +363,64 @@ func (s *search) orderWrites(oi int) (bool, error) {
 				}
 			}
 		}
-		order := onlyExtension(writers, forced)
-		if order == nil {
-			return s.extend(oi, x, writers, append([]uint64(nil), forced...), 0, make([]int, 0, k))
+		order := s.orders[s.orderAt[oi]:s.orderAt[oi+1]:s.orderAt[oi+1]]
+		if !onlyExtension(writers, forced, order) {
+			return s.extend(oi, x, writers, append([]uint64(nil), forced...), 0, order[:0])
 		}
 		for i := range order {
 			for j := i + 1; j < len(order); j++ {
 				s.bld.ApplyWW(x, order[i], order[j])
 			}
 		}
-		s.curOrders[oi] = order
 	}
 	s.examined++
 	if s.examined > s.budget {
 		return false, ErrBudgetExceeded
 	}
-	s.lastCandidate = s.snapshotChoice(len(s.objs))
 	s.cExamined.Inc()
-	if !s.timed {
-		return s.bld.InModel() == nil, nil
+	var err error
+	if s.timed {
+		cycleStart := time.Now()
+		err = s.bld.InModel()
+		s.cycleNS += int64(time.Since(cycleStart))
+	} else {
+		err = s.bld.InModel()
 	}
-	cycleStart := time.Now()
-	err := s.bld.InModel()
-	s.cycleNS += int64(time.Since(cycleStart))
-	return err == nil, nil
+	if err != nil {
+		s.lastCandidate = s.record(s.lastCandidate, len(s.objs))
+		return false, nil
+	}
+	return true, nil
 }
 
-// onlyExtension returns the writers in the one order the forced
-// precedence admits, or nil when it admits several (or, for a cyclic
-// precedence, none; extend then finds none).
-func onlyExtension(writers []int, forced []uint64) []int {
+// onlyExtension writes into order the writers in the one order the
+// forced precedence admits, and reports false when it admits several
+// (or, for a cyclic precedence, none; extend then finds none).
+func onlyExtension(writers []int, forced []uint64, order []int) bool {
 	var placed uint64
-	order := make([]int, 0, len(writers))
-	for len(order) < len(writers) {
+	for n := range order {
 		next := -1
 		for i := range writers {
 			if bit := uint64(1) << uint(i); placed&bit != 0 || forced[i]&^placed != 0 {
 				continue
 			}
 			if next >= 0 {
-				return nil
+				return false
 			}
 			next = i
 		}
 		if next < 0 {
-			return nil
+			return false
 		}
 		placed |= 1 << uint(next)
-		order = append(order, writers[next])
+		order[n] = writers[next]
 	}
-	return order
+	return true
 }
 
 // extend enumerates linear extensions of the forced precedence via
 // DFS: at each step any writer whose forced predecessors are all
-// placed may come next.
+// placed may come next. order grows in objs[oi]'s window of s.orders.
 func (s *search) extend(oi int, x int, writers []int, forced []uint64, placed uint64, order []int) (bool, error) {
 	if len(order) == len(writers) {
 		mark := s.bld.Mark()
@@ -401,7 +429,6 @@ func (s *search) extend(oi int, x int, writers []int, forced []uint64, placed ui
 				s.bld.ApplyWW(x, order[i], order[j])
 			}
 		}
-		s.curOrders[oi] = order
 		found, err := s.orderWrites(oi + 1)
 		if found || err != nil {
 			return found, err // keep the builder state for Graph
@@ -422,12 +449,15 @@ func (s *search) extend(oi int, x int, writers []int, forced []uint64, placed ui
 	return false, nil
 }
 
-// snapshotChoice copies the current decision vector: every WR choice
-// plus the write orders for the first numOrders objects.
-func (s *search) snapshotChoice(numOrders int) *choice {
-	c := &choice{wr: append([]int(nil), s.curWR...), orders: make([][]int, numOrders)}
-	for i := 0; i < numOrders; i++ {
-		c.orders[i] = append([]int(nil), s.curOrders[i]...)
+// record copies the current decision vector into c (a new choice when
+// nil, else reusing its buffers): every WR choice plus the write orders
+// for the first numOrders objects.
+func (s *search) record(c *choice, numOrders int) *choice {
+	if c == nil {
+		c = &choice{}
 	}
+	c.wr = append(c.wr[:0], s.curWR...)
+	c.orders = append(c.orders[:0], s.orders[:s.orderAt[numOrders]]...)
+	c.numOrders = numOrders
 	return c
 }

@@ -47,12 +47,13 @@ type Builder struct {
 
 	// Per-object edge sets by object id, as in Graph.
 	wr, ww []relation.Edges
-	// Maintained WR union and derived anti-dependencies (dense: the
-	// membership test composes them with the closure word-parallel).
-	wrAll, rw *relation.Rel
-	// so is the session order PC's membership test composes with; nil
-	// for the other models, which only need it inside the closure.
-	so *relation.Rel
+	// Derived anti-dependencies (dense: the membership test composes
+	// them with the closure word-parallel).
+	rw *relation.Rel
+	// so and wrAll, the session order and the maintained WR union, are
+	// PC's A = SO ∪ WR; nil for the other models, whose composites read
+	// neither outside the closure.
+	so, wrAll *relation.Rel
 	// cl is the transitive closure of the base relation: SO ∪ WR ∪ WW,
 	// or WR ∪ WW under GSI (whose composite ignores sessions).
 	cl *relation.Closure
@@ -83,22 +84,26 @@ const (
 
 // NewBuilder returns an empty builder over the history for membership
 // tests against the given model. objs names the objects by id: the
-// x of ApplyWR and ApplyWW indexes it.
+// x of ApplyWR and ApplyWW indexes it. It allocates the n×n relations
+// its model's membership test reads and no others: the closure, RW and
+// one composite for every model, and SO, the WR union and two more
+// composites for PC alone.
 func NewBuilder(h *model.History, m Model, objs []model.Obj) *Builder {
 	n := h.NumTransactions()
 	b := &Builder{
 		h: h, m: m, objs: objs,
 		wr: make([]relation.Edges, len(objs)), ww: make([]relation.Edges, len(objs)),
-		wrAll: relation.New(n), rw: relation.New(n),
+		rw:      relation.New(n),
 		cl:      relation.NewClosure(n),
-		scratch: NewScratch(n),
+		scratch: newScratch(n, m == PC),
 	}
 	if m == PC {
-		b.so = h.SessionOrder()
+		b.so, b.wrAll = h.SessionOrder(), relation.New(n)
 	}
 	if m != GSI {
 		// Transaction indices run session by session, so each session's
 		// immediate-successor edges seed SO; the closure adds the rest.
+		b.cl.Reserve(n)
 		for i := 1; i < n; i++ {
 			if h.SessionIndex(i) == h.SessionIndex(i-1) {
 				b.cl.AddEdge(i-1, i)
@@ -107,6 +112,12 @@ func NewBuilder(h *model.History, m Model, objs []model.Obj) *Builder {
 	}
 	return b
 }
+
+// Reserve makes room for edges more ApplyWR/ApplyWW edges before the
+// first Mark, which the closure collects for its one-pass close: a
+// caller that knows how many edges it places unconditionally saves the
+// collection's reallocations.
+func (b *Builder) Reserve(edges int) { b.cl.Reserve(edges) }
 
 // BuilderMark captures a builder state for Undo.
 type BuilderMark struct {
@@ -167,7 +178,7 @@ func (b *Builder) ApplyWR(x, t, s int) {
 	}
 	wr.Add(t, s)
 	b.record(opWRObj, x, t, s)
-	if !b.wrAll.Has(t, s) {
+	if b.wrAll != nil && !b.wrAll.Has(t, s) {
 		b.wrAll.Add(t, s)
 		b.record(opWRAll, 0, t, s)
 	}
@@ -220,13 +231,25 @@ func (b *Builder) InModel() error {
 // over the carrier for the composites and the cycle test's DFS. Each
 // builder and monitor keeps its own.
 type Scratch struct {
-	s1, s2, s3 *relation.Rel
-	dfs        relation.DFS
+	s1 *relation.Rel
+	// s2 and s3 hold PC's A and (RW ; B*) ; A; nil in a builder's
+	// scratch for another model.
+	s2, s3 *relation.Rel
+	dfs    relation.DFS
 }
 
-// NewScratch returns working storage for a carrier of n elements.
-func NewScratch(n int) *Scratch {
-	return &Scratch{s1: relation.New(n), s2: relation.New(n), s3: relation.New(n)}
+// NewScratch returns working storage for a carrier of n elements,
+// enough for any model's membership test.
+func NewScratch(n int) *Scratch { return newScratch(n, true) }
+
+// newScratch returns working storage for a carrier of n elements, with
+// PC's two extra composites only when pc is set.
+func newScratch(n int, pc bool) *Scratch {
+	sc := &Scratch{s1: relation.New(n)}
+	if pc {
+		sc.s2, sc.s3 = relation.New(n), relation.New(n)
+	}
+	return sc
 }
 
 // ClosureInModel is the membership test over a maintained closure, the
@@ -234,9 +257,9 @@ func NewScratch(n int) *Scratch {
 // model's base relation B (SO ∪ WR ∪ WW, or WR ∪ WW under GSI), rw the
 // anti-dependencies, so and wr the session order and the WR union (PC's
 // A = SO ∪ WR; the other models ignore both), and sc working storage it
-// overwrites. The certification search (Builder.InModel) and the online
-// monitor's fast path both judge their graphs with it. It allocates
-// nothing.
+// overwrites (made for PC when m is PC). The certification search
+// (Builder.InModel) and the online monitor's fast path both judge their
+// graphs with it. It allocates nothing.
 func ClosureInModel(m Model, cl *relation.Closure, rw, so, wr *relation.Rel, sc *Scratch) error {
 	violation, err := modelViolation(m)
 	if err != nil {
@@ -278,7 +301,23 @@ func ClosureInModel(m Model, cl *relation.Closure, rw, so, wr *relation.Rel, sc 
 // Graph shares the builder's per-object edge sets, so it stays valid
 // only until the builder's next ApplyWR, ApplyWW or Undo.
 func (b *Builder) Graph() *Graph {
-	g := &Graph{History: b.h, wr: make(map[model.Obj]*relation.Edges, len(b.objs)), ww: make(map[model.Obj]*relation.Edges)}
+	nwr, nww := 0, 0
+	for x := range b.objs {
+		if !b.wr[x].IsEmpty() {
+			nwr++
+		}
+		if !b.ww[x].IsEmpty() {
+			nww++
+		}
+	}
+	// A quarter of slack: a map of more than one table grows a table
+	// that its hash seed happens to fill, so an exact hint would make
+	// what a certification allocates differ from run to run.
+	g := &Graph{
+		History: b.h,
+		wr:      make(map[model.Obj]*relation.Edges, nwr+nwr/4),
+		ww:      make(map[model.Obj]*relation.Edges, nww+nww/4),
+	}
 	for x := range b.objs {
 		if e := &b.wr[x]; !e.IsEmpty() {
 			g.wr[b.objs[x]] = e

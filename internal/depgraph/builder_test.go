@@ -320,3 +320,32 @@ func TestClosureInModelAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestBuilderKeepsOnlyItsModelsRelations: a builder allocates the n×n
+// relations its model's membership test reads. SER, SI, PSI and GSI
+// compose RW with the closure alone, so their builders hold no WR
+// union, no session order and no PC composites; a PC builder holds all
+// three, and judges as the composite characterisation does.
+func TestBuilderKeepsOnlyItsModelsRelations(t *testing.T) {
+	t.Parallel()
+	h := builderHistory()
+	for _, m := range builderModels {
+		b := NewBuilder(h, m, builderObjs)
+		pc := m == PC
+		if (b.wrAll != nil) != pc || (b.so != nil) != pc || (b.scratch.s2 != nil) != pc || (b.scratch.s3 != nil) != pc {
+			t.Errorf("%v: WR union %v, SO %v, PC scratch %v/%v; want all present exactly for PC",
+				m, b.wrAll != nil, b.so != nil, b.scratch.s2 != nil, b.scratch.s3 != nil)
+		}
+		if b.rw == nil || b.scratch.s1 == nil {
+			t.Errorf("%v: RW or the composite scratch is missing", m)
+		}
+		b.ApplyWR(0, 0, 4)
+		b.ApplyWW(0, 0, 2)
+		b.ApplyWR(1, 3, 5)
+		g := New(h)
+		g.AddWR("x", 0, 4)
+		g.AddWW("x", 0, 2)
+		g.AddWR("y", 3, 5)
+		graphAgrees(t, b, g, m)
+	}
+}

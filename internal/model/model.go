@@ -13,6 +13,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -192,12 +193,13 @@ func sortedObjs(set map[Obj]bool) []Obj {
 // transaction by an operation on x must return the value of the last
 // such operation. It returns nil when the axiom holds.
 func (t Transaction) CheckInt() error {
-	// A short transaction finds an operation's predecessor on the same
-	// object by scanning back; a long one keeps the last value per
-	// object in a map.
+	// Only a read can violate INT. A short transaction finds a read's
+	// predecessor on the same object by scanning back; a long one that
+	// reads keeps the last value per object in a map; a write-only one
+	// (an initialising transaction) needs neither.
 	const scanned = 16
 	var last map[Obj]Value
-	if len(t.Ops) > scanned {
+	if len(t.Ops) > scanned && slices.ContainsFunc(t.Ops, func(op Op) bool { return op.Kind == OpRead }) {
 		last = make(map[Obj]Value, len(t.Ops))
 	}
 	for i, op := range t.Ops {
@@ -209,7 +211,7 @@ func (t Transaction) CheckInt() error {
 		if last != nil {
 			prev, ok = last[op.Obj]
 			last[op.Obj] = op.Val
-		} else {
+		} else if op.Kind == OpRead {
 			for j := i - 1; j >= 0 && !ok; j-- {
 				if t.Ops[j].Obj == op.Obj {
 					prev, ok = t.Ops[j].Val, true

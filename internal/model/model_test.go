@@ -1,6 +1,8 @@
 package model
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -360,6 +362,52 @@ func TestSpliceIdempotent(t *testing.T) {
 			if a.Ops[j] != b.Ops[j] {
 				t.Fatalf("op %d/%d changed", i, j)
 			}
+		}
+	}
+}
+
+// checkIntByMap is INT as the map of last values per object states it,
+// the reference CheckInt's read-only scan must agree with.
+func checkIntByMap(t Transaction) error {
+	last := make(map[Obj]Value)
+	for i, op := range t.Ops {
+		if op.Kind == OpInvalid {
+			return fmt.Errorf("event %d: invalid operation kind", i)
+		}
+		if prev, ok := last[op.Obj]; ok && op.Kind == OpRead && op.Val != prev {
+			return fmt.Errorf("event %d: INT violated: read(%s, %d) after the value %d",
+				i, op.Obj, op.Val, prev)
+		}
+		last[op.Obj] = op.Val
+	}
+	return nil
+}
+
+// TestCheckIntMatchesMap: on random transactions short and long (the
+// scan and the map), reading and write-only, some with an invalid
+// operation, CheckInt returns exactly the reference's error.
+func TestCheckIntMatchesMap(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(46))
+	objs := []Obj{"a", "b", "c", "d"}
+	for trial := 0; trial < 5000; trial++ {
+		ops := make([]Op, rng.Intn(48))
+		writeOnly := trial%5 == 0
+		for i := range ops {
+			kind := OpWrite
+			if !writeOnly && rng.Intn(2) == 0 {
+				kind = OpRead
+			}
+			if rng.Intn(60) == 0 {
+				kind = OpInvalid
+			}
+			// Mostly consistent values, so a violation is often late.
+			ops[i] = Op{Kind: kind, Obj: objs[rng.Intn(len(objs))], Val: Value(rng.Intn(2) * rng.Intn(3))}
+		}
+		tr := Transaction{ID: "t", Ops: ops}
+		got, want := tr.CheckInt(), checkIntByMap(tr)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("%v: CheckInt = %v, reference %v", tr, got, want)
 		}
 	}
 }

@@ -3,10 +3,12 @@
 // (begin/read/write/commit/abort/conflict). Engines append events from
 // many worker goroutines; the recorder shards the ring by session so
 // an append contends only on its shard's mutex, while a single atomic
-// sequence number gives every event a global order. When the ring is
-// full the oldest events of the appending shard are overwritten, so
-// recording never blocks and never grows — the recorder keeps the
-// recent past, like an aircraft flight recorder.
+// sequence number gives every event a global order. A shard's ring
+// grows on demand, doubling up to the shard's share of the capacity, so
+// a recorder that records little holds little. When the ring is full
+// the oldest events of the appending shard are overwritten, so
+// recording never blocks and never grows past the capacity — the
+// recorder keeps the recent past, like an aircraft flight recorder.
 //
 // The stream is the history's event log, nothing more: the online
 // monitor's input, NDJSON via internal/histio (-record), and the live
@@ -114,7 +116,7 @@ const shardCount = 8
 
 // DefaultCapacity is the recorder capacity used when NewRecorder is
 // given a non-positive one: large enough to hold a sizeable benchmark
-// run, small enough (a few MB) to always leave on.
+// run, small enough (a few MB when full) to always leave on.
 const DefaultCapacity = 1 << 16
 
 // Recorder is the ring-buffer flight recorder. All methods are safe
@@ -133,31 +135,53 @@ type Recorder struct {
 	nsubs atomic.Int32
 }
 
-// shard is one independent ring. Total appended count n never wraps;
-// the ring slot of the i-th append is i % len(buf).
+// shard is one independent ring. Total appended count n never wraps.
+// Until n reaches limit, buf holds every event appended, in order, and
+// grows by doubling; from then on len(buf) is limit and the ring slot
+// of the i-th append is i % limit.
 type shard struct {
-	mu  sync.Mutex
-	buf []Event
-	n   int
+	mu    sync.Mutex
+	buf   []Event
+	limit int
+	n     int
 }
+
+// minRing is the first allocation of a shard's ring.
+const minRing = 64
 
 // NewRecorder returns a recorder holding at most capacity events
 // (approximately: the capacity is split evenly across internal shards,
 // so a workload hammering one session can overwrite that shard while
 // others have room). Non-positive capacity selects DefaultCapacity.
+// Nothing is allocated for the rings until events arrive.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	per := capacity / shardCount
-	if per < 1 {
-		per = 1
-	}
+	per := max(capacity/shardCount, 1)
 	r := &Recorder{}
 	for i := range r.shards {
-		r.shards[i].buf = make([]Event, per)
+		r.shards[i].limit = per
 	}
 	return r
+}
+
+// add stores ev in the ring and reports whether it overwrote the
+// oldest event. The caller holds s.mu.
+func (s *shard) add(ev Event) (dropped bool) {
+	if len(s.buf) < s.limit {
+		if len(s.buf) == cap(s.buf) {
+			grown := make([]Event, len(s.buf), min(max(2*len(s.buf), minRing), s.limit))
+			copy(grown, s.buf)
+			s.buf = grown
+		}
+		s.buf = append(s.buf, ev)
+	} else {
+		s.buf[s.n%s.limit] = ev
+		dropped = true
+	}
+	s.n++
+	return dropped
 }
 
 // Record appends the event, assigning its Seq and, when ev.TS is zero,
@@ -173,11 +197,9 @@ func (r *Recorder) Record(ev Event) {
 	}
 	s := &r.shards[shardOf(ev.Session)]
 	s.mu.Lock()
-	if s.n >= len(s.buf) {
+	if s.add(ev) {
 		r.dropped.Add(1)
 	}
-	s.buf[s.n%len(s.buf)] = ev
-	s.n++
 	s.mu.Unlock()
 	if r.nsubs.Load() > 0 {
 		r.publish(ev)
@@ -287,22 +309,40 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	var out []Event
+	// Events recorded after Len only make the appends below grow out.
+	out := make([]Event, 0, r.Len())
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
-		kept := s.n
-		if kept > len(s.buf) {
-			kept = len(s.buf)
-		}
-		start := s.n - kept
-		for j := start; j < s.n; j++ {
-			out = append(out, s.buf[j%len(s.buf)])
-		}
+		out = append(out, s.buf...)
 		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	sortBySeq(out)
 	return out
+}
+
+// sortBySeq sorts events with distinct seqs. When the seqs are one
+// contiguous range, as they are when nothing was overwritten and no
+// append raced the copy, each event's place is its seq minus the
+// smallest, and one cycle walk puts every event there; otherwise they
+// are sorted.
+func sortBySeq(evs []Event) {
+	if len(evs) == 0 {
+		return
+	}
+	lo, hi := evs[0].Seq, evs[0].Seq
+	for _, ev := range evs[1:] {
+		lo, hi = min(lo, ev.Seq), max(hi, ev.Seq)
+	}
+	if hi-lo+1 != int64(len(evs)) {
+		sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
+		return
+	}
+	for i := range evs {
+		for j := int(evs[i].Seq - lo); j != i; j = int(evs[i].Seq - lo) {
+			evs[i], evs[j] = evs[j], evs[i]
+		}
+	}
 }
 
 // Len returns the number of retained events.
@@ -314,11 +354,7 @@ func (r *Recorder) Len() int {
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
-		kept := s.n
-		if kept > len(s.buf) {
-			kept = len(s.buf)
-		}
-		total += kept
+		total += len(s.buf)
 		s.mu.Unlock()
 	}
 	return total

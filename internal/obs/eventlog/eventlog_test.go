@@ -2,6 +2,9 @@ package eventlog
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -109,5 +112,68 @@ func TestConcurrentRecord(t *testing.T) {
 	// overwriting more than its shard's share.
 	if int64(len(evs))+r.Dropped() != int64(workers*each) {
 		t.Errorf("retained %d + dropped %d != recorded %d", len(evs), r.Dropped(), workers*each)
+	}
+}
+
+// TestRingDropsOldestPerShard: a recorder filled far past its capacity
+// by sessions spread over every shard keeps, per shard, exactly the
+// newest capacity/8 events and counts every other one as dropped — the
+// events a ring allocated whole up front kept and dropped — whether
+// its rings are still growing, just full or long wrapped.
+func TestRingDropsOldestPerShard(t *testing.T) {
+	t.Parallel()
+	const capacity = shardCount * 100
+	r := NewRecorder(capacity)
+	rng := rand.New(rand.NewSource(3))
+	var kept [shardCount][]int64 // the reference: the newest seqs per shard
+	dropped := int64(0)
+	for seq := int64(1); seq <= 5000; seq++ {
+		sess := fmt.Sprintf("s%d", rng.Intn(13))
+		r.Record(Event{Kind: Write, Session: sess, TxID: "t", Obj: "x"})
+		sh := shardOf(sess)
+		if kept[sh] = append(kept[sh], seq); len(kept[sh]) > capacity/shardCount {
+			kept[sh] = kept[sh][1:]
+			dropped++
+		}
+		if seq%97 != 0 && seq != 5000 {
+			continue
+		}
+		var want []int64
+		for _, k := range kept {
+			want = append(want, k...)
+		}
+		slices.Sort(want)
+		evs := r.Events()
+		got := make([]int64, len(evs))
+		for i, ev := range evs {
+			got[i] = ev.Seq
+		}
+		if !slices.Equal(got, want) || r.Len() != len(want) || r.Dropped() != dropped {
+			t.Fatalf("after %d events: kept %v (Len %d), dropped %d; want %v, dropped %d",
+				seq, got, r.Len(), r.Dropped(), want, dropped)
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("the recorder never filled")
+	}
+}
+
+// TestRecorderAllocatesWhatItHolds: a default-capacity recorder holding
+// a handful of events allocates one small ring, not the 6.8 MB of
+// slots its capacity allows. It reads the heap statistics, so it does
+// not run in parallel.
+func TestRecorderAllocatesWhatItHolds(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRecorder(DefaultCapacity)
+	for i := 0; i < 10; i++ {
+		r.Record(Event{Kind: Begin, Session: "s", TxID: "t"})
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 32<<10 {
+		t.Fatalf("recording 10 events allocated %d B, want ≤ 32 KiB", got)
+	}
+	if r.Len() != 10 || r.Dropped() != 0 {
+		t.Fatalf("Len %d, Dropped %d; want 10, 0", r.Len(), r.Dropped())
 	}
 }

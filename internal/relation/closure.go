@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Mark is a checkpoint into a Closure's undo journal; pass it back to
@@ -257,6 +258,16 @@ func (c *Closure) closeAcyclic(edges []closureEdge) bool {
 		}
 	}
 	return true
+}
+
+// Reserve makes room for edges more AddEdge calls before the closure's
+// first read or checkpoint, so collecting them does not reallocate as
+// it goes. Once the closure has settled AddEdge collects nothing, and
+// Reserve does nothing.
+func (c *Closure) Reserve(edges int) {
+	if !c.settled {
+		c.pending = slices.Grow(c.pending, edges)
+	}
 }
 
 // Checkpoint returns a mark capturing the current closure state, and

@@ -1,55 +1,57 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Edges is a binary relation stored as sorted adjacency lists: its size
-// is proportional to the number of pairs it holds, not to the square of
-// a carrier. It is the representation of relations that are sparse by
+// Edges is a binary relation stored as one sorted array of pairs: its
+// size is proportional to the number of pairs it holds, not to the
+// square of a carrier, and it is one allocation however many rows it
+// spans. It is the representation of relations that are sparse by
 // construction — the per-object WR(x) and WW(x) of a dependency graph,
 // where WW(x) orders the handful of writers of x and every reader has
 // one WR(x) predecessor — and offers the part of Rel's interface those
 // relations need. Pairs, EachSuccessor and Predecessors enumerate in
 // the same (row-major, increasing) order as their Rel counterparts.
+// Elements are stored as int32: no carrier a dense Rel can hold comes
+// near that bound.
 //
 // The zero value is an empty relation. Like a nil map, a nil *Edges can
 // be read (it is empty) but not added to.
 type Edges struct {
-	rows []edgeRow // sorted by from; no row is empty
+	pairs []edge // sorted by (a, b), no duplicates
 }
 
-type edgeRow struct {
-	from int
-	to   []int // sorted, non-empty
+type edge struct{ a, b int32 }
+
+func compareEdges(p, q edge) int {
+	if p.a != q.a {
+		return cmp.Compare(p.a, q.a)
+	}
+	return cmp.Compare(p.b, q.b)
 }
 
-// row returns the position of a's row, or where it would be inserted.
-func (e *Edges) row(a int) (int, bool) {
-	i := sort.Search(len(e.rows), func(i int) bool { return e.rows[i].from >= a })
-	return i, i < len(e.rows) && e.rows[i].from == a
+// find returns the position of (a, b), or where it would be inserted.
+func (e *Edges) find(a, b int) (int, bool) {
+	return slices.BinarySearchFunc(e.pairs, edge{int32(a), int32(b)}, compareEdges)
 }
 
 // Add inserts the pair (a, b).
 func (e *Edges) Add(a, b int) {
-	i, ok := e.row(a)
-	if !ok {
-		e.rows = append(e.rows, edgeRow{})
-		copy(e.rows[i+1:], e.rows[i:])
-		e.rows[i] = edgeRow{from: a, to: []int{b}}
+	i, ok := e.find(a, b)
+	if ok {
 		return
 	}
-	to := e.rows[i].to
-	j := sort.SearchInts(to, b)
-	if j < len(to) && to[j] == b {
-		return
+	if e.pairs == nil {
+		// Most per-object relations hold a handful of pairs: start with
+		// room for four rather than growing through one and two.
+		e.pairs = make([]edge, 0, 4)
 	}
-	to = append(to, 0)
-	copy(to[j+1:], to[j:])
-	to[j] = b
-	e.rows[i].to = to
+	e.pairs = slices.Insert(e.pairs, i, edge{int32(a), int32(b)})
 }
 
 // Remove deletes the pair (a, b).
@@ -57,20 +59,9 @@ func (e *Edges) Remove(a, b int) {
 	if e == nil {
 		return
 	}
-	i, ok := e.row(a)
-	if !ok {
-		return
+	if i, ok := e.find(a, b); ok {
+		e.pairs = slices.Delete(e.pairs, i, i+1)
 	}
-	to := e.rows[i].to
-	j := sort.SearchInts(to, b)
-	if j == len(to) || to[j] != b {
-		return
-	}
-	if len(to) == 1 {
-		e.rows = append(e.rows[:i], e.rows[i+1:]...)
-		return
-	}
-	e.rows[i].to = append(to[:j], to[j+1:]...)
 }
 
 // Has reports whether (a, b) is in the relation.
@@ -78,13 +69,8 @@ func (e *Edges) Has(a, b int) bool {
 	if e == nil {
 		return false
 	}
-	i, ok := e.row(a)
-	if !ok {
-		return false
-	}
-	to := e.rows[i].to
-	j := sort.SearchInts(to, b)
-	return j < len(to) && to[j] == b
+	_, ok := e.find(a, b)
+	return ok
 }
 
 // EachSuccessor calls fn for every b with (a, b) in the relation, in
@@ -93,10 +79,9 @@ func (e *Edges) EachSuccessor(a int, fn func(b int)) {
 	if e == nil {
 		return
 	}
-	if i, ok := e.row(a); ok {
-		for _, b := range e.rows[i].to {
-			fn(b)
-		}
+	i, _ := e.find(a, -1) // elements are non-negative: the row's start
+	for ; i < len(e.pairs) && int(e.pairs[i].a) == a; i++ {
+		fn(int(e.pairs[i].b))
 	}
 }
 
@@ -107,10 +92,9 @@ func (e *Edges) Predecessors(a int) []int {
 		return nil
 	}
 	var out []int
-	for _, r := range e.rows {
-		j := sort.SearchInts(r.to, a)
-		if j < len(r.to) && r.to[j] == a {
-			out = append(out, r.from)
+	for _, p := range e.pairs {
+		if int(p.b) == a {
+			out = append(out, int(p.a))
 		}
 	}
 	return out
@@ -121,28 +105,22 @@ func (e *Edges) Pairs() [][2]int {
 	if e.IsEmpty() {
 		return nil
 	}
-	out := make([][2]int, 0, e.Size())
-	for _, r := range e.rows {
-		for _, b := range r.to {
-			out = append(out, [2]int{r.from, b})
-		}
+	out := make([][2]int, len(e.pairs))
+	for i, p := range e.pairs {
+		out[i] = [2]int{int(p.a), int(p.b)}
 	}
 	return out
 }
 
 // IsEmpty reports whether the relation has no pairs.
-func (e *Edges) IsEmpty() bool { return e == nil || len(e.rows) == 0 }
+func (e *Edges) IsEmpty() bool { return e == nil || len(e.pairs) == 0 }
 
 // Size returns the number of pairs in the relation.
 func (e *Edges) Size() int {
 	if e == nil {
 		return 0
 	}
-	total := 0
-	for _, r := range e.rows {
-		total += len(r.to)
-	}
-	return total
+	return len(e.pairs)
 }
 
 // Equal reports whether e and o contain exactly the same pairs.
@@ -150,21 +128,7 @@ func (e *Edges) Equal(o *Edges) bool {
 	if e.IsEmpty() || o.IsEmpty() {
 		return e.IsEmpty() && o.IsEmpty()
 	}
-	if len(e.rows) != len(o.rows) {
-		return false
-	}
-	for i, r := range e.rows {
-		s := o.rows[i]
-		if r.from != s.from || len(r.to) != len(s.to) {
-			return false
-		}
-		for j, b := range r.to {
-			if s.to[j] != b {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(e.pairs, o.pairs)
 }
 
 // AddTo inserts every pair of e into the dense relation r.
@@ -172,10 +136,8 @@ func (e *Edges) AddTo(r *Rel) {
 	if e == nil {
 		return
 	}
-	for _, row := range e.rows {
-		for _, b := range row.to {
-			r.Add(row.from, b)
-		}
+	for _, p := range e.pairs {
+		r.Add(int(p.a), int(p.b))
 	}
 }
 

@@ -278,8 +278,8 @@ type Info struct {
 	// level it runs ("si").
 	Name   string `json:"name"`
 	Engine string `json:"engine"`
-	// GitRev is the server build's git revision, recorded by clients
-	// into their bench reports (sibench -addr -bench-json).
+	// GitRev is the server build's git revision; sibench -addr prints
+	// it beside the engine before a network run.
 	GitRev string `json:"git_rev,omitempty"`
 	// Durable reports a WAL-backed store; the recovery fields describe
 	// the last startup's replay when so.
