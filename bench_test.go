@@ -127,7 +127,7 @@ func BenchmarkBuildExecution(b *testing.B) {
 		g := res.Graph
 		b.Run(fmt.Sprintf("txns=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildExecution(g); err != nil {
+				if _, err := core.BuildExecution(g, depgraph.SI); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -146,7 +146,7 @@ func BenchmarkLeastSolution(b *testing.B) {
 		g := res.Graph
 		b.Run(fmt.Sprintf("txns=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sol := core.LeastSolution(g, nil)
+				sol := core.LeastSolution(g, depgraph.SI, nil)
 				if sol.CO.IsEmpty() {
 					b.Fatal("empty solution")
 				}

@@ -299,7 +299,7 @@ func writeDot(name string, stdout io.Writer, g *depgraph.Graph) error {
 }
 
 func selectModels(s string) ([]depgraph.Model, error) {
-	all := []depgraph.Model{depgraph.SER, depgraph.SI, depgraph.PSI, depgraph.PC, depgraph.GSI}
+	all := depgraph.Models()
 	if i := slices.IndexFunc(all, func(m depgraph.Model) bool { return strings.EqualFold(s, m.String()) }); i >= 0 {
 		return all[i : i+1], nil
 	}

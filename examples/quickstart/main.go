@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sian.VerifyExecution(res.Graph, res.Execution); err != nil {
+	if err := sian.VerifyExecution(res.Graph, sian.SI, res.Execution); err != nil {
 		log.Fatalf("certificate verification failed: %v", err)
 	}
 	fmt.Printf("\nSI execution certificate verified: VIS has %d edges, CO has %d edges\n",

@@ -57,9 +57,9 @@ type Options struct {
 	// examined before the search gives up with ErrBudgetExceeded.
 	// Non-positive means the default of one million.
 	Budget int
-	// BuildExecution, when certifying SI membership, additionally runs
-	// the Theorem 10(i) construction to produce an abstract execution
-	// certificate.
+	// BuildExecution, when certifying membership in a model whose row
+	// has a construction (SI, PC, GSI), additionally runs the Theorem
+	// 10(i) construction to produce an abstract execution certificate.
 	BuildExecution bool
 	// Trace, when non-nil, receives the certification's stages, in
 	// order (txtrace.StageCheck*): check_validate (history
@@ -114,7 +114,7 @@ type Result struct {
 	// true (over the possibly init-extended history).
 	Graph *depgraph.Graph
 	// Execution is the Theorem 10(i) certificate when requested via
-	// Options.BuildExecution and the model is SI.
+	// Options.BuildExecution and the model has a construction.
 	Execution *execution.Execution
 	// Examined counts candidate graphs tested, in depth-first order.
 	Examined int
@@ -173,9 +173,8 @@ func (e *Explanation) String() string {
 // Certify decides whether the history is allowed by the given model.
 // Zero-valued Options fields select their defaults individually.
 func Certify(h *model.History, m depgraph.Model, opts Options) (*Result, error) {
-	switch m {
-	case depgraph.SER, depgraph.SI, depgraph.PSI, depgraph.PC, depgraph.GSI:
-	default:
+	row := m.Row()
+	if row == nil {
 		return nil, fmt.Errorf("check: unknown model %v", m)
 	}
 	opts = opts.normalized()
@@ -238,11 +237,11 @@ func Certify(h *model.History, m depgraph.Model, opts Options) (*Result, error) 
 	}
 	res.Member = true
 	res.Graph = g
-	if opts.BuildExecution && m == depgraph.SI {
-		x, err := core.BuildExecution(g)
+	if opts.BuildExecution && row.RW == depgraph.RWOptional {
+		x, err := core.BuildExecution(g, m)
 		tr.Mark(txtrace.StageCheckSolve)
 		if err != nil {
-			return res, fmt.Errorf("check: building SI execution certificate: %w", err)
+			return res, fmt.Errorf("check: building %v execution certificate: %w", m, err)
 		}
 		res.Execution = x
 	}

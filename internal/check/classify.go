@@ -70,7 +70,7 @@ type Report struct {
 // Classify certifies the history against the full model lattice and
 // names the anomaly class of the weakest boundary it crosses.
 func Classify(h *model.History, opts Options) (*Report, error) {
-	models := []depgraph.Model{depgraph.SER, depgraph.SI, depgraph.PSI, depgraph.PC, depgraph.GSI}
+	models := depgraph.Models()
 	results, err := CertifyAll(h, models, opts)
 	if err != nil {
 		return nil, err

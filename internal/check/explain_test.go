@@ -195,3 +195,37 @@ func TestExplainNilForMembers(t *testing.T) {
 		t.Errorf("members must not carry an Explain, got %s", res.Explain)
 	}
 }
+
+// TestGSIBaseCycleLeavesSessionsOut: when every branch of a GSI
+// search dies on a dependency cycle, the explanation is a cycle of
+// GSI's base WR ∪ WW. GSI does not require session order to embed
+// into the commit order, so a cycle through SO would not explain the
+// rejection. Here session s1's first transaction reads its own k1
+// write back in the second, and the third writes the k0 value the
+// first read.
+func TestGSIBaseCycleLeavesSessionsOut(t *testing.T) {
+	t.Parallel()
+	h := model.NewHistory(
+		model.Session{ID: "s0", Transactions: []model.Transaction{
+			model.NewTransaction("s0/t0", model.Write("k0", 2)),
+		}},
+		model.Session{ID: "s1", Transactions: []model.Transaction{
+			model.NewTransaction("s1/t0", model.Read("k1", 0), model.Write("k1", 1), model.Read("k0", 1)),
+			model.NewTransaction("s1/t1", model.Read("k1", 1), model.Read("k0", 1)),
+			model.NewTransaction("s1/t2", model.Read("k1", 1), model.Write("k0", 1)),
+		}},
+	)
+	res, err := Certify(h, depgraph.GSI, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Member || res.Explain == nil {
+		t.Fatalf("member = %v, explanation %v; want a rejection", res.Member, res.Explain)
+	}
+	assertCycleWellFormed(t, res.Explain.Cycle)
+	for _, e := range res.Explain.Cycle {
+		if e.Kind == depgraph.EdgeSO {
+			t.Fatalf("GSI explanation cites session order: %s", res.Explain)
+		}
+	}
+}

@@ -64,8 +64,8 @@ func lostUpdateGraph() *depgraph.Graph {
 func TestLeastSolutionSolvesSystem(t *testing.T) {
 	t.Parallel()
 	for _, g := range []*depgraph.Graph{writeSkewGraph(), lostUpdateGraph()} {
-		sol := LeastSolution(g, nil)
-		if err := CheckSystem(g, sol); err != nil {
+		sol := LeastSolution(g, depgraph.SI, nil)
+		if err := CheckSystem(g, depgraph.SI, sol); err != nil {
 			t.Errorf("least solution violates the system: %v", err)
 		}
 	}
@@ -76,8 +76,8 @@ func TestLeastSolutionWithForcedEdges(t *testing.T) {
 	g := writeSkewGraph()
 	r := relation.New(3)
 	r.Add(1, 2) // force T1 before T2 in CO
-	sol := LeastSolution(g, r)
-	if err := CheckSystem(g, sol); err != nil {
+	sol := LeastSolution(g, depgraph.SI, r)
+	if err := CheckSystem(g, depgraph.SI, sol); err != nil {
 		t.Fatalf("solution with R violates the system: %v", err)
 	}
 	if !sol.CO.Has(1, 2) {
@@ -110,7 +110,7 @@ func TestLeastSolutionMinimality(t *testing.T) {
 		}
 		vis, co = nextVis, nextCo
 	}
-	sol := LeastSolution(g, nil)
+	sol := LeastSolution(g, depgraph.SI, nil)
 	if !sol.VIS.Equal(vis) {
 		t.Errorf("VIS: closed form %v vs fixed point %v", sol.VIS, vis)
 	}
@@ -123,7 +123,7 @@ func TestCheckSystemDetectsViolations(t *testing.T) {
 	t.Parallel()
 	g := writeSkewGraph()
 	empty := relation.New(3)
-	err := CheckSystem(g, Solution{VIS: empty, CO: empty})
+	err := CheckSystem(g, depgraph.SI, Solution{VIS: empty, CO: empty})
 	if err == nil || !strings.Contains(err.Error(), "(S1)") {
 		t.Errorf("empty solution should violate (S1): %v", err)
 	}
@@ -132,11 +132,11 @@ func TestCheckSystemDetectsViolations(t *testing.T) {
 func TestBuildExecutionWriteSkew(t *testing.T) {
 	t.Parallel()
 	g := writeSkewGraph()
-	x, err := BuildExecution(g)
+	x, err := BuildExecution(g, depgraph.SI)
 	if err != nil {
 		t.Fatalf("BuildExecution: %v", err)
 	}
-	if err := Verify(g, x); err != nil {
+	if err := Verify(g, depgraph.SI, x); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 }
@@ -144,12 +144,12 @@ func TestBuildExecutionWriteSkew(t *testing.T) {
 func TestBuildExecutionRejectsNonSI(t *testing.T) {
 	t.Parallel()
 	g := lostUpdateGraph()
-	_, err := BuildExecution(g)
-	if !errors.Is(err, ErrNotGraphSI) {
-		t.Fatalf("err = %v, want ErrNotGraphSI", err)
+	_, err := BuildExecution(g, depgraph.SI)
+	if !errors.Is(err, ErrNotInModel) {
+		t.Fatalf("err = %v, want ErrNotInModel", err)
 	}
-	if _, err := BuildExecutionIncremental(g, nil); !errors.Is(err, ErrNotGraphSI) {
-		t.Fatalf("incremental err = %v, want ErrNotGraphSI", err)
+	if _, err := BuildExecutionIncremental(g, depgraph.SI, nil); !errors.Is(err, ErrNotInModel) {
+		t.Fatalf("incremental err = %v, want ErrNotInModel", err)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestBuildExecutionRejectsInvalidGraph(t *testing.T) {
 	t.Parallel()
 	g := writeSkewGraph()
 	g.AddWR("a1", 1, 2) // second WR source for T2's read of a1
-	if _, err := BuildExecution(g); err == nil {
+	if _, err := BuildExecution(g, depgraph.SI); err == nil {
 		t.Error("invalid graph accepted")
 	}
 }
@@ -167,7 +167,7 @@ func TestBuildExecutionIncrementalMatchesPaper(t *testing.T) {
 	g := writeSkewGraph()
 	steps := 0
 	var lastPre *execution.Execution
-	x, err := BuildExecutionIncremental(g, func(step int, pre *execution.Execution) {
+	x, err := BuildExecutionIncremental(g, depgraph.SI, func(step int, pre *execution.Execution) {
 		steps++
 		lastPre = pre
 		// Every intermediate stage must be a pre-execution in
@@ -193,7 +193,7 @@ func TestBuildExecutionIncrementalMatchesPaper(t *testing.T) {
 	if lastPre == nil || !lastPre.CO.IsTotal() {
 		t.Error("final stage should have a total CO")
 	}
-	if err := Verify(g, x); err != nil {
+	if err := Verify(g, depgraph.SI, x); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 }
@@ -204,16 +204,16 @@ func TestBuildExecutionEquivalence(t *testing.T) {
 	// executions (they may differ in CO, which is fine).
 	for _, gfn := range []func() *depgraph.Graph{writeSkewGraph} {
 		g := gfn()
-		direct, err := BuildExecution(g)
+		direct, err := BuildExecution(g, depgraph.SI)
 		if err != nil {
 			t.Fatal(err)
 		}
-		incr, err := BuildExecutionIncremental(g, nil)
+		incr, err := BuildExecutionIncremental(g, depgraph.SI, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, x := range []*execution.Execution{direct, incr} {
-			if err := Verify(g, x); err != nil {
+			if err := Verify(g, depgraph.SI, x); err != nil {
 				t.Errorf("Verify: %v", err)
 			}
 		}
@@ -223,11 +223,11 @@ func TestBuildExecutionEquivalence(t *testing.T) {
 func TestCompletenessWriteSkew(t *testing.T) {
 	t.Parallel()
 	g := writeSkewGraph()
-	x, err := BuildExecution(g)
+	x, err := BuildExecution(g, depgraph.SI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Completeness(x)
+	g2, err := Completeness(x, depgraph.SI)
 	if err != nil {
 		t.Fatalf("Completeness: %v", err)
 	}
@@ -247,7 +247,7 @@ func TestCompletenessRejectsNonSIExecution(t *testing.T) {
 	co := vis.Clone()
 	co.Add(1, 2)
 	x := execution.New(h, vis, co)
-	if _, err := Completeness(x); err == nil {
+	if _, err := Completeness(x, depgraph.SI); err == nil {
 		t.Error("Completeness accepted an execution outside ExecSI")
 	}
 }
@@ -257,11 +257,11 @@ func TestSoundnessOnFigure4(t *testing.T) {
 	t.Parallel()
 	figs := workload.Fig4Graphs()
 	for name, g := range map[string]*depgraph.Graph{"G1": figs.G1, "G2": figs.G2} {
-		x, err := BuildExecution(g)
+		x, err := BuildExecution(g, depgraph.SI)
 		if err != nil {
 			t.Fatalf("%s: BuildExecution: %v", name, err)
 		}
-		if err := Verify(g, x); err != nil {
+		if err := Verify(g, depgraph.SI, x); err != nil {
 			t.Errorf("%s: Verify: %v", name, err)
 		}
 	}
@@ -286,20 +286,20 @@ func TestSoundnessRandomised(t *testing.T) {
 			continue
 		}
 		built++
-		x, err := BuildExecution(res.Graph)
+		x, err := BuildExecution(res.Graph, depgraph.SI)
 		if err != nil {
 			t.Fatalf("trial %d: BuildExecution on witness: %v\nhistory:\n%v", trial, err, h)
 		}
-		if err := Verify(res.Graph, x); err != nil {
+		if err := Verify(res.Graph, depgraph.SI, x); err != nil {
 			t.Fatalf("trial %d: Verify: %v\nhistory:\n%v", trial, err, h)
 		}
 		// Cross-check the incremental construction too, on a sample.
 		if trial%10 == 0 {
-			xi, err := BuildExecutionIncremental(res.Graph, nil)
+			xi, err := BuildExecutionIncremental(res.Graph, depgraph.SI, nil)
 			if err != nil {
 				t.Fatalf("trial %d: incremental: %v", trial, err)
 			}
-			if err := Verify(res.Graph, xi); err != nil {
+			if err := Verify(res.Graph, depgraph.SI, xi); err != nil {
 				t.Fatalf("trial %d: incremental Verify: %v", trial, err)
 			}
 		}
@@ -314,11 +314,11 @@ func TestSoundnessRandomised(t *testing.T) {
 func TestBuildExecutionDeterministic(t *testing.T) {
 	t.Parallel()
 	g := writeSkewGraph()
-	a, err := BuildExecution(g)
+	a, err := BuildExecution(g, depgraph.SI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildExecution(writeSkewGraph())
+	b, err := BuildExecution(writeSkewGraph(), depgraph.SI)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func collectSIExecutions(t *testing.T, trials int, seed int64) []*execution.Exec
 		if !res.Member {
 			continue
 		}
-		x, err := BuildExecution(res.Graph)
+		x, err := BuildExecution(res.Graph, depgraph.SI)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package depgraph
 
 import (
+	"fmt"
+
 	"sian/internal/model"
 	"sian/internal/relation"
 )
@@ -10,28 +12,27 @@ import (
 // recomputes unions, anti-dependencies and closures on demand, Builder
 // applies WR and WW edges in place, derives the affected RW
 // anti-dependencies incrementally, and maintains the transitive
-// closure of the model's base relation (SO ∪ WR ∪ WW, or WR ∪ WW for
-// GSI) through relation.Closure. Every mutation after the first Mark is
+// closure of its model's base relation B = VIS ∪ CO (the row's Base)
+// through relation.Closure. Every mutation after the first Mark is
 // journaled, so a depth-first search can push edges while descending
 // and pop them with Undo while backtracking — no per-branch graph
 // clones.
 //
 // The membership test InModel is evaluated against the maintained
-// state. Writing B for the base relation and observing that a base
-// cycle lies inside every model's composite (RW? is reflexive), each
-// candidate check reduces, once B is known acyclic, to a cycle check
-// on a composition with the sparse RW on the left:
+// state. A B cycle lies inside every row's composite (RW? is
+// reflexive), so once B is known acyclic each candidate check reduces
+// to a cycle check on a composition with the sparse RW on the left,
+// one kernel per row shape:
 //
-//	SER: B ∪ RW cyclic        ⟺  RW ; B* cyclic
-//	SI:  B ; RW? cyclic       ⟺  RW ; B⁺ cyclic
-//	PSI: B⁺ ; RW? reflexive   ⟺  ∃ RW(a,b) with b →B⁺ a
-//	PC:  (A ; RW?) ∪ WW cyclic ⟺ (RW ; B*) ; A cyclic  (A = SO ∪ WR)
-//	GSI: as SI with B = WR ∪ WW
+//	B ∪ RW cyclic             ⟺  RW ; B* cyclic
+//	B ; RW? cyclic            ⟺  RW ; B⁺ cyclic         (no CO edges: B = VIS)
+//	(A ; RW?) ∪ CO cyclic     ⟺  (RW ; B*) ; A cyclic  (A = VIS)
+//	B⁺ ; RW? reflexive        ⟺  ∃ RW(a,b) with b →B⁺ a
 //
 // (collapse the pure-B segments of any composite cycle: what remains
-// alternates RW edges with non-empty — or possibly empty, for SER —
-// B-paths). B⁺ is exactly the maintained closure, so no candidate
-// check recomputes a transitive closure.
+// alternates RW edges with non-empty — or possibly empty, for the
+// union shape — B-paths). B⁺ is exactly the maintained closure, so no
+// candidate check recomputes a transitive closure.
 //
 // Objects are named by dense ids, positions in the name table passed
 // to NewBuilder, so the per-object edge sets are slices, not maps.
@@ -51,11 +52,9 @@ type Builder struct {
 	// them with the closure word-parallel).
 	rw *relation.Rel
 	// so and wrAll, the session order and the maintained WR union, are
-	// PC's A = SO ∪ WR; nil for the other models, whose composites read
-	// neither outside the closure.
+	// the dense kinds of the row (Row.Dense), nil when it has none.
 	so, wrAll *relation.Rel
-	// cl is the transitive closure of the base relation: SO ∪ WR ∪ WW,
-	// or WR ∪ WW under GSI (whose composite ignores sessions).
+	// cl is the transitive closure of the row's base relation.
 	cl *relation.Closure
 
 	journal    []builderOp
@@ -86,21 +85,25 @@ const (
 // tests against the given model. objs names the objects by id: the
 // x of ApplyWR and ApplyWW indexes it. It allocates the n×n relations
 // its model's membership test reads and no others: the closure, RW and
-// one composite for every model, and SO, the WR union and two more
-// composites for PC alone.
+// one composite for every model, and the row's dense relations (SO and
+// the WR union under PC) and two more composites when it has CO edges.
 func NewBuilder(h *model.History, m Model, objs []model.Obj) *Builder {
 	n := h.NumTransactions()
+	r := m.Row()
 	b := &Builder{
 		h: h, m: m, objs: objs,
 		wr: make([]relation.Edges, len(objs)), ww: make([]relation.Edges, len(objs)),
 		rw:      relation.New(n),
 		cl:      relation.NewClosure(n),
-		scratch: newScratch(n, m == PC),
+		scratch: NewScratch(n, m),
 	}
-	if m == PC {
-		b.so, b.wrAll = h.SessionOrder(), relation.New(n)
+	if r.Dense().Has(EdgeSO) {
+		b.so = h.SessionOrder()
 	}
-	if m != GSI {
+	if r.Dense().Has(EdgeWR) {
+		b.wrAll = relation.New(n)
+	}
+	if r.Base().Has(EdgeSO) {
 		// Transaction indices run session by session, so each session's
 		// immediate-successor edges seed SO; the closure adds the rest.
 		b.cl.Reserve(n)
@@ -208,9 +211,8 @@ func (b *Builder) ApplyWW(x, t, s int) {
 	b.cl.AddEdge(t, s)
 }
 
-// Cyclic reports whether the base relation (SO ∪ WR ∪ WW, without SO
-// under GSI) is cyclic. A cyclic base excludes membership in every
-// model, so the search prunes on it.
+// Cyclic reports whether the base relation B is cyclic. A cyclic base
+// excludes membership in the model, so the search prunes on it.
 func (b *Builder) Cyclic() bool { return b.cl.HasCycle() }
 
 // Reaches reports whether s is reachable from t through the base
@@ -232,21 +234,17 @@ func (b *Builder) InModel() error {
 // builder and monitor keeps its own.
 type Scratch struct {
 	s1 *relation.Rel
-	// s2 and s3 hold PC's A and (RW ; B*) ; A; nil in a builder's
-	// scratch for another model.
+	// s2 and s3 hold A and (RW ; B*) ; A for a row with CO edges; nil
+	// for the others.
 	s2, s3 *relation.Rel
 	dfs    relation.DFS
 }
 
-// NewScratch returns working storage for a carrier of n elements,
-// enough for any model's membership test.
-func NewScratch(n int) *Scratch { return newScratch(n, true) }
-
-// newScratch returns working storage for a carrier of n elements, with
-// PC's two extra composites only when pc is set.
-func newScratch(n int, pc bool) *Scratch {
+// NewScratch returns working storage for model m's membership test
+// over a carrier of n elements.
+func NewScratch(n int, m Model) *Scratch {
 	sc := &Scratch{s1: relation.New(n)}
-	if pc {
+	if m.Row().Dense() != 0 {
 		sc.s2, sc.s3 = relation.New(n), relation.New(n)
 	}
 	return sc
@@ -254,30 +252,23 @@ func newScratch(n int, pc bool) *Scratch {
 
 // ClosureInModel is the membership test over a maintained closure, the
 // reductions listed on Builder: cl is the transitive closure of the
-// model's base relation B (SO ∪ WR ∪ WW, or WR ∪ WW under GSI), rw the
-// anti-dependencies, so and wr the session order and the WR union (PC's
-// A = SO ∪ WR; the other models ignore both), and sc working storage it
-// overwrites (made for PC when m is PC). The certification search
-// (Builder.InModel) and the online monitor's fast path both judge their
-// graphs with it. It allocates nothing.
+// model's base relation B, rw the anti-dependencies, so and wr the
+// session order and the WR union (read only when they are the row's
+// Dense kinds), and sc working storage from NewScratch for m, which it
+// overwrites. The certification search (Builder.InModel) and the
+// online monitor's fast path both judge their graphs with it. It
+// allocates nothing.
 func ClosureInModel(m Model, cl *relation.Closure, rw, so, wr *relation.Rel, sc *Scratch) error {
-	violation, err := modelViolation(m)
-	if err != nil {
-		return err
+	r := m.Row()
+	if r == nil {
+		return fmt.Errorf("unknown model %v", m)
 	}
 	if cl.HasCycle() {
-		return violation
+		return r.violation
 	}
 	ok := true
-	s1, s2, s3 := sc.s1, sc.s2, sc.s3
-	switch m {
-	case SER:
-		cl.ComposeMaybeInto(s1, rw) // RW ; B*
-		ok = s1.IsAcyclicWith(&sc.dfs)
-	case SI, GSI:
-		cl.ComposeInto(s1, rw) // RW ; B⁺
-		ok = s1.IsAcyclicWith(&sc.dfs)
-	case PSI:
+	switch {
+	case r.RW == RWAfterPath:
 		for a := 0; a < rw.N() && ok; a++ {
 			rw.EachSuccessor(a, func(c int) {
 				if ok && cl.Reaches(c, a) {
@@ -285,13 +276,26 @@ func ClosureInModel(m Model, cl *relation.Closure, rw, so, wr *relation.Rel, sc 
 				}
 			})
 		}
-	case PC:
-		cl.ComposeMaybeInto(s1, rw)      // RW ; B*
-		s2.CopyFrom(so).UnionInPlace(wr) // A = SO ∪ WR
-		ok = s3.ComposeOf(s1, s2).IsAcyclicWith(&sc.dfs)
+	case r.RW == RWUnion:
+		cl.ComposeMaybeInto(sc.s1, rw) // RW ; B*
+		ok = sc.s1.IsAcyclicWith(&sc.dfs)
+	case r.CO == 0:
+		cl.ComposeInto(sc.s1, rw) // RW ; B⁺
+		ok = sc.s1.IsAcyclicWith(&sc.dfs)
+	default:
+		cl.ComposeMaybeInto(sc.s1, rw) // RW ; B*
+		a := sc.s2                     // A = VIS
+		a.Clear()
+		if r.VIS.Has(EdgeSO) {
+			a.UnionInPlace(so)
+		}
+		if r.VIS.Has(EdgeWR) {
+			a.UnionInPlace(wr)
+		}
+		ok = sc.s3.ComposeOf(sc.s1, a).IsAcyclicWith(&sc.dfs)
 	}
 	if !ok {
-		return violation
+		return r.violation
 	}
 	return nil
 }

@@ -30,18 +30,11 @@ var builderObjs = []model.Obj{"x", "y"}
 // the builder's concern).
 func graphAgrees(t *testing.T, b *Builder, g *Graph, m Model) {
 	t.Helper()
-	var want bool
-	switch m {
-	case SER:
-		want = g.SERComposite().IsAcyclic()
-	case SI:
-		want = g.SIComposite().IsAcyclic()
-	case PSI:
-		want = g.PSIComposite().IsIrreflexive()
-	case PC:
-		want = g.PCComposite().IsAcyclic()
-	case GSI:
-		want = g.GSIComposite().IsAcyclic()
+	r := m.Row()
+	c := g.composite(r)
+	want := c.IsAcyclic()
+	if r.RW == RWAfterPath {
+		want = c.IsIrreflexive()
 	}
 	got := b.InModel() == nil
 	if got != want {

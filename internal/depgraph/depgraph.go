@@ -20,6 +20,7 @@ package depgraph
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"sian/internal/execution"
 	"sian/internal/model"
@@ -115,10 +116,10 @@ func (g *Graph) hasRW(x model.Obj, t, s int) bool {
 }
 
 // WR returns the union ⋃_x WR(x).
-func (g *Graph) WR() *relation.Rel { return unionAll(g.n(), g.wr) }
+func (g *Graph) WR() *relation.Rel { return g.Union(kinds(EdgeWR)) }
 
 // WW returns the union ⋃_x WW(x).
-func (g *Graph) WW() *relation.Rel { return unionAll(g.n(), g.ww) }
+func (g *Graph) WW() *relation.Rel { return g.Union(kinds(EdgeWW)) }
 
 // RW returns the union ⋃_x RW(x).
 func (g *Graph) RW() *relation.Rel {
@@ -129,30 +130,12 @@ func (g *Graph) RW() *relation.Rel {
 	return out
 }
 
-func unionAll(n int, m map[model.Obj]*relation.Edges) *relation.Rel {
-	out := relation.New(n)
-	for _, e := range m {
-		e.AddTo(out)
-	}
-	return out
-}
-
-// Objects returns the objects that carry at least one WR or WW edge.
+// Objects returns the objects that carry at least one WR or WW edge,
+// in the history's object order.
 func (g *Graph) Objects() []model.Obj {
-	seen := make(map[model.Obj]bool)
-	for x, r := range g.wr {
-		if !r.IsEmpty() {
-			seen[x] = true
-		}
-	}
-	for x, r := range g.ww {
-		if !r.IsEmpty() {
-			seen[x] = true
-		}
-	}
-	objs := make([]model.Obj, 0, len(seen))
+	objs := []model.Obj{}
 	for _, x := range g.History.Objects() {
-		if seen[x] {
+		if !g.wr[x].IsEmpty() || !g.ww[x].IsEmpty() {
 			objs = append(objs, x)
 		}
 	}
@@ -228,12 +211,13 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Model identifies one of the paper's consistency models.
+// Model identifies one of the consistency models of the table below.
 type Model int
 
 // The three consistency models the paper characterises, plus prefix
-// consistency (PC), the §7 future-work model this module characterises
-// with the same machinery.
+// consistency (PC), the §7 future-work model, and generalised SI (GSI),
+// SI without the SESSION axiom, which this module characterises with
+// the same machinery.
 const (
 	ModelInvalid Model = iota
 	SER
@@ -243,168 +227,244 @@ const (
 	GSI
 )
 
-// String returns "SER", "SI", "PSI", "PC" or "GSI".
-func (m Model) String() string {
-	switch m {
-	case SER:
-		return "SER"
-	case SI:
-		return "SI"
-	case PSI:
-		return "PSI"
-	case PC:
-		return "PC"
-	case GSI:
-		return "GSI"
-	default:
-		return fmt.Sprintf("Model(%d)", int(m))
+// Kinds is a set of dependency edge kinds, one bit per EdgeKind.
+type Kinds uint8
+
+func kinds(ks ...EdgeKind) Kinds {
+	var s Kinds
+	for _, k := range ks {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in the set.
+func (s Kinds) Has(k EdgeKind) bool { return s&(1<<k) != 0 }
+
+// in lists the kinds of the set in the given order.
+func (s Kinds) in(order ...EdgeKind) []EdgeKind {
+	var ks []EdgeKind
+	for _, k := range order {
+		if s.Has(k) {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// order lists the kinds of the set in the order witnesses label edges
+// with them: WW, WR, SO.
+func (s Kinds) order() []EdgeKind { return s.in(EdgeWW, EdgeWR, EdgeSO) }
+
+// String renders the union of the set, e.g. "SO ∪ WR ∪ WW".
+func (s Kinds) String() string {
+	var b strings.Builder
+	for i, k := range s.in(EdgeSO, EdgeWR, EdgeWW, EdgeRW) {
+		if i > 0 {
+			b.WriteString(" ∪ ")
+		}
+		b.WriteString(k.String())
+	}
+	return b.String()
+}
+
+// Shape says how a row's anti-dependencies join its base relation B
+// in the composite whose cycles the model forbids.
+type Shape uint8
+
+const (
+	// RWOptional: (VIS ; RW?) ∪ CO is acyclic (SI, PC, GSI; Theorem 9).
+	RWOptional Shape = iota
+	// RWAfterPath: B⁺ ; RW? is irreflexive (PSI; Theorem 21).
+	RWAfterPath
+	// RWUnion: B ∪ RW is acyclic (SER; Theorem 8).
+	RWUnion
+)
+
+// Row is one model's line of the table, in the style of Cerone,
+// Gotsman and Yang's algebraic laws: the dependency kinds an execution
+// of the model must make visible (VIS ⊇ them), the kinds it must only
+// commit in order (CO ⊇ them, VIS need not), and the shape in which
+// anti-dependencies join them. The base relation B = VIS ∪ CO must
+// embed into every execution's commit order; WR and WW are in every
+// row's B. Every layer — the composite of Graph, the Builder's and the
+// monitor's maintained closure, core's Figure 3 system — reads a
+// model from its row and nowhere else, while the axiom sets of
+// package execution judge the rows from outside.
+type Row struct {
+	Name string
+	VIS  Kinds
+	// CO holds the edges CO alone must contain. A row with CO edges
+	// keeps WW out of VIS: the membership kernels hold no WW union.
+	CO Kinds
+	RW Shape
+
+	violation error // the condition the row forbids, from formula
+}
+
+// table holds the rows, strongest model first; index 0, the invalid
+// model, is unused.
+var table = [...]Row{
+	SER: {Name: "SER", VIS: kinds(EdgeSO, EdgeWR, EdgeWW), RW: RWUnion},
+	SI:  {Name: "SI", VIS: kinds(EdgeSO, EdgeWR, EdgeWW), RW: RWOptional},
+	PSI: {Name: "PSI", VIS: kinds(EdgeSO, EdgeWR, EdgeWW), RW: RWAfterPath},
+	PC:  {Name: "PC", VIS: kinds(EdgeSO, EdgeWR), CO: kinds(EdgeWW), RW: RWOptional},
+	GSI: {Name: "GSI", VIS: kinds(EdgeWR, EdgeWW), RW: RWOptional},
+}
+
+func init() {
+	for i := range table[1:] {
+		r := &table[i+1]
+		r.violation = errors.New(r.formula())
 	}
 }
 
-// SIComposite returns (SO ∪ WR ∪ WW) ; RW?, the relation whose
-// acyclicity characterises GraphSI (Theorem 9).
-func (g *Graph) SIComposite() *relation.Rel {
-	base := g.History.SessionOrder().UnionInPlace(g.WR()).UnionInPlace(g.WW())
-	return base.Compose(g.RW().Maybe())
+// Models returns the models of the table, strongest first: SER, SI,
+// PSI, PC, GSI.
+func Models() []Model {
+	ms := make([]Model, 0, len(table)-1)
+	for m := SER; int(m) < len(table); m++ {
+		ms = append(ms, m)
+	}
+	return ms
 }
 
-// SERComposite returns SO ∪ WR ∪ WW ∪ RW, the relation whose
-// acyclicity characterises GraphSER (Theorem 8).
-func (g *Graph) SERComposite() *relation.Rel {
-	return g.History.SessionOrder().
-		UnionInPlace(g.WR()).
-		UnionInPlace(g.WW()).
-		UnionInPlace(g.RW())
+// Row returns m's row of the table, or nil for an unknown model.
+func (m Model) Row() *Row {
+	if m <= ModelInvalid || int(m) >= len(table) {
+		return nil
+	}
+	return &table[m]
 }
 
-// PSIComposite returns (SO ∪ WR ∪ WW)⁺ ; RW?, the relation whose
-// irreflexivity characterises GraphPSI (Theorem 21).
-func (g *Graph) PSIComposite() *relation.Rel {
-	base := g.History.SessionOrder().UnionInPlace(g.WR()).UnionInPlace(g.WW())
-	return base.TransitiveClosure().Compose(g.RW().Maybe())
+// String returns the model's name: "SER", "SI", "PSI", "PC" or "GSI".
+func (m Model) String() string {
+	if r := m.Row(); r != nil {
+		return r.Name
+	}
+	return fmt.Sprintf("Model(%d)", int(m))
 }
 
-// PCComposite returns ((SO ∪ WR) ; RW?) ∪ WW, the relation whose
-// acyclicity characterises prefix consistency.
-//
-// The characterisation is obtained by replaying the paper's §4 proof
-// with the NOCONFLICT axiom dropped: write dependencies then need not
-// be visible (WW ⊄ VIS), but must still agree with the commit order
-// (WW ⊆ CO), so the Figure 3 inequality system becomes
-//
-//	SO ∪ WR ⊆ VIS    WW ⊆ CO    CO ; VIS ⊆ VIS
-//	VIS ⊆ CO         CO ; CO ⊆ CO      VIS ; RW ⊆ CO
-//
-// whose Lemma 15-style least solution is CO = (((SO ∪ WR) ; RW?) ∪
-// WW)⁺ and VIS = CO? ; (SO ∪ WR). Soundness (an execution can be
-// built whenever the composite is acyclic, core.BuildExecutionPC) and
-// completeness are property-tested against the axiomatic definition in
-// internal/check.
-func (g *Graph) PCComposite() *relation.Rel {
-	soWR := g.History.SessionOrder().UnionInPlace(g.WR())
-	return soWR.Compose(g.RW().Maybe()).UnionInPlace(g.WW())
+// Base is B = VIS ∪ CO, the relation every execution of the model
+// commits in order and whose closure the certifiers maintain. A nil
+// row (an unknown model) has none.
+func (r *Row) Base() Kinds {
+	if r == nil {
+		return 0
+	}
+	return r.VIS | r.CO
 }
 
-// GSIComposite returns (WR ∪ WW) ; RW?, the relation whose acyclicity
-// characterises generalised SI — the SI characterisation of Theorem 9
-// with the session order dropped, obtained by replaying the §4 proof
-// without the SESSION axiom (so SO ⊄ VIS is no longer forced).
-func (g *Graph) GSIComposite() *relation.Rel {
-	base := g.WR().UnionInPlace(g.WW())
-	return base.Compose(g.RW().Maybe())
+// Dense returns the kinds the membership test over a maintained
+// closure (ClosureInModel) reads as dense relations of their own: VIS
+// when the row has CO edges, since the closure of B is then not VIS's,
+// and none otherwise.
+func (r *Row) Dense() Kinds {
+	if r == nil || r.CO == 0 {
+		return 0
+	}
+	return r.VIS
 }
 
-// InModel reports whether the graph belongs to GraphSER, GraphSI or
-// GraphPSI. A nil error means membership; the error otherwise explains
-// the violated condition (an INT violation or a forbidden cycle).
+// Violation returns the error a membership test reports for a graph
+// outside the row's model: the forbidden condition, e.g.
+// "(SO ∪ WR ∪ WW) ; RW? is cyclic".
+func (r *Row) Violation() error { return r.violation }
+
+// formula renders the condition the row forbids.
+func (r *Row) formula() string {
+	switch r.RW {
+	case RWUnion:
+		return r.Base().String() + " ∪ RW is cyclic"
+	case RWAfterPath:
+		return "(" + r.VIS.String() + ")⁺ ; RW? is not irreflexive"
+	}
+	f := "(" + r.VIS.String() + ") ; RW?"
+	if r.CO != 0 {
+		f = "(" + f + ") ∪ " + r.CO.String()
+	}
+	return f + " is cyclic"
+}
+
+// Union returns the union of the graph's relations of the given kinds
+// (SO, WR and WW; RW is never part of a union).
+func (g *Graph) Union(k Kinds) *relation.Rel {
+	var out *relation.Rel
+	if k.Has(EdgeSO) {
+		out = g.History.SessionOrder()
+	} else {
+		out = relation.New(g.n())
+	}
+	if k.Has(EdgeWR) {
+		for _, e := range g.wr {
+			e.AddTo(out)
+		}
+	}
+	if k.Has(EdgeWW) {
+		for _, e := range g.ww {
+			e.AddTo(out)
+		}
+	}
+	return out
+}
+
+// composite returns the relation whose cycles the row forbids:
+// B ∪ RW (RWUnion), B⁺ ; RW? (RWAfterPath, where the test is
+// irreflexivity), or (VIS ; RW?) ∪ CO.
+func (g *Graph) composite(r *Row) *relation.Rel {
+	switch r.RW {
+	case RWUnion:
+		return g.Union(r.Base()).UnionInPlace(g.RW())
+	case RWAfterPath:
+		return g.Union(r.VIS).TransitiveClosure().Compose(g.RW().Maybe())
+	}
+	c := g.Union(r.VIS).Compose(g.RW().Maybe())
+	if r.CO != 0 {
+		c.UnionInPlace(g.Union(r.CO))
+	}
+	return c
+}
+
+// InModel reports whether the graph belongs to the model's graph
+// class: GraphSER, GraphSI or GraphPSI of Theorems 8, 9 and 21, or the
+// PC and GSI classes of the same shape. A nil error means membership;
+// the error otherwise explains the violated condition (an INT
+// violation or the row's forbidden cycle).
 func (g *Graph) InModel(m Model) error {
 	if err := g.History.CheckInt(); err != nil {
 		return fmt.Errorf("INT: %w", err)
 	}
-	violation, err := modelViolation(m)
-	if err != nil {
-		return err
+	r := m.Row()
+	if r == nil {
+		return fmt.Errorf("unknown model %v", m)
 	}
-	var ok bool
-	switch m {
-	case SER:
-		ok = g.SERComposite().IsAcyclic()
-	case SI:
-		ok = g.SIComposite().IsAcyclic()
-	case PSI:
-		ok = g.PSIComposite().IsIrreflexive()
-	case PC:
-		ok = g.PCComposite().IsAcyclic()
-	case GSI:
-		ok = g.GSIComposite().IsAcyclic()
-	}
-	if !ok {
-		return violation
+	if g.Witness(m) != nil {
+		return r.violation
 	}
 	return nil
 }
 
-// violations holds the condition each model's characterisation
-// forbids, the error a membership test reports.
-var violations = [...]error{
-	SER: errors.New("SO ∪ WR ∪ WW ∪ RW is cyclic"),
-	SI:  errors.New("(SO ∪ WR ∪ WW) ; RW? is cyclic"),
-	PSI: errors.New("(SO ∪ WR ∪ WW)⁺ ; RW? is not irreflexive"),
-	PC:  errors.New("((SO ∪ WR) ; RW?) ∪ WW is cyclic"),
-	GSI: errors.New("(WR ∪ WW) ; RW? is cyclic"),
-}
-
-// modelViolation returns m's violation, or an error for an unknown m.
-func modelViolation(m Model) (violation, err error) {
-	if m <= ModelInvalid || int(m) >= len(violations) {
-		return nil, fmt.Errorf("unknown model %v", m)
-	}
-	return violations[m], nil
-}
-
-// InGSI reports membership in GraphGSI (the generalised-SI
-// characterisation).
-func (g *Graph) InGSI() bool { return g.InModel(GSI) == nil }
-
-// InPC reports membership in GraphPC (the prefix-consistency
-// characterisation).
-func (g *Graph) InPC() bool { return g.InModel(PC) == nil }
-
-// InSER reports membership in GraphSER (Theorem 8).
-func (g *Graph) InSER() bool { return g.InModel(SER) == nil }
-
-// InSI reports membership in GraphSI (Theorem 9).
-func (g *Graph) InSI() bool { return g.InModel(SI) == nil }
-
-// InPSI reports membership in GraphPSI (Theorem 21).
-func (g *Graph) InPSI() bool { return g.InModel(PSI) == nil }
-
 // Witness returns one forbidden cycle for the given model as a
 // sequence of transaction indices (first repeated last), or nil if the
-// graph is in the model. For SI and PSI the cycle is over the
+// graph is in the model. Except under SER the cycle is over the
 // composite relation, so consecutive nodes may be connected by a
-// dependency followed by an optional anti-dependency.
+// dependency followed by an optional anti-dependency (or, for PSI, a
+// dependency path).
 func (g *Graph) Witness(m Model) []int {
-	switch m {
-	case SER:
-		return g.SERComposite().FindCycle()
-	case SI:
-		return g.SIComposite().FindCycle()
-	case PSI:
-		comp := g.PSIComposite()
-		for i := 0; i < g.n(); i++ {
-			if comp.Has(i, i) {
-				return []int{i, i}
-			}
-		}
-		return nil
-	case PC:
-		return g.PCComposite().FindCycle()
-	case GSI:
-		return g.GSIComposite().FindCycle()
-	default:
+	r := m.Row()
+	if r == nil {
 		return nil
 	}
+	c := g.composite(r)
+	if r.RW != RWAfterPath {
+		return c.FindCycle()
+	}
+	for i := 0; i < g.n(); i++ {
+		if c.Has(i, i) {
+			return []int{i, i}
+		}
+	}
+	return nil
 }
 
 // FromExecution extracts graph(X) per Definition 5 from an execution
@@ -432,7 +492,7 @@ func FromExecution(x *execution.Execution) (*Graph, error) {
 			if !t.Reads(obj) {
 				continue
 			}
-			w, ok, err := visibleWriter(x, s, obj)
+			w, ok, err := x.VisibleWriter(s, obj)
 			if err != nil {
 				return nil, fmt.Errorf("graph(X): transaction %d reads %q: %w", s, obj, err)
 			}
@@ -445,52 +505,22 @@ func FromExecution(x *execution.Execution) (*Graph, error) {
 	return g, nil
 }
 
-// visibleWriter mirrors execution's EXT helper: max_CO(VIS⁻¹(s) ∩
-// WriteTx_x).
-func visibleWriter(x *execution.Execution, s int, obj model.Obj) (int, bool, error) {
-	var candidates []int
-	for _, w := range x.History.WriteTx(obj) {
-		if x.VIS.Has(w, s) {
-			candidates = append(candidates, w)
-		}
-	}
-	if len(candidates) == 0 {
-		return 0, false, nil
-	}
-	best := candidates[0]
-	for _, c := range candidates[1:] {
-		switch {
-		case x.CO.Has(best, c):
-			best = c
-		case x.CO.Has(c, best):
-		default:
-			return 0, false, fmt.Errorf("CO does not order writers %d and %d", best, c)
-		}
-	}
-	return best, true, nil
-}
-
 // Equal reports whether two graphs over the same history have
 // identical per-object WR and WW relations (and hence identical RW).
 func (g *Graph) Equal(o *Graph) bool {
-	if g.n() != o.n() {
-		return false
+	return g.n() == o.n() && sameEdges(g.wr, o.wr) && sameEdges(g.ww, o.ww)
+}
+
+// sameEdges reports whether a and b hold the same per-object relations,
+// an absent object counting as empty.
+func sameEdges(a, b map[model.Obj]*relation.Edges) bool {
+	for x, e := range a {
+		if !e.Equal(b[x]) {
+			return false
+		}
 	}
-	objs := make(map[model.Obj]bool)
-	for x := range g.wr {
-		objs[x] = true
-	}
-	for x := range o.wr {
-		objs[x] = true
-	}
-	for x := range g.ww {
-		objs[x] = true
-	}
-	for x := range o.ww {
-		objs[x] = true
-	}
-	for x := range objs {
-		if !g.WRObj(x).Equal(o.WRObj(x)) || !g.WWObj(x).Equal(o.WWObj(x)) {
+	for x, e := range b {
+		if !e.Equal(a[x]) {
 			return false
 		}
 	}

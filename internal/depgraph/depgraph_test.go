@@ -249,13 +249,13 @@ func TestModelMembershipOfFigures(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.g.InSER(); got != tc.ser {
+			if got := tc.g.InModel(SER) == nil; got != tc.ser {
 				t.Errorf("InSER = %v, want %v (%v)", got, tc.ser, tc.g.InModel(SER))
 			}
-			if got := tc.g.InSI(); got != tc.si {
+			if got := tc.g.InModel(SI) == nil; got != tc.si {
 				t.Errorf("InSI = %v, want %v (%v)", got, tc.si, tc.g.InModel(SI))
 			}
-			if got := tc.g.InPSI(); got != tc.psi {
+			if got := tc.g.InModel(PSI) == nil; got != tc.psi {
 				t.Errorf("InPSI = %v, want %v (%v)", got, tc.psi, tc.g.InModel(PSI))
 			}
 		})
@@ -302,10 +302,10 @@ func TestSERSubsetOfSISubsetOfPSI(t *testing.T) {
 	t.Parallel()
 	// On the figures: SER membership implies SI implies PSI.
 	for _, g := range []*Graph{lostUpdate(), writeSkew(), longFork()} {
-		if g.InSER() && !g.InSI() {
+		if g.InModel(SER) == nil && g.InModel(SI) != nil {
 			t.Error("GraphSER ⊄ GraphSI")
 		}
-		if g.InSI() && !g.InPSI() {
+		if g.InModel(SI) == nil && g.InModel(PSI) != nil {
 			t.Error("GraphSI ⊄ GraphPSI")
 		}
 	}
@@ -337,7 +337,7 @@ func TestFromExecution(t *testing.T) {
 	if !g.WWObj("x").Has(0, 1) || g.WWObj("x").Size() != 1 {
 		t.Errorf("WW = %v", g.WWObj("x"))
 	}
-	if !g.InSER() {
+	if g.InModel(SER) != nil {
 		t.Error("serial execution's graph should be in GraphSER")
 	}
 }

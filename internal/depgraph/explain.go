@@ -79,7 +79,7 @@ func (g *Graph) ExplainWitness(m Model) *WitnessExplanation {
 	if cyc == nil {
 		return nil
 	}
-	x := g.newExpander(m)
+	x := g.newExpander(m.Row())
 	var edges []Edge
 	for i := 0; i+1 < len(cyc); i++ {
 		step := x.expandStep(cyc[i], cyc[i+1])
@@ -91,30 +91,30 @@ func (g *Graph) ExplainWitness(m Model) *WitnessExplanation {
 		}
 		edges = append(edges, step...)
 	}
-	return &WitnessExplanation{Model: m, Axiom: axiomFor(m, edges), Cycle: edges}
+	return &WitnessExplanation{Model: m, Axiom: axiomFor(m.Row(), edges), Cycle: edges}
 }
 
-// ExplainBaseCycle explains a cycle of the plain dependency relation
-// SO ∪ WR ∪ WW (no anti-dependencies). It is used by the certifier
-// when a search branch dies before completing a candidate graph: a
-// base cycle excludes membership in every model, since dependencies
-// must embed into the commit order. Returns nil when the base relation
-// is acyclic.
+// ExplainBaseCycle explains a cycle of the model's base relation B =
+// VIS ∪ CO of its row (SO ∪ WR ∪ WW, or WR ∪ WW under GSI; no
+// anti-dependencies). It is used by the certifier when a search branch
+// dies before completing a candidate graph: a base cycle excludes
+// membership, since those dependencies must embed into the commit
+// order. Returns nil when the base relation is acyclic.
 func (g *Graph) ExplainBaseCycle(m Model) *WitnessExplanation {
-	base := g.History.SessionOrder().UnionInPlace(g.WR()).UnionInPlace(g.WW())
-	cyc := base.FindCycle()
+	base := m.Row().Base()
+	cyc := g.Union(base).FindCycle()
 	if cyc == nil {
 		return nil
 	}
 	var edges []Edge
 	for i := 0; i+1 < len(cyc); i++ {
-		e, ok := g.labelDep(cyc[i], cyc[i+1], EdgeWW, EdgeWR, EdgeSO)
+		e, ok := g.labelDep(cyc[i], cyc[i+1], base.order()...)
 		if !ok {
 			e = Edge{From: cyc[i], To: cyc[i+1]}
 		}
 		edges = append(edges, e)
 	}
-	return &WitnessExplanation{Model: m, Axiom: axiomFor(m, edges), Cycle: edges}
+	return &WitnessExplanation{Model: m, Axiom: axiomFor(m.Row(), edges), Cycle: edges}
 }
 
 // FormatCycle renders an edge cycle with transaction labels, e.g.
@@ -148,72 +148,45 @@ func (w *WitnessExplanation) String(g *Graph) string {
 	return fmt.Sprintf("axiom %s; cycle %s", w.Axiom, g.FormatCycle(w.Cycle))
 }
 
-// depKinds returns the dependency-edge kinds that may start a
-// composite step of the model (the relation left of "; RW?").
-func depKinds(m Model) []EdgeKind {
-	switch m {
-	case GSI:
-		return []EdgeKind{EdgeWW, EdgeWR}
-	case PC:
-		return []EdgeKind{EdgeWR, EdgeSO}
-	default:
-		return []EdgeKind{EdgeWW, EdgeWR, EdgeSO}
-	}
-}
-
-// expander decomposes composite-relation steps of one model. It holds
+// expander decomposes composite-relation steps of one row. It holds
 // the two relations every decomposition searches — the union of the
-// dependency kinds that may start a step, and RW — computed once, so a
-// step costs the edges it inspects; labelling a found edge then only
-// looks at the objects its endpoints access.
+// dependency kinds that may start a step (the row's VIS, the relation
+// left of "; RW?"), and RW — computed once, so a step costs the edges
+// it inspects; labelling a found edge then only looks at the objects
+// its endpoints access.
 type expander struct {
 	g     *Graph
-	m     Model
+	r     *Row
 	kinds []EdgeKind
 	deps  *relation.Rel // ⋃ kinds
 	rw    *relation.Rel
 }
 
-func (g *Graph) newExpander(m Model) *expander {
-	x := &expander{g: g, m: m, kinds: depKinds(m), deps: relation.New(g.n()), rw: g.RW()}
-	for _, k := range x.kinds {
-		switch k {
-		case EdgeSO:
-			x.deps.UnionInPlace(g.History.SessionOrder())
-		case EdgeWR:
-			x.deps.UnionInPlace(g.WR())
-		case EdgeWW:
-			x.deps.UnionInPlace(g.WW())
-		}
-	}
-	return x
+func (g *Graph) newExpander(r *Row) *expander {
+	return &expander{g: g, r: r, kinds: r.VIS.order(), deps: g.Union(r.VIS), rw: g.RW()}
 }
 
 // expandStep decomposes one composite-relation step a→b into the
 // underlying labelled edges, or nil if no decomposition exists.
 func (x *expander) expandStep(a, b int) []Edge {
-	switch x.m {
-	case SER:
-		// SO ∪ WR ∪ WW ∪ RW: always a direct edge.
-		if e, ok := x.g.labelDep(a, b, EdgeWW, EdgeWR, EdgeSO, EdgeRW); ok {
+	switch x.r.RW {
+	case RWUnion:
+		// B ∪ RW: always a direct edge.
+		if e, ok := x.g.labelDep(a, b, append(x.r.Base().order(), EdgeRW)...); ok {
 			return []Edge{e}
 		}
 		return nil
-	case SI, GSI:
-		// (deps) ; RW?
-		return x.expandDepThenRW(a, b)
-	case PC:
-		// ((SO ∪ WR) ; RW?) ∪ WW: try the WW disjunct first.
-		if e, ok := x.g.labelDep(a, b, EdgeWW); ok {
-			return []Edge{e}
-		}
-		return x.expandDepThenRW(a, b)
-	case PSI:
+	case RWAfterPath:
 		// (deps)⁺ ; RW?: BFS over dependency edges.
 		return x.expandPathThenRW(a, b)
-	default:
-		return nil
 	}
+	// (deps ; RW?) ∪ CO: try the CO disjunct first.
+	if x.r.CO != 0 {
+		if e, ok := x.g.labelDep(a, b, x.r.CO.order()...); ok {
+			return []Edge{e}
+		}
+	}
+	return x.expandDepThenRW(a, b)
 }
 
 // dep labels the dependency edge a→b, which x.deps holds.
@@ -340,14 +313,14 @@ func (g *Graph) labelRW(a, b int) (Edge, bool) {
 //   - exactly one anti-dependency: the lost-update shape that
 //     NOCONFLICT forbids (Figure 2(b));
 //   - two or more (necessarily non-adjacent) anti-dependencies: under
-//     SER this is the write-skew shape excluded by TOTALVIS
-//     (Figure 2(d)); under SI/GSI/PC it is the long-fork shape
-//     excluded by PREFIX (Figure 2(c)).
+//     SER, whose row joins RW to B by union, this is the write-skew
+//     shape excluded by TOTALVIS (Figure 2(d)); under the other rows
+//     it is the long-fork shape excluded by PREFIX (Figure 2(c)).
 //
 // Cycles with adjacent anti-dependency pairs never reach here: the
 // composite relations place at most one RW per step, so such cycles
 // are not forbidden (Theorem 9's "allowed" direction).
-func axiomFor(m Model, cycle []Edge) string {
+func axiomFor(r *Row, cycle []Edge) string {
 	rw := 0
 	for _, e := range cycle {
 		if e.Kind == EdgeRW {
@@ -359,7 +332,7 @@ func axiomFor(m Model, cycle []Edge) string {
 		return "SESSION/EXT (dependency cycle: SO ∪ WR ∪ WW must embed into the commit order)"
 	case rw == 1:
 		return "NOCONFLICT (lost-update shape: cycle with a single anti-dependency)"
-	case m == SER:
+	case r != nil && r.RW == RWUnion:
 		return "TOTALVIS (write-skew shape: anti-dependency cycle, Theorem 8)"
 	default:
 		return "PREFIX (long-fork shape: cycle with non-adjacent anti-dependencies, Theorem 9)"

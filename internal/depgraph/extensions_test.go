@@ -22,10 +22,10 @@ func TestPCAndGSIMemberships(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.g.InPC(); got != tc.pc {
+			if got := tc.g.InModel(PC) == nil; got != tc.pc {
 				t.Errorf("InPC = %v, want %v (%v)", got, tc.pc, tc.g.InModel(PC))
 			}
-			if got := tc.g.InGSI(); got != tc.gsi {
+			if got := tc.g.InModel(GSI) == nil; got != tc.gsi {
 				t.Errorf("InGSI = %v, want %v (%v)", got, tc.gsi, tc.g.InModel(GSI))
 			}
 		})
@@ -61,10 +61,10 @@ func TestGSIIgnoresSessionOrder(t *testing.T) {
 	g := New(h)
 	g.AddWW("x", 0, 1)
 	g.AddWR("x", 0, 2)
-	if !g.InGSI() {
+	if g.InModel(GSI) != nil {
 		t.Errorf("stale session read outside GraphGSI: %v", g.InModel(GSI))
 	}
-	if g.InSI() {
+	if g.InModel(SI) == nil {
 		t.Error("stale session read inside GraphSI")
 	}
 	err := g.InModel(SI)

@@ -7,6 +7,7 @@ import (
 
 	"sian/internal/chopping"
 	"sian/internal/core"
+	"sian/internal/depgraph"
 	"sian/internal/workload"
 )
 
@@ -49,7 +50,7 @@ func TestGraph(t *testing.T) {
 func TestExecution(t *testing.T) {
 	t.Parallel()
 	ws := workload.WriteSkew()
-	x, err := core.BuildExecution(ws.Graph)
+	x, err := core.BuildExecution(ws.Graph, depgraph.SI)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,13 +273,13 @@ func (x *Execution) checkNoConflict() error {
 	return nil
 }
 
-// visibleWriter computes max_CO(VIS⁻¹(S) ∩ WriteTx_x): the transaction
+// VisibleWriter computes max_CO(VIS⁻¹(S) ∩ WriteTx_x): the transaction
 // whose write to x the transaction with index s must read per EXT. The
 // second result is false when the set is empty. An error is returned
 // when CO does not totally order the candidate set (possible for
 // pre-executions with insufficient CO; EXT is then not well-defined
 // for this read).
-func (x *Execution) visibleWriter(s int, obj model.Obj) (int, bool, error) {
+func (x *Execution) VisibleWriter(s int, obj model.Obj) (int, bool, error) {
 	var candidates []int
 	for _, w := range x.History.WriteTx(obj) {
 		if x.VIS.Has(w, s) {
@@ -315,7 +315,7 @@ func (x *Execution) checkExt() error {
 			if !reads {
 				continue
 			}
-			w, ok, err := x.visibleWriter(s, obj)
+			w, ok, err := x.VisibleWriter(s, obj)
 			if err != nil {
 				return fmt.Errorf("transaction %d reads %q: %w", s, obj, err)
 			}

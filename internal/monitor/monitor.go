@@ -412,9 +412,10 @@ type Monitor struct {
 	sawCommit  bool
 
 	// Incremental graph state over carrier slots [0, cap). free is the
-	// stack of unoccupied slots. so and wrAll are kept only when pc is
-	// set: PC's formula is the one that reads them.
-	pc      bool
+	// stack of unoccupied slots. so and wrAll are kept only when the
+	// model's row reads them (Row.Dense: PC), and the closure holds SO
+	// edges only when the row's base does (not under GSI).
+	row     *depgraph.Row
 	cap     int
 	free    []int
 	cl      *relation.Closure
@@ -457,7 +458,7 @@ func New(cfg Config) *Monitor {
 	m := &Monitor{
 		cfg:      cfg,
 		model:    cfg.Model,
-		pc:       cfg.Model == depgraph.PC,
+		row:      cfg.Model.Row(),
 		sess:     make(map[string]*sessState),
 		objects:  make(map[model.Obj]*objState),
 		fastOK:   true,
@@ -670,15 +671,15 @@ func (m *Monitor) memberNow() bool { return m.fastOK && !m.tainted }
 // incremental state. It is replay-safe: t.reads is rebuilt.
 func (m *Monitor) applyTx(t *winTx) {
 	t.reads = t.reads[:0]
-	// The so relation carries the full transitive session order (the
-	// PC formula composes with it directly); the closure only needs
-	// the immediate predecessor edge, transitivity is its job. GSI
-	// drops SO from the base relation altogether (Theorem 21's
-	// GraphSI variant without session guarantees).
-	for p := t.prevSame; p != nil && m.pc; p = p.prevSame {
+	// The so relation, when the row reads it, carries the full
+	// transitive session order (PC's formula composes with it
+	// directly); the closure only needs the immediate predecessor edge,
+	// transitivity is its job, and only when the row's base holds SO
+	// (GSI's does not).
+	for p := t.prevSame; p != nil && m.so != nil; p = p.prevSame {
 		m.so.Add(p.idx, t.idx)
 	}
-	if t.prevSame != nil && m.model != depgraph.GSI {
+	if t.prevSame != nil && m.row.Base().Has(depgraph.EdgeSO) {
 		m.cl.AddEdge(t.prevSame.idx, t.idx)
 	}
 	for _, r := range t.ext {
@@ -721,7 +722,7 @@ func (m *Monitor) linkRead(t *winTx, x *objState, v model.Value, w *winTx) {
 	}
 	t.reads = append(t.reads, resolvedRead{obj: x, val: v, writer: w})
 	x.readers = append(x.readers, t)
-	if m.pc {
+	if m.wrAll != nil {
 		m.wrAll.Add(wi, t.idx)
 	}
 	m.cl.AddEdge(wi, t.idx)
@@ -898,12 +899,14 @@ func (m *Monitor) adoptWitness(g *depgraph.Graph) {
 		}
 	}
 	m.cl = relation.NewClosure(m.cap)
-	m.wrAll = relation.New(m.cap)
+	if m.wrAll != nil {
+		m.wrAll = relation.New(m.cap)
+	}
 	m.rw = relation.New(m.cap)
 	m.forgetVersions()
 	for _, t := range m.win {
 		t.reads = t.reads[:0]
-		if t.prevSame != nil && m.model != depgraph.GSI {
+		if t.prevSame != nil && m.row.Base().Has(depgraph.EdgeSO) {
 			m.cl.AddEdge(t.prevSame.idx, t.idx)
 		}
 	}
@@ -1092,8 +1095,10 @@ func (m *Monitor) collapseInPlace(k int) {
 			r.obj.cur = without(r.obj.cur, t)
 			r.obj.readers = without(r.obj.readers, t)
 		}
-		if m.pc {
+		if m.so != nil {
 			m.so.Isolate(t.idx)
+		}
+		if m.wrAll != nil {
 			m.wrAll.Isolate(t.idx)
 		}
 		m.rw.Isolate(t.idx)
@@ -1137,7 +1142,7 @@ func (m *Monitor) collapseInPlace(k int) {
 				if w := x.byVal[r.val]; w != nil && w.ord < t.ord {
 					r.writer, wi = w, w.idx
 				}
-				if m.pc {
+				if m.wrAll != nil {
 					m.wrAll.Add(wi, t.idx)
 				}
 				m.cl.AddEdge(wi, t.idx)
@@ -1217,10 +1222,14 @@ func (m *Monitor) grow() {
 func (m *Monitor) rebuild(newCap int) {
 	m.cap = newCap
 	m.cl = relation.NewClosure(newCap)
-	m.so = relation.New(newCap)
-	m.wrAll = relation.New(newCap)
+	if m.row.Dense().Has(depgraph.EdgeSO) {
+		m.so = relation.New(newCap)
+	}
+	if m.row.Dense().Has(depgraph.EdgeWR) {
+		m.wrAll = relation.New(newCap)
+	}
 	m.rw = relation.New(newCap)
-	m.scratch = depgraph.NewScratch(newCap)
+	m.scratch = depgraph.NewScratch(newCap, m.model)
 	m.forgetVersions()
 	for i, t := range m.win {
 		t.idx = i + 1

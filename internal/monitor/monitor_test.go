@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -512,6 +513,46 @@ func TestWitnessAdoptionDifferential(t *testing.T) {
 		rep := streamHistory(t, h, Config{Model: m})
 		if rep.Member != off.Member {
 			t.Errorf("seed %d under %v: monitor member = %v, offline = %v", i, m, rep.Member, off.Member)
+		}
+	}
+}
+
+// TestMonitorKeepsOnlyItsModelsRelations: after the carrier grows, a
+// monitor holds the n×n relations its model's row reads and no others,
+// as depgraph.NewBuilder does. SER, SI, PSI and GSI compose RW with
+// the closure alone, so they hold no session order, no WR union and no
+// PC composites; a PC monitor holds all of them, and every model still
+// admits the serial stream.
+func TestMonitorKeepsOnlyItsModelsRelations(t *testing.T) {
+	t.Parallel()
+	for _, m := range allModels {
+		mon := New(Config{Model: m})
+		for i := 1; i <= 40; i++ {
+			sess := []string{"a", "b"}[i%2]
+			txid := fmt.Sprintf("%s#%d", sess, i)
+			mon.Ingest(eventlog.Event{Kind: eventlog.Read, Session: sess, TxID: txid, Obj: "x", Val: model.Value(i - 1)})
+			mon.Ingest(eventlog.Event{Kind: eventlog.Write, Session: sess, TxID: txid, Obj: "x", Val: model.Value(i)})
+			mon.Ingest(eventlog.Event{Kind: eventlog.Commit, Session: sess, TxID: txid})
+		}
+		if mon.nRebuilds == 0 {
+			t.Fatalf("%v: 40 unwindowed commits did not grow the carrier (cap %d)", m, mon.cap)
+		}
+		sc := reflect.ValueOf(mon.scratch).Elem()
+		s2, s3 := !sc.FieldByName("s2").IsNil(), !sc.FieldByName("s3").IsNil()
+		pc := m == depgraph.PC
+		if (mon.so != nil) != pc || (mon.wrAll != nil) != pc || s2 != pc || s3 != pc {
+			t.Errorf("%v: SO %v, WR union %v, PC scratch %v/%v; want all present exactly for PC",
+				m, mon.so != nil, mon.wrAll != nil, s2, s3)
+		}
+		if mon.rw == nil || sc.FieldByName("s1").IsNil() {
+			t.Errorf("%v: RW or the composite scratch is missing", m)
+		}
+		rep, err := mon.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Member || rep.Rechecks != 1 {
+			t.Errorf("%v: member %v after %d rechecks, want the serial stream admitted by the fast path", m, rep.Member, rep.Rechecks)
 		}
 	}
 }

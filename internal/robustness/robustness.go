@@ -191,7 +191,11 @@ func (c Classification) String() string {
 // concrete graph. SI && !SER witnesses non-robustness against SI
 // (Theorem 19), PSI && !SI against parallel SI towards SI (Theorem 22).
 func Classify(g *depgraph.Graph) Classification {
-	return Classification{SER: g.InSER(), SI: g.InSI(), PSI: g.InPSI()}
+	return Classification{
+		SER: g.InModel(depgraph.SER) == nil,
+		SI:  g.InModel(depgraph.SI) == nil,
+		PSI: g.InModel(depgraph.PSI) == nil,
+	}
 }
 
 // Theorem19 decides G ∈ GraphSI \ GraphSER for a concrete graph and

@@ -33,10 +33,10 @@ func TestExamplesWellFormed(t *testing.T) {
 			// witness; the declared flags are about the history. For
 			// the examples the graph is the canonical witness, so they
 			// agree on SI and PSI.
-			if got := ex.Graph.InSI(); got != ex.InSI {
+			if got := ex.Graph.InModel(depgraph.SI) == nil; got != ex.InSI {
 				t.Errorf("graph InSI = %v, want %v", got, ex.InSI)
 			}
-			if got := ex.Graph.InPSI(); got != ex.InPSI {
+			if got := ex.Graph.InModel(depgraph.PSI) == nil; got != ex.InPSI {
 				t.Errorf("graph InPSI = %v, want %v", got, ex.InPSI)
 			}
 		})
@@ -50,7 +50,7 @@ func TestFig4GraphsValid(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if !g.InSI() {
+		if g.InModel(depgraph.SI) != nil {
 			t.Errorf("%s should be in GraphSI", name)
 		}
 	}

@@ -58,7 +58,7 @@ type (
 	Execution = execution.Execution
 	// Graph is an Adya-style dependency graph (T, SO, WR, WW, RW).
 	Graph = depgraph.Graph
-	// Model selects a consistency model (SER, SI or PSI).
+	// Model selects a consistency model (SER, SI, PSI, PC or GSI).
 	Model = depgraph.Model
 )
 
@@ -134,30 +134,15 @@ func ClassifyHistory(h *History, opts CertifyOptions) (*AnomalyReport, error) {
 
 // Theorem 10 constructions.
 
-// BuildExecution constructs, from a dependency graph in GraphSI, an
-// abstract execution satisfying the SI axioms whose dependency graph
-// is the input (Theorem 10(i)).
-func BuildExecution(g *Graph) (*Execution, error) { return core.BuildExecution(g) }
+// BuildExecution constructs, from a dependency graph in model m's
+// graph class, an abstract execution satisfying m's axioms whose
+// dependency graph is the input (Theorem 10(i) for SI; PC and GSI get
+// the same construction from their rows, SER and PSI none).
+func BuildExecution(g *Graph, m Model) (*Execution, error) { return core.BuildExecution(g, m) }
 
-// VerifyExecution independently checks that x satisfies the SI axioms
-// and that graph(x) = g — the full conclusion of Theorem 10(i).
-func VerifyExecution(g *Graph, x *Execution) error { return core.Verify(g, x) }
-
-// BuildExecutionPC is the prefix-consistency analogue of
-// BuildExecution.
-func BuildExecutionPC(g *Graph) (*Execution, error) { return core.BuildExecutionPC(g) }
-
-// VerifyExecutionPC independently checks that x satisfies the PC
-// axioms and that graph(x) = g.
-func VerifyExecutionPC(g *Graph, x *Execution) error { return core.VerifyPC(g, x) }
-
-// BuildExecutionGSI is the generalised-SI analogue of BuildExecution
-// (SI without session guarantees).
-func BuildExecutionGSI(g *Graph) (*Execution, error) { return core.BuildExecutionGSI(g) }
-
-// VerifyExecutionGSI independently checks that x satisfies the GSI
-// axioms and that graph(x) = g.
-func VerifyExecutionGSI(g *Graph, x *Execution) error { return core.VerifyGSI(g, x) }
+// VerifyExecution independently checks that x satisfies model m's
+// axioms and that graph(x) = g — the full conclusion of Theorem 10(i).
+func VerifyExecution(g *Graph, m Model, x *Execution) error { return core.Verify(g, m, x) }
 
 // Transaction chopping (§5).
 type (

@@ -49,14 +49,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if res.Execution == nil {
 		t.Fatal("no execution certificate")
 	}
-	if err := sian.VerifyExecution(res.Graph, res.Execution); err != nil {
+	if err := sian.VerifyExecution(res.Graph, sian.SI, res.Execution); err != nil {
 		t.Errorf("VerifyExecution: %v", err)
 	}
-	x, err := sian.BuildExecution(res.Graph)
+	x, err := sian.BuildExecution(res.Graph, sian.SI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sian.VerifyExecution(res.Graph, x); err != nil {
+	if err := sian.VerifyExecution(res.Graph, sian.SI, x); err != nil {
 		t.Errorf("BuildExecution output: %v", err)
 	}
 
@@ -163,14 +163,14 @@ func TestFacadeWrappers(t *testing.T) {
 	}
 
 	// PC construction through the facade.
-	x, err := sian.BuildExecutionPC(g)
+	x, err := sian.BuildExecution(g, sian.PC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sian.VerifyExecutionPC(g, x); err != nil {
+	if err := sian.VerifyExecution(g, sian.PC, x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sian.BuildExecutionGSI(g); err == nil {
+	if _, err := sian.BuildExecution(g, sian.GSI); err == nil {
 		t.Error("lost update should be outside GraphGSI")
 	}
 
@@ -227,11 +227,11 @@ func TestFacadeWrappers(t *testing.T) {
 	if err != nil || !gsiRes.Member {
 		t.Fatalf("GSI certify: %v", err)
 	}
-	gx, err := sian.BuildExecutionGSI(gsiRes.Graph)
+	gx, err := sian.BuildExecution(gsiRes.Graph, sian.GSI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sian.VerifyExecutionGSI(gsiRes.Graph, gx); err != nil {
+	if err := sian.VerifyExecution(gsiRes.Graph, sian.GSI, gx); err != nil {
 		t.Fatal(err)
 	}
 }
