@@ -238,6 +238,7 @@ type Scratch struct {
 	// for the others.
 	s2, s3 *relation.Rel
 	dfs    relation.DFS
+	walk   relation.Walk
 }
 
 // NewScratch returns working storage for model m's membership test
@@ -295,6 +296,36 @@ func ClosureInModel(m Model, cl *relation.Closure, rw, so, wr *relation.Rel, sc 
 		ok = sc.s3.ComposeOf(sc.s1, a).IsAcyclicWith(&sc.dfs)
 	}
 	if !ok {
+		return r.violation
+	}
+	return nil
+}
+
+// ClosureInModelThrough is ClosureInModel for a graph that passed it
+// before the edges of one element t were added: every base edge and
+// every anti-dependency added since has t at one end. Each pair such a
+// base edge adds to the closure runs through t, so a cycle the
+// composite gained runs through t as well, and the test searches from
+// t alone (relation.Closure.OnCycleMaybe and OnCycleUnion), reading
+// the rows it reaches instead of composing and searching the whole
+// carrier. Its verdict is ClosureInModel's. It allocates nothing once
+// sc has grown to the carrier, and it panics for a row that is not
+// Incremental.
+func ClosureInModelThrough(m Model, cl *relation.Closure, rw *relation.Rel, t int, sc *Scratch) error {
+	r := m.Row()
+	if !r.Incremental() {
+		panic(fmt.Sprintf("depgraph: %v has no cycle test through one element", m))
+	}
+	if cl.HasCycle() {
+		return r.violation
+	}
+	var cyclic bool
+	if r.RW == RWUnion {
+		cyclic = cl.OnCycleUnion(rw, t, &sc.walk)
+	} else {
+		cyclic = cl.OnCycleMaybe(rw, t, &sc.walk)
+	}
+	if cyclic {
 		return r.violation
 	}
 	return nil

@@ -342,3 +342,143 @@ func TestBuilderKeepsOnlyItsModelsRelations(t *testing.T) {
 		graphAgrees(t, b, g, m)
 	}
 }
+
+// TestClosureInModelThroughMatchesFull: on random graphs that pass
+// ClosureInModel, adding base edges into and out of one element t and
+// anti-dependencies at t leaves ClosureInModelThrough with the whole
+// test's verdict, under every row it covers, on carriers of one word
+// and of several.
+func TestClosureInModelThroughMatchesFull(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(3))
+	verdicts := map[Model]map[bool]int{}
+	for _, m := range Models() {
+		if !m.Row().Incremental() {
+			if m.Row().CO == 0 && m.Row().RW != RWAfterPath {
+				t.Errorf("%v: a row without CO kinds or PSI's shape is not Incremental", m)
+			}
+			continue
+		}
+		verdicts[m] = map[bool]int{}
+		for _, n := range []int{2, 9, 40, 64, 65, 150} {
+			sc := NewScratch(n, m)
+			for trial := 0; trial < 60; trial++ {
+				cl, rw := relation.NewClosure(n), relation.New(n)
+				target := rng.Intn(n)
+				// Base edges follow a random order, so B is acyclic; then
+				// anti-dependencies are kept only while the graph passes.
+				perm := rng.Perm(n)
+				for range rng.Intn(2*n) + 1 {
+					a, b := rng.Intn(n), rng.Intn(n)
+					if a > b {
+						a, b = b, a
+					}
+					if a != b && perm[a] != target && perm[b] != target {
+						cl.AddEdge(perm[a], perm[b])
+					}
+				}
+				for range rng.Intn(n) + 1 {
+					a, b := rng.Intn(n), rng.Intn(n)
+					if a == b || a == target || b == target || rw.Has(a, b) {
+						continue
+					}
+					rw.Add(a, b)
+					if ClosureInModel(m, cl, rw, nil, nil, sc) != nil {
+						rw.Remove(a, b)
+					}
+				}
+				if err := ClosureInModel(m, cl, rw, nil, nil, sc); err != nil {
+					t.Fatalf("%v n=%d trial %d: the graph before t fails: %v", m, n, trial, err)
+				}
+				// t's edges: base edges into it in one sweep, a few out of
+				// it, anti-dependencies either way.
+				preds := make([]uint64, (n+63)/64)
+				for range rng.Intn(4) {
+					a := rng.Intn(n)
+					preds[a/64] |= 1 << (uint(a) % 64)
+				}
+				cl.AddEdgesInto(preds, target)
+				for range rng.Intn(3) {
+					if b := rng.Intn(n); b != target {
+						cl.AddEdge(target, b)
+					}
+				}
+				for range rng.Intn(4) {
+					if a := rng.Intn(n); a != target {
+						if rng.Intn(2) == 0 {
+							rw.Add(a, target)
+						} else {
+							rw.Add(target, a)
+						}
+					}
+				}
+				want := ClosureInModel(m, cl, rw, nil, nil, sc)
+				got := ClosureInModelThrough(m, cl, rw, target, sc)
+				if got != want {
+					t.Fatalf("%v n=%d trial %d: through %d: %v, whole test: %v\nclosure %v\nRW %v", m, n, trial, target, got, want, cl.Rel(), rw)
+				}
+				verdicts[m][want == nil]++
+			}
+		}
+	}
+	for m, v := range verdicts {
+		t.Logf("%v: %d members, %d non-members", m, v[true], v[false])
+		if v[true] < 50 || v[false] < 50 {
+			t.Errorf("%v: %d members and %d non-members, want both kinds", m, v[true], v[false])
+		}
+	}
+}
+
+// TestBaseCycleNamesTheRowsBase: a cycle of dependencies alone is
+// attributed to the axioms and kinds of the row's base. GSI's base
+// holds no SO, so its explanation names neither SESSION nor SO; SI's
+// is the text it always was.
+func TestBaseCycleNamesTheRowsBase(t *testing.T) {
+	t.Parallel()
+	h := model.NewHistory(
+		sess("s1", tx("T1", model.Write("x", 1), model.Read("y", 2))),
+		sess("s2", tx("T2", model.Write("y", 2), model.Read("x", 1))),
+	)
+	g := New(h)
+	g.AddWR("x", 0, 1)
+	g.AddWR("y", 1, 0)
+	for _, tc := range []struct {
+		m    Model
+		want string
+	}{
+		{SI, "SESSION/EXT (dependency cycle: SO ∪ WR ∪ WW must embed into the commit order)"},
+		{PC, "SESSION/EXT (dependency cycle: SO ∪ WR ∪ WW must embed into the commit order)"},
+		{GSI, "EXT (dependency cycle: WR ∪ WW must embed into the commit order)"},
+	} {
+		for _, e := range []*WitnessExplanation{g.ExplainWitness(tc.m), g.ExplainBaseCycle(tc.m)} {
+			if e == nil || e.Axiom != tc.want {
+				t.Errorf("%v: explanation %+v, want axiom %q", tc.m, e, tc.want)
+			}
+		}
+	}
+}
+
+// TestClosureInModelThroughAllocatesNothing: once its scratch has grown
+// to the carrier, the search through one element allocates nothing,
+// on one word and on several, member or not.
+func TestClosureInModelThroughAllocatesNothing(t *testing.T) {
+	for _, n := range []int{40, 150} {
+		for _, m := range []Model{SER, SI, GSI} {
+			cl, rw, sc := relation.NewClosure(n), relation.New(n), NewScratch(n, m)
+			for i := 1; i < n; i++ {
+				cl.AddEdge(i-1, i)
+			}
+			for _, member := range []bool{true, false} {
+				if !member {
+					rw.Add(n-1, n/2)
+				}
+				if got := ClosureInModelThrough(m, cl, rw, n/2, sc) == nil; got != member {
+					t.Fatalf("%v n=%d: member = %v, want %v", m, n, got, member)
+				}
+				if allocs := testing.AllocsPerRun(20, func() { _ = ClosureInModelThrough(m, cl, rw, n/2, sc) }); allocs != 0 {
+					t.Errorf("%v n=%d member=%v: ClosureInModelThrough allocated %.1f times per call", m, n, member, allocs)
+				}
+			}
+		}
+	}
+}

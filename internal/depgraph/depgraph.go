@@ -366,6 +366,15 @@ func (r *Row) Dense() Kinds {
 	return r.VIS
 }
 
+// Incremental reports whether the row's composite has a test for the
+// cycles through one element, ClosureInModelThrough: a search from it
+// in two states for (VIS ; RW?) without CO-only kinds (SI, GSI), in one
+// for B ∪ RW (SER). PSI's irreflexivity test and PC's union with CO
+// keep the whole-carrier test.
+func (r *Row) Incremental() bool {
+	return r != nil && r.CO == 0 && r.RW != RWAfterPath
+}
+
 // Violation returns the error a membership test reports for a graph
 // outside the row's model: the forbidden condition, e.g.
 // "(SO ∪ WR ∪ WW) ; RW? is cyclic".

@@ -307,9 +307,10 @@ func (g *Graph) labelRW(a, b int) (Edge, bool) {
 // axiomFor attributes a forbidden cycle to an axiom (or axiom group)
 // of the paper's Figure 1 specification, from the cycle's shape:
 //
-//   - no anti-dependency: the dependencies SO ∪ WR ∪ WW themselves are
+//   - no anti-dependency: the row's base dependencies themselves are
 //     cyclic, yet every model requires them to embed into the commit
-//     order — a SESSION/EXT violation;
+//     order — an EXT violation, and a SESSION one too when the base
+//     holds SO (every row's but GSI's);
 //   - exactly one anti-dependency: the lost-update shape that
 //     NOCONFLICT forbids (Figure 2(b));
 //   - two or more (necessarily non-adjacent) anti-dependencies: under
@@ -329,7 +330,14 @@ func axiomFor(r *Row, cycle []Edge) string {
 	}
 	switch {
 	case rw == 0:
-		return "SESSION/EXT (dependency cycle: SO ∪ WR ∪ WW must embed into the commit order)"
+		base, axiom := r.Base(), "EXT"
+		if base == 0 {
+			base = kinds(EdgeSO, EdgeWR, EdgeWW) // no row: name every dependency
+		}
+		if base.Has(EdgeSO) {
+			axiom = "SESSION/EXT"
+		}
+		return axiom + " (dependency cycle: " + base.String() + " must embed into the commit order)"
 	case rw == 1:
 		return "NOCONFLICT (lost-update shape: cycle with a single anti-dependency)"
 	case r != nil && r.RW == RWUnion:

@@ -447,14 +447,27 @@ func TestSessionsForgotten(t *testing.T) {
 // included); replays/commit counts carrier rebuilds and is 0 when the
 // collapse never leaves the in-place path.
 func BenchmarkMonitorIngest(b *testing.B) {
-	evs := hotStream(4000)
+	benchmarkIngest(b, hotStream(4000), 62)
+}
+
+// BenchmarkUnwindowedMonitorIngest streams 2 000 hot-key commits
+// through a monitor without a window: nothing collapses, and the
+// carrier doubles (a replay each time) up to 2 048 slots, rows of 32
+// words, so the membership test runs over a wide carrier.
+func BenchmarkUnwindowedMonitorIngest(b *testing.B) {
+	benchmarkIngest(b, hotStream(2000), 0)
+}
+
+// benchmarkIngest streams evs through fresh monitors at the given
+// window until b.N commits have been judged.
+func benchmarkIngest(b *testing.B, evs []eventlog.Event, window int) {
 	b.ReportAllocs()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	var commits, rebuilds int64
 	for commits < int64(b.N) {
-		mon := New(Config{Window: 62})
+		mon := New(Config{Window: window})
 		for _, ev := range evs {
 			if v := mon.Ingest(ev); v != nil {
 				if !v.Member {

@@ -17,8 +17,14 @@
 // graph induced by arrival order (WW ordered by commit arrival, WR
 // resolved by value traceability). If that candidate satisfies the
 // model the window is a member — the candidate is an existential
-// witness, Theorems 8/9/21 need nothing more — and the commit costs
-// one sparse compose, no search. Only when the arrival candidate
+// witness, Theorems 8/9/21 need nothing more — and the commit costs no
+// search. Every edge a commit adds has the new transaction at one end,
+// so when the candidate passed before it, a cycle it gains runs through
+// that transaction: under SI, GSI and SER the test then walks out from
+// it alone (depgraph.ClosureInModelThrough). The whole test runs after
+// anything else changed the graph — a collapse that re-points a read to
+// a live writer or re-derives an anti-dependency, a replay, an adopted
+// witness — and while the candidate fails. Only when the arrival candidate
 // fails does the monitor fall back to check.Certify on the assembled
 // window history, which searches every candidate extension and, on a
 // negative verdict, yields the witness cycle for the report. A
@@ -68,8 +74,10 @@
 // collapseOK and collapseInPlace visit the prefix's own operations and
 // the live readers of the objects it wrote. A commit therefore costs
 // the operations of the transaction it adds and of the one it retires,
-// plus the readers of what that one wrote — not a replay of the window,
-// nor a pass over its reads.
+// the readers of what that one wrote, a word-parallel sweep of the
+// closure rows for each of the two, and the rows its cycle search
+// reaches — not a replay of the window, a composition over the whole
+// carrier, nor a pass over its reads.
 package monitor
 
 import (
@@ -230,13 +238,14 @@ type objState struct {
 	// resolve to (the first in chain order).
 	byVal map[model.Value]*winTx
 	// chain is the version chain: every live writer, oldest version
-	// first.
-	chain []*winTx
+	// first, a view of chainBuf (see push).
+	chain, chainBuf []*winTx
 	// cur holds the live readers of the current version, whose
 	// anti-dependency on the next writer is not yet recorded.
 	cur []*winTx
 	// readers holds every live transaction with a resolved read of the
-	// object; a collapse visits these for the objects its prefix wrote.
+	// object, in no particular order; a collapse visits these for the
+	// objects its prefix wrote.
 	readers []*winTx
 	// front is the value the collapsed prefix (or an absorbed init
 	// transaction) left, when hasFront.
@@ -335,8 +344,9 @@ type sessState struct {
 	// open holds the session's in-flight attempts, usually one. The
 	// slots past len(open) keep their op buffers for the next attempt.
 	open []attempt
-	// txs holds the session's live window transactions in commit order.
-	txs []*winTx
+	// txs holds the session's live window transactions in commit order,
+	// a view of txsBuf.
+	txs, txsBuf []*winTx
 }
 
 // attempt is one in-flight transaction: its id within the session and
@@ -395,7 +405,8 @@ type Monitor struct {
 	// transaction.
 	sess map[string]*sessState
 
-	win      []*winTx // live transactions in arrival order
+	win      []*winTx // live transactions in arrival order, a view of winBuf
+	winBuf   []*winTx
 	nextOrd  int64
 	sessions []*sessState // sessions with live transactions in first-seen order, for deterministic window histories
 	// freeTx holds the records of collapsed transactions for reuse;
@@ -414,7 +425,10 @@ type Monitor struct {
 	// Incremental graph state over carrier slots [0, cap). free is the
 	// stack of unoccupied slots. so and wrAll are kept only when the
 	// model's row reads them (Row.Dense: PC), and the closure holds SO
-	// edges only when the row's base does (not under GSI).
+	// edges only when the row's base does (not under GSI). While applyTx
+	// adds the transaction in slot into (0 otherwise: the frontier has no
+	// in-edges), its base in-edges collect in preds for one
+	// Closure.AddEdgesInto.
 	row     *depgraph.Row
 	cap     int
 	free    []int
@@ -423,6 +437,8 @@ type Monitor struct {
 	wrAll   *relation.Rel
 	rw      *relation.Rel
 	scratch *depgraph.Scratch
+	into    int
+	preds   []uint64
 	pending []pendingRead
 	// visits numbers prefixWrites calls, for objState.visit; written
 	// is the slice it returns.
@@ -433,14 +449,23 @@ type Monitor struct {
 	dupVals    bool
 	tainted    bool // a slow-path check rejected; stop re-searching
 	fastOK     bool // the arrival candidate currently satisfies the model
-	err        error
-	report     *Report
+	// dirty records that edges without the next commit at one end
+	// changed since the last whole-carrier test: the next test cannot
+	// be the search through that commit.
+	dirty  bool
+	err    error
+	report *Report
 	// collapse retires the k oldest window transactions; always
 	// collapseInPlace outside the tests, which swap in a replaying
 	// oracle.
 	collapse func(m *Monitor, k int)
+	// onThrough, set by the tests only, sees every verdict of the search
+	// through a commit, to hold it against the whole-carrier test.
+	onThrough func(m *Monitor, ok bool)
 
 	nEvents, nCommits, nGCd, nRechecks, nRebuilds int64
+	// nThrough counts the commits the search through them decided.
+	nThrough int64
 
 	cEvents, cCommits, cViol, cGC, cRecheck, cRebuild *obs.Counter
 	gWindow, gPending                                 *obs.Gauge
@@ -480,6 +505,9 @@ func New(cfg Config) *Monitor {
 		initial = cfg.Window + 2
 	}
 	m.rebuild(initial)
+	// Twice the carrier: a bounded window never grows its buffer.
+	m.winBuf = make([]*winTx, 2*initial)
+	m.win = m.winBuf[:0]
 	return m
 }
 
@@ -610,12 +638,12 @@ func (m *Monitor) processCommit(seq int64, name string, s *sessState, ops []mode
 	} else {
 		m.sessions = append(m.sessions, s)
 	}
-	s.txs = append(s.txs, t)
-	m.win = append(m.win, t)
+	s.txs = push(&s.txsBuf, s.txs, t)
+	m.win = push(&m.winBuf, m.win, t)
 	m.applyTx(t)
 
 	v := &Verdict{Seq: seq, Txn: name}
-	m.fastOK = m.fastCheck()
+	m.fastOK = m.fastCheck(t)
 	switch {
 	case m.tainted:
 		v.Member = false
@@ -631,7 +659,7 @@ func (m *Monitor) processCommit(seq int64, name string, s *sessState, ops []mode
 			v.Member = true
 			if res.Graph != nil {
 				m.adoptWitness(res.Graph)
-				m.fastOK = m.fastCheck()
+				m.fastOK = m.fastCheck(nil)
 			}
 		} else {
 			m.tainted = true
@@ -668,9 +696,13 @@ func (m *Monitor) newTx() *winTx {
 func (m *Monitor) memberNow() bool { return m.fastOK && !m.tainted }
 
 // applyTx adds t's session, read and write dependencies to the
-// incremental state. It is replay-safe: t.reads is rebuilt.
+// incremental state. It is replay-safe: t.reads is rebuilt. The base
+// edges into t go into the closure in one sweep at the end, after the
+// edges out of t that resolving pending reads adds: the closure of an
+// edge set does not depend on the order of insertion.
 func (m *Monitor) applyTx(t *winTx) {
 	t.reads = t.reads[:0]
+	m.into = t.idx
 	// The so relation, when the row reads it, carries the full
 	// transitive session order (PC's formula composes with it
 	// directly); the closure only needs the immediate predecessor edge,
@@ -680,7 +712,7 @@ func (m *Monitor) applyTx(t *winTx) {
 		m.so.Add(p.idx, t.idx)
 	}
 	if t.prevSame != nil && m.row.Base().Has(depgraph.EdgeSO) {
-		m.cl.AddEdge(t.prevSame.idx, t.idx)
+		m.addBase(t.prevSame.idx, t.idx)
 	}
 	for _, r := range t.ext {
 		m.resolveRead(t, r.obj, r.val)
@@ -688,6 +720,19 @@ func (m *Monitor) applyTx(t *winTx) {
 	for _, w := range t.fin {
 		m.applyWrite(t, w.obj, w.val)
 	}
+	m.into = 0
+	m.cl.AddEdgesInto(m.preds, t.idx)
+	clear(m.preds)
+}
+
+// addBase adds the base edge (a, b): to the closure, or to preds when b
+// is the transaction applyTx is adding.
+func (m *Monitor) addBase(a, b int) {
+	if b == m.into {
+		m.preds[a/64] |= 1 << (uint(a) % 64)
+		return
+	}
+	m.cl.AddEdge(a, b)
 }
 
 // resolveRead attributes an external read (x, v) to its writer, or
@@ -725,7 +770,7 @@ func (m *Monitor) linkRead(t *winTx, x *objState, v model.Value, w *winTx) {
 	if m.wrAll != nil {
 		m.wrAll.Add(wi, t.idx)
 	}
-	m.cl.AddEdge(wi, t.idx)
+	m.addBase(wi, t.idx)
 	if m.linkSuccessor(t, x, w) {
 		x.cur = append(x.cur, t)
 	}
@@ -760,7 +805,7 @@ func (m *Monitor) applyWrite(t *winTx, x *objState, v model.Value) {
 	if len(x.chain) > 0 {
 		prev = x.chain[len(x.chain)-1].idx
 	}
-	m.cl.AddEdge(prev, t.idx)
+	m.addBase(prev, t.idx)
 	for _, r := range x.cur {
 		if r != t {
 			m.rw.Add(r.idx, t.idx)
@@ -768,7 +813,7 @@ func (m *Monitor) applyWrite(t *winTx, x *objState, v model.Value) {
 	}
 	clear(x.cur)
 	x.cur = x.cur[:0]
-	x.chain = append(x.chain, t)
+	x.chain = push(&x.chainBuf, x.chain, t)
 	if len(m.pending) > 0 {
 		kept := m.pending[:0]
 		for _, p := range m.pending {
@@ -807,8 +852,21 @@ func (m *Monitor) indexValue(t *winTx, x *objState, v model.Value) {
 
 // fastCheck tests the arrival-order candidate graph against the
 // model over the incremental closure, with the certification search's
-// own membership test.
-func (m *Monitor) fastCheck() bool {
+// own membership test. When t has just been added to a graph that
+// passed, and nothing else changed since, every edge added has t at one
+// end, so a cycle the graph gained runs through t: under a row with a
+// search from one element that is the test (DESIGN §8). Otherwise, and
+// for t nil, it tests the whole carrier.
+func (m *Monitor) fastCheck(t *winTx) bool {
+	if t != nil && m.fastOK && !m.dirty && m.row.Incremental() {
+		m.nThrough++
+		ok := depgraph.ClosureInModelThrough(m.model, m.cl, m.rw, t.idx, m.scratch) == nil
+		if m.onThrough != nil {
+			m.onThrough(m, ok)
+		}
+		return ok
+	}
+	m.dirty = false
 	return depgraph.ClosureInModel(m.model, m.cl, m.rw, m.so, m.wrAll, m.scratch) == nil
 }
 
@@ -1075,6 +1133,12 @@ func (m *Monitor) prefixWrites(k int) []*objState {
 // leave supersets in survivor rows (and re-derive the affected
 // anti-dependencies), which can only fail the fast check early — the
 // slow path decides, and its adoption rebuilds the state exactly.
+//
+// A read re-pointed to a live writer, and the anti-dependencies
+// re-derived on such a chain, are edges the next commit does not touch:
+// they mark the state dirty, and the next fast check tests the whole
+// carrier. The other edits remove edges, add them out of slot 0, which
+// has no in-edges, or add again an anti-dependency that was there.
 func (m *Monitor) collapseInPlace(k int) {
 	cut := m.cut(k)
 	var reordered []*objState // chains where a survivor preceded a prefix writer
@@ -1085,15 +1149,19 @@ func (m *Monitor) collapseInPlace(k int) {
 			pos := slices.Index(x.chain, t)
 			if pos > 0 && x.chain[pos-1].ord >= cut {
 				reordered = append(reordered, x)
+				m.dirty = true
 			}
-			x.chain = slices.Delete(x.chain, pos, pos+1)
+			x.chain = drop(x.chain, pos)
 			if x.byVal[w.val] == t {
 				delete(x.byVal, w.val)
 			}
 		}
 		for _, r := range t.reads {
 			r.obj.cur = without(r.obj.cur, t)
-			r.obj.readers = without(r.obj.readers, t)
+			rs := r.obj.readers
+			i, last := slices.Index(rs, t), len(rs)-1
+			rs[i], rs[last] = rs[last], nil
+			r.obj.readers = rs[:last]
 		}
 		if m.so != nil {
 			m.so.Isolate(t.idx)
@@ -1136,11 +1204,15 @@ func (m *Monitor) collapseInPlace(k int) {
 				// read resolves as it would on arrival (and as a replay
 				// of the window would resolve it): to an earlier live
 				// writer of a duplicate of that version if there is
-				// one, to the frontier otherwise.
+				// one (never without duplicates), to the frontier
+				// otherwise.
 				r.writer = nil
 				wi := 0
-				if w := x.byVal[r.val]; w != nil && w.ord < t.ord {
-					r.writer, wi = w, w.idx
+				if m.dupVals {
+					if w := x.byVal[r.val]; w != nil && w.ord < t.ord {
+						r.writer, wi = w, w.idx
+						m.dirty = true
+					}
 				}
 				if m.wrAll != nil {
 					m.wrAll.Add(wi, t.idx)
@@ -1158,12 +1230,44 @@ func (m *Monitor) collapseInPlace(k int) {
 	}
 }
 
-// without removes t from s in place, keeping the order.
+// without removes t from s in place, keeping the order and the start
+// of s.
 func without(s []*winTx, t *winTx) []*winTx {
 	if i := slices.Index(s, t); i >= 0 {
 		return slices.Delete(s, i, i+1)
 	}
 	return s
+}
+
+// push appends t to s, a view of *buf that drop advances past its head.
+// When the view has reached the end of the buffer it first moves back
+// to the buffer's start, into a buffer twice its length if fewer than
+// a quarter of the slots are free. A collapse thus retires the oldest
+// records of the window, of a session or of a version chain without
+// shifting the rest; a push copies the view once per quarter of a
+// buffer, and once the buffers have grown neither allocates.
+func push(buf *[]*winTx, s []*winTx, t *winTx) []*winTx {
+	if len(s) == cap(s) {
+		b := *buf
+		if len(b)-len(s) < max(1, len(b)/4) {
+			b = make([]*winTx, max(1, 2*len(s)))
+			*buf = b
+		}
+		n := copy(b, s)
+		clear(b[n:])
+		s = b[:n]
+	}
+	return append(s, t)
+}
+
+// drop removes s[i] in place, keeping the order: the head by advancing
+// the view, any other element by shifting the ones after it.
+func drop(s []*winTx, i int) []*winTx {
+	if i > 0 {
+		return slices.Delete(s, i, i+1)
+	}
+	s[0] = nil
+	return s[1:]
 }
 
 // advanceFrontier is the bookkeeping of a collapse outside the graph:
@@ -1179,9 +1283,7 @@ func (m *Monitor) advanceFrontier(k int) {
 		}
 		// The window is in arrival order, so t heads its session.
 		s := t.sess
-		n := copy(s.txs, s.txs[1:])
-		s.txs[n] = nil
-		if s.txs = s.txs[:n]; n > 0 {
+		if s.txs = drop(s.txs, 0); len(s.txs) > 0 {
 			s.txs[0].prevSame = nil
 		} else {
 			j := slices.Index(m.sessions, s)
@@ -1190,9 +1292,8 @@ func (m *Monitor) advanceFrontier(k int) {
 		}
 	}
 	m.freeTx = append(m.freeTx, m.win[:k]...)
-	n := copy(m.win, m.win[k:])
-	clear(m.win[n:])
-	m.win = m.win[:n]
+	clear(m.win[:k])
+	m.win = m.win[k:]
 }
 
 // forgetVersions clears every object's versions and readers, and the
@@ -1200,7 +1301,8 @@ func (m *Monitor) advanceFrontier(k int) {
 func (m *Monitor) forgetVersions() {
 	for _, x := range m.objects {
 		clear(x.byVal)
-		x.chain, x.cur, x.readers = nil, nil, nil
+		clear(x.chainBuf)
+		x.chain, x.cur, x.readers = x.chainBuf[:0], nil, nil
 	}
 	m.pending = m.pending[:0]
 	m.dupVals = false
@@ -1230,7 +1332,9 @@ func (m *Monitor) rebuild(newCap int) {
 	}
 	m.rw = relation.New(newCap)
 	m.scratch = depgraph.NewScratch(newCap, m.model)
+	m.preds = make([]uint64, (newCap+63)/64)
 	m.forgetVersions()
+	m.dirty = true
 	for i, t := range m.win {
 		t.idx = i + 1
 	}

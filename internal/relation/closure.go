@@ -42,6 +42,8 @@ type Closure struct {
 	// exactly when the underlying edge set is cyclic.
 	selfReach int
 	scratch   []uint64
+	// wordIdx is AddEdgesInto's list of the words that can matter.
+	wordIdx []int32
 
 	// Observability totals (monotonic; rollbacks do not subtract).
 	deltaEdges int64 // closure pairs materialised by settle and AddEdge
@@ -168,6 +170,277 @@ func (c *Closure) addEdgeWord(a, b int) {
 	}
 	c.deltaEdges += int64(delta)
 	c.selfReach += self
+}
+
+// AddEdgesInto inserts the edge (a, b) for every a in preds, a bitset
+// over the carrier of ⌈n/64⌉ words, in one sweep of the rows: every
+// element that reaches some a in preds, or is one, absorbs
+// {b} ∪ reach(b). The closure, HasCycle and Stats come out as after
+// one AddEdge per element of preds, in any order; only the sweeps are
+// fewer. Before the closure's first read or checkpoint, and while a
+// checkpoint is outstanding, it is those AddEdge calls.
+func (c *Closure) AddEdgesInto(preds []uint64, b int) {
+	c.checkPair(b, b)
+	if len(preds) != c.words {
+		panic(fmt.Sprintf("relation: predecessor set of %d words over a carrier of %d words", len(preds), c.words))
+	}
+	if !c.settled || c.journaling {
+		for w, word := range preds {
+			for ; word != 0; word &= word - 1 {
+				c.AddEdge(w*64+bits.TrailingZeros64(word), b)
+			}
+		}
+		return
+	}
+	if c.words == 1 {
+		c.addEdgesIntoWord(preds[0], b)
+		return
+	}
+	// The test "i reaches a predecessor" reads row i before the sweep
+	// changes it, and a new path from i starts with an old path to a
+	// predecessor, so one sweep over the old rows finds every row to
+	// change; row(b) is snapshot because it may be one of them. Only the
+	// words holding a predecessor can pass the test, and only those
+	// where {b} ∪ reach(b) has bits can change.
+	copy(c.scratch, c.row(b))
+	c.scratch[b/64] |= 1 << (uint(b) % 64)
+	if cap(c.wordIdx) < 2*c.words {
+		c.wordIdx = make([]int32, 0, 2*c.words)
+	}
+	idx := c.wordIdx[:0]
+	for w, word := range preds {
+		if word != 0 {
+			idx = append(idx, int32(w))
+		}
+	}
+	np := len(idx)
+	for w, word := range c.scratch {
+		if word != 0 {
+			idx = append(idx, int32(w))
+		}
+	}
+	predWords, addWords := idx[:np], idx[np:]
+	for i := 0; i < c.n; i++ {
+		ri := c.row(i)
+		hit := preds[i/64]&(1<<(uint(i)%64)) != 0
+		for _, w := range predWords {
+			if hit {
+				break
+			}
+			hit = ri[w]&preds[w] != 0
+		}
+		if !hit {
+			continue
+		}
+		dw, dbit := int32(i/64), uint64(1)<<(uint(i)%64)
+		for _, w := range addWords {
+			word := ri[w]
+			merged := word | c.scratch[w]
+			if merged == word {
+				continue
+			}
+			c.deltaEdges += int64(bits.OnesCount64(merged &^ word))
+			if w == dw && word&dbit == 0 && merged&dbit != 0 {
+				c.selfReach++
+			}
+			ri[w] = merged
+		}
+	}
+}
+
+// addEdgesIntoWord is AddEdgesInto over a carrier of at most 64
+// elements with no journal.
+func (c *Closure) addEdgesIntoWord(preds uint64, b int) {
+	rows := c.rows[:c.n]
+	add := rows[b] | 1<<uint(b) // {b} ∪ reach(b), before any row changes
+	var delta, self int
+	for i, ri := range rows {
+		// Branch-free: hit>>63 of hit|-hit is 1 exactly when i reaches,
+		// or is, a predecessor.
+		hit := (ri | 1<<uint(i)) & preds
+		d := add & -((hit | -hit) >> 63) &^ ri
+		rows[i] = ri | d
+		delta += bits.OnesCount64(d)
+		self += int(d >> uint(i) & 1)
+	}
+	c.deltaEdges += int64(delta)
+	c.selfReach += self
+}
+
+// Walk is the working storage of the cycle tests through one element,
+// OnCycleMaybe and OnCycleUnion: bitsets over a carrier wider than one
+// word. The zero value is ready to use; once it has grown to the
+// carrier the tests allocate nothing. A Walk must not be shared between
+// goroutines.
+type Walk struct{ sets []uint64 }
+
+// grow returns room for k ≤ 6 bitsets of the given width, zeroed.
+func (wk *Walk) grow(k, words int) []uint64 {
+	if cap(wk.sets) < 6*words {
+		wk.sets = make([]uint64, 6*words)
+	}
+	s := wk.sets[:k*words]
+	clear(s)
+	return s
+}
+
+// OnCycleMaybe reports whether the composite C ; R? has a cycle whose
+// walk in C ∪ R visits t, where C is the closure and R is r: a closed
+// walk through t in which no two R steps follow each other, the last
+// and the first included. If C ; R? was acyclic before the pairs that
+// edges into and out of t add to C, and before the pairs of R incident
+// to t, it is cyclic now exactly when OnCycleMaybe is true: every pair
+// such an edge adds to C runs through t.
+//
+// The search is bit-parallel in two states, last step in C and last
+// step in R, from two starts: a first step in C, after which the walk
+// may come back to t by either; and a first step in R, after which it
+// must come back by C. The second start goes on from where the first
+// stopped, so each element's C row and R row are read at most once.
+func (c *Closure) OnCycleMaybe(r *Rel, t int, wk *Walk) bool {
+	c.checkOperand(r, t)
+	if c.words == 1 {
+		return c.onCycleMaybeWord(r, t)
+	}
+	tw, tbit := t/64, uint64(1)<<(uint(t)%64)
+	// inC and inR hold the elements reached with a last step in C and in
+	// R; fc and fr those of them not yet stepped on from, nc and nr the
+	// next frontiers.
+	s, n := wk.grow(6, c.words), c.words
+	inC, inR, fc, fr, nc, nr := s[:n], s[n:2*n], s[2*n:3*n], s[3*n:4*n], s[4*n:5*n], s[5*n:]
+	copy(inC, c.row(t))
+	copy(fc, inC)
+	for start := 0; start < 2; start++ {
+		if start == 1 {
+			for w, word := range r.row(t) {
+				fr[w] = word &^ inR[w]
+				inR[w] |= word
+			}
+		}
+		for {
+			if inC[tw]&tbit != 0 || start == 0 && inR[tw]&tbit != 0 {
+				return true
+			}
+			orRows(nr, r.rows, fc) // a step in C goes on by R
+			orRows(nc, c.rows, fr) // a step in R goes on by C
+			more := uint64(0)
+			for w := range nc {
+				fc[w], fr[w] = nc[w]&^inC[w], nr[w]&^inR[w]
+				inC[w] |= fc[w]
+				inR[w] |= fr[w]
+				more |= fc[w] | fr[w]
+				nc[w], nr[w] = 0, 0
+			}
+			if more == 0 {
+				break
+			}
+		}
+	}
+	return false
+}
+
+// onCycleMaybeWord is OnCycleMaybe over a carrier of at most 64
+// elements.
+func (c *Closure) onCycleMaybeWord(r *Rel, t int) bool {
+	rows, rw := c.rows[:c.n], r.rows[:c.n]
+	tbit := uint64(1) << uint(t)
+	inC, inR := rows[t], uint64(0)
+	fc, fr := inC, uint64(0)
+	for start := 0; start < 2; start++ {
+		if start == 1 {
+			fr = rw[t] &^ inR
+			inR |= rw[t]
+		}
+		for {
+			if inC&tbit != 0 || start == 0 && inR&tbit != 0 {
+				return true
+			}
+			if fc|fr == 0 {
+				break
+			}
+			var nc, nr uint64
+			for ; fc != 0; fc &= fc - 1 {
+				nr |= rw[bits.TrailingZeros64(fc)] // a step in C goes on by R
+			}
+			for ; fr != 0; fr &= fr - 1 {
+				nc |= rows[bits.TrailingZeros64(fr)] // a step in R goes on by C
+			}
+			fc, fr = nc&^inC, nr&^inR
+			inC |= fc
+			inR |= fr
+		}
+	}
+	return false
+}
+
+// OnCycleUnion reports whether C ∪ R has a cycle through t, where C is
+// the closure and R is r. If C ∪ R was acyclic before the pairs that
+// edges into and out of t add to C, and before the pairs of R incident
+// to t, it is cyclic now exactly when OnCycleUnion is true. The search
+// is a bit-parallel reach from t that reads each element's C row and R
+// row at most once.
+func (c *Closure) OnCycleUnion(r *Rel, t int, wk *Walk) bool {
+	c.checkOperand(r, t)
+	tw, tbit := t/64, uint64(1)<<(uint(t)%64)
+	if c.words == 1 {
+		rows, rw := c.rows[:c.n], r.rows[:c.n]
+		seen := rows[t] | rw[t]
+		for front := seen; front != 0 && seen&tbit == 0; {
+			var next uint64
+			for ; front != 0; front &= front - 1 {
+				v := bits.TrailingZeros64(front)
+				next |= rows[v] | rw[v]
+			}
+			front = next &^ seen
+			seen |= front
+		}
+		return seen&tbit != 0
+	}
+	s, n := wk.grow(3, c.words), c.words
+	seen, front, next := s[:n], s[n:2*n], s[2*n:]
+	for w := range seen {
+		seen[w] = c.rows[t*c.words+w] | r.rows[t*r.words+w]
+		front[w] = seen[w]
+	}
+	for seen[tw]&tbit == 0 {
+		orRows(next, c.rows, front)
+		orRows(next, r.rows, front)
+		more := uint64(0)
+		for w := range next {
+			front[w] = next[w] &^ seen[w]
+			seen[w] |= front[w]
+			more |= front[w]
+			next[w] = 0
+		}
+		if more == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// checkOperand panics unless r ranges over the closure's carrier and t
+// is in it, and closes the pending edges.
+func (c *Closure) checkOperand(r *Rel, t int) {
+	c.checkPair(t, t)
+	if r.n != c.n {
+		panic(fmt.Sprintf("relation: carrier mismatch (closure %d, relation %d)", c.n, r.n))
+	}
+	c.settle()
+}
+
+// orRows ORs into dst the row of every element of set, in rows of
+// len(dst) words each.
+func orRows(dst, rows, set []uint64) {
+	words := len(dst)
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			v := w*64 + bits.TrailingZeros64(word)
+			for k, x := range rows[v*words : (v+1)*words] {
+				dst[k] |= x
+			}
+		}
+	}
 }
 
 // settle closes the pending edges, once: a depth-first pass gives each

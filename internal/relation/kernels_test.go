@@ -169,3 +169,105 @@ func TestSingleWordKernelsMatchDefinition(t *testing.T) {
 		}
 	}
 }
+
+// TestIsAcyclicWithMatchesTopoSort pins the bitset-coloured search on
+// carriers wider than one word to Kahn's algorithm: random relations
+// from sparse (mostly acyclic) to dense, and orders of every density,
+// acyclic by construction or with one edge turned back.
+func TestIsAcyclicWithMatchesTopoSort(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(7))
+	var d DFS
+	for _, n := range []int{65, 128, 200, 1001} {
+		verdicts := map[bool]int{}
+		for trial := 0; trial < 12; trial++ {
+			var r *Rel
+			switch degree := []float64{0.3, 0.9, 1.5, 4}[trial%4]; trial / 4 {
+			case 0: // random: cyclic once the mean degree passes one
+				r = random(rng, n, max(1, int(1000*degree/float64(n))))
+			default: // a random order, with a back edge in the last trials
+				perm := rng.Perm(n)
+				r = New(n)
+				for range int(degree * float64(n)) {
+					a, b := rng.Intn(n), rng.Intn(n)
+					if a > b {
+						a, b = b, a
+					}
+					if a != b {
+						r.Add(perm[a], perm[b])
+					}
+				}
+				if trial/4 == 2 {
+					pairs := r.Pairs()
+					p := pairs[rng.Intn(len(pairs))]
+					r.Add(p[1], p[0])
+				}
+			}
+			_, err := r.TopoSort()
+			if got := r.IsAcyclicWith(&d); got != (err == nil) {
+				t.Fatalf("n=%d trial %d: IsAcyclicWith = %v, TopoSort says %v", n, trial, got, err)
+			}
+			verdicts[err == nil]++
+		}
+		if verdicts[true] < 3 || verdicts[false] < 3 {
+			t.Errorf("n=%d: %d acyclic and %d cyclic relations, want both kinds", n, verdicts[true], verdicts[false])
+		}
+	}
+}
+
+// TestAddEdgesIntoMatchesAddEdge: inserting a set of edges into one
+// element in one sweep leaves the rows, HasCycle and Stats exactly as
+// one AddEdge per edge does, on carriers either side of the one-word
+// boundary, with predecessor sets that include the target or that the
+// target reaches (the new edges then close cycles), before the first
+// read and under a checkpoint.
+func TestAddEdgesIntoMatchesAddEdge(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 5, 63, 64, 65, 130} {
+		for trial := 0; trial < 40; trial++ {
+			one, seq := NewClosure(n), NewClosure(n)
+			settled := trial%8 != 0
+			if settled {
+				one.HasCycle()
+				seq.HasCycle()
+			}
+			if trial%8 == 1 {
+				one.Checkpoint()
+				seq.Checkpoint()
+			}
+			for range rng.Intn(2 * n) {
+				a, b := rng.Intn(n), rng.Intn(n)
+				if trial%2 == 0 && a > b {
+					a, b = b, a
+				}
+				one.AddEdge(a, b)
+				seq.AddEdge(a, b)
+			}
+			for round := 0; round < 3; round++ {
+				b := rng.Intn(n)
+				preds := make([]uint64, (n+63)/64)
+				for range 1 + rng.Intn(8) {
+					a := rng.Intn(n)
+					if trial%2 == 0 && a > b {
+						continue // keep the even trials acyclic
+					}
+					preds[a/64] |= 1 << (uint(a) % 64)
+					seq.AddEdge(a, b)
+				}
+				one.AddEdgesInto(preds, b)
+				if !one.Rel().Equal(seq.Rel()) {
+					t.Fatalf("n=%d trial %d round %d: closure differs\none pass  %v\nAddEdge   %v", n, trial, round, one.Rel(), seq.Rel())
+				}
+				if one.HasCycle() != seq.HasCycle() {
+					t.Fatalf("n=%d trial %d round %d: HasCycle %v, AddEdge's %v", n, trial, round, one.HasCycle(), seq.HasCycle())
+				}
+				d1, u1 := one.Stats()
+				d2, u2 := seq.Stats()
+				if d1 != d2 || u1 != u2 {
+					t.Fatalf("n=%d trial %d round %d: Stats (%d, %d), AddEdge's (%d, %d)", n, trial, round, d1, u1, d2, u2)
+				}
+			}
+		}
+	}
+}

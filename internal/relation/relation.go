@@ -403,14 +403,14 @@ func (r *Rel) IsAcyclic() bool {
 	return r.IsAcyclicWith(&d)
 }
 
-// DFS is the working storage of IsAcyclicWith: a colour per element
-// and the explicit stack. A caller that tests many relations keeps one
-// DFS, and once it has grown to the carrier the test allocates
-// nothing. The zero value is ready to use; a DFS must not be shared
-// between goroutines.
+// DFS is the working storage of IsAcyclicWith: the explicit stack and,
+// over a carrier wider than one word, the colours as two bitsets. A
+// caller that tests many relations keeps one DFS, and once it has grown
+// to the carrier the test allocates nothing. The zero value is ready to
+// use; a DFS must not be shared between goroutines.
 type DFS struct {
-	colour []byte
-	stack  []dfsFrame
+	grey, black []uint64
+	stack       []dfsFrame
 }
 
 // dfsFrame is one grey node: the word of its row being scanned and the
@@ -420,60 +420,63 @@ type dfsFrame struct {
 	bits    uint64
 }
 
-// IsAcyclicWith is IsAcyclic with caller-owned working storage.
+// IsAcyclicWith is IsAcyclic with caller-owned working storage. The
+// colours are bitsets, grey for the path and black for the finished
+// nodes, so a frame drops the finished successors of a whole word at
+// once instead of visiting them one by one.
 func (r *Rel) IsAcyclicWith(d *DFS) bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	if cap(d.colour) < r.n {
+	if cap(d.stack) < r.n {
 		// Every element is pushed at most once, so the stack never
-		// outgrows the carrier either.
-		d.colour = make([]byte, r.n)
+		// outgrows the carrier.
 		d.stack = make([]dfsFrame, 0, r.n)
 	}
 	if r.words == 1 {
 		return r.isAcyclicWord(d.stack[:0])
 	}
-	colour := d.colour[:r.n]
-	clear(colour)
+	if cap(d.grey) < r.words {
+		d.grey, d.black = make([]uint64, r.words), make([]uint64, r.words)
+	}
+	grey, black := d.grey[:r.words], d.black[:r.words]
+	clear(grey)
+	clear(black)
 	stack := d.stack[:0]
 	for start := 0; start < r.n; start++ {
-		if colour[start] != white {
+		sw, sbit := start/64, uint64(1)<<(uint(start)%64)
+		if black[sw]&sbit != 0 {
 			continue
 		}
-		colour[start] = grey
-		stack = append(stack, dfsFrame{node: start, bits: r.row(start)[0]})
+		grey[sw] |= sbit
+		stack = append(stack, dfsFrame{node: start, bits: r.rows[start*r.words]})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.bits == 0 {
+			next := f.bits &^ black[f.w]
+			if next == 0 {
 				if f.w++; f.w < r.words {
-					f.bits = r.row(f.node)[f.w]
+					f.bits = r.rows[f.node*r.words+f.w]
 					continue
 				}
-				colour[f.node] = black
+				nw, nbit := f.node/64, uint64(1)<<(uint(f.node)%64)
+				grey[nw] &^= nbit
+				black[nw] |= nbit
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			b := f.w*64 + bits.TrailingZeros64(f.bits)
-			f.bits &= f.bits - 1
-			switch colour[b] {
-			case grey:
-				return false
-			case white:
-				colour[b] = grey
-				stack = append(stack, dfsFrame{node: b, bits: r.row(b)[0]})
+			if next&grey[f.w] != 0 {
+				return false // an edge back into the path
 			}
+			b := bits.TrailingZeros64(next)
+			f.bits = next &^ (1 << uint(b))
+			grey[f.w] |= 1 << uint(b)
+			v := f.w*64 + b
+			stack = append(stack, dfsFrame{node: v, bits: r.rows[v*r.words]})
 		}
 	}
 	return true
 }
 
 // isAcyclicWord is IsAcyclicWith's search over a carrier of at most 64
-// elements: every row is one word, indexed directly, and the colours
-// are two words — grey for the path, black for the finished nodes,
-// which a frame drops from its successors without visiting them.
+// elements: every row is one word, indexed directly, and so is each
+// colour.
 func (r *Rel) isAcyclicWord(stack []dfsFrame) bool {
 	rows := r.rows[:r.n]
 	var grey, black uint64
