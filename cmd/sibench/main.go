@@ -178,16 +178,16 @@ func (cfg runConfig) execute(o *cliutil.Obs, stdout, stderr io.Writer) (int, err
 	// The flight recorder feeds the -record dump and, while -serve is
 	// up, the live /events tail.
 	var rec *eventlog.Recorder
-	if cfg.recordOut != "" || o.Serving() {
+	if cfg.recordOut != "" || o.Server != nil {
 		rec = eventlog.NewRecorder(cfg.recordCap)
-		o.SetRecorder(rec)
+		o.Server.SetRecorder(rec)
 	}
 	// -timeline draws traces, so it turns the tracer on the way -record
 	// turns the recorder on.
 	tracer := o.Tracer
 	if tracer == nil && cfg.timelineOut != "" {
-		tracer = txtrace.New(txtrace.Options{})
-		o.SetTxTracer(tracer)
+		tracer = txtrace.New(txtrace.Options{Metrics: o.Registry})
+		o.Server.SetTxTracer(tracer)
 	}
 
 	exit, err := 0, error(nil)

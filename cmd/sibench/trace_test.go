@@ -10,16 +10,19 @@ import (
 	"testing"
 
 	"sian/internal/engine"
+	"sian/internal/obs"
 	"sian/internal/obs/txtrace"
 	"sian/internal/siwire"
 	"sian/internal/storage/wal"
 )
 
 // startTracedWireServer is startWireServer with server-side
-// transaction tracing on, standing in for `siserve -trace`.
-func startTracedWireServer(t *testing.T) (string, *txtrace.Tracer) {
+// transaction tracing on, standing in for `siserve -trace`. It returns
+// the address and the registry of the server tracer's series.
+func startTracedWireServer(t *testing.T) (string, *obs.Registry) {
 	t.Helper()
-	tracer := txtrace.New(txtrace.Options{})
+	reg := obs.NewRegistry()
+	tracer := txtrace.New(txtrace.Options{Metrics: reg})
 	drv, err := wal.Open(wal.Options{Dir: t.TempDir(), NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +41,7 @@ func startTracedWireServer(t *testing.T) (string, *txtrace.Tracer) {
 		srv.Close()
 		db.Close()
 	})
-	return ln.Addr().String(), tracer
+	return ln.Addr().String(), reg
 }
 
 // TestTraceTxnsInProcess runs -trace against the in-process engine:
@@ -79,7 +82,7 @@ func TestTraceTxnsInProcess(t *testing.T) {
 // tracer resolves the client-minted IDs. A second run with -timeline
 // alone writes the same document: -timeline turns tracing on.
 func TestTraceTxnsNetworkMerged(t *testing.T) {
-	addr, srvTracer := startTracedWireServer(t)
+	addr, srvMetrics := startTracedWireServer(t)
 	dir := t.TempDir()
 	timelinePath := filepath.Join(dir, "merged.json")
 	metricsPath := filepath.Join(dir, "metrics.json")
@@ -115,7 +118,7 @@ func TestTraceTxnsNetworkMerged(t *testing.T) {
 		t.Errorf("network run: stdout %q, %d client commits, %d wire_commit stages",
 			out.String(), commits, vals["trace_stage_ns/wire_commit"])
 	}
-	if _, finished, _ := srvTracer.Stats(); finished < commits {
+	if finished := srvMetrics.Counter("trace_finished_total").Value(); finished < commits {
 		t.Errorf("server finished %d traces for %d commits", finished, commits)
 	}
 

@@ -142,7 +142,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 			return finish(2, fmt.Errorf("%v: %w", m, err))
 		}
 		exit = max(exit, printVerdict(stdout, m, res.Member, fmt.Sprintf("%d candidate graphs examined", res.Examined), res.Explain))
-		o.PublishVerdict(finalVerdict(m, res.Member, true, res.Explain))
+		_ = o.Server.PublishVerdict(finalVerdict(m, res.Member, true, res.Explain)) // a VerdictEvent always marshals
 		if res.Member && *witness {
 			printGraph(stdout, res.Graph)
 		}
@@ -163,9 +163,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 func certifyStream(in io.Reader, models []depgraph.Model, cfg monitor.Config, stdout io.Writer, o *cliutil.Obs, tr *txtrace.Trace) (int, error) {
 	// While serving, re-record the ingested stream for /events.
 	var rec *eventlog.Recorder
-	if o.Serving() {
+	if o.Server != nil {
 		rec = eventlog.NewRecorder(0)
-		o.SetRecorder(rec)
+		o.Server.SetRecorder(rec)
 	}
 	cfg.OnViolation = func(v monitor.Violation) { fmt.Fprintln(stdout, v) }
 	mons := make([]*monitor.Monitor, len(models))
@@ -180,12 +180,12 @@ func certifyStream(in io.Reader, models []depgraph.Model, cfg monitor.Config, st
 		}
 		rec.Record(ev)
 		for i, mon := range mons {
-			if v := mon.Ingest(ev); v != nil && o.Serving() {
+			if v := mon.Ingest(ev); v != nil && o.Server != nil {
 				ve := obshttp.VerdictEvent{Seq: v.Seq, Txn: v.Txn, Model: models[i].String(), Member: v.Member, Checked: v.Checked, Window: v.Window, Pending: v.Pending}
 				if x := v.Violation; x != nil {
 					ve.Violation = &obshttp.ViolationEvent{Axiom: x.Axiom, Cycle: x.Cycle, Detail: x.Detail, Definitive: x.Definitive}
 				}
-				o.PublishVerdict(ve)
+				_ = o.Server.PublishVerdict(ve)
 			}
 		}
 	}
@@ -205,7 +205,7 @@ func certifyStream(in io.Reader, models []depgraph.Model, cfg monitor.Config, st
 		exit = max(exit, printVerdict(stdout, models[i], rep.Member, detail, rep.Final))
 		ve := finalVerdict(models[i], rep.Member, rep.Definitive, rep.Final)
 		ve.Window, ve.Pending = mon.Window(), rep.Pending
-		o.PublishVerdict(ve)
+		_ = o.Server.PublishVerdict(ve)
 		tr.Mark("output")
 	}
 	return exit, nil

@@ -164,9 +164,9 @@ func serve(cfg serveConfig, o *cliutil.Obs, stdout, stderr io.Writer, shutdown <
 	}
 
 	var rec *eventlog.Recorder
-	if o.Serving() {
+	if o.Server != nil {
 		rec = eventlog.NewRecorder(0)
-		o.SetRecorder(rec)
+		o.Server.SetRecorder(rec)
 	}
 	if o.Tracer != nil {
 		fmt.Fprintln(stdout, "siserve: transaction tracing on (/trace/{id}, /slow, /timeline)")
@@ -190,8 +190,8 @@ func serve(cfg serveConfig, o *cliutil.Obs, stdout, stderr io.Writer, shutdown <
 		return doc
 	}
 	srv := siwire.NewServer(siwire.ServerConfig{DB: db, Info: info, Metrics: o.Registry})
-	o.Handle("/v1/", srv.HTTPHandler())
-	o.SetHealth(func() map[string]any {
+	o.Server.Handle("/v1/", srv.HTTPHandler())
+	o.Server.SetHealth(func() map[string]any {
 		h := map[string]any{"durable": durable}
 		if wdrv != nil {
 			r, st := wdrv.Recovery(), wdrv.Stats()

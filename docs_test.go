@@ -29,6 +29,8 @@ var (
 	cmdLineRE = regexp.MustCompile(`(?:go run \./cmd/|\./|/bin/)(\w+)([^|;&#<>]*)`)
 	flagRE    = regexp.MustCompile(`(?:^|\s)-([A-Za-z][\w-]*)`)
 	fsFlagRE  = regexp.MustCompile(`\bfs\.[A-Z]\w*\("([\w-]+)"`)
+	// A query parameter in an endpoint-table row: `?replay=N`.
+	queryParamRE = regexp.MustCompile(`\?(\w+)=`)
 )
 
 // TestDocsNameRealCommands fails when a back-quoted `cmd/<name>` in
@@ -153,6 +155,39 @@ func cmdFlags(t *testing.T) map[string]map[string]bool {
 	return flags
 }
 
+// TestDocsNameRealQueryParams fails when a `?param=` in a row of
+// README's endpoint table is not read by the live plane, as
+// Query().Get("param") in internal/obs/obshttp's non-test sources.
+func TestDocsNameRealQueryParams(t *testing.T) {
+	files, _ := filepath.Glob("internal/obs/obshttp/*.go")
+	var src strings.Builder
+	for _, f := range files {
+		if !strings.HasSuffix(f, "_test.go") {
+			src.WriteString(readDoc(t, f))
+		}
+	}
+	for _, param := range staleParams(readDoc(t, "README.md"), src.String()) {
+		t.Errorf("README.md: endpoint table names ?%s=, which obshttp never reads", param)
+	}
+}
+
+// staleParams returns the ?param= names in the endpoint-table rows of
+// text (lines opening with "| `/") that src never reads.
+func staleParams(text, src string) []string {
+	var stale []string
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, "| `/") {
+			continue
+		}
+		for _, m := range queryParamRE.FindAllStringSubmatch(line, -1) {
+			if !strings.Contains(src, `Query().Get("`+m[1]+`")`) {
+				stale = append(stale, m[1])
+			}
+		}
+	}
+	return stale
+}
+
 // TestDocsCheckerCatchesStaleRow pins the failing side on the kinds of
 // row that rotted before: a DESIGN.md experiment row naming a test
 // family that never existed, docs naming a deleted command, and a
@@ -178,6 +213,10 @@ func TestDocsCheckerCatchesStaleRow(t *testing.T) {
 		"go test -run TestX ./cmd/sibench/ -trace-txns\n"
 	if got := staleFlags(script, flags); strings.Join(got, ", ") != "siserve -trace-txns, sibench -workload, sibench -trace-txns" {
 		t.Errorf("stale flags = %q, want siserve -trace-txns, sibench -workload and -trace-txns", got)
+	}
+	table := "| `/events` | tail (`?replay=N\\|all`, `?buf=N` sizes the buffer) |\n`?limit=1` outside the table\n"
+	if got := staleParams(table, `r.URL.Query().Get("replay")`); strings.Join(got, " ") != "buf" {
+		t.Errorf("stale params = %q, want [buf]", got)
 	}
 }
 

@@ -8,11 +8,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"time"
 
 	"sian/internal/obs"
-	"sian/internal/obs/eventlog"
 	"sian/internal/obs/obshttp"
 	"sian/internal/obs/txtrace"
 )
@@ -55,7 +53,9 @@ type Obs struct {
 	// Tracer is non-nil when -trace was set. Its per-stage histograms
 	// are the registry's trace_stage_ns{stage} series.
 	Tracer *txtrace.Tracer
-	// Server is non-nil when -serve was set.
+	// Server is non-nil when -serve was set. Its methods are no-ops on
+	// nil, so a run attaches its recorder, verdicts and health to it
+	// whether or not it serves.
 	Server *obshttp.Server
 
 	metrics string
@@ -71,56 +71,14 @@ func (f *ObsFlags) Start(name string, stderr io.Writer) (*Obs, error) {
 		o.Tracer = txtrace.New(txtrace.Options{Metrics: o.Registry})
 	}
 	if *f.serve != "" {
-		o.Server = obshttp.New(obshttp.Config{Name: name, Registry: o.Registry, TxTracer: o.Tracer})
+		o.Server = obshttp.New(obshttp.Config{Name: name, Registry: o.Registry})
+		o.Server.SetTxTracer(o.Tracer)
 		if err := o.Server.Serve(*f.serve); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(stderr, "obs: serving http://%s/ (/metrics /healthz /events /verdicts /timeline /debug/pprof/)\n", o.Server.Addr())
 	}
 	return o, nil
-}
-
-// Serving reports whether the live plane is up.
-func (o *Obs) Serving() bool { return o != nil && o.Server != nil }
-
-// SetRecorder attaches the flight recorder to the live plane's
-// /events endpoint. No-op without -serve.
-func (o *Obs) SetRecorder(rec *eventlog.Recorder) {
-	if o != nil && o.Server != nil {
-		o.Server.SetRecorder(rec)
-	}
-}
-
-// SetTxTracer attaches a tracer to the live plane's /trace/{id},
-// /slow and /timeline endpoints. No-op without -serve.
-func (o *Obs) SetTxTracer(t *txtrace.Tracer) {
-	if o != nil && o.Server != nil {
-		o.Server.SetTxTracer(t)
-	}
-}
-
-// SetHealth registers component-specific /healthz fields on the live
-// plane. No-op without -serve.
-func (o *Obs) SetHealth(fn func() map[string]any) {
-	if o != nil && o.Server != nil {
-		o.Server.SetHealth(fn)
-	}
-}
-
-// Handle mounts an additional handler on the live plane's mux. Call
-// between Start and serving traffic. No-op without -serve.
-func (o *Obs) Handle(pattern string, h http.Handler) {
-	if o != nil && o.Server != nil {
-		o.Server.Handle(pattern, h)
-	}
-}
-
-// PublishVerdict forwards a verdict to the live plane's /verdicts
-// stream. No-op without -serve.
-func (o *Obs) PublishVerdict(v obshttp.VerdictEvent) {
-	if o != nil && o.Server != nil {
-		_ = o.Server.PublishVerdict(v)
-	}
 }
 
 // Begin starts the run's own trace (nil without -trace), named after
@@ -164,9 +122,7 @@ func (o *Obs) Finish(code int, err error, stdout, stderr io.Writer) (int, error)
 			code, err = 2, derr
 		}
 	}
-	if o.Server != nil {
-		o.Server.Close()
-	}
+	o.Server.Close()
 	return code, err
 }
 

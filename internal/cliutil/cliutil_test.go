@@ -25,7 +25,7 @@ func TestObsFlagsDisabled(t *testing.T) {
 	if o.Registry == nil {
 		t.Error("Start without flags should still build a registry")
 	}
-	if o.Tracer != nil || o.Server != nil || o.Serving() {
+	if o.Tracer != nil || o.Server != nil {
 		t.Errorf("disabled flags built tracer/server: %+v", o)
 	}
 	if code, err := o.Finish(0, nil, io.Discard, &stderr); code != 0 || err != nil {
@@ -81,7 +81,7 @@ func TestObsFlagsServe(t *testing.T) {
 		t.Skipf("listen: %v", err) // sandboxed environments may forbid sockets
 	}
 	defer o.Finish(0, nil, io.Discard, io.Discard)
-	if !o.Serving() {
+	if o.Server == nil {
 		t.Fatal("-serve should start the plane")
 	}
 	o.Registry.Counter("demo_total").Add(9)

@@ -103,8 +103,8 @@ type Config struct {
 	MaxRetries int
 	// ManualPropagation (PSI only) disables the background
 	// propagators; commits then become visible at other replicas only
-	// via DB.Propagate or DB.Flush. Used by tests and examples to
-	// stage anomalies deterministically.
+	// via DB.Flush. Used by tests and examples to stage anomalies
+	// deterministically.
 	ManualPropagation bool
 	// Sites (PSI only) fixes the number of replicas; by default each
 	// new session gets its own replica.

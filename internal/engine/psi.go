@@ -347,14 +347,3 @@ func (db *DB) Flush() {
 		}
 	}
 }
-
-// PropagateOnce applies at most one round of causally-ready log
-// entries at every replica; useful with Config.ManualPropagation to
-// stage anomalies step by step. It reports whether anything was
-// applied. For non-PSI engines it returns false.
-func (db *DB) PropagateOnce() bool {
-	if p, ok := db.impl.(*psiProtocol); ok {
-		return p.propagateOnce()
-	}
-	return false
-}

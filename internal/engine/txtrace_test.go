@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"sian/internal/engine"
 	"sian/internal/model"
+	"sian/internal/obs"
 	"sian/internal/obs/txtrace"
 )
 
@@ -105,7 +107,8 @@ func TestTracedConflictOutcome(t *testing.T) {
 // and every tracer read path concurrently — the -race gate for the
 // claim that tracing adds no unsynchronized state to the commit path.
 func TestTracerRaceHammer(t *testing.T) {
-	tracer := txtrace.New(txtrace.Options{Capacity: 64, SlowCap: 8})
+	reg := obs.NewRegistry()
+	tracer := txtrace.New(txtrace.Options{Capacity: 64, SlowCap: 8, Metrics: reg})
 	db, err := engine.New(engine.SI, engine.Config{TxTracer: tracer})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +154,7 @@ func TestTracerRaceHammer(t *testing.T) {
 			}
 			tracer.Finished(16)
 			tracer.StageLatencies()
-			tracer.Stats()
+			reg.WritePrometheus(io.Discard)
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
@@ -159,7 +162,7 @@ func TestTracerRaceHammer(t *testing.T) {
 	close(stop)
 	churn.Wait()
 
-	started, finished, _ := tracer.Stats()
+	started, finished := reg.Counter("trace_started_total").Value(), reg.Counter("trace_finished_total").Value()
 	if finished < sessions*txPerSession {
 		t.Errorf("finished = %d, want ≥ %d (every transact, including conflict retries, finishes a trace)",
 			finished, sessions*txPerSession)

@@ -12,11 +12,13 @@
 //
 // The stream is the history's event log, nothing more: the online
 // monitor's input, NDJSON via internal/histio (-record), and the live
-// /events tail. Timelines are spans, drawn by internal/obs/txtrace.
+// /events tail, which reads the ring through Since rather than being
+// pushed to. Timelines are spans, drawn by internal/obs/txtrace.
 package eventlog
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -126,13 +128,6 @@ type Recorder struct {
 	seq     atomic.Int64
 	dropped atomic.Int64
 	shards  [shardCount]shard
-
-	// Live-tail subscriptions. nsubs mirrors len(subs) so the record
-	// hot path can skip the fan-out with one atomic load when nobody
-	// is tailing.
-	subMu sync.RWMutex
-	subs  []*Subscription
-	nsubs atomic.Int32
 }
 
 // shard is one independent ring. Total appended count n never wraps.
@@ -186,110 +181,23 @@ func (s *shard) add(ev Event) (dropped bool) {
 
 // Record appends the event, assigning its Seq and, when ev.TS is zero,
 // stamping the current time. When the event's shard ring is full the
-// oldest event in it is overwritten (counted by Dropped).
+// oldest event in it is overwritten (counted by Dropped). The Seq is
+// taken under the shard's lock, so a shard's events are stored in Seq
+// order and Since can tell which seqs are stored.
 func (r *Recorder) Record(ev Event) {
 	if r == nil {
 		return
 	}
-	ev.Seq = r.seq.Add(1)
 	if ev.TS == 0 {
 		ev.TS = time.Now().UnixNano()
 	}
 	s := &r.shards[shardOf(ev.Session)]
 	s.mu.Lock()
+	ev.Seq = r.seq.Add(1)
 	if s.add(ev) {
 		r.dropped.Add(1)
 	}
 	s.mu.Unlock()
-	if r.nsubs.Load() > 0 {
-		r.publish(ev)
-	}
-}
-
-// publish fans ev out to every live subscription without blocking: a
-// subscriber whose buffer is full loses the event and has its drop
-// counter bumped instead.
-func (r *Recorder) publish(ev Event) {
-	r.subMu.RLock()
-	for _, sub := range r.subs {
-		select {
-		case sub.ch <- ev:
-		default:
-			sub.dropped.Add(1)
-		}
-	}
-	r.subMu.RUnlock()
-}
-
-// Subscription is one live tail of a recorder's event stream, created
-// by Subscribe. Events arrive on C in Record order; when the consumer
-// falls behind the buffer, events are dropped (never blocking the
-// recording engine) and counted by Dropped.
-type Subscription struct {
-	rec     *Recorder
-	ch      chan Event
-	dropped atomic.Int64
-}
-
-// DefaultSubscriptionBuffer is the per-subscriber channel capacity used
-// when Subscribe is given a non-positive one.
-const DefaultSubscriptionBuffer = 256
-
-// Subscribe registers a live tail with the given buffer capacity
-// (non-positive selects DefaultSubscriptionBuffer). The caller must
-// drain C promptly or accept drops, and must Close the subscription
-// when done. Subscribe on a nil recorder returns nil; all Subscription
-// methods tolerate a nil receiver.
-func (r *Recorder) Subscribe(buf int) *Subscription {
-	if r == nil {
-		return nil
-	}
-	if buf <= 0 {
-		buf = DefaultSubscriptionBuffer
-	}
-	sub := &Subscription{rec: r, ch: make(chan Event, buf)}
-	r.subMu.Lock()
-	r.subs = append(r.subs, sub)
-	r.nsubs.Store(int32(len(r.subs)))
-	r.subMu.Unlock()
-	return sub
-}
-
-// C returns the subscription's event channel. It is closed by Close.
-func (s *Subscription) C() <-chan Event {
-	if s == nil {
-		return nil
-	}
-	return s.ch
-}
-
-// Dropped returns the number of events this subscriber lost to a full
-// buffer.
-func (s *Subscription) Dropped() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.dropped.Load()
-}
-
-// Close unregisters the subscription and closes its channel. It is
-// safe to call once; events still buffered remain readable until the
-// channel drains to its close.
-func (s *Subscription) Close() {
-	if s == nil {
-		return
-	}
-	r := s.rec
-	r.subMu.Lock()
-	for i, sub := range r.subs {
-		if sub == s {
-			r.subs = append(r.subs[:i], r.subs[i+1:]...)
-			close(s.ch)
-			break
-		}
-	}
-	r.nsubs.Store(int32(len(r.subs)))
-	r.subMu.Unlock()
 }
 
 // shardOf hashes a session id to a shard index (FNV-1a).
@@ -302,23 +210,67 @@ func shardOf(session string) int {
 	return int(h) & (shardCount - 1)
 }
 
-// Events returns the retained events sorted by Seq. It locks each
-// shard briefly; recording may proceed concurrently, and the snapshot
-// reflects some linearisation of the appends.
+// Events returns the retained events sorted by Seq: Since(0) without
+// its bound.
 func (r *Recorder) Events() []Event {
+	evs, _ := r.Since(0)
+	return evs
+}
+
+// Since returns, in Seq order, the retained events with after < Seq ≤
+// upto, where every event at or below upto has been stored (and may
+// since have been overwritten). A live tail is a cursor: it passes the upto of its
+// last call as after, so it sees each event at most once and learns
+// that upto − after − len(evs) events were overwritten before it asked.
+//
+// upto is the least of the seq counters read under each shard's lock:
+// Record takes a Seq under its shard's lock, so at that read every
+// event of the shard at or below upto had been stored, and those not
+// copied then had already been overwritten.
+func (r *Recorder) Since(after int64) (evs []Event, upto int64) {
 	if r == nil {
-		return nil
+		return nil, after
 	}
-	// Events recorded after Len only make the appends below grow out.
-	out := make([]Event, 0, r.Len())
+	// At most Len events are retained and seq − after have Seq > after;
+	// events recorded meanwhile only make the appends below grow out.
+	evs = make([]Event, 0, max(min(int64(r.Len()), r.seq.Load()-after), 0))
+	upto = math.MaxInt64
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
-		out = append(out, s.buf...)
+		upto = min(upto, r.seq.Load())
+		evs = s.appendAfter(evs, after)
 		s.mu.Unlock()
 	}
-	sortBySeq(out)
-	return out
+	// Drop what was recorded past upto while the shards were read; the
+	// sort below restores the order.
+	for i := 0; i < len(evs); {
+		if evs[i].Seq > upto {
+			evs[i] = evs[len(evs)-1]
+			evs = evs[:len(evs)-1]
+		} else {
+			i++
+		}
+	}
+	sortBySeq(evs)
+	return evs, upto
+}
+
+// appendAfter appends the shard's events with Seq > after, oldest
+// first. The caller holds s.mu. The ring holds its events in Seq order
+// from the oldest, at slot s.n % len(s.buf).
+func (s *shard) appendAfter(evs []Event, after int64) []Event {
+	n := len(s.buf)
+	if n == 0 {
+		return evs
+	}
+	i := sort.Search(n, func(i int) bool { return s.buf[(s.n+i)%n].Seq > after })
+	from, k := (s.n+i)%n, n-i
+	if from+k <= n {
+		return append(evs, s.buf[from:from+k]...)
+	}
+	evs = append(evs, s.buf[from:]...)
+	return append(evs, s.buf[:from+k-n]...)
 }
 
 // sortBySeq sorts events with distinct seqs. When the seqs are one

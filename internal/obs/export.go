@@ -27,13 +27,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 		}
 		var err error
-		switch s.kind {
-		case kindCounter:
-			_, err = fmt.Fprintf(w, "%s %d\n", seriesKey(s.name, s.labels), s.counter.Value())
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "%s %d\n", seriesKey(s.name, s.labels), s.gauge.Value())
-		case kindHistogram:
+		if s.kind == kindHistogram {
 			err = writePromHistogram(w, s)
+		} else {
+			_, err = fmt.Fprintf(w, "%s %d\n", seriesKey(s.name, s.labels), s.value())
 		}
 		if err != nil {
 			return err
@@ -121,14 +118,10 @@ func (r *Registry) Snapshot() []JSONMetric {
 				m.Labels[l.Key] = l.Value
 			}
 		}
-		switch s.kind {
-		case kindCounter:
-			v := s.counter.Value()
+		if s.kind != kindHistogram {
+			v := s.value()
 			m.Value = &v
-		case kindGauge:
-			v := s.gauge.Value()
-			m.Value = &v
-		case kindHistogram:
+		} else {
 			c, sum := s.histogram.Count(), s.histogram.Sum()
 			p50, p99 := s.histogram.Quantile(0.50), s.histogram.Quantile(0.99)
 			m.Count, m.Sum, m.P50, m.P99 = &c, &sum, &p50, &p99

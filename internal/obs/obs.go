@@ -338,6 +338,19 @@ type series struct {
 	counter   *Counter
 	gauge     *Gauge
 	histogram *Histogram
+	// sample, set on a sampled series, is its value at export time.
+	sample func() int64
+}
+
+// value is a counter's or gauge's exported value.
+func (s *series) value() int64 {
+	switch {
+	case s.sample != nil:
+		return s.sample()
+	case s.kind == kindCounter:
+		return s.counter.Value()
+	}
+	return s.gauge.Value()
 }
 
 // Registry holds named metric series. The zero value is not usable;
@@ -352,10 +365,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{byKey: make(map[string]*series)}
 }
-
-// Default is a process-wide registry for callers that do not need
-// isolation (the CLIs share it across their phases).
-var Default = NewRegistry()
 
 // seriesKey is the canonical identity of a series: name plus labels in
 // the order given (callers must use a consistent label order, as the
@@ -386,8 +395,11 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
-// lookup registers or fetches a series, enforcing kind consistency.
-func (r *Registry) lookup(name string, kind metricKind, labels []Label) *series {
+// lookup registers or fetches a series, enforcing kind consistency. A
+// series registered with a non-nil sample is sampled and holds no
+// counter or gauge of its own; a series keeps the sample it was first
+// registered with.
+func (r *Registry) lookup(name string, kind metricKind, labels []Label, sample func() int64) *series {
 	key := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -397,13 +409,14 @@ func (r *Registry) lookup(name string, kind metricKind, labels []Label) *series 
 		}
 		return s
 	}
-	s := &series{name: name, labels: append([]Label(nil), labels...), kind: kind}
-	switch kind {
-	case kindCounter:
+	s := &series{name: name, labels: append([]Label(nil), labels...), kind: kind, sample: sample}
+	switch {
+	case sample != nil:
+	case kind == kindCounter:
 		s.counter = &Counter{}
-	case kindGauge:
+	case kind == kindGauge:
 		s.gauge = &Gauge{}
-	case kindHistogram:
+	default:
 		s.histogram = &Histogram{}
 	}
 	r.byKey[key] = s
@@ -418,7 +431,22 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, kindCounter, labels).counter
+	return r.lookup(name, kindCounter, labels, nil).counter
+}
+
+// CounterFunc registers a counter series whose value is sample's result
+// at export time: a count another component keeps, read when scraped.
+func (r *Registry) CounterFunc(name string, sample func() int64, labels ...Label) {
+	if r != nil {
+		r.lookup(name, kindCounter, labels, sample)
+	}
+}
+
+// GaugeFunc registers a gauge series sampled at export time.
+func (r *Registry) GaugeFunc(name string, sample func() int64, labels ...Label) {
+	if r != nil {
+		r.lookup(name, kindGauge, labels, sample)
+	}
 }
 
 // Gauge registers (or fetches) the gauge series. A nil registry
@@ -427,7 +455,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, kindGauge, labels).gauge
+	return r.lookup(name, kindGauge, labels, nil).gauge
 }
 
 // Histogram registers (or fetches) the histogram series. A nil
@@ -436,7 +464,7 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, kindHistogram, labels).histogram
+	return r.lookup(name, kindHistogram, labels, nil).histogram
 }
 
 // sortedSeries returns the series sorted by (name, label key) for

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -192,4 +193,34 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("m")
 	reg.Histogram("m")
+}
+
+// TestSampledSeries: a CounterFunc or GaugeFunc series exports its
+// sample's value at each export, in both formats, keeps the sample it
+// was first registered with, and hands out no counter of its own.
+func TestSampledSeries(t *testing.T) {
+	t.Parallel()
+	reg := NewRegistry()
+	n := int64(3)
+	reg.CounterFunc("kept_total", func() int64 { return n }, L("ring", "a"))
+	reg.CounterFunc("kept_total", func() int64 { return -1 }, L("ring", "a"))
+	reg.GaugeFunc("held", func() int64 { return 2 * n })
+	reg.Counter("kept_total", L("ring", "a")).Add(100) // a no-op: the series is sampled
+	n = 5
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE held gauge\nheld 10\n# TYPE kept_total counter\nkept_total{ring=\"a\"} 5\n"
+	if text.String() != want {
+		t.Errorf("Prometheus:\n%s\nwant:\n%s", text.String(), want)
+	}
+	for _, m := range reg.Snapshot() {
+		if m.Value == nil || *m.Value != map[string]int64{"held": 10, "kept_total": 5}[m.Name] {
+			t.Errorf("JSON %s = %v", m.Name, m.Value)
+		}
+	}
+	var nilReg *Registry
+	nilReg.CounterFunc("x_total", func() int64 { return 1 })
+	nilReg.GaugeFunc("x", func() int64 { return 1 })
 }

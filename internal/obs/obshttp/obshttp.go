@@ -9,12 +9,13 @@
 // Endpoints:
 //
 //	GET /metrics       Prometheus text exposition of the current
-//	                   registry plus the server's own sse_* series.
+//	                   registry plus the server's own series (sse_*,
+//	                   and eventlog_* once a recorder is attached).
 //	GET /metrics.json  The same snapshot as a JSON array (internal/obs
 //	                   JSONMetric schema, histogram bucket edges
 //	                   included).
-//	GET /healthz       Liveness JSON: status, component name, uptime,
-//	                   flight-recorder and SSE stream counters.
+//	GET /healthz       Liveness JSON: status, component name, uptime
+//	                   and the fields of SetHealth.
 //	GET /trace/{id}    One finished transaction's span tree (txtrace
 //	                   TraceData JSON; id is the 16-hex-digit trace ID,
 //	                   e.g. from a histogram exemplar or /slow).
@@ -32,9 +33,10 @@
 //	                   certifier tracks (Perfetto-loadable).
 //	GET /debug/pprof/  net/http/pprof.
 //
-// The recorder and tracer are swappable at runtime (SetRecorder,
-// SetTxTracer), so a CLI can start the plane before it
-// builds the components those endpoints serve.
+// The recorder and tracer attach at runtime (SetRecorder,
+// SetTxTracer), so a CLI can start the plane before it builds the
+// components those endpoints serve. Every method is a no-op on a nil
+// *Server, so a CLI without -serve holds nil and calls it anyway.
 package obshttp
 
 import (
@@ -52,9 +54,9 @@ import (
 	"sian/internal/obs/txtrace"
 )
 
-// Config parameterises a Server. Every field is optional: endpoints
-// whose backing component is absent respond 404 (/events, /timeline,
-// /trace/{id}, /slow) or serve an empty document (/metrics).
+// Config parameterises a Server. Endpoints whose backing component
+// is absent respond 404 (/events, /timeline, /trace/{id}, /slow) or
+// serve an empty document (/metrics).
 type Config struct {
 	// Name identifies the serving component in /healthz (for example
 	// "sibench"). Empty means "sian".
@@ -62,15 +64,6 @@ type Config struct {
 	// Registry is the metrics registry scraped by /metrics and
 	// /metrics.json.
 	Registry *obs.Registry
-	// Recorder is the flight recorder tailed by /events.
-	Recorder *eventlog.Recorder
-	// TxTracer backs /trace/{id}, /slow and /timeline. Absent (the
-	// default — tracing is opt-in) the three endpoints respond 404.
-	TxTracer *txtrace.Tracer
-	// KeepAlive is the SSE keep-alive interval: how often an idle
-	// stream emits a comment frame so proxies and clients can detect
-	// liveness. Non-positive selects 5 seconds.
-	KeepAlive time.Duration
 }
 
 // Server is the observability-plane HTTP server. Create with New,
@@ -84,12 +77,15 @@ type Server struct {
 	recorder atomic.Pointer[eventlog.Recorder]
 	txtracer atomic.Pointer[txtrace.Tracer]
 
-	// self holds the server's own metric series (SSE client gauges and
-	// slow-consumer drop counters), appended to every scrape so the
-	// plane observes itself with the same exporters.
+	// self holds the server's own series (per-stream SSE accounting
+	// and the attached recorder's counts), appended to every scrape so
+	// the plane observes itself with the same exporters.
 	self     *obs.Registry
-	events   *sseStream
-	verdicts *sseStream
+	events   *stream
+	verdicts *stream
+	// verdictRing retains the last frames PublishVerdict appended, for
+	// the /verdicts tails to read.
+	verdictRing frameRing
 
 	// healthExtra, when set, contributes component-specific fields to
 	// the /healthz document (for example siserve's WAL fsync lag and
@@ -107,21 +103,16 @@ func New(cfg Config) *Server {
 	if cfg.Name == "" {
 		cfg.Name = "sian"
 	}
-	if cfg.KeepAlive <= 0 {
-		cfg.KeepAlive = 5 * time.Second
-	}
 	s := &Server{
 		name:      cfg.Name,
-		keepAlive: cfg.KeepAlive,
+		keepAlive: 5 * time.Second,
 		start:     time.Now(),
 		registry:  cfg.Registry,
 		self:      obs.NewRegistry(),
 		done:      make(chan struct{}),
 	}
-	s.recorder.Store(cfg.Recorder)
-	s.txtracer.Store(cfg.TxTracer)
-	s.events = newSSEStream(s.self, "events")
-	s.verdicts = newSSEStream(s.self, "verdicts")
+	s.events = newStream(s.self, "events", func() int64 { return s.recorder.Load().Recorded() })
+	s.verdicts = newStream(s.self, "verdicts", s.verdictRing.published)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -141,13 +132,30 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// SetRecorder repoints /events at rec. Streams already
-// tailing the previous recorder keep it until the client reconnects.
-func (s *Server) SetRecorder(rec *eventlog.Recorder) { s.recorder.Store(rec) }
+// SetRecorder repoints /events at rec, and the eventlog_* series at
+// its counts: eventlog_recorded_total, eventlog_dropped_total and
+// eventlog_retained_events, which the server's registry holds from
+// the first recorder attached on. Streams already tailing the previous
+// recorder keep it until the client reconnects.
+func (s *Server) SetRecorder(rec *eventlog.Recorder) {
+	if s == nil {
+		return
+	}
+	s.recorder.Store(rec)
+	if rec != nil {
+		s.self.CounterFunc("eventlog_recorded_total", func() int64 { return s.recorder.Load().Recorded() })
+		s.self.CounterFunc("eventlog_dropped_total", func() int64 { return s.recorder.Load().Dropped() })
+		s.self.GaugeFunc("eventlog_retained_events", func() int64 { return int64(s.recorder.Load().Len()) })
+	}
+}
 
 // SetTxTracer repoints /trace/{id}, /slow and /timeline at t. Nil is
 // allowed and returns the three endpoints to their tracing-off 404.
-func (s *Server) SetTxTracer(t *txtrace.Tracer) { s.txtracer.Store(t) }
+func (s *Server) SetTxTracer(t *txtrace.Tracer) {
+	if s != nil {
+		s.txtracer.Store(t)
+	}
+}
 
 // SetHealth registers a callback whose key/value pairs are merged into
 // the /healthz document on every request, letting the embedding
@@ -155,40 +163,41 @@ func (s *Server) SetTxTracer(t *txtrace.Tracer) { s.txtracer.Store(t) }
 // verdict, …). Keys colliding with the built-in document are ignored.
 // Nil unregisters.
 func (s *Server) SetHealth(fn func() map[string]any) {
-	if fn == nil {
+	switch {
+	case s == nil:
+	case fn == nil:
 		s.healthExtra.Store(nil)
-		return
+	default:
+		s.healthExtra.Store(&fn)
 	}
-	s.healthExtra.Store(&fn)
 }
 
 // Handle mounts an additional handler on the server's mux (a serving
 // component's own API endpoints, for example siserve's /v1/transact).
 // It must be called before Serve; the pattern syntax is
 // http.ServeMux's.
-func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
-
-// PublishVerdict fans v (marshalled once as JSON) out to every
-// /verdicts subscriber. Slow consumers drop frames rather than
-// blocking the caller; drops are announced in-stream and counted in
-// the server's sse_dropped_total{stream="verdicts"} series.
-func (s *Server) PublishVerdict(v VerdictEvent) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
+func (s *Server) Handle(pattern string, h http.Handler) {
+	if s != nil {
+		s.mux.Handle(pattern, h)
 	}
-	s.verdicts.publish(sseFrame{event: "verdict", id: fmt.Sprint(v.Seq), data: payload})
-	return nil
 }
 
 // Handler returns the server's root handler, for embedding into an
-// existing mux.
-func (s *Server) Handler() http.Handler { return s.mux }
+// existing mux; a nil server's answers 404.
+func (s *Server) Handler() http.Handler {
+	if s == nil {
+		return http.NotFoundHandler()
+	}
+	return s.mux
+}
 
 // Serve begins listening on addr (for example ":8080" or
 // "127.0.0.1:0") and serves until Close. It returns once the listener
 // is bound; use Addr for the bound address.
 func (s *Server) Serve(addr string) error {
+	if s == nil {
+		return fmt.Errorf("obshttp: serve on a nil server")
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("obshttp: %w", err)
@@ -203,7 +212,7 @@ func (s *Server) Serve(addr string) error {
 
 // Addr returns the bound listen address, or "" before Serve.
 func (s *Server) Addr() string {
-	if s.ln == nil {
+	if s == nil || s.ln == nil {
 		return ""
 	}
 	return s.ln.Addr().String()
@@ -212,6 +221,9 @@ func (s *Server) Addr() string {
 // Close stops the listener and unblocks every live SSE stream. It is
 // idempotent.
 func (s *Server) Close() error {
+	if s == nil {
+		return nil
+	}
 	select {
 	case <-s.done:
 		return nil
@@ -233,88 +245,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_ = s.self.WritePrometheus(w)
-	// Flight-recorder accounting, sampled at scrape time so drops are
-	// visible on the scrape plane (not only via per-SSE-subscriber
-	// `event: drops` frames).
-	if rec := s.recorder.Load(); rec != nil {
-		fmt.Fprintf(w, "# TYPE eventlog_recorded_total counter\neventlog_recorded_total %d\n", rec.Recorded())
-		fmt.Fprintf(w, "# TYPE eventlog_dropped_total counter\neventlog_dropped_total %d\n", rec.Dropped())
-		fmt.Fprintf(w, "# TYPE eventlog_retained_events gauge\neventlog_retained_events %d\n", rec.Len())
-	}
 }
 
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	snap := s.registry.Snapshot()
-	snap = append(snap, s.self.Snapshot()...)
-	if rec := s.recorder.Load(); rec != nil {
-		snap = append(snap, recorderMetrics(rec)...)
-	}
-	if snap == nil {
-		snap = []obs.JSONMetric{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(snap)
-}
-
-// recorderMetrics renders the flight recorder's scrape-time counters
-// in the JSON export schema.
-func recorderMetrics(rec *eventlog.Recorder) []obs.JSONMetric {
-	recorded, dropped, retained := rec.Recorded(), rec.Dropped(), int64(rec.Len())
-	return []obs.JSONMetric{
-		{Name: "eventlog_recorded_total", Kind: "counter", Value: &recorded},
-		{Name: "eventlog_dropped_total", Kind: "counter", Value: &dropped},
-		{Name: "eventlog_retained_events", Kind: "gauge", Value: &retained},
-	}
-}
-
-// health is the /healthz document.
-type health struct {
-	Status   string `json:"status"`
-	Name     string `json:"name"`
-	UptimeNS int64  `json:"uptime_ns"`
-	// Recorder counters (zero when no recorder is attached).
-	// EventlogDropped duplicates RingOverwrites under the name the
-	// scrape plane uses (eventlog_dropped_total), so dashboards join
-	// health and metrics without a translation table.
-	EventsRecorded  int64 `json:"events_recorded"`
-	EventsRetained  int   `json:"events_retained"`
-	RingOverwrites  int64 `json:"ring_overwrites"`
-	EventlogDropped int64 `json:"eventlog_dropped"`
-	// SSE stream accounting.
-	EventClients    int64 `json:"event_clients"`
-	EventDropped    int64 `json:"event_dropped"`
-	VerdictClients  int64 `json:"verdict_clients"`
-	VerdictDropped  int64 `json:"verdict_dropped"`
-	VerdictsEmitted int64 `json:"verdicts_emitted"`
+	snap := append(s.registry.Snapshot(), s.self.Snapshot()...)
+	writeJSON(w, snap)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rec := s.recorder.Load()
-	h := health{
-		Status:          "ok",
-		Name:            s.name,
-		UptimeNS:        time.Since(s.start).Nanoseconds(),
-		EventsRecorded:  rec.Recorded(),
-		EventsRetained:  rec.Len(),
-		RingOverwrites:  rec.Dropped(),
-		EventlogDropped: rec.Dropped(),
-		EventClients:    s.events.clients.Value(),
-		EventDropped:    s.events.dropped.Value(),
-		VerdictClients:  s.verdicts.clients.Value(),
-		VerdictDropped:  s.verdicts.dropped.Value(),
-		VerdictsEmitted: s.verdicts.published.Value(),
-	}
-	doc := map[string]any{}
-	hb, _ := json.Marshal(h)
-	_ = json.Unmarshal(hb, &doc)
-	if tt := s.txtracer.Load(); tt != nil {
-		started, finished, evicted := tt.Stats()
-		doc["traces_started"] = started
-		doc["traces_finished"] = finished
-		doc["traces_evicted"] = evicted
-	}
+	doc := map[string]any{"status": "ok", "name": s.name, "uptime_ns": time.Since(s.start).Nanoseconds()}
 	if fnp := s.healthExtra.Load(); fnp != nil {
 		for k, v := range (*fnp)() {
 			if _, taken := doc[k]; !taken {
@@ -322,10 +261,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	writeJSON(w, doc)
+}
+
+// writeJSON answers with v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
+	_ = enc.Encode(v)
 }
 
 // handleTrace serves one finished transaction's span tree by trace ID
@@ -345,10 +289,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "trace not found (evicted or never finished)", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(td)
+	writeJSON(w, td)
 }
 
 // slowDoc is the /slow response document.
@@ -392,11 +333,7 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	if traces == nil {
 		traces = []*txtrace.TraceData{}
 	}
-	doc := slowDoc{ThresholdNS: threshold.Nanoseconds(), Count: len(traces), Traces: traces}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
+	writeJSON(w, slowDoc{ThresholdNS: threshold.Nanoseconds(), Count: len(traces), Traces: traces})
 }
 
 // tracing returns the attached tracer, or answers 404 with the flag

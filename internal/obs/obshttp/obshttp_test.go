@@ -2,6 +2,7 @@ package obshttp
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -127,7 +128,7 @@ func TestHealthzAndMissingBackends(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/healthz status %d: %s", code, body)
 	}
-	var h health
+	var h struct{ Status, Name string }
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatalf("healthz does not parse: %v", err)
 	}
@@ -182,7 +183,8 @@ func readFrames(t *testing.T, body io.Reader, frames chan<- sseFrameData) {
 // kind and global sequence number.
 func TestEventsSSEReplayAndLive(t *testing.T) {
 	rec := eventlog.NewRecorder(0)
-	s := New(Config{Recorder: rec, KeepAlive: 50 * time.Millisecond})
+	s := New(Config{})
+	s.SetRecorder(rec)
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -228,10 +230,10 @@ func TestEventsSSEReplayAndLive(t *testing.T) {
 	}
 }
 
-// TestVerdictsSSE checks PublishVerdict fan-out: frames carry the
+// TestVerdictsSSE checks PublishVerdict delivery: frames carry the
 // verdict JSON including the violation explanation.
 func TestVerdictsSSE(t *testing.T) {
-	s := New(Config{KeepAlive: 50 * time.Millisecond})
+	s := New(Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -275,38 +277,140 @@ func TestVerdictsSSE(t *testing.T) {
 	}
 }
 
-// TestSlowConsumerDropAccounting pins the bounded fan-out contract at
-// the stream layer: an undrained subscriber with a one-frame buffer
-// loses frames instead of blocking the publisher, and the losses are
-// counted per subscriber and rolled into the stream totals.
+// TestSlowConsumerDropAccounting: a /verdicts tail that falls a whole
+// ring behind (600 verdicts published between two of its polls, the
+// ring holding 256) gets the newest 256, told first in a drops frame
+// that it lost 344; the loss reaches sse_dropped_total and publishing
+// never waited for it.
 func TestSlowConsumerDropAccounting(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	sub := s.verdicts.subscribe(1)
-	for i := 0; i < 5; i++ {
-		s.verdicts.publish(sseFrame{event: "verdict", data: []byte(`{}`)})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	polls := 0
+	since := func(after int64) ([]sseFrame, int64) {
+		switch polls++; polls {
+		case 2: // the first poll after the head
+			for i := 1; i <= 600; i++ {
+				s.PublishVerdict(VerdictEvent{Seq: int64(i), Txn: "t", Model: "SI", Member: true})
+			}
+		case 3:
+			cancel()
+		}
+		return s.verdictRing.since(after)
 	}
-	if got := sub.dropped.Load(); got != 4 {
-		t.Errorf("dropped = %d, want 4 (buffer holds 1 of 5)", got)
+	w := httptest.NewRecorder()
+	s.tail(w, httptest.NewRequest("GET", "/verdicts", nil).WithContext(ctx), s.verdicts, since, 0)
+
+	frames := make(chan sseFrameData, 1024)
+	readFrames(t, w.Body, frames)
+	var got []sseFrameData
+	for f := range frames {
+		got = append(got, f)
 	}
-	if got := s.verdicts.published.Value(); got != 5 {
-		t.Errorf("published = %d, want 5", got)
+	if len(got) != 1+verdictRingSize || got[0].event != "drops" || got[0].data != `{"dropped":344}` {
+		t.Fatalf("%d frames, first %+v; want a drops frame of 344, then %d verdicts", len(got), got[0], verdictRingSize)
 	}
-	s.verdicts.unsubscribe(sub)
-	if got := s.verdicts.dropped.Value(); got != 4 {
-		t.Errorf("stream dropped total = %d, want 4", got)
+	if got[1].id != "345" || got[len(got)-1].id != "600" {
+		t.Errorf("verdicts %s..%s, want the newest: 345..600", got[1].id, got[len(got)-1].id)
 	}
-	if got := s.verdicts.clients.Value(); got != 0 {
-		t.Errorf("clients = %d, want 0 after unsubscribe", got)
+	if d := s.verdicts.dropped.Value(); d != 344 {
+		t.Errorf("sse_dropped_total{stream=verdicts} = %d, want 344", d)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	_, body := get(t, ts, "/metrics")
+	if !strings.Contains(string(body), `sse_published_total{stream="verdicts"} 600`) ||
+		!strings.Contains(string(body), `sse_clients{stream="verdicts"} 0`) {
+		t.Errorf("/metrics after the tail left:\n%s", body)
+	}
+}
+
+// TestEventsTailDeliversEverySeq: eight sessions record while a
+// /events?replay=all client tails; every seq of the recorded range is
+// sent once, in increasing order, or counted in a drops frame.
+func TestEventsTailDeliversEverySeq(t *testing.T) {
+	const sessions, each = 8, 5000
+	rec := eventlog.NewRecorder(0)
+	s := New(Config{})
+	s.SetRecorder(rec)
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/events?replay=all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := make(chan sseFrameData, 1024)
+	go readFrames(t, resp.Body, frames)
+
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				rec.Record(eventlog.Event{Kind: eventlog.Write, Session: fmt.Sprintf("s%d", i), TxID: "t", Obj: "x", Val: model.Value(j)})
+			}
+		}(i)
+	}
+	var sent, dropped, last int64
+	for sent+dropped < sessions*each {
+		select {
+		case f := <-frames:
+			if f.event == "drops" {
+				fmt.Sscanf(f.data, `{"dropped":%d}`, &dropped)
+				continue
+			}
+			var seq int64
+			fmt.Sscan(f.id, &seq)
+			if seq <= last {
+				t.Fatalf("seq %d sent after %d", seq, last)
+			}
+			last = seq
+			sent++
+		case <-time.After(8 * time.Second): // beyond any keep-alive tick
+			t.Fatalf("the tail went quiet: %d sent + %d counted dropped of %d recorded; %d seqs neither",
+				sent, dropped, rec.Recorded(), rec.Recorded()-sent-dropped)
+		}
+	}
+	if sent+dropped != sessions*each || last > sessions*each {
+		t.Errorf("%d sent + %d dropped, last seq %d; want %d", sent, dropped, last, sessions*each)
+	}
+}
+
+// TestIdleTailKeepsAlive: a tail with nothing to send writes a
+// keep-alive comment every keep-alive interval.
+func TestIdleTailKeepsAlive(t *testing.T) {
+	s := New(Config{}).withKeepAlive(30 * time.Millisecond)
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/verdicts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for n := 0; n < 2 && sc.Scan(); {
+		if sc.Text() == ": keep-alive" {
+			n++
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestEventsSSEConcurrentClients runs several clients tailing /events
 // while a writer records concurrently — the -race acceptance test for
-// the subscription fan-out path.
+// the tail path.
 func TestEventsSSEConcurrentClients(t *testing.T) {
 	rec := eventlog.NewRecorder(0)
-	s := New(Config{Recorder: rec, KeepAlive: 20 * time.Millisecond})
+	s := New(Config{})
+	s.SetRecorder(rec)
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -316,7 +420,7 @@ func TestEventsSSEConcurrentClients(t *testing.T) {
 	var wg sync.WaitGroup
 	received := make([]int, clients)
 	for c := 0; c < clients; c++ {
-		resp, err := ts.Client().Get(ts.URL + "/events?buf=1024")
+		resp, err := ts.Client().Get(ts.URL + "/events")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +478,8 @@ func TestEventsSSEConcurrentClients(t *testing.T) {
 // rather than leaking them.
 func TestCloseUnblocksStreams(t *testing.T) {
 	rec := eventlog.NewRecorder(0)
-	s := New(Config{Recorder: rec, KeepAlive: time.Hour})
+	s := New(Config{}).withKeepAlive(time.Hour)
+	s.SetRecorder(rec)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -1,16 +1,17 @@
 package obshttp
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sian/internal/histio"
 	"sian/internal/obs"
-	"sian/internal/obs/eventlog"
 )
 
 // VerdictEvent is the wire form of one online-monitor verdict on the
@@ -50,6 +51,21 @@ type ViolationEvent struct {
 	Definitive bool `json:"definitive"`
 }
 
+// PublishVerdict appends v (marshalled once as JSON) to the ring the
+// /verdicts tails read. It never waits for a client; a tail that falls
+// a ring behind is told how many frames it lost.
+func (s *Server) PublishVerdict(v VerdictEvent) error {
+	if s == nil {
+		return nil
+	}
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	s.verdictRing.add(sseFrame{event: "verdict", id: strconv.FormatInt(v.Seq, 10), data: payload})
+	return nil
+}
+
 // sseFrame is one Server-Sent Events message.
 type sseFrame struct {
 	event string
@@ -57,98 +73,74 @@ type sseFrame struct {
 	data  []byte
 }
 
-// sseSub is one connected stream client: a bounded frame buffer plus a
-// count of frames lost to it being full.
-type sseSub struct {
-	ch      chan sseFrame
-	dropped atomic.Int64
+// verdictRingSize is how many verdict frames /verdicts retains.
+const verdictRingSize = 256
+
+// frameRing retains the last verdictRingSize frames appended: the i-th
+// (from 0) at buf[i%verdictRingSize].
+type frameRing struct {
+	mu  sync.Mutex
+	buf [verdictRingSize]sseFrame
+	n   int64
 }
 
-// sseStream is a bounded fan-out of frames to any number of clients,
-// with per-client drop accounting surfaced both in-stream and in the
-// server's self registry.
-type sseStream struct {
-	mu        sync.RWMutex
-	subs      map[*sseSub]struct{}
-	clients   *obs.Gauge
-	dropped   *obs.Counter
-	published *obs.Counter
+func (fr *frameRing) add(f sseFrame) {
+	fr.mu.Lock()
+	fr.buf[fr.n%verdictRingSize] = f
+	fr.n++
+	fr.mu.Unlock()
 }
 
-func newSSEStream(self *obs.Registry, name string) *sseStream {
+// published returns the number of frames ever appended.
+func (fr *frameRing) published() int64 {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	return fr.n
+}
+
+// since is Recorder.Since for frames: the retained frames after the
+// first after ones, and the count appended.
+func (fr *frameRing) since(after int64) ([]sseFrame, int64) {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	var out []sseFrame
+	for i := max(after, fr.n-verdictRingSize); i < fr.n; i++ {
+		out = append(out, fr.buf[i%verdictRingSize])
+	}
+	return out, fr.n
+}
+
+// stream is one SSE endpoint's accounting in the server's registry:
+// the tails connected and the frames the ring overwrote before a tail
+// reached them. Its sse_published_total, the frames appended to the
+// ring, is sampled from the ring.
+type stream struct {
+	clients *obs.Gauge
+	dropped *obs.Counter
+}
+
+func newStream(self *obs.Registry, name string, published func() int64) *stream {
 	lbl := obs.L("stream", name)
-	return &sseStream{
-		subs:      make(map[*sseSub]struct{}),
-		clients:   self.Gauge("sse_clients", lbl),
-		dropped:   self.Counter("sse_dropped_total", lbl),
-		published: self.Counter("sse_published_total", lbl),
-	}
+	self.CounterFunc("sse_published_total", published, lbl)
+	return &stream{clients: self.Gauge("sse_clients", lbl), dropped: self.Counter("sse_dropped_total", lbl)}
 }
 
-// publish delivers f to every subscriber without blocking; full
-// buffers drop the frame and bump the subscriber's counter.
-func (st *sseStream) publish(f sseFrame) {
-	st.published.Inc()
-	st.mu.RLock()
-	for sub := range st.subs {
-		select {
-		case sub.ch <- f:
-		default:
-			sub.dropped.Add(1)
-		}
-	}
-	st.mu.RUnlock()
-}
+// pollTick is how often a tail asks its ring for what it has not sent.
+const pollTick = 20 * time.Millisecond
 
-func (st *sseStream) subscribe(buf int) *sseSub {
-	sub := &sseSub{ch: make(chan sseFrame, buf)}
-	st.mu.Lock()
-	st.subs[sub] = struct{}{}
-	st.mu.Unlock()
-	st.clients.Add(1)
-	return sub
-}
-
-func (st *sseStream) unsubscribe(sub *sseSub) {
-	st.mu.Lock()
-	delete(st.subs, sub)
-	st.mu.Unlock()
-	st.clients.Add(-1)
-	st.dropped.Add(sub.dropped.Load())
-}
-
-// clientBuffer parses the ?buf= query parameter: the client's frame
-// buffer capacity, clamped to [1, 65536], default 256.
-func clientBuffer(r *http.Request) int {
-	buf := 256
-	if v := r.URL.Query().Get("buf"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			buf = n
-		}
-	}
-	if buf < 1 {
-		buf = 1
-	}
-	if buf > 1<<16 {
-		buf = 1 << 16
-	}
-	return buf
-}
-
-// sseWriter pairs the response writer with its flusher and tracks the
-// last announced drop total so slow-consumer losses are surfaced
-// in-stream exactly once per increase.
-type sseWriter struct {
-	w         http.ResponseWriter
-	fl        http.Flusher
-	announced int64
-}
-
-func newSSEWriter(w http.ResponseWriter) (*sseWriter, bool) {
+// tail serves one SSE client of st as a cursor into a ring: every
+// pollTick it sends the frames since returns after the cursor and
+// moves the cursor to since's upto. The frames between the cursor and
+// upto that since no longer has were overwritten before the tail
+// reached them; the tail announces their running count in an
+// `event: drops` frame and adds them to sse_dropped_total. An idle
+// tail writes a keep-alive comment every s.keepAlive. The cursor
+// starts replay frames before the ring's head.
+func (s *Server) tail(w http.ResponseWriter, r *http.Request, st *stream, since func(after int64) ([]sseFrame, int64), replay int64) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported by this connection", http.StatusNotImplemented)
-		return nil, false
+		return
 	}
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -156,49 +148,66 @@ func newSSEWriter(w http.ResponseWriter) (*sseWriter, bool) {
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	return &sseWriter{w: w, fl: fl}, true
+
+	_, head := since(math.MaxInt64)
+	cursor := max(head-replay, 0)
+	// Counted only once the cursor is placed: a client that sees itself
+	// counted gets every frame appended from then on.
+	st.clients.Add(1)
+	defer st.clients.Add(-1)
+	tick := time.NewTicker(pollTick)
+	defer tick.Stop()
+	var lost int64
+	idle := time.Now()
+	for {
+		frames, upto := since(cursor)
+		if gap := upto - cursor - int64(len(frames)); gap > 0 {
+			lost += gap
+			st.dropped.Add(gap)
+			frames = append([]sseFrame{{event: "drops", data: fmt.Appendf(nil, `{"dropped":%d}`, lost)}}, frames...)
+		}
+		cursor = upto
+		for _, f := range frames {
+			if err := writeFrame(w, f); err != nil {
+				return
+			}
+		}
+		flush := len(frames) > 0
+		if !flush && time.Since(idle) >= s.keepAlive {
+			if _, err := fmt.Fprint(w, ": keep-alive\n\n"); err != nil {
+				return
+			}
+			flush = true
+		}
+		if flush {
+			fl.Flush()
+			idle = time.Now()
+		}
+		select {
+		case <-tick.C:
+		case <-r.Context().Done():
+			return
+		case <-s.done:
+			return
+		}
+	}
 }
 
-// frame writes one SSE message and flushes it. SSE data may not
-// contain raw newlines; every payload here is compact JSON, which
-// cannot.
-func (sw *sseWriter) frame(f sseFrame) error {
+// writeFrame writes one SSE message. SSE data may not contain raw
+// newlines; every payload here is compact JSON, which cannot.
+func writeFrame(w io.Writer, f sseFrame) error {
 	if f.event != "" {
-		if _, err := fmt.Fprintf(sw.w, "event: %s\n", f.event); err != nil {
+		if _, err := fmt.Fprintf(w, "event: %s\n", f.event); err != nil {
 			return err
 		}
 	}
 	if f.id != "" {
-		if _, err := fmt.Fprintf(sw.w, "id: %s\n", f.id); err != nil {
+		if _, err := fmt.Fprintf(w, "id: %s\n", f.id); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(sw.w, "data: %s\n\n", f.data); err != nil {
-		return err
-	}
-	sw.fl.Flush()
-	return nil
-}
-
-// keepAlive writes an SSE comment so idle streams stay visibly live.
-func (sw *sseWriter) keepAlive() error {
-	if _, err := fmt.Fprint(sw.w, ": keep-alive\n\n"); err != nil {
-		return err
-	}
-	sw.fl.Flush()
-	return nil
-}
-
-// announceDrops emits a "drops" frame when the subscriber's cumulative
-// loss count has grown since the last announcement, so a tailing
-// client knows its view has gaps (mirroring the flight recorder's own
-// ring-overwrite accounting).
-func (sw *sseWriter) announceDrops(total int64) error {
-	if total == sw.announced {
-		return nil
-	}
-	sw.announced = total
-	return sw.frame(sseFrame{event: "drops", data: []byte(fmt.Sprintf(`{"dropped":%d}`, total))})
+	_, err := fmt.Fprintf(w, "data: %s\n\n", f.data)
+	return err
 }
 
 // handleEvents tails the flight recorder as SSE. Framing: each
@@ -206,134 +215,40 @@ func (sw *sseWriter) announceDrops(total int64) error {
 // kind (begin/read/write/commit/abort/conflict), `id:` to its global
 // sequence number, and `data:` to its NDJSON object (the same wire
 // form sibench -record files use, so `curl -N .../events | sed -n
-// 's/^data: //p'` reconstructs a stream sicheck can certify). A ?replay=N
-// query replays up to N retained ring events before going live
-// (replay=all for the whole ring); ?buf=N sizes the client's frame
-// buffer. Slow consumers lose frames instead of blocking the engine;
-// losses are announced with an `event: drops` message carrying the
-// cumulative count.
+// 's/^data: //p'` reconstructs a stream sicheck can certify). A
+// ?replay=N query starts the tail N events before the recorder's head
+// (replay=all: at the first event ever recorded). Events the ring
+// overwrote before the tail sent them are counted in `event: drops`
+// messages carrying the running total, so every seq is either sent,
+// in order, or counted.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	rec := s.recorder.Load()
 	if rec == nil {
 		http.Error(w, "no flight recorder attached (run with -record, -timeline or -serve on a recording command)", http.StatusNotFound)
 		return
 	}
-	sw, ok := newSSEWriter(w)
-	if !ok {
-		return
+	var replay int64
+	if spec := r.URL.Query().Get("replay"); spec == "all" {
+		replay = math.MaxInt64
+	} else if n, err := strconv.ParseInt(spec, 10, 64); err == nil && n > 0 {
+		replay = n
 	}
-
-	sub := rec.Subscribe(clientBuffer(r))
-	defer sub.Close()
-	ssub := s.events.subscribe(0) // registered for client/drop accounting only
-	defer s.events.unsubscribe(ssub)
-
-	// Replay the retained tail before going live; the subscription was
-	// opened first, so events recorded in between are deduplicated by
-	// sequence number.
-	var lastSeq int64
-	if spec := r.URL.Query().Get("replay"); spec != "" {
-		replay := 0
-		if spec == "all" {
-			replay = rec.Len()
-		} else if n, err := strconv.Atoi(spec); err == nil && n > 0 {
-			replay = n
+	s.tail(w, r, s.events, func(after int64) ([]sseFrame, int64) {
+		evs, upto := rec.Since(after)
+		frames := make([]sseFrame, len(evs))
+		for i, ev := range evs {
+			data, _ := histio.MarshalEvent(ev) // an Event always marshals
+			frames[i] = sseFrame{event: ev.Kind.String(), id: strconv.FormatInt(ev.Seq, 10), data: data}
 		}
-		if replay > 0 {
-			events := rec.Events()
-			if len(events) > replay {
-				events = events[len(events)-replay:]
-			}
-			for _, ev := range events {
-				if err := s.writeEventFrame(sw, ev); err != nil {
-					return
-				}
-				lastSeq = ev.Seq
-			}
-		}
-	}
-
-	ticker := time.NewTicker(s.keepAlive)
-	defer ticker.Stop()
-	ctx := r.Context()
-	for {
-		select {
-		case ev, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			if ev.Seq <= lastSeq {
-				continue
-			}
-			lastSeq = ev.Seq
-			// Mirror the recorder-subscription drops into the stream
-			// accounting before the next payload frame.
-			ssub.dropped.Store(sub.Dropped())
-			if err := sw.announceDrops(sub.Dropped()); err != nil {
-				return
-			}
-			if err := s.writeEventFrame(sw, ev); err != nil {
-				return
-			}
-		case <-ticker.C:
-			ssub.dropped.Store(sub.Dropped())
-			if err := sw.announceDrops(sub.Dropped()); err != nil {
-				return
-			}
-			if err := sw.keepAlive(); err != nil {
-				return
-			}
-		case <-ctx.Done():
-			return
-		case <-s.done:
-			return
-		}
-	}
-}
-
-func (s *Server) writeEventFrame(sw *sseWriter, ev eventlog.Event) error {
-	data, err := histio.MarshalEvent(ev)
-	if err != nil {
-		return err
-	}
-	return sw.frame(sseFrame{event: ev.Kind.String(), id: strconv.FormatInt(ev.Seq, 10), data: data})
+		return frames, upto
+	}, replay)
 }
 
 // handleVerdicts streams monitor verdicts published with
-// PublishVerdict: one `event: verdict` message per verdict, `id:` set
-// to the triggering commit's sequence number, `data:` the VerdictEvent
-// JSON. Framing and slow-consumer semantics match /events.
+// PublishVerdict from the moment the client connects: one `event:
+// verdict` message per verdict, `id:` set to the triggering commit's
+// sequence number, `data:` the VerdictEvent JSON. Drops are announced
+// as on /events.
 func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
-	sw, ok := newSSEWriter(w)
-	if !ok {
-		return
-	}
-	sub := s.verdicts.subscribe(clientBuffer(r))
-	defer s.verdicts.unsubscribe(sub)
-
-	ticker := time.NewTicker(s.keepAlive)
-	defer ticker.Stop()
-	ctx := r.Context()
-	for {
-		select {
-		case f := <-sub.ch:
-			if err := sw.announceDrops(sub.dropped.Load()); err != nil {
-				return
-			}
-			if err := sw.frame(f); err != nil {
-				return
-			}
-		case <-ticker.C:
-			if err := sw.announceDrops(sub.dropped.Load()); err != nil {
-				return
-			}
-			if err := sw.keepAlive(); err != nil {
-				return
-			}
-		case <-ctx.Done():
-			return
-		case <-s.done:
-			return
-		}
-	}
+	s.tail(w, r, s.verdicts, s.verdictRing.since, 0)
 }

@@ -16,9 +16,9 @@ import (
 
 // demoTxTracer builds a tracer holding two deterministic finished
 // traces (fixed IDs, timestamps and spans) so endpoint output is
-// byte-stable for golden comparison.
-func demoTxTracer() *txtrace.Tracer {
-	tt := txtrace.New(txtrace.Options{Start: 0x10})
+// byte-stable for golden comparison; its series go to reg.
+func demoTxTracer(reg *obs.Registry) *txtrace.Tracer {
+	tt := txtrace.New(txtrace.Options{Start: 0x10, Metrics: reg})
 	base := int64(1_700_000_000_000_000_000)
 	tt.Ingest(&txtrace.TraceData{
 		TraceID: txtrace.FormatID(0x10), Session: "wire/1", TxID: "w3",
@@ -52,7 +52,8 @@ func demoTxTracer() *txtrace.Tracer {
 // TestTraceEndpointGolden pins the /trace/{id} JSON schema — the span
 // tree consumed by CI, scripts and humans alike.
 func TestTraceEndpointGolden(t *testing.T) {
-	s := New(Config{Registry: obs.NewRegistry(), TxTracer: demoTxTracer()})
+	s := New(Config{Registry: obs.NewRegistry()})
+	s.SetTxTracer(demoTxTracer(nil))
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -85,7 +86,8 @@ func TestTraceEndpointGolden(t *testing.T) {
 // TestSlowEndpoint covers threshold parsing (Go duration and bare
 // nanoseconds), ordering and limits.
 func TestSlowEndpoint(t *testing.T) {
-	s := New(Config{Registry: obs.NewRegistry(), TxTracer: demoTxTracer()})
+	s := New(Config{Registry: obs.NewRegistry()})
+	s.SetTxTracer(demoTxTracer(nil))
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -135,7 +137,8 @@ func TestSlowEndpoint(t *testing.T) {
 // TestTraceEndpointsOff pins the tracing-off and error responses, and
 // that SetTxTracer attaches tracing (and /timeline) to a running plane.
 func TestTraceEndpointsOff(t *testing.T) {
-	s := New(Config{Registry: obs.NewRegistry()})
+	reg := obs.NewRegistry()
+	s := New(Config{Registry: reg})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -147,7 +150,7 @@ func TestTraceEndpointsOff(t *testing.T) {
 		}
 	}
 
-	s.SetTxTracer(demoTxTracer())
+	s.SetTxTracer(demoTxTracer(reg))
 	if code, _ := get(t, ts, "/trace/0000000000000010"); code != http.StatusOK {
 		t.Errorf("after SetTxTracer: status %d", code)
 	}
@@ -161,23 +164,21 @@ func TestTraceEndpointsOff(t *testing.T) {
 		t.Errorf("unknown id status %d", code)
 	}
 
-	// /healthz grows the tracer's lifetime counters once attached.
-	_, body := get(t, ts, "/healthz")
-	var doc map[string]any
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc["traces_started"] != float64(2) || doc["traces_finished"] != float64(2) {
-		t.Errorf("healthz trace counters: started=%v finished=%v", doc["traces_started"], doc["traces_finished"])
+	// The tracer's lifetime counts are series of the registry it was
+	// given, so /metrics shows them.
+	_, body := get(t, ts, "/metrics")
+	if !strings.Contains(string(body), "trace_started_total 2\n") || !strings.Contains(string(body), "trace_finished_total 2\n") {
+		t.Errorf("/metrics lacks the tracer's counts:\n%s", body)
 	}
 }
 
 // TestEventlogDropAccounting forces flight-recorder drops through a
-// tiny ring and checks they surface on every plane: the Prometheus
-// scrape, the JSON scrape and /healthz.
+// tiny ring and checks they surface on both scrapes: Prometheus text
+// and JSON.
 func TestEventlogDropAccounting(t *testing.T) {
 	rec := eventlog.NewRecorder(1) // one event per shard: guaranteed overwrites
-	s := New(Config{Registry: obs.NewRegistry(), Recorder: rec})
+	s := New(Config{Registry: obs.NewRegistry()})
+	s.SetRecorder(rec)
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -222,14 +223,5 @@ func TestEventlogDropAccounting(t *testing.T) {
 		if !found[name] {
 			t.Errorf("/metrics.json missing %s", name)
 		}
-	}
-
-	_, body = get(t, ts, "/healthz")
-	var h health
-	if err := json.Unmarshal(body, &h); err != nil {
-		t.Fatal(err)
-	}
-	if h.EventlogDropped == 0 || h.EventlogDropped != h.RingOverwrites {
-		t.Errorf("healthz: eventlog_dropped=%d ring_overwrites=%d", h.EventlogDropped, h.RingOverwrites)
 	}
 }

@@ -279,7 +279,8 @@ type Options struct {
 	Start uint64
 	// Metrics, when non-nil, exports the per-stage latency histograms
 	// as trace_stage_ns{stage="<stage>"}, registered at a stage's first
-	// span.
+	// span, and counts the traces started, finished and evicted from
+	// retention as trace_{started,finished,evicted}_total.
 	Metrics *obs.Registry
 }
 
@@ -300,9 +301,7 @@ type Tracer struct {
 	stages map[Stage]*obs.Histogram
 	reg    *obs.Registry
 
-	started  atomic.Int64
-	finished atomic.Int64
-	evicted  atomic.Int64
+	started, finished, evicted *obs.Counter
 }
 
 // New returns a Tracer with the given options.
@@ -320,6 +319,10 @@ func New(opts Options) *Tracer {
 		slowCp: opts.SlowCap,
 		stages: make(map[Stage]*obs.Histogram),
 		reg:    opts.Metrics,
+
+		started:  opts.Metrics.Counter("trace_started_total"),
+		finished: opts.Metrics.Counter("trace_finished_total"),
+		evicted:  opts.Metrics.Counter("trace_evicted_total"),
 	}
 	start := opts.Start
 	if start == 0 {
@@ -351,7 +354,7 @@ func (t *Tracer) BeginWithID(id uint64, session string) *Trace {
 }
 
 func (t *Tracer) begin(id uint64, session string) *Trace {
-	t.started.Add(1)
+	t.started.Inc()
 	return &Trace{
 		tracer:    t,
 		id:        id,
@@ -373,7 +376,7 @@ func (t *Tracer) Ingest(td *TraceData) {
 			td.id = id
 		}
 	}
-	t.started.Add(1)
+	t.started.Inc()
 	t.publish(td)
 }
 
@@ -381,14 +384,14 @@ func (t *Tracer) publish(td *TraceData) {
 	if t == nil {
 		return
 	}
-	t.finished.Add(1)
+	t.finished.Inc()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
 	if old := t.ring[t.pos]; t.filled {
 		if _, ok := t.byID[old]; ok && !t.inSlowLocked(old) {
 			delete(t.byID, old)
-			t.evicted.Add(1)
+			t.evicted.Inc()
 		}
 	}
 	t.ring[t.pos] = td.id
@@ -414,7 +417,7 @@ func (t *Tracer) publish(td *TraceData) {
 			// ring loses its last reference.
 			if !t.inRingLocked(dropped.id) {
 				delete(t.byID, dropped.id)
-				t.evicted.Add(1)
+				t.evicted.Inc()
 			}
 		}
 	}
@@ -554,13 +557,4 @@ func (t *Tracer) StageLatencies() []StageLatency {
 		return out[i].Stage < out[j].Stage
 	})
 	return out
-}
-
-// Stats returns lifetime counters: traces started, finished, and
-// evicted from retention.
-func (t *Tracer) Stats() (started, finished, evicted int64) {
-	if t == nil {
-		return 0, 0, 0
-	}
-	return t.started.Load(), t.finished.Load(), t.evicted.Load()
 }

@@ -2,9 +2,12 @@ package txtrace
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
+
+	"sian/internal/obs"
 )
 
 // mkTrace hand-builds a finished TraceData for Ingest-based tests,
@@ -108,9 +111,6 @@ func TestNilSafety(t *testing.T) {
 	if tt.Get(1) != nil || tt.Slow(0, 0) != nil || tt.Finished(0) != nil || tt.StageLatencies() != nil {
 		t.Error("nil tracer returned data")
 	}
-	if a, b, c := tt.Stats(); a != 0 || b != 0 || c != 0 {
-		t.Error("nil tracer has stats")
-	}
 }
 
 func TestFormatParseID(t *testing.T) {
@@ -152,7 +152,8 @@ func TestSlowLogTopK(t *testing.T) {
 }
 
 func TestRingEvictionKeepsSlowTraces(t *testing.T) {
-	tt := New(Options{Capacity: 4, SlowCap: 2})
+	reg := obs.NewRegistry()
+	tt := New(Options{Capacity: 4, SlowCap: 2, Metrics: reg})
 	// Two early monsters claim the slow log, then a long tail of fast
 	// traces cycles the ring far past them.
 	tt.Ingest(mkTrace(1, int64(time.Second)))
@@ -180,8 +181,8 @@ func TestRingEvictionKeepsSlowTraces(t *testing.T) {
 			t.Errorf("Finished[%d] = id %d, want %d", i, fin[i].ID(), wantID)
 		}
 	}
-	if _, _, evicted := tt.Stats(); evicted == 0 {
-		t.Error("evicted counter never moved")
+	if reg.Counter("trace_evicted_total").Value() == 0 {
+		t.Error("trace_evicted_total never moved")
 	}
 }
 
@@ -223,14 +224,17 @@ func TestBeginWithIDAdoptsAndFallsBack(t *testing.T) {
 	}
 }
 
+// TestStats: the tracer's lifetime counts are series of its Metrics
+// registry.
 func TestStats(t *testing.T) {
-	tt := New(Options{Start: 1})
+	reg := obs.NewRegistry()
+	tt := New(Options{Start: 1, Metrics: reg})
 	tr := tt.Begin("a")
 	tt.Begin("b") // started, never finished
 	tr.Finish(OutcomeConflict, 0)
-	started, finished, _ := tt.Stats()
+	started, finished := reg.Counter("trace_started_total").Value(), reg.Counter("trace_finished_total").Value()
 	if started != 2 || finished != 1 {
-		t.Errorf("stats = %d started, %d finished; want 2, 1", started, finished)
+		t.Errorf("trace_started_total %d, trace_finished_total %d; want 2, 1", started, finished)
 	}
 }
 
@@ -238,7 +242,8 @@ func TestStats(t *testing.T) {
 // every reader concurrently; run under -race this is the tracer's
 // publication-safety check (satellite of the tracing PR).
 func TestConcurrentHammer(t *testing.T) {
-	tt := New(Options{Capacity: 32, SlowCap: 8})
+	reg := obs.NewRegistry()
+	tt := New(Options{Capacity: 32, SlowCap: 8, Metrics: reg})
 	const writers, perWriter = 8, 200
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -283,7 +288,7 @@ func TestConcurrentHammer(t *testing.T) {
 				}
 				tt.Slow(0, 4)
 				tt.StageLatencies()
-				tt.Stats()
+				reg.WritePrometheus(io.Discard)
 			}
 		}()
 	}
@@ -291,7 +296,7 @@ func TestConcurrentHammer(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	started, finished, _ := tt.Stats()
+	started, finished := reg.Counter("trace_started_total").Value(), reg.Counter("trace_finished_total").Value()
 	if finished < writers*perWriter {
 		t.Errorf("finished = %d, want ≥ %d", finished, writers*perWriter)
 	}

@@ -59,41 +59,6 @@ func FromPairs(n int, pairs [][2]int) (*Rel, error) {
 	return r, nil
 }
 
-// Identity returns the identity relation {(i,i) | 0 ≤ i < n}.
-func Identity(n int) *Rel {
-	r := New(n)
-	for i := 0; i < n; i++ {
-		r.Add(i, i)
-	}
-	return r
-}
-
-// Full returns the complete relation over {0, …, n-1} (including the
-// diagonal).
-func Full(n int) *Rel {
-	r := New(n)
-	for i := range r.rows {
-		r.rows[i] = ^uint64(0)
-	}
-	r.maskTail()
-	return r
-}
-
-// maskTail clears the unused bits past column n-1 in every row.
-func (r *Rel) maskTail() {
-	if r.words == 0 {
-		return
-	}
-	rem := r.n % 64
-	if rem == 0 {
-		return
-	}
-	mask := (uint64(1) << rem) - 1
-	for i := 0; i < r.n; i++ {
-		r.rows[i*r.words+r.words-1] &= mask
-	}
-}
-
 // N returns the size of the carrier set.
 func (r *Rel) N() int { return r.n }
 

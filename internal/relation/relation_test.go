@@ -102,21 +102,6 @@ func TestFromPairs(t *testing.T) {
 	}
 }
 
-func TestIdentityFull(t *testing.T) {
-	t.Parallel()
-	id := Identity(70)
-	if id.Size() != 70 {
-		t.Errorf("Identity size = %d, want 70", id.Size())
-	}
-	full := Full(70)
-	if full.Size() != 70*70 {
-		t.Errorf("Full size = %d, want %d", full.Size(), 70*70)
-	}
-	if !id.SubsetOf(full) {
-		t.Error("Identity ⊄ Full")
-	}
-}
-
 func TestSetAlgebra(t *testing.T) {
 	t.Parallel()
 	a, _ := FromPairs(4, [][2]int{{0, 1}, {1, 2}})

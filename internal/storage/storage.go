@@ -212,13 +212,3 @@ func (d *memDriver) Clone() Driver                { return &memDriver{s: d.s.Clo
 type memBatchWindow struct{ *mem.Locked }
 
 func (memBatchWindow) LogCommitBatch([]CommitRecord) {}
-
-// Mem returns the underlying concrete store of a NewMem driver, for
-// callers layering on top of it (tests, durability drivers). It
-// returns nil for drivers not created by NewMem.
-func Mem(d Driver) *mem.Store {
-	if md, ok := d.(*memDriver); ok {
-		return md.s
-	}
-	return nil
-}
