@@ -27,7 +27,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -288,14 +289,18 @@ func (db *DB) Kind() Kind { return db.kind }
 // model.InitTransactionID. Call it once, before starting sessions.
 func (db *DB) Initialize(vals map[model.Obj]model.Value) error {
 	s := db.Session(model.InitTransactionID)
+	type write struct {
+		x model.Obj
+		v model.Value
+	}
+	ws := make([]write, 0, len(vals))
+	for x, v := range vals {
+		ws = append(ws, write{x, v})
+	}
+	slices.SortFunc(ws, func(a, b write) int { return strings.Compare(string(a.x), string(b.x)) })
 	err := s.Transact(func(tx *Tx) error {
-		objs := make([]model.Obj, 0, len(vals))
-		for x := range vals {
-			objs = append(objs, x)
-		}
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-		for _, x := range objs {
-			if err := tx.Write(x, vals[x]); err != nil {
+		for _, w := range ws {
+			if err := tx.Write(w.x, w.v); err != nil {
 				return err
 			}
 		}

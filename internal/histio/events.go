@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -70,6 +71,13 @@ func DecodeEvents(r io.Reader) ([]eventlog.Event, error) {
 	}
 }
 
+// ErrEventsLost is wrapped by the error a scanner returns at a drops
+// line, {"dropped":N}: the payload of the `event: drops` frame a live
+// tail (obshttp's /events) sends when it fell a whole ring behind. The
+// events it lost are not in the stream, so a verdict on what follows
+// would judge a history with holes.
+var ErrEventsLost = errors.New("the stream is incomplete")
+
 // EventScanner reads an NDJSON event stream incrementally — the tail-
 // reader path of cmd/sicheck. Next blocks on the underlying reader until
 // a full line is available, so scanning a pipe follows the writer
@@ -91,8 +99,8 @@ func (s *EventScanner) Line() int { return s.line }
 
 // Next returns the next event. It returns io.EOF at a clean end of
 // stream; a truncated final line (data with no trailing newline that
-// does not parse) or a malformed line is an error. Blank lines are
-// skipped. After any non-EOF error the scanner is poisoned and keeps
+// does not parse) or a malformed line is an error, and so is a drops
+// line (ErrEventsLost). Blank lines are skipped. After any non-EOF error the scanner is poisoned and keeps
 // returning that error.
 func (s *EventScanner) Next() (eventlog.Event, error) {
 	if s.err != nil {
@@ -112,6 +120,10 @@ func (s *EventScanner) Next() (eventlog.Event, error) {
 			}
 			continue // blank line
 		}
+		if n, ok := droppedLine(trimmed); ok {
+			s.err = fmt.Errorf("histio: event line %d: the tail lost %d events; %w", s.line, n, ErrEventsLost)
+			return eventlog.Event{}, s.err
+		}
 		ev, perr := parseEventLine(trimmed)
 		if perr != nil {
 			s.err = fmt.Errorf("histio: event line %d: %w", s.line, perr)
@@ -128,6 +140,23 @@ func (s *EventScanner) Next() (eventlog.Event, error) {
 		}
 		return ev, nil
 	}
+}
+
+// droppedLine reports whether line is a drops frame's payload, and
+// the count it carries.
+func droppedLine(line string) (int64, bool) {
+	if !strings.HasPrefix(line, `{"dropped":`) {
+		return 0, false
+	}
+	var d struct {
+		Dropped int64 `json:"dropped"`
+	}
+	dec := json.NewDecoder(strings.NewReader(line))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&d) != nil || dec.More() {
+		return 0, false
+	}
+	return d.Dropped, true
 }
 
 // parseEventLine decodes one NDJSON line into an event. Unknown fields

@@ -2,6 +2,7 @@ package histio
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -122,6 +123,35 @@ func TestEventScannerErrors(t *testing.T) {
 				t.Errorf("poisoned scanner returned err = %v", err)
 			}
 		})
+	}
+}
+
+// TestEventScannerDropsLine: a tail piped from /events through
+// `sed -n 's/^data: //p'` carries a drops frame's {"dropped":N} line
+// where the tail fell behind. The scanner returns the events before it,
+// then an error naming the loss, and stays poisoned.
+func TestEventScannerDropsLine(t *testing.T) {
+	t.Parallel()
+	var rec bytes.Buffer
+	if err := EncodeEvents(&rec, sampleEvents()); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(rec.String(), "\n")
+	in := strings.Join(lines[:2], "") + `{"dropped":3}` + "\n" + strings.Join(lines[2:], "")
+	sc := NewEventScanner(strings.NewReader(in))
+	for i := 0; i < 2; i++ {
+		if ev, err := sc.Next(); err != nil || ev.Seq != int64(i+1) {
+			t.Fatalf("event %d = (%+v, %v), want seq %d", i, ev, err, i+1)
+		}
+	}
+	for i := 0; i < 2; i++ { // the scanner stays poisoned
+		_, err := sc.Next()
+		if !errors.Is(err, ErrEventsLost) {
+			t.Fatalf("Next() at the drops line = %v, want ErrEventsLost", err)
+		}
+		if want := "histio: event line 3: the tail lost 3 events; the stream is incomplete"; err.Error() != want {
+			t.Errorf("error %q, want %q", err, want)
+		}
 	}
 }
 

@@ -101,6 +101,34 @@ func BenchmarkReadAt(b *testing.B) {
 			})
 		})
 	}
+	// mem_readmostly's shape: a pool of 100 000 objects, one version
+	// each and a second on every tenth, read at random at a current
+	// snapshot, so nearly every read misses cache.
+	b.Run("pool-100k", func(b *testing.B) {
+		const n = 100_000
+		s := New()
+		objs := benchObjs(n)
+		for i, x := range objs {
+			if err := s.Install(x, Version{Val: model.Value(i), TS: uint64(1 + i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i += 10 {
+			if err := s.Install(objs[i], Version{Val: model.Value(-i), TS: uint64(n + 1 + i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rng := uint64(0x9e3779b97f4a7c15)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			if _, ok := s.ReadAt(objs[rng%n], 2*n); !ok {
+				b.Fatal("read missed")
+			}
+		}
+	})
 }
 
 func BenchmarkGC(b *testing.B) {

@@ -23,7 +23,9 @@
 // no lock and write no shared memory: a shard's objects sit in an
 // append-only hash table that readers probe with atomic loads (see
 // table), and an object's versions in a ring that readers search with
-// atomic loads (see object for the safety argument).
+// atomic loads (see object for the safety argument). Each table entry
+// also carries its object's newest version (see entry), so a read at a
+// current snapshot is answered by the entry and never loads the record.
 //
 // The store is safe for concurrent use; the zero value is ready.
 package mem
@@ -87,9 +89,10 @@ type shard struct {
 // every probe sequence ends at an empty entry. Objects are never
 // removed. A writer (under the shard mutex) fills an empty entry by
 // writing its key and then publishing its object pointer, and replaces
-// a table that would pass half full by a doubled copy; a published
-// entry never changes, and a replaced table is never written again.
-// So readers probe without a lock: an entry whose pointer they load is
+// a table that would pass half full by a doubled copy, which carries
+// each entry's cached version; a published entry's key and object
+// never change, and a replaced table is never written again. So
+// readers probe without a lock: an entry whose pointer they load is
 // complete, and a table they loaded holds every object created before
 // they loaded it.
 type table struct {
@@ -97,9 +100,28 @@ type table struct {
 	shift   uint // 64 - log2(len(entries))
 }
 
+// entry is one object of a table: its key, its record, and a copy of
+// its newest version, so that a read at a current snapshot is answered
+// from the entry the probe already loaded. The copy is a seqlock keyed
+// on ts: every install, under the shard mutex and after the record
+// holds the version, stores ts ← 0, val, ts ← the version's TS. A
+// reader loads ts, then val, then ts again, and keeps the pair only if
+// ts was non-zero both times and did not change: an object's
+// timestamps strictly increase, so an unchanged ts means no install
+// wrote val in between. Otherwise it searches the record.
+//
+// The copy can lag the record only by versions whose install is in
+// flight, and those are above every registered snapshot: a version at
+// or below one was installed, and its entry updated, before that
+// snapshot was published. A reader of a replaced table loaded it after
+// its snapshot was taken, so the same holds for it. GC never drops an
+// object's newest version, so the copy never names a dropped version.
+// Under the shard mutex the copy is exact.
 type entry struct {
 	obj atomic.Pointer[object]
 	key model.Obj
+	ts  atomic.Uint64 // 0: no version is cached
+	val atomic.Int64
 }
 
 // Store is a sharded multi-version key-value store. The zero value is
@@ -126,45 +148,61 @@ func hash(x model.Obj) uint64 {
 // shardIndex returns x's stripe.
 func shardIndex(x model.Obj) uint32 { return uint32(hash(x)) & (numShards - 1) }
 
+// lookup returns x's entry, or nil when x has never been written. It
+// takes no lock.
+func (s *Store) lookup(x model.Obj) *entry {
+	h := hash(x)
+	return s.shards[h&(numShards-1)].table.Load().find(x, h)
+}
+
 // find returns x's record, or nil when x has never been written. It
 // takes no lock.
 func (s *Store) find(x model.Obj) *object {
-	h := hash(x)
-	return s.shards[h&(numShards-1)].table.Load().find(x, h)
+	if e := s.lookup(x); e != nil {
+		return e.obj.Load()
+	}
+	return nil
 }
 
 // slot is where x's probe sequence starts.
 func (t *table) slot(h uint64) uint64 { return (h * 0x9e3779b97f4a7c15) >> t.shift }
 
-// find returns the object with key x and hash h, or nil.
-func (t *table) find(x model.Obj, h uint64) *object {
+// find returns the entry with key x and hash h, or nil.
+func (t *table) find(x model.Obj, h uint64) *entry {
 	if t == nil {
 		return nil
 	}
 	mask := uint64(len(t.entries) - 1)
 	for i := t.slot(h); ; i = (i + 1) & mask {
 		e := &t.entries[i]
-		if o := e.obj.Load(); o == nil || e.key == x {
-			return o
+		if e.obj.Load() == nil {
+			return nil
+		}
+		if e.key == x {
+			return e
 		}
 	}
 }
 
 // insert adds x, which t does not hold, to an entry of t that is
-// empty. The key is written before the pointer is published.
-func (t *table) insert(x model.Obj, h uint64, o *object) {
+// empty, and returns the entry. The key is written before the pointer
+// is published.
+func (t *table) insert(x model.Obj, h uint64, o *object) *entry {
 	mask := uint64(len(t.entries) - 1)
 	i := t.slot(h)
 	for t.entries[i].obj.Load() != nil {
 		i = (i + 1) & mask
 	}
-	t.entries[i].key = x
-	t.entries[i].obj.Store(o)
+	e := &t.entries[i]
+	e.key = x
+	e.obj.Store(o)
+	return e
 }
 
 // createLocked adds a record for x, which has none, doubling the table
-// first if it would pass half full. Callers hold sh.mu.
-func (sh *shard) createLocked(x model.Obj, h uint64) *object {
+// first if it would pass half full, and returns its entry. Callers
+// hold sh.mu.
+func (sh *shard) createLocked(x model.Obj, h uint64) *entry {
 	t := sh.table.Load()
 	if t == nil || 2*(sh.objects+1) > len(t.entries) {
 		n := 8
@@ -172,43 +210,70 @@ func (sh *shard) createLocked(x model.Obj, h uint64) *object {
 			n = 2 * len(t.entries)
 		}
 		grown := &table{entries: make([]entry, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
-		sh.eachLocked(func(x model.Obj, o *object) { grown.insert(x, hash(x), o) })
+		sh.eachLocked(func(e *entry) {
+			g := grown.insert(e.key, hash(e.key), e.obj.Load())
+			g.val.Store(e.val.Load())
+			g.ts.Store(e.ts.Load())
+		})
 		sh.table.Store(grown)
 		t = grown
 	}
-	o := &object{}
-	t.insert(x, h, o)
+	e := t.insert(x, h, &object{})
 	sh.objects++
-	return o
+	return e
 }
 
-// eachLocked calls fn for every object of the shard. Callers hold
+// eachLocked calls fn for every entry of the shard. Callers hold
 // sh.mu.
-func (sh *shard) eachLocked(fn func(model.Obj, *object)) {
+func (sh *shard) eachLocked(fn func(*entry)) {
 	if t := sh.table.Load(); t != nil {
 		for i := range t.entries {
-			if o := t.entries[i].obj.Load(); o != nil {
-				fn(t.entries[i].key, o)
+			if e := &t.entries[i]; e.obj.Load() != nil {
+				fn(e)
 			}
 		}
 	}
 }
 
 // installLocked installs a version of x (hash h), creating x's record
-// on its first version. Callers hold sh.mu.
+// on its first version: into the record first, and then into the
+// entry's cache. Callers hold sh.mu.
 func (sh *shard) installLocked(x model.Obj, h uint64, v Version) error {
-	o := sh.table.Load().find(x, h)
-	if o == nil {
-		o = sh.createLocked(x, h)
-	} else if last := o.latestLocked().TS; last >= v.TS {
+	e := sh.table.Load().find(x, h)
+	if e == nil {
+		e = sh.createLocked(x, h)
+	} else if last := e.ts.Load(); last >= v.TS {
 		return fmt.Errorf("mem: non-monotonic install on %q: ts %d ≤ latest %d", x, v.TS, last)
 	}
+	o := e.obj.Load()
 	o.installLocked(v)
+	e.cacheLocked(v)
 	if o.hi.Load()-o.lo.Load() == 2 {
 		sh.multi = append(sh.multi, o)
 		sh.nmulti.Store(int64(len(sh.multi)))
 	}
 	return nil
+}
+
+// cacheLocked makes v, which the record already holds, the entry's
+// cached version. Callers hold the shard mutex.
+func (e *entry) cacheLocked(v Version) {
+	e.ts.Store(0)
+	e.val.Store(int64(v.Val))
+	e.ts.Store(v.TS)
+}
+
+// readAt returns the latest version of the entry's object with TS ≤
+// snap: the cached version when it qualifies and no install tore it,
+// and otherwise the record's answer. It takes no lock.
+func (e *entry) readAt(snap uint64) (Version, bool) {
+	if ts := e.ts.Load(); ts != 0 && ts <= snap {
+		val := e.val.Load()
+		if e.ts.Load() == ts {
+			return Version{Val: model.Value(val), TS: ts}, true
+		}
+	}
+	return e.obj.Load().readAt(snap)
 }
 
 // gcLocked trims every multi-version record of the shard at the
@@ -268,8 +333,8 @@ func (s *Store) InstallBatch(ws []Write) error {
 // takes no lock. A read below the watermark of an earlier or
 // concurrent GC may miss: it never returns a dropped version.
 func (s *Store) ReadAt(x model.Obj, ts uint64) (Version, bool) {
-	if o := s.find(x); o != nil {
-		return o.readAt(ts)
+	if e := s.lookup(x); e != nil {
+		return e.readAt(ts)
 	}
 	return Version{}, false
 }
@@ -316,7 +381,7 @@ func (s *Store) Objects() []model.Obj {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.eachLocked(func(x model.Obj, _ *object) { out = append(out, x) })
+		sh.eachLocked(func(e *entry) { out = append(out, e.key) })
 		sh.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -341,8 +406,8 @@ func (s *Store) Chain(x model.Obj) []Version {
 	sh := &s.shards[h&(numShards-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if o := sh.table.Load().find(x, h); o != nil {
-		return o.appendLocked(nil)
+	if e := sh.table.Load().find(x, h); e != nil {
+		return e.obj.Load().appendLocked(nil)
 	}
 	return nil
 }
@@ -361,9 +426,9 @@ func (s *Store) SnapshotLatest() (map[model.Obj]Version, uint64) {
 	out := make(map[model.Obj]Version)
 	var maxTS uint64
 	for i := range s.shards {
-		s.shards[i].eachLocked(func(x model.Obj, o *object) {
-			v := o.latestLocked()
-			out[x] = v
+		s.shards[i].eachLocked(func(e *entry) {
+			v := Version{Val: model.Value(e.val.Load()), TS: e.ts.Load()}
+			out[e.key] = v
 			maxTS = max(maxTS, v.TS)
 		})
 	}
@@ -375,19 +440,21 @@ func (s *Store) SnapshotLatest() (map[model.Obj]Version, uint64) {
 // consistent, and callers quiesce writers (the PSI state transfer
 // holds the donor replica's mutex) when they need a point-in-time
 // snapshot. The copy's shards list their multi-version records as the
-// source's do.
+// source's do, and its entries cache the source's newest versions.
 func (s *Store) Clone() *Store {
 	out := &Store{}
 	var vs []Version
 	for i := range s.shards {
 		src, dst := &s.shards[i], &out.shards[i]
 		src.mu.Lock()
-		src.eachLocked(func(x model.Obj, o *object) {
-			c := dst.createLocked(x, hash(x))
-			vs = o.appendLocked(vs[:0])
+		src.eachLocked(func(e *entry) {
+			ce := dst.createLocked(e.key, hash(e.key))
+			c := ce.obj.Load()
+			vs = e.obj.Load().appendLocked(vs[:0])
 			for _, v := range vs {
 				c.installLocked(v)
 			}
+			ce.cacheLocked(vs[len(vs)-1])
 			if len(vs) > 1 {
 				dst.multi = append(dst.multi, c)
 			}
@@ -472,11 +539,12 @@ func (l *Locked) shard(x model.Obj, op string) (*shard, uint64) {
 }
 
 // LatestTS returns the newest timestamp of x. x must be covered by
-// the locked write set.
+// the locked write set. The held lock makes x's entry exact, so the
+// answer never loads x's record.
 func (l *Locked) LatestTS(x model.Obj) uint64 {
 	sh, h := l.shard(x, "LatestTS")
-	if o := sh.table.Load().find(x, h); o != nil {
-		return o.latestLocked().TS
+	if e := sh.table.Load().find(x, h); e != nil {
+		return e.ts.Load()
 	}
 	return 0
 }
@@ -485,8 +553,8 @@ func (l *Locked) LatestTS(x model.Obj) uint64 {
 // covered by the locked write set.
 func (l *Locked) ReadAt(x model.Obj, ts uint64) (Version, bool) {
 	sh, h := l.shard(x, "ReadAt")
-	if o := sh.table.Load().find(x, h); o != nil {
-		return o.readAt(ts)
+	if e := sh.table.Load().find(x, h); e != nil {
+		return e.readAt(ts)
 	}
 	return Version{}, false
 }
@@ -632,19 +700,6 @@ func search(slots []slot, mask, lo, hi, snap uint64) (uint64, bool) {
 		n -= half
 	}
 	return b, slots[b&mask].ts.Load() <= snap
-}
-
-// latestLocked returns the newest version, or the zero Version when
-// there is none. Callers hold the shard mutex, so no slot changes
-// under it.
-func (o *object) latestLocked() Version {
-	lo, hi := o.lo.Load(), o.hi.Load()
-	if hi == lo {
-		return Version{}
-	}
-	slots := o.slots()
-	sl := &slots[(hi-1)&uint64(len(slots)-1)]
-	return Version{Val: model.Value(sl.val.Load()), TS: sl.ts.Load()}
 }
 
 // appendLocked appends the live versions, oldest first. Callers hold

@@ -689,3 +689,26 @@ func TestObjectFitsACacheLine(t *testing.T) {
 		t.Errorf("object is %d bytes, want at most 64", n)
 	}
 }
+
+// TestEntryLayout pins a table entry: the probe's fields first, then
+// the cached version, 40 bytes in all. A read at a current snapshot
+// loads only this entry.
+func TestEntryLayout(t *testing.T) {
+	var e entry
+	if n := unsafe.Sizeof(e); n != 40 {
+		t.Errorf("entry is %d bytes, want 40", n)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"obj", unsafe.Offsetof(e.obj), 0},
+		{"key", unsafe.Offsetof(e.key), 8},
+		{"ts", unsafe.Offsetof(e.ts), 24},
+		{"val", unsafe.Offsetof(e.val), 32},
+	} {
+		if f.got != f.want {
+			t.Errorf("entry.%s at offset %d, want %d", f.name, f.got, f.want)
+		}
+	}
+}
