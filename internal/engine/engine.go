@@ -204,6 +204,7 @@ type DB struct {
 	mAborts    *obs.Counter
 	mRetries   *obs.Counter
 	gSessions  *obs.Gauge
+	// The histograms observe timed attempts only (see Session.begin).
 	hCommitLat *obs.Histogram
 	hSnapAge   *obs.Histogram
 }
@@ -238,7 +239,9 @@ func (db *DB) Stats() Stats {
 // counters (plus engine_publish_parks_total on the kinds with an
 // ordered-publish gate: SI, SSI, PSI), an engine_sessions gauge, and
 // engine_{commit_latency,snapshot_age}_ns histograms, all labelled
-// engine="<kind>".
+// engine="<kind>". The counters are exact; the histograms observe the
+// timed commits only: every traced one, and of the untraced ones each
+// session's first and then one in obs.SampleEvery.
 func (db *DB) Metrics() *obs.Registry { return db.reg }
 
 // New creates a database of the given kind.
@@ -329,6 +332,7 @@ func (db *DB) Session(id string) *Session {
 	n := len(db.sessions)
 	s := &Session{db: db, id: id, site: site, stripe: n % obs.Stripes}
 	s.snapHint.Store(uint32(n))
+	s.clock.Seed(uint64(n))
 	db.sessions = append(db.sessions, s)
 	db.gSessions.Add(1)
 	return s
@@ -406,6 +410,13 @@ type Session struct {
 	// rng drives retry-backoff jitter; created lazily on the first
 	// backed-off retry and used only from the session's goroutine.
 	rng *rand.Rand
+
+	// clock picks the untraced attempts that read the clock for the
+	// latency histograms (see begin). Like snapHint it lives here, so a
+	// session that begins each transaction on a fresh ManualTx is
+	// sampled too; like rng it is used only from the session's
+	// goroutine.
+	clock obs.Sampler
 
 	// attempt is the ManualTx every Transact attempt re-initialises;
 	// inTransact marks it in use, so a Transact nested in a callback on
@@ -586,6 +597,12 @@ func (s *Session) BeginTraced(name string, traceID uint64) (*ManualTx, error) {
 // with a recorder, its attempt id ("<session>#<n>"; conflict retries
 // get fresh attempts) and Begin event. A re-initialised m hands its
 // finished protocol transaction to the protocol for reuse.
+//
+// begin also decides whether the attempt is timed: only a timed attempt
+// reads the clock (here, before and after its commit) and observes the
+// latency histograms. Every traced attempt is timed, so its exemplar
+// links a latency bucket to its trace; of the untraced ones the
+// session's sampler times the first and then one in obs.SampleEvery.
 func (s *Session) begin(m *ManualTx, name string, traceID uint64) error {
 	tr := s.db.cfg.TxTracer.BeginWithID(traceID, s.id)
 	inner, err := s.db.impl.begin(s, m.tx.inner)
@@ -593,7 +610,10 @@ func (s *Session) begin(m *ManualTx, name string, traceID uint64) error {
 		return err
 	}
 	tr.Mark(txtrace.StageBeginWait)
-	m.name, m.began, m.trace, m.done, m.lsn = name, monoNow(), tr, false, 0
+	m.name, m.trace, m.done, m.lsn = name, tr, false, 0
+	if m.timed = tr != nil || s.clock.Pick(); m.timed {
+		m.began = monoNow()
+	}
 	m.recycle()
 	m.tx = Tx{s: s, inner: inner, ops: m.tx.ops, writeOrder: m.tx.writeOrder, vals: m.tx.vals}
 	if s.db.cfg.Recorder != nil {
@@ -635,17 +655,19 @@ var epoch = time.Now()
 
 // monoNow reads the monotonic clock, in nanoseconds since epoch. The
 // commit path measures only durations, and time.Since on a time with a
-// monotonic reading skips the wall clock read time.Now pays for.
-func monoNow() int64 { return int64(time.Since(epoch)) }
+// monotonic reading skips the wall clock read time.Now pays for. It is
+// a variable so that tests can count the reads.
+var monoNow = func() int64 { return int64(time.Since(epoch)) }
 
 // ManualTx is an explicitly controlled transaction created by
 // Session.Begin.
 type ManualTx struct {
 	tx    Tx
 	name  string
-	began int64 // monoNow at begin
+	began int64 // monoNow at begin; set only when timed
 	trace *txtrace.Trace
 	done  bool
+	timed bool // the attempt reads the clock (see Session.begin)
 	lsn   uint64
 	// opBuf, orderBuf and valBuf seed tx.ops, tx.writeOrder and tx.vals,
 	// so small transactions append without growing them. Transact
@@ -692,7 +714,10 @@ func (m *ManualTx) Commit() error {
 	m.done = true
 	s, tr := m.tx.s, m.trace
 	tr.Mark(txtrace.StageReads)
-	commitStart := monoNow()
+	var commitStart int64
+	if m.timed {
+		commitStart = monoNow()
+	}
 	lsn, err := m.tx.inner.commit(commitReq{order: m.tx.writeOrder, vals: m.tx.vals, ops: m.tx.ops, session: s.id, txid: m.tx.txid, trace: tr})
 	if err != nil {
 		if errors.Is(err, ErrConflict) {
@@ -704,14 +729,16 @@ func (m *ManualTx) Commit() error {
 	}
 	m.lsn = lsn
 	s.db.mCommits.AddAt(s.stripe, 1)
-	// A traced commit links its latency bucket to the trace ID
-	// (resolvable via GET /trace/{id}).
-	if lat := monoNow() - commitStart; tr != nil {
-		s.db.hCommitLat.ObserveExemplar(lat, tr.ID())
-	} else {
-		s.db.hCommitLat.ObserveAt(s.stripe, lat)
+	if m.timed {
+		// A traced commit links its latency bucket to the trace ID
+		// (resolvable via GET /trace/{id}).
+		if lat := monoNow() - commitStart; tr != nil {
+			s.db.hCommitLat.ObserveExemplar(lat, tr.ID())
+		} else {
+			s.db.hCommitLat.ObserveAt(s.stripe, lat)
+		}
+		s.db.hSnapAge.ObserveAt(s.stripe, commitStart-m.began)
 	}
-	s.db.hSnapAge.ObserveAt(s.stripe, commitStart-m.began)
 	seq := s.record(m.name, m.tx.ops)
 	if tr != nil || s.db.cfg.Recorder != nil {
 		id := txID(s.id, seq, m.name)

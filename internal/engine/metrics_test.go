@@ -89,14 +89,24 @@ func TestMetricsRegistry(t *testing.T) {
 	if err := db.Initialize(map[model.Obj]model.Value{"x": 0}); err != nil {
 		t.Fatal(err)
 	}
+	lbl := obs.L("engine", SI.String())
+	lat := reg.Histogram("engine_commit_latency_ns", lbl)
+	age := reg.Histogram("engine_snapshot_age_ns", lbl)
+	// The histograms observe a sample of the attempts, but always a
+	// session's first: Initialize's, then s's.
+	if got := lat.Count(); got != 1 {
+		t.Errorf("commit latency observations after Initialize = %d, want 1", got)
+	}
 	s := db.Session("s")
 	const commits = 5
 	for i := 0; i < commits; i++ {
 		if err := s.Transact(func(tx *Tx) error { return tx.Write("x", model.Value(i)) }); err != nil {
 			t.Fatal(err)
 		}
+		if got := lat.Count(); i == 0 && got != 2 {
+			t.Errorf("commit latency observations after s's first commit = %d, want 2", got)
+		}
 	}
-	lbl := obs.L("engine", SI.String())
 	// Initialize commits one transaction too.
 	wantCommits := int64(commits + 1)
 	if got := reg.Counter("engine_commits_total", lbl).Value(); got != wantCommits {
@@ -105,11 +115,13 @@ func TestMetricsRegistry(t *testing.T) {
 	if got := reg.Counter("engine_commits_total", lbl).Value(); got != db.Stats().Commits {
 		t.Errorf("registry counter (%d) and Stats.Commits (%d) disagree", got, db.Stats().Commits)
 	}
-	if got := reg.Histogram("engine_commit_latency_ns", lbl).Count(); got != wantCommits {
-		t.Errorf("commit latency observations = %d, want %d", got, wantCommits)
+	// One in obs.SampleEvery on average, so at most one observation per
+	// 32 commits beyond each session's first.
+	if got, most := lat.Count(), int64(2+(wantCommits+31)/32); got > most {
+		t.Errorf("commit latency observations = %d, want ≤ %d", got, most)
 	}
-	if got := reg.Histogram("engine_snapshot_age_ns", lbl).Count(); got != wantCommits {
-		t.Errorf("snapshot age observations = %d, want %d", got, wantCommits)
+	if got, want := age.Count(), lat.Count(); got != want {
+		t.Errorf("snapshot age observations = %d, commit latency observations = %d: want equal", got, want)
 	}
 	// Initialize opens its own session, so two sessions total.
 	if got := reg.Gauge("engine_sessions", lbl).Value(); got != 2 {

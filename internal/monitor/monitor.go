@@ -115,7 +115,7 @@ type Config struct {
 	// violation as it is detected.
 	OnViolation func(Violation)
 
-	// now stubs time.Now in tests.
+	// now stubs time.Now in tests (see TestIngestLagSampled).
 	now func() time.Time
 }
 
@@ -470,6 +470,10 @@ type Monitor struct {
 	cEvents, cCommits, cViol, cGC, cRecheck, cRebuild *obs.Counter
 	gWindow, gPending                                 *obs.Gauge
 	hLag                                              *obs.Histogram
+	// lagSample picks the stamped events whose lag hLag observes: the
+	// first, then one in obs.SampleEvery, so the stream pays for a
+	// clock read once per obs.SampleEvery events, not per event.
+	lagSample obs.Sampler
 }
 
 // New returns a monitor for the given configuration.
@@ -520,7 +524,7 @@ func (m *Monitor) Ingest(ev eventlog.Event) *Verdict {
 	}
 	m.nEvents++
 	m.cEvents.Inc()
-	if ev.TS > 0 && m.hLag != nil {
+	if ev.TS > 0 && m.hLag != nil && m.lagSample.Pick() {
 		if lag := m.cfg.now().UnixNano() - ev.TS; lag > 0 {
 			m.hLag.Observe(lag)
 		} else {
