@@ -172,13 +172,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, error) 
 	return finish(exit, nil)
 }
 
-// writeJSON emits the report in the shared verdict schema: one verdict
+// writeJSON emits the report in the verdict schema: one verdict
 // per diagnostic, plus an OK verdict for every clean package.
 func writeJSON(w io.Writer, report *silint.Report, exit int) error {
-	set := cliutil.VerdictSet{Tool: "silint", Verdicts: []cliutil.Verdict{}, Exit: exit}
+	set := VerdictSet{Tool: "silint", Verdicts: []Verdict{}, Exit: exit}
 	for _, p := range report.Packages {
 		if len(p.Diagnostics) == 0 {
-			set.Verdicts = append(set.Verdicts, cliutil.Verdict{
+			set.Verdicts = append(set.Verdicts, Verdict{
 				Check:  "silint",
 				Target: p.Path,
 				OK:     true,
@@ -186,7 +186,7 @@ func writeJSON(w io.Writer, report *silint.Report, exit int) error {
 			continue
 		}
 		for _, d := range p.Diagnostics {
-			v := cliutil.Verdict{
+			v := Verdict{
 				Check:    d.Check,
 				Target:   d.Package,
 				OK:       false,
@@ -198,24 +198,19 @@ func writeJSON(w io.Writer, report *silint.Report, exit int) error {
 				Detail:   d.Message,
 			}
 			for _, f := range d.Fixes {
-				cf := cliutil.SuggestedFix{
+				v.Fixes = append(v.Fixes, SuggestedFix{
 					Obj:     f.Obj,
 					Txs:     f.Txs,
 					Pos:     fmt.Sprintf("%s:%d:%d", f.Pos.Filename, f.Pos.Line, f.Pos.Column),
 					Rank:    f.Rank,
 					Message: f.Message,
-				}
-				for _, e := range f.Edits {
-					cf.Edits = append(cf.Edits, cliutil.TextEdit{
-						Filename: e.Filename, Offset: e.Offset, End: e.End, NewText: e.NewText,
-					})
-				}
-				v.Fixes = append(v.Fixes, cf)
+					Edits:   f.Edits,
+				})
 			}
 			set.Verdicts = append(set.Verdicts, v)
 		}
 	}
-	return cliutil.WriteVerdicts(w, set)
+	return WriteVerdicts(w, set)
 }
 
 // applyFixes applies every rank-1 suggested edit to the source files in

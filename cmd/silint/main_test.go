@@ -6,8 +6,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"sian/internal/cliutil"
 )
 
 const (
@@ -80,7 +78,7 @@ func TestRunJSON(t *testing.T) {
 	if code != 1 {
 		t.Errorf("exit = %d, want 1", code)
 	}
-	var set cliutil.VerdictSet
+	var set VerdictSet
 	if err := json.Unmarshal(out.Bytes(), &set); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
 	}
@@ -117,7 +115,7 @@ func TestRunJSON(t *testing.T) {
 	if code != 0 {
 		t.Errorf("clean package: exit = %d, want 0", code)
 	}
-	set = cliutil.VerdictSet{}
+	set = VerdictSet{}
 	if err := json.Unmarshal(out.Bytes(), &set); err != nil {
 		t.Fatal(err)
 	}

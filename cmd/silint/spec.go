@@ -9,7 +9,6 @@ import (
 	"os"
 
 	"sian/internal/chopping"
-	"sian/internal/cliutil"
 	"sian/internal/dot"
 	"sian/internal/histio"
 	"sian/internal/obs"
@@ -83,9 +82,9 @@ func (sp specRun) run(path string, stdin io.Reader) (int, error) {
 	}
 
 	anomalies := sp.reg.Counter("silint_anomalies_total")
-	set := cliutil.VerdictSet{Tool: "silint", Verdicts: []cliutil.Verdict{}}
+	set := VerdictSet{Tool: "silint", Verdicts: []Verdict{}}
 	for i, c := range rows {
-		v := cliutil.Verdict{Check: c.Name, Target: target, OK: true, Theorem: c.Theorem}
+		v := Verdict{Check: c.Name, Target: target, OK: true, Theorem: c.Theorem}
 		cycle := "critical cycle"
 		if isApp {
 			w, err := robustness.Check(app, c.Level)
@@ -127,7 +126,7 @@ func (sp specRun) run(path string, stdin io.Reader) (int, error) {
 		}
 	}
 	if sp.json {
-		if err := cliutil.WriteVerdicts(sp.stdout, set); err != nil {
+		if err := WriteVerdicts(sp.stdout, set); err != nil {
 			return 2, err
 		}
 	}
@@ -136,7 +135,7 @@ func (sp specRun) run(path string, stdin io.Reader) (int, error) {
 }
 
 // printVerdict renders one spec verdict as a text line.
-func printVerdict(w io.Writer, c silint.Check, v cliutil.Verdict) {
+func printVerdict(w io.Writer, c silint.Check, v Verdict) {
 	switch {
 	case c.Robustness() && v.OK:
 		fmt.Fprintf(w, "%s  ROBUST: %s\n", c.Label, c.Holds)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"sian/internal/chopping"
-	"sian/internal/cliutil"
 	"sian/internal/histio"
 	"sian/internal/robustness"
 	"sian/internal/workload"
@@ -218,9 +217,9 @@ func TestSpecFixChopping(t *testing.T) {
 // Figure 6 with their theorems.
 func TestSpecProgramsJSON(t *testing.T) {
 	t.Parallel()
-	decode := func(out string) cliutil.VerdictSet {
+	decode := func(out string) VerdictSet {
 		t.Helper()
-		var set cliutil.VerdictSet
+		var set VerdictSet
 		if err := json.Unmarshal([]byte(out), &set); err != nil {
 			t.Fatalf("invalid JSON: %v\n%s", err, out)
 		}
@@ -275,7 +274,7 @@ func TestSpecJSONSchema(t *testing.T) {
 	if err != nil || code != 0 {
 		t.Fatalf("code=%d err=%v", code, err)
 	}
-	var set cliutil.VerdictSet
+	var set VerdictSet
 	if err := json.Unmarshal(out.Bytes(), &set); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
 	}

@@ -1,8 +1,10 @@
-package cliutil
+package main
 
 import (
 	"encoding/json"
 	"io"
+
+	"sian/internal/silint"
 )
 
 // Verdict is the machine-readable outcome of one static check: silint
@@ -37,7 +39,8 @@ type Verdict struct {
 }
 
 // SuggestedFix is one read→write promotion of a verified repair, in
-// the shared schema (mirrors silint.SuggestedFix).
+// the verdict schema: silint.SuggestedFix with its position rendered
+// as file:line:col.
 type SuggestedFix struct {
 	// Obj is the object whose read is promoted.
 	Obj string `json:"obj"`
@@ -51,16 +54,7 @@ type SuggestedFix struct {
 	// Message is the human-readable hint.
 	Message string `json:"message"`
 	// Edits are textual insertions implementing the promotion.
-	Edits []TextEdit `json:"edits,omitempty"`
-}
-
-// TextEdit is one byte-range replacement in a source file (End ==
-// Offset for pure insertions).
-type TextEdit struct {
-	Filename string `json:"filename"`
-	Offset   int    `json:"offset"`
-	End      int    `json:"end"`
-	NewText  string `json:"new_text"`
+	Edits []silint.TextEdit `json:"edits,omitempty"`
 }
 
 // VerdictSet is a tool run's complete JSON output.

@@ -1,9 +1,11 @@
-package cliutil
+package main
 
 import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"sian/internal/silint"
 )
 
 // TestVerdictSchemaPinned pins the wire-level JSON schema of silint's
@@ -30,7 +32,7 @@ func TestVerdictSchemaPinned(t *testing.T) {
 				Pos:     "main.go:10:5",
 				Rank:    1,
 				Message: `promote read of "total" in tx w1, w1@it2`,
-				Edits: []TextEdit{{
+				Edits: []silint.TextEdit{{
 					Filename: "main.go",
 					Offset:   120,
 					End:      120,

@@ -20,19 +20,35 @@ import (
 // dependency edges to the lowered static graphs.
 type ObjSet struct {
 	objs map[model.Obj]bool
+	// params are the parameters of a helper whose arguments supply
+	// keys; only a helper's footprint has them, and each call resolves
+	// them (footprint.go).
+	params map[int]bool
 	// Top records that the set was widened to ⊤.
 	Top bool
 }
 
-func newObjSet() *ObjSet { return &ObjSet{objs: make(map[model.Obj]bool)} }
+func newObjSet() *ObjSet {
+	return &ObjSet{objs: make(map[model.Obj]bool), params: make(map[int]bool)}
+}
 
-func (s *ObjSet) add(objs []model.Obj, top bool) {
-	for _, x := range objs {
+func (s *ObjSet) add(k key) {
+	for _, x := range k.objs {
 		s.objs[x] = true
 	}
-	if top {
-		s.Top = true
+	for _, p := range k.params {
+		s.params[p] = true
 	}
+	s.Top = s.Top || k.top != nil
+}
+
+// join adds the named objects and the ⊤ element of o, not its
+// parameter references.
+func (s *ObjSet) join(o *ObjSet) {
+	for x := range o.objs {
+		s.objs[x] = true
+	}
+	s.Top = s.Top || o.Top
 }
 
 // Objects returns the named objects of the set, sorted. When Top is
@@ -100,7 +116,8 @@ type Tx struct {
 	Handle string
 	// WidenSites are the positions whose key (or handle) resolution
 	// widened a set to ⊤ — the places a silint:obj annotation would
-	// restore precision.
+	// restore precision: the operation using the key, inside a helper
+	// if that is where it is computed, or the helper call passing it.
 	WidenSites []token.Pos
 }
 
@@ -122,8 +139,8 @@ type Session struct {
 }
 
 // annotationRE is the escape-hatch comment: silint:obj=a or
-// silint:obj=a,b on the call line or the line above asserts the set of
-// objects a key expression may denote.
+// silint:obj=a,b at the end of the call's line, or alone on the line
+// above, asserts the set of objects a key expression may denote.
 var annotationRE = regexp.MustCompile(`silint:obj=([^\s]+)`)
 
 // extractor walks one package and produces its sessions.
@@ -147,8 +164,8 @@ type extractor struct {
 	inMain       bool
 	fnName       string
 
-	// interprocedural state (interproc.go)
-	summaries   map[sumKey]*summary
+	// footprint state (footprint.go)
+	summaries   map[sumKey]*footprint
 	summarizing map[*types.Func]bool
 	goCalls     map[*ast.CallExpr]bool // calls that are `go` statements
 
@@ -170,7 +187,7 @@ func newExtractor(pkg *Package) *extractor {
 		manualAll:    make(map[types.Object][]*Tx),
 		okIdent:      make(map[*ast.Ident]bool),
 		beginDone:    make(map[*ast.CallExpr]bool),
-		summaries:    make(map[sumKey]*summary),
+		summaries:    make(map[sumKey]*footprint),
 		summarizing:  make(map[*types.Func]bool),
 		goCalls:      make(map[*ast.CallExpr]bool),
 	}
@@ -215,27 +232,15 @@ func (e *extractor) extract() {
 // loop body ranges.
 func (e *extractor) prepass() {
 	for _, f := range e.pkg.Files {
-		fname := e.pkg.Fset.Position(f.Pos()).Filename
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := annotationRE.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				line := e.pkg.Fset.Position(c.Slash).Line
-				var objs []model.Obj
-				for _, name := range strings.Split(m[1], ",") {
-					if name = strings.TrimSpace(name); name != "" {
-						objs = append(objs, model.Obj(name))
-					}
-				}
-				if e.annots[fname] == nil {
-					e.annots[fname] = make(map[int][]model.Obj)
-				}
-				e.annots[fname][line] = objs
-			}
-		}
+		tf := e.pkg.Fset.File(f.Pos())
+		code := make(map[int]bool) // lines holding a token that is not a comment
 		ast.Inspect(f, func(n ast.Node) bool {
+			if _, isComment := n.(*ast.CommentGroup); n == nil || isComment {
+				return false
+			}
+			if n.Pos().IsValid() && n.End() > n.Pos() {
+				code[tf.Position(n.Pos()).Line], code[tf.Position(n.End()-1).Line] = true, true
+			}
 			switch s := n.(type) {
 			case *ast.AssignStmt:
 				aligned := len(s.Lhs) == len(s.Rhs)
@@ -304,6 +309,39 @@ func (e *extractor) prepass() {
 			}
 			return true
 		})
+		e.collectAnnotations(f, tf, code)
+	}
+}
+
+// collectAnnotations records the silint:obj annotations of f by the
+// line they cover: a comment after code covers its own line only, and
+// one alone on its line also covers the line below, unless that line
+// carries its own.
+func (e *extractor) collectAnnotations(f *ast.File, tf *token.File, code map[int]bool) {
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			m := annotationRE.FindStringSubmatch(c.Text)
+			if m == nil {
+				continue
+			}
+			var objs []model.Obj
+			for _, name := range strings.Split(m[1], ",") {
+				if name = strings.TrimSpace(name); name != "" {
+					objs = append(objs, model.Obj(name))
+				}
+			}
+			p := tf.Position(c.Slash)
+			lines := e.annots[p.Filename]
+			if lines == nil {
+				lines = make(map[int][]model.Obj)
+				e.annots[p.Filename] = lines
+			}
+			line := p.Line
+			lines[line] = objs
+			if _, own := lines[line+1]; !code[line] && !own {
+				lines[line+1] = objs
+			}
+		}
 	}
 }
 
@@ -351,24 +389,18 @@ func isEngineNamed(t types.Type, name string) bool {
 	return path == "sian/internal/engine" || strings.HasSuffix(path, "/internal/engine")
 }
 
-// methodCall resolves call to (receiver expression, receiver engine
-// type name, method name) when it is a method call on one of the
-// engine's transaction-facing types.
-func (e *extractor) methodCall(call *ast.CallExpr) (recv ast.Expr, typeName, method string, ok bool) {
+// sessionCall resolves call to (receiver expression, method name) when
+// it is a method call on an engine Session.
+func (e *extractor) sessionCall(call *ast.CallExpr) (recv ast.Expr, method string, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
-		return nil, "", "", false
+		return nil, "", false
 	}
 	selInfo := e.pkg.Info.Selections[sel]
-	if selInfo == nil || selInfo.Kind() != types.MethodVal {
-		return nil, "", "", false
+	if selInfo == nil || selInfo.Kind() != types.MethodVal || !isEngineNamed(selInfo.Recv(), "Session") {
+		return nil, "", false
 	}
-	for _, name := range []string{"Session", "Tx", "ManualTx"} {
-		if isEngineNamed(selInfo.Recv(), name) {
-			return sel.X, name, sel.Sel.Name, true
-		}
-	}
-	return nil, "", "", false
+	return sel.X, sel.Sel.Name, true
 }
 
 // beginCall recognises x as a Session.Begin call and returns its
@@ -378,8 +410,8 @@ func (e *extractor) beginCall(x ast.Expr) (recv ast.Expr, call *ast.CallExpr, ok
 	if !isCall {
 		return nil, nil, false
 	}
-	recv, typeName, method, ok := e.methodCall(call)
-	if !ok || typeName != "Session" || method != "Begin" {
+	recv, method, ok := e.sessionCall(call)
+	if !ok || method != "Begin" {
 		return nil, nil, false
 	}
 	return recv, call, true
@@ -474,16 +506,11 @@ func (e *extractor) beginTx(recv ast.Expr, call *ast.CallExpr) *Tx {
 	return tx
 }
 
-// handleCall dispatches Transact/TransactNamed/Begin on sessions and
-// Read/Write/Commit/Abort on tracked manual transactions.
+// handleCall dispatches Transact/TransactNamed/Begin on sessions,
+// Read/Write/Promote/Commit/Abort on tracked manual transactions, and
+// helper calls passing a tracked manual handle.
 func (e *extractor) handleCall(call *ast.CallExpr) {
-	recv, typeName, method, ok := e.methodCall(call)
-	if !ok {
-		e.handleManualHelper(call)
-		return
-	}
-	switch typeName {
-	case "Session":
+	if recv, method, ok := e.sessionCall(call); ok {
 		switch method {
 		case "Transact":
 			if len(call.Args) == 1 {
@@ -505,76 +532,25 @@ func (e *extractor) handleCall(call *ast.CallExpr) {
 				e.widen(tx, call.Pos(), "Begin result escapes (not bound to a plain variable)")
 			}
 		}
-	case "ManualTx":
-		id, ok := unparen(recv).(*ast.Ident)
-		if !ok {
-			return
-		}
-		obj := e.pkg.Info.Uses[id]
-		tx, tracked := e.manual[obj]
-		if !tracked {
-			return
-		}
-		switch method {
-		case "Read":
-			if len(call.Args) == 1 {
-				tx.Reads.add(e.resolveObj(call.Args[0], call, tx))
-				e.okIdent[id] = true
-			}
-		case "Write":
-			if len(call.Args) == 2 {
-				tx.Writes.add(e.resolveObj(call.Args[0], call, tx))
-				e.okIdent[id] = true
-			}
-		case "Promote":
-			if len(call.Args) == 1 {
-				objs, top := e.resolveObj(call.Args[0], call, tx)
-				tx.Reads.add(objs, top)
-				tx.Writes.add(objs, top)
-				e.okIdent[id] = true
-			}
-		case "Commit", "Abort":
-			e.okIdent[id] = true
-		}
+		return
 	}
-}
-
-// handleManualHelper intercepts plain calls that pass a tracked manual
-// transaction handle to a helper function, instantiating the helper's
-// interprocedural summary instead of letting the handle escape.
-func (e *extractor) handleManualHelper(call *ast.CallExpr) {
-	if _, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-		// A method call forwarding the handle is not summarisable (the
-		// receiver may retain it); leave it to the escape check.
-		if e.funcDeclFor(call.Fun) == nil {
+	if o, isOp := decodeOp(call); isOp {
+		if tx, tracked := e.manual[e.pkg.Info.Uses[o.handle]]; tracked {
+			e.okIdent[o.handle] = true
+			if o.key != nil {
+				fp := newFootprint()
+				fp.add(e.resolve(o.key, call, nil, true), o.read, o.write)
+				e.flush(tx, fp)
+			}
 			return
 		}
 	}
-	applied := make(map[types.Object]bool)
-	for _, arg := range call.Args {
-		id, isIdent := unparen(arg).(*ast.Ident)
-		if !isIdent {
-			continue
-		}
-		obj := e.pkg.Info.Uses[id]
-		tx, tracked := e.manual[obj]
-		if !tracked || applied[obj] {
-			continue
-		}
-		applied[obj] = true
-		if e.applyHelperCall(call, obj, tx) {
-			for _, a := range call.Args {
-				if aid, aIsIdent := unparen(a).(*ast.Ident); aIsIdent && e.pkg.Info.Uses[aid] == obj {
-					e.okIdent[aid] = true
-				}
-			}
-		}
-	}
+	e.applyHelperCall(call)
 }
 
 // handleTransact extracts one Transact/TransactNamed call: the closure
-// (or same-package named handler) body is abstractly interpreted for
-// tx.Read/tx.Write call sites.
+// (or same-package named handler) is a helper with no key parameters,
+// and its footprint is written into the transaction.
 func (e *extractor) handleTransact(call *ast.CallExpr, recv ast.Expr, name string, fnArg ast.Expr) {
 	tx := &Tx{
 		Name:   e.txName(name, call),
@@ -587,46 +563,29 @@ func (e *extractor) handleTransact(call *ast.CallExpr, recv ast.Expr, name strin
 	sess := e.sessionFor(recv, call)
 	sess.Txs = append(sess.Txs, tx)
 
+	var fn *types.Func
+	var ft *ast.FuncType
 	var body *ast.BlockStmt
-	var txObj types.Object
-	switch fn := unparen(fnArg).(type) {
-	case *ast.FuncLit:
-		body = fn.Body
-		txObj = e.paramObj(fn.Type)
-	default:
-		if fd := e.funcDeclFor(fnArg); fd != nil && fd.Body != nil {
-			body = fd.Body
-			txObj = e.paramObj(fd.Type)
-		}
+	if lit, isLit := unparen(fnArg).(*ast.FuncLit); isLit {
+		ft, body = lit.Type, lit.Body
+	} else if f, fd := e.funcDeclFor(fnArg); fd != nil && fd.Body != nil {
+		fn, ft, body = f, fd.Type, fd.Body
 	}
 	if body == nil {
 		e.widen(tx, call.Pos(), "transaction body is not statically visible")
 		return
 	}
 	tx.FixInsert = body.Lbrace + 1
-	if txObj == nil {
-		return // no way to name the tx handle: the body cannot read or write
+	if params, _ := e.flatParams(ft); len(params) > 0 && params[0] != nil {
+		tx.Handle = params[0].Name()
 	}
-	tx.Handle = txObj.Name()
-	e.extractOps(body, txObj, tx)
+	e.flush(tx, e.summarize(fn, ft, body, 0, 0))
 }
 
-// paramObj returns the object of the first parameter of the function
-// type, or nil when it is unnamed or blank.
-func (e *extractor) paramObj(ft *ast.FuncType) types.Object {
-	if ft.Params == nil || len(ft.Params.List) == 0 {
-		return nil
-	}
-	names := ft.Params.List[0].Names
-	if len(names) == 0 || names[0].Name == "_" {
-		return nil
-	}
-	return e.pkg.Info.Defs[names[0]]
-}
-
-// funcDeclFor resolves an expression used as a Transact handler to a
-// same-package top-level function declaration.
-func (e *extractor) funcDeclFor(x ast.Expr) *ast.FuncDecl {
+// funcDeclFor resolves an expression used as a Transact handler or
+// called with a transaction handle to a same-package top-level
+// function declaration.
+func (e *extractor) funcDeclFor(x ast.Expr) (*types.Func, *ast.FuncDecl) {
 	var obj types.Object
 	switch f := unparen(x).(type) {
 	case *ast.Ident:
@@ -636,76 +595,17 @@ func (e *extractor) funcDeclFor(x ast.Expr) *ast.FuncDecl {
 	}
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Pkg() != e.pkg.Types {
-		return nil
+		return nil, nil
 	}
 	for _, file := range e.pkg.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if ok && fd.Recv == nil && e.pkg.Info.Defs[fd.Name] == obj {
-				return fd
+				return fn, fd
 			}
 		}
 	}
-	return nil
-}
-
-// extractOps walks a transaction body, adding every tx.Read/tx.Write/
-// tx.Promote key to the sets and instantiating summaries of helper
-// functions the handle is passed to (interproc.go); any other use of
-// the transaction handle (storing it, launching a goroutine with it,
-// aliasing it) escapes the abstraction and widens both sets to ⊤.
-func (e *extractor) extractOps(body *ast.BlockStmt, txObj types.Object, tx *Tx) {
-	ok := make(map[*ast.Ident]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, isCall := n.(*ast.CallExpr)
-		if !isCall {
-			return true
-		}
-		if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-			id, isIdent := unparen(sel.X).(*ast.Ident)
-			if !isIdent || e.pkg.Info.Uses[id] != txObj {
-				return true
-			}
-			switch sel.Sel.Name {
-			case "Read":
-				if len(call.Args) == 1 {
-					tx.Reads.add(e.resolveObj(call.Args[0], call, tx))
-					ok[id] = true
-				}
-			case "Write":
-				if len(call.Args) == 2 {
-					tx.Writes.add(e.resolveObj(call.Args[0], call, tx))
-					ok[id] = true
-				}
-			case "Promote":
-				if len(call.Args) == 1 {
-					objs, top := e.resolveObj(call.Args[0], call, tx)
-					tx.Reads.add(objs, top)
-					tx.Writes.add(objs, top)
-					ok[id] = true
-				}
-			}
-			return true
-		}
-		// A plain call receiving the handle as an argument: apply the
-		// callee's interprocedural summary when one can be computed.
-		if e.applyHelperCall(call, txObj, tx) {
-			for _, arg := range call.Args {
-				if id, isIdent := unparen(arg).(*ast.Ident); isIdent && e.pkg.Info.Uses[id] == txObj {
-					ok[id] = true
-				}
-			}
-		}
-		return true
-	})
-	ast.Inspect(body, func(n ast.Node) bool {
-		id, isIdent := n.(*ast.Ident)
-		if !isIdent || ok[id] || e.pkg.Info.Uses[id] != txObj {
-			return true
-		}
-		e.widen(tx, id.Pos(), fmt.Sprintf("transaction handle %s escapes the closure", id.Name))
-		return false
-	})
+	return nil, nil
 }
 
 // checkManualEscapes widens manual transactions whose handle is used
@@ -770,71 +670,12 @@ func (e *extractor) constString(x ast.Expr) string {
 	return constant.StringVal(tv.Value)
 }
 
-// resolveObj resolves an object-key expression to named objects, or ⊤.
-// Resolution order: the silint:obj annotation on the call line (or the
-// line above), compile-time constants (go/types folds constant
-// expressions, including conversions of constants to model.Obj),
-// single-assignment variables whose right-hand side resolves
-// (recursively), and explicit conversions of a resolvable operand.
-// Everything else — loop variables, function parameters, computed keys
-// — widens to ⊤.
-func (e *extractor) resolveObj(arg ast.Expr, call *ast.CallExpr, tx *Tx) ([]model.Obj, bool) {
-	if objs, ok := e.annotationAt(call.Pos()); ok {
-		return objs, false
-	}
-	objs, top := e.resolveExpr(arg, make(map[types.Object]bool))
-	if top {
-		if tx != nil {
-			tx.WidenSites = append(tx.WidenSites, call.Pos())
-		}
-		e.widenings++
-		e.note(call.Pos(), "object key %s is not a resolvable constant: widened to ⊤ (annotate with // silint:obj=<name> to assert the key)", exprText(arg))
-	}
-	return objs, top
-}
-
+// annotationAt returns the objects a silint:obj annotation covering
+// pos's line asserts.
 func (e *extractor) annotationAt(pos token.Pos) ([]model.Obj, bool) {
 	p := e.pkg.Fset.Position(pos)
-	lines := e.annots[p.Filename]
-	if lines == nil {
-		return nil, false
-	}
-	if objs, ok := lines[p.Line]; ok {
-		return objs, true
-	}
-	if objs, ok := lines[p.Line-1]; ok {
-		return objs, true
-	}
-	return nil, false
-}
-
-func (e *extractor) resolveExpr(x ast.Expr, visited map[types.Object]bool) ([]model.Obj, bool) {
-	x = unparen(x)
-	if s := e.constString(x); s != "" {
-		return []model.Obj{model.Obj(s)}, false
-	}
-	switch v := x.(type) {
-	case *ast.Ident:
-		obj := e.pkg.Info.Uses[v]
-		vr, ok := obj.(*types.Var)
-		if !ok || visited[vr] || e.assigns[vr] != 1 || e.addrTaken[vr] {
-			return nil, true
-		}
-		rhs, ok := e.assignRHS[vr]
-		if !ok {
-			return nil, true
-		}
-		visited[vr] = true
-		return e.resolveExpr(rhs, visited)
-	case *ast.CallExpr:
-		// A conversion like model.Obj(k): resolve the operand.
-		if len(v.Args) == 1 {
-			if tv, ok := e.pkg.Info.Types[v.Fun]; ok && tv.IsType() {
-				return e.resolveExpr(v.Args[0], visited)
-			}
-		}
-	}
-	return nil, true
+	objs, ok := e.annots[p.Filename][p.Line]
+	return objs, ok
 }
 
 // exprText renders a short source-like description of an expression.

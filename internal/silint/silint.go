@@ -22,7 +22,6 @@ import (
 	"go/token"
 	"slices"
 	"sort"
-	"strings"
 
 	"sian/internal/chopping"
 	"sian/internal/depgraph"
@@ -71,6 +70,8 @@ type Diagnostic struct {
 	// promotions whose application makes the failed check pass. Fixes
 	// sharing a Rank form one alternative and must be applied together.
 	Fixes []SuggestedFix `json:"fixes,omitempty"`
+	// anchor is the extracted transaction at Pos.
+	anchor *Tx
 }
 
 // TextEdit is one byte-range replacement in a source file (End ==
@@ -313,7 +314,7 @@ func diagnose(pkg *Package, pr *PackageReport, rows []Check) error {
 				continue
 			}
 			repairs := robustness.Repairs(app, c.Level, w)
-			d.Pos = pkg.Fset.Position(flat[w.Cycle[0].From].Pos)
+			d.anchor = flat[w.Cycle[0].From]
 			d.Tx = w.Graph.Label(w.Cycle[0].From)
 			d.Witness = w.String()
 			d.Message = fmt.Sprintf("%s: dangerous cycle %s — tx %s is not robust against %s (%s)",
@@ -330,37 +331,31 @@ func diagnose(pkg *Package, pr *PackageReport, rows []Check) error {
 			if v.OK {
 				continue
 			}
-			d.Pos = pkg.Fset.Position(flat[flatIndex(programs, v.IDs[v.Witness[0].From])].Pos)
+			d.anchor = flat[flatIndex(programs, v.IDs[v.Witness[0].From])]
 			d.Tx = v.Graph.Label(v.Witness[0].From)
 			d.Witness = v.Graph.DescribeCycle(v.Witness)
 			d.Message = fmt.Sprintf("%s: critical cycle %s — session is not a correct chopping under %s (%s)",
 				c.Category, d.Witness, c.Under, c.Theorem)
 		}
+		d.Pos = pkg.Fset.Position(d.anchor.Pos)
 		pr.Diagnostics = append(pr.Diagnostics, d)
 	}
 	return nil
 }
 
 // AnnotationFixes suggests // silint:obj= annotation templates at the
-// ⊤-widening sites of d's anchoring transaction: naming the widened
-// keys is the other way to defuse a spurious cycle, and often the only
-// one when a widened write set blocks the repair advisor. Only the
-// go vet output prints them, so silint's own output stays unchanged.
-func AnnotationFixes(pkg *Package, pr *PackageReport, d Diagnostic) []SuggestedFix {
-	base := strings.TrimSuffix(d.Tx, "@it2")
-	var tx *Tx
-	for _, s := range pr.Sessions {
-		for _, t := range s.Txs {
-			if t.Name == base {
-				tx = t
-			}
-		}
-	}
-	if tx == nil {
+// ⊤-widening sites of d's anchoring transaction, the one diagnose
+// found: naming the widened keys is the other way to defuse a spurious
+// cycle, and often the only one when a widened write set blocks the
+// repair advisor. Only the go vet output prints them, so silint's own
+// output stays unchanged. The report argument is unused: the
+// diagnostic carries its anchor.
+func AnnotationFixes(pkg *Package, _ *PackageReport, d Diagnostic) []SuggestedFix {
+	if d.anchor == nil {
 		return nil
 	}
 	var out []SuggestedFix
-	for _, site := range tx.WidenSites {
+	for _, site := range d.anchor.WidenSites {
 		f := pkg.Fset.File(site)
 		if f == nil {
 			continue

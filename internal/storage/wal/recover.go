@@ -38,11 +38,9 @@ func (d *Driver) recover() error {
 	var mon *monitor.Monitor
 	if !d.opts.SkipCertify {
 		mon = monitor.New(monitor.Config{
-			Model:     d.opts.Model,
-			Window:    d.opts.Window,
-			Budget:    d.opts.Budget,
-			InitValue: d.opts.InitValue,
-			Metrics:   d.opts.Metrics,
+			Model:   d.opts.Model,
+			Window:  d.opts.Window,
+			Metrics: d.opts.Metrics,
 		})
 	}
 	var seq int64

@@ -94,12 +94,6 @@ type Options struct {
 	// count. The verdict stays one-sidedly sound after window
 	// collapses (certified ⇒ the full log is a member).
 	Window int
-	// Budget bounds each slow-path certification during recovery
-	// replay, as check.Options.Budget. Zero means the check default.
-	Budget int
-	// InitValue is the value every object holds before any write,
-	// passed to the recovery monitor.
-	InitValue model.Value
 	// Metrics receives the driver's wal_* series. Nil disables.
 	Metrics *obs.Registry
 }

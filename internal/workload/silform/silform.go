@@ -3,8 +3,8 @@
 // runners in internal/workload drive with goroutines and RNG mixes,
 // rewritten as straight-line Go that the §6.1 static analysis can
 // extract exactly — constant object keys, single-transaction sessions,
-// and helpers that take the *engine.Tx handle (exercising the
-// interprocedural summariser). The package must stay diagnostic-free
+// and helpers that take the *engine.Tx handle (each a footprint
+// instantiated at its call). The package must stay diagnostic-free
 // with zero ⊤-widenings; the differential test asserts that the
 // statically extracted read/write sets over-approximate what the
 // engine records when the same forms are replayed, and CI runs silint
